@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, DEFAULT_GATE_WIDTH,
                        ExperimentConfig)
@@ -519,6 +518,9 @@ def fit_fringe(scan: FringeScan, poisson_weights: bool = False) -> FringeFit:
     V is constrained to [0, 1].  With ``poisson_weights`` the fit uses
     sqrt(count) errors; the default is unweighted.
     """
+    # Imported here so that only fringe fits pay for loading scipy.optimize.
+    from scipy.optimize import curve_fit
+
     scan.validate()
     rates = scan.counts / scan.integration_times
 

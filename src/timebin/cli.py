@@ -175,6 +175,8 @@ def _cmd_analyze(args) -> int:
         result = analysis.analyze_stream(it, gates, hist_bin=args.hist_bin_s)
     except StreamFormatError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read tag file {args.input}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
 

@@ -2,9 +2,25 @@
 
 Sixteen correlation measurements between the bases {Z0, Z1, X+, Y+} on
 each arm are assembled from four interferometer phase settings (the
-calibrated 0/90-degree dials on signal and idler), reconstructed by
-maximum likelihood over a Cholesky parametrization, and error bars are
-attached by Monte-Carlo resampling of the counts.
+calibrated 0/90-degree dials on signal and idler) and reconstructed by
+maximum likelihood; error bars come from Monte-Carlo resampling of the
+counts.
+
+The maximum-likelihood fit is one numpy solver over a stack of R count
+vectors, so a bootstrap fits all its replicas in one call.  It minimizes
+the convex extended-Poisson objective
+
+    f(A) = sum_k tr(A Pi_k) - n_k log tr(A Pi_k)
+
+over unnormalized positive semidefinite 4x4 matrices A; the minimizer
+scaled to unit trace is the state that maximizes the Poisson likelihood
+with its overall rate profiled out.  The iteration is a log-det barrier
+method: damped Newton steps in the 16 Pauli coordinates of A, batched
+over the stack (a (R, 16, 16) solve per step), which need a few tens of
+iterations even for near-pure states at the boundary of the positive
+cone, where first-order methods such as accelerated projected gradient
+take thousands.  It stops when a duality-gap certificate bounds the
+log-likelihood still to be gained below ``MLE_TOL`` nats (see :func:`mle_batch`).
 """
 
 from __future__ import annotations
@@ -13,7 +29,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import quantum
 from .quantum import BASIS_LABELS, DensityMatrix2Q, measurement_operator
@@ -28,6 +43,8 @@ __all__ = [
     "sample_joint_counts",
     "linear_inversion",
     "project_to_physical",
+    "MleBatch",
+    "mle_batch",
     "mle_reconstruct",
     "bootstrap_errors",
 ]
@@ -107,10 +124,6 @@ class MeasurementRecord:
 
 def _record_keys():
     return [(a, b) for a in BASIS_LABELS for b in BASIS_LABELS]
-
-
-def _operators() -> np.ndarray:
-    return np.stack([measurement_operator(a, b) for a, b in _record_keys()])
 
 
 def counts_from_phase_settings(setting_counts: dict, integration_time: float = 1.0,
@@ -199,6 +212,10 @@ class TomographyResult:
     n_replicas: int = 0
     n_replicas_dropped: int = 0
     low_precision: bool = False
+    certificate: float = 0.0          # bound on the nats left to gain
+    bootstrap_iterations_median: float | None = None
+    bootstrap_iterations_max: int | None = None
+    n_replicas_max_iter: int = 0
 
     def to_json(self) -> str:
         return json.dumps({
@@ -212,9 +229,73 @@ class TomographyResult:
                             "converged": self.converged,
                             "n_replicas": self.n_replicas,
                             "n_replicas_dropped": self.n_replicas_dropped,
-                            "low_precision": self.low_precision},
+                            "low_precision": self.low_precision,
+                            "certificate_nats": self.certificate,
+                            "min_eigenvalue": float(np.linalg.eigvalsh(self.rho.matrix)[0]),
+                            "bootstrap_iterations_median": self.bootstrap_iterations_median,
+                            "bootstrap_iterations_max": self.bootstrap_iterations_max,
+                            "n_replicas_max_iter": self.n_replicas_max_iter},
             "errors": self.errors,
         })
+
+
+# Constant operator data, built once.  A Hermitian 4x4 matrix is held as
+# its real coordinates a over the 16 Pauli products s_l (A = sum_l a_l s_l,
+# tr(s_l s_m) = 4 delta_lm), so p_k = tr(A Pi_k) = (_DESIGN a)_k and
+# sum_k w_k Pi_k has the coordinates _DESIGN^T w / 4.
+_OPS = np.stack([measurement_operator(a, b) for a, b in _record_keys()])
+_PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]),
+          np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+_SIGMA = np.stack([np.kron(a, b) for a in _PAULI for b in _PAULI]).astype(complex)
+_SIGMA_FLAT = _SIGMA.reshape(16, 16)
+_DESIGN = np.einsum("kij,lji->kl", _OPS, _SIGMA).real
+# Counts normalized to the time-basis sum -> flattened rho (the 16
+# projectors are informationally complete, so _DESIGN is invertible).
+_INVERSION = np.linalg.inv(_DESIGN).T @ _SIGMA_FLAT
+_ZZ = [k for k, (a, b) in enumerate(_record_keys()) if a[0] == b[0] == "Z"]
+_MIXED = np.eye(4, dtype=complex) / 4.0
+# tr(A) <= sum_k tr(A Pi_k) / _KAPPA for every positive A.
+_KAPPA = float(np.linalg.eigvalsh(_OPS.sum(axis=0))[0])
+
+
+def _rowwise(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """rows @ m as one vector-matrix product per row.
+
+    A single (R, k) @ (k, j) product may round a row differently for
+    R = 1 than inside a larger block (BLAS picks a different kernel);
+    the stacked form computes every row alike, so a record's fit does
+    not depend on the batch it sits in.
+    """
+    return (rows[:, None, :] @ m)[:, 0]
+
+
+def _coords(m: np.ndarray) -> np.ndarray:
+    """Pauli coordinates a_l = tr(M s_l) / 4 of stacked Hermitian matrices."""
+    return _rowwise(np.ascontiguousarray(m).reshape(len(m), 16), _SIGMA_FLAT.conj().T).real / 4
+
+
+def _matrices(a: np.ndarray) -> np.ndarray:
+    """Stacked Hermitian matrices from their Pauli coordinates, shape (R, 4, 4)."""
+    return _rowwise(a.astype(complex), _SIGMA_FLAT).reshape(len(a), 4, 4)
+
+
+def _physical(m: np.ndarray) -> np.ndarray:
+    """Hermitize, clamp eigenvalues, renormalize; zero trace -> mixed state."""
+    vals, vecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
+    a = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    tr = np.trace(a, axis1=1, axis2=2).real
+    rho = a / np.where(tr > 0, tr, 1.0)[:, None, None]
+    rho[tr <= 0] = _MIXED
+    return rho
+
+
+def _linear_inversion(counts: np.ndarray) -> np.ndarray:
+    """Linear inversion of a stack of count vectors, shape (R, 4, 4)."""
+    scale = counts[:, _ZZ].sum(axis=1)
+    p = counts / np.where(scale > 0, scale, 1.0)[:, None]
+    rho = _rowwise(p.astype(complex), _INVERSION).reshape(len(counts), 4, 4)
+    rho[scale <= 0] = _MIXED
+    return rho
 
 
 def linear_inversion(record: MeasurementRecord) -> np.ndarray:
@@ -223,151 +304,162 @@ def linear_inversion(record: MeasurementRecord) -> np.ndarray:
     The shared scale N/4 equals the summed time-basis counts (the four
     Z x Z projectors sum to the identity).  The 16 projectors are
     informationally complete, so the 16x16 system is well conditioned;
-    a singular system falls back to the maximally mixed state.
+    a record without time-basis counts falls back to the maximally mixed
+    state.
     """
-    n = record.count_vector()
-    scale = sum(record.counts[(a, b)] for a in ("Z0", "Z1") for b in ("Z0", "Z1"))
-    if scale <= 0:
-        return np.eye(4, dtype=complex) / 4.0
-    p = n / scale
-    ops = _operators()
-    # Expand rho over the Hermitian basis made of the operators' real
-    # structure: solve for 16 real parameters via vectorized projectors.
-    basis = _hermitian_basis()
-    design = np.array([[np.real(np.trace(op @ h)) for h in basis] for op in ops])
-    try:
-        coef, *_ = np.linalg.lstsq(design, p, rcond=None)
-    except np.linalg.LinAlgError:
-        return np.eye(4, dtype=complex) / 4.0
-    rho = sum(c * h for c, h in zip(coef, basis))
-    return np.asarray(rho, dtype=complex)
-
-
-def _hermitian_basis():
-    pauli = [np.eye(2, dtype=complex),
-             np.array([[0, 1], [1, 0]], dtype=complex),
-             np.array([[0, -1j], [1j, 0]], dtype=complex),
-             np.array([[1, 0], [0, -1]], dtype=complex)]
-    return [np.kron(a, b) / 4.0 for a in pauli for b in pauli]
+    return _linear_inversion(record.count_vector()[None])[0]
 
 
 def project_to_physical(m: np.ndarray) -> np.ndarray:
     """Nearest-physical cleanup: Hermitize, clamp eigenvalues, renormalize."""
-    m = (m + m.conj().T) / 2
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    if vals.sum() <= 0:
-        return np.eye(4, dtype=complex) / 4.0
-    rho = (vecs * vals) @ vecs.conj().T
-    return rho / np.trace(rho).real
+    return _physical(np.asarray(m, dtype=complex).reshape(1, 4, 4))[0]
 
 
-_TRIL = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+#: Stopping tolerance of the MLE certificate, in nats.
+MLE_TOL = 1e-2
+# Growth of the barrier weight t once a row is close to the central path.
+_T_GROW = 10.0
 
 
-def _t_matrix(t: np.ndarray) -> np.ndarray:
-    T = np.zeros((4, 4), dtype=complex)
-    T[np.diag_indices(4)] = t[:4]
-    for k, (r, c) in enumerate(_TRIL):
-        T[r, c] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
-    return T
+@dataclass(frozen=True)
+class MleBatch:
+    """Per-record outcome of :func:`mle_batch`; each field has length R."""
+
+    rho: np.ndarray               # (R, 4, 4) unit-trace states
+    log_likelihood: np.ndarray    # Poisson log-likelihood, rate profiled out
+    iterations: np.ndarray
+    certificate: np.ndarray       # bound on the nats still to gain; inf if none
+    converged: np.ndarray         # certificate <= MLE_TOL within max_iter
 
 
-def _rho_from_params(t: np.ndarray) -> np.ndarray:
-    T = _t_matrix(t)
-    rho = T @ T.conj().T
-    tr = np.trace(rho).real
-    if tr <= 0:
-        return np.eye(4, dtype=complex) / 4.0
-    return rho / tr
+def _certificate(n, pos, total, p):
+    """Bound on f(A) - min f, in nats, for A rescaled to sum_k p_k = C.
 
-
-def _params_from_rho(rho: np.ndarray) -> np.ndarray:
-    # Ridge keeps the Cholesky factor finite for boundary (rank-deficient)
-    # seeds; the optimizer can still walk back to the boundary.
-    rho = project_to_physical(rho)
-    rho = 0.999 * rho + 0.001 * np.eye(4) / 4.0
-    T = np.linalg.cholesky(rho)
-    t = np.zeros(16)
-    t[:4] = np.real(np.diag(T))
-    for k, (r, c) in enumerate(_TRIL):
-        t[4 + 2 * k] = T[r, c].real
-        t[5 + 2 * k] = T[r, c].imag
-    return t
-
-
-def _poisson_nll(t, ops, counts):
-    rho = _rho_from_params(t)
-    p = np.einsum("kij,ji->k", ops, rho).real
-    p = np.clip(p, 1e-12, None)
-    scale = counts.sum() / p.sum()
-    mean = scale * p
-    return -float(np.sum(counts * np.log(mean) - mean))
-
-
-def _poisson_nll_and_grad(t, ops, counts):
-    """Objective plus its analytic gradient in the 16 Cholesky parameters.
-
-    With the scale profiled out the objective is
-    -sum(n_k log p_k) + C log(sum p_k) + const, so the Hermitian gradient
-    with respect to rho is sum_k (C/P - n_k/p_k) Pi_k, mapped back through
-    rho = T T^dag / tr and the triangular layout of T.
+    At that scale the gradient G = sum_k (1 - n_k / p_k) Pi_k has
+    <G, A> = 0 and the minimizer B* has sum_k p_k = C too, so convexity
+    gives f(A) - f(B*) <= -<G, B*> <= (C / kappa) max(0, -lambda_min(G)),
+    with kappa the smallest eigenvalue of sum_k Pi_k (tr B* <= C / kappa).
     """
-    T = _t_matrix(t)
-    a_mat = T @ T.conj().T
-    tr = np.trace(a_mat).real
-    if tr <= 0:
-        return _poisson_nll(t, ops, counts), np.zeros_like(t)
-    rho = a_mat / tr
-    p_raw = np.einsum("kij,ji->k", ops, rho).real
-    p = np.clip(p_raw, 1e-12, None)
-    total = counts.sum()
-    psum = p.sum()
-    nll = -float(np.sum(counts * np.log(total / psum * p) - total / psum * p))
+    p = p * (total / p.sum(axis=1))[:, None]
+    w = 1.0 - np.divide(n, p, out=np.zeros_like(p), where=pos)
+    lam = np.linalg.eigvalsh(_matrices(_rowwise(w, _DESIGN) / 4))[:, 0]
+    return total / _KAPPA * np.maximum(0.0, -lam)
 
-    w = np.where(p_raw > 1e-12, total / psum - counts / p, 0.0)
-    h0 = np.einsum("k,kij->ij", w, ops)
-    h = (h0 - np.trace(h0 @ rho).real * np.eye(4)) / tr
-    m = 2.0 * (h @ T)
-    grad = np.zeros_like(t)
-    grad[:4] = np.real(np.diag(m))
-    for k, (r, c) in enumerate(_TRIL):
-        grad[4 + 2 * k] = m[r, c].real
-        grad[5 + 2 * k] = m[r, c].imag
-    return nll, grad
+
+def mle_batch(counts, max_iter: int = 2000) -> MleBatch:
+    """Maximum-likelihood states for a stack of 16-count records.
+
+    ``counts`` has shape (R, 16) in record order.  Each row is fitted
+    independently.  The objective is the extended Poisson one,
+    f(A) = sum_k p_k - n_k log p_k with p_k = tr(A Pi_k), over positive
+    definite A; its minimizer has sum_k p_k = C, the record's total
+    count, and scaled to unit trace it is the state of largest Poisson
+    likelihood.  The seed is the projected linear inversion mixed with
+    0.1 % of the maximally mixed state, scaled to sum_k p_k = C.  Each
+    iteration takes one damped Newton step, a <- a + da / (1 + lambda)
+    with lambda the Newton decrement, on the barrier function
+    t f(A) - log det A in the 16 Pauli coordinates of A; such steps stay
+    inside the positive cone, and t (starting at 1) grows tenfold
+    whenever lambda < 1/2, which drives A toward the boundary of the
+    cone, where the optimum of a rank-deficient state lies.
+
+    Stopping rule: iteration k evaluates the certificate of
+    :func:`_certificate` at the current iterate (the seed when k = 1), a
+    bound on the log-likelihood the row can still gain, and takes a step
+    only if it exceeds ``MLE_TOL`` nats; a row whose certificate holds is
+    converged.  A row uncertified after ``max_iter`` iterations is
+    returned as its last checked iterate, unconverged, as is a row
+    without counts.  Counts are expected to be non-negative integers.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    n_all = np.asarray(counts, dtype=float).reshape(-1, 16)
+    total_all = n_all.sum(axis=1)
+    r = len(n_all)
+    a_out = np.zeros((r, 16))
+    a_out[:, 0] = 0.25
+    iterations = np.zeros(r, dtype=int)
+    certificate = np.full(r, np.inf)
+
+    act = np.flatnonzero(total_all > 0)
+    n, total = n_all[act], total_all[act]
+    pos = n > 0
+    a = _coords(0.999 * _physical(_linear_inversion(n)) + 0.001 * _MIXED)
+    a *= (total / _rowwise(a, _DESIGN.T).sum(axis=1))[:, None]
+    t = np.ones(len(act))
+    for it in range(1, max_iter + 1):
+        p = _rowwise(a, _DESIGN.T)
+        cert = _certificate(n, pos, total, p)
+        done = (cert <= MLE_TOL) | (it == max_iter)
+        if done.any():
+            rows = act[done]
+            a_out[rows], iterations[rows], certificate[rows] = a[done], it, cert[done]
+            keep = ~done
+            act, n, total, pos, a, t, p = (act[keep], n[keep], total[keep], pos[keep],
+                                           a[keep], t[keep], p[keep])
+            if not len(act):
+                break
+
+        a_inv = np.linalg.inv(_matrices(a))
+        w = 1.0 - np.divide(n, p, out=np.zeros_like(p), where=pos)
+        curv = np.divide(n, p * p, out=np.zeros_like(p), where=pos)
+        grad = (t[:, None] * _rowwise(w, _DESIGN)
+                - _rowwise(a_inv.reshape(-1, 16), _SIGMA_FLAT.conj().T).real)
+        # Hessian of -log det A: tr(s_l A^-1 s_m A^-1), via A^-1 (x) A^-T.
+        kron = (a_inv[:, :, None, :, None]
+                * a_inv.transpose(0, 2, 1)[:, None, :, None, :]).reshape(-1, 16, 16)
+        hess = (t[:, None, None] * ((_DESIGN.T * curv[:, None, :]) @ _DESIGN)
+                + (_SIGMA_FLAT.conj() @ kron @ _SIGMA_FLAT.T).real)
+        step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+        dec = np.sqrt(np.maximum(0.0, -(grad * step).sum(axis=1)))
+        trial = a + step / (1.0 + dec)[:, None]
+        # The damped step cannot leave the domain in exact arithmetic; a
+        # row that does so by rounding keeps its point.
+        inside = ((np.linalg.eigvalsh(_matrices(trial))[:, 0] > 0)
+                  & ~(pos & (_rowwise(trial, _DESIGN.T) <= 0)).any(axis=1))
+        a = np.where(inside[:, None], trial, a)
+        t = np.where(inside & (dec < 0.5), _T_GROW * t, t)
+
+    rho_out = _matrices(a_out / (4.0 * a_out[:, :1]))
+    p = _rowwise(a_out, _DESIGN.T)
+    mean = total_all[:, None] * p / p.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loglik = np.where(n_all > 0, n_all * np.log(mean), 0.0).sum(axis=1) - total_all
+    return MleBatch(rho=rho_out, log_likelihood=loglik, iterations=iterations,
+                    certificate=certificate, converged=certificate <= MLE_TOL)
+
+
+def _figures(m: np.ndarray):
+    """(rho, concurrence, Phi+ fidelity, CHSH lower, CHSH upper) of a fitted state."""
+    rho = DensityMatrix2Q.from_matrix(m, fix=True)
+    c = quantum.concurrence(rho)
+    lo, hi = quantum.chsh_bounds(c)
+    return rho, c, quantum.fidelity_to_pure(rho, quantum.bell_phi_plus()), lo, hi
 
 
 def mle_reconstruct(record: MeasurementRecord, max_iter: int = 2000) -> TomographyResult:
     """Maximum-likelihood density matrix from a 16-count record.
 
-    rho is parametrized as T T^dag / tr(T T^dag) with T a lower-triangular
-    Cholesky factor (16 real parameters), so every candidate is physical
-    by construction.
-    The objective is the Poisson log-likelihood with the overall scale
-    profiled out analytically.  Non-convergence is flagged in the result,
+    The one-record case of :func:`mle_batch`: the fit stops once its
+    certificate bounds the log-likelihood still to gain by ``MLE_TOL`` nats,
+    and non-convergence within ``max_iter`` is flagged in the result,
     never silent.
     """
     counts = record.count_vector()
     if counts.sum() <= 0:
         raise ValueError("record has no counts")
-    ops = _operators()
-    t0 = _params_from_rho(linear_inversion(record))
-    res = minimize(_poisson_nll_and_grad, t0, args=(ops, counts), jac=True,
-                   method="L-BFGS-B",
-                   options={"maxiter": max_iter, "ftol": 1e-15, "gtol": 1e-8})
-    rho = DensityMatrix2Q.from_matrix(_rho_from_params(res.x), fix=True)
-    c = quantum.concurrence(rho)
-    f = quantum.fidelity_to_pure(rho, quantum.bell_phi_plus())
-    lo, hi = quantum.chsh_bounds(c)
+    fit = mle_batch(counts[None], max_iter=max_iter)
+    rho, c, f, lo, hi = _figures(fit.rho[0])
     return TomographyResult(
         rho=rho,
-        log_likelihood=-res.fun,
+        log_likelihood=float(fit.log_likelihood[0]),
         concurrence=c,
         fidelity=f,
         chsh_lower=lo,
         chsh_upper=hi,
-        iterations=int(res.nit),
-        converged=bool(res.success),
+        iterations=int(fit.iterations[0]),
+        converged=bool(fit.converged[0]),
+        certificate=float(fit.certificate[0]),
     )
 
 
@@ -375,36 +467,28 @@ def bootstrap_errors(record: MeasurementRecord, n_replicas: int = 200,
                      seed: int = 0, max_iter: int = 2000) -> TomographyResult:
     """Monte-Carlo error bars: Poisson-resample counts, refit, take stats.
 
-    Replicas whose fit does not converge are dropped and counted; more
-    than 10% dropped, or fewer than 10 replicas requested, flags the
-    result as low precision.  Each replica derives its RNG from
-    (seed, replica index), so the run is reproducible and
-    order-independent.
+    All replicas are fitted in one :func:`mle_batch` call.  Replicas
+    whose fit does not converge are dropped and counted; more than 10%
+    dropped, or fewer than 10 replicas requested, flags the result as
+    low precision.  Each replica derives its RNG from (seed, replica
+    index), so the run is reproducible and order-independent.
     """
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas")
     base = mle_reconstruct(record, max_iter=max_iter)
     counts = record.count_vector()
-    keys = _record_keys()
-    metrics = {"concurrence": [], "fidelity": [], "chsh_lower": [], "chsh_upper": []}
-    dropped = 0
-    for k in range(n_replicas):
-        rng = np.random.default_rng([seed, k])
-        resampled = rng.poisson(counts)
-        rec = MeasurementRecord(
-            counts={key: int(v) for key, v in zip(keys, resampled)},
-            integration_times=record.integration_times,
-            provenance=record.provenance)
-        fit = mle_reconstruct(rec, max_iter=max_iter)
-        if not fit.converged:
-            dropped += 1
-            continue
-        metrics["concurrence"].append(fit.concurrence)
-        metrics["fidelity"].append(fit.fidelity)
-        metrics["chsh_lower"].append(fit.chsh_lower)
-        metrics["chsh_upper"].append(fit.chsh_upper)
-    errors = {name: {"mean": float(np.mean(vals)), "std": float(np.std(vals, ddof=1))}
-              for name, vals in metrics.items() if len(vals) >= 2}
+    draws = np.stack([np.random.default_rng([seed, k]).poisson(counts)
+                      for k in range(n_replicas)])
+    fits = mle_batch(draws, max_iter=max_iter)
+    figures = np.array([_figures(m)[1:] for m in fits.rho[fits.converged]]).reshape(-1, 4)
+    errors = {name: {"mean": float(np.mean(col)), "std": float(np.std(col, ddof=1))}
+              for name, col in zip(("concurrence", "fidelity", "chsh_lower", "chsh_upper"),
+                                   figures.T) if len(col) >= 2}
+    dropped = int(n_replicas - fits.converged.sum())
     low_precision = n_replicas < 10 or dropped > 0.1 * n_replicas
     return replace(base, errors=errors, n_replicas=n_replicas,
-                   n_replicas_dropped=dropped, low_precision=low_precision)
+                   n_replicas_dropped=dropped, low_precision=low_precision,
+                   bootstrap_iterations_median=float(np.median(fits.iterations)),
+                   bootstrap_iterations_max=int(fits.iterations.max()),
+                   n_replicas_max_iter=int(np.sum(~fits.converged
+                                                  & (fits.iterations == max_iter))))

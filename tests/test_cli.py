@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import timebin
 from timebin.cli import main
 
 
@@ -144,6 +149,14 @@ class TestAnalyze:
         assert code == 3
         assert "byte offset" in capsys.readouterr().err
 
+    def test_missing_input_is_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.tags"
+        code = main(["analyze", "--in", str(missing),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err
+
     def test_not_a_tag_file(self, tmp_path):
         bad = tmp_path / "junk.tags"
         bad.write_bytes(b"\x00\x01\x02 not a stream\n")
@@ -212,6 +225,18 @@ class TestTomo:
         assert result["errors"]["concurrence"]["std"] < 0.05
         assert (tmp / "tomo.rho.csv").exists()
 
+    def test_solver_diagnostics(self, setting_reports):
+        tmp, args = setting_reports
+        out = tmp / "diag.json"
+        assert main(["tomo", *args, "--out", str(out), "--replicas", "20",
+                     "--max-iter", "2000"]) == 0
+        diag = json.loads(out.read_text())["diagnostics"]
+        assert diag["converged"] and diag["n_replicas"] == 20
+        assert diag["n_replicas_dropped"] == diag["n_replicas_max_iter"] == 0
+        assert 0 <= diag["certificate_nats"] <= 1e-2
+        assert -1e-12 < diag["min_eigenvalue"] < 0.25
+        assert 1 <= diag["bootstrap_iterations_median"] <= diag["bootstrap_iterations_max"] <= 2000
+
     def test_missing_setting(self, setting_reports, capsys):
         tmp, args = setting_reports
         code = main(["tomo", *args[:3], "--out", str(tmp / "x.json")])
@@ -245,3 +270,13 @@ class TestReport:
         code = main(["report", str(tmp_path / "ghost.json"),
                      "--out", str(tmp_path / "s.json")])
         assert code == 3
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the fringe fit needs scipy.optimize; it is imported on first use
+    src = str(Path(timebin.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, timebin.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

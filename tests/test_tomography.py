@@ -6,10 +6,12 @@ from timebin.quantum import bell_phi_plus, pure_to_dm
 from timebin.tomography import (SETTINGS, MeasurementRecord,
                                 bootstrap_errors, counts_from_phase_settings,
                                 expected_joint_counts, linear_inversion,
-                                mle_reconstruct, project_to_physical,
-                                sample_joint_counts, setting_phases)
+                                mle_batch, mle_reconstruct,
+                                project_to_physical, sample_joint_counts,
+                                setting_phases)
 
 from conftest import ginibre_density_matrix
+from mle_oracle import oracle_fit, seed_nll
 
 KEYS = [(a, b) for a in quantum.BASIS_LABELS for b in quantum.BASIS_LABELS]
 
@@ -201,17 +203,57 @@ class TestMle:
 
     def test_likelihood_not_worse_than_seed(self):
         rng = np.random.default_rng(55)
-        from timebin.tomography import (_operators, _params_from_rho,
-                                        _poisson_nll)
         for _ in range(5):
             rec = counts_from_phase_settings(
                 ideal_setting_counts(10_000, v0=0.9, rng=rng))
-            counts = rec.count_vector()
-            ops = _operators()
-            seed_nll = _poisson_nll(_params_from_rho(linear_inversion(rec)),
-                                    ops, counts)
             fit = mle_reconstruct(rec)
-            assert -fit.log_likelihood <= seed_nll + 1e-6
+            assert -fit.log_likelihood <= seed_nll(rec) + 1e-6
+
+    def test_likelihood_matches_lbfgsb_oracle(self):
+        # 12 Ginibre states (full rank and pure) with exact Born counts and
+        # 12 Poisson four-setting Bell records with an accidental floor
+        rng = np.random.default_rng(59)
+        records = [born_record(ginibre_density_matrix(rng, rank=rank),
+                               n_total=10**6)
+                   for rank in (4, 1) for _ in range(6)]
+        records += [counts_from_phase_settings(ideal_setting_counts(
+                        n, v0=v0, rng=rng, accidentals=acc))
+                    for n in (5_000, 300_000) for v0 in (0.6, 0.95)
+                    for acc in (0.0, 2.0, 20.0)]
+        for rec in records:
+            fit = mle_reconstruct(rec)
+            _, oracle_ll, _ = oracle_fit(rec)
+            # near-pure records take accelerated projected gradient past
+            # 2000 iterations; the Newton barrier needs a few tens
+            assert fit.converged and fit.iterations <= 100
+            assert fit.log_likelihood >= oracle_ll - 1e-6 * abs(oracle_ll)
+
+    def test_certificate_bounds_gain_over_oracle(self):
+        # the oracle's optimum can beat a fit by at most its certificate
+        # (plus float noise of the log-likelihood sums), converged or not
+        rng = np.random.default_rng(60)
+        for _ in range(5):
+            rec = counts_from_phase_settings(
+                ideal_setting_counts(200_000, v0=0.9, rng=rng, accidentals=5.0))
+            _, oracle_ll, _ = oracle_fit(rec)
+            for max_iter in (1, 4, 16, 2000):
+                fit = mle_reconstruct(rec, max_iter=max_iter)
+                assert oracle_ll - fit.log_likelihood <= fit.certificate + 1e-6
+            assert fit.converged and 0 <= fit.certificate <= 1e-2
+
+    def test_batch_rows_match_solo_fits(self):
+        rng = np.random.default_rng(61)
+        rec = counts_from_phase_settings(
+            ideal_setting_counts(50_000, v0=0.9, rng=rng, accidentals=3.0))
+        draws = np.stack([rng.poisson(rec.count_vector()) for _ in range(40)])
+        batch = mle_batch(draws)
+        for k in (0, 7, 23, 39):
+            solo = mle_reconstruct(MeasurementRecord(
+                counts={key: int(v) for key, v in zip(KEYS, draws[k])}))
+            assert batch.iterations[k] == solo.iterations
+            assert np.max(np.abs(batch.rho[k] - solo.rho.matrix)) < 1e-9
+            assert batch.log_likelihood[k] == pytest.approx(
+                solo.log_likelihood, rel=1e-12)
 
     def test_swap_equivariance(self):
         rng = np.random.default_rng(56)
