@@ -50,9 +50,9 @@ print("\njoint slot table (signal slot x idler slot):")
 for row in result.joint:
     print("   " + " ".join(f"{int(v):6d}" for v in row))
 print("\ndelay histogram (idler slot - signal slot):")
-for d, c in sorted(result.coincidence_histogram().delay_counts.items()):
-    print(f"  {d:+d}: {c:6d}  " + "#" * int(40 * c / max(
-        result.coincidence_histogram().delay_counts.values())))
+delays = result.delay_counts
+for d, c in sorted(delays.items()):
+    print(f"  {d:+d}: {c:6d}  " + "#" * int(40 * c / max(delays.values())))
 rates = result.rate_report()
 print(f"\ngated singles {rates.singles_signal.value:.0f} / "
       f"{rates.singles_idler.value:.0f} per s, "

@@ -15,12 +15,11 @@ from .quantum import (BASIS_LABELS, DensityMatrix2Q, bell_phi_plus,
                       time_bin_state)
 from .simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE,
                        ExperimentConfig, JointSlotDistribution,
-                       joint_slot_distribution, simulate,
+                       joint_slot_distribution,
                        simulate_no_pump_interferometer)
-from .analysis import (CoincidenceHistogram, FringeScan, GateConfig,
-                       Quantity, RateReport, StreamAnalyzer, analyze_stream,
-                       car, coincidences, fit_fringe, gated_singles, klyshko,
-                       max_visibility_from_car, power_series_fit)
+from .analysis import (FringeScan, GateConfig, Quantity, RateReport,
+                       StreamAnalyzer, analyze_stream, car, fit_fringe,
+                       klyshko, max_visibility_from_car, power_series_fit)
 from .tomography import (SETTINGS, MeasurementRecord, TomographyResult,
                          bootstrap_errors, counts_from_phase_settings,
                          linear_inversion, mle_reconstruct)

@@ -24,13 +24,10 @@ __all__ = [
     "GateConfig",
     "Quantity",
     "RateReport",
-    "CoincidenceHistogram",
     "FringeScan",
     "StreamAnalyzer",
     "AnalysisResult",
     "analyze_stream",
-    "gated_singles",
-    "coincidences",
     "car",
     "klyshko",
     "power_series_fit",
@@ -132,50 +129,19 @@ class RateReport:
         }
 
 
-@dataclass(frozen=True)
-class CoincidenceHistogram:
-    """Coincidences indexed by (signal slot, idler slot) plus diagnostics.
-
-    ``joint[s, i]`` counts same-pulse pairs; the delay histogram over
-    i - s (five slots in time-bin operation) is derived from it.
-    ``neighbor_joint`` holds pairs formed against an offset pulse, the
-    accidentals diagnostic.
-    """
-
-    joint: np.ndarray
-    neighbor_joint: np.ndarray
-    neighbor_offset: int = 1
-
-    @property
-    def delay_counts(self) -> dict:
-        n_s, n_i = self.joint.shape
-        out = {}
-        for s in range(n_s):
-            for i in range(n_i):
-                d = i - s
-                out[d] = out.get(d, 0) + int(self.joint[s, i])
-        return out
-
-    @property
-    def total(self) -> int:
-        return int(self.joint.sum())
-
-
 class StreamAnalyzer:
     """Fold over a sorted tag stream.
 
     Each detection is associated with the latest preceding trigger;
     events before the first trigger are dropped and counted in
     ``dropped_pre_trigger``.  Coincidences are signal-idler pairs whose
-    gated slots belong to the same pulse (or to pulses ``offset`` apart
-    for the accidentals diagnostic).
+    gated slots belong to the same pulse; pairing each signal event with
+    the idler events of the next pulse gives the accidentals diagnostic.
     """
 
-    def __init__(self, gates: GateConfig, hist_bin: float = 10e-12,
-                 accidental_offset: int = 1):
+    def __init__(self, gates: GateConfig, hist_bin: float = 10e-12):
         self.gates = gates
         self.hist_bin_ps = hist_bin * 1e12
-        self.accidental_offset = accidental_offset
         self.n_triggers = 0
         self.dropped_pre_trigger = 0
         self._last_trigger_time = None
@@ -283,7 +249,7 @@ class StreamAnalyzer:
             ss_pairs, is_pairs = self._pair(ev_s[:, 0], ev_s[:, 1], ip, islot, 0)
             np.add.at(joint, (ss_pairs, is_pairs), 1)
             ss_pairs, is_pairs = self._pair(ev_s[:, 0], ev_s[:, 1], ip, islot,
-                                            self.accidental_offset)
+                                            shift=1)
             np.add.at(neighbor, (ss_pairs, is_pairs), 1)
         gated_s = self._gated[CH_SIGNAL]
         gated_i = self._gated[CH_IDLER]
@@ -299,7 +265,6 @@ class StreamAnalyzer:
                          else np.zeros(max(n_i_slots, 1), dtype=np.int64)),
             joint=joint,
             neighbor_joint=neighbor,
-            neighbor_offset=self.accidental_offset,
             n_triggers=self.n_triggers,
             duration=duration,
             dropped_pre_trigger=self.dropped_pre_trigger,
@@ -308,7 +273,12 @@ class StreamAnalyzer:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Accumulated histograms and counts of one analyzed stream."""
+    """Accumulated histograms and counts of one analyzed stream.
+
+    ``joint[s, i]`` counts same-pulse coincidences by (signal slot, idler
+    slot); ``neighbor_joint`` counts pairs formed against the next pulse,
+    the accidentals diagnostic.
+    """
 
     histograms: dict
     hist_bin: float
@@ -316,14 +286,20 @@ class AnalysisResult:
     gated_idler: np.ndarray
     joint: np.ndarray
     neighbor_joint: np.ndarray
-    neighbor_offset: int
     n_triggers: int
     duration: float
     dropped_pre_trigger: int
 
-    def coincidence_histogram(self) -> CoincidenceHistogram:
-        return CoincidenceHistogram(self.joint, self.neighbor_joint,
-                                    self.neighbor_offset)
+    @property
+    def delay_counts(self) -> dict:
+        """Coincidences per delay d = idler slot - signal slot.
+
+        Keys run 0, 1, 2, ... then -1, -2, ...; each value is the sum of
+        the d-th diagonal of ``joint``.
+        """
+        n_s, n_i = self.joint.shape
+        return {d: int(np.trace(self.joint, offset=d))
+                for d in (*range(n_i), *range(-1, -n_s, -1))}
 
     def rate_report(self) -> RateReport:
         if self.n_triggers == 0 or self.duration <= 0:
@@ -341,10 +317,9 @@ class AnalysisResult:
         )
 
 
-def analyze_stream(chunks, gates: GateConfig, hist_bin: float = 10e-12,
-                   accidental_offset: int = 1) -> AnalysisResult:
+def analyze_stream(chunks, gates: GateConfig, hist_bin: float = 10e-12) -> AnalysisResult:
     """Run the full analysis over an array or an iterable of tag chunks."""
-    analyzer = StreamAnalyzer(gates, hist_bin, accidental_offset)
+    analyzer = StreamAnalyzer(gates, hist_bin)
     if isinstance(chunks, np.ndarray):
         chunks = [chunks]
     for chunk in chunks:
@@ -353,22 +328,6 @@ def analyze_stream(chunks, gates: GateConfig, hist_bin: float = 10e-12,
     if result.n_triggers == 0:
         raise ValueError("stream contains no triggers")
     return result
-
-
-def gated_singles(stream, gates: GateConfig, hist_bin: float = 10e-12):
-    """Per-channel relative-to-trigger histograms plus gated slot counts.
-
-    Returns (histograms, gated counts per channel, rate report).
-    """
-    res = analyze_stream(stream, gates, hist_bin)
-    gated = {CH_SIGNAL: res.gated_signal, CH_IDLER: res.gated_idler}
-    return res.histograms, gated, res.rate_report()
-
-
-def coincidences(stream, gates: GateConfig, accidental_offset: int = 1):
-    """Same-pulse coincidence histogram and rate report for a stream."""
-    res = analyze_stream(stream, gates, accidental_offset=accidental_offset)
-    return res.coincidence_histogram(), res.rate_report()
 
 
 def car(rates: RateReport) -> Quantity:

@@ -2,8 +2,9 @@
 
 Run configs are flat ``key = value`` text files with units spelled out in
 the key names (``rep_rate_hz``, ``duration_s``, ...).  Every command
-writes a manifest next to its outputs with a config echo, RNG seeds and
-content checksums, so each figure is reproducible from its JSON alone.
+except ``report`` writes a manifest next to its outputs with a config
+echo, RNG seeds and content checksums, so each figure is reproducible
+from its JSON alone.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error,
 4 numerical non-convergence.
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__, analysis, streams, tomography
 from .analysis import FringeScan, GateConfig, car, fit_fringe, klyshko
-from .simulate import (CH_IDLER, CH_SIGNAL, DEFAULT_GATE_WIDTH, TAG_DTYPE,
+from .simulate import (CH_IDLER, CH_SIGNAL, DEFAULT_GATE_WIDTH,
                        ExperimentConfig, iter_simulate,
                        iter_simulate_single_bin)
 from .streams import StreamFormatError
@@ -138,12 +139,7 @@ def _cmd_simulate(args) -> int:
         chunks = iter_simulate(config)
     else:
         chunks = iter_simulate_single_bin(config)
-    if args.format == "csv":
-        tags = np.concatenate(list(chunks)) if config.duration else np.empty(0, TAG_DTYPE)
-        streams.write_tags_csv(args.out, tags)
-        n = tags.size
-    else:
-        n = streams.write_tags(args.out, chunks, config_echo=echo)
+    n = streams.write_tags(args.out, chunks, config_echo=echo)
     _write_manifest(args.out, echo, [args.config], [args.out], config.rng_seed, t0)
     print(f"wrote {n} tags to {args.out}")
     return 0
@@ -191,8 +187,7 @@ def _cmd_analyze(args) -> int:
         "neighbor_joint_counts": result.neighbor_joint.tolist(),
         "gated_slot_counts": {"signal": result.gated_signal.tolist(),
                               "idler": result.gated_idler.tolist()},
-        "delay_counts": {str(k): v for k, v
-                         in result.coincidence_histogram().delay_counts.items()},
+        "delay_counts": {str(k): v for k, v in result.delay_counts.items()},
         "dropped_pre_trigger": result.dropped_pre_trigger,
     }
     if rates.n_signal > 0 and rates.n_idler > 0:
@@ -213,8 +208,7 @@ def _cmd_analyze(args) -> int:
         _write_csv(path, "slot_or_phase,count,error", rows)
         outputs.append(path)
     path = f"{base}.delays.csv"
-    rows = [(d, c, float(np.sqrt(c))) for d, c
-            in sorted(result.coincidence_histogram().delay_counts.items())]
+    rows = [(d, c, float(np.sqrt(c))) for d, c in sorted(result.delay_counts.items())]
     _write_csv(path, "slot_or_phase,count,error", rows)
     outputs.append(path)
     _write_manifest(args.out, echo, [args.input], outputs, echo.get("rng_seed"), t0)
@@ -230,6 +224,24 @@ def _load_report(path):
         raise DataError(f"cannot read report {path}: {exc}") from exc
 
 
+def _report_field(report, path, *keys):
+    """``report[k0][k1]...``; a missing field is a DataError naming the file."""
+    value = report
+    try:
+        for key in keys:
+            value = value[key]
+    except (KeyError, IndexError, TypeError):
+        raise DataError(f"{path}: report has no {'.'.join(keys)}") from None
+    return value
+
+
+def _report_number(report, path, *keys):
+    value = _report_field(report, path, *keys)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{path}: {'.'.join(keys)} is not a number: {value!r}")
+    return value
+
+
 def _cmd_fringe(args) -> int:
     t0 = time.monotonic()
     points = []
@@ -242,8 +254,8 @@ def _cmd_fringe(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad phase in {spec_arg!r}: {exc}") from exc
         report = _load_report(path)
-        counts = report["rates"]["counts"]["central"]
-        duration = report["rates"]["duration_s"]
+        counts = _report_number(report, path, "rates", "counts", "central")
+        duration = _report_number(report, path, "rates", "duration_s")
         points.append((phase, counts, duration))
     if len(points) < 5:
         raise ConfigError(f"fringe fit needs at least 5 points, got {len(points)}")
@@ -267,6 +279,21 @@ def _cmd_fringe(args) -> int:
     return 0
 
 
+def _joint_counts(report, path) -> np.ndarray:
+    """The 3x3 table of non-negative integer counts of a time-bin report."""
+    try:
+        joint = np.array(_report_field(report, path, "joint_slot_counts"), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: joint_slot_counts is not a numeric table: {exc}") from exc
+    if joint.shape != (3, 3):
+        raise DataError(f"{path}: joint_slot_counts has shape {joint.shape}, "
+                        f"tomography needs the 3x3 table of a time-bin run")
+    if not np.all(np.isfinite(joint) & (joint >= 0) & (joint % 1 == 0)):
+        raise DataError(f"{path}: joint_slot_counts holds an entry that is not "
+                        f"a non-negative integer")
+    return joint
+
+
 def _cmd_tomo(args) -> int:
     t0 = time.monotonic()
     setting_counts = {}
@@ -277,9 +304,12 @@ def _cmd_tomo(args) -> int:
             ds, di = (int(x) for x in dials.split(","))
         except ValueError as exc:
             raise ConfigError(f"setting {spec_arg!r} must look like DS,DI:REPORT.json") from exc
-        report = _load_report(path)
-        joint = np.array(report["joint_slot_counts"])
-        setting_counts[(ds, di)] = joint
+        if (ds, di) not in tomography.SETTINGS:
+            raise ConfigError(f"setting {spec_arg!r}: dials must be one of "
+                              f"{list(tomography.SETTINGS)}")
+        if (ds, di) in setting_counts:
+            raise ConfigError(f"setting {ds},{di} is given more than once")
+        setting_counts[(ds, di)] = _joint_counts(_load_report(path), path)
         inputs.append(path)
     missing = [s for s in tomography.SETTINGS if s not in setting_counts]
     if missing:
@@ -327,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["single-bin", "time-bin"], default="time-bin")
     p.add_argument("--seed", type=int, default=None, help="override the config RNG seed")
-    p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="csv selects the debug tag format")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("analyze", help="histogram and rate analysis of a tag stream")

@@ -111,6 +111,17 @@ def validate_density_matrix(
         raise ValueError(f"matrix is not positive (smallest eigenvalue {lo:.3g})")
 
 
+def _physical(m: np.ndarray) -> np.ndarray:
+    """Hermitize, clamp negative eigenvalues, renormalize to unit trace.
+
+    Works on one 4x4 matrix or a (..., 4, 4) stack; a matrix whose
+    clamped trace is zero comes back non-finite.
+    """
+    vals, vecs = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2)
+    a = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return a / np.trace(a, axis1=-2, axis2=-1).real[..., None, None]
+
+
 @dataclass(frozen=True)
 class DensityMatrix2Q:
     """Validated 4x4 density matrix of the two time-bin qubits.
@@ -128,11 +139,7 @@ class DensityMatrix2Q:
     def from_matrix(cls, m: np.ndarray, fix: bool = False) -> "DensityMatrix2Q":
         m = np.asarray(m, dtype=complex).reshape(4, 4)
         if fix:
-            m = (m + m.conj().T) / 2
-            vals, vecs = np.linalg.eigh(m)
-            vals = np.clip(vals, 0.0, None)
-            m = (vecs * vals) @ vecs.conj().T
-            m = m / np.trace(m).real
+            m = _physical(m)
         validate_density_matrix(m)
         m = m.copy()
         m.setflags(write=False)

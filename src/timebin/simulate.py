@@ -139,32 +139,33 @@ def joint_slot_distribution(
 ) -> JointSlotDistribution:
     """Monitored-port slot weights of one photon pair.
 
-    Each of the six satellite joint slots carries weight 1/32; the central
-    slot (1,1) carries (1 - v0*cos(phi_s + phi_i - phi_p))/16, which is the
-    two-photon interference of the early-pump/long-paths and
-    late-pump/short-paths amplitudes.  The singles marginal is 1/8, 1/4,
-    1/8: no single-photon interference, the central slot just collects two
-    indistinguishable path alternatives.
+    The marginal of :func:`_outcome_table` over the monitored ports: the
+    joint table keeps the outcomes with both photons monitored, the
+    singles marginal those with the signal photon monitored.
     """
     if not 0.0 <= v0 <= 1.0:
         raise ValueError(f"v0 must lie in [0, 1], got {v0}")
-    delta = phi_s + phi_i - phi_p
+    probs, s_slot, i_slot, s_mon, i_mon = _outcome_table(phi_p, phi_s, phi_i, v0)
+    both = s_mon & i_mon
     joint = np.zeros((3, 3))
-    for s, i in ((0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)):
-        joint[s, i] = 1.0 / 32.0
-    joint[1, 1] = (1.0 - v0 * np.cos(delta)) / 16.0
-    marginal = np.array([1.0 / 8.0, 1.0 / 4.0, 1.0 / 8.0])
+    joint[s_slot[both], i_slot[both]] = probs[both]
+    marginal = np.bincount(s_slot[s_mon], weights=probs[s_mon], minlength=3)
     return JointSlotDistribution(joint=joint, marginal=marginal)
 
 
 def _outcome_table(phi_p: float, phi_s: float, phi_i: float, v0: float):
     """Full pair outcome table including the unmonitored ports.
 
-    Returns (probabilities, signal slot, idler slot, signal monitored,
-    idler monitored) arrays over the 36 outcomes (3 slots x 2 ports per
-    photon).  Satellite slots are port-independent at 1/32 each; the
-    central slot splits (1 -/+ v0 cos)/16 between like and unlike port
-    combinations.  The table sums to exactly 1.
+    This is the one encoding of the pair-outcome law.  Returns
+    (probabilities, signal slot, idler slot, signal monitored, idler
+    monitored) arrays over the 28 outcomes: 7 reachable slot pairs times
+    2 ports per photon (the corners (0, 2) and (2, 0) never occur).
+    Satellite slots are port-independent at 1/32 each.  The central slot
+    splits (1 -/+ v0 cos delta)/16, delta = phi_s + phi_i - phi_p, between
+    like and unlike port combinations: the two-photon interference of the
+    early-pump/long-paths and late-pump/short-paths amplitudes.  A single
+    photon shows no interference; its central slot just collects two
+    indistinguishable path alternatives.  The table sums to exactly 1.
     """
     delta = phi_s + phi_i - phi_p
     interference = v0 * np.cos(delta)

@@ -1,9 +1,8 @@
-"""Time-tag stream file formats.
+"""Time-tag stream file format.
 
 Binary format: one JSON header line (UTF-8, newline-terminated) carrying
 the format version and a config echo, followed by little-endian records
-of (channel: u8, timestamp: u64 picoseconds).  A CSV debug format with
-``channel,timestamp_ps`` rows is also provided.
+of (channel: u8, timestamp: u64 picoseconds).
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ __all__ = [
     "read_tags",
     "iter_read_tags",
     "read_header",
-    "write_tags_csv",
-    "read_tags_csv",
 ]
 
 FORMAT_VERSION = 1
@@ -104,19 +101,3 @@ def read_tags(path) -> tuple[dict, np.ndarray]:
     chunks = list(it)
     tags = np.concatenate(chunks) if chunks else np.empty(0, dtype=TAG_DTYPE)
     return header, tags
-
-
-def write_tags_csv(path, tags: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("channel,timestamp_ps\n")
-        for channel, time_ps in tags:
-            fh.write(f"{channel},{time_ps}\n")
-
-
-def read_tags_csv(path) -> np.ndarray:
-    data = np.genfromtxt(path, delimiter=",", names=True, dtype=[("channel", "u1"), ("timestamp_ps", "u8")])
-    data = np.atleast_1d(data)
-    out = np.empty(data.size, dtype=TAG_DTYPE)
-    out["channel"] = data["channel"]
-    out["time_ps"] = data["timestamp_ps"]
-    return out

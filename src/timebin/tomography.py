@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import quantum
-from .quantum import BASIS_LABELS, DensityMatrix2Q, measurement_operator
+from .quantum import BASIS_LABELS, DensityMatrix2Q, _physical, measurement_operator
 
 __all__ = [
     "SETTINGS",
@@ -42,7 +42,6 @@ __all__ = [
     "expected_joint_counts",
     "sample_joint_counts",
     "linear_inversion",
-    "project_to_physical",
     "MleBatch",
     "mle_batch",
     "mle_reconstruct",
@@ -279,16 +278,6 @@ def _matrices(a: np.ndarray) -> np.ndarray:
     return _rowwise(a.astype(complex), _SIGMA_FLAT).reshape(len(a), 4, 4)
 
 
-def _physical(m: np.ndarray) -> np.ndarray:
-    """Hermitize, clamp eigenvalues, renormalize; zero trace -> mixed state."""
-    vals, vecs = np.linalg.eigh((m + m.conj().transpose(0, 2, 1)) / 2)
-    a = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    tr = np.trace(a, axis1=1, axis2=2).real
-    rho = a / np.where(tr > 0, tr, 1.0)[:, None, None]
-    rho[tr <= 0] = _MIXED
-    return rho
-
-
 def _linear_inversion(counts: np.ndarray) -> np.ndarray:
     """Linear inversion of a stack of count vectors, shape (R, 4, 4)."""
     scale = counts[:, _ZZ].sum(axis=1)
@@ -308,11 +297,6 @@ def linear_inversion(record: MeasurementRecord) -> np.ndarray:
     state.
     """
     return _linear_inversion(record.count_vector()[None])[0]
-
-
-def project_to_physical(m: np.ndarray) -> np.ndarray:
-    """Nearest-physical cleanup: Hermitize, clamp eigenvalues, renormalize."""
-    return _physical(np.asarray(m, dtype=complex).reshape(1, 4, 4))[0]
 
 
 #: Stopping tolerance of the MLE certificate, in nats.

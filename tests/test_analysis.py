@@ -3,8 +3,7 @@ import pytest
 
 from timebin.analysis import (FringeScan, GateConfig, RateReport,
                               StreamAnalyzer, analyze_stream, car,
-                              coincidences, fit_fringe, gated_singles,
-                              klyshko, max_visibility_from_car,
+                              fit_fringe, klyshko, max_visibility_from_car,
                               power_series_fit)
 from timebin.simulate import (CH_IDLER, CH_SIGNAL, ExperimentConfig,
                               iter_simulate, iter_simulate_single_bin,
@@ -38,11 +37,11 @@ class TestGatedSingles:
                                mean_pairs_per_pulse=0.0,
                                dark_rate_signal=5e4, rng_seed=31)
         gates = GateConfig(gate_width=2e-6, offsets={CH_SIGNAL: [5e-6]})
-        hists, gated, _ = gated_singles(simulate(cfg), gates, hist_bin=1e-7)
+        res = analyze_stream(simulate(cfg), gates, hist_bin=1e-7)
         expected = cfg.dark_rate_signal * cfg.duration * (2e-6 / 1e-5)
-        assert abs(gated[CH_SIGNAL].sum() - expected) < 4 * np.sqrt(expected)
+        assert abs(res.gated_signal.sum() - expected) < 4 * np.sqrt(expected)
         # the histogram holds every tag, gated or not
-        assert hists[CH_SIGNAL].sum() == pytest.approx(
+        assert res.histograms[CH_SIGNAL].sum() == pytest.approx(
             cfg.dark_rate_signal * cfg.duration, abs=4 * np.sqrt(25000))
 
     def test_three_peak_singles_ratio(self):
@@ -74,8 +73,7 @@ class TestCoincidences:
     def test_five_delay_peaks(self):
         cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.05,
                                phi_s=np.pi, rng_seed=35)
-        hist, rates = coincidences(simulate(cfg), GateConfig.time_bin(cfg))
-        d = hist.delay_counts
+        d = analyze_stream(simulate(cfg), GateConfig.time_bin(cfg)).delay_counts
         assert set(d) == {-2, -1, 0, 1, 2}
         # fringe maximum: central peak carries 2x each single satellite
         # peak, and the outer delays are accidental-level
@@ -85,9 +83,9 @@ class TestCoincidences:
     def test_fringe_minimum_central_suppressed(self):
         cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.01,
                                phi_s=0.0, rng_seed=36)
-        hist, _ = coincidences(simulate(cfg), GateConfig.time_bin(cfg))
-        satellites = hist.joint[0, 0] + hist.joint[2, 2]
-        assert hist.joint[1, 1] < 0.05 * satellites
+        res = analyze_stream(simulate(cfg), GateConfig.time_bin(cfg))
+        satellites = res.joint[0, 0] + res.joint[2, 2]
+        assert res.joint[1, 1] < 0.05 * satellites
 
     def test_accidental_diagnostic_matches_poisson_rate(self):
         # uncorrelated darks: same-pulse and neighbor-pulse coincidences

@@ -112,12 +112,12 @@ class TestSimulate:
         assert manifest["rng_seed"] == 7
         assert manifest["config"]["mean_pairs_per_pulse"] == 0.05
 
-    def test_csv_format(self, tmp_path):
+    def test_format_flag_is_a_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", duration_s=0.0001)
-        out = tmp_path / "run.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out),
-                     "--format", "csv"]) == 0
-        assert out.read_text().splitlines()[0] == "channel,timestamp_ps"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg),
+                  "--out", str(tmp_path / "run.csv"), "--format", "csv"])
+        assert exc.value.code == 2
 
 
 class TestAnalyze:
@@ -197,6 +197,21 @@ class TestFringe:
         code = main(["fringe", "zero", "--out", str(tmp_path / "f.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("content", [
+        {"joint_slot_counts": [[1]]},
+        {"rates": {"counts": {"central": 5}}},
+        {"rates": {"counts": {"central": "many"}, "duration_s": 1.0}},
+        [1, 2, 3],
+    ])
+    def test_unusable_report_is_data_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        points = [f"{k}.0:{bad}" for k in range(6)]
+        code = main(["fringe", *points, "--out", str(tmp_path / "f.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def setting_reports(tmp_path_factory):
@@ -248,6 +263,43 @@ class TestTomo:
         code = main(["tomo", "diag:" + args[0].partition(":")[2],
                      *args[1:], "--out", str(tmp / "x.json")])
         assert code == 2
+
+    def test_single_bin_reports_are_data_error(self, tmp_path, capsys):
+        report = run_pipeline(tmp_path, "sb", mode="single-bin", duration_s=0.0005)
+        args = [f"{ds},{di}:{report}" for ds, di in ((0, 0), (0, 90), (90, 0), (90, 90))]
+        code = main(["tomo", *args, "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(report) in err and "3x3" in err
+
+    @pytest.mark.parametrize("content", [
+        {"rates": {}},
+        {"joint_slot_counts": [[1, 2, 3], [4, "five", 6], [7, 8, 9]]},
+        {"joint_slot_counts": [[1, 2, 3], [4, -5, 6], [7, 8, 9]]},
+        {"joint_slot_counts": [[1, 2, 3], [4, 5]]},
+    ])
+    def test_unusable_report_is_data_error(self, setting_reports, capsys, content):
+        tmp, args = setting_reports
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps(content))
+        code = main(["tomo", "0,0:" + str(bad), *args[1:],
+                     "--out", str(tmp / "x.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+
+    def test_unknown_dial_setting(self, setting_reports, capsys):
+        tmp, args = setting_reports
+        extra = "45,0:" + args[0].partition(":")[2]
+        code = main(["tomo", *args, extra, "--out", str(tmp / "x.json")])
+        assert code == 2
+        assert "45,0" in capsys.readouterr().err
+
+    def test_repeated_setting(self, setting_reports, capsys):
+        tmp, args = setting_reports
+        code = main(["tomo", *args, args[0], "--out", str(tmp / "x.json")])
+        assert code == 2
+        assert "more than once" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, setting_reports):
         tmp, args = setting_reports

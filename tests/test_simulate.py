@@ -1,5 +1,10 @@
+import hashlib
+import inspect
+
 import numpy as np
 import pytest
+
+import timebin
 
 from timebin.analysis import GateConfig, analyze_stream, car
 from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER,
@@ -9,7 +14,32 @@ from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER,
                               simulate_no_pump_interferometer)
 
 
+def hand_written_slot_weights(phi_p, phi_s, phi_i, v0):
+    """Closed-form monitored-port weights, the oracle for the outcome table.
+
+    Each of the six satellite joint slots carries 1/32; the central slot
+    (1, 1) carries (1 - v0 cos(phi_s + phi_i - phi_p))/16.  The singles
+    marginal is 1/8, 1/4, 1/8.
+    """
+    joint = np.zeros((3, 3))
+    for s, i in ((0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)):
+        joint[s, i] = 1.0 / 32.0
+    joint[1, 1] = (1.0 - v0 * np.cos(phi_s + phi_i - phi_p)) / 16.0
+    return joint, np.array([1.0 / 8.0, 1.0 / 4.0, 1.0 / 8.0])
+
+
 class TestJointSlotDistribution:
+    def test_matches_hand_written_weights(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            phases = rng.uniform(-10.0, 10.0, 3)
+            v0 = rng.uniform()
+            d = joint_slot_distribution(*phases, v0)
+            joint, marginal = hand_written_slot_weights(*phases, v0)
+            np.testing.assert_array_equal(d.joint, joint)
+            # summing the two central-slot ports may round by one ulp
+            np.testing.assert_allclose(d.marginal, marginal, rtol=0, atol=1e-16)
+
     def test_fringe_maximum(self):
         d = joint_slot_distribution(0.0, np.pi, 0.0, 1.0)
         assert d.joint[1, 1] == pytest.approx(2.0 / 16.0)
@@ -47,18 +77,18 @@ class TestJointSlotDistribution:
 
     def test_outcome_table_matches_monitored_joint(self):
         probs, s_slot, i_slot, s_mon, i_mon = _outcome_table(0.1, 2.0, 0.4, 0.9)
-        d = joint_slot_distribution(0.1, 2.0, 0.4, 0.9)
+        joint, _ = hand_written_slot_weights(0.1, 2.0, 0.4, 0.9)
         for s in range(3):
             for i in range(3):
                 sel = (s_slot == s) & (i_slot == i) & s_mon & i_mon
-                assert probs[sel].sum() == pytest.approx(d.joint[s, i])
+                assert probs[sel].sum() == pytest.approx(joint[s, i])
 
     def test_outcome_table_matches_singles_marginal(self):
         probs, s_slot, i_slot, s_mon, i_mon = _outcome_table(0.6, 1.1, 2.9, 1.0)
-        d = joint_slot_distribution(0.6, 1.1, 2.9, 1.0)
+        _, marginal = hand_written_slot_weights(0.6, 1.1, 2.9, 1.0)
         for s in range(3):
-            assert probs[(s_slot == s) & s_mon].sum() == pytest.approx(d.marginal[s])
-            assert probs[(i_slot == s) & i_mon].sum() == pytest.approx(d.marginal[s])
+            assert probs[(s_slot == s) & s_mon].sum() == pytest.approx(marginal[s])
+            assert probs[(i_slot == s) & i_mon].sum() == pytest.approx(marginal[s])
 
 
 class TestConfig:
@@ -195,3 +225,33 @@ class TestSingleBin:
         res = analyze_stream(iter_simulate_single_bin(cfg), gates)
         q = car(res.rate_report())
         assert abs(q.value - 1.0) < 3 * q.error
+
+
+class TestGoldenStreams:
+    """SHA-256 of simulated streams, pinned so refactors keep them byte-identical."""
+
+    def test_time_bin_stream(self):
+        # two generation blocks, so the carry of late events is covered
+        cfg = ExperimentConfig(duration=0.015, mean_pairs_per_pulse=0.01,
+                               phi_p=0.4, phi_s=2.1, phi_i=0.7,
+                               interference_visibility=0.85,
+                               dark_rate_signal=2e4, dark_rate_idler=3e4,
+                               rng_seed=101)
+        tags = simulate(cfg)
+        assert tags.size == 1155264
+        assert hashlib.sha256(tags.tobytes()).hexdigest() == (
+            "4c6b02970b120648bfc94fd30305164ef748694e70d5b433b8cf97dd3cc2eefe")
+
+    def test_single_bin_stream(self):
+        cfg = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.05,
+                               eta_signal=0.6, eta_idler=0.4,
+                               dark_rate_signal=2e4, dark_rate_idler=3e4,
+                               rng_seed=102)
+        tags = simulate_no_pump_interferometer(cfg)
+        assert tags.size == 160050
+        assert hashlib.sha256(tags.tobytes()).hexdigest() == (
+            "3c59abeaac2a565b3f81f8b6d7ee4ffc76f83b8d3b01c2596f6cf61e8e01d456")
+
+
+def test_package_attribute_is_the_simulate_module():
+    assert inspect.ismodule(timebin.simulate)

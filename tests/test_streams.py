@@ -6,7 +6,7 @@ import pytest
 from timebin.simulate import TAG_DTYPE, ExperimentConfig, simulate
 from timebin.streams import (FORMAT_VERSION, StreamFormatError,
                              iter_read_tags, read_header, read_tags,
-                             read_tags_csv, write_tags, write_tags_csv)
+                             write_tags)
 
 
 @pytest.fixture
@@ -79,25 +79,3 @@ class TestBinaryFormat:
         with pytest.raises(StreamFormatError) as err:
             read_header(path)
         assert err.value.byte_offset == 0
-
-
-class TestCsvFormat:
-    def test_round_trip(self, tmp_path, tags):
-        path = tmp_path / "run.csv"
-        write_tags_csv(path, tags[:500])
-        back = read_tags_csv(path)
-        assert back.tobytes() == tags[:500].tobytes()
-
-    def test_header_line(self, tmp_path, tags):
-        path = tmp_path / "run.csv"
-        write_tags_csv(path, tags[:3])
-        first = path.read_text().splitlines()[0]
-        assert first == "channel,timestamp_ps"
-
-    def test_single_row(self, tmp_path):
-        one = np.array([(2, 123456)], dtype=TAG_DTYPE)
-        path = tmp_path / "one.csv"
-        write_tags_csv(path, one)
-        back = read_tags_csv(path)
-        assert back.size == 1
-        assert back[0]["time_ps"] == 123456

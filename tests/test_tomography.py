@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from timebin import quantum
-from timebin.quantum import bell_phi_plus, pure_to_dm
+from timebin.quantum import DensityMatrix2Q, bell_phi_plus, pure_to_dm
 from timebin.tomography import (SETTINGS, MeasurementRecord,
                                 bootstrap_errors, counts_from_phase_settings,
                                 expected_joint_counts, linear_inversion,
                                 mle_batch, mle_reconstruct,
-                                project_to_physical, sample_joint_counts,
-                                setting_phases)
+                                sample_joint_counts, setting_phases)
 
 from conftest import ginibre_density_matrix
 from mle_oracle import oracle_fit, seed_nll
@@ -158,7 +157,7 @@ class TestLinearInversion:
             vals = np.linalg.eigvalsh((est + est.conj().T) / 2)
             if vals.min() < -1e-9:
                 seen_unphysical = True
-            fixed = project_to_physical(est)
+            fixed = DensityMatrix2Q.from_matrix(est, fix=True).matrix
             assert np.linalg.eigvalsh(fixed).min() >= -1e-12
             assert np.trace(fixed).real == pytest.approx(1.0)
         assert seen_unphysical
