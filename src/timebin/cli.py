@@ -159,8 +159,16 @@ def _write_csv(path, header, rows):
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
+def _require_positive(flag, value):
+    """A ConfigError naming ``flag`` unless ``value`` is a positive finite number."""
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{flag} must be a positive finite number, got {value!r}")
+
+
 def _cmd_analyze(args) -> int:
     t0 = time.monotonic()
+    _require_positive("--gate-width-s", args.gate_width_s)
+    _require_positive("--hist-bin-s", args.hist_bin_s)
     try:
         it = streams.iter_read_tags(args.input)
         header = next(it)
@@ -256,6 +264,9 @@ def _cmd_fringe(args) -> int:
         report = _load_report(path)
         counts = _report_number(report, path, "rates", "counts", "central")
         duration = _report_number(report, path, "rates", "duration_s")
+        if not (np.isfinite(duration) and duration > 0):
+            raise DataError(f"{path}: rates.duration_s must be a positive finite "
+                            f"number, got {duration!r}")
         points.append((phase, counts, duration))
     if len(points) < 5:
         raise ConfigError(f"fringe fit needs at least 5 points, got {len(points)}")
@@ -296,6 +307,10 @@ def _joint_counts(report, path) -> np.ndarray:
 
 def _cmd_tomo(args) -> int:
     t0 = time.monotonic()
+    if args.replicas < 2:
+        raise ConfigError(f"--replicas must be at least 2, got {args.replicas}")
+    if args.max_iter < 1:
+        raise ConfigError(f"--max-iter must be at least 1, got {args.max_iter}")
     setting_counts = {}
     inputs = []
     for spec_arg in args.settings:

@@ -93,20 +93,25 @@ def validate_density_matrix(
 
     Checks finiteness, Hermiticity, unit trace and positivity, each to the
     given tolerance.  Eigenvalues down to ``eig_floor`` are tolerated as
-    numerical rounding; anything lower rejects the matrix.
+    numerical rounding; anything lower rejects the matrix.  A (..., 4, 4)
+    stack passes only if every matrix in it does; the message reports the
+    worst one.
     """
     m = np.asarray(m)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    if m.size == 0:
+        return
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("density matrix has non-finite entries")
-    herm_dev = np.max(np.abs(m - m.conj().T))
+    herm_dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
     if herm_dev > herm_atol:
         raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3g})")
-    tr = np.trace(m)
-    if abs(tr - 1.0) > trace_atol:
-        raise ValueError(f"trace {tr:.6g} is not 1 within {trace_atol:g}")
-    lo = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
+    tr = np.trace(m, axis1=-2, axis2=-1).ravel()
+    worst = np.argmax(np.abs(tr - 1.0))
+    if abs(tr[worst] - 1.0) > trace_atol:
+        raise ValueError(f"trace {tr[worst]:.6g} is not 1 within {trace_atol:g}")
+    lo = np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2).min()
     if lo < eig_floor:
         raise ValueError(f"matrix is not positive (smallest eigenvalue {lo:.3g})")
 
@@ -170,6 +175,14 @@ def _as_matrix(rho, validate: bool, trace_atol: float) -> np.ndarray:
     return m
 
 
+def _concurrence(m: np.ndarray) -> np.ndarray:
+    """Concurrence of one 4x4 matrix or of each matrix of a (..., 4, 4) stack."""
+    r = m @ _YY @ m.conj() @ _YY
+    vals = np.linalg.eigvals(r).real
+    lam = np.sort(np.sqrt(np.clip(vals, 0.0, None)), axis=-1)[..., ::-1]
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
 def concurrence(rho, validate: bool = True, trace_atol: float = 0.01) -> float:
     """Wootters concurrence C of a two-qubit density matrix.
 
@@ -178,11 +191,12 @@ def concurrence(rho, validate: bool = True, trace_atol: float = 0.01) -> float:
     product is non-Hermitian, so its eigenvalues are computed directly and
     tiny negative real parts are clamped before the square root.
     """
-    m = _as_matrix(rho, validate, trace_atol)
-    r = m @ _YY @ m.conj() @ _YY
-    vals = np.linalg.eigvals(r).real
-    lam = np.sort(np.sqrt(np.clip(vals, 0.0, None)))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(_concurrence(_as_matrix(rho, validate, trace_atol)))
+
+
+def _fidelity(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<psi| m |psi> of one 4x4 matrix or of each matrix of a stack."""
+    return np.real(psi.conj() @ m @ psi)
 
 
 def fidelity_to_pure(rho, psi: np.ndarray, validate: bool = True, trace_atol: float = 0.01) -> float:
@@ -192,17 +206,18 @@ def fidelity_to_pure(rho, psi: np.ndarray, validate: bool = True, trace_atol: fl
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"target state is not normalized (norm {nrm:.6g})")
-    return float(np.real(psi.conj() @ m @ psi))
+    return float(_fidelity(m, psi))
 
 
-def chsh_bounds(concurrence_value: float) -> tuple[float, float]:
+def chsh_bounds(concurrence_value):
     """Range of the CHSH parameter |S| attainable at a given concurrence.
 
     Returns (2*sqrt(2)*C, 2*sqrt(1+C^2)): the guaranteed-achievable value
     and the ceiling over all states with concurrence C.  A violation of
-    the classical bound 2 is guaranteed whenever C > 1/sqrt(2).
+    the classical bound 2 is guaranteed whenever C > 1/sqrt(2).  An array
+    of concurrences gives a pair of arrays.
     """
-    c = float(concurrence_value)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"concurrence must lie in [0, 1], got {c}")
+    c = np.asarray(concurrence_value, dtype=float)
+    if not np.all((0.0 <= c) & (c <= 1.0)):
+        raise ValueError(f"concurrence must lie in [0, 1], got {concurrence_value}")
     return 2.0 * np.sqrt(2.0) * c, 2.0 * np.sqrt(1.0 + c * c)

@@ -16,6 +16,13 @@ Streams are numpy structured arrays with fields ``channel`` (u8) and
 each with its own RNG substream derived from (seed, block index), so the
 output is deterministic and independent of how it is chunked or
 parallelized.
+
+Tags are ordered by (float time, channel).  A block's trigger grid
+round(k * period) is sorted by construction, so only the detections
+are sorted; they are then merged into the grid, each one ahead of any
+trigger at an equal time (CH_TRIGGER is the largest channel).
+Detections that spill past a block's last pulse period are carried into
+the next block.
 """
 
 from __future__ import annotations
@@ -198,16 +205,24 @@ def _block_range(config: ExperimentConfig):
     return n_pulses, n_blocks
 
 
-def _dark_tags(rng, channel, rate, t0_ps, t1_ps):
+def _dark_tags(rng, rate, t0_ps, t1_ps):
     if rate <= 0 or t1_ps <= t0_ps:
-        return np.empty(0, dtype=np.float64), channel
+        return np.empty(0, dtype=np.float64)
     span_s = (t1_ps - t0_ps) * 1e-12
     n = rng.poisson(rate * span_s)
-    return t0_ps + rng.random(n) * (t1_ps - t0_ps), channel
+    return t0_ps + rng.random(n) * (t1_ps - t0_ps)
 
 
 def _emit_block(config, block, n_pulses, table, time_bin: bool):
-    """Generate all tags of one pulse block, time-sorted, as float times.
+    """Generate one pulse block: its trigger grid and its detections.
+
+    Returns (pulse_times, times, channels, t_end).  ``pulse_times`` is the
+    block's trigger grid round(k * period) in ps, sorted by construction.
+    ``times`` and ``channels`` are the unsorted detections as float ps
+    clipped at 0, in draw order: signal photons, signal darks, idler
+    photons, idler darks.  Equal (time, channel) detections keep this
+    order through the stable sort in :func:`_iter_tags`.
+    ``t_end`` is the end of the block's last pulse period.
 
     Pair counts use the superposition property of the Poisson process:
     one total Poisson draw for the block, pulse indices assigned
@@ -245,18 +260,36 @@ def _emit_block(config, block, n_pulses, table, time_bin: bool):
     t0 = pulse_times[0]
     t1 = pulse_times[-1] + period_ps
     dark_rng = np.random.default_rng([config.rng_seed, block, 1])
-    d_s, _ = _dark_tags(dark_rng, CH_SIGNAL, config.dark_rate_signal, t0, t1)
-    d_i, _ = _dark_tags(dark_rng, CH_IDLER, config.dark_rate_idler, t0, t1)
+    d_s = _dark_tags(dark_rng, config.dark_rate_signal, t0, t1)
+    d_i = _dark_tags(dark_rng, config.dark_rate_idler, t0, t1)
 
-    times = np.concatenate([pulse_times, t_s, d_s, t_i, d_i])
+    times = np.clip(np.concatenate([t_s, d_s, t_i, d_i]), 0.0, None)
     channels = np.concatenate([
-        np.full(count, CH_TRIGGER, dtype=np.uint8),
         np.full(t_s.size + d_s.size, CH_SIGNAL, dtype=np.uint8),
         np.full(t_i.size + d_i.size, CH_IDLER, dtype=np.uint8),
     ])
-    times = np.clip(times, 0.0, None)
-    order = np.lexsort((channels, times))
-    return times[order], channels[order], t1
+    return pulse_times, times, channels, t1
+
+
+def _merge(grid, times, channels) -> np.ndarray:
+    """Tag array of time-sorted detections merged into a trigger grid.
+
+    Detection k lands at ``searchsorted(grid, t_k, "left") + k``: before
+    any trigger at an equal time, the order a (time, channel) sort gives
+    because CH_TRIGGER is the largest channel.  The triggers fill the
+    remaining slots in grid order, so no trigger is ever sorted.
+    """
+    pos = np.searchsorted(grid, times, side="left") + np.arange(times.size)
+    out = np.empty(grid.size + times.size, dtype=TAG_DTYPE)
+    is_trigger = np.ones(out.size, dtype=bool)
+    is_trigger[pos] = False
+    time_ps = out["time_ps"]
+    time_ps[is_trigger] = grid
+    time_ps[pos] = np.round(times)
+    channel = out["channel"]
+    channel[...] = CH_TRIGGER
+    channel[pos] = channels
+    return out
 
 
 def _iter_tags(config: ExperimentConfig, time_bin: bool) -> Iterator[np.ndarray]:
@@ -270,7 +303,10 @@ def _iter_tags(config: ExperimentConfig, time_bin: bool) -> Iterator[np.ndarray]
     carry_t = np.empty(0, dtype=np.float64)
     carry_c = np.empty(0, dtype=np.uint8)
     for block in range(n_blocks):
-        times, channels, t_end = _emit_block(config, block, n_pulses, table, time_bin)
+        grid, times, channels, t_end = _emit_block(config, block, n_pulses,
+                                                   table, time_bin)
+        # Only the detections are sorted; carried ones come first, so the
+        # stable sort keeps them ahead of equal (time, channel) newcomers.
         times = np.concatenate([carry_t, times])
         channels = np.concatenate([carry_c, channels])
         order = np.lexsort((channels, times))
@@ -281,10 +317,7 @@ def _iter_tags(config: ExperimentConfig, time_bin: bool) -> Iterator[np.ndarray]
             cut = np.searchsorted(times, t_end, side="left")
             carry_t, carry_c = times[cut:], channels[cut:]
             times, channels = times[:cut], channels[:cut]
-        out = np.empty(times.size, dtype=TAG_DTYPE)
-        out["channel"] = channels
-        out["time_ps"] = np.round(times).astype(np.uint64)
-        yield out
+        yield _merge(grid, times, channels)
 
 
 def iter_simulate(config: ExperimentConfig) -> Iterator[np.ndarray]:

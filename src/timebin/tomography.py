@@ -413,12 +413,18 @@ def mle_batch(counts, max_iter: int = 2000) -> MleBatch:
                     certificate=certificate, converged=certificate <= MLE_TOL)
 
 
-def _figures(m: np.ndarray):
-    """(rho, concurrence, Phi+ fidelity, CHSH lower, CHSH upper) of a fitted state."""
-    rho = DensityMatrix2Q.from_matrix(m, fix=True)
-    c = quantum.concurrence(rho)
+def _figures(stack: np.ndarray):
+    """Physical states and figures of a (R, 4, 4) stack of fitted matrices.
+
+    Returns (rho, concurrence, Phi+ fidelity, CHSH lower, CHSH upper),
+    each with the leading replica axis.  Every projected matrix must pass
+    :func:`quantum.validate_density_matrix`.
+    """
+    rho = _physical(stack)
+    quantum.validate_density_matrix(rho)
+    c = quantum._concurrence(rho)
     lo, hi = quantum.chsh_bounds(c)
-    return rho, c, quantum.fidelity_to_pure(rho, quantum.bell_phi_plus()), lo, hi
+    return rho, c, quantum._fidelity(rho, quantum.bell_phi_plus()), lo, hi
 
 
 def mle_reconstruct(record: MeasurementRecord, max_iter: int = 2000) -> TomographyResult:
@@ -433,14 +439,14 @@ def mle_reconstruct(record: MeasurementRecord, max_iter: int = 2000) -> Tomograp
     if counts.sum() <= 0:
         raise ValueError("record has no counts")
     fit = mle_batch(counts[None], max_iter=max_iter)
-    rho, c, f, lo, hi = _figures(fit.rho[0])
+    rho, c, f, lo, hi = _figures(fit.rho)
     return TomographyResult(
-        rho=rho,
+        rho=DensityMatrix2Q.from_matrix(rho[0]),
         log_likelihood=float(fit.log_likelihood[0]),
-        concurrence=c,
-        fidelity=f,
-        chsh_lower=lo,
-        chsh_upper=hi,
+        concurrence=float(c[0]),
+        fidelity=float(f[0]),
+        chsh_lower=float(lo[0]),
+        chsh_upper=float(hi[0]),
         iterations=int(fit.iterations[0]),
         converged=bool(fit.converged[0]),
         certificate=float(fit.certificate[0]),
@@ -464,7 +470,7 @@ def bootstrap_errors(record: MeasurementRecord, n_replicas: int = 200,
     draws = np.stack([np.random.default_rng([seed, k]).poisson(counts)
                       for k in range(n_replicas)])
     fits = mle_batch(draws, max_iter=max_iter)
-    figures = np.array([_figures(m)[1:] for m in fits.rho[fits.converged]]).reshape(-1, 4)
+    figures = np.stack(_figures(fits.rho[fits.converged])[1:], axis=1)
     errors = {name: {"mean": float(np.mean(col)), "std": float(np.std(col, ddof=1))}
               for name, col in zip(("concurrence", "fidelity", "chsh_lower", "chsh_upper"),
                                    figures.T) if len(col) >= 2}

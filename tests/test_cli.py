@@ -157,6 +157,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert str(missing) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--hist-bin-s", "--gate-width-s"])
+    @pytest.mark.parametrize("value", ["0", "-1.0", "nan"])
+    def test_nonpositive_width_is_usage_error(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json"),
+                     flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
     def test_not_a_tag_file(self, tmp_path):
         bad = tmp_path / "junk.tags"
         bad.write_bytes(b"\x00\x01\x02 not a stream\n")
@@ -202,6 +214,10 @@ class TestFringe:
         {"rates": {"counts": {"central": 5}}},
         {"rates": {"counts": {"central": "many"}, "duration_s": 1.0}},
         [1, 2, 3],
+        {"rates": {"counts": {"central": 5}, "duration_s": 0}},
+        {"rates": {"counts": {"central": 5}, "duration_s": -1.0}},
+        {"rates": {"counts": {"central": 5}, "duration_s": float("inf")}},
+        {"rates": {"counts": {"central": 5}, "duration_s": float("nan")}},
     ])
     def test_unusable_report_is_data_error(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
@@ -287,6 +303,15 @@ class TestTomo:
         assert code == 3
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--replicas", "1"), ("--replicas", "0"),
+                                             ("--max-iter", "0")])
+    def test_bad_solver_flag_is_usage_error(self, setting_reports, capsys, flag, value):
+        tmp, args = setting_reports
+        code = main(["tomo", *args, "--out", str(tmp / "x.json"), flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
 
     def test_unknown_dial_setting(self, setting_reports, capsys):
         tmp, args = setting_reports

@@ -7,7 +7,7 @@ from timebin import quantum
 from timebin.quantum import (DensityMatrix2Q, bell_phi_plus, chsh_bounds,
                              concurrence, fidelity_to_pure,
                              measurement_operator, projector, pure_to_dm,
-                             time_bin_state)
+                             time_bin_state, validate_density_matrix)
 
 from conftest import (EXPERIMENT_RHO_REAL, ginibre_density_matrix,
                       random_pure_state, random_unitary, wootters_oracle)
@@ -207,6 +207,14 @@ class TestDensityMatrixType:
         m[2, 2] = np.nan
         with pytest.raises(ValueError):
             DensityMatrix2Q.from_matrix(m)
+
+    def test_stack_validation_rejects_any_bad_matrix(self):
+        rng = np.random.default_rng(10)
+        stack = np.stack([ginibre_density_matrix(rng) for _ in range(5)])
+        validate_density_matrix(stack)
+        stack[3] = np.diag([0.6, 0.6, -0.1, -0.1])
+        with pytest.raises(ValueError, match="positive"):
+            validate_density_matrix(stack)
 
     def test_json_round_trip_bit_exact(self):
         rng = np.random.default_rng(9)

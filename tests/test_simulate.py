@@ -252,6 +252,52 @@ class TestGoldenStreams:
         assert hashlib.sha256(tags.tobytes()).hexdigest() == (
             "3c59abeaac2a565b3f81f8b6d7ee4ffc76f83b8d3b01c2596f6cf61e8e01d456")
 
+    # Edge configurations of the detection/trigger merge order.
+    TIES = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.05,
+                            jitter_sigma=0.0, detection_delay=0.0,
+                            dark_rate_signal=2e4, dark_rate_idler=3e4,
+                            rng_seed=103)
+    CLIP = ExperimentConfig(duration=5e-4, mean_pairs_per_pulse=2.0,
+                            jitter_sigma=100e-12, detection_delay=0.0,
+                            dark_rate_signal=2e4, dark_rate_idler=3e4,
+                            rng_seed=113)
+    # Three blocks; late arrivals of the last pulse of a block spill past
+    # its end.  This seed carries 1 and 2 detections over the two block
+    # boundaries in time-bin mode, 1 and 1 in single-bin mode.
+    CARRY = ExperimentConfig(duration=0.028, mean_pairs_per_pulse=0.3,
+                             jitter_sigma=2e-9, detection_delay=12e-9,
+                             bin_delay=0.2e-9,
+                             dark_rate_signal=1e6, dark_rate_idler=1e6,
+                             rng_seed=114)
+
+    @pytest.mark.parametrize("cfg, sim, size, digest", [
+        (TIES, simulate, 159991,
+         "4aef3c2efa9a724df87fbc6f617f9f38555651f1af460f836680f1ed3dc0c7a8"),
+        (TIES, simulate_no_pump_interferometer, 167656,
+         "271199c9966dffc31bc899296e2e92a45939a2ace6174436cde58625043a8118"),
+        (CLIP, simulate, 113668,
+         "101249716e734b04bddf079f49f9a2d7a31212e35ab1e6143c3b143bdc2acf03"),
+        (CLIP, simulate_no_pump_interferometer, 189503,
+         "effd4bc0cedb3a81fe28bf8ee923d4a565cec82afa5ea55207ad55abf95ae1b3"),
+        (CARRY, simulate, 2829459,
+         "b09ececf23ec9fe37ee9f0cdd00818b83055f1019006eed6f35b6275b6d92d0c"),
+        (CARRY, simulate_no_pump_interferometer, 3468076,
+         "dfde24ded33507b3770cc309ffdd5622b6f233fb6c016404e45b944bdff69895"),
+    ], ids=["ties-time-bin", "ties-single-bin", "clip-time-bin",
+            "clip-single-bin", "carry-time-bin", "carry-single-bin"])
+    def test_edge_stream(self, cfg, sim, size, digest):
+        tags = sim(cfg)
+        assert tags.size == size
+        detections = tags["time_ps"][tags["channel"] != CH_TRIGGER]
+        triggers = tags["time_ps"][tags["channel"] == CH_TRIGGER]
+        if cfg is self.TIES:
+            # detections that share their time with a trigger
+            assert np.isin(detections, triggers).any()
+        if cfg is self.CLIP:
+            # early jitter of a pulse-0 photon clipped to time 0
+            assert (detections == 0).any()
+        assert hashlib.sha256(tags.tobytes()).hexdigest() == digest
+
 
 def test_package_attribute_is_the_simulate_module():
     assert inspect.ismodule(timebin.simulate)

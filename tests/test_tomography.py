@@ -3,7 +3,7 @@ import pytest
 
 from timebin import quantum
 from timebin.quantum import DensityMatrix2Q, bell_phi_plus, pure_to_dm
-from timebin.tomography import (SETTINGS, MeasurementRecord,
+from timebin.tomography import (SETTINGS, MeasurementRecord, _figures,
                                 bootstrap_errors, counts_from_phase_settings,
                                 expected_joint_counts, linear_inversion,
                                 mle_batch, mle_reconstruct,
@@ -308,6 +308,26 @@ class TestBootstrap:
         result = bootstrap_errors(rec, n_replicas=10, seed=0, max_iter=1)
         assert result.n_replicas_dropped > 1
         assert result.low_precision
+
+    def test_batched_figures_match_per_replica_figures(self):
+        rng = np.random.default_rng(62)
+        rec = counts_from_phase_settings(
+            ideal_setting_counts(20_000, v0=0.9, rng=rng, accidentals=2.0))
+        draws = np.stack([rng.poisson(rec.count_vector()) for _ in range(30)])
+        # fitted states, plus unphysical matrices the projection must repair
+        stack = np.concatenate([
+            mle_batch(draws).rho,
+            [pure_to_dm(bell_phi_plus()) + 1e-3 * rng.normal(size=(4, 4))
+             for _ in range(10)]])
+        rho, c, f, lo, hi = _figures(stack)
+        for k, m in enumerate(stack):
+            dm = DensityMatrix2Q.from_matrix(m, fix=True)
+            c_k = quantum.concurrence(dm)
+            lo_k, hi_k = quantum.chsh_bounds(c_k)
+            assert np.max(np.abs(rho[k] - dm.matrix)) < 1e-12
+            assert abs(c[k] - c_k) < 1e-12
+            assert abs(f[k] - quantum.fidelity_to_pure(dm, bell_phi_plus())) < 1e-12
+            assert abs(lo[k] - lo_k) < 1e-12 and abs(hi[k] - hi_k) < 1e-12
 
     def test_rejects_single_replica(self):
         rec = counts_from_phase_settings(ideal_setting_counts(1_000))
