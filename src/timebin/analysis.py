@@ -13,6 +13,7 @@ identical results.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,11 +133,17 @@ class RateReport:
 class StreamAnalyzer:
     """Fold over a sorted tag stream.
 
-    Each detection is associated with the latest preceding trigger;
-    events before the first trigger are dropped and counted in
+    Each detection is associated with the latest trigger at or before its
+    time; events before the first trigger are dropped and counted in
     ``dropped_pre_trigger``.  Coincidences are signal-idler pairs whose
     gated slots belong to the same pulse; pairing each signal event with
     the idler events of the next pulse gives the accidentals diagnostic.
+
+    A pair is counted as soon as a later trigger closes its idler event's
+    pulse.  Between chunks the analyzer holds only the gated events of the
+    open pulses (idler events of the last pulse, signal events of the last
+    two) and the detections at the chunk's final timestamp, which a trigger
+    at that same time opening the next chunk would claim.
     """
 
     def __init__(self, gates: GateConfig, hist_bin: float = 10e-12):
@@ -144,15 +151,19 @@ class StreamAnalyzer:
         self.hist_bin_ps = hist_bin * 1e12
         self.n_triggers = 0
         self.dropped_pre_trigger = 0
-        self._last_trigger_time = None
-        self._first_trigger_time = None
+        self._first_trigger = self._last_trigger = None
         self._last_time = -1
         self._hist = {}          # channel -> counts array (lazy length)
-        self._gated = {CH_SIGNAL: None, CH_IDLER: None}  # per-slot counts
-        self._events = {CH_SIGNAL: [], CH_IDLER: []}     # (pulse, slot) arrays
-        self._offs_ps = {ch: np.asarray(offs, dtype=float) * 1e12
-                         for ch, offs in gates.offsets.items()}
-        self._period_sum = 0.0
+        self._offs_ps = {ch: np.asarray(gates.offsets.get(ch, ()), dtype=float) * 1e12
+                         for ch in (CH_SIGNAL, CH_IDLER)}
+        self._gated = {ch: np.zeros(max(offs.size, 1), dtype=np.int64)
+                       for ch, offs in self._offs_ps.items()}
+        shape = (self._gated[CH_SIGNAL].size, self._gated[CH_IDLER].size)
+        self._joint = np.zeros(shape, dtype=np.int64)
+        self._neighbor = np.zeros(shape, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        self._open = {ch: (empty, empty) for ch in self._gated}  # (pulse, slot)
+        self._held = {ch: empty for ch in self._gated}           # detection times
 
     def feed(self, tags: np.ndarray) -> None:
         if tags.size == 0:
@@ -161,113 +172,91 @@ class StreamAnalyzer:
         if np.any(np.diff(times) < 0) or times[0] < self._last_time:
             raise ValueError("stream is not time-sorted")
         self._last_time = int(times[-1])
-        channels = tags["channel"]
+        self._fold(times, tags["channel"], final=False)
 
-        is_trig = channels == CH_TRIGGER
-        trig_times = times[is_trig]
-        # Trigger table for this chunk, with the carried last trigger
-        # prepended so early events keep their association.
-        if self._last_trigger_time is not None:
-            table = np.concatenate([[self._last_trigger_time], trig_times])
-            base_index = self.n_triggers - 1
-        else:
-            table = trig_times
-            base_index = 0
+    def _fold(self, times, channels, final):
+        """Associate, gate and pair one chunk's detections.
+
+        Unless ``final``, the detections at the chunk's last timestamp are
+        held for the next chunk and the last trigger's pulse stays open.
+        """
+        trig_times = times[channels == CH_TRIGGER]
+        # The carried last trigger keeps the association of early events.
+        table = (trig_times if self._last_trigger is None
+                 else np.concatenate([[self._last_trigger], trig_times]))
+        base_index = max(self.n_triggers - 1, 0)
         if trig_times.size:
-            if self._first_trigger_time is None:
-                self._first_trigger_time = int(trig_times[0])
-            if self._last_trigger_time is not None:
-                self._period_sum += float(trig_times[-1] - self._last_trigger_time)
-            elif trig_times.size > 1:
-                self._period_sum += float(trig_times[-1] - trig_times[0])
-            self._last_trigger_time = int(trig_times[-1])
-        self.n_triggers += int(trig_times.size)
+            if self._first_trigger is None:
+                self._first_trigger = int(trig_times[0])
+            self._last_trigger = int(trig_times[-1])
+            self.n_triggers += int(trig_times.size)
 
-        for ch in (CH_SIGNAL, CH_IDLER):
-            sel = channels == ch
-            if not np.any(sel):
-                continue
-            t = times[sel]
+        for ch, offs in self._offs_ps.items():
+            t = np.concatenate([self._held[ch], times[channels == ch]])
+            if not final:
+                cut = np.searchsorted(t, times[-1], side="left")
+                t, self._held[ch] = t[:cut], t[cut:]
             idx = np.searchsorted(table, t, side="right") - 1
             good = idx >= 0
             self.dropped_pre_trigger += int(np.count_nonzero(~good))
             if not np.any(good):
                 continue
             rel = (t[good] - table[idx[good]]).astype(float)
-            pulse = idx[good] + base_index
             self._histogram(ch, rel)
-            offs = self._offs_ps.get(ch)
-            if offs is None or offs.size == 0:
+            if offs.size == 0:
                 continue
             d = np.abs(rel[:, None] - offs[None, :])
             slot = np.argmin(d, axis=1)
             ok = d[np.arange(d.shape[0]), slot] <= self.gates.gate_width * 1e12 / 2
-            if self._gated[ch] is None:
-                self._gated[ch] = np.zeros(offs.size, dtype=np.int64)
-            np.add.at(self._gated[ch], slot[ok], 1)
-            self._events[ch].append(
-                np.stack([pulse[ok], slot[ok]], axis=1).astype(np.int64))
+            self._gated[ch] += np.bincount(slot[ok], minlength=offs.size)
+            pulse, slots = self._open[ch]
+            self._open[ch] = (np.concatenate([pulse, idx[good][ok] + base_index]),
+                              np.concatenate([slots, slot[ok]]))
+
+        # A later trigger closes every pulse before the last one; both event
+        # lists are in pulse order, since detections come in time order.
+        last = self.n_triggers - 1
+        sp, ss = self._open[CH_SIGNAL]
+        ip, islot = self._open[CH_IDLER]
+        close = ip.size if final else np.searchsorted(ip, last, side="left")
+        q, q_slot = ip[:close], islot[:close]
+        # Signal events of pulses q - 1 and q are the runs [e0, e1) and
+        # [e1, e2) of sp; a slot's running count turns a run into a count.
+        e0, e1, e2 = (np.searchsorted(sp, q + d) for d in (-1, 0, 1))
+        running = np.zeros(sp.size + 1, dtype=np.int64)
+        for s in range(self._joint.shape[0]):
+            np.cumsum(ss == s, out=running[1:])
+            for table, lo, hi in ((self._neighbor, e0, e1), (self._joint, e1, e2)):
+                pairs = np.bincount(q_slot, running[hi] - running[lo],
+                                    minlength=table.shape[1])
+                table[s] += pairs.astype(np.int64)
+        self._open[CH_IDLER] = ip[close:], islot[close:]
+        keep = np.searchsorted(sp, last - 1, side="left")
+        self._open[CH_SIGNAL] = sp[keep:], ss[keep:]
 
     def _histogram(self, ch, rel):
-        bins = (rel / self.hist_bin_ps).astype(np.int64)
-        if ch not in self._hist:
-            self._hist[ch] = np.zeros(0, dtype=np.int64)
-        top = int(bins.max()) + 1 if bins.size else 0
-        if top > self._hist[ch].size:
-            grown = np.zeros(top, dtype=np.int64)
-            grown[: self._hist[ch].size] = self._hist[ch]
-            self._hist[ch] = grown
-        np.add.at(self._hist[ch], bins, 1)
-
-    @staticmethod
-    def _pair(sp, ss, ip, islot, shift):
-        """All (signal slot, idler slot) pairs with idler pulse = signal pulse + shift."""
-        target = sp + shift
-        left = np.searchsorted(ip, target, side="left")
-        right = np.searchsorted(ip, target, side="right")
-        counts = right - left
-        total = int(counts.sum())
-        if total == 0:
-            return (np.empty(0, dtype=np.int64),) * 2
-        rep = np.repeat(np.arange(sp.size), counts)
-        start = np.repeat(left, counts)
-        within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        return ss[rep], islot[start + within]
+        new = np.bincount((rel / self.hist_bin_ps).astype(np.int64))
+        old = self._hist.get(ch, new[:0])
+        size = max(old.size, new.size)
+        self._hist[ch] = np.pad(old, (0, size - old.size)) + np.pad(new, (0, size - new.size))
 
     def result(self) -> "AnalysisResult":
-        ev_s = (np.concatenate(self._events[CH_SIGNAL])
-                if self._events[CH_SIGNAL] else np.empty((0, 2), dtype=np.int64))
-        ev_i = (np.concatenate(self._events[CH_IDLER])
-                if self._events[CH_IDLER] else np.empty((0, 2), dtype=np.int64))
-        n_s_slots = len(self._offs_ps.get(CH_SIGNAL, ()))
-        n_i_slots = len(self._offs_ps.get(CH_IDLER, ()))
-        joint = np.zeros((max(n_s_slots, 1), max(n_i_slots, 1)), dtype=np.int64)
-        neighbor = np.zeros_like(joint)
-        if ev_s.size and ev_i.size:
-            order_i = np.argsort(ev_i[:, 0], kind="stable")
-            ip, islot = ev_i[order_i, 0], ev_i[order_i, 1]
-            ss_pairs, is_pairs = self._pair(ev_s[:, 0], ev_s[:, 1], ip, islot, 0)
-            np.add.at(joint, (ss_pairs, is_pairs), 1)
-            ss_pairs, is_pairs = self._pair(ev_s[:, 0], ev_s[:, 1], ip, islot,
-                                            shift=1)
-            np.add.at(neighbor, (ss_pairs, is_pairs), 1)
-        gated_s = self._gated[CH_SIGNAL]
-        gated_i = self._gated[CH_IDLER]
-        period = (self._period_sum / (self.n_triggers - 1)
-                  if self.n_triggers > 1 else 0.0)
-        duration = self.n_triggers * period * 1e-12
+        """Counts so far, with the held detections and open pulses closed
+        on a copy: the analyzer itself is unchanged and may be fed on."""
+        end = copy.deepcopy(self)
+        end._fold(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), final=True)
+        period = (float(end._last_trigger - end._first_trigger) / (end.n_triggers - 1)
+                  if end.n_triggers > 1 else 0.0)
         return AnalysisResult(
-            histograms={ch: h.copy() for ch, h in self._hist.items()},
+            histograms=end._hist,
             hist_bin=self.hist_bin_ps * 1e-12,
-            gated_signal=(gated_s if gated_s is not None
-                          else np.zeros(max(n_s_slots, 1), dtype=np.int64)),
-            gated_idler=(gated_i if gated_i is not None
-                         else np.zeros(max(n_i_slots, 1), dtype=np.int64)),
-            joint=joint,
-            neighbor_joint=neighbor,
-            n_triggers=self.n_triggers,
-            duration=duration,
-            dropped_pre_trigger=self.dropped_pre_trigger,
+            gated_signal=end._gated[CH_SIGNAL],
+            gated_idler=end._gated[CH_IDLER],
+            joint=end._joint,
+            neighbor_joint=end._neighbor,
+            n_triggers=end.n_triggers,
+            duration=end.n_triggers * period * 1e-12,
+            dropped_pre_trigger=end.dropped_pre_trigger,
         )
 
 

@@ -21,8 +21,9 @@ Tags are ordered by (float time, channel).  A block's trigger grid
 round(k * period) is sorted by construction, so only the detections
 are sorted; they are then merged into the grid, each one ahead of any
 trigger at an equal time (CH_TRIGGER is the largest channel).
-Detections that spill past a block's last pulse period are carried into
-the next block.
+A block is emitted once the next block's detections are drawn: every tag
+from the end of its last pulse period, or from the next block's earliest
+detection if that comes first, is carried into the next block.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ CH_SIGNAL = 0
 CH_IDLER = 1
 CH_TRIGGER = 2
 
-TAG_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "u8")])
+# The on-disk record of the tag file format as well (see ``streams``).
+TAG_DTYPE = np.dtype([("channel", "<u1"), ("time_ps", "<u8")])
 
 # Pulses per generation block; fixed so that RNG substreams (and hence the
 # output stream) do not depend on consumer chunking.
@@ -214,15 +216,14 @@ def _dark_tags(rng, rate, t0_ps, t1_ps):
 
 
 def _emit_block(config, block, n_pulses, table, time_bin: bool):
-    """Generate one pulse block: its trigger grid and its detections.
+    """Generate the detections of one pulse block.
 
-    Returns (pulse_times, times, channels, t_end).  ``pulse_times`` is the
-    block's trigger grid round(k * period) in ps, sorted by construction.
-    ``times`` and ``channels`` are the unsorted detections as float ps
-    clipped at 0, in draw order: signal photons, signal darks, idler
-    photons, idler darks.  Equal (time, channel) detections keep this
-    order through the stable sort in :func:`_iter_tags`.
-    ``t_end`` is the end of the block's last pulse period.
+    Returns (times, channels, t_end): the unsorted detections as float ps
+    clipped at 0, in draw order (signal photons, signal darks, idler
+    photons, idler darks), and the end of the block's last pulse period.
+    Equal (time, channel) detections keep this order through the stable
+    sort in :func:`_iter_tags`.  Pulse k's trigger is at round(k * period)
+    ps; the trigger grid itself is built where it is merged.
 
     Pair counts use the superposition property of the Poisson process:
     one total Poisson draw for the block, pulse indices assigned
@@ -233,11 +234,9 @@ def _emit_block(config, block, n_pulses, table, time_bin: bool):
     count = min(BLOCK_PULSES, n_pulses - first)
     rng = np.random.default_rng([config.rng_seed, block])
 
-    pulse_times = np.round((first + np.arange(count)) * period_ps)
-
     n_pairs = rng.poisson(config.mu * count)
     pulse_of_pair = np.sort(rng.integers(0, count, n_pairs))
-    base = pulse_times[pulse_of_pair] + config.detection_delay * 1e12
+    base = np.round((first + pulse_of_pair) * period_ps) + config.detection_delay * 1e12
 
     jitter_ps = config.jitter_sigma * 1e12
     bin_ps = config.bin_delay * 1e12
@@ -257,8 +256,8 @@ def _emit_block(config, block, n_pulses, table, time_bin: bool):
     t_s = t_s + rng.normal(0.0, jitter_ps, t_s.size)
     t_i = t_i + rng.normal(0.0, jitter_ps, t_i.size)
 
-    t0 = pulse_times[0]
-    t1 = pulse_times[-1] + period_ps
+    t0 = np.round(first * period_ps)
+    t1 = np.round((first + count - 1) * period_ps) + period_ps
     dark_rng = np.random.default_rng([config.rng_seed, block, 1])
     d_s = _dark_tags(dark_rng, config.dark_rate_signal, t0, t1)
     d_i = _dark_tags(dark_rng, config.dark_rate_idler, t0, t1)
@@ -268,7 +267,7 @@ def _emit_block(config, block, n_pulses, table, time_bin: bool):
         np.full(t_s.size + d_s.size, CH_SIGNAL, dtype=np.uint8),
         np.full(t_i.size + d_i.size, CH_IDLER, dtype=np.uint8),
     ])
-    return pulse_times, times, channels, t1
+    return times, channels, t1
 
 
 def _merge(grid, times, channels) -> np.ndarray:
@@ -300,24 +299,34 @@ def _iter_tags(config: ExperimentConfig, time_bin: bool) -> Iterator[np.ndarray]
     table = _outcome_table(config.phi_p, config.phi_s, config.phi_i,
                            config.interference_visibility) if time_bin else None
 
+    period_ps = 1e12 / config.rep_rate
+    k0 = 0  # first pulse whose trigger is not yet emitted
     carry_t = np.empty(0, dtype=np.float64)
     carry_c = np.empty(0, dtype=np.uint8)
+    upcoming = _emit_block(config, 0, n_pulses, table, time_bin)
     for block in range(n_blocks):
-        grid, times, channels, t_end = _emit_block(config, block, n_pulses,
-                                                   table, time_bin)
+        times, channels, t_end = upcoming
         # Only the detections are sorted; carried ones come first, so the
         # stable sort keeps them ahead of equal (time, channel) newcomers.
         times = np.concatenate([carry_t, times])
         channels = np.concatenate([carry_c, channels])
         order = np.lexsort((channels, times))
         times, channels = times[order], channels[order]
+        # Jittered events may spill past the block's last pulse, and the
+        # next block's first pulses may place photons before its start.
+        # Hold back every tag from the earlier of the two on, so emitted
+        # chunks stay globally time-sorted.
+        cut_t = np.inf
         if block < n_blocks - 1:
-            # Jittered events may spill past the block's last pulse; hold
-            # them back so emitted chunks stay globally time-sorted.
-            cut = np.searchsorted(times, t_end, side="left")
-            carry_t, carry_c = times[cut:], channels[cut:]
-            times, channels = times[:cut], channels[:cut]
-        yield _merge(grid, times, channels)
+            upcoming = _emit_block(config, block + 1, n_pulses, table, time_bin)
+            cut_t = min(t_end, upcoming[0].min(initial=t_end))
+        cut = np.searchsorted(times, cut_t, side="left")
+        carry_t, carry_c = times[cut:], channels[cut:]
+        grid = np.round(np.arange(k0, min((block + 1) * BLOCK_PULSES, n_pulses))
+                        * period_ps)
+        grid = grid[:np.searchsorted(grid, cut_t, side="left")]
+        k0 += grid.size
+        yield _merge(grid, times[:cut], channels[:cut])
 
 
 def iter_simulate(config: ExperimentConfig) -> Iterator[np.ndarray]:

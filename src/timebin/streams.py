@@ -25,8 +25,7 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-_RECORD_DTYPE = np.dtype([("channel", "<u1"), ("time_ps", "<u8")])
-_RECORD_SIZE = _RECORD_DTYPE.itemsize
+_RECORD_SIZE = TAG_DTYPE.itemsize
 
 
 class StreamFormatError(ValueError):
@@ -47,8 +46,8 @@ def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray, config_echo: dic
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         for chunk in chunks:
-            rec = np.ascontiguousarray(chunk.astype(_RECORD_DTYPE, copy=False))
-            fh.write(rec.tobytes())
+            rec = np.ascontiguousarray(chunk, dtype=TAG_DTYPE)
+            fh.write(rec.data)
             n += rec.size
     return n
 
@@ -75,8 +74,9 @@ def iter_read_tags(path, chunk_records: int = 1 << 20) -> Iterator[np.ndarray]:
     """Yield tag chunks from a binary stream file.
 
     The first yielded item is the header dict; subsequent items are
-    structured arrays.  Truncated trailing records raise
-    :class:`StreamFormatError` with the byte offset of the bad record.
+    read-only ``TAG_DTYPE`` arrays over the file's bytes.  Truncated
+    trailing records raise :class:`StreamFormatError` with the byte offset
+    of the bad record.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -89,9 +89,8 @@ def iter_read_tags(path, chunk_records: int = 1 << 20) -> Iterator[np.ndarray]:
             if len(buf) % _RECORD_SIZE:
                 raise StreamFormatError(
                     "truncated record", offset + len(buf) - len(buf) % _RECORD_SIZE)
-            chunk = np.frombuffer(buf, dtype=_RECORD_DTYPE).astype(TAG_DTYPE)
             offset += len(buf)
-            yield chunk
+            yield np.frombuffer(buf, dtype=TAG_DTYPE)
 
 
 def read_tags(path) -> tuple[dict, np.ndarray]:

@@ -1,7 +1,10 @@
+import dataclasses
 import re
 
 import numpy as np
 import scipy.linalg
+
+from timebin.simulate import CH_TRIGGER
 
 ACCEPTANCE_DESCRIPTIONS = {
     1: "closed-form fidelity of the reconstructed state to the Bell target",
@@ -80,3 +83,24 @@ EXPERIMENT_RHO_REAL = np.array([
     [1.8, 0.17, 0.21, 1.4],
     [44.5, 2.5, 1.4, 48.6],
 ]) / 100.0
+
+
+def assert_same_result(a, b):
+    """Every field of two AnalysisResults equal; arrays exactly, with dtype."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, dict):
+            assert x.keys() == y.keys(), f.name
+            pairs = [(x[k], y[k]) for k in x]
+        else:
+            pairs = [(x, y)]
+        for u, v in pairs:
+            np.testing.assert_array_equal(u, v, err_msg=f.name)
+            assert np.asarray(u).dtype == np.asarray(v).dtype, f.name
+
+
+def tie_cuts(tags):
+    """Indices that split a detection from a trigger at the same time."""
+    t, c = tags["time_ps"], tags["channel"]
+    return np.flatnonzero((c[1:] == CH_TRIGGER) & (c[:-1] != CH_TRIGGER)
+                          & (t[1:] == t[:-1])) + 1

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,8 @@ from timebin.analysis import (FringeScan, GateConfig, RateReport,
 from timebin.simulate import (CH_IDLER, CH_SIGNAL, ExperimentConfig,
                               iter_simulate, iter_simulate_single_bin,
                               simulate)
+
+from conftest import assert_same_result, tie_cuts
 
 
 def reference_rates_report(duration=10.0):
@@ -264,16 +269,53 @@ class TestStreamingEquivalence:
         an = StreamAnalyzer(gates)
         for part in np.array_split(tags, 13):
             an.feed(part)
-        parts = an.result()
-        np.testing.assert_array_equal(whole.joint, parts.joint)
-        np.testing.assert_array_equal(whole.neighbor_joint, parts.neighbor_joint)
-        np.testing.assert_array_equal(whole.gated_signal, parts.gated_signal)
-        np.testing.assert_array_equal(whole.gated_idler, parts.gated_idler)
-        for ch in whole.histograms:
-            np.testing.assert_array_equal(whole.histograms[ch],
-                                          parts.histograms[ch])
-        assert whole.duration == pytest.approx(parts.duration)
-        assert whole.n_triggers == parts.n_triggers
+        assert_same_result(an.result(), whole)
+
+    @pytest.mark.parametrize("cfg", [
+        # every slot-0 photon lands at its trigger's time
+        ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.05,
+                         jitter_sigma=0.0, detection_delay=0.0, rng_seed=1),
+        # default timing: a few dark counts fall on a trigger's picosecond
+        ExperimentConfig(duration=4e-3, mean_pairs_per_pulse=2.0,
+                         dark_rate_signal=1e7, dark_rate_idler=1e7, rng_seed=3),
+    ], ids=["photon-ties", "dark-ties"])
+    def test_split_at_every_tie(self, cfg):
+        # The simulator puts a detection ahead of a trigger at the same
+        # time; the one-pass association gives it to that trigger, and a
+        # chunk boundary between the two must not change that.
+        tags = simulate(cfg)
+        cuts = tie_cuts(tags)
+        assert cuts.size > 0
+        gates = GateConfig.time_bin(cfg)
+        an = StreamAnalyzer(gates)
+        for part in np.split(tags, cuts):
+            an.feed(part)
+        assert_same_result(an.result(), analyze_stream(tags, gates))
+
+
+class TestBoundedMemory:
+    def test_retained_memory_does_not_grow_with_stream_length(self):
+        cfg = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.3,
+                               dark_rate_signal=1e5, dark_rate_idler=1e5,
+                               rng_seed=11)
+        chunks = np.array_split(simulate(cfg), 8)
+        gates = GateConfig.time_bin(cfg)
+
+        def retained(parts):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                an = StreamAnalyzer(gates)
+                for part in parts:
+                    an.feed(part)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        # 8x the gated events (about 2800 per chunk); the histograms may
+        # still lengthen by a few hundred bins
+        assert retained(chunks) < retained(chunks[:1]) + 16 * 1024
 
 
 class TestMaxVisibility:

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timebin.analysis import RateReport, car, klyshko
+from timebin.analysis import (GateConfig, RateReport, StreamAnalyzer,
+                              analyze_stream, car, klyshko)
 from timebin.quantum import DensityMatrix2Q, chsh_bounds, concurrence
+from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER,
+                              ExperimentConfig, simulate)
 from timebin.tomography import MeasurementRecord
 
-from conftest import ginibre_density_matrix
+from conftest import assert_same_result, ginibre_density_matrix, tie_cuts
 
 KEYS = [(a, b) for a in ("Z0", "Z1", "X+", "Y+") for b in ("Z0", "Z1", "X+", "Y+")]
 
@@ -83,3 +86,73 @@ def test_record_swap_is_involution(seed):
     counts = {k: int(rng.integers(0, 1000)) for k in KEYS}
     rec = MeasurementRecord(counts=counts)
     assert rec.swapped().swapped().counts == rec.counts
+
+
+# A short stream with exact detection-trigger ties: zero jitter and delay
+# put every slot-0 photon on its trigger's picosecond.
+CHUNKING_CFG = ExperimentConfig(duration=2e-4, mean_pairs_per_pulse=0.3,
+                                jitter_sigma=0.0, detection_delay=0.0,
+                                dark_rate_signal=1e6, dark_rate_idler=1e6,
+                                rng_seed=5)
+CHUNKING_TAGS = simulate(CHUNKING_CFG)
+CHUNKING_GATES = GateConfig.time_bin(CHUNKING_CFG)
+CHUNKING_WHOLE = analyze_stream(CHUNKING_TAGS, CHUNKING_GATES)
+# Cut anchors: between a detection and a trigger at its time, and at
+# detections (inside a pulse, next to other detections).
+TIE_CUTS = tie_cuts(CHUNKING_TAGS).tolist()
+DETECTION_CUTS = np.flatnonzero(CHUNKING_TAGS["channel"] != CH_TRIGGER).tolist()
+
+
+def dense_pair_oracle(tags, gates):
+    """Gated counts and pair tables from a dense (pulse, slot) count matrix.
+
+    Joint pairs of pulse p are the outer product of its signal and idler
+    slot counts, so joint = S^T I and the next-pulse table S[:-1]^T I[1:].
+    """
+    t = tags["time_ps"].astype(np.int64)
+    trig = t[tags["channel"] == CH_TRIGGER]
+    counts = []
+    for ch in (CH_SIGNAL, CH_IDLER):
+        tc = t[tags["channel"] == ch]
+        pulse = np.searchsorted(trig, tc, side="right") - 1
+        tc, pulse = tc[pulse >= 0], pulse[pulse >= 0]
+        rel = (tc - trig[pulse]).astype(float)
+        m = np.zeros((trig.size, len(gates.offsets[ch])), dtype=np.int64)
+        for k, off in enumerate(gates.offsets[ch]):
+            hit = np.abs(rel - off * 1e12) <= gates.gate_width * 1e12 / 2
+            np.add.at(m[:, k], pulse[hit], 1)
+        counts.append(m)
+    s, i = counts
+    return s.sum(axis=0), i.sum(axis=0), s.T @ i, s[:-1].T @ i[1:]
+
+
+def test_one_pass_matches_dense_pair_oracle():
+    gated_s, gated_i, joint, neighbor = dense_pair_oracle(CHUNKING_TAGS, CHUNKING_GATES)
+    assert joint.sum() > 1000
+    np.testing.assert_array_equal(CHUNKING_WHOLE.gated_signal, gated_s)
+    np.testing.assert_array_equal(CHUNKING_WHOLE.gated_idler, gated_i)
+    np.testing.assert_array_equal(CHUNKING_WHOLE.joint, joint)
+    np.testing.assert_array_equal(CHUNKING_WHOLE.neighbor_joint, neighbor)
+
+
+@st.composite
+def adversarial_cuts(draw):
+    """Sorted cut indices: each anchor starts a run of 0-3 tags, so the
+    draw holds empty chunks, trigger-free chunks of a few detections,
+    cuts inside a pulse and cuts at detection-trigger ties."""
+    n = CHUNKING_TAGS.size
+    anchor = st.one_of(st.sampled_from(TIE_CUTS), st.sampled_from(DETECTION_CUTS),
+                       st.integers(0, n))
+    runs = draw(st.lists(st.tuples(anchor, st.integers(0, 3)), max_size=25))
+    return sorted([a for a, _ in runs] + [min(a + w, n) for a, w in runs])
+
+
+@settings(max_examples=40, deadline=None)
+@given(adversarial_cuts())
+def test_any_chunking_matches_one_pass(cuts):
+    an = StreamAnalyzer(CHUNKING_GATES)
+    for part in np.split(CHUNKING_TAGS, cuts):
+        an.feed(part)
+    first = an.result()
+    assert_same_result(first, CHUNKING_WHOLE)
+    assert_same_result(an.result(), first)

@@ -136,6 +136,31 @@ class TestSimulate:
         t = tags["time_ps"].astype(np.int64)
         assert np.all(np.diff(t) >= 0)
 
+    @pytest.mark.parametrize("sim", [simulate, simulate_no_pump_interferometer],
+                             ids=["time-bin", "single-bin"])
+    @pytest.mark.parametrize("cfg", [
+        # photons of a block's first pulse jittered before the block's
+        # start, ahead of dark counts late in the previous block
+        *(ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=2.0,
+                           jitter_sigma=2e-9, detection_delay=0.0,
+                           dark_rate_signal=1e8, dark_rate_idler=1e8,
+                           rng_seed=seed) for seed in (1, 2)),
+        # jitter beyond a pulse period, ahead of the previous block's
+        # last triggers
+        ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.05,
+                         jitter_sigma=20e-9, detection_delay=0.0, rng_seed=1),
+    ], ids=["early-photons-1", "early-photons-2", "wide-jitter"])
+    def test_sorted_across_block_boundaries(self, monkeypatch, cfg, sim):
+        # 4096-pulse blocks put 18 block boundaries into 1 ms
+        monkeypatch.setattr("timebin.simulate.BLOCK_PULSES", 1 << 12)
+        tags = sim(cfg)
+        t = tags["time_ps"].astype(np.int64)
+        assert np.all(np.diff(t) >= 0)
+        n_pulses = int(round(cfg.duration * cfg.rep_rate))
+        np.testing.assert_array_equal(
+            t[tags["channel"] == CH_TRIGGER],
+            np.round(np.arange(n_pulses) * (1e12 / cfg.rep_rate)))
+
     def test_deterministic_replay(self):
         cfg = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.1,
                                dark_rate_signal=1e4, rng_seed=77)
