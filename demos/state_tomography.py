@@ -29,7 +29,7 @@ for k, (dial_s, dial_i) in enumerate(SETTINGS):
     print(f"  dials ({dial_s:2d}, {dial_i:2d}): central "
           f"{int(result.joint[1, 1]):5d}, total {int(result.joint.sum()):5d}")
 
-record = counts_from_phase_settings(setting_counts, integration_time=0.1)
+record = counts_from_phase_settings(setting_counts)
 result = bootstrap_errors(record, n_replicas=100, seed=7)
 
 print("\nreconstructed density matrix (real part):")

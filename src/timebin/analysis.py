@@ -56,7 +56,7 @@ class GateConfig:
 
     Offsets are seconds relative to the associated trigger; a detection
     falls in slot k of its channel when it lies within gate_width/2 of
-    offset k.  Gates of one channel must not overlap.
+    the k-th offset in time order.  Gates of one channel must not overlap.
     """
 
     gate_width: float = DEFAULT_GATE_WIDTH
@@ -154,7 +154,7 @@ class StreamAnalyzer:
         self._first_trigger = self._last_trigger = None
         self._last_time = -1
         self._hist = {}          # channel -> counts array (lazy length)
-        self._offs_ps = {ch: np.asarray(gates.offsets.get(ch, ()), dtype=float) * 1e12
+        self._offs_ps = {ch: np.sort(np.asarray(gates.offsets.get(ch, ()), dtype=float) * 1e12)
                          for ch in (CH_SIGNAL, CH_IDLER)}
         self._gated = {ch: np.zeros(max(offs.size, 1), dtype=np.int64)
                        for ch, offs in self._offs_ps.items()}
@@ -205,9 +205,9 @@ class StreamAnalyzer:
             self._histogram(ch, rel)
             if offs.size == 0:
                 continue
-            d = np.abs(rel[:, None] - offs[None, :])
-            slot = np.argmin(d, axis=1)
-            ok = d[np.arange(d.shape[0]), slot] <= self.gates.gate_width * 1e12 / 2
+            # Nearest gate; a detection on a midpoint goes to the earlier one.
+            slot = np.searchsorted((offs[1:] + offs[:-1]) / 2, rel)
+            ok = np.abs(rel - offs[slot]) <= self.gates.gate_width * 1e12 / 2
             self._gated[ch] += np.bincount(slot[ok], minlength=offs.size)
             pulse, slots = self._open[ch]
             self._open[ch] = (np.concatenate([pulse, idx[good][ok] + base_index]),
@@ -348,19 +348,30 @@ def klyshko(rates: RateReport) -> tuple[Quantity, Quantity]:
             Quantity(eta_i, eta_i * np.sqrt(rel**2 + 1.0 / rates.n_signal)))
 
 
+def _wls(design, y, weights=None, at=None):
+    """(coef, cov) minimizing sum w (y - design @ coef)^2.
+
+    ``cov`` is (X^T W X)^-1, scaled by chi^2/(n - p) unless ``weights`` are
+    given as absolute inverse variances: the convention of both
+    ``np.polyfit(cov=True)`` and ``curve_fit``.  chi^2 is taken at ``at``
+    if given, for a fit held on the edge of its domain.
+    """
+    sw = np.ones_like(y) if weights is None else np.sqrt(weights)
+    u, s, vt = np.linalg.svd(design * sw[:, None], full_matrices=False)
+    coef = vt.T @ (u.T @ (y * sw) / s)
+    cov = (vt.T / s**2) @ vt
+    if weights is None:
+        resid = y - design @ (coef if at is None else at)
+        cov *= (resid @ resid) / (y.size - design.shape[1])
+    return coef, cov
+
+
 def _linfit(x, y):
     """Least-squares line y = a*x + b; returns (a, b, err_a, err_b)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if np.ptp(x) == 0:
         raise ValueError("degenerate abscissae: all x values identical")
-    if x.size > 2:
-        coef, cov = np.polyfit(x, y, 1, cov=True)
-        err = np.sqrt(np.diag(cov))
-    else:
-        coef = np.polyfit(x, y, 1)
-        err = np.array([0.0, 0.0])
-    return coef[0], coef[1], err[0], err[1]
+    coef, cov = _wls(np.column_stack([x, np.ones_like(x)]), y)
+    return (*coef, *np.sqrt(np.diag(cov)))
 
 
 @dataclass(frozen=True)
@@ -392,8 +403,6 @@ def power_series_fit(points, exclude_below: float | None = None) -> PowerSeriesF
     apparent efficiency down.
     """
     points = sorted(points, key=lambda pr: pr[0])
-    if len(points) < 3:
-        raise ValueError("need at least 3 distinct powers")
     powers = np.array([p for p, _ in points], dtype=float)
     if np.unique(powers).size < 3:
         raise ValueError("need at least 3 distinct powers")
@@ -402,11 +411,9 @@ def power_series_fit(points, exclude_below: float | None = None) -> PowerSeriesF
     b_slope, _, b_err, _ = _linfit(powers, rc)
 
     kly = [klyshko(r) for _, r in points]
-    keep = np.ones(len(points), dtype=bool)
-    if exclude_below is not None:
-        keep = powers >= exclude_below
-        if np.count_nonzero(keep) < 3:
-            raise ValueError("exclude_below leaves fewer than 3 points")
+    keep = powers >= (-np.inf if exclude_below is None else exclude_below)
+    if np.count_nonzero(keep) < 3:
+        raise ValueError("exclude_below leaves fewer than 3 points")
     ks = np.array([k[0].value for k in kly])
     ki = np.array([k[1].value for k in kly])
     _, ks0, _, ks0_err = _linfit(powers[keep], ks[keep])
@@ -444,6 +451,8 @@ class FringeScan:
             raise ValueError("fringe fit needs at least 5 distinct phases")
         if np.ptp(self.phases) < np.pi:
             raise ValueError("fringe scan must span at least half a period")
+        if not np.all(np.isfinite(self.counts / self.integration_times)):
+            raise ValueError("fringe scan holds a rate that is not finite")
 
 
 @dataclass(frozen=True)
@@ -463,37 +472,50 @@ class FringeFit:
 def fit_fringe(scan: FringeScan, poisson_weights: bool = False) -> FringeFit:
     """Least-squares fit of the fringe law rate = A*(1 - V cos(phi + phi0)).
 
-    V is constrained to [0, 1].  With ``poisson_weights`` the fit uses
-    sqrt(count) errors; the default is unweighted.
+    The law is linear in (a, b, c) = (A, -AV cos phi0, AV sin phi0), so one
+    weighted linear solve gives A = a, V = hypot(b, c)/a, phi0 = atan2(c, -b)
+    and, by the delta method, sigma_V.  If a <= 0 or V > 1, the optimum
+    lies on the edge V = 1 of the convex cone hypot(b, c) <= a: there
+    A(phi0) = <g, wy>/<g, wg> with g = 1 - cos(phi + phi0), and phi0
+    maximizes <g, wy>^2/<g, wg>.  With ``poisson_weights`` sqrt(count) are
+    absolute errors; unweighted errors are scaled by the residuals.
     """
-    # Imported here so that only fringe fits pay for loading scipy.optimize.
-    from scipy.optimize import curve_fit
-
     scan.validate()
     rates = scan.counts / scan.integration_times
-
-    def model(phi, amp, vis, phi0):
-        return amp * (1.0 - vis * np.cos(phi + phi0))
-
-    mean = float(np.mean(rates))
-    if mean <= 0:
+    if float(np.mean(rates)) <= 0:
         return FringeFit(Quantity(0.0, 0.0), 0.0, 0.0)
-    spread = float(np.ptp(rates)) / 2.0
-    # Phase of the first harmonic fixes the offset guess; the model has
-    # its minimum at phi + phi0 = 0.
-    z = np.mean(rates * np.exp(-1j * scan.phases))
-    phi0_guess = float(np.angle(-z))
-    p0 = [mean, min(spread / mean, 1.0), phi0_guess]
-    sigma = None
-    if poisson_weights:
-        sigma = np.sqrt(np.clip(scan.counts, 1.0, None)) / scan.integration_times
-    popt, pcov = curve_fit(
-        model, scan.phases, rates, p0=p0,
-        bounds=([0.0, 0.0, -2 * np.pi], [np.inf, 1.0, 2 * np.pi]),
-        sigma=sigma, absolute_sigma=poisson_weights, maxfev=10000)
-    perr = np.sqrt(np.diag(pcov))
-    return FringeFit(Quantity(float(popt[1]), float(perr[1])),
-                     float(popt[2]), float(popt[0]))
+    weights = (scan.integration_times**2 / np.clip(scan.counts, 1.0, None)
+               if poisson_weights else None)
+    design = np.column_stack([np.ones_like(scan.phases), np.cos(scan.phases),
+                              np.sin(scan.phases)])
+    (a, b, c), cov = _wls(design, rates, weights)
+    vis = np.hypot(b, c) / a if a > 0 else np.inf
+    if vis > 1:
+        a, b, c = edge = _edge_fringe(design, rates, weights)
+        _, cov = _wls(design, rates, weights, at=edge)
+        vis = 1.0
+    phi0 = np.arctan2(c, -b)
+    # Gradient of V = hypot(b, c)/a, with (b, c)/hypot(b, c) = (-cos, sin) phi0.
+    grad = np.array([-vis, -np.cos(phi0), np.sin(phi0)]) / a
+    return FringeFit(Quantity(float(vis), float(np.sqrt(grad @ cov @ grad))),
+                     float(phi0), float(a))
+
+
+def _edge_fringe(design, rates, weights):
+    """Coefficients A*u of the best V = 1 fringe: g = design @ u with
+    u = (1, -cos phi0, sin phi0), so <g, wy>^2/<g, wg> = (u.h)^2/(u.G u),
+    maximized over A >= 0 on grids that each span one step either side of
+    the previous grid's best phase, down to a step of 2e-10 rad."""
+    w = np.ones_like(rates) if weights is None else weights
+    gram, h = design.T @ (w[:, None] * design), design.T @ (w * rates)
+    phi0, half = np.pi, np.pi
+    for _ in range(4):
+        grid = phi0 + np.linspace(-half, half, 721)
+        u = np.stack([np.ones_like(grid), -np.cos(grid), np.sin(grid)])
+        phi0 = grid[np.argmax(np.maximum(h @ u, 0) ** 2 / np.einsum("ik,ij,jk->k", u, gram, u))]
+        half = grid[1] - grid[0]
+    u = np.array([1.0, -np.cos(phi0), np.sin(phi0)])
+    return (h @ u) / (u @ gram @ u) * u
 
 
 def max_visibility_from_car(car_value: float) -> float:

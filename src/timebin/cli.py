@@ -245,8 +245,8 @@ def _report_field(report, path, *keys):
 
 def _report_number(report, path, *keys):
     value = _report_field(report, path, *keys)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"{path}: {'.'.join(keys)} is not a number: {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise DataError(f"{path}: {'.'.join(keys)} is not a finite number: {value!r}")
     return value
 
 
@@ -264,9 +264,8 @@ def _cmd_fringe(args) -> int:
         report = _load_report(path)
         counts = _report_number(report, path, "rates", "counts", "central")
         duration = _report_number(report, path, "rates", "duration_s")
-        if not (np.isfinite(duration) and duration > 0):
-            raise DataError(f"{path}: rates.duration_s must be a positive finite "
-                            f"number, got {duration!r}")
+        if duration <= 0:
+            raise DataError(f"{path}: rates.duration_s must be positive, got {duration!r}")
         points.append((phase, counts, duration))
     if len(points) < 5:
         raise ConfigError(f"fringe fit needs at least 5 points, got {len(points)}")

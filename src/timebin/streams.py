@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .simulate import TAG_DTYPE
+from .simulate import CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE
 
 __all__ = [
     "FORMAT_VERSION",
@@ -26,6 +26,8 @@ __all__ = [
 FORMAT_VERSION = 1
 
 _RECORD_SIZE = TAG_DTYPE.itemsize
+_MAX_CHANNEL = max(CH_SIGNAL, CH_IDLER, CH_TRIGGER)
+_MAX_TIME_PS = np.uint64(np.iinfo(np.int64).max)  # times are analyzed as int64
 
 
 class StreamFormatError(ValueError):
@@ -74,9 +76,10 @@ def iter_read_tags(path, chunk_records: int = 1 << 20) -> Iterator[np.ndarray]:
     """Yield tag chunks from a binary stream file.
 
     The first yielded item is the header dict; subsequent items are
-    read-only ``TAG_DTYPE`` arrays over the file's bytes.  Truncated
-    trailing records raise :class:`StreamFormatError` with the byte offset
-    of the bad record.
+    read-only ``TAG_DTYPE`` arrays over the file's bytes.  A truncated
+    trailing record, a channel other than signal, idler or trigger, or a
+    time of 2^63 ps or more raise :class:`StreamFormatError` with the byte
+    offset of the bad record.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -89,8 +92,15 @@ def iter_read_tags(path, chunk_records: int = 1 << 20) -> Iterator[np.ndarray]:
             if len(buf) % _RECORD_SIZE:
                 raise StreamFormatError(
                     "truncated record", offset + len(buf) - len(buf) % _RECORD_SIZE)
+            tags = np.frombuffer(buf, dtype=TAG_DTYPE)
+            channel, time_ps = tags["channel"], tags["time_ps"]
+            if channel.max() > _MAX_CHANNEL or time_ps.max() > _MAX_TIME_PS:
+                k = int(np.argmax((channel > _MAX_CHANNEL) | (time_ps > _MAX_TIME_PS)))
+                what = (f"unknown channel {channel[k]}" if channel[k] > _MAX_CHANNEL
+                        else f"time {time_ps[k]} ps is 2^63 ps or more")
+                raise StreamFormatError(what, offset + k * _RECORD_SIZE)
             offset += len(buf)
-            yield np.frombuffer(buf, dtype=TAG_DTYPE)
+            yield tags
 
 
 def read_tags(path) -> tuple[dict, np.ndarray]:

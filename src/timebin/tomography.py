@@ -26,7 +26,7 @@ log-likelihood still to be gained below ``MLE_TOL`` nats (see :func:`mle_batch`)
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,15 +71,13 @@ def setting_phases(dial_s: int, dial_i: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """The 16 tomography counts with integration metadata.
+    """The 16 tomography counts and where they came from.
 
     ``counts`` maps (signal basis, idler basis) to a non-negative integer;
-    all 16 combinations must be present.  ``integration_times`` carries
-    the accumulated seconds behind each entry.
+    all 16 combinations must be present.
     """
 
     counts: dict
-    integration_times: dict = field(default_factory=dict)
     provenance: str = ""
 
     def __post_init__(self):
@@ -101,31 +99,14 @@ class MeasurementRecord:
         """Record with the signal and idler roles exchanged."""
         return MeasurementRecord(
             counts={(b, a): n for (a, b), n in self.counts.items()},
-            integration_times={(b, a): t for (a, b), t in self.integration_times.items()},
             provenance=self.provenance + " (arms swapped)")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "counts": {f"{a},{b}": int(n) for (a, b), n in sorted(self.counts.items())},
-            "integration_times": {f"{a},{b}": t for (a, b), t
-                                  in sorted(self.integration_times.items())},
-            "provenance": self.provenance,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "MeasurementRecord":
-        obj = json.loads(text)
-        counts = {tuple(k.split(",")): v for k, v in obj["counts"].items()}
-        times = {tuple(k.split(",")): v for k, v in obj.get("integration_times", {}).items()}
-        return cls(counts=counts, integration_times=times,
-                   provenance=obj.get("provenance", ""))
 
 
 def _record_keys():
     return [(a, b) for a in BASIS_LABELS for b in BASIS_LABELS]
 
 
-def counts_from_phase_settings(setting_counts: dict, integration_time: float = 1.0,
+def counts_from_phase_settings(setting_counts: dict,
                                provenance: str = "") -> MeasurementRecord:
     """Assemble the 16 tomography counts from four phase-setting runs.
 
@@ -148,29 +129,16 @@ def counts_from_phase_settings(setting_counts: dict, integration_time: float = 1
     if missing:
         raise ValueError(f"missing slot data for settings {missing}")
     counts = {k: 0 for k in _record_keys()}
-    times = {k: 0.0 for k in _record_keys()}
-    slot_z = {0: "Z0", 2: "Z1"}
     for (dial_s, dial_i) in SETTINGS:
         joint = np.asarray(setting_counts[(dial_s, dial_i)])
         if joint.shape != (3, 3):
             raise ValueError(f"setting {(dial_s, dial_i)} must provide a 3x3 slot table, "
                              f"got shape {joint.shape}")
-        sup_s = _DIAL_BASIS[dial_s]
-        sup_i = _DIAL_BASIS[dial_i]
-        for s_slot in (0, 2):
-            for i_slot in (0, 2):
-                counts[(slot_z[s_slot], slot_z[i_slot])] += int(joint[s_slot, i_slot])
-                times[(slot_z[s_slot], slot_z[i_slot])] += integration_time
-        for s_slot in (0, 2):
-            counts[(slot_z[s_slot], sup_i)] += int(joint[s_slot, 1])
-            times[(slot_z[s_slot], sup_i)] += integration_time
-        for i_slot in (0, 2):
-            counts[(sup_s, slot_z[i_slot])] += int(joint[1, i_slot])
-            times[(sup_s, slot_z[i_slot])] += integration_time
-        counts[(sup_s, sup_i)] += int(joint[1, 1])
-        times[(sup_s, sup_i)] += integration_time
-    return MeasurementRecord(counts=counts, integration_times=times,
-                             provenance=provenance or "four-setting slot data")
+        basis_s = ("Z0", _DIAL_BASIS[dial_s], "Z1")
+        basis_i = ("Z0", _DIAL_BASIS[dial_i], "Z1")
+        for (s_slot, i_slot), n in np.ndenumerate(joint):
+            counts[(basis_s[s_slot], basis_i[i_slot])] += int(n)
+    return MeasurementRecord(counts=counts, provenance=provenance or "four-setting slot data")
 
 
 def expected_joint_counts(n_pairs: float, dial_s: int, dial_i: int,

@@ -1,5 +1,12 @@
 import dataclasses
+import os
 import re
+
+# One BLAS thread for the whole suite, set before numpy loads: the small
+# matrix calls of the oracle tests slow down several-fold when a default
+# thread pool competes with another process for the cores.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 import scipy.linalg

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from timebin.analysis import (FringeScan, GateConfig, RateReport,
-                              StreamAnalyzer, analyze_stream, car,
+                              StreamAnalyzer, _linfit, analyze_stream, car,
                               fit_fringe, klyshko, max_visibility_from_car,
                               power_series_fit)
-from timebin.simulate import (CH_IDLER, CH_SIGNAL, ExperimentConfig,
-                              iter_simulate, iter_simulate_single_bin,
-                              simulate)
+from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE,
+                              ExperimentConfig, iter_simulate,
+                              iter_simulate_single_bin, simulate)
 
 from conftest import assert_same_result, tie_cuts
+from fringe_oracle import oracle_fit_fringe
 
 
 def reference_rates_report(duration=10.0):
@@ -37,6 +38,24 @@ class TestGateConfig:
 
 
 class TestGatedSingles:
+    def test_slot_is_nearest_gate_in_time_order(self):
+        # Unsorted, unequally spaced gates: slot k is the k-th gate in time.
+        gates = GateConfig(gate_width=1.5e-9, offsets={CH_SIGNAL: [7e-9, 1e-9, 3e-9]})
+        rel_ps = [300, 1700, 2001, 2300, 3700, 4999, 6300, 6800, 7700, 9000]
+        tags = np.zeros(len(rel_ps) + 2, dtype=TAG_DTYPE)
+        tags["channel"] = [CH_TRIGGER] + [CH_SIGNAL] * len(rel_ps) + [CH_TRIGGER]
+        tags["time_ps"] = [1000] + [1000 + r for r in rel_ps] + [14000]
+        res = analyze_stream(tags, gates)
+        assert res.gated_signal.tolist() == [2, 2, 3]
+
+    def test_detection_on_a_shared_gate_edge_goes_to_the_earlier_slot(self):
+        # 2.5 ns is 2500 ps exactly, so the touching gates share the edge at 1250 ps.
+        gates = GateConfig(gate_width=2.5e-9, offsets={CH_SIGNAL: [0.0, 2.5e-9]})
+        tags = np.zeros(3, dtype=TAG_DTYPE)
+        tags["channel"] = [CH_TRIGGER, CH_SIGNAL, CH_TRIGGER]
+        tags["time_ps"] = [1000, 2250, 14000]
+        assert analyze_stream(tags, gates).gated_signal.tolist() == [1, 0]
+
     def test_uniform_darks_thinned_by_gate_fraction(self):
         cfg = ExperimentConfig(rep_rate=1e5, duration=0.5,
                                mean_pairs_per_pulse=0.0,
@@ -196,6 +215,18 @@ class TestPowerSeries:
         assert abs(clean.klyshko_signal_intercept.value - truth) < \
             abs(biased.klyshko_signal_intercept.value - truth)
 
+    @pytest.mark.parametrize("lo, hi", [(0.05, 0.8), (np.log(0.05), np.log(0.8))],
+                             ids=["linear", "log"])
+    def test_line_fit_matches_polyfit(self, lo, hi):
+        rng = np.random.default_rng(43)
+        for n in (3, 5, 12):
+            for _ in range(20):
+                x = np.sort(rng.uniform(lo, hi, n))
+                y = -1.3 * x + 0.4 + rng.normal(0.0, 0.05, n)
+                coef, cov = np.polyfit(x, y, 1, cov=True)
+                np.testing.assert_allclose(_linfit(x, y),
+                                           [*coef, *np.sqrt(np.diag(cov))], rtol=1e-10)
+
     def test_needs_three_distinct_powers(self):
         pts = self.synthetic_points()[:2]
         with pytest.raises(ValueError):
@@ -234,11 +265,52 @@ class TestFringeFit:
         with pytest.raises(ValueError):
             fit_fringe(self.scan(10.0, 0.5, 0.0, phases))
 
+    def test_rejects_rate_that_is_not_finite(self):
+        phases = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        scan = self.scan(10.0, 0.5, 0.0, phases)
+        scan.counts[3] = np.nan
+        with pytest.raises(ValueError):
+            fit_fringe(scan)
+
     def test_visibility_stays_in_unit_interval(self):
         rng = np.random.default_rng(40)
         phases = np.linspace(0, 2 * np.pi, 12, endpoint=False)
         fit = fit_fringe(self.scan(5.0, 0.99, 0.0, phases, t=1.0, rng=rng))
         assert 0.0 <= fit.visibility.value <= 1.0
+
+    @pytest.mark.parametrize("clamped", [False, True], ids=["interior", "clamped"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "poisson"])
+    @pytest.mark.parametrize("phases", [np.linspace(0, 2 * np.pi, 12, endpoint=False),
+                                        np.array([0.0, 0.4, 1.1, 1.5, 2.6, 3.3, 4.0, 5.2, 5.9])],
+                             ids=["even12", "uneven9"])
+    def test_matches_curve_fit_oracle(self, phases, weighted, clamped):
+        # Interior scans have true V in [0, 0.95]; clamped ones are V = 1
+        # scans whose unconstrained linear fit gives V > 1.
+        rng = np.random.default_rng([phases.size, weighted, clamped])
+        design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
+        done = 0
+        while done < (6 if clamped else 50):
+            amp = rng.uniform(20.0, 60.0) if clamped else rng.uniform(50.0, 500.0)
+            vis = 1.0 if clamped else rng.uniform(0.0, 0.95)
+            phi0 = rng.uniform(-np.pi, np.pi)
+            t = rng.uniform(0.5, 2.0, phases.size)
+            counts = rng.poisson(amp * t * (1.0 - vis * np.cos(phases + phi0))).astype(float)
+            sw = t / np.sqrt(np.clip(counts, 1.0, None)) if weighted else np.ones_like(t)
+            a, b, c = np.linalg.lstsq(design * sw[:, None], counts / t * sw, rcond=None)[0]
+            if (a <= 0 or np.hypot(b, c) > a) != clamped:
+                continue
+            done += 1
+            fit = fit_fringe(FringeScan(phases, counts, t), poisson_weights=weighted)
+            vis_o, err_o, phi0_o, amp_o = oracle_fit_fringe(phases, counts, t, weighted)
+            if clamped:
+                assert fit.visibility.value == 1.0
+                assert vis_o == pytest.approx(1.0, abs=1e-12)
+            else:
+                assert fit.visibility.value == pytest.approx(vis_o, rel=1e-6)
+            assert fit.visibility.error == pytest.approx(err_o, rel=1e-5 if clamped else 1e-6)
+            assert fit.amplitude == pytest.approx(amp_o, rel=1e-6)
+            dphi = (fit.phase_offset - phi0_o + np.pi) % (2 * np.pi) - np.pi
+            assert abs(dphi) < 1e-6
 
     def test_self_consistency_coverage(self):
         # parametric bootstrap of the fit's own error bars: the fitted

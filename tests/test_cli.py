@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 import timebin
 from timebin.cli import main
+from timebin.simulate import TAG_DTYPE
+from timebin.streams import read_tags, write_tags
 
 
 def sha256(path):
@@ -149,6 +152,24 @@ class TestAnalyze:
         assert code == 3
         assert "byte offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("channel", 7), ("time_ps", 2**63 + 5)],
+                             ids=["unknown-channel", "time-past-int64"])
+    def test_unrepresentable_tag_reports_offset(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.001)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags),
+                     "--mode", "single-bin"]) == 0
+        header, records = read_tags(tags)
+        records = records.copy()
+        # A later time keeps the stream sorted, so only the value is wrong.
+        k = records.size // 2 if field == "channel" else records.size - 1
+        records[field][k] = value
+        write_tags(tags, records, config_echo=header["config"])
+        offset = tags.read_bytes().index(b"\n") + 1 + k * TAG_DTYPE.itemsize
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert f"byte offset {offset})" in capsys.readouterr().err
+
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.tags"
         code = main(["analyze", "--in", str(missing),
@@ -218,6 +239,7 @@ class TestFringe:
         {"rates": {"counts": {"central": 5}, "duration_s": -1.0}},
         {"rates": {"counts": {"central": 5}, "duration_s": float("inf")}},
         {"rates": {"counts": {"central": 5}, "duration_s": float("nan")}},
+        {"rates": {"counts": {"central": float("nan")}, "duration_s": 1.0}},
     ])
     def test_unusable_report_is_data_error(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
@@ -350,10 +372,25 @@ class TestReport:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the fringe fit needs scipy.optimize; it is imported on first use
+    # The program runs on numpy alone: importing the CLI and running the
+    # fringe fit (both weightings) and the power-series fit loads no scipy.
     src = str(Path(timebin.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, timebin.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import timebin.cli
+        from timebin.analysis import FringeScan, RateReport, fit_fringe, power_series_fit
+        phases = np.linspace(0, 2 * np.pi, 12, endpoint=False)
+        scan = FringeScan(phases, 100 * (1 - 0.9 * np.cos(phases)), np.ones(12))
+        fit_fringe(scan)
+        fit_fringe(scan, poisson_weights=True)
+        power_series_fit([(p, RateReport(5000 * p, 4000 * p, 100 * p, 10**8, 1.0))
+                          for p in (1, 2, 3)])
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        sys.exit(f"{len(loaded)} scipy modules loaded: {loaded[:5]}" if loaded else None)
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

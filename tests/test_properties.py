@@ -71,16 +71,6 @@ def test_density_matrix_json_round_trip(seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_measurement_record_json_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    counts = {k: int(rng.integers(0, 10**6)) for k in KEYS}
-    rec = MeasurementRecord(counts=counts)
-    back = MeasurementRecord.from_json(rec.to_json())
-    assert back.counts == rec.counts
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_record_swap_is_involution(seed):
     rng = np.random.default_rng(seed)
     counts = {k: int(rng.integers(0, 1000)) for k in KEYS}

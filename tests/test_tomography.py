@@ -119,17 +119,6 @@ class TestMeasurementRecord:
         with pytest.raises(ValueError):
             MeasurementRecord(counts=counts)
 
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(51)
-        counts = {k: int(rng.integers(0, 1000)) for k in KEYS}
-        rec = MeasurementRecord(counts=counts,
-                                integration_times={k: 2.5 for k in KEYS},
-                                provenance="unit test")
-        back = MeasurementRecord.from_json(rec.to_json())
-        assert back.counts == rec.counts
-        assert back.integration_times == rec.integration_times
-        assert back.provenance == "unit test"
-
 
 class TestLinearInversion:
     def test_exact_counts_recover_state(self):
