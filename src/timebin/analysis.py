@@ -56,20 +56,25 @@ class GateConfig:
 
     Offsets are seconds relative to the associated trigger; a detection
     falls in slot k of its channel when it lies within gate_width/2 of
-    the k-th offset in time order.  Gates of one channel must not overlap.
+    the k-th offset in time order.  Gates of one channel must not overlap;
+    they may touch, compared in whole picoseconds, the resolution of a tag.
     """
 
     gate_width: float = DEFAULT_GATE_WIDTH
     offsets: dict = field(default_factory=dict)  # channel -> list of seconds
 
     def __post_init__(self):
-        if self.gate_width <= 0:
-            raise ValueError("gate_width must be positive")
+        if not (np.isfinite(self.gate_width) and self.gate_width > 0):
+            raise ValueError(f"gate_width must be a positive finite number, "
+                             f"got {self.gate_width!r}")
+        width_ps = round(self.gate_width * 1e12)
         for ch, offs in self.offsets.items():
-            offs = sorted(offs)
-            for a, b in zip(offs, offs[1:]):
-                if b - a < self.gate_width:
-                    raise ValueError(f"overlapping gates on channel {ch}: {a} and {b}")
+            if not np.all(np.isfinite(offs)):
+                raise ValueError(f"gate offsets on channel {ch} must be finite, got {offs!r}")
+            offs_ps = sorted(round(o * 1e12) for o in offs)
+            for a, b in zip(offs_ps, offs_ps[1:]):
+                if b - a < width_ps:
+                    raise ValueError(f"overlapping gates on channel {ch}: {a} ps and {b} ps")
 
     @classmethod
     def single_bin(cls, config: ExperimentConfig, gate_width: float = DEFAULT_GATE_WIDTH):
@@ -147,6 +152,9 @@ class StreamAnalyzer:
     """
 
     def __init__(self, gates: GateConfig, hist_bin: float = 10e-12):
+        if not (np.isfinite(hist_bin) and hist_bin > 0):
+            raise ValueError(f"hist_bin must be a positive finite number of seconds, "
+                             f"got {hist_bin!r}")
         self.gates = gates
         self.hist_bin_ps = hist_bin * 1e12
         self.n_triggers = 0
@@ -279,6 +287,11 @@ class AnalysisResult:
     duration: float
     dropped_pre_trigger: int
 
+    def __post_init__(self):
+        if self.n_triggers < 2 or not self.duration > 0:
+            raise ValueError(f"stream has {self.n_triggers} trigger(s) spanning "
+                             f"{self.duration} s; a duration needs two at distinct times")
+
     @property
     def delay_counts(self) -> dict:
         """Coincidences per delay d = idler slot - signal slot.
@@ -291,8 +304,6 @@ class AnalysisResult:
                 for d in (*range(n_i), *range(-1, -n_s, -1))}
 
     def rate_report(self) -> RateReport:
-        if self.n_triggers == 0 or self.duration <= 0:
-            raise ValueError("stream contains no triggers")
         central = 0
         if self.joint.shape == (3, 3):
             central = int(self.joint[1, 1])
@@ -313,10 +324,7 @@ def analyze_stream(chunks, gates: GateConfig, hist_bin: float = 10e-12) -> Analy
         chunks = [chunks]
     for chunk in chunks:
         analyzer.feed(chunk)
-    result = analyzer.result()
-    if result.n_triggers == 0:
-        raise ValueError("stream contains no triggers")
-    return result
+    return analyzer.result()
 
 
 def car(rates: RateReport) -> Quantity:

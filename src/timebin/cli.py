@@ -68,6 +68,8 @@ _CONFIG_KEYS = {
 
 _REQUIRED_KEYS = ("rep_rate_hz", "duration_s", "mean_pairs_per_pulse")
 
+_MODES = ("single-bin", "time-bin")
+
 
 def load_config(path) -> ExperimentConfig:
     """Parse a key = value run config; unknown or missing keys are fatal."""
@@ -96,12 +98,10 @@ def load_config(path) -> ExperimentConfig:
         field_name = _CONFIG_KEYS[key][0]
         if field_name not in values:
             raise ConfigError(f"{path}: missing required config field '{key}'")
-    config = ExperimentConfig(**values)
     try:
-        config.validate()
+        return ExperimentConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return config
 
 
 def _sha256(path) -> str:
@@ -132,7 +132,10 @@ def _cmd_simulate(args) -> int:
     t0 = time.monotonic()
     config = load_config(args.config)
     if args.seed is not None:
-        config = ExperimentConfig(**{**config.to_dict(), "rng_seed": args.seed})
+        try:
+            config = ExperimentConfig(**{**config.to_dict(), "rng_seed": args.seed})
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     echo = config.to_dict()
     echo["mode"] = args.mode
     if args.mode == "time-bin":
@@ -146,10 +149,21 @@ def _cmd_simulate(args) -> int:
 
 
 def _gates_from_echo(echo, gate_width):
-    config = ExperimentConfig(**{k: v for k, v in echo.items() if k != "mode"})
-    if echo.get("mode") == "single-bin":
-        return GateConfig.single_bin(config, gate_width), config
-    return GateConfig.time_bin(config, gate_width), config
+    """Gates of the run a tag header's config echo describes; an echo that
+    is not a valid run config is a ValueError.  An echo without a ``mode``
+    describes a time-bin run."""
+    if not isinstance(echo, dict):
+        raise ValueError(f"header config echo is not an object: {echo!r}")
+    mode = echo.get("mode", "time-bin")
+    if mode not in _MODES:
+        raise ValueError(f"header config echo has an unknown mode {mode!r}")
+    try:
+        config = ExperimentConfig(**{k: v for k, v in echo.items() if k != "mode"})
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown key
+        raise ValueError(f"header config echo is not a valid run config: {exc}") from exc
+    if mode == "single-bin":
+        return GateConfig.single_bin(config, gate_width)
+    return GateConfig.time_bin(config, gate_width)
 
 
 def _write_csv(path, header, rows):
@@ -175,7 +189,7 @@ def _cmd_analyze(args) -> int:
         echo = header.get("config", {})
         if not echo:
             raise DataError(f"{args.input}: header carries no config echo")
-        gates, config = _gates_from_echo(echo, args.gate_width_s)
+        gates = _gates_from_echo(echo, args.gate_width_s)
         result = analysis.analyze_stream(it, gates, hist_bin=args.hist_bin_s)
     except StreamFormatError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
@@ -328,8 +342,7 @@ def _cmd_tomo(args) -> int:
     missing = [s for s in tomography.SETTINGS if s not in setting_counts]
     if missing:
         raise ConfigError(f"missing phase settings {missing}")
-    record = tomography.counts_from_phase_settings(
-        setting_counts, provenance=f"runs: {', '.join(inputs)}")
+    record = tomography.counts_from_phase_settings(setting_counts)
     result = tomography.bootstrap_errors(record, n_replicas=args.replicas,
                                          seed=args.seed or 0,
                                          max_iter=args.max_iter)
@@ -369,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a time-tag stream")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["single-bin", "time-bin"], default="time-bin")
+    p.add_argument("--mode", choices=_MODES, default="time-bin")
     p.add_argument("--seed", type=int, default=None, help="override the config RNG seed")
     p.set_defaults(func=_cmd_simulate)
 

@@ -87,12 +87,11 @@ def validate_density_matrix(
     m: np.ndarray,
     herm_atol: float = 1e-12,
     trace_atol: float = 1e-12,
-    eig_floor: float = -1e-9,
 ) -> None:
     """Raise ValueError unless ``m`` is a physical two-qubit density matrix.
 
     Checks finiteness, Hermiticity, unit trace and positivity, each to the
-    given tolerance.  Eigenvalues down to ``eig_floor`` are tolerated as
+    given tolerance.  Eigenvalues down to -1e-9 are tolerated as
     numerical rounding; anything lower rejects the matrix.  A (..., 4, 4)
     stack passes only if every matrix in it does; the message reports the
     worst one.
@@ -112,7 +111,7 @@ def validate_density_matrix(
     if abs(tr[worst] - 1.0) > trace_atol:
         raise ValueError(f"trace {tr[worst]:.6g} is not 1 within {trace_atol:g}")
     lo = np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2).min()
-    if lo < eig_floor:
+    if lo < -1e-9:
         raise ValueError(f"matrix is not positive (smallest eigenvalue {lo:.3g})")
 
 
@@ -131,8 +130,8 @@ def _physical(m: np.ndarray) -> np.ndarray:
 class DensityMatrix2Q:
     """Validated 4x4 density matrix of the two time-bin qubits.
 
-    Construct via :meth:`from_matrix`, which enforces Hermiticity, unit
-    trace and positivity.  ``from_matrix(..., fix=True)`` symmetrizes,
+    Construction enforces Hermiticity, unit trace and positivity; build one
+    via :meth:`from_matrix`.  ``from_matrix(..., fix=True)`` symmetrizes,
     clamps small negative eigenvalues and renormalizes first, which is the
     appropriate entry point for matrices coming out of floating-point
     pipelines.
@@ -140,12 +139,14 @@ class DensityMatrix2Q:
 
     matrix: np.ndarray
 
+    def __post_init__(self):
+        validate_density_matrix(self.matrix)
+
     @classmethod
     def from_matrix(cls, m: np.ndarray, fix: bool = False) -> "DensityMatrix2Q":
         m = np.asarray(m, dtype=complex).reshape(4, 4)
         if fix:
             m = _physical(m)
-        validate_density_matrix(m)
         m = m.copy()
         m.setflags(write=False)
         return cls(m)
@@ -164,14 +165,14 @@ class DensityMatrix2Q:
         return cls.from_matrix(m)
 
 
-def _as_matrix(rho, validate: bool, trace_atol: float) -> np.ndarray:
+def _as_matrix(rho, validate: bool) -> np.ndarray:
     if isinstance(rho, DensityMatrix2Q):
         return rho.matrix
     m = np.asarray(rho, dtype=complex).reshape(4, 4)
     if validate:
         # Experimental matrices reported to limited precision can miss unit
         # trace by ~1e-3; metrics are evaluated on the matrix as given.
-        validate_density_matrix(m, herm_atol=1e-9, trace_atol=trace_atol)
+        validate_density_matrix(m, herm_atol=1e-9, trace_atol=0.01)
     return m
 
 
@@ -183,7 +184,7 @@ def _concurrence(m: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
-def concurrence(rho, validate: bool = True, trace_atol: float = 0.01) -> float:
+def concurrence(rho, validate: bool = True) -> float:
     """Wootters concurrence C of a two-qubit density matrix.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of
@@ -191,7 +192,7 @@ def concurrence(rho, validate: bool = True, trace_atol: float = 0.01) -> float:
     product is non-Hermitian, so its eigenvalues are computed directly and
     tiny negative real parts are clamped before the square root.
     """
-    return float(_concurrence(_as_matrix(rho, validate, trace_atol)))
+    return float(_concurrence(_as_matrix(rho, validate)))
 
 
 def _fidelity(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -199,9 +200,9 @@ def _fidelity(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.real(psi.conj() @ m @ psi)
 
 
-def fidelity_to_pure(rho, psi: np.ndarray, validate: bool = True, trace_atol: float = 0.01) -> float:
+def fidelity_to_pure(rho, psi: np.ndarray, validate: bool = True) -> float:
     """Overlap <psi| rho |psi> of a density matrix with a pure target."""
-    m = _as_matrix(rho, validate, trace_atol)
+    m = _as_matrix(rho, validate)
     psi = np.asarray(psi, dtype=complex).reshape(4)
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-12:

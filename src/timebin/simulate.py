@@ -28,6 +28,7 @@ detection if that comes first, is carried into the next block.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace, asdict
 from typing import Iterator
 
@@ -67,7 +68,7 @@ class ExperimentConfig:
 
     Defaults follow the apparatus this models: 76.2 MHz pulsed pump,
     ~3 ns bin delay (13.1 ns pulse period), dark rates of a few hundred
-    per second.
+    per second.  Construction runs :meth:`validate`.
     """
 
     rep_rate: float = 76.2e6          # pulses / s
@@ -99,11 +100,22 @@ class ExperimentConfig:
     def pulse_period(self) -> float:
         return 1.0 / self.rep_rate
 
+    def __post_init__(self):
+        self.validate()
+
     def with_power(self, power: float) -> "ExperimentConfig":
         """Copy of this config at a different pump power."""
         return replace(self, pump_power=power)
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if value is None and name == "pair_yield_per_watt":
+                continue
+            if not (isinstance(value, numbers.Integral)
+                    or isinstance(value, numbers.Real) and np.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         if self.rep_rate <= 0:
             raise ValueError("rep_rate must be positive")
         for name in ("bin_delay", "mean_pairs_per_pulse", "dark_rate_signal",
@@ -115,9 +127,6 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("phi_p", "phi_s", "phi_i"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.mu < 0:
             raise ValueError("mean pairs per pulse must be non-negative")
         # Keep the late-late slot plus a detection gate inside one period so
@@ -292,7 +301,6 @@ def _merge(grid, times, channels) -> np.ndarray:
 
 
 def _iter_tags(config: ExperimentConfig, time_bin: bool) -> Iterator[np.ndarray]:
-    config.validate()
     n_pulses, n_blocks = _block_range(config)
     if n_pulses == 0:
         return

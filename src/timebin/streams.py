@@ -65,7 +65,7 @@ def _parse_header(line: bytes) -> dict:
         header = json.loads(line.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StreamFormatError(f"invalid header line: {exc}", 0) from exc
-    if header.get("format") != "timebin-tags":
+    if not isinstance(header, dict) or header.get("format") != "timebin-tags":
         raise StreamFormatError("not a timebin tag file", 0)
     if header.get("version") != FORMAT_VERSION:
         raise StreamFormatError(f"unsupported format version {header.get('version')}", 0)

@@ -71,14 +71,13 @@ def setting_phases(dial_s: int, dial_i: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """The 16 tomography counts and where they came from.
+    """The 16 tomography counts.
 
     ``counts`` maps (signal basis, idler basis) to a non-negative integer;
     all 16 combinations must be present.
     """
 
     counts: dict
-    provenance: str = ""
 
     def __post_init__(self):
         expected = {(a, b) for a in BASIS_LABELS for b in BASIS_LABELS}
@@ -97,17 +96,14 @@ class MeasurementRecord:
 
     def swapped(self) -> "MeasurementRecord":
         """Record with the signal and idler roles exchanged."""
-        return MeasurementRecord(
-            counts={(b, a): n for (a, b), n in self.counts.items()},
-            provenance=self.provenance + " (arms swapped)")
+        return MeasurementRecord({(b, a): n for (a, b), n in self.counts.items()})
 
 
 def _record_keys():
     return [(a, b) for a in BASIS_LABELS for b in BASIS_LABELS]
 
 
-def counts_from_phase_settings(setting_counts: dict,
-                               provenance: str = "") -> MeasurementRecord:
+def counts_from_phase_settings(setting_counts: dict) -> MeasurementRecord:
     """Assemble the 16 tomography counts from four phase-setting runs.
 
     ``setting_counts`` maps each dial setting in :data:`SETTINGS` to the
@@ -138,7 +134,7 @@ def counts_from_phase_settings(setting_counts: dict,
         basis_i = ("Z0", _DIAL_BASIS[dial_i], "Z1")
         for (s_slot, i_slot), n in np.ndenumerate(joint):
             counts[(basis_s[s_slot], basis_i[i_slot])] += int(n)
-    return MeasurementRecord(counts=counts, provenance=provenance or "four-setting slot data")
+    return MeasurementRecord(counts)
 
 
 def expected_joint_counts(n_pairs: float, dial_s: int, dial_i: int,

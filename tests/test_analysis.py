@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from timebin.analysis import (FringeScan, GateConfig, RateReport,
+from timebin.analysis import (AnalysisResult, FringeScan, GateConfig, RateReport,
                               StreamAnalyzer, _linfit, analyze_stream, car,
                               fit_fringe, klyshko, max_visibility_from_car,
                               power_series_fit)
@@ -14,6 +14,13 @@ from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE,
 
 from conftest import assert_same_result, tie_cuts
 from fringe_oracle import oracle_fit_fringe
+
+
+def tag_array(channels, times_ps):
+    tags = np.zeros(len(channels), dtype=TAG_DTYPE)
+    tags["channel"] = channels
+    tags["time_ps"] = times_ps
+    return tags
 
 
 def reference_rates_report(duration=10.0):
@@ -30,6 +37,25 @@ class TestGateConfig:
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
             GateConfig(gate_width=0.0)
+
+    @pytest.mark.parametrize("width", [np.nan, np.inf])
+    def test_rejects_width_that_is_not_finite(self, width):
+        with pytest.raises(ValueError, match="gate_width"):
+            GateConfig(gate_width=width)
+
+    @pytest.mark.parametrize("offset", [np.nan, np.inf])
+    def test_rejects_offset_that_is_not_finite(self, offset):
+        with pytest.raises(ValueError, match="offsets"):
+            GateConfig(offsets={CH_SIGNAL: [1e-9, offset]})
+
+    def test_accepts_touching_gates(self):
+        # 3e-9 - 1e-9 is 1.9999999999999997e-09 in floats: below the width
+        # in seconds, equal to it in whole picoseconds.
+        gates = GateConfig(gate_width=2e-9, offsets={CH_SIGNAL: [1e-9, 3e-9]})
+        tags = tag_array([CH_TRIGGER, CH_SIGNAL, CH_SIGNAL, CH_TRIGGER],
+                         [1000, 3000, 3001, 14000])
+        # rel 2000 ps is the shared edge; 2001 ps lies only in the later gate
+        assert analyze_stream(tags, gates).gated_signal.tolist() == [1, 1]
 
     def test_time_bin_layout(self):
         cfg = ExperimentConfig()
@@ -91,6 +117,50 @@ class TestGatedSingles:
         tags = tags[tags["channel"] != 2]
         with pytest.raises(ValueError):
             analyze_stream(tags, GateConfig.time_bin(cfg))
+
+    @pytest.mark.parametrize("trigger_times", [[1000], [1000, 1000]],
+                             ids=["one-trigger", "two-at-one-time"])
+    def test_stream_without_duration_rejected(self, trigger_times):
+        tags = tag_array([CH_TRIGGER] * len(trigger_times) + [CH_SIGNAL],
+                         trigger_times + [3000])
+        with pytest.raises(ValueError):
+            analyze_stream(tags, GateConfig.time_bin(ExperimentConfig()))
+
+    def test_channel_without_gates_is_histogrammed_only(self):
+        gates = GateConfig(offsets={CH_SIGNAL: [2e-9]})
+        tags = tag_array([CH_TRIGGER, CH_SIGNAL, CH_IDLER, CH_IDLER, CH_TRIGGER],
+                         [0, 2000, 2000, 2500, 13000])
+        res = analyze_stream(tags, gates)
+        assert res.histograms[CH_IDLER].sum() == 2
+        assert res.gated_signal.tolist() == [1]
+        assert res.gated_idler.tolist() == [0]
+        assert res.joint.sum() == 0 and res.neighbor_joint.sum() == 0
+
+    @pytest.mark.parametrize("hist_bin", [0.0, -10e-12, np.nan, np.inf])
+    def test_bad_hist_bin_rejected(self, hist_bin):
+        with pytest.raises(ValueError, match="hist_bin"):
+            StreamAnalyzer(GateConfig(), hist_bin)
+
+
+class TestAnalysisResult:
+    @staticmethod
+    def build(n_triggers, duration):
+        empty = np.zeros(1, dtype=np.int64)
+        return AnalysisResult(histograms={}, hist_bin=10e-12, gated_signal=empty,
+                              gated_idler=empty, joint=np.zeros((1, 1), dtype=np.int64),
+                              neighbor_joint=np.zeros((1, 1), dtype=np.int64),
+                              n_triggers=n_triggers, duration=duration,
+                              dropped_pre_trigger=0)
+
+    def test_two_triggers_over_a_positive_duration_accepted(self):
+        assert self.build(2, 26e-9).rate_report().trigger_rate == pytest.approx(2 / 26e-9)
+
+    @pytest.mark.parametrize("n_triggers, duration", [
+        (0, 0.0), (1, 13e-9), (2, 0.0), (2, -1.0), (2, np.nan),
+    ])
+    def test_rejects_result_without_duration(self, n_triggers, duration):
+        with pytest.raises(ValueError):
+            self.build(n_triggers, duration)
 
 
 class TestCoincidences:

@@ -11,7 +11,7 @@ import pytest
 
 import timebin
 from timebin.cli import main
-from timebin.simulate import TAG_DTYPE
+from timebin.simulate import CH_SIGNAL, CH_TRIGGER, TAG_DTYPE, ExperimentConfig
 from timebin.streams import read_tags, write_tags
 
 
@@ -40,6 +40,17 @@ def run_pipeline(tmp_path, name, mode="time-bin", **overrides):
                  "--mode", mode]) == 0
     assert main(["analyze", "--in", str(tags), "--out", str(report)]) == 0
     return report
+
+
+def write_stream(path, channels, times_ps, config_echo):
+    tags = np.zeros(len(channels), dtype=TAG_DTYPE)
+    tags["channel"] = channels
+    tags["time_ps"] = times_ps
+    write_tags(path, tags, config_echo=config_echo)
+    return path
+
+
+VALID_ECHO = {**ExperimentConfig().to_dict(), "mode": "time-bin"}
 
 
 class TestConfig:
@@ -76,6 +87,24 @@ class TestConfig:
                      "--out", str(tmp_path / "x.tags")])
         assert code == 2
         assert "eta_signal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("duration_s", "inf"), ("rep_rate_hz", "nan"),
+                                            ("dark_rate_signal_hz", "nan")])
+    def test_value_that_is_not_finite_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "bad.cfg", **{key: value})
+        code = main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.tags")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "must be a finite number" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cli_seed", [None, "-3"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, cli_seed):
+        cfg = write_config(tmp_path / "run.cfg", rng_seed=-1 if cli_seed is None else 7)
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.tags")]
+        code = main(argv + (["--seed", cli_seed] if cli_seed else []))
+        assert code == 2
+        assert "rng_seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
@@ -189,6 +218,39 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("echo", [
+        [1, 2],
+        {**VALID_ECHO, "bogus_field": 1.0},
+        {**VALID_ECHO, "bin_delay": "3e-9"},
+        {**VALID_ECHO, "mode": "triple-bin"},
+    ], ids=["not-a-dict", "unknown-key", "wrong-type", "unknown-mode"])
+    def test_bad_config_echo_is_data_error(self, tmp_path, capsys, echo):
+        tags = write_stream(tmp_path / "run.tags", [CH_TRIGGER, CH_SIGNAL, CH_TRIGGER],
+                            [0, 2000, 13123], echo)
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(tags) in err and "config" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("trigger_times", [[1000], [1000, 1000]],
+                             ids=["one-trigger", "two-at-one-time"])
+    def test_stream_without_duration_is_data_error(self, tmp_path, capsys, trigger_times):
+        tags = write_stream(tmp_path / "run.tags",
+                            [CH_TRIGGER] * len(trigger_times) + [CH_SIGNAL],
+                            trigger_times + [3000], VALID_ECHO)
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(tags) in err and "trigger" in err
+
+    def test_stream_without_idler_writes_no_idler_singles(self, tmp_path):
+        report = run_pipeline(tmp_path, "run", duration_s=0.0005, eta_idler=0.0)
+        data = json.loads(report.read_text())
+        assert data["rates"]["counts"]["idler"] == 0 and data["car"] is None
+        base = str(report)[:-5]
+        assert os.path.exists(base + ".singles_signal.csv")
+        assert not os.path.exists(base + ".singles_idler.csv")
 
     def test_not_a_tag_file(self, tmp_path):
         bad = tmp_path / "junk.tags"

@@ -196,6 +196,12 @@ class TestDensityMatrixType:
         with pytest.raises(ValueError):
             DensityMatrix2Q.from_matrix(np.eye(4) / 3)
 
+    @pytest.mark.parametrize("m", [np.eye(4) / 3, np.diag([0.6, 0.6, -0.1, -0.1]),
+                                   np.ones((3, 3)) / 3])
+    def test_direct_construction_is_validated(self, m):
+        with pytest.raises(ValueError):
+            DensityMatrix2Q(m)
+
     def test_fix_recovers_noisy_matrix(self):
         rng = np.random.default_rng(5)
         noisy = pure_to_dm(bell_phi_plus()) + 1e-6 * rng.normal(size=(4, 4))

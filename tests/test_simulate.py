@@ -93,7 +93,7 @@ class TestJointSlotDistribution:
 
 class TestConfig:
     def test_defaults_valid(self):
-        ExperimentConfig().validate()
+        ExperimentConfig()
 
     @pytest.mark.parametrize("field,value", [
         ("eta_signal", 1.4), ("eta_idler", -0.1), ("duration", -1.0),
@@ -102,11 +102,33 @@ class TestConfig:
     ])
     def test_rejects_bad_fields(self, field, value):
         with pytest.raises(ValueError):
-            ExperimentConfig(**{field: value}).validate()
+            ExperimentConfig(**{field: value})
 
     def test_rejects_bins_overflowing_period(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(bin_delay=6e-9).validate()
+            ExperimentConfig(bin_delay=6e-9)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rep_rate", np.nan), ("duration", np.nan), ("duration", np.inf),
+        ("dark_rate_signal", np.nan), ("mean_pairs_per_pulse", np.nan),
+        ("pair_yield_per_watt", np.inf), ("bin_delay", "3e-9"), ("rng_seed", "7"),
+        ("pair_yield_per_watt", [1.0]), ("rep_rate", None),
+    ])
+    def test_rejects_value_that_is_not_a_finite_number(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            ExperimentConfig(**{field: value})
+
+    def test_accepts_any_integer_seed(self):
+        assert ExperimentConfig(rng_seed=10**40).rng_seed == 10**40
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, True + 0.5])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            ExperimentConfig(rng_seed=seed)
+
+    def test_copies_are_checked_too(self):
+        with pytest.raises(ValueError, match="pump_power"):
+            ExperimentConfig().with_power(-1.0)
 
     def test_power_scaling(self):
         cfg = ExperimentConfig(pair_yield_per_watt=2.0, pump_power=0.25)

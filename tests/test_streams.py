@@ -66,6 +66,14 @@ class TestBinaryFormat:
         with pytest.raises(StreamFormatError):
             read_header(path)
 
+    @pytest.mark.parametrize("line", [b"[1]", b"7", b'"timebin-tags"', b"null"])
+    def test_rejects_header_that_is_not_an_object(self, tmp_path, line):
+        path = tmp_path / "bad.tags"
+        path.write_bytes(line + b"\n")
+        with pytest.raises(StreamFormatError) as err:
+            read_header(path)
+        assert err.value.byte_offset == 0
+
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "v99.tags"
         path.write_bytes(
