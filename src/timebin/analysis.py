@@ -455,6 +455,9 @@ class FringeScan:
                    np.asarray(times, dtype=float))
 
     def validate(self) -> None:
+        if not np.all(np.isfinite(self.phases)):
+            bad = self.phases[~np.isfinite(self.phases)]
+            raise ValueError(f"fringe scan holds phases that are not finite: {bad.tolist()}")
         if np.unique(self.phases).size < 5:
             raise ValueError("fringe fit needs at least 5 distinct phases")
         if np.ptp(self.phases) < np.pi:

@@ -46,6 +46,9 @@ class ConvergenceError(Exception):
     pass
 
 
+_EXIT_CODES = {ConfigError: EXIT_USAGE, DataError: EXIT_DATA,
+               ConvergenceError: EXIT_NONCONVERGED}
+
 _CONFIG_KEYS = {
     "rep_rate_hz": ("rep_rate", float),
     "bin_delay_s": ("bin_delay", float),
@@ -69,6 +72,8 @@ _CONFIG_KEYS = {
 _REQUIRED_KEYS = ("rep_rate_hz", "duration_s", "mean_pairs_per_pulse")
 
 _MODES = ("single-bin", "time-bin")
+
+_CSV_HEADER = "slot_or_phase,count,error"
 
 
 def load_config(path) -> ExperimentConfig:
@@ -128,6 +133,24 @@ def _write_manifest(out_path, config_echo, inputs, outputs, seed, t_start):
     return path
 
 
+def _write_outputs(out, document, sidecars, echo, inputs, seed, t_start):
+    """Write a command's JSON ``document`` text to ``out``, its CSV sidecars
+    and the manifest.  ``sidecars`` maps a suffix, appended to ``out``
+    less its ``.json``, to a (header, rows) pair."""
+    with open(out, "w") as fh:
+        fh.write(document)
+    base = out[:-5] if out.endswith(".json") else out
+    outputs = [out]
+    for suffix, (header, rows) in sidecars.items():
+        path = base + suffix
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(str(v) for v in row) + "\n")
+        outputs.append(path)
+    _write_manifest(out, echo, inputs, outputs, seed, t_start)
+
+
 def _cmd_simulate(args) -> int:
     t0 = time.monotonic()
     config = load_config(args.config)
@@ -150,7 +173,8 @@ def _cmd_simulate(args) -> int:
 
 def _gates_from_echo(echo, gate_width):
     """Gates of the run a tag header's config echo describes; an echo that
-    is not a valid run config is a ValueError.  An echo without a ``mode``
+    is not a valid run config is a ValueError, a gate width that makes the
+    run's gates overlap a ConfigError.  An echo without a ``mode``
     describes a time-bin run."""
     if not isinstance(echo, dict):
         raise ValueError(f"header config echo is not an object: {echo!r}")
@@ -161,16 +185,11 @@ def _gates_from_echo(echo, gate_width):
         config = ExperimentConfig(**{k: v for k, v in echo.items() if k != "mode"})
     except (TypeError, ValueError) as exc:  # TypeError: an unknown key
         raise ValueError(f"header config echo is not a valid run config: {exc}") from exc
-    if mode == "single-bin":
-        return GateConfig.single_bin(config, gate_width)
-    return GateConfig.time_bin(config, gate_width)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    gates = GateConfig.single_bin if mode == "single-bin" else GateConfig.time_bin
+    try:
+        return gates(config, gate_width)
+    except ValueError as exc:
+        raise ConfigError(f"--gate-width-s {gate_width!r} does not fit the run: {exc}") from exc
 
 
 def _require_positive(flag, value):
@@ -215,25 +234,16 @@ def _cmd_analyze(args) -> int:
     if rates.n_signal > 0 and rates.n_idler > 0:
         eta_s, eta_i = klyshko(rates)
         report["klyshko"] = {"signal": eta_s.to_dict(), "idler": eta_i.to_dict()}
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=2)
-
-    base = args.out[:-5] if args.out.endswith(".json") else args.out
-    outputs = [args.out]
+    sidecars = {}
     for ch, name in ((CH_SIGNAL, "signal"), (CH_IDLER, "idler")):
-        hist = result.histograms.get(ch)
-        if hist is None:
-            continue
-        path = f"{base}.singles_{name}.csv"
-        rows = [(i * result.hist_bin, int(c), float(np.sqrt(c)))
-                for i, c in enumerate(hist) if c]
-        _write_csv(path, "slot_or_phase,count,error", rows)
-        outputs.append(path)
-    path = f"{base}.delays.csv"
-    rows = [(d, c, float(np.sqrt(c))) for d, c in sorted(result.delay_counts.items())]
-    _write_csv(path, "slot_or_phase,count,error", rows)
-    outputs.append(path)
-    _write_manifest(args.out, echo, [args.input], outputs, echo.get("rng_seed"), t0)
+        if ch in result.histograms:
+            sidecars[f".singles_{name}.csv"] = (_CSV_HEADER, [
+                (i * result.hist_bin, int(c), float(np.sqrt(c)))
+                for i, c in enumerate(result.histograms[ch]) if c])
+    sidecars[".delays.csv"] = (_CSV_HEADER, [
+        (d, c, float(np.sqrt(c))) for d, c in sorted(result.delay_counts.items())])
+    _write_outputs(args.out, json.dumps(report, indent=2), sidecars, echo, [args.input],
+                   echo.get("rng_seed"), t0)
     print(f"analyzed {args.input}: {rates.n_coinc} coincidences in {rates.duration:.3g} s")
     return 0
 
@@ -273,6 +283,8 @@ def _cmd_fringe(args) -> int:
             raise ConfigError(f"fringe point {spec_arg!r} must look like PHASE_RAD:REPORT.json")
         try:
             phase = float(phase_str)
+            if not np.isfinite(phase):
+                raise ValueError(f"{phase_str!r} is not a finite number")
         except ValueError as exc:
             raise ConfigError(f"bad phase in {spec_arg!r}: {exc}") from exc
         report = _load_report(path)
@@ -291,14 +303,10 @@ def _cmd_fringe(args) -> int:
     out = {"fit": fit.to_dict(),
            "points": [{"phase_rad": p, "count": c, "integration_s": t}
                       for p, c, t in points]}
-    with open(args.out, "w") as fh:
-        json.dump(out, fh, indent=2)
-    base = args.out[:-5] if args.out.endswith(".json") else args.out
-    csv_path = base + ".fringe.csv"
-    _write_csv(csv_path, "slot_or_phase,count,error",
-               [(p, c, float(np.sqrt(c))) for p, c, t in points])
-    _write_manifest(args.out, {}, [p.partition(":")[2] for p in args.points],
-                    [args.out, csv_path], None, t0)
+    _write_outputs(args.out, json.dumps(out, indent=2),
+                   {".fringe.csv": (_CSV_HEADER, [(p, c, float(np.sqrt(c)))
+                                                  for p, c, t in points])},
+                   {}, [p.partition(":")[2] for p in args.points], None, t0)
     print(f"fringe visibility {fit.visibility.value:.4f} +- {fit.visibility.error:.4f}")
     return 0
 
@@ -343,19 +351,17 @@ def _cmd_tomo(args) -> int:
     if missing:
         raise ConfigError(f"missing phase settings {missing}")
     record = tomography.counts_from_phase_settings(setting_counts)
-    result = tomography.bootstrap_errors(record, n_replicas=args.replicas,
-                                         seed=args.seed or 0,
-                                         max_iter=args.max_iter)
-    with open(args.out, "w") as fh:
-        fh.write(result.to_json())
-    base = args.out[:-5] if args.out.endswith(".json") else args.out
-    csv_path = base + ".rho.csv"
-    rows = []
-    for part, m in (("re", result.rho.matrix.real), ("im", result.rho.matrix.imag)):
-        for row in m:
-            rows.append([part] + [repr(v) for v in row])
-    _write_csv(csv_path, "part,c00,c01,c10,c11", rows)
-    _write_manifest(args.out, {}, inputs, [args.out, csv_path], args.seed, t0)
+    try:
+        result = tomography.bootstrap_errors(record, n_replicas=args.replicas,
+                                             seed=args.seed or 0,
+                                             max_iter=args.max_iter)
+    except ValueError as exc:  # e.g. reports whose joint tables are all zero
+        raise DataError(f"reports {', '.join(inputs)}: {exc}") from exc
+    rows = [[part, *map(repr, row)]
+            for part, m in (("re", result.rho.matrix.real), ("im", result.rho.matrix.imag))
+            for row in m]
+    _write_outputs(args.out, result.to_json(), {".rho.csv": ("part,c00,c01,c10,c11", rows)},
+                   {}, inputs, args.seed, t0)
     print(f"concurrence {result.concurrence:.4f}, fidelity {result.fidelity:.4f}, "
           f"CHSH [{result.chsh_lower:.3f}, {result.chsh_upper:.3f}]")
     if not result.converged:
@@ -418,15 +424,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGED
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -165,49 +165,47 @@ class DensityMatrix2Q:
         return cls.from_matrix(m)
 
 
-def _as_matrix(rho, validate: bool) -> np.ndarray:
-    if isinstance(rho, DensityMatrix2Q):
-        return rho.matrix
-    m = np.asarray(rho, dtype=complex).reshape(4, 4)
-    if validate:
-        # Experimental matrices reported to limited precision can miss unit
-        # trace by ~1e-3; metrics are evaluated on the matrix as given.
-        validate_density_matrix(m, herm_atol=1e-9, trace_atol=0.01)
-    return m
+def _as_stack(rho):
+    """One 4x4 matrix or a (..., 4, 4) stack as an (N, 4, 4) stack, checked
+    loosely, and the shape of the result: () for one matrix.
+
+    Experimental matrices reported to limited precision can miss unit
+    trace by ~1e-3; metrics are evaluated on the matrices as given.
+    """
+    m = rho.matrix if isinstance(rho, DensityMatrix2Q) else np.asarray(rho, dtype=complex)
+    validate_density_matrix(m, herm_atol=1e-9, trace_atol=0.01)
+    return m.reshape(-1, 4, 4), m.shape[:-2]
 
 
-def _concurrence(m: np.ndarray) -> np.ndarray:
-    """Concurrence of one 4x4 matrix or of each matrix of a (..., 4, 4) stack."""
-    r = m @ _YY @ m.conj() @ _YY
-    vals = np.linalg.eigvals(r).real
-    lam = np.sort(np.sqrt(np.clip(vals, 0.0, None)), axis=-1)[..., ::-1]
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
-
-
-def concurrence(rho, validate: bool = True) -> float:
+def concurrence(rho):
     """Wootters concurrence C of a two-qubit density matrix.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the decreasing square roots of
     the eigenvalues of rho (sy x sy) rho* (sy x sy).  The intermediate
     product is non-Hermitian, so its eigenvalues are computed directly and
-    tiny negative real parts are clamped before the square root.
+    tiny negative real parts are clamped before the square root.  One 4x4
+    matrix gives a float, a (..., 4, 4) stack an array of one C per matrix.
     """
-    return float(_concurrence(_as_matrix(rho, validate)))
+    m, shape = _as_stack(rho)
+    r = m @ _YY @ m.conj() @ _YY
+    vals = np.linalg.eigvals(r).real
+    lam = np.sort(np.sqrt(np.clip(vals, 0.0, None)), axis=-1)[..., ::-1]
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return float(c[0]) if shape == () else c.reshape(shape)
 
 
-def _fidelity(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """<psi| m |psi> of one 4x4 matrix or of each matrix of a stack."""
-    return np.real(psi.conj() @ m @ psi)
+def fidelity_to_pure(rho, psi: np.ndarray):
+    """Overlap <psi| rho |psi> of a density matrix with a pure target.
 
-
-def fidelity_to_pure(rho, psi: np.ndarray, validate: bool = True) -> float:
-    """Overlap <psi| rho |psi> of a density matrix with a pure target."""
-    m = _as_matrix(rho, validate)
+    One 4x4 matrix gives a float, a (..., 4, 4) stack an array.
+    """
+    m, shape = _as_stack(rho)
     psi = np.asarray(psi, dtype=complex).reshape(4)
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"target state is not normalized (norm {nrm:.6g})")
-    return float(_fidelity(m, psi))
+    f = np.real(psi.conj() @ m @ psi)
+    return float(f[0]) if shape == () else f.reshape(shape)
 
 
 def chsh_bounds(concurrence_value):

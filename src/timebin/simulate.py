@@ -174,7 +174,8 @@ def joint_slot_distribution(
 def _outcome_table(phi_p: float, phi_s: float, phi_i: float, v0: float):
     """Full pair outcome table including the unmonitored ports.
 
-    This is the one encoding of the pair-outcome law.  Returns
+    This is the one encoding of the time-bin pair-outcome law; the
+    single-bin law is the one-row ``_SINGLE_BIN_TABLE``.  Returns
     (probabilities, signal slot, idler slot, signal monitored, idler
     monitored) arrays over the 28 outcomes: 7 reachable slot pairs times
     2 ports per photon (the corners (0, 2) and (2, 0) never occur).
@@ -210,6 +211,12 @@ def _outcome_table(phi_p: float, phi_s: float, phi_i: float, v0: float):
             np.array(s_mon), np.array(i_mon))
 
 
+# The single-bin law: one outcome, both photons monitored in slot 0.  Its
+# probability 1 is numpy's uniform choice, ``p=None``, which draws nothing.
+_SINGLE_BIN_TABLE = (None, np.zeros(1, dtype=int), np.zeros(1, dtype=int),
+                     np.ones(1, dtype=bool), np.ones(1, dtype=bool))
+
+
 def _block_range(config: ExperimentConfig):
     n_pulses = int(round(config.duration * config.rep_rate))
     n_blocks = max(1, -(-n_pulses // BLOCK_PULSES)) if n_pulses else 0
@@ -224,8 +231,8 @@ def _dark_tags(rng, rate, t0_ps, t1_ps):
     return t0_ps + rng.random(n) * (t1_ps - t0_ps)
 
 
-def _emit_block(config, block, n_pulses, table, time_bin: bool):
-    """Generate the detections of one pulse block.
+def _emit_block(config, block, n_pulses, law):
+    """Generate the detections of one pulse block, pairs drawn from ``law``.
 
     Returns (times, channels, t_end): the unsorted detections as float ps
     clipped at 0, in draw order (signal photons, signal darks, idler
@@ -250,18 +257,12 @@ def _emit_block(config, block, n_pulses, table, time_bin: bool):
     jitter_ps = config.jitter_sigma * 1e12
     bin_ps = config.bin_delay * 1e12
 
-    if time_bin:
-        probs, s_slot, i_slot, s_mon, i_mon = table
-        outcome = rng.choice(len(probs), size=n_pairs, p=probs)
-        det_s = s_mon[outcome] & (rng.random(n_pairs) < config.eta_signal)
-        det_i = i_mon[outcome] & (rng.random(n_pairs) < config.eta_idler)
-        t_s = base[det_s] + s_slot[outcome][det_s] * bin_ps
-        t_i = base[det_i] + i_slot[outcome][det_i] * bin_ps
-    else:
-        det_s = rng.random(n_pairs) < config.eta_signal
-        det_i = rng.random(n_pairs) < config.eta_idler
-        t_s = base[det_s]
-        t_i = base[det_i]
+    probs, s_slot, i_slot, s_mon, i_mon = law
+    outcome = rng.choice(s_slot.size, size=n_pairs, p=probs)
+    det_s = s_mon[outcome] & (rng.random(n_pairs) < config.eta_signal)
+    det_i = i_mon[outcome] & (rng.random(n_pairs) < config.eta_idler)
+    t_s = base[det_s] + s_slot[outcome][det_s] * bin_ps
+    t_i = base[det_i] + i_slot[outcome][det_i] * bin_ps
     t_s = t_s + rng.normal(0.0, jitter_ps, t_s.size)
     t_i = t_i + rng.normal(0.0, jitter_ps, t_i.size)
 
@@ -300,18 +301,15 @@ def _merge(grid, times, channels) -> np.ndarray:
     return out
 
 
-def _iter_tags(config: ExperimentConfig, time_bin: bool) -> Iterator[np.ndarray]:
+def _iter_tags(config: ExperimentConfig, law) -> Iterator[np.ndarray]:
     n_pulses, n_blocks = _block_range(config)
     if n_pulses == 0:
         return
-    table = _outcome_table(config.phi_p, config.phi_s, config.phi_i,
-                           config.interference_visibility) if time_bin else None
-
     period_ps = 1e12 / config.rep_rate
     k0 = 0  # first pulse whose trigger is not yet emitted
     carry_t = np.empty(0, dtype=np.float64)
     carry_c = np.empty(0, dtype=np.uint8)
-    upcoming = _emit_block(config, 0, n_pulses, table, time_bin)
+    upcoming = _emit_block(config, 0, n_pulses, law)
     for block in range(n_blocks):
         times, channels, t_end = upcoming
         # Only the detections are sorted; carried ones come first, so the
@@ -326,7 +324,7 @@ def _iter_tags(config: ExperimentConfig, time_bin: bool) -> Iterator[np.ndarray]
         # chunks stay globally time-sorted.
         cut_t = np.inf
         if block < n_blocks - 1:
-            upcoming = _emit_block(config, block + 1, n_pulses, table, time_bin)
+            upcoming = _emit_block(config, block + 1, n_pulses, law)
             cut_t = min(t_end, upcoming[0].min(initial=t_end))
         cut = np.searchsorted(times, cut_t, side="left")
         carry_t, carry_c = times[cut:], channels[cut:]
@@ -339,12 +337,13 @@ def _iter_tags(config: ExperimentConfig, time_bin: bool) -> Iterator[np.ndarray]
 
 def iter_simulate(config: ExperimentConfig) -> Iterator[np.ndarray]:
     """Stream the full time-bin experiment in memory-bounded chunks."""
-    return _iter_tags(config, time_bin=True)
+    return _iter_tags(config, _outcome_table(config.phi_p, config.phi_s, config.phi_i,
+                                             config.interference_visibility))
 
 
 def iter_simulate_single_bin(config: ExperimentConfig) -> Iterator[np.ndarray]:
     """Stream the single-bin characterization experiment in chunks."""
-    return _iter_tags(config, time_bin=False)
+    return _iter_tags(config, _SINGLE_BIN_TABLE)
 
 
 def _collect(chunks) -> np.ndarray:

@@ -386,9 +386,9 @@ def _figures(stack: np.ndarray):
     """
     rho = _physical(stack)
     quantum.validate_density_matrix(rho)
-    c = quantum._concurrence(rho)
+    c = quantum.concurrence(rho)
     lo, hi = quantum.chsh_bounds(c)
-    return rho, c, quantum._fidelity(rho, quantum.bell_phi_plus()), lo, hi
+    return rho, c, quantum.fidelity_to_pure(rho, quantum.bell_phi_plus()), lo, hi
 
 
 def mle_reconstruct(record: MeasurementRecord, max_iter: int = 2000) -> TomographyResult:

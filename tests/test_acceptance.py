@@ -178,7 +178,7 @@ def test_criterion_10_property_suites():
     for _ in range(200):
         rho = ginibre_density_matrix(rng)
         assert np.allclose(rho, rho.conj().T, atol=1e-12)
-        c = concurrence(rho, validate=False)
+        c = concurrence(rho)
         assert 0.0 <= c <= 1.0 + 1e-12
 
     # local-unitary invariance of concurrence, 1000 random states
@@ -186,8 +186,8 @@ def test_criterion_10_property_suites():
     for _ in range(1000):
         rho = ginibre_density_matrix(rng)
         u = np.kron(random_unitary(rng), random_unitary(rng))
-        d = abs(concurrence(rho, validate=False)
-                - concurrence(u @ rho @ u.conj().T, validate=False))
+        d = abs(concurrence(rho)
+                - concurrence(u @ rho @ u.conj().T))
         worst = max(worst, d)
     assert worst <= 1e-9
 

@@ -342,6 +342,14 @@ class TestFringeFit:
         with pytest.raises(ValueError):
             fit_fringe(scan)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_phase_that_is_not_finite(self, bad):
+        phases = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        scan = self.scan(10.0, 0.5, 0.0, phases)
+        scan.phases[3] = bad
+        with pytest.raises(ValueError, match="phases that are not finite"):
+            fit_fringe(scan)
+
     def test_visibility_stays_in_unit_interval(self):
         rng = np.random.default_rng(40)
         phases = np.linspace(0, 2 * np.pi, 12, endpoint=False)

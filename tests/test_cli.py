@@ -233,6 +233,25 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert str(tags) in err and "config" in err and "Traceback" not in err
 
+    def test_overlapping_gates_are_usage_error(self, tmp_path, capsys):
+        # Default time-bin slots are 3 ns apart; 4 ns gates overlap.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json"),
+                     "--gate-width-s", "4e-9"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--gate-width-s" in err and "overlapping" in err and "Traceback" not in err
+
+    def test_echo_without_bin_delay_is_usage_error(self, tmp_path, capsys):
+        # Three time-bin slots at one offset overlap at any gate width.
+        tags = write_stream(tmp_path / "run.tags", [CH_TRIGGER, CH_SIGNAL, CH_TRIGGER],
+                            [0, 2000, 13123], {**VALID_ECHO, "bin_delay": 0.0})
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "--gate-width-s" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trigger_times", [[1000], [1000, 1000]],
                              ids=["one-trigger", "two-at-one-time"])
     def test_stream_without_duration_is_data_error(self, tmp_path, capsys, trigger_times):
@@ -291,6 +310,15 @@ class TestFringe:
     def test_malformed_point(self, tmp_path):
         code = main(["fringe", "zero", "--out", str(tmp_path / "f.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("phase", ["nan", "inf"])
+    def test_phase_that_is_not_finite_is_usage_error(self, tmp_path, capsys, phase):
+        report = run_pipeline(tmp_path, "one", duration_s=0.0005)
+        points = [f"{k}.0:{report}" for k in range(5)] + [f"{phase}:{report}"]
+        code = main(["fringe", *points, "--out", str(tmp_path / "f.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{phase}:{report}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("content", [
         {"joint_slot_counts": [[1]]},
@@ -387,6 +415,15 @@ class TestTomo:
         assert code == 3
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+    def test_reports_without_counts_are_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"joint_slot_counts": [[0] * 3] * 3}))
+        args = [f"{ds},{di}:{empty}" for ds, di in ((0, 0), (0, 90), (90, 0), (90, 90))]
+        code = main(["tomo", *args, "--out", str(tmp_path / "x.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(empty) in err and "no counts" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag, value", [("--replicas", "1"), ("--replicas", "0"),
                                              ("--max-iter", "0")])

@@ -1,10 +1,17 @@
 """The benchmark's tracer wraps program attributes by name; a rename in the
 program must fail here, not only in ``perfbench/run.py --trace 1``."""
 
+import contextlib
+import io
+import json
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from timebin import cli
+from timebin.simulate import joint_slot_distribution
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,3 +37,35 @@ def test_traced_attribute_exists_on_its_owner(layer, owner_path, attr, kind):
     assert attr in owner.__dict__
     assert callable(owner.__dict__[attr])
     assert layer in tracing.LAYERS and kind in ("call", "iter")
+
+
+def test_traced_chain_sees_every_layer_it_calls(tmp_path):
+    # The tracer sees only calls the program makes through the patched
+    # names at call time, e.g. ``tomography`` reaching ``quantum.concurrence``
+    # through the module.  A sub-millisecond single-bin simulate -> analyze
+    # and a tomo on four synthetic reports, run in-process under the tracer.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rep_rate_hz = 76.2e6\nduration_s = 0.0005\n"
+                   "mean_pairs_per_pulse = 0.01\nrng_seed = 3\n")
+    settings = []
+    for ds, di in ((0, 0), (0, 90), (90, 0), (90, 90)):
+        joint = joint_slot_distribution(0.0, np.pi + np.deg2rad(ds), np.deg2rad(di), 1.0).joint
+        report = tmp_path / f"t{ds}_{di}.json"
+        report.write_text(json.dumps({"joint_slot_counts": np.round(1e4 * joint).tolist()}))
+        settings.append(f"{ds},{di}:{report}")
+    tags, out = str(tmp_path / "run.tags"), str(tmp_path / "run.json")
+    chain = (["simulate", "--config", str(cfg), "--out", tags, "--mode", "single-bin"],
+             ["analyze", "--in", tags, "--out", out],
+             ["tomo", *settings, "--out", str(tmp_path / "tomo.json"), "--replicas", "3"])
+    tracer = tracing.Tracer("tier1")
+    with tracing.installed(tracer), contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(argv) for argv in chain]
+    assert codes == [0, 0, 0]
+    names = [s[tracing.NAME] for s in tracer.spans]
+    for name in ("simulate.iter_simulate_single_bin", "streams.write_tags",
+                 "streams.iter_read_tags", "analysis.feed", "analysis.result",
+                 "tomography.bootstrap_errors", "tomography.mle_reconstruct",
+                 "quantum.concurrence", "quantum.fidelity_to_pure", "quantum.chsh_bounds"):
+        assert name in names, name
+    # once for the point estimate and once for the bootstrap stack
+    assert names.count("quantum.concurrence") == 2

@@ -115,8 +115,8 @@ class TestConcurrence:
             rho = ginibre_density_matrix(rng)
             u = np.kron(random_unitary(rng), random_unitary(rng))
             rho2 = u @ rho @ u.conj().T
-            assert abs(concurrence(rho, validate=False)
-                       - concurrence(rho2, validate=False)) < 1e-9
+            assert abs(concurrence(rho)
+                       - concurrence(rho2)) < 1e-9
 
     def test_product_states_separable(self):
         rng = np.random.default_rng(7)
@@ -127,7 +127,7 @@ class TestConcurrence:
     def test_range(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            c = concurrence(ginibre_density_matrix(rng), validate=False)
+            c = concurrence(ginibre_density_matrix(rng))
             assert 0.0 <= c <= 1.0 + 1e-12
 
 
@@ -149,7 +149,7 @@ class TestFidelity:
         for _ in range(50):
             rho = ginibre_density_matrix(rng)
             psi = random_pure_state(rng)
-            f = fidelity_to_pure(rho, psi, validate=False)
+            f = fidelity_to_pure(rho, psi)
             assert 0.0 - 1e-12 <= f <= 1.0 + 1e-12
             assert f < 1.0 - 1e-9  # a full-rank state never matches exactly
             # forward direction: rho = |psi><psi| gives exactly 1
@@ -158,6 +158,40 @@ class TestFidelity:
     def test_rejects_unnormalized_target(self):
         with pytest.raises(ValueError):
             fidelity_to_pure(np.eye(4) / 4, np.array([1.0, 1.0, 0, 0]))
+
+
+class TestStacks:
+    """A (..., 4, 4) stack gives one figure per matrix, a 4x4 matrix a float."""
+
+    @staticmethod
+    def stack(n=30, seed=5):
+        rng = np.random.default_rng(seed)
+        return np.stack([ginibre_density_matrix(rng) for _ in range(n)])
+
+    def test_stack_equals_per_matrix(self):
+        rhos = self.stack()
+        psi = bell_phi_plus()
+        c, f = concurrence(rhos), fidelity_to_pure(rhos, psi)
+        assert c.shape == f.shape == (30,)
+        assert c.tolist() == [concurrence(m) for m in rhos]
+        # The stacked psi^H m psi ends in a BLAS matrix-vector product whose
+        # rounding depends on the number of rows, so fidelities may differ
+        # from the one-matrix ones in the last bit.
+        np.testing.assert_array_max_ulp(f, [fidelity_to_pure(m, psi) for m in rhos], maxulp=2)
+
+    def test_stack_with_one_non_positive_matrix_rejected(self):
+        rhos = self.stack()
+        rhos[17] = np.diag([0.7, 0.5, -0.1, -0.1])
+        with pytest.raises(ValueError, match="not positive"):
+            concurrence(rhos)
+        with pytest.raises(ValueError, match="not positive"):
+            fidelity_to_pure(rhos, bell_phi_plus())
+
+    def test_single_matrix_gives_float(self):
+        rho = self.stack(1)[0]
+        assert type(concurrence(rho)) is float
+        assert type(fidelity_to_pure(rho, bell_phi_plus())) is float
+        assert type(concurrence(DensityMatrix2Q.from_matrix(rho))) is float
 
 
 class TestChshBounds:
