@@ -12,7 +12,7 @@ import numpy as np
 
 from timebin.analysis import (FringeScan, GateConfig, analyze_stream, car,
                               fit_fringe, max_visibility_from_car)
-from timebin.simulate import ExperimentConfig, iter_simulate
+from timebin.simulate import ExperimentConfig, PulseGrid, iter_simulate
 
 V0 = 0.902          # interference contrast of the simulated source
 PHASES = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
@@ -23,7 +23,8 @@ for k, phase in enumerate(PHASES):
     cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.01,
                            phi_s=float(phase), interference_visibility=V0,
                            rng_seed=10 + k)
-    result = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg))
+    result = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
+                            grid=PulseGrid.of(cfg))
     central = int(result.joint[1, 1])
     points.append((float(phase), float(central), cfg.duration))
     print(f"{phase:10.3f} {central:8d} {int(result.gated_signal.sum()):10d}")
@@ -38,7 +39,8 @@ print(f"fitted amplitude   {fit.amplitude:.1f} central coincidences / s")
 cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.01,
                        phi_s=float(np.pi), interference_visibility=V0,
                        rng_seed=99)
-rates = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg)).rate_report()
+rates = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
+                       grid=PulseGrid.of(cfg)).rate_report()
 car_value = car(rates).value
 print(f"\nCAR at the fringe maximum: {car_value:.0f}; "
       f"visibility ceiling (CAR-1)/(CAR+1) = "

@@ -12,7 +12,7 @@ import numpy as np
 
 from timebin.analysis import (GateConfig, analyze_stream, car, klyshko,
                               power_series_fit)
-from timebin.simulate import ExperimentConfig, iter_simulate_single_bin
+from timebin.simulate import ExperimentConfig, PulseGrid, iter_simulate_single_bin
 
 # A lossy source: a few percent heralded efficiency per arm, realistic
 # dark counts, mean pair number proportional to pump power.
@@ -33,7 +33,7 @@ print(f"{'P (W)':>8} {'R_s (1/s)':>10} {'R_i (1/s)':>10} {'R_C (1/s)':>10} {'CAR
 for p in powers:
     cfg = base.with_power(float(p))
     result = analyze_stream(iter_simulate_single_bin(cfg),
-                            GateConfig.single_bin(cfg))
+                            GateConfig.single_bin(cfg), grid=PulseGrid.of(cfg))
     rates = result.rate_report()
     points.append((float(p), rates))
     print(f"{p:8.2f} {rates.singles_signal.value:10.0f} "

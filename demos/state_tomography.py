@@ -11,7 +11,7 @@ Run with:  python demos/state_tomography.py
 import numpy as np
 
 from timebin.analysis import GateConfig, analyze_stream
-from timebin.simulate import ExperimentConfig, iter_simulate
+from timebin.simulate import ExperimentConfig, PulseGrid, iter_simulate
 from timebin.tomography import (SETTINGS, bootstrap_errors,
                                 counts_from_phase_settings, setting_phases)
 
@@ -24,7 +24,8 @@ for k, (dial_s, dial_i) in enumerate(SETTINGS):
     cfg = ExperimentConfig(duration=0.1, mean_pairs_per_pulse=0.004,
                            phi_s=phi_s, phi_i=phi_i,
                            interference_visibility=V0, rng_seed=40 + k)
-    result = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg))
+    result = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
+                            grid=PulseGrid.of(cfg))
     setting_counts[(dial_s, dial_i)] = result.joint
     print(f"  dials ({dial_s:2d}, {dial_i:2d}): central "
           f"{int(result.joint[1, 1]):5d}, total {int(result.joint.sum()):5d}")

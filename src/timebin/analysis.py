@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, DEFAULT_GATE_WIDTH,
-                       ExperimentConfig)
+from .simulate import (AFTER_TRIGGER, CH_IDLER, CH_SIGNAL, CH_TRIGGER,
+                       DEFAULT_GATE_WIDTH, ExperimentConfig, PulseGrid)
 
 __all__ = [
     "GateConfig",
@@ -136,30 +136,44 @@ class RateReport:
 
 
 class StreamAnalyzer:
-    """Fold over a sorted tag stream.
+    """Fold over a time-sorted tag stream.
 
-    Each detection is associated with the latest trigger at or before its
-    time; events before the first trigger are dropped and counted in
-    ``dropped_pre_trigger``.  Coincidences are signal-idler pairs whose
-    gated slots belong to the same pulse; pairing each signal event with
-    the idler events of the next pulse gives the accidentals diagnostic.
+    Each detection belongs to the pulse of the latest trigger at or before
+    its time.  Two front ends find that pulse and feed one fold over
+    (pulse index, channel, time after the trigger):
 
-    A pair is counted as soon as a later trigger closes its idler event's
-    pulse.  Between chunks the analyzer holds only the gated events of the
-    open pulses (idler events of the last pulse, signal events of the last
-    two) and the detections at the chunk's final timestamp, which a trigger
-    at that same time opening the next chunk would claim.
+    - **explicit** (no ``grid``): trigger tags in the stream, looked up by
+      ``searchsorted``; events before the first trigger are dropped and
+      counted in ``dropped_pre_trigger``.  Between chunks it holds the
+      detections at the chunk's final timestamp, which a trigger at that
+      same time opening the next chunk would claim.
+    - **arithmetic** (a :class:`~timebin.simulate.PulseGrid`): the stream
+      holds detections only, ``AFTER_TRIGGER`` bits allowed, and
+      ``grid.index`` gives each one's pulse; no trigger is ever built.
+
+    Coincidences are signal-idler pairs whose gated slots belong to the
+    same pulse; pairing each signal event with the idler events of the
+    next pulse gives the accidentals diagnostic.  A pair is counted as soon
+    as a later detection or trigger closes its idler event's pulse, so
+    between chunks the fold holds only the gated events of the open pulses
+    (idler events of the last pulse, signal events of the last two).
     """
 
-    def __init__(self, gates: GateConfig, hist_bin: float = 10e-12):
+    def __init__(self, gates: GateConfig, hist_bin: float = 10e-12,
+                 grid: PulseGrid | None = None):
         if not (np.isfinite(hist_bin) and hist_bin > 0):
             raise ValueError(f"hist_bin must be a positive finite number of seconds, "
                              f"got {hist_bin!r}")
         self.gates = gates
         self.hist_bin_ps = hist_bin * 1e12
+        self.grid = grid
         self.n_triggers = 0
         self.dropped_pre_trigger = 0
         self._first_trigger = self._last_trigger = None
+        if grid is not None:
+            self.n_triggers = grid.pulses
+            self._first_trigger, self._last_trigger = (
+                int(t) for t in grid.times(np.array([0, grid.pulses - 1])))
         self._last_time = -1
         self._hist = {}          # channel -> counts array (lazy length)
         self._offs_ps = {ch: np.sort(np.asarray(gates.offsets.get(ch, ()), dtype=float) * 1e12)
@@ -171,7 +185,7 @@ class StreamAnalyzer:
         self._neighbor = np.zeros(shape, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
         self._open = {ch: (empty, empty) for ch in self._gated}  # (pulse, slot)
-        self._held = {ch: empty for ch in self._gated}           # detection times
+        self._held = (empty, np.empty(0, dtype=np.uint8))       # times, channels
 
     def feed(self, tags: np.ndarray) -> None:
         if tags.size == 0:
@@ -180,14 +194,19 @@ class StreamAnalyzer:
         if np.any(np.diff(times) < 0) or times[0] < self._last_time:
             raise ValueError("stream is not time-sorted")
         self._last_time = int(times[-1])
-        self._fold(times, tags["channel"], final=False)
+        if self.grid is None:
+            self._associate(times, tags["channel"], final=False)
+        else:
+            pulse = self.grid.index(times)
+            rel = times - self.grid.times(pulse)
+            self._fold(pulse, tags["channel"] & ~np.uint8(AFTER_TRIGGER), rel,
+                       open_pulse=int(pulse[-1]))
 
-    def _fold(self, times, channels, final):
-        """Associate, gate and pair one chunk's detections.
-
-        Unless ``final``, the detections at the chunk's last timestamp are
-        held for the next chunk and the last trigger's pulse stays open.
-        """
+    def _associate(self, times, channels, final):
+        """Explicit front end: pulses of one chunk's detections from its
+        trigger tags.  Unless ``final``, the detections at the chunk's last
+        timestamp are held for the next chunk and the last trigger's pulse
+        stays open."""
         trig_times = times[channels == CH_TRIGGER]
         # The carried last trigger keeps the association of early events.
         table = (trig_times if self._last_trigger is None
@@ -198,35 +217,45 @@ class StreamAnalyzer:
                 self._first_trigger = int(trig_times[0])
             self._last_trigger = int(trig_times[-1])
             self.n_triggers += int(trig_times.size)
+        detection = (channels == CH_SIGNAL) | (channels == CH_IDLER)
+        t = np.concatenate([self._held[0], times[detection]])
+        c = np.concatenate([self._held[1], channels[detection]])
+        if not final:
+            cut = np.searchsorted(t, times[-1], side="left")
+            t, c, self._held = t[:cut], c[:cut], (t[cut:], c[cut:])
+        idx = np.searchsorted(table, t, side="right") - 1
+        good = idx >= 0
+        self.dropped_pre_trigger += int(np.count_nonzero(~good))
+        idx = idx[good]
+        self._fold(idx + base_index, c[good], t[good] - table[idx],
+                   open_pulse=None if final else self.n_triggers - 1)
 
+    def _fold(self, pulse, channels, rel, open_pulse):
+        """Gate and pair detections given as (pulse, channel, ps after the
+        pulse's trigger).  Pulses before ``open_pulse`` are closed: no later
+        detection belongs to them.  ``None`` closes every pulse."""
+        rel = np.asarray(rel, dtype=float)
         for ch, offs in self._offs_ps.items():
-            t = np.concatenate([self._held[ch], times[channels == ch]])
-            if not final:
-                cut = np.searchsorted(t, times[-1], side="left")
-                t, self._held[ch] = t[:cut], t[cut:]
-            idx = np.searchsorted(table, t, side="right") - 1
-            good = idx >= 0
-            self.dropped_pre_trigger += int(np.count_nonzero(~good))
-            if not np.any(good):
+            on = channels == ch
+            if not np.any(on):
                 continue
-            rel = (t[good] - table[idx[good]]).astype(float)
-            self._histogram(ch, rel)
+            r = rel[on]
+            self._histogram(ch, r)
             if offs.size == 0:
                 continue
             # Nearest gate; a detection on a midpoint goes to the earlier one.
-            slot = np.searchsorted((offs[1:] + offs[:-1]) / 2, rel)
-            ok = np.abs(rel - offs[slot]) <= self.gates.gate_width * 1e12 / 2
+            slot = np.searchsorted((offs[1:] + offs[:-1]) / 2, r)
+            ok = np.abs(r - offs[slot]) <= self.gates.gate_width * 1e12 / 2
             self._gated[ch] += np.bincount(slot[ok], minlength=offs.size)
-            pulse, slots = self._open[ch]
-            self._open[ch] = (np.concatenate([pulse, idx[good][ok] + base_index]),
-                              np.concatenate([slots, slot[ok]]))
+            open_p, open_s = self._open[ch]
+            self._open[ch] = (np.concatenate([open_p, pulse[on][ok]]),
+                              np.concatenate([open_s, slot[ok]]))
 
-        # A later trigger closes every pulse before the last one; both event
-        # lists are in pulse order, since detections come in time order.
-        last = self.n_triggers - 1
+        # Both event lists are in pulse order, since detections come in
+        # time order.
         sp, ss = self._open[CH_SIGNAL]
         ip, islot = self._open[CH_IDLER]
-        close = ip.size if final else np.searchsorted(ip, last, side="left")
+        close = ip.size if open_pulse is None else np.searchsorted(ip, open_pulse, side="left")
         q, q_slot = ip[:close], islot[:close]
         # Signal events of pulses q - 1 and q are the runs [e0, e1) and
         # [e1, e2) of sp; a slot's running count turns a run into a count.
@@ -239,8 +268,9 @@ class StreamAnalyzer:
                                     minlength=table.shape[1])
                 table[s] += pairs.astype(np.int64)
         self._open[CH_IDLER] = ip[close:], islot[close:]
-        keep = np.searchsorted(sp, last - 1, side="left")
-        self._open[CH_SIGNAL] = sp[keep:], ss[keep:]
+        if open_pulse is not None:
+            keep = np.searchsorted(sp, open_pulse - 1, side="left")
+            self._open[CH_SIGNAL] = sp[keep:], ss[keep:]
 
     def _histogram(self, ch, rel):
         new = np.bincount((rel / self.hist_bin_ps).astype(np.int64))
@@ -252,7 +282,12 @@ class StreamAnalyzer:
         """Counts so far, with the held detections and open pulses closed
         on a copy: the analyzer itself is unchanged and may be fed on."""
         end = copy.deepcopy(self)
-        end._fold(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8), final=True)
+        if end.grid is None:
+            end._associate(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),
+                           final=True)
+        else:
+            empty = np.empty(0, dtype=np.int64)
+            end._fold(empty, empty, empty, open_pulse=None)
         period = (float(end._last_trigger - end._first_trigger) / (end.n_triggers - 1)
                   if end.n_triggers > 1 else 0.0)
         return AnalysisResult(
@@ -317,9 +352,11 @@ class AnalysisResult:
         )
 
 
-def analyze_stream(chunks, gates: GateConfig, hist_bin: float = 10e-12) -> AnalysisResult:
-    """Run the full analysis over an array or an iterable of tag chunks."""
-    analyzer = StreamAnalyzer(gates, hist_bin)
+def analyze_stream(chunks, gates: GateConfig, hist_bin: float = 10e-12,
+                   grid: PulseGrid | None = None) -> AnalysisResult:
+    """Run the full analysis over an array or an iterable of tag chunks:
+    explicit trigger tags, or detections on ``grid``."""
+    analyzer = StreamAnalyzer(gates, hist_bin, grid)
     if isinstance(chunks, np.ndarray):
         chunks = [chunks]
     for chunk in chunks:

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, analysis, streams, tomography
 from .analysis import FringeScan, GateConfig, car, fit_fringe, klyshko
 from .simulate import (CH_IDLER, CH_SIGNAL, DEFAULT_GATE_WIDTH,
-                       ExperimentConfig, iter_simulate,
+                       ExperimentConfig, PulseGrid, iter_simulate,
                        iter_simulate_single_bin)
 from .streams import StreamFormatError
 
@@ -165,7 +165,7 @@ def _cmd_simulate(args) -> int:
         chunks = iter_simulate(config)
     else:
         chunks = iter_simulate_single_bin(config)
-    n = streams.write_tags(args.out, chunks, config_echo=echo)
+    n = streams.write_tags(args.out, chunks, config_echo=echo, grid=PulseGrid.of(config))
     _write_manifest(args.out, echo, [args.config], [args.out], config.rng_seed, t0)
     print(f"wrote {n} tags to {args.out}")
     return 0
@@ -203,13 +203,14 @@ def _cmd_analyze(args) -> int:
     _require_positive("--gate-width-s", args.gate_width_s)
     _require_positive("--hist-bin-s", args.hist_bin_s)
     try:
-        it = streams.iter_read_tags(args.input)
+        it = streams.iter_read_tags(args.input, raw=True)
         header = next(it)
         echo = header.get("config", {})
         if not echo:
             raise DataError(f"{args.input}: header carries no config echo")
         gates = _gates_from_echo(echo, args.gate_width_s)
-        result = analysis.analyze_stream(it, gates, hist_bin=args.hist_bin_s)
+        result = analysis.analyze_stream(it, gates, hist_bin=args.hist_bin_s,
+                                         grid=streams.header_grid(header))
     except StreamFormatError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
     except OSError as exc:

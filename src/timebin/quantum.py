@@ -204,7 +204,8 @@ def fidelity_to_pure(rho, psi: np.ndarray):
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"target state is not normalized (norm {nrm:.6g})")
-    f = np.real(psi.conj() @ m @ psi)
+    # Row by row, so a matrix's fidelity does not depend on its stack.
+    f = np.real(np.sum((psi.conj() @ m) * psi, axis=-1))
     return float(f[0]) if shape == () else f.reshape(shape)
 
 

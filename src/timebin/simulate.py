@@ -11,19 +11,23 @@ per pair rather than amplitude tracking: each created pair is assigned a
 exact quantum probabilities, which reproduces the central-peak fringe
 law rate ~ 1 - V cos(phi_s + phi_i - phi_p) by construction.
 
-Streams are numpy structured arrays with fields ``channel`` (u8) and
-``time_ps`` (u64).  Generation is organized in fixed-size pulse blocks,
-each with its own RNG substream derived from (seed, block index), so the
-output is deterministic and independent of how it is chunked or
-parallelized.
+Tags are numpy structured arrays with fields ``channel`` (u8) and
+``time_ps`` (u64).  The pump triggers are arithmetic, a :class:`PulseGrid`:
+pulse k's trigger sits at round(k * period) ps, so the simulator yields
+only the detections, and :func:`with_triggers` rebuilds the full stream
+when a caller needs the triggers as tags.  Generation is organized in
+fixed-size pulse blocks, each with its own RNG substream derived from
+(seed, block index), so the output is deterministic and independent of
+how it is chunked or parallelized.
 
-Tags are ordered by (float time, channel).  A block's trigger grid
-round(k * period) is sorted by construction, so only the detections
-are sorted; they are then merged into the grid, each one ahead of any
-trigger at an equal time (CH_TRIGGER is the largest channel).
-A block is emitted once the next block's detections are drawn: every tag
-from the end of its last pulse period, or from the next block's earliest
-detection if that comes first, is carried into the next block.
+Detections are ordered by (float time, channel) and then rounded to whole
+picoseconds.  A detection goes ahead of a trigger at an equal time, except
+one whose float time lay past a trigger it rounds down onto: it carries
+the ``AFTER_TRIGGER`` bit on its channel, so the rebuilt stream keeps the
+float order.  A block is emitted once the next block's detections are
+drawn: every detection from the end of its last pulse period, or from the
+next block's earliest detection if that comes first, is carried into the
+next block.
 """
 
 from __future__ import annotations
@@ -39,13 +43,16 @@ __all__ = [
     "CH_IDLER",
     "CH_TRIGGER",
     "TAG_DTYPE",
+    "AFTER_TRIGGER",
     "ExperimentConfig",
+    "PulseGrid",
     "JointSlotDistribution",
     "joint_slot_distribution",
     "simulate",
     "simulate_no_pump_interferometer",
     "iter_simulate",
     "iter_simulate_single_bin",
+    "with_triggers",
 ]
 
 CH_SIGNAL = 0
@@ -54,6 +61,10 @@ CH_TRIGGER = 2
 
 # The on-disk record of the tag file format as well (see ``streams``).
 TAG_DTYPE = np.dtype([("channel", "<u1"), ("time_ps", "<u8")])
+
+# Channel bit of a detection that sorts after the trigger at its own time
+# (see the module docstring); set only in streams without trigger tags.
+AFTER_TRIGGER = 0x80
 
 # Pulses per generation block; fixed so that RNG substreams (and hence the
 # output stream) do not depend on consumer chunking.
@@ -139,6 +150,45 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
+class PulseGrid:
+    """The pump triggers of a run as arithmetic, not tags.
+
+    Trigger k of ``pulses`` sits at round(k * period_ps) ps, in float64.
+    This is the one home of that rule: the simulator places photons by it,
+    ``streams`` rebuilds trigger tags by it and the analyzer assigns
+    detections to pulses by it.
+    """
+
+    pulses: int
+    period_ps: float
+
+    @classmethod
+    def of(cls, config: ExperimentConfig) -> "PulseGrid":
+        return cls(int(round(config.duration * config.rep_rate)), 1e12 / config.rep_rate)
+
+    def times(self, k):
+        """Trigger times in float ps of the pulse indices ``k``."""
+        return np.round(k * self.period_ps)
+
+    def index(self, t) -> np.ndarray:
+        """Latest pulse, at most ``pulses - 1``, whose trigger is at or
+        before each int64 time ``t``; -1 before the first trigger.
+
+        The estimate floor((t + 0.5)/period) is the answer or next to it,
+        as round(k * period) is within half a ps of k * period; single
+        steps, which the monotone rule allows, correct it.
+        """
+        t = np.asarray(t, dtype=np.int64)
+        k = np.clip(np.floor((t + 0.5) / self.period_ps), 0, self.pulses - 1).astype(np.int64)
+        while True:
+            step = ((k + 1 < self.pulses) & (self.times(k + 1) <= t)).astype(np.int64)
+            step -= (k >= 0) & (self.times(k) > t)
+            if not step.any():
+                return k
+            k += step
+
+
+@dataclass(frozen=True)
 class JointSlotDistribution:
     """Pair outcome weights over arrival slots at the monitored ports.
 
@@ -217,12 +267,6 @@ _SINGLE_BIN_TABLE = (None, np.zeros(1, dtype=int), np.zeros(1, dtype=int),
                      np.ones(1, dtype=bool), np.ones(1, dtype=bool))
 
 
-def _block_range(config: ExperimentConfig):
-    n_pulses = int(round(config.duration * config.rep_rate))
-    n_blocks = max(1, -(-n_pulses // BLOCK_PULSES)) if n_pulses else 0
-    return n_pulses, n_blocks
-
-
 def _dark_tags(rng, rate, t0_ps, t1_ps):
     if rate <= 0 or t1_ps <= t0_ps:
         return np.empty(0, dtype=np.float64)
@@ -231,28 +275,26 @@ def _dark_tags(rng, rate, t0_ps, t1_ps):
     return t0_ps + rng.random(n) * (t1_ps - t0_ps)
 
 
-def _emit_block(config, block, n_pulses, law):
+def _emit_block(config, grid, block, law):
     """Generate the detections of one pulse block, pairs drawn from ``law``.
 
     Returns (times, channels, t_end): the unsorted detections as float ps
     clipped at 0, in draw order (signal photons, signal darks, idler
     photons, idler darks), and the end of the block's last pulse period.
     Equal (time, channel) detections keep this order through the stable
-    sort in :func:`_iter_tags`.  Pulse k's trigger is at round(k * period)
-    ps; the trigger grid itself is built where it is merged.
+    sort in :func:`_iter_tags`.
 
     Pair counts use the superposition property of the Poisson process:
     one total Poisson draw for the block, pulse indices assigned
     uniformly, which is distributionally identical to a per-pulse draw.
     """
-    period_ps = 1e12 / config.rep_rate
     first = block * BLOCK_PULSES
-    count = min(BLOCK_PULSES, n_pulses - first)
+    count = min(BLOCK_PULSES, grid.pulses - first)
     rng = np.random.default_rng([config.rng_seed, block])
 
     n_pairs = rng.poisson(config.mu * count)
     pulse_of_pair = np.sort(rng.integers(0, count, n_pairs))
-    base = np.round((first + pulse_of_pair) * period_ps) + config.detection_delay * 1e12
+    base = grid.times(first + pulse_of_pair) + config.detection_delay * 1e12
 
     jitter_ps = config.jitter_sigma * 1e12
     bin_ps = config.bin_delay * 1e12
@@ -266,8 +308,8 @@ def _emit_block(config, block, n_pulses, law):
     t_s = t_s + rng.normal(0.0, jitter_ps, t_s.size)
     t_i = t_i + rng.normal(0.0, jitter_ps, t_i.size)
 
-    t0 = np.round(first * period_ps)
-    t1 = np.round((first + count - 1) * period_ps) + period_ps
+    t0 = grid.times(first)
+    t1 = grid.times(first + count - 1) + grid.period_ps
     dark_rng = np.random.default_rng([config.rng_seed, block, 1])
     d_s = _dark_tags(dark_rng, config.dark_rate_signal, t0, t1)
     d_i = _dark_tags(dark_rng, config.dark_rate_idler, t0, t1)
@@ -280,70 +322,113 @@ def _emit_block(config, block, n_pulses, law):
     return times, channels, t1
 
 
-def _merge(grid, times, channels) -> np.ndarray:
-    """Tag array of time-sorted detections merged into a trigger grid.
+def _detection_tags(grid, times, channels) -> np.ndarray:
+    """Tags of time-sorted float detections, rounded to whole ps.
 
-    Detection k lands at ``searchsorted(grid, t_k, "left") + k``: before
-    any trigger at an equal time, the order a (time, channel) sort gives
-    because CH_TRIGGER is the largest channel.  The triggers fill the
-    remaining slots in grid order, so no trigger is ever sorted.
+    A detection rounded down onto a trigger's time lay after that trigger
+    in float time, so it gets ``AFTER_TRIGGER``.
     """
-    pos = np.searchsorted(grid, times, side="left") + np.arange(times.size)
-    out = np.empty(grid.size + times.size, dtype=TAG_DTYPE)
-    is_trigger = np.ones(out.size, dtype=bool)
-    is_trigger[pos] = False
-    time_ps = out["time_ps"]
-    time_ps[is_trigger] = grid
-    time_ps[pos] = np.round(times)
-    channel = out["channel"]
-    channel[...] = CH_TRIGGER
-    channel[pos] = channels
-    return out
+    tags = np.empty(times.size, dtype=TAG_DTYPE)
+    rounded = np.round(times)
+    tags["time_ps"] = rounded
+    tags["channel"] = channels
+    down = np.flatnonzero(times > rounded)
+    on_trigger = grid.times(grid.index(rounded[down].astype(np.int64))) == rounded[down]
+    tags["channel"][down[on_trigger]] |= AFTER_TRIGGER
+    return tags
 
 
 def _iter_tags(config: ExperimentConfig, law) -> Iterator[np.ndarray]:
-    n_pulses, n_blocks = _block_range(config)
-    if n_pulses == 0:
+    """Detection tags of a run, one time-sorted chunk per pulse block.
+
+    The chunks hold no trigger tags: the triggers are ``PulseGrid.of(config)``,
+    and a detection that sorts after the trigger at its own time carries
+    ``AFTER_TRIGGER``.
+    """
+    grid = PulseGrid.of(config)
+    n_blocks = -(-grid.pulses // BLOCK_PULSES)
+    if n_blocks == 0:
         return
-    period_ps = 1e12 / config.rep_rate
-    k0 = 0  # first pulse whose trigger is not yet emitted
     carry_t = np.empty(0, dtype=np.float64)
     carry_c = np.empty(0, dtype=np.uint8)
-    upcoming = _emit_block(config, 0, n_pulses, law)
+    upcoming = _emit_block(config, grid, 0, law)
     for block in range(n_blocks):
         times, channels, t_end = upcoming
-        # Only the detections are sorted; carried ones come first, so the
-        # stable sort keeps them ahead of equal (time, channel) newcomers.
+        # Carried detections come first, so the stable sort keeps them
+        # ahead of equal (time, channel) newcomers.
         times = np.concatenate([carry_t, times])
         channels = np.concatenate([carry_c, channels])
         order = np.lexsort((channels, times))
         times, channels = times[order], channels[order]
         # Jittered events may spill past the block's last pulse, and the
         # next block's first pulses may place photons before its start.
-        # Hold back every tag from the earlier of the two on, so emitted
-        # chunks stay globally time-sorted.
+        # Hold back every detection from the earlier of the two on, so
+        # emitted chunks stay globally time-sorted.
         cut_t = np.inf
         if block < n_blocks - 1:
-            upcoming = _emit_block(config, block + 1, n_pulses, law)
+            upcoming = _emit_block(config, grid, block + 1, law)
             cut_t = min(t_end, upcoming[0].min(initial=t_end))
         cut = np.searchsorted(times, cut_t, side="left")
         carry_t, carry_c = times[cut:], channels[cut:]
-        grid = np.round(np.arange(k0, min((block + 1) * BLOCK_PULSES, n_pulses))
-                        * period_ps)
-        grid = grid[:np.searchsorted(grid, cut_t, side="left")]
-        k0 += grid.size
-        yield _merge(grid, times[:cut], channels[:cut])
+        yield _detection_tags(grid, times[:cut], channels[:cut])
 
 
 def iter_simulate(config: ExperimentConfig) -> Iterator[np.ndarray]:
-    """Stream the full time-bin experiment in memory-bounded chunks."""
+    """Detections of the full time-bin experiment in memory-bounded,
+    time-sorted chunks; the triggers are ``PulseGrid.of(config)``."""
     return _iter_tags(config, _outcome_table(config.phi_p, config.phi_s, config.phi_i,
                                              config.interference_visibility))
 
 
 def iter_simulate_single_bin(config: ExperimentConfig) -> Iterator[np.ndarray]:
-    """Stream the single-bin characterization experiment in chunks."""
+    """Detections of the single-bin characterization experiment in chunks;
+    the triggers are ``PulseGrid.of(config)``."""
     return _iter_tags(config, _SINGLE_BIN_TABLE)
+
+
+def with_triggers(grid: PulseGrid, detections, chunk_records: int = BLOCK_PULSES
+                  ) -> Iterator[np.ndarray]:
+    """Tag chunks of ``grid``'s triggers merged into time-sorted detection chunks.
+
+    Detection t has index(t - 1) + 1 triggers ahead of it, those strictly
+    earlier, or index(t) + 1 with ``AFTER_TRIGGER``, whose bit is cleared
+    here.  Chunks hold at most ``chunk_records`` tags; the triggers after
+    the latest detection wait for the next detection chunk or the end.
+    """
+    if chunk_records < 1:
+        raise ValueError(f"chunk_records must be at least 1, got {chunk_records}")
+    k = 0  # triggers emitted
+    for chunk in detections:
+        if chunk.size == 0:
+            continue
+        channel = chunk["channel"]
+        after = (channel & AFTER_TRIGGER) != 0
+        before = grid.index(chunk["time_ps"].astype(np.int64) - 1 + after) + 1
+        if before[0] < k or np.any(np.diff(before) < 0):
+            raise ValueError("detections are not time-sorted")
+        pos = before + np.arange(chunk.size)  # merged position, less k + i
+        i = 0  # detections of this chunk emitted
+        while i < chunk.size:
+            lo = k + i
+            hi = int(np.searchsorted(pos, lo + chunk_records, side="left"))
+            n_trig = before[-1] - k if hi == chunk.size else chunk_records - (hi - i)
+            out = np.empty(n_trig + hi - i, dtype=TAG_DTYPE)
+            slot = pos[i:hi] - lo
+            is_trigger = np.ones(out.size, dtype=bool)
+            is_trigger[slot] = False
+            out["time_ps"][is_trigger] = grid.times(np.arange(k, k + n_trig))
+            out["time_ps"][slot] = chunk["time_ps"][i:hi]
+            out["channel"] = CH_TRIGGER
+            out["channel"][slot] = channel[i:hi] & ~np.uint8(AFTER_TRIGGER)
+            yield out
+            k += n_trig
+            i = hi
+    while k < grid.pulses:
+        out = np.empty(min(chunk_records, grid.pulses - k), dtype=TAG_DTYPE)
+        out["channel"] = CH_TRIGGER
+        out["time_ps"] = grid.times(np.arange(k, k + out.size))
+        yield out
+        k += out.size
 
 
 def _collect(chunks) -> np.ndarray:
@@ -354,14 +439,14 @@ def _collect(chunks) -> np.ndarray:
 
 
 def simulate(config: ExperimentConfig) -> np.ndarray:
-    """Full time-bin run as one sorted tag array.
+    """Full time-bin run as one sorted tag array, triggers included.
 
     Per pump pulse: one trigger tag; Poisson(mu) pairs, each sent through
     the pump and analysis interferometers via the analytic outcome table,
     thinned by the detection efficiencies, time-stamped with Gaussian
     jitter; dark counts superimposed as homogeneous Poisson processes.
     """
-    return _collect(iter_simulate(config))
+    return _collect(with_triggers(PulseGrid.of(config), iter_simulate(config)))
 
 
 def simulate_no_pump_interferometer(config: ExperimentConfig) -> np.ndarray:
@@ -371,4 +456,4 @@ def simulate_no_pump_interferometer(config: ExperimentConfig) -> np.ndarray:
     characterization; the coincidence histogram has a single peak per
     pulse.
     """
-    return _collect(iter_simulate_single_bin(config))
+    return _collect(with_triggers(PulseGrid.of(config), iter_simulate_single_bin(config)))

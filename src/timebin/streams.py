@@ -1,18 +1,36 @@
 """Time-tag stream file format.
 
-Binary format: one JSON header line (UTF-8, newline-terminated) carrying
-the format version and a config echo, followed by little-endian records
-of (channel: u8, timestamp: u64 picoseconds).
+A tag file is one JSON header line (UTF-8, newline-terminated), then
+little-endian records of (channel: u8, timestamp: u64 picoseconds), then,
+from format 2 on, a trailer.
+
+- **Header.** ``{"format": "timebin-tags", "version": 2, "config": {...}}``
+  with the run's config echo.  A file written with a pulse grid also has
+  ``"grid": {"pulses": n, "period_ps": P}``: its triggers are implied at
+  round(k * P) ps for k < n (see :class:`~timebin.simulate.PulseGrid`) and
+  its records are the detections only, ``AFTER_TRIGGER`` bits included.
+  Without a grid the records hold every tag, triggers included.
+- **Trailer** (format 2, 48 bytes): the magic ``TAGSEND2``, the record count
+  as u64 and the SHA-256 of the record bytes.  A file cut anywhere, even on
+  a record boundary, fails the read instead of reading back short.
+
+Format 1 files (header, then every tag, no trailer) stay readable.  The
+writer writes ``path + ".tmp"`` and renames it over ``path``, so a crash
+leaves no half-written file under the final name.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import os
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .simulate import CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE
+from .simulate import (AFTER_TRIGGER, CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE,
+                       PulseGrid, with_triggers)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -21,13 +39,17 @@ __all__ = [
     "read_tags",
     "iter_read_tags",
     "read_header",
+    "header_grid",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _RECORD_SIZE = TAG_DTYPE.itemsize
 _MAX_CHANNEL = max(CH_SIGNAL, CH_IDLER, CH_TRIGGER)
 _MAX_TIME_PS = np.uint64(np.iinfo(np.int64).max)  # times are analyzed as int64
+_MAX_PULSES = 2**53                               # pulse indices exact in float64
+_TRAILER_MAGIC = b"TAGSEND2"
+_TRAILER_SIZE = len(_TRAILER_MAGIC) + 8 + 32
 
 
 class StreamFormatError(ValueError):
@@ -38,20 +60,39 @@ class StreamFormatError(ValueError):
         self.byte_offset = byte_offset
 
 
-def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray, config_echo: dict | None = None) -> int:
-    """Write tag chunks to ``path``; returns the number of records written."""
+def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray, config_echo: dict | None = None,
+               grid: PulseGrid | None = None) -> int:
+    """Write tag chunks to ``path`` in format 2; returns the number of tags.
+
+    With ``grid`` the chunks are detections only and the count includes the
+    grid's implied triggers.
+    """
     if isinstance(chunks, np.ndarray):
         chunks = [chunks]
     header = {"format": "timebin-tags", "version": FORMAT_VERSION,
               "config": config_echo or {}}
+    if grid is not None:
+        header["grid"] = {"pulses": grid.pulses, "period_ps": grid.period_ps}
     n = 0
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode() + b"\n")
-        for chunk in chunks:
-            rec = np.ascontiguousarray(chunk, dtype=TAG_DTYPE)
-            fh.write(rec.data)
-            n += rec.size
-    return n
+    digest = hashlib.sha256()
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n")
+            for chunk in chunks:
+                rec = np.ascontiguousarray(chunk, dtype=TAG_DTYPE)
+                if grid is not None and np.any(rec["channel"] == CH_TRIGGER):
+                    raise ValueError("trigger tag in a stream written with a pulse grid")
+                fh.write(rec.data)
+                digest.update(rec.data)
+                n += rec.size
+            fh.write(_TRAILER_MAGIC + n.to_bytes(8, "little") + digest.digest())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    return n + (grid.pulses if grid is not None else 0)
 
 
 def read_header(path) -> dict:
@@ -67,44 +108,130 @@ def _parse_header(line: bytes) -> dict:
         raise StreamFormatError(f"invalid header line: {exc}", 0) from exc
     if not isinstance(header, dict) or header.get("format") != "timebin-tags":
         raise StreamFormatError("not a timebin tag file", 0)
-    if header.get("version") != FORMAT_VERSION:
+    if header.get("version") not in (1, FORMAT_VERSION):
         raise StreamFormatError(f"unsupported format version {header.get('version')}", 0)
+    header_grid(header)
     return header
 
 
-def iter_read_tags(path, chunk_records: int = 1 << 20) -> Iterator[np.ndarray]:
-    """Yield tag chunks from a binary stream file.
+def header_grid(header: dict) -> PulseGrid | None:
+    """The pulse grid a parsed header describes, or None for explicit triggers.
 
-    The first yielded item is the header dict; subsequent items are
-    read-only ``TAG_DTYPE`` arrays over the file's bytes.  A truncated
-    trailing record, a channel other than signal, idler or trigger, or a
-    time of 2^63 ps or more raise :class:`StreamFormatError` with the byte
-    offset of the bad record.
+    A grid needs an integer pulse count from 2 to 2^53, a positive finite
+    period and a last trigger round((n - 1) * P) below 2^63 ps; anything
+    else is a :class:`StreamFormatError` at byte offset 0.
     """
+    if "grid" not in header:
+        return None
+    spec = header["grid"]
+    if header["version"] == 1 or not isinstance(spec, dict) or spec.keys() != {"pulses", "period_ps"}:
+        raise StreamFormatError(f"header grid {spec!r} is not "
+                                f"{{'pulses': n, 'period_ps': P}} of format 2", 0)
+    n, period = spec["pulses"], spec["period_ps"]
+    if type(n) is not int or not 2 <= n <= _MAX_PULSES:
+        raise StreamFormatError(f"grid pulse count {n!r} is not an integer from 2 to 2^53", 0)
+    if type(period) not in (int, float) or not 0 < period < math.inf:
+        raise StreamFormatError(f"grid period {period!r} ps is not a positive finite number", 0)
+    if period >= 2**63 or PulseGrid(n, float(period)).times(n - 1) >= 2.0**63:
+        raise StreamFormatError(f"grid of {n} pulses every {period!r} ps puts its last "
+                                f"trigger at 2^63 ps or more", 0)
+    return PulseGrid(n, float(period))
+
+
+def _trailer(fh, size: int, records_at: int) -> bytes:
+    """The SHA-256 of a format-2 trailer whose record count matches the
+    bytes between the header and the trailer."""
+    at = size - _TRAILER_SIZE
+    if at < records_at:
+        raise StreamFormatError("missing or short trailer", records_at)
+    fh.seek(at)
+    raw = fh.read(_TRAILER_SIZE)
+    if raw[:len(_TRAILER_MAGIC)] != _TRAILER_MAGIC:
+        raise StreamFormatError("missing or short trailer", at)
+    count = int.from_bytes(raw[len(_TRAILER_MAGIC):-32], "little")
+    if count * _RECORD_SIZE != at - records_at:
+        raise StreamFormatError(f"trailer counts {count} records, the file holds "
+                                f"{(at - records_at) / _RECORD_SIZE:g}", at)
+    fh.seek(records_at)
+    return raw[-32:]
+
+
+def _records(fh, header, offset, end, chunk_records) -> Iterator[np.ndarray]:
+    """Validated record chunks from ``offset`` to ``end`` (None: to EOF)."""
+    grid_file = "grid" in header
+    while end is None or offset < end:
+        want = chunk_records * _RECORD_SIZE
+        buf = fh.read(want if end is None else min(want, end - offset))
+        if not buf:
+            break
+        if len(buf) % _RECORD_SIZE:
+            raise StreamFormatError(
+                "truncated record", offset + len(buf) - len(buf) % _RECORD_SIZE)
+        tags = np.frombuffer(buf, dtype=TAG_DTYPE)
+        channel, time_ps = tags["channel"], tags["time_ps"]
+        if grid_file:
+            bad_channel = (channel & ~np.uint8(AFTER_TRIGGER)) > CH_IDLER
+        else:
+            bad_channel = channel > _MAX_CHANNEL
+        bad = bad_channel | (time_ps > _MAX_TIME_PS)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if not bad_channel[k]:
+                what = f"time {time_ps[k]} ps is 2^63 ps or more"
+            elif grid_file and channel[k] & ~np.uint8(AFTER_TRIGGER) == CH_TRIGGER:
+                what = "trigger record in a file with a pulse grid"
+            else:
+                what = f"unknown channel {channel[k]}"
+            raise StreamFormatError(what, offset + k * _RECORD_SIZE)
+        offset += len(buf)
+        yield tags
+
+
+def iter_read_tags(path, chunk_records: int = 1 << 18, raw: bool = False) -> Iterator[np.ndarray]:
+    """Yield the header dict, then tag chunks of at most ``chunk_records``.
+
+    By default a grid file's implied triggers are rebuilt and merged in, so
+    every file reads back as the full (channel, time_ps) stream.  With
+    ``raw`` the records come as stored, as read-only arrays over the file's
+    bytes: a grid file gives its detections, for an analyzer built with
+    :func:`header_grid`.  A truncated record, a trigger record in a grid
+    file, an unknown channel, a time of 2^63 ps or more, or a format-2
+    trailer that is missing or whose record count or SHA-256 disagrees
+    raise :class:`StreamFormatError` with a byte offset.  The default chunk
+    bounds memory: the analyzer and the trigger rebuild keep several 8-byte
+    temporaries per record of a chunk.
+    """
+    if chunk_records < 1:
+        raise ValueError(f"chunk_records must be at least 1, got {chunk_records}")
     with open(path, "rb") as fh:
         line = fh.readline()
-        yield _parse_header(line)
-        offset = len(line)
-        while True:
-            buf = fh.read(chunk_records * _RECORD_SIZE)
-            if not buf:
-                break
-            if len(buf) % _RECORD_SIZE:
-                raise StreamFormatError(
-                    "truncated record", offset + len(buf) - len(buf) % _RECORD_SIZE)
-            tags = np.frombuffer(buf, dtype=TAG_DTYPE)
-            channel, time_ps = tags["channel"], tags["time_ps"]
-            if channel.max() > _MAX_CHANNEL or time_ps.max() > _MAX_TIME_PS:
-                k = int(np.argmax((channel > _MAX_CHANNEL) | (time_ps > _MAX_TIME_PS)))
-                what = (f"unknown channel {channel[k]}" if channel[k] > _MAX_CHANNEL
-                        else f"time {time_ps[k]} ps is 2^63 ps or more")
-                raise StreamFormatError(what, offset + k * _RECORD_SIZE)
-            offset += len(buf)
-            yield tags
+        header = _parse_header(line)
+        end = None
+        if header["version"] != 1:
+            size = os.fstat(fh.fileno()).st_size
+            want = _trailer(fh, size, len(line))
+            end = size - _TRAILER_SIZE
+        yield header
+        records = _records(fh, header, len(line), end, chunk_records)
+        if end is not None:
+            records = _hashed(records, want, end)
+        grid = header_grid(header)
+        if grid is not None and not raw:
+            records = with_triggers(grid, records, chunk_records)
+        yield from records
+
+
+def _hashed(records, want: bytes, trailer_at: int) -> Iterator[np.ndarray]:
+    digest = hashlib.sha256()
+    for tags in records:
+        digest.update(tags.data)
+        yield tags
+    if digest.digest() != want:
+        raise StreamFormatError("records do not match the trailer's SHA-256", trailer_at)
 
 
 def read_tags(path) -> tuple[dict, np.ndarray]:
-    """Read a whole binary stream file into (header, tag array)."""
+    """Read a whole binary stream file into (header, tag array), triggers included."""
     it = iter_read_tags(path)
     header = next(it)
     chunks = list(it)

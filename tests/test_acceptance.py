@@ -16,7 +16,7 @@ from timebin.analysis import (FringeScan, GateConfig, analyze_stream, car,
                               power_series_fit, RateReport, StreamAnalyzer)
 from timebin.quantum import bell_phi_plus, chsh_bounds, concurrence, \
     fidelity_to_pure, measurement_operator, pure_to_dm
-from timebin.simulate import (ExperimentConfig, iter_simulate,
+from timebin.simulate import (ExperimentConfig, PulseGrid, iter_simulate,
                               iter_simulate_single_bin, simulate)
 from timebin.tomography import (SETTINGS, counts_from_phase_settings,
                                 expected_joint_counts, mle_reconstruct,
@@ -71,7 +71,8 @@ def _single_bin_sweep(mus, duration, **config_overrides):
                                **config_overrides)
         res = analyze_stream(iter_simulate_single_bin(cfg),
                              GateConfig.single_bin(
-                                 cfg, config_overrides.get("gate_width", 0.5e-9)))
+                                 cfg, config_overrides.get("gate_width", 0.5e-9)),
+                             grid=PulseGrid.of(cfg))
         points.append((mu, res.rate_report()))
     return points
 
@@ -93,7 +94,7 @@ def test_criterion_06_car_slope_sweep():
                                dark_rate_idler=390.0, detection_delay=4e-9,
                                rng_seed=602)
         gates = GateConfig.single_bin(cfg, gate_width=5e-9)
-        res = analyze_stream(iter_simulate_single_bin(cfg), gates)
+        res = analyze_stream(iter_simulate_single_bin(cfg), gates, grid=PulseGrid.of(cfg))
         points.append((mu, res.rate_report()))
     with_darks = power_series_fit(points)
     assert with_darks.car_loglog_slope.value > \
@@ -119,7 +120,8 @@ def test_criterion_08_fringe_scan():
         cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.01,
                                phi_s=float(phase), interference_visibility=0.902,
                                rng_seed=800 + k)
-        res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg))
+        res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
+                             grid=PulseGrid.of(cfg))
         points.append((phase, float(res.joint[1, 1]), cfg.duration))
         if first is None:
             first = res

@@ -9,7 +9,7 @@ from timebin.analysis import (AnalysisResult, FringeScan, GateConfig, RateReport
                               fit_fringe, klyshko, max_visibility_from_car,
                               power_series_fit)
 from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE,
-                              ExperimentConfig, iter_simulate,
+                              ExperimentConfig, PulseGrid, iter_simulate,
                               iter_simulate_single_bin, simulate)
 
 from conftest import assert_same_result, tie_cuts
@@ -97,7 +97,8 @@ class TestGatedSingles:
     def test_three_peak_singles_ratio(self):
         cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.05,
                                rng_seed=32)
-        res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg))
+        res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
+                             grid=PulseGrid.of(cfg))
         early, central, late = res.gated_signal
         for side in (early, late):
             sigma = np.sqrt(central + 4 * side)
@@ -190,7 +191,7 @@ class TestCoincidences:
                                detection_delay=5e-6, rng_seed=37)
         gates = GateConfig(gate_width=5e-6,
                            offsets={CH_SIGNAL: [5e-6], CH_IDLER: [5e-6]})
-        res = analyze_stream(iter_simulate_single_bin(cfg), gates)
+        res = analyze_stream(iter_simulate_single_bin(cfg), gates, grid=PulseGrid.of(cfg))
         same = res.joint.sum()
         neigh = res.neighbor_joint.sum()
         assert abs(same - neigh) < 4 * np.sqrt(same + neigh)
@@ -232,7 +233,7 @@ class TestKlyshko:
         cfg = ExperimentConfig(duration=0.01, mean_pairs_per_pulse=0.002,
                                rng_seed=38)
         res = analyze_stream(iter_simulate_single_bin(cfg),
-                             GateConfig.single_bin(cfg))
+                             GateConfig.single_bin(cfg), grid=PulseGrid.of(cfg))
         eta_s, eta_i = klyshko(res.rate_report())
         assert eta_s.value == pytest.approx(1.0, abs=3 * eta_s.error + 0.005)
         assert eta_i.value == pytest.approx(1.0, abs=3 * eta_i.error + 0.005)

@@ -11,7 +11,7 @@ import pytest
 
 import timebin
 from timebin.cli import main
-from timebin.simulate import CH_SIGNAL, CH_TRIGGER, TAG_DTYPE, ExperimentConfig
+from timebin.simulate import CH_SIGNAL, CH_IDLER, CH_TRIGGER, TAG_DTYPE, ExperimentConfig
 from timebin.streams import read_tags, write_tags
 
 
@@ -51,6 +51,21 @@ def write_stream(path, channels, times_ps, config_echo):
 
 
 VALID_ECHO = {**ExperimentConfig().to_dict(), "mode": "time-bin"}
+TRAILER_SIZE = 48
+
+
+def write_grid_stream(path, channels, times_ps, config_echo, grid=None):
+    """A format-2 file of the given detection records, built by hand; ``grid``
+    is its header's grid entry, valid or not (default 100 pulses)."""
+    tags = np.zeros(len(channels), dtype=TAG_DTYPE)
+    tags["channel"] = channels
+    tags["time_ps"] = times_ps
+    header = {"format": "timebin-tags", "version": 2, "config": config_echo,
+              "grid": {"pulses": 100, "period_ps": 13123.36} if grid is None else grid}
+    records = tags.tobytes()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + records + b"TAGSEND2"
+                     + len(tags).to_bytes(8, "little") + hashlib.sha256(records).digest())
+    return path
 
 
 class TestConfig:
@@ -198,6 +213,70 @@ class TestAnalyze:
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 3
         assert f"byte offset {offset})" in capsys.readouterr().err
+
+    def test_file_cut_on_a_record_boundary_is_data_error(self, tmp_path, capsys):
+        # Without the trailer such a file read back 1000 records short.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.001,
+                           dark_rate_signal_hz=1e6, dark_rate_idler_hz=1e6)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags),
+                     "--mode", "single-bin"]) == 0
+        raw = tags.read_bytes()
+        header_len = raw.index(b"\n") + 1
+        records = (len(raw) - header_len - TRAILER_SIZE) // TAG_DTYPE.itemsize
+        keep = header_len + (records - 1000) * TAG_DTYPE.itemsize
+        tags.write_bytes(raw[:keep])
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"missing or short trailer (byte offset {keep - TRAILER_SIZE})" in err
+
+    @pytest.mark.parametrize("grid", [
+        {"pulses": 1, "period_ps": 13123.36},
+        {"pulses": 2.0, "period_ps": 13123.36},
+        {"pulses": "7620", "period_ps": 13123.36},
+        {"pulses": True, "period_ps": 13123.36},
+        {"pulses": 2**53 + 1, "period_ps": 13123.36},
+        {"pulses": 7620, "period_ps": 0.0},
+        {"pulses": 7620, "period_ps": -13123.36},
+        {"pulses": 7620, "period_ps": float("nan")},
+        {"pulses": 7620, "period_ps": float("inf")},
+        {"pulses": 7620, "period_ps": "13123.36"},
+        {"pulses": 2**40, "period_ps": 2.0**30},
+        {"pulses": 2, "period_ps": 2.0**63},
+        {"pulses": 2, "period_ps": 10**400},
+        {"pulses": 7620},
+        [7620, 13123.36],
+    ], ids=["one-pulse", "float-count", "string-count", "bool-count", "count-past-2^53",
+            "zero-period", "negative-period", "nan-period", "inf-period", "string-period",
+            "last-trigger-past-2^63", "last-trigger-at-2^63", "huge-int-period",
+            "no-period", "not-a-dict"])
+    def test_hostile_grid_header_is_data_error(self, tmp_path, capsys, grid):
+        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [2000, 2100],
+                                 VALID_ECHO, grid)
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "grid" in err and "(byte offset 0)" in err and "Traceback" not in err
+
+    def test_trigger_record_in_grid_file_is_data_error(self, tmp_path, capsys):
+        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_TRIGGER, CH_IDLER],
+                                 [2000, 13123, 15123], VALID_ECHO)
+        offset = tags.read_bytes().index(b"\n") + 1 + TAG_DTYPE.itemsize
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert f"trigger record in a file with a pulse grid (byte offset {offset})" in \
+            capsys.readouterr().err
+
+    def test_grid_of_2_to_the_53_pulses_is_never_built(self, tmp_path):
+        # A 1 ns grid, so the gate sits 500 ps after each trigger.
+        echo = {**VALID_ECHO, "mode": "single-bin", "detection_delay": 5e-10}
+        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [3500, 3500],
+                                 echo, {"pulses": 2**53, "period_ps": 1000.0})
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--in", str(tags), "--out", str(out)]) == 0
+        counts = json.loads(out.read_text())["rates"]["counts"]
+        assert counts["trigger"] == 2**53 and counts["coincidence"] == 1
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.tags"

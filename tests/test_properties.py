@@ -1,5 +1,9 @@
 """Invariant checks over randomized inputs."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,10 @@ from timebin.analysis import (GateConfig, RateReport, StreamAnalyzer,
                               analyze_stream, car, klyshko)
 from timebin.quantum import DensityMatrix2Q, chsh_bounds, concurrence
 from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER,
-                              ExperimentConfig, simulate)
+                              ExperimentConfig, PulseGrid, iter_simulate,
+                              iter_simulate_single_bin, simulate,
+                              simulate_no_pump_interferometer)
+from timebin.streams import iter_read_tags, write_tags
 from timebin.tomography import MeasurementRecord
 
 from conftest import assert_same_result, ginibre_density_matrix, tie_cuts
@@ -146,3 +153,68 @@ def test_any_chunking_matches_one_pass(cuts):
     first = an.result()
     assert_same_result(first, CHUNKING_WHOLE)
     assert_same_result(an.result(), first)
+
+
+# Pulse-grid streams: small blocks put several block boundaries into a run.
+GRID_BLOCK_PULSES = 1 << 12
+
+
+@st.composite
+def grid_runs(draw):
+    """A short run at 33.3, 76.2 or 80 MHz in either mode: up to 2 ns jitter,
+    zero detection delay to force detection/trigger ties, up to 1e7 darks/s."""
+    cfg = ExperimentConfig(
+        rep_rate=draw(st.sampled_from([33.3e6, 76.2e6, 80e6])),
+        duration=3e-4,
+        mean_pairs_per_pulse=draw(st.floats(0.0, 0.5)),
+        jitter_sigma=draw(st.floats(0.0, 2e-9)),
+        detection_delay=draw(st.sampled_from([0.0, 2e-9])),
+        dark_rate_signal=draw(st.floats(0.0, 1e7)),
+        dark_rate_idler=draw(st.floats(0.0, 1e7)),
+        rng_seed=draw(st.integers(0, 2**31 - 1)))
+    return cfg, draw(st.booleans())
+
+
+def simulated(cfg, time_bin):
+    """(detection chunks, materialized stream, gates) of one run."""
+    with mock.patch("timebin.simulate.BLOCK_PULSES", GRID_BLOCK_PULSES):
+        if time_bin:
+            return list(iter_simulate(cfg)), simulate(cfg), GateConfig.time_bin(cfg)
+        return (list(iter_simulate_single_bin(cfg)), simulate_no_pump_interferometer(cfg),
+                GateConfig.single_bin(cfg))
+
+
+def chunked(tags, fractions):
+    return np.split(tags, sorted(int(f * tags.size) for f in fractions))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_runs(), st.lists(st.floats(0.0, 1.0), max_size=12),
+       st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_grid_path_matches_explicit_trigger_oracle(run, grid_cuts, explicit_cuts):
+    # The explicit path looks each detection's trigger up among trigger
+    # tags; the grid path computes it.  Every field must agree.
+    cfg, time_bin = run
+    detections, tags, gates = simulated(cfg, time_bin)
+    on_grid = StreamAnalyzer(gates, grid=PulseGrid.of(cfg))
+    for part in chunked(np.concatenate(detections), grid_cuts):
+        on_grid.feed(part)
+    explicit = StreamAnalyzer(gates)
+    for part in chunked(tags, explicit_cuts):
+        explicit.feed(part)
+    assert_same_result(on_grid.result(), explicit.result())
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_runs())
+def test_grid_file_reads_back_as_simulated_stream(run):
+    cfg, time_bin = run
+    detections, tags, _ = simulated(cfg, time_bin)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.tags"
+        assert write_tags(path, detections, grid=PulseGrid.of(cfg)) == tags.size
+        it = iter_read_tags(path, chunk_records=1000)
+        next(it)
+        chunks = list(it)
+    assert max(c.size for c in chunks) <= 1000
+    assert np.concatenate(chunks).tobytes() == tags.tobytes()

@@ -174,10 +174,7 @@ class TestStacks:
         c, f = concurrence(rhos), fidelity_to_pure(rhos, psi)
         assert c.shape == f.shape == (30,)
         assert c.tolist() == [concurrence(m) for m in rhos]
-        # The stacked psi^H m psi ends in a BLAS matrix-vector product whose
-        # rounding depends on the number of rows, so fidelities may differ
-        # from the one-matrix ones in the last bit.
-        np.testing.assert_array_max_ulp(f, [fidelity_to_pure(m, psi) for m in rhos], maxulp=2)
+        assert f.tolist() == [fidelity_to_pure(m, psi) for m in rhos]
 
     def test_stack_with_one_non_positive_matrix_rejected(self):
         rhos = self.stack()

@@ -8,10 +8,10 @@ import timebin
 
 from timebin.analysis import GateConfig, analyze_stream, car
 from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER,
-                              ExperimentConfig, _outcome_table,
+                              ExperimentConfig, PulseGrid, _outcome_table,
                               iter_simulate, iter_simulate_single_bin,
                               joint_slot_distribution, simulate,
-                              simulate_no_pump_interferometer)
+                              simulate_no_pump_interferometer, with_triggers)
 
 
 def hand_written_slot_weights(phi_p, phi_s, phi_i, v0):
@@ -192,7 +192,8 @@ class TestSimulate:
     def test_chunked_equals_whole(self):
         cfg = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.1, rng_seed=5)
         whole = simulate(cfg)
-        chunked = np.concatenate(list(iter_simulate(cfg)))
+        chunked = np.concatenate(list(with_triggers(PulseGrid.of(cfg), iter_simulate(cfg),
+                                                    chunk_records=1000)))
         assert whole.tobytes() == chunked.tobytes()
 
     def test_rejects_invalid_config_before_output(self):
@@ -211,7 +212,8 @@ class TestSimulate:
         cfg = ExperimentConfig(duration=0.3, mean_pairs_per_pulse=0.005,
                                phi_s=2.0, phi_i=0.7, phi_p=0.4,
                                interference_visibility=0.85, rng_seed=8)
-        res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg))
+        res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
+                             grid=PulseGrid.of(cfg))
         d = joint_slot_distribution(cfg.phi_p, cfg.phi_s, cfg.phi_i,
                                     cfg.interference_visibility)
         n_pairs = cfg.rep_rate * cfg.duration * cfg.mu
@@ -226,7 +228,8 @@ class TestSimulate:
     def test_corner_slots_accidentals_only(self):
         cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.002,
                                phi_s=np.pi, rng_seed=9)
-        res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg))
+        res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
+                             grid=PulseGrid.of(cfg))
         # pair-origin coincidences never reach the corners; only the
         # O(mu^2) multi-pair accidentals can, as in the offset-pulse rate
         accidental_scale = res.neighbor_joint.sum() + 1
@@ -238,7 +241,8 @@ class TestSimulate:
             cfg = ExperimentConfig(duration=0.01, mean_pairs_per_pulse=0.02,
                                    phi_s=phi, interference_visibility=0.0,
                                    rng_seed=10)
-            res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg))
+            res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
+                                 grid=PulseGrid.of(cfg))
             counts.append(res.joint[1, 1])
         spread = max(counts) - min(counts)
         assert spread < 3 * np.sqrt(np.mean(counts)) * np.sqrt(2)
@@ -258,7 +262,7 @@ class TestSingleBin:
     def test_car_inverse_mu(self):
         cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.001, rng_seed=12)
         res = analyze_stream(iter_simulate_single_bin(cfg),
-                             GateConfig.single_bin(cfg))
+                             GateConfig.single_bin(cfg), grid=PulseGrid.of(cfg))
         value = car(res.rate_report()).value
         assert value == pytest.approx(1000.0, rel=0.10)
 
@@ -269,7 +273,7 @@ class TestSingleBin:
                                detection_delay=5e-6, rng_seed=13)
         gates = GateConfig(gate_width=5e-6,
                            offsets={CH_SIGNAL: [5e-6], CH_IDLER: [5e-6]})
-        res = analyze_stream(iter_simulate_single_bin(cfg), gates)
+        res = analyze_stream(iter_simulate_single_bin(cfg), gates, grid=PulseGrid.of(cfg))
         q = car(res.rate_report())
         assert abs(q.value - 1.0) < 3 * q.error
 

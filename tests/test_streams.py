@@ -3,10 +3,22 @@ import json
 import numpy as np
 import pytest
 
-from timebin.simulate import TAG_DTYPE, ExperimentConfig, simulate
-from timebin.streams import (FORMAT_VERSION, StreamFormatError,
+from timebin.simulate import (AFTER_TRIGGER, CH_TRIGGER, TAG_DTYPE, ExperimentConfig,
+                              PulseGrid, iter_simulate, simulate)
+from timebin.streams import (FORMAT_VERSION, StreamFormatError, header_grid,
                              iter_read_tags, read_header, read_tags,
                              write_tags)
+
+
+TRAILER_SIZE = 48
+
+
+def write_format_1(path, tags, config_echo=None):
+    """A format-1 tag file: header line, then every tag, no trailer."""
+    header = {"format": "timebin-tags", "version": 1, "config": config_echo or {}}
+    raw = json.dumps(header).encode() + b"\n" + tags.tobytes()
+    path.write_bytes(raw)
+    return raw
 
 
 @pytest.fixture
@@ -49,9 +61,9 @@ class TestBinaryFormat:
         assert back.tobytes() == tags.tobytes()
 
     def test_truncated_record_reports_offset(self, tmp_path, tags):
+        # Format 1: header and records, no trailer.
         path = tmp_path / "cut.tags"
-        write_tags(path, tags)
-        raw = path.read_bytes()
+        raw = write_format_1(path, tags)
         path.write_bytes(raw[:-4])  # chop into the final record
         header_len = raw.index(b"\n") + 1
         record_size = 9
@@ -59,6 +71,23 @@ class TestBinaryFormat:
         with pytest.raises(StreamFormatError) as err:
             read_tags(path)
         assert err.value.byte_offset == header_len + n_whole * record_size
+
+    def test_truncated_format_2_reports_offset(self, tmp_path, tags):
+        # Cut 4 bytes into the final record: no trailer ends the file.
+        path = tmp_path / "cut.tags"
+        write_tags(path, tags)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-TRAILER_SIZE - 4])
+        with pytest.raises(StreamFormatError, match="trailer") as err:
+            read_tags(path)
+        assert err.value.byte_offset == len(raw) - 2 * TRAILER_SIZE - 4
+
+    def test_format_1_reads_back(self, tmp_path, tags):
+        path = tmp_path / "v1.tags"
+        write_format_1(path, tags)
+        header, back = read_tags(path)
+        assert header["version"] == 1
+        assert back.tobytes() == tags.tobytes()
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.tags"
@@ -87,3 +116,85 @@ class TestBinaryFormat:
         with pytest.raises(StreamFormatError) as err:
             read_header(path)
         assert err.value.byte_offset == 0
+
+
+class TestGridFiles:
+    """Format 2 with a pulse grid: detection records, implied triggers."""
+
+    CFG = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.05, jitter_sigma=100e-12,
+                           detection_delay=0.0, dark_rate_signal=1e6, rng_seed=22)
+
+    @pytest.fixture
+    def grid_file(self, tmp_path):
+        path = tmp_path / "grid.tags"
+        n = write_tags(path, iter_simulate(self.CFG), config_echo={"rng_seed": 22},
+                       grid=PulseGrid.of(self.CFG))
+        return path, n
+
+    def test_reads_back_as_the_simulated_stream(self, grid_file):
+        path, n = grid_file
+        tags = simulate(self.CFG)
+        # detections that sort after the trigger they round onto
+        assert np.any(np.concatenate(list(iter_simulate(self.CFG)))["channel"] & AFTER_TRIGGER)
+        header, back = read_tags(path)
+        assert n == tags.size
+        assert back.tobytes() == tags.tobytes()
+        assert header["grid"] == {"pulses": 76200, "period_ps": 1e12 / 76.2e6}
+        assert path.stat().st_size < 0.1 * tags.nbytes
+
+    def test_raw_read_gives_the_stored_detections(self, grid_file):
+        path, _ = grid_file
+        it = iter_read_tags(path, chunk_records=1000, raw=True)
+        assert header_grid(next(it)) == PulseGrid.of(self.CFG)
+        chunks = list(it)
+        assert max(c.size for c in chunks) == 1000
+        detections = np.concatenate(list(iter_simulate(self.CFG)))
+        assert np.concatenate(chunks).tobytes() == detections.tobytes()
+
+    @pytest.mark.parametrize("fault", ["cut-on-record", "count", "hash"])
+    def test_trailer_faults_report_offset(self, grid_file, fault):
+        path, _ = grid_file
+        raw = bytearray(path.read_bytes())
+        trailer_at = len(raw) - TRAILER_SIZE
+        if fault == "cut-on-record":
+            raw = raw[:trailer_at - 9]
+            expected, message = trailer_at - 9 - TRAILER_SIZE, "missing or short trailer"
+        elif fault == "count":
+            raw[trailer_at + 8] ^= 1
+            expected, message = trailer_at, "trailer counts"
+        else:
+            raw[raw.index(b"\n") + 1 + 9 * 5 + 1] ^= 1  # low byte of a time
+            expected, message = trailer_at, "SHA-256"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StreamFormatError, match=message) as err:
+            read_tags(path)
+        assert err.value.byte_offset == expected
+
+    def test_trigger_record_rejected_with_offset(self, grid_file):
+        path, _ = grid_file
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"\n") + 1 + 9 * 7
+        raw[at] = CH_TRIGGER
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StreamFormatError, match="trigger record") as err:
+            read_tags(path)
+        assert err.value.byte_offset == at
+
+    def test_writer_rejects_trigger_tags(self, tmp_path):
+        path = tmp_path / "bad.tags"
+        with pytest.raises(ValueError, match="trigger"):
+            write_tags(path, simulate(self.CFG), grid=PulseGrid.of(self.CFG))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, grid_file):
+        path, _ = grid_file
+        before = path.read_bytes()
+
+        def chunks():
+            yield from iter_simulate(self.CFG)
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError):
+            write_tags(path, chunks(), grid=PulseGrid.of(self.CFG))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["grid.tags"]
