@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simulate import (AFTER_TRIGGER, CH_IDLER, CH_SIGNAL, CH_TRIGGER,
-                       DEFAULT_GATE_WIDTH, ExperimentConfig, PulseGrid)
+from .simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, DEFAULT_GATE_WIDTH,
+                       ExperimentConfig, PulseGrid)
 
 __all__ = [
     "GateConfig",
     "Quantity",
     "RateReport",
     "FringeScan",
+    "MIN_HIST_BIN",
     "StreamAnalyzer",
     "AnalysisResult",
     "analyze_stream",
@@ -37,6 +38,10 @@ __all__ = [
     "FringeFit",
     "max_visibility_from_car",
 ]
+
+
+# Tags are whole picoseconds, so a finer histogram bin resolves nothing.
+MIN_HIST_BIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,8 @@ class StreamAnalyzer:
       detections at the chunk's final timestamp, which a trigger at that
       same time opening the next chunk would claim.
     - **arithmetic** (a :class:`~timebin.simulate.PulseGrid`): the stream
-      holds detections only, ``AFTER_TRIGGER`` bits allowed, and
-      ``grid.index`` gives each one's pulse; no trigger is ever built.
+      holds detections only, and ``grid.index`` gives each one's pulse; no
+      trigger is ever built.
 
     Coincidences are signal-idler pairs whose gated slots belong to the
     same pulse; pairing each signal event with the idler events of the
@@ -157,12 +162,13 @@ class StreamAnalyzer:
     as a later detection or trigger closes its idler event's pulse, so
     between chunks the fold holds only the gated events of the open pulses
     (idler events of the last pulse, signal events of the last two).
+    ``hist_bin`` is at least ``MIN_HIST_BIN``, 1 ps, the resolution of a tag.
     """
 
     def __init__(self, gates: GateConfig, hist_bin: float = 10e-12,
                  grid: PulseGrid | None = None):
-        if not (np.isfinite(hist_bin) and hist_bin > 0):
-            raise ValueError(f"hist_bin must be a positive finite number of seconds, "
+        if not (np.isfinite(hist_bin) and hist_bin >= MIN_HIST_BIN):
+            raise ValueError(f"hist_bin must be a finite number of at least {MIN_HIST_BIN:g} s, "
                              f"got {hist_bin!r}")
         self.gates = gates
         self.hist_bin_ps = hist_bin * 1e12
@@ -199,8 +205,7 @@ class StreamAnalyzer:
         else:
             pulse = self.grid.index(times)
             rel = times - self.grid.times(pulse)
-            self._fold(pulse, tags["channel"] & ~np.uint8(AFTER_TRIGGER), rel,
-                       open_pulse=int(pulse[-1]))
+            self._fold(pulse, tags["channel"], rel, open_pulse=int(pulse[-1]))
 
     def _associate(self, times, channels, final):
         """Explicit front end: pulses of one chunk's detections from its

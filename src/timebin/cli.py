@@ -165,7 +165,11 @@ def _cmd_simulate(args) -> int:
         chunks = iter_simulate(config)
     else:
         chunks = iter_simulate_single_bin(config)
-    n = streams.write_tags(args.out, chunks, config_echo=echo, grid=PulseGrid.of(config))
+    try:
+        grid = PulseGrid.of(config)
+    except ValueError as exc:  # e.g. a run shorter than two pulse periods
+        raise ConfigError(f"{args.config}: {exc}") from exc
+    n = streams.write_tags(args.out, chunks, config_echo=echo, grid=grid)
     _write_manifest(args.out, echo, [args.config], [args.out], config.rng_seed, t0)
     print(f"wrote {n} tags to {args.out}")
     return 0
@@ -192,16 +196,14 @@ def _gates_from_echo(echo, gate_width):
         raise ConfigError(f"--gate-width-s {gate_width!r} does not fit the run: {exc}") from exc
 
 
-def _require_positive(flag, value):
-    """A ConfigError naming ``flag`` unless ``value`` is a positive finite number."""
-    if not (np.isfinite(value) and value > 0):
-        raise ConfigError(f"{flag} must be a positive finite number, got {value!r}")
-
-
 def _cmd_analyze(args) -> int:
     t0 = time.monotonic()
-    _require_positive("--gate-width-s", args.gate_width_s)
-    _require_positive("--hist-bin-s", args.hist_bin_s)
+    if not (np.isfinite(args.gate_width_s) and args.gate_width_s > 0):
+        raise ConfigError(f"--gate-width-s must be a positive finite number, "
+                          f"got {args.gate_width_s!r}")
+    if not (np.isfinite(args.hist_bin_s) and args.hist_bin_s >= analysis.MIN_HIST_BIN):
+        raise ConfigError(f"--hist-bin-s must be a finite number of at least "
+                          f"{analysis.MIN_HIST_BIN:g} s, got {args.hist_bin_s!r}")
     try:
         it = streams.iter_read_tags(args.input, raw=True)
         header = next(it)

@@ -21,13 +21,10 @@ fixed-size pulse blocks, each with its own RNG substream derived from
 how it is chunked or parallelized.
 
 Detections are ordered by (float time, channel) and then rounded to whole
-picoseconds.  A detection goes ahead of a trigger at an equal time, except
-one whose float time lay past a trigger it rounds down onto: it carries
-the ``AFTER_TRIGGER`` bit on its channel, so the rebuilt stream keeps the
-float order.  A block is emitted once the next block's detections are
-drawn: every detection from the end of its last pulse period, or from the
-next block's earliest detection if that comes first, is carried into the
-next block.
+picoseconds.  A detection goes ahead of a trigger at an equal time.  A
+block is emitted once the next block's detections are drawn: every
+detection from the end of its last pulse period, or from the next block's
+earliest detection if that comes first, is carried into the next block.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ __all__ = [
     "CH_IDLER",
     "CH_TRIGGER",
     "TAG_DTYPE",
-    "AFTER_TRIGGER",
     "ExperimentConfig",
     "PulseGrid",
     "JointSlotDistribution",
@@ -61,10 +57,6 @@ CH_TRIGGER = 2
 
 # The on-disk record of the tag file format as well (see ``streams``).
 TAG_DTYPE = np.dtype([("channel", "<u1"), ("time_ps", "<u8")])
-
-# Channel bit of a detection that sorts after the trigger at its own time
-# (see the module docstring); set only in streams without trigger tags.
-AFTER_TRIGGER = 0x80
 
 # Pulses per generation block; fixed so that RNG substreams (and hence the
 # output stream) do not depend on consumer chunking.
@@ -156,11 +148,28 @@ class PulseGrid:
     Trigger k of ``pulses`` sits at round(k * period_ps) ps, in float64.
     This is the one home of that rule: the simulator places photons by it,
     ``streams`` rebuilds trigger tags by it and the analyzer assigns
-    detections to pulses by it.
+    detections to pulses by it.  A grid has an integer count of 2 to 2^53
+    pulses, so every index is exact in float64, a positive finite period
+    and its last trigger below 2^63 ps, so every time is an int64;
+    construction raises ``ValueError`` otherwise.
     """
 
     pulses: int
     period_ps: float
+
+    def __post_init__(self):
+        n, period = self.pulses, self.period_ps
+        if not isinstance(n, numbers.Integral) or not 2 <= n <= 2**53:
+            raise ValueError(f"grid pulse count {n!r} is not an integer from 2 to 2^53")
+        if (isinstance(period, bool) or not isinstance(period, numbers.Real)
+                or not 0 < period < np.inf):
+            raise ValueError(f"grid period {period!r} ps is not a positive finite number")
+        # The period test comes first: a huge integer period has no float.
+        if period >= 2**63 or np.round((n - 1) * float(period)) >= 2.0**63:
+            raise ValueError(f"grid of {n} pulses every {period!r} ps puts its last "
+                             f"trigger at 2^63 ps or more")
+        object.__setattr__(self, "pulses", int(n))
+        object.__setattr__(self, "period_ps", float(period))
 
     @classmethod
     def of(cls, config: ExperimentConfig) -> "PulseGrid":
@@ -322,33 +331,13 @@ def _emit_block(config, grid, block, law):
     return times, channels, t1
 
 
-def _detection_tags(grid, times, channels) -> np.ndarray:
-    """Tags of time-sorted float detections, rounded to whole ps.
-
-    A detection rounded down onto a trigger's time lay after that trigger
-    in float time, so it gets ``AFTER_TRIGGER``.
-    """
-    tags = np.empty(times.size, dtype=TAG_DTYPE)
-    rounded = np.round(times)
-    tags["time_ps"] = rounded
-    tags["channel"] = channels
-    down = np.flatnonzero(times > rounded)
-    on_trigger = grid.times(grid.index(rounded[down].astype(np.int64))) == rounded[down]
-    tags["channel"][down[on_trigger]] |= AFTER_TRIGGER
-    return tags
-
-
 def _iter_tags(config: ExperimentConfig, law) -> Iterator[np.ndarray]:
     """Detection tags of a run, one time-sorted chunk per pulse block.
 
-    The chunks hold no trigger tags: the triggers are ``PulseGrid.of(config)``,
-    and a detection that sorts after the trigger at its own time carries
-    ``AFTER_TRIGGER``.
+    The chunks hold no trigger tags: the triggers are ``PulseGrid.of(config)``.
     """
     grid = PulseGrid.of(config)
     n_blocks = -(-grid.pulses // BLOCK_PULSES)
-    if n_blocks == 0:
-        return
     carry_t = np.empty(0, dtype=np.float64)
     carry_c = np.empty(0, dtype=np.uint8)
     upcoming = _emit_block(config, grid, 0, law)
@@ -370,7 +359,10 @@ def _iter_tags(config: ExperimentConfig, law) -> Iterator[np.ndarray]:
             cut_t = min(t_end, upcoming[0].min(initial=t_end))
         cut = np.searchsorted(times, cut_t, side="left")
         carry_t, carry_c = times[cut:], channels[cut:]
-        yield _detection_tags(grid, times[:cut], channels[:cut])
+        tags = np.empty(cut, dtype=TAG_DTYPE)
+        tags["time_ps"] = np.round(times[:cut])
+        tags["channel"] = channels[:cut]
+        yield tags
 
 
 def iter_simulate(config: ExperimentConfig) -> Iterator[np.ndarray]:
@@ -391,9 +383,9 @@ def with_triggers(grid: PulseGrid, detections, chunk_records: int = BLOCK_PULSES
     """Tag chunks of ``grid``'s triggers merged into time-sorted detection chunks.
 
     Detection t has index(t - 1) + 1 triggers ahead of it, those strictly
-    earlier, or index(t) + 1 with ``AFTER_TRIGGER``, whose bit is cleared
-    here.  Chunks hold at most ``chunk_records`` tags; the triggers after
-    the latest detection wait for the next detection chunk or the end.
+    earlier: it goes ahead of a trigger at its own time.  Chunks hold at
+    most ``chunk_records`` tags; the triggers after the latest detection
+    wait for the next detection chunk or the end.
     """
     if chunk_records < 1:
         raise ValueError(f"chunk_records must be at least 1, got {chunk_records}")
@@ -401,9 +393,7 @@ def with_triggers(grid: PulseGrid, detections, chunk_records: int = BLOCK_PULSES
     for chunk in detections:
         if chunk.size == 0:
             continue
-        channel = chunk["channel"]
-        after = (channel & AFTER_TRIGGER) != 0
-        before = grid.index(chunk["time_ps"].astype(np.int64) - 1 + after) + 1
+        before = grid.index(chunk["time_ps"].astype(np.int64) - 1) + 1
         if before[0] < k or np.any(np.diff(before) < 0):
             raise ValueError("detections are not time-sorted")
         pos = before + np.arange(chunk.size)  # merged position, less k + i
@@ -419,7 +409,7 @@ def with_triggers(grid: PulseGrid, detections, chunk_records: int = BLOCK_PULSES
             out["time_ps"][is_trigger] = grid.times(np.arange(k, k + n_trig))
             out["time_ps"][slot] = chunk["time_ps"][i:hi]
             out["channel"] = CH_TRIGGER
-            out["channel"][slot] = channel[i:hi] & ~np.uint8(AFTER_TRIGGER)
+            out["channel"][slot] = chunk["channel"][i:hi]
             yield out
             k += n_trig
             i = hi

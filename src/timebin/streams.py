@@ -8,8 +8,9 @@ from format 2 on, a trailer.
   with the run's config echo.  A file written with a pulse grid also has
   ``"grid": {"pulses": n, "period_ps": P}``: its triggers are implied at
   round(k * P) ps for k < n (see :class:`~timebin.simulate.PulseGrid`) and
-  its records are the detections only, ``AFTER_TRIGGER`` bits included.
-  Without a grid the records hold every tag, triggers included.
+  its records are the detections only, on channels 0 and 1.  Without a
+  grid the records hold every tag, triggers included.  Records are in time
+  order; a detection goes ahead of a trigger at its own time.
 - **Trailer** (format 2, 48 bytes): the magic ``TAGSEND2``, the record count
   as u64 and the SHA-256 of the record bytes.  A file cut anywhere, even on
   a record boundary, fails the read instead of reading back short.
@@ -23,14 +24,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .simulate import (AFTER_TRIGGER, CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE,
-                       PulseGrid, with_triggers)
+from .simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE, PulseGrid,
+                       with_triggers)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -47,7 +47,6 @@ FORMAT_VERSION = 2
 _RECORD_SIZE = TAG_DTYPE.itemsize
 _MAX_CHANNEL = max(CH_SIGNAL, CH_IDLER, CH_TRIGGER)
 _MAX_TIME_PS = np.uint64(np.iinfo(np.int64).max)  # times are analyzed as int64
-_MAX_PULSES = 2**53                               # pulse indices exact in float64
 _TRAILER_MAGIC = b"TAGSEND2"
 _TRAILER_SIZE = len(_TRAILER_MAGIC) + 8 + 32
 
@@ -117,9 +116,9 @@ def _parse_header(line: bytes) -> dict:
 def header_grid(header: dict) -> PulseGrid | None:
     """The pulse grid a parsed header describes, or None for explicit triggers.
 
-    A grid needs an integer pulse count from 2 to 2^53, a positive finite
-    period and a last trigger round((n - 1) * P) below 2^63 ps; anything
-    else is a :class:`StreamFormatError` at byte offset 0.
+    A grid entry that is not ``{"pulses": n, "period_ps": P}`` of format 2,
+    or that :class:`~timebin.simulate.PulseGrid` refuses, is a
+    :class:`StreamFormatError` at byte offset 0.
     """
     if "grid" not in header:
         return None
@@ -127,15 +126,10 @@ def header_grid(header: dict) -> PulseGrid | None:
     if header["version"] == 1 or not isinstance(spec, dict) or spec.keys() != {"pulses", "period_ps"}:
         raise StreamFormatError(f"header grid {spec!r} is not "
                                 f"{{'pulses': n, 'period_ps': P}} of format 2", 0)
-    n, period = spec["pulses"], spec["period_ps"]
-    if type(n) is not int or not 2 <= n <= _MAX_PULSES:
-        raise StreamFormatError(f"grid pulse count {n!r} is not an integer from 2 to 2^53", 0)
-    if type(period) not in (int, float) or not 0 < period < math.inf:
-        raise StreamFormatError(f"grid period {period!r} ps is not a positive finite number", 0)
-    if period >= 2**63 or PulseGrid(n, float(period)).times(n - 1) >= 2.0**63:
-        raise StreamFormatError(f"grid of {n} pulses every {period!r} ps puts its last "
-                                f"trigger at 2^63 ps or more", 0)
-    return PulseGrid(n, float(period))
+    try:
+        return PulseGrid(spec["pulses"], spec["period_ps"])
+    except ValueError as exc:
+        raise StreamFormatError(str(exc), 0) from exc
 
 
 def _trailer(fh, size: int, records_at: int) -> bytes:
@@ -158,7 +152,8 @@ def _trailer(fh, size: int, records_at: int) -> bytes:
 
 def _records(fh, header, offset, end, chunk_records) -> Iterator[np.ndarray]:
     """Validated record chunks from ``offset`` to ``end`` (None: to EOF)."""
-    grid_file = "grid" in header
+    max_channel = CH_IDLER if "grid" in header else _MAX_CHANNEL
+    last = np.zeros(1, dtype=np.uint64)  # time of the record before the chunk
     while end is None or offset < end:
         want = chunk_records * _RECORD_SIZE
         buf = fh.read(want if end is None else min(want, end - offset))
@@ -169,20 +164,22 @@ def _records(fh, header, offset, end, chunk_records) -> Iterator[np.ndarray]:
                 "truncated record", offset + len(buf) - len(buf) % _RECORD_SIZE)
         tags = np.frombuffer(buf, dtype=TAG_DTYPE)
         channel, time_ps = tags["channel"], tags["time_ps"]
-        if grid_file:
-            bad_channel = (channel & ~np.uint8(AFTER_TRIGGER)) > CH_IDLER
-        else:
-            bad_channel = channel > _MAX_CHANNEL
-        bad = bad_channel | (time_ps > _MAX_TIME_PS)
+        bad_channel = channel > max_channel
+        bad_time = time_ps > _MAX_TIME_PS
+        unsorted = time_ps < np.concatenate([last, time_ps[:-1]])
+        bad = bad_channel | bad_time | unsorted
         if bad.any():
             k = int(np.argmax(bad))
-            if not bad_channel[k]:
-                what = f"time {time_ps[k]} ps is 2^63 ps or more"
-            elif grid_file and channel[k] & ~np.uint8(AFTER_TRIGGER) == CH_TRIGGER:
+            if bad_channel[k] and channel[k] == CH_TRIGGER:
                 what = "trigger record in a file with a pulse grid"
-            else:
+            elif bad_channel[k]:
                 what = f"unknown channel {channel[k]}"
+            elif bad_time[k]:
+                what = f"time {time_ps[k]} ps is 2^63 ps or more"
+            else:
+                what = f"time {time_ps[k]} ps is before the previous record's"
             raise StreamFormatError(what, offset + k * _RECORD_SIZE)
+        last = time_ps[-1:].copy()
         offset += len(buf)
         yield tags
 
@@ -195,11 +192,11 @@ def iter_read_tags(path, chunk_records: int = 1 << 18, raw: bool = False) -> Ite
     ``raw`` the records come as stored, as read-only arrays over the file's
     bytes: a grid file gives its detections, for an analyzer built with
     :func:`header_grid`.  A truncated record, a trigger record in a grid
-    file, an unknown channel, a time of 2^63 ps or more, or a format-2
-    trailer that is missing or whose record count or SHA-256 disagrees
-    raise :class:`StreamFormatError` with a byte offset.  The default chunk
-    bounds memory: the analyzer and the trigger rebuild keep several 8-byte
-    temporaries per record of a chunk.
+    file, an unknown channel, a time of 2^63 ps or more, a time before the
+    previous record's, or a format-2 trailer that is missing or whose
+    record count or SHA-256 disagrees raise :class:`StreamFormatError` with
+    a byte offset.  The default chunk bounds memory: the analyzer and the
+    trigger rebuild keep several 8-byte temporaries per record of a chunk.
     """
     if chunk_records < 1:
         raise ValueError(f"chunk_records must be at least 1, got {chunk_records}")

@@ -142,6 +142,11 @@ class TestGatedSingles:
         with pytest.raises(ValueError, match="hist_bin"):
             StreamAnalyzer(GateConfig(), hist_bin)
 
+    def test_hist_bin_finer_than_a_tag_picosecond_rejected(self):
+        with pytest.raises(ValueError, match="hist_bin"):
+            StreamAnalyzer(GateConfig(), 0.999e-12)
+        StreamAnalyzer(GateConfig(), 1e-12)
+
 
 class TestAnalysisResult:
     @staticmethod

@@ -159,6 +159,15 @@ class TestSimulate:
         assert manifest["rng_seed"] == 7
         assert manifest["config"]["mean_pairs_per_pulse"] == 0.05
 
+    def test_run_shorter_than_two_pulses_is_usage_error(self, tmp_path, capsys):
+        # One pulse: the file would hold a grid its own reader refuses.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=1e-8)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 2
+        err = capsys.readouterr().err
+        assert "grid pulse count 1" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_format_flag_is_a_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", duration_s=0.0001)
         with pytest.raises(SystemExit) as exc:
@@ -297,6 +306,36 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["1e-15", "1e-20"])
+    def test_sub_picosecond_hist_bin_is_usage_error(self, tmp_path, capsys, value):
+        # 1e-20 s asked numpy for a 5.92 TiB histogram.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.001, rng_seed=1)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--in", str(tags), "--out", str(out),
+                     "--hist-bin-s", value]) == 2
+        err = capsys.readouterr().err
+        assert "--hist-bin-s" in err and "Traceback" not in err
+        assert not out.exists()
+        assert main(["analyze", "--in", str(tags), "--out", str(out),
+                     "--hist-bin-s", "1e-12"]) == 0
+
+    def test_out_of_order_record_is_data_error(self, tmp_path, capsys):
+        # 0x40 in byte 5 of record 10's time moves it about 70 s on, so
+        # record 11 comes before it; the SHA-256 check is never reached.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.001, rng_seed=1)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        raw = bytearray(tags.read_bytes())
+        records_at = raw.index(b"\n") + 1
+        raw[records_at + 10 * TAG_DTYPE.itemsize + 1 + 5] = 0x40
+        tags.write_bytes(bytes(raw))
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        offset = records_at + 11 * TAG_DTYPE.itemsize
+        assert f"before the previous record's (byte offset {offset})" in capsys.readouterr().err
 
     @pytest.mark.parametrize("echo", [
         [1, 2],

@@ -136,6 +136,30 @@ class TestConfig:
         assert cfg.with_power(0.5).mu == pytest.approx(1.0)
 
 
+class TestPulseGrid:
+    @pytest.mark.parametrize("pulses, period", [
+        (1, 1000.0), (2.0, 1000.0), ("7620", 1000.0), (True, 1000.0), (2**53 + 1, 1000.0),
+        (7620, 0.0), (7620, -1000.0), (7620, np.nan), (7620, np.inf), (7620, "1000"),
+        (7620, True), (2**40, 2.0**30), (2, 2.0**63), (2, 10**400),
+    ], ids=["one-pulse", "float-count", "string-count", "bool-count", "count-past-2^53",
+            "zero-period", "negative-period", "nan-period", "inf-period", "string-period",
+            "bool-period", "last-trigger-past-2^63", "last-trigger-at-2^63",
+            "huge-int-period"])
+    def test_rejects_a_grid_outside_its_rules(self, pulses, period):
+        with pytest.raises(ValueError, match="grid"):
+            PulseGrid(pulses, period)
+
+    def test_count_and_period_are_normalized(self):
+        grid = PulseGrid(np.int64(2**53), 1000)
+        assert type(grid.pulses) is int and type(grid.period_ps) is float
+        assert grid == PulseGrid(2**53, 1000.0)
+
+    @pytest.mark.parametrize("sim", [simulate, simulate_no_pump_interferometer])
+    def test_run_shorter_than_two_pulses_rejected(self, sim):
+        with pytest.raises(ValueError, match="grid pulse count 1"):
+            sim(ExperimentConfig(duration=1e-8))
+
+
 class TestSimulate:
     def test_no_pairs_no_darks_gives_only_triggers(self):
         cfg = ExperimentConfig(duration=1e-4, mean_pairs_per_pulse=0.0, rng_seed=1)
@@ -327,13 +351,13 @@ class TestGoldenStreams:
         (TIES, simulate_no_pump_interferometer, 167656,
          "271199c9966dffc31bc899296e2e92a45939a2ace6174436cde58625043a8118"),
         (CLIP, simulate, 113668,
-         "101249716e734b04bddf079f49f9a2d7a31212e35ab1e6143c3b143bdc2acf03"),
+         "4720841c3897a6d0c36c8d5830c289b40220685f7dd691937e72185376631c64"),
         (CLIP, simulate_no_pump_interferometer, 189503,
-         "effd4bc0cedb3a81fe28bf8ee923d4a565cec82afa5ea55207ad55abf95ae1b3"),
+         "772242dce465a30acec1bbf4d805ac7002097d40115ce24f9095b683dde0678a"),
         (CARRY, simulate, 2829459,
-         "b09ececf23ec9fe37ee9f0cdd00818b83055f1019006eed6f35b6275b6d92d0c"),
+         "bded70ea5de53a2b32ffe5034707ed41170637a6e4ad46e0942669d59c0a4f08"),
         (CARRY, simulate_no_pump_interferometer, 3468076,
-         "dfde24ded33507b3770cc309ffdd5622b6f233fb6c016404e45b944bdff69895"),
+         "9c8896deb2b014770f4f2ea822ba6898277b9212741f1dea4339fa458b4f869e"),
     ], ids=["ties-time-bin", "ties-single-bin", "clip-time-bin",
             "clip-single-bin", "carry-time-bin", "carry-single-bin"])
     def test_edge_stream(self, cfg, sim, size, digest):

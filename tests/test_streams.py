@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from timebin.simulate import (AFTER_TRIGGER, CH_TRIGGER, TAG_DTYPE, ExperimentConfig,
-                              PulseGrid, iter_simulate, simulate)
+from timebin.simulate import (CH_TRIGGER, TAG_DTYPE, ExperimentConfig, PulseGrid,
+                              iter_simulate, simulate)
 from timebin.streams import (FORMAT_VERSION, StreamFormatError, header_grid,
                              iter_read_tags, read_header, read_tags,
                              write_tags)
@@ -110,6 +110,21 @@ class TestBinaryFormat:
         with pytest.raises(StreamFormatError):
             read_tags(path)
 
+    @pytest.mark.parametrize("chunk_records", [1 << 18, 9])
+    def test_out_of_order_record_rejected_with_offset(self, tmp_path, tags, chunk_records):
+        # With 9-record chunks the swapped-in record 9 opens the second chunk.
+        path = tmp_path / "swapped.tags"
+        swapped = tags.copy()
+        swapped[[8, 9]] = swapped[[9, 8]]
+        assert swapped["time_ps"][9] < swapped["time_ps"][8]
+        write_tags(path, swapped)
+        records_at = path.read_bytes().index(b"\n") + 1
+        it = iter_read_tags(path, chunk_records=chunk_records)
+        next(it)
+        with pytest.raises(StreamFormatError, match="before the previous record") as err:
+            list(it)
+        assert err.value.byte_offset == records_at + 9 * 9
+
     def test_rejects_binary_garbage_header(self, tmp_path):
         path = tmp_path / "junk.tags"
         path.write_bytes(b"\xff\xfe\x00garbage\n" + b"\x00" * 18)
@@ -134,8 +149,9 @@ class TestGridFiles:
     def test_reads_back_as_the_simulated_stream(self, grid_file):
         path, n = grid_file
         tags = simulate(self.CFG)
-        # detections that sort after the trigger they round onto
-        assert np.any(np.concatenate(list(iter_simulate(self.CFG)))["channel"] & AFTER_TRIGGER)
+        # detections that share their time with a trigger
+        is_trigger = tags["channel"] == CH_TRIGGER
+        assert np.isin(tags["time_ps"][~is_trigger], tags["time_ps"][is_trigger]).any()
         header, back = read_tags(path)
         assert n == tags.size
         assert back.tobytes() == tags.tobytes()
@@ -179,6 +195,32 @@ class TestGridFiles:
         with pytest.raises(StreamFormatError, match="trigger record") as err:
             read_tags(path)
         assert err.value.byte_offset == at
+
+    def test_channel_bit_rejected_with_offset(self, grid_file):
+        path, _ = grid_file
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"\n") + 1 + 9 * 7
+        raw[at] |= 0x80
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StreamFormatError, match="unknown channel 12[89]") as err:
+            read_tags(path)
+        assert err.value.byte_offset == at
+
+    @pytest.mark.parametrize("chunk_records", [1 << 18, 11])
+    def test_out_of_order_record_rejected_with_offset(self, grid_file, chunk_records):
+        # 0x40 in byte 5 of record 10's time moves it about 70 s on, past
+        # every later record, so record 11 is out of order.  With 11-record
+        # chunks record 11 opens the second chunk.
+        path, _ = grid_file
+        raw = bytearray(path.read_bytes())
+        records_at = raw.index(b"\n") + 1
+        raw[records_at + 9 * 10 + 1 + 5] = 0x40
+        path.write_bytes(bytes(raw))
+        it = iter_read_tags(path, chunk_records=chunk_records)
+        next(it)
+        with pytest.raises(StreamFormatError, match="before the previous record") as err:
+            list(it)
+        assert err.value.byte_offset == records_at + 9 * 11
 
     def test_writer_rejects_trigger_tags(self, tmp_path):
         path = tmp_path / "bad.tags"
