@@ -5,21 +5,11 @@ processes the resulting time-tag streams into singles/coincidence rates,
 Klyshko efficiencies, CAR, brightness and fringe visibilities, and
 reconstructs the two-qubit state by maximum-likelihood tomography with
 concurrence, fidelity and CHSH bounds.
+
+The API lives in the submodules, imported by name: ``timebin.simulate``,
+``timebin.streams``, ``timebin.analysis``, ``timebin.quantum``,
+``timebin.tomography`` and the command line in ``timebin.cli``.  The
+package itself imports none of them, so a process loads only what it uses.
 """
 
 __version__ = "0.1.0"
-
-from .quantum import (BASIS_LABELS, DensityMatrix2Q, bell_phi_plus,
-                      chsh_bounds, concurrence, fidelity_to_pure,
-                      measurement_operator, projector, pure_to_dm,
-                      time_bin_state)
-from .simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE,
-                       ExperimentConfig, JointSlotDistribution,
-                       joint_slot_distribution,
-                       simulate_no_pump_interferometer)
-from .analysis import (FringeScan, GateConfig, Quantity, RateReport,
-                       StreamAnalyzer, analyze_stream, car, fit_fringe,
-                       klyshko, max_visibility_from_car, power_series_fit)
-from .tomography import (SETTINGS, MeasurementRecord, TomographyResult,
-                         bootstrap_errors, counts_from_phase_settings,
-                         linear_inversion, mle_reconstruct)

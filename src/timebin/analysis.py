@@ -154,7 +154,10 @@ class StreamAnalyzer:
       same time opening the next chunk would claim.
     - **arithmetic** (a :class:`~timebin.simulate.PulseGrid`): the stream
       holds detections only, and ``grid.index`` gives each one's pulse; no
-      trigger is ever built.
+      trigger is ever built.  Detections at or past the end of the grid's
+      live time, ``grid.times(grid.pulses)``, belong to no pulse: they are
+      neither histogrammed nor gated but counted in ``out_of_range``, so a
+      corrupted time cannot size a histogram.
 
     Coincidences are signal-idler pairs whose gated slots belong to the
     same pulse; pairing each signal event with the idler events of the
@@ -175,9 +178,11 @@ class StreamAnalyzer:
         self.grid = grid
         self.n_triggers = 0
         self.dropped_pre_trigger = 0
+        self.out_of_range = 0
         self._first_trigger = self._last_trigger = None
         if grid is not None:
             self.n_triggers = grid.pulses
+            self._end = int(grid.times(grid.pulses))  # a Python int: it may pass 2^63
             self._first_trigger, self._last_trigger = (
                 int(t) for t in grid.times(np.array([0, grid.pulses - 1])))
         self._last_time = -1
@@ -203,9 +208,14 @@ class StreamAnalyzer:
         if self.grid is None:
             self._associate(times, tags["channel"], final=False)
         else:
-            pulse = self.grid.index(times)
-            rel = times - self.grid.times(pulse)
-            self._fold(pulse, tags["channel"], rel, open_pulse=int(pulse[-1]))
+            live = (times.size if self._last_time < self._end
+                    else int(np.searchsorted(times, self._end)))
+            self.out_of_range += times.size - live
+            if live:
+                times = times[:live]
+                pulse = self.grid.index(times)
+                rel = times - self.grid.times(pulse)
+                self._fold(pulse, tags["channel"][:live], rel, open_pulse=int(pulse[-1]))
 
     def _associate(self, times, channels, final):
         """Explicit front end: pulses of one chunk's detections from its
@@ -305,6 +315,7 @@ class StreamAnalyzer:
             n_triggers=end.n_triggers,
             duration=end.n_triggers * period * 1e-12,
             dropped_pre_trigger=end.dropped_pre_trigger,
+            out_of_range=end.out_of_range,
         )
 
 
@@ -314,7 +325,9 @@ class AnalysisResult:
 
     ``joint[s, i]`` counts same-pulse coincidences by (signal slot, idler
     slot); ``neighbor_joint`` counts pairs formed against the next pulse,
-    the accidentals diagnostic.
+    the accidentals diagnostic.  ``dropped_pre_trigger`` counts detections
+    before the first trigger, ``out_of_range`` those at or past the end of
+    a pulse grid's live time.
     """
 
     histograms: dict
@@ -326,6 +339,7 @@ class AnalysisResult:
     n_triggers: int
     duration: float
     dropped_pre_trigger: int
+    out_of_range: int
 
     def __post_init__(self):
         if self.n_triggers < 2 or not self.duration > 0:

@@ -8,24 +8,25 @@ from its JSON alone.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error,
 4 numerical non-convergence.
+
+Process start-up is most of a short command's wall time, so each command
+imports only the modules it runs: ``report`` loads no numpy, ``simulate``
+no analysis or tomography.  ``iter_simulate``, ``iter_simulate_single_bin``
+and ``fit_fringe`` stay functions of this module that import the real
+function on each call and forward to it, and the handlers call them
+through this module's globals: the benchmark's tracer
+(``perfbench/tracing.py``) wraps them here by name.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import math
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, analysis, streams, tomography
-from .analysis import FringeScan, GateConfig, car, fit_fringe, klyshko
-from .simulate import (CH_IDLER, CH_SIGNAL, DEFAULT_GATE_WIDTH,
-                       ExperimentConfig, PulseGrid, iter_simulate,
-                       iter_simulate_single_bin)
-from .streams import StreamFormatError
+from . import __version__
 
 __all__ = ["main", "load_config", "ConfigError", "DataError", "ConvergenceError"]
 
@@ -75,9 +76,36 @@ _MODES = ("single-bin", "time-bin")
 
 _CSV_HEADER = "slot_or_phase,count,error"
 
+# simulate.DEFAULT_GATE_WIDTH and streams.FORMAT_VERSION, spelled out so
+# that building the parser and writing a manifest import neither module;
+# a test pins each to its source.
+_DEFAULT_GATE_WIDTH = 0.5e-9
+_FORMAT_VERSION = 2
 
-def load_config(path) -> ExperimentConfig:
-    """Parse a key = value run config; unknown or missing keys are fatal."""
+
+def iter_simulate(config):
+    """:func:`timebin.simulate.iter_simulate`, imported when called."""
+    from . import simulate
+    return simulate.iter_simulate(config)
+
+
+def iter_simulate_single_bin(config):
+    """:func:`timebin.simulate.iter_simulate_single_bin`, imported when called."""
+    from . import simulate
+    return simulate.iter_simulate_single_bin(config)
+
+
+def fit_fringe(scan, poisson_weights=False):
+    """:func:`timebin.analysis.fit_fringe`, imported when called."""
+    from . import analysis
+    return analysis.fit_fringe(scan, poisson_weights)
+
+
+def load_config(path):
+    """Parse a key = value run config into an ``ExperimentConfig``;
+    unknown or missing keys are fatal."""
+    from .simulate import ExperimentConfig
+
     values = {}
     try:
         with open(path) as fh:
@@ -110,6 +138,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _sha256(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -120,7 +150,7 @@ def _sha256(path) -> str:
 def _write_manifest(out_path, config_echo, inputs, outputs, seed, t_start):
     manifest = {
         "software_version": __version__,
-        "format_version": streams.FORMAT_VERSION,
+        "format_version": _FORMAT_VERSION,
         "config": config_echo,
         "rng_seed": seed,
         "inputs": [str(p) for p in inputs],
@@ -152,6 +182,9 @@ def _write_outputs(out, document, sidecars, echo, inputs, seed, t_start):
 
 
 def _cmd_simulate(args) -> int:
+    from . import streams
+    from .simulate import ExperimentConfig, PulseGrid
+
     t0 = time.monotonic()
     config = load_config(args.config)
     if args.seed is not None:
@@ -180,6 +213,9 @@ def _gates_from_echo(echo, gate_width):
     is not a valid run config is a ValueError, a gate width that makes the
     run's gates overlap a ConfigError.  An echo without a ``mode``
     describes a time-bin run."""
+    from .analysis import GateConfig
+    from .simulate import ExperimentConfig
+
     if not isinstance(echo, dict):
         raise ValueError(f"header config echo is not an object: {echo!r}")
     mode = echo.get("mode", "time-bin")
@@ -197,11 +233,14 @@ def _gates_from_echo(echo, gate_width):
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis, streams
+    from .simulate import CH_IDLER, CH_SIGNAL
+
     t0 = time.monotonic()
-    if not (np.isfinite(args.gate_width_s) and args.gate_width_s > 0):
+    if not (math.isfinite(args.gate_width_s) and args.gate_width_s > 0):
         raise ConfigError(f"--gate-width-s must be a positive finite number, "
                           f"got {args.gate_width_s!r}")
-    if not (np.isfinite(args.hist_bin_s) and args.hist_bin_s >= analysis.MIN_HIST_BIN):
+    if not (math.isfinite(args.hist_bin_s) and args.hist_bin_s >= analysis.MIN_HIST_BIN):
         raise ConfigError(f"--hist-bin-s must be a finite number of at least "
                           f"{analysis.MIN_HIST_BIN:g} s, got {args.hist_bin_s!r}")
     try:
@@ -213,7 +252,7 @@ def _cmd_analyze(args) -> int:
         gates = _gates_from_echo(echo, args.gate_width_s)
         result = analysis.analyze_stream(it, gates, hist_bin=args.hist_bin_s,
                                          grid=streams.header_grid(header))
-    except StreamFormatError as exc:
+    except streams.StreamFormatError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read tag file {args.input}: {exc}") from exc
@@ -225,26 +264,27 @@ def _cmd_analyze(args) -> int:
         "format_version": streams.FORMAT_VERSION,
         "config": echo,
         "rates": rates.to_dict(),
-        "car": car(rates).to_dict() if min(rates.n_signal, rates.n_idler,
-                                           rates.n_coinc) > 0 else None,
+        "car": (analysis.car(rates).to_dict()
+                if min(rates.n_signal, rates.n_idler, rates.n_coinc) > 0 else None),
         "joint_slot_counts": result.joint.tolist(),
         "neighbor_joint_counts": result.neighbor_joint.tolist(),
         "gated_slot_counts": {"signal": result.gated_signal.tolist(),
                               "idler": result.gated_idler.tolist()},
         "delay_counts": {str(k): v for k, v in result.delay_counts.items()},
         "dropped_pre_trigger": result.dropped_pre_trigger,
+        "out_of_range": result.out_of_range,
     }
     if rates.n_signal > 0 and rates.n_idler > 0:
-        eta_s, eta_i = klyshko(rates)
+        eta_s, eta_i = analysis.klyshko(rates)
         report["klyshko"] = {"signal": eta_s.to_dict(), "idler": eta_i.to_dict()}
     sidecars = {}
     for ch, name in ((CH_SIGNAL, "signal"), (CH_IDLER, "idler")):
         if ch in result.histograms:
             sidecars[f".singles_{name}.csv"] = (_CSV_HEADER, [
-                (i * result.hist_bin, int(c), float(np.sqrt(c)))
+                (i * result.hist_bin, int(c), math.sqrt(c))
                 for i, c in enumerate(result.histograms[ch]) if c])
     sidecars[".delays.csv"] = (_CSV_HEADER, [
-        (d, c, float(np.sqrt(c))) for d, c in sorted(result.delay_counts.items())])
+        (d, c, math.sqrt(c)) for d, c in sorted(result.delay_counts.items())])
     _write_outputs(args.out, json.dumps(report, indent=2), sidecars, echo, [args.input],
                    echo.get("rng_seed"), t0)
     print(f"analyzed {args.input}: {rates.n_coinc} coincidences in {rates.duration:.3g} s")
@@ -272,12 +312,20 @@ def _report_field(report, path, *keys):
 
 def _report_number(report, path, *keys):
     value = _report_field(report, path, *keys)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        finite = False
+    if isinstance(value, bool) or not finite:
         raise DataError(f"{path}: {'.'.join(keys)} is not a finite number: {value!r}")
     return value
 
 
 def _cmd_fringe(args) -> int:
+    import numpy as np
+
+    from .analysis import FringeScan
+
     t0 = time.monotonic()
     points = []
     for spec_arg in args.points:
@@ -286,7 +334,7 @@ def _cmd_fringe(args) -> int:
             raise ConfigError(f"fringe point {spec_arg!r} must look like PHASE_RAD:REPORT.json")
         try:
             phase = float(phase_str)
-            if not np.isfinite(phase):
+            if not math.isfinite(phase):
                 raise ValueError(f"{phase_str!r} is not a finite number")
         except ValueError as exc:
             raise ConfigError(f"bad phase in {spec_arg!r}: {exc}") from exc
@@ -314,8 +362,11 @@ def _cmd_fringe(args) -> int:
     return 0
 
 
-def _joint_counts(report, path) -> np.ndarray:
-    """The 3x3 table of non-negative integer counts of a time-bin report."""
+def _joint_counts(report, path):
+    """The 3x3 table of non-negative integer counts of a time-bin report,
+    as a float array."""
+    import numpy as np
+
     try:
         joint = np.array(_report_field(report, path, "joint_slot_counts"), dtype=float)
     except (TypeError, ValueError) as exc:
@@ -330,6 +381,8 @@ def _joint_counts(report, path) -> np.ndarray:
 
 
 def _cmd_tomo(args) -> int:
+    from . import tomography
+
     t0 = time.monotonic()
     if args.replicas < 2:
         raise ConfigError(f"--replicas must be at least 2, got {args.replicas}")
@@ -398,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="histogram and rate analysis of a tag stream")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gate-width-s", type=float, default=DEFAULT_GATE_WIDTH)
+    p.add_argument("--gate-width-s", type=float, default=_DEFAULT_GATE_WIDTH)
     p.add_argument("--hist-bin-s", type=float, default=10e-12)
     p.set_defaults(func=_cmd_analyze)
 

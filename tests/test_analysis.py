@@ -137,6 +137,22 @@ class TestGatedSingles:
         assert res.gated_idler.tolist() == [0]
         assert res.joint.sum() == 0 and res.neighbor_joint.sum() == 0
 
+    def test_detection_past_the_grid_is_counted_out_of_range(self):
+        # The grid's live time ends at round(100 P) ps.  A time there or
+        # later, such as a corrupted one near 2^62 ps, belongs to no pulse
+        # and must not size a histogram.
+        grid = PulseGrid(100, 13123.36)
+        end = int(grid.times(grid.pulses))
+        tags = tag_array([CH_SIGNAL, CH_IDLER, CH_SIGNAL, CH_IDLER],
+                         [2000, end - 1, end, 2**62])
+        analyzer = StreamAnalyzer(GateConfig.time_bin(ExperimentConfig()), 10e-12, grid)
+        analyzer.feed(tags[:3])
+        analyzer.feed(tags[3:])
+        res = analyzer.result()
+        assert res.out_of_range == 2
+        assert res.histograms[CH_SIGNAL].sum() == res.histograms[CH_IDLER].sum() == 1
+        assert max(h.size for h in res.histograms.values()) <= np.ceil(grid.period_ps / 10)
+
     @pytest.mark.parametrize("hist_bin", [0.0, -10e-12, np.nan, np.inf])
     def test_bad_hist_bin_rejected(self, hist_bin):
         with pytest.raises(ValueError, match="hist_bin"):
@@ -156,7 +172,7 @@ class TestAnalysisResult:
                               gated_idler=empty, joint=np.zeros((1, 1), dtype=np.int64),
                               neighbor_joint=np.zeros((1, 1), dtype=np.int64),
                               n_triggers=n_triggers, duration=duration,
-                              dropped_pre_trigger=0)
+                              dropped_pre_trigger=0, out_of_range=0)
 
     def test_two_triggers_over_a_positive_duration_accepted(self):
         assert self.build(2, 26e-9).rate_report().trigger_rate == pytest.approx(2 / 26e-9)

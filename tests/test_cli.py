@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import timebin
-from timebin.cli import main
-from timebin.simulate import CH_SIGNAL, CH_IDLER, CH_TRIGGER, TAG_DTYPE, ExperimentConfig
+from timebin import cli, streams
+from timebin.cli import build_parser, main
+from timebin.simulate import (CH_SIGNAL, CH_IDLER, CH_TRIGGER, DEFAULT_GATE_WIDTH, TAG_DTYPE,
+                              ExperimentConfig)
 from timebin.streams import read_tags, write_tags
 
 
@@ -185,6 +187,7 @@ class TestAnalyze:
         assert data["car"]["value"] > 1
         assert set(data["delay_counts"]) == {"-2", "-1", "0", "1", "2"}
         assert data["klyshko"]["signal"]["value"] > 0
+        assert data["dropped_pre_trigger"] == data["out_of_range"] == 0
 
     def test_sidecar_csv_files(self, tmp_path):
         report = run_pipeline(tmp_path, "run")
@@ -337,6 +340,22 @@ class TestAnalyze:
         offset = records_at + 11 * TAG_DTYPE.itemsize
         assert f"before the previous record's (byte offset {offset})" in capsys.readouterr().err
 
+    def test_corrupted_last_time_is_trailer_mismatch(self, tmp_path, capsys):
+        # 0x40 in byte 6 of the last record's time moves it about 5 h on and
+        # keeps the records in order.  The analyzer used to size a histogram
+        # by it ("Unable to allocate 12.8 PiB"); it is now out of the grid's
+        # range, so the read reaches the SHA-256 check.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.001, rng_seed=1)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        raw = bytearray(tags.read_bytes())
+        raw[len(raw) - TRAILER_SIZE - TAG_DTYPE.itemsize + 1 + 6] = 0x40
+        tags.write_bytes(bytes(raw))
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "do not match the trailer's SHA-256" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("echo", [
         [1, 2],
         {**VALID_ECHO, "bogus_field": 1.0},
@@ -448,6 +467,7 @@ class TestFringe:
         {"rates": {"counts": {"central": 5}, "duration_s": float("inf")}},
         {"rates": {"counts": {"central": 5}, "duration_s": float("nan")}},
         {"rates": {"counts": {"central": float("nan")}, "duration_s": 1.0}},
+        {"rates": {"counts": {"central": 10**400}, "duration_s": 1.0}},
     ])
     def test_unusable_report_is_data_error(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
@@ -588,14 +608,24 @@ class TestReport:
         assert code == 3
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # The program runs on numpy alone: importing the CLI and running the
-    # fringe fit (both weightings) and the power-series fit loads no scipy.
+def modules_loaded_by(code, *argv):
+    """Names in ``sys.modules`` after a fresh interpreter, with this
+    checkout's ``src`` first on its path, runs ``code``, which must exit
+    0, with ``argv`` as its arguments."""
     src = str(Path(timebin.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = textwrap.dedent("""
-        import sys
+    code += "\nimport sys\nprint(*sorted(sys.modules))\n"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # The program runs on numpy alone: importing the CLI and running the
+    # fringe fit (both weightings) and the power-series fit loads no scipy.
+    loaded = modules_loaded_by(textwrap.dedent("""
         import numpy as np
         import timebin.cli
         from timebin.analysis import FringeScan, RateReport, fit_fringe, power_series_fit
@@ -605,9 +635,30 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         fit_fringe(scan, poisson_weights=True)
         power_series_fit([(p, RateReport(5000 * p, 4000 * p, 100 * p, 10**8, 1.0))
                           for p in (1, 2, 3)])
-        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-        sys.exit(f"{len(loaded)} scipy modules loaded: {loaded[:5]}" if loaded else None)
-        """)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+        """))
+    scipy = sorted(m for m in loaded if m.split(".")[0] == "scipy")
+    assert not scipy, f"{len(scipy)} scipy modules loaded: {scipy[:5]}"
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    # Start-up is most of a short command's wall time.
+    assert "numpy" not in modules_loaded_by("import timebin")
+    cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+    tags, report = str(tmp_path / "run.tags"), str(tmp_path / "run.json")
+    run_main = "import sys, timebin.cli\nassert timebin.cli.main(sys.argv[1:]) == 0"
+    for argv, absent in [
+        (["simulate", "--config", str(cfg), "--out", tags],
+         {"timebin.analysis", "timebin.tomography"}),
+        (["analyze", "--in", tags, "--out", report], {"timebin.tomography", "timebin.quantum"}),
+        (["report", report, "--out", str(tmp_path / "summary.json")], {"numpy"}),
+    ]:
+        loaded = modules_loaded_by(run_main, *argv)
+        assert not loaded & absent, (argv[0], loaded & absent)
+
+
+def test_parser_and_manifest_constants_match_their_sources():
+    # cli spells these two values out so that it need not import the
+    # modules that define them.
+    args = build_parser().parse_args(["analyze", "--in", "t", "--out", "r"])
+    assert args.gate_width_s == DEFAULT_GATE_WIDTH
+    assert cli._FORMAT_VERSION == streams.FORMAT_VERSION

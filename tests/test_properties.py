@@ -1,12 +1,13 @@
 """Invariant checks over randomized inputs."""
 
+import dataclasses
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timebin.analysis import (GateConfig, RateReport, StreamAnalyzer,
@@ -188,21 +189,34 @@ def chunked(tags, fractions):
     return np.split(tags, sorted(int(f * tags.size) for f in fractions))
 
 
+# Jitter puts one detection of this run's last pulse past the grid's end.
+SPILL_PAST_END = ExperimentConfig(rep_rate=80e6, duration=3e-4, mean_pairs_per_pulse=0.5,
+                                  jitter_sigma=2e-9, detection_delay=2e-9, rng_seed=45)
+
+
 @settings(max_examples=30, deadline=None)
 @given(grid_runs(), st.lists(st.floats(0.0, 1.0), max_size=12),
        st.lists(st.floats(0.0, 1.0), max_size=12))
+@example((SPILL_PAST_END, True), [], [])
 def test_grid_path_matches_explicit_trigger_oracle(run, grid_cuts, explicit_cuts):
     # The explicit path looks each detection's trigger up among trigger
-    # tags; the grid path computes it.  Every field must agree.
+    # tags; the grid path computes it.  Every field must agree, once the
+    # detections at or past the grid's end, which the grid path counts as
+    # out of range and the explicit path gives the last pulse, are taken
+    # out of the explicit stream.
     cfg, time_bin = run
     detections, tags, gates = simulated(cfg, time_bin)
-    on_grid = StreamAnalyzer(gates, grid=PulseGrid.of(cfg))
+    grid = PulseGrid.of(cfg)
+    on_grid = StreamAnalyzer(gates, grid=grid)
     for part in chunked(np.concatenate(detections), grid_cuts):
         on_grid.feed(part)
+    live = tags[tags["time_ps"] < grid.times(grid.pulses)]
     explicit = StreamAnalyzer(gates)
-    for part in chunked(tags, explicit_cuts):
+    for part in chunked(live, explicit_cuts):
         explicit.feed(part)
-    assert_same_result(on_grid.result(), explicit.result())
+    result = on_grid.result()
+    assert result.out_of_range == tags.size - live.size
+    assert_same_result(dataclasses.replace(result, out_of_range=0), explicit.result())
 
 
 @settings(max_examples=30, deadline=None)
