@@ -43,6 +43,16 @@ __all__ = [
 # Tags are whole picoseconds, so a finer histogram bin resolves nothing.
 MIN_HIST_BIN = 1e-12
 
+# Detections per step of the fold.  Small steps keep its temporaries small
+# and in cache: on a fringe-scan stream, steps of 2^16 took about 1.7 times
+# as long as steps of 2^14.
+FOLD_RECORDS = 1 << 14
+
+# Gate keys: the sign bit of an int64, set on the keys of idler detections,
+# and the bits of the float inf.
+_IDLER_KEY = np.int64(-2**63)
+_INF_BITS = np.float64(np.inf).view(np.int64)
+
 
 @dataclass(frozen=True)
 class Quantity:
@@ -153,19 +163,27 @@ class StreamAnalyzer:
       detections at the chunk's final timestamp, which a trigger at that
       same time opening the next chunk would claim.
     - **arithmetic** (a :class:`~timebin.simulate.PulseGrid`): the stream
-      holds detections only, and ``grid.index`` gives each one's pulse; no
-      trigger is ever built.  Detections at or past the end of the grid's
-      live time, ``grid.times(grid.pulses)``, belong to no pulse: they are
-      neither histogrammed nor gated but counted in ``out_of_range``, so a
-      corrupted time cannot size a histogram.
+      holds detections only, and ``grid.locate`` gives each one's pulse and
+      time after its trigger; no trigger is ever built.  Detections at or
+      past the end of the grid's live time, ``grid.times(grid.pulses)``,
+      belong to no pulse: they are neither histogrammed nor gated but
+      counted in ``out_of_range``, so a corrupted time cannot size a
+      histogram.
 
-    Coincidences are signal-idler pairs whose gated slots belong to the
-    same pulse; pairing each signal event with the idler events of the
-    next pulse gives the accidentals diagnostic.  A pair is counted as soon
-    as a later detection or trigger closes its idler event's pulse, so
-    between chunks the fold holds only the gated events of the open pulses
-    (idler events of the last pulse, signal events of the last two).
-    ``hist_bin`` is at least ``MIN_HIST_BIN``, 1 ps, the resolution of a tag.
+    The fold takes at most ``FOLD_RECORDS`` detections at a time.  One
+    ``searchsorted`` of the times after the trigger into the gate edges of
+    both channels, computed once from the float gate rule (see
+    :class:`GateConfig`), gives each detection its slot.  Coincidences are
+    signal-idler pairs whose gated slots belong to the same pulse; pairing
+    each signal event with the idler events of the next pulse gives the
+    accidentals diagnostic.  Gated events arrive in pulse order, so each
+    pulse's events form a run, and one ``bincount`` gives each run's signal
+    and idler slot counts S and I: the run adds the outer product S I to
+    ``joint``, and to ``neighbor_joint`` that of the previous run's S with
+    its I when their pulses are adjacent.  A run is counted once a later
+    run starts; between chunks the fold holds only the counts of the last
+    two runs.  ``hist_bin`` is at least ``MIN_HIST_BIN``, 1 ps, the
+    resolution of a tag.
     """
 
     def __init__(self, gates: GateConfig, hist_bin: float = 10e-12,
@@ -186,42 +204,51 @@ class StreamAnalyzer:
             self._first_trigger, self._last_trigger = (
                 int(t) for t in grid.times(np.array([0, grid.pulses - 1])))
         self._last_time = -1
-        self._hist = {}          # channel -> counts array (lazy length)
-        self._offs_ps = {ch: np.sort(np.asarray(gates.offsets.get(ch, ()), dtype=float) * 1e12)
-                         for ch in (CH_SIGNAL, CH_IDLER)}
-        self._gated = {ch: np.zeros(max(offs.size, 1), dtype=np.int64)
-                       for ch, offs in self._offs_ps.items()}
-        shape = (self._gated[CH_SIGNAL].size, self._gated[CH_IDLER].size)
+        self._hist = np.zeros(0, dtype=np.int64)  # bin * 2 + channel -> count
+        offs = {ch: np.sort(np.asarray(gates.offsets.get(ch, ()), dtype=float) * 1e12)
+                for ch in (CH_SIGNAL, CH_IDLER)}
+        self._edges = _gate_edges(offs, gates.gate_width * 1e12 / 2)
+        # Slots are numbered idler first, then signal, the order of the
+        # keys; a channel without gates has one slot, which stays empty.
+        self._n_idler = max(offs[CH_IDLER].size, 1)
+        self._gated = np.zeros(self._edges.size // 2, dtype=np.int64)
+        shape = (self._gated.size - self._n_idler, self._n_idler)
         self._joint = np.zeros(shape, dtype=np.int64)
         self._neighbor = np.zeros(shape, dtype=np.int64)
+        # The last two runs, (pulse, slot counts): the closed one before the
+        # open one.  Runs of no count pair with nothing.
+        self._tail = (np.full(2, -1, dtype=np.int64),
+                      np.zeros((self._gated.size, 2), dtype=np.int64))
         empty = np.empty(0, dtype=np.int64)
-        self._open = {ch: (empty, empty) for ch in self._gated}  # (pulse, slot)
         self._held = (empty, np.empty(0, dtype=np.uint8))       # times, channels
 
     def feed(self, tags: np.ndarray) -> None:
         if tags.size == 0:
             return
         times = tags["time_ps"].astype(np.int64)
-        if np.any(np.diff(times) < 0) or times[0] < self._last_time:
+        if np.any(times[1:] < times[:-1]) or times[0] < self._last_time:
             raise ValueError("stream is not time-sorted")
         self._last_time = int(times[-1])
-        if self.grid is None:
-            self._associate(times, tags["channel"], final=False)
-        else:
+        channels = tags["channel"]
+        if self.grid is not None:
             live = (times.size if self._last_time < self._end
                     else int(np.searchsorted(times, self._end)))
             self.out_of_range += times.size - live
-            if live:
-                times = times[:live]
-                pulse = self.grid.index(times)
-                rel = times - self.grid.times(pulse)
-                self._fold(pulse, tags["channel"][:live], rel, open_pulse=int(pulse[-1]))
+            times, channels = times[:live], channels[:live]
+            if channels.size and channels.max() > CH_IDLER:
+                detection = channels <= CH_IDLER
+                times, channels = times[detection], channels[detection]
+        for lo in range(0, times.size, FOLD_RECORDS):
+            t, c = times[lo:lo + FOLD_RECORDS], channels[lo:lo + FOLD_RECORDS]
+            if self.grid is None:
+                self._associate(t, c, final=False)
+            else:
+                self._fold(*self.grid.locate(t), c)
 
     def _associate(self, times, channels, final):
         """Explicit front end: pulses of one chunk's detections from its
         trigger tags.  Unless ``final``, the detections at the chunk's last
-        timestamp are held for the next chunk and the last trigger's pulse
-        stays open."""
+        timestamp are held for the next chunk."""
         trig_times = times[channels == CH_TRIGGER]
         # The carried last trigger keeps the association of early events.
         table = (trig_times if self._last_trigger is None
@@ -237,79 +264,79 @@ class StreamAnalyzer:
         c = np.concatenate([self._held[1], channels[detection]])
         if not final:
             cut = np.searchsorted(t, times[-1], side="left")
-            t, c, self._held = t[:cut], c[:cut], (t[cut:], c[cut:])
+            t, c, self._held = t[:cut], c[:cut], (t[cut:].copy(), c[cut:].copy())
         idx = np.searchsorted(table, t, side="right") - 1
         good = idx >= 0
         self.dropped_pre_trigger += int(np.count_nonzero(~good))
         idx = idx[good]
-        self._fold(idx + base_index, c[good], t[good] - table[idx],
-                   open_pulse=None if final else self.n_triggers - 1)
+        self._fold(idx + base_index, t[good] - table[idx], c[good])
 
-    def _fold(self, pulse, channels, rel, open_pulse):
-        """Gate and pair detections given as (pulse, channel, ps after the
-        pulse's trigger).  Pulses before ``open_pulse`` are closed: no later
-        detection belongs to them.  ``None`` closes every pulse."""
+    def _fold(self, pulse, rel, channels):
+        """Histogram, gate and pair detections given in pulse order as
+        (pulse, ps after the pulse's trigger, channel 0 or 1)."""
         rel = np.asarray(rel, dtype=float)
-        for ch, offs in self._offs_ps.items():
-            on = channels == ch
-            if not np.any(on):
-                continue
-            r = rel[on]
-            self._histogram(ch, r)
-            if offs.size == 0:
-                continue
-            # Nearest gate; a detection on a midpoint goes to the earlier one.
-            slot = np.searchsorted((offs[1:] + offs[:-1]) / 2, r)
-            ok = np.abs(r - offs[slot]) <= self.gates.gate_width * 1e12 / 2
-            self._gated[ch] += np.bincount(slot[ok], minlength=offs.size)
-            open_p, open_s = self._open[ch]
-            self._open[ch] = (np.concatenate([open_p, pulse[on][ok]]),
-                              np.concatenate([open_s, slot[ok]]))
+        new = np.bincount((rel / self.hist_bin_ps).astype(np.int64) * 2 + channels)
+        if new.size > self._hist.size:
+            self._hist = np.pad(self._hist, (0, new.size - self._hist.size))
+        self._hist[:new.size] += new
 
-        # Both event lists are in pulse order, since detections come in
-        # time order.
-        sp, ss = self._open[CH_SIGNAL]
-        ip, islot = self._open[CH_IDLER]
-        close = ip.size if open_pulse is None else np.searchsorted(ip, open_pulse, side="left")
-        q, q_slot = ip[:close], islot[:close]
-        # Signal events of pulses q - 1 and q are the runs [e0, e1) and
-        # [e1, e2) of sp; a slot's running count turns a run into a count.
-        e0, e1, e2 = (np.searchsorted(sp, q + d) for d in (-1, 0, 1))
-        running = np.zeros(sp.size + 1, dtype=np.int64)
-        for s in range(self._joint.shape[0]):
-            np.cumsum(ss == s, out=running[1:])
-            for table, lo, hi in ((self._neighbor, e0, e1), (self._joint, e1, e2)):
-                pairs = np.bincount(q_slot, running[hi] - running[lo],
-                                    minlength=table.shape[1])
-                table[s] += pairs.astype(np.int64)
-        self._open[CH_IDLER] = ip[close:], islot[close:]
-        if open_pulse is not None:
-            keep = np.searchsorted(sp, open_pulse - 1, side="left")
-            self._open[CH_SIGNAL] = sp[keep:], ss[keep:]
+        # The key of _gate_edges: channel 1, the idler, sets the sign bit.
+        key = rel.view(np.int64) | np.left_shift(channels, 63, dtype=np.int64)
+        edge = np.searchsorted(self._edges, key, side="right")
+        inside = (edge & 1).astype(bool)
+        slot, pulse = edge[inside] >> 1, pulse[inside]
+        if slot.size == 0:
+            return
+        n_slots = self._gated.size
+        self._gated += np.bincount(slot, minlength=n_slots)
+        # Runs 0 and 1 are the carried ones, and a run starts where the
+        # pulse changes: the first event opens run 1 on the open run's
+        # pulse, run 2 after it.
+        tail_pulse, tail_counts = self._tail
+        run = np.diff(pulse, prepend=tail_pulse[1])
+        np.minimum(run, 1, out=run)
+        starts = np.flatnonzero(run)
+        run[0] += 1
+        np.cumsum(run, out=run)
+        n_runs = int(run[-1]) + 1
+        counts = np.bincount(slot * n_runs + run,
+                             minlength=n_slots * n_runs).reshape(n_slots, n_runs)
+        counts[:, :2] += tail_counts
+        run_pulse = np.concatenate([tail_pulse, pulse[starts]])
+        # Every run before the last is closed: no later event joins it.
+        self._pair(run_pulse[:-1], counts[:, :-1])
+        self._tail = run_pulse[-2:].copy(), counts[:, -2:].copy()
 
-    def _histogram(self, ch, rel):
-        new = np.bincount((rel / self.hist_bin_ps).astype(np.int64))
-        old = self._hist.get(ch, new[:0])
-        size = max(old.size, new.size)
-        self._hist[ch] = np.pad(old, (0, size - old.size)) + np.pad(new, (0, size - new.size))
+    def _pair(self, run_pulse, counts):
+        """Add the pairs of runs 1, 2, ... (the columns of ``counts``),
+        each with its previous run; run 0 was counted before."""
+        i, s = counts[:self._n_idler], counts[self._n_idler:]
+        self._joint += np.einsum("sr,ir->si", s[:, 1:], i[:, 1:])
+        after = np.flatnonzero(run_pulse[1:] == run_pulse[:-1] + 1)
+        self._neighbor += np.einsum("sr,ir->si", s.take(after, axis=1),
+                                    i.take(after + 1, axis=1))
 
     def result(self) -> "AnalysisResult":
-        """Counts so far, with the held detections and open pulses closed
+        """Counts so far, with the held detections and the open run closed
         on a copy: the analyzer itself is unchanged and may be fed on."""
         end = copy.deepcopy(self)
         if end.grid is None:
             end._associate(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),
                            final=True)
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            end._fold(empty, empty, empty, open_pulse=None)
+        end._pair(*end._tail)
+        histograms = {}
+        for ch in (CH_SIGNAL, CH_IDLER):
+            h = end._hist[ch::2]
+            seen = np.flatnonzero(h)
+            if seen.size:
+                histograms[ch] = h[:seen[-1] + 1].copy()
         period = (float(end._last_trigger - end._first_trigger) / (end.n_triggers - 1)
                   if end.n_triggers > 1 else 0.0)
         return AnalysisResult(
-            histograms=end._hist,
+            histograms=histograms,
             hist_bin=self.hist_bin_ps * 1e-12,
-            gated_signal=end._gated[CH_SIGNAL],
-            gated_idler=end._gated[CH_IDLER],
+            gated_signal=end._gated[self._n_idler:],
+            gated_idler=end._gated[:self._n_idler],
             joint=end._joint,
             neighbor_joint=end._neighbor,
             n_triggers=end.n_triggers,
@@ -317,6 +344,63 @@ class StreamAnalyzer:
             dropped_pre_trigger=end.dropped_pre_trigger,
             out_of_range=end.out_of_range,
         )
+
+
+def _gate_edges(offsets, half_width):
+    """Sorted int64 edges of the gate slots of both channels.
+
+    A detection ``rel`` >= 0 float ps after its trigger has as key the int64
+    of its float bits, which orders as the float does, with the sign bit
+    set on the idler channel.  It lies inside slot k, counting the idler
+    slots first, when 2 k + 1 edges are at or below its key, and outside
+    every gate when an even number are.  ``offsets`` maps each channel to
+    its sorted gate offsets in ps; a channel without gates has one slot,
+    which no key enters.
+
+    The rule is the float one: the nearest offset, the earlier one on a
+    midpoint, and |rel - offset| <= half_width.  Slot k opens at the first
+    float past the midpoint before its offset and in its gate, and closes
+    at the first past the next midpoint or the gate.
+    """
+    # The first float rel with rel - a > b (strict) or >= b: the midpoints,
+    # then the gates' starts and ends, of the idler and then the signal.
+    a, b, strict = [], [], []
+    for ch in (CH_IDLER, CH_SIGNAL):
+        offs = offsets[ch]
+        mids = (offs[1:] + offs[:-1]) / 2
+        a += [0.0] * mids.size + [*offs, *offs]
+        b += [*mids, *([-half_width] * offs.size), *([half_width] * offs.size)]
+        strict += [True] * mids.size + [False] * offs.size + [True] * offs.size
+    first = _first_float(np.array(a), np.array(b), np.array(strict, dtype=bool))
+    edges, at = [], 0
+    for ch in (CH_IDLER, CH_SIGNAL):
+        m = offsets[ch].size
+        if m:
+            past_mid, start, end = np.split(first[at:at + 3 * m - 1], [m - 1, 2 * m - 1])
+            at += 3 * m - 1
+            opens = np.maximum(np.concatenate([[0], past_mid]), start)
+            closes = np.minimum(np.concatenate([past_mid, [_INF_BITS]]), end)
+        else:
+            opens = closes = np.zeros(1, dtype=np.int64)
+        # An empty slot closes where it opens.
+        slots = np.maximum.accumulate(np.column_stack([opens, closes]).ravel())
+        edges.append(slots | (_IDLER_KEY if ch == CH_IDLER else 0))
+    return np.concatenate(edges)
+
+
+def _first_float(a, b, strict):
+    """Bits of the least float x >= 0 with x - a > b where ``strict``, else
+    x - a >= b, in float arithmetic (inf if none): a bisection over the
+    bits of the floats from 0 to inf, which order as the floats do."""
+    lo = np.zeros(a.size, dtype=np.int64)
+    hi = np.full(a.size, _INF_BITS)
+    while np.any(lo < hi):
+        mid = lo + (hi - lo) // 2
+        d = mid.view(np.float64) - a
+        past = np.where(strict, d > b, d >= b)
+        hi = np.where(past, mid, hi)
+        lo = np.where(past, lo, mid + 1)
+    return lo
 
 
 @dataclass(frozen=True)

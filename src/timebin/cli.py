@@ -340,6 +340,9 @@ def _cmd_fringe(args) -> int:
             raise ConfigError(f"bad phase in {spec_arg!r}: {exc}") from exc
         report = _load_report(path)
         counts = _report_number(report, path, "rates", "counts", "central")
+        if counts < 0:
+            raise DataError(f"{path}: rates.counts.central must be a count of at least 0, "
+                            f"got {counts!r}")
         duration = _report_number(report, path, "rates", "duration_s")
         if duration <= 0:
             raise DataError(f"{path}: rates.duration_s must be positive, got {duration!r}")

@@ -181,17 +181,44 @@ class PulseGrid:
 
     def index(self, t) -> np.ndarray:
         """Latest pulse, at most ``pulses - 1``, whose trigger is at or
-        before each int64 time ``t``; -1 before the first trigger.
+        before each int64 time ``t``; -1 before the first trigger."""
+        return self.locate(t)[0]
 
-        The estimate floor((t + 0.5)/period) is the answer or next to it,
-        as round(k * period) is within half a ps of k * period; single
-        steps, which the monotone rule allows, correct it.
+    def locate(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(``index(t)``, int64 ps from each one's trigger to ``t``).
+
+        The estimate is floor((t + 0.5)/period), clipped to the grid.  On a
+        grid that ends below 2^52 ps, float error moves a trigger by at most
+        1/4 ps off round(k * period), which is within half a ps of
+        k * period, so consecutive triggers lie more than period - 2 ps
+        apart.  The estimate is then the answer wherever its trigger is at
+        or before t and t is less than period - 2 ps after it: for a period
+        of at least 2 ps, every time but those 2 ps or so before a trigger.
+        The other times, and all of them on a larger grid, are walked to the
+        answer by single steps, which the monotone rule allows.  Times are
+        compared as integers, so the answer is exact.
         """
         t = np.asarray(t, dtype=np.int64)
-        k = np.clip(np.floor((t + 0.5) / self.period_ps), 0, self.pulses - 1).astype(np.int64)
+        k = np.clip((t + 0.5) / self.period_ps, 0, self.pulses - 1).astype(np.int64)
+        rel = t - self._ps(k)
+        near = self.period_ps - 2 if self.times(self.pulses) < 2.0**52 else -np.inf
+        unsure = np.flatnonzero((rel < 0) | (rel >= near))
+        if unsure.size:
+            k[unsure] = self._walk(t[unsure], k[unsure])
+            rel[unsure] = t[unsure] - self._ps(k[unsure])
+        return k, rel
+
+    def _ps(self, k):
+        """``times(k)`` as int64, which holds them exactly: whole numbers
+        of ps below 2^63."""
+        return self.times(k).astype(np.int64)
+
+    def _walk(self, t, k):
+        """``index`` of ``t`` by single steps from the estimates ``k``."""
+        last = self.pulses - 1
         while True:
-            step = ((k + 1 < self.pulses) & (self.times(k + 1) <= t)).astype(np.int64)
-            step -= (k >= 0) & (self.times(k) > t)
+            step = ((k < last) & (self._ps(np.minimum(k + 1, last)) <= t)).astype(np.int64)
+            step -= (k >= 0) & (self._ps(k) > t)
             if not step.any():
                 return k
             k += step

@@ -1,4 +1,5 @@
 import gc
+import time
 import tracemalloc
 
 import numpy as np
@@ -162,6 +163,115 @@ class TestGatedSingles:
         with pytest.raises(ValueError, match="hist_bin"):
             StreamAnalyzer(GateConfig(), 0.999e-12)
         StreamAnalyzer(GateConfig(), 1e-12)
+
+
+def float_rule_slot(offsets, gate_width, rel):
+    """The gate slot of a detection ``rel`` float ps after its trigger, or
+    None, by the float rule in Python floats: the nearest of the sorted
+    offsets (in ps), the earlier one on a midpoint, and inside it when
+    |rel - offset| <= gate_width/2."""
+    offs = sorted(o * 1e12 for o in offsets)
+    if not offs:
+        return None
+    slot = sum((a + b) / 2 < rel for a, b in zip(offs, offs[1:]))
+    return slot if abs(rel - offs[slot]) <= gate_width * 1e12 / 2 else None
+
+
+def probe_rels(gates, period):
+    """Whole ps 0 <= rel < period within 3 ps of each gate's ends, offset
+    and midpoint of each channel."""
+    half = gates.gate_width * 1e12 / 2
+    near = {0.0}
+    for offsets in gates.offsets.values():
+        offs = sorted(o * 1e12 for o in offsets)
+        near.update(x for o in offs for x in (o - half, o, o + half))
+        near.update((a + b) / 2 for a, b in zip(offs, offs[1:]))
+    return sorted({int(np.floor(x)) + d for x in near for d in range(-3, 4)
+                   if 0 <= int(np.floor(x)) + d < period})
+
+
+class TestGateOracle:
+    """Each detection's slot against the per-detection float rule."""
+
+    CASES = {
+        # The default gates: offsets 2000.0000000000002 ps and so on, and a
+        # half width of 250.00000000000003 ps, which leaves out 1750 ps.
+        "time-bin": (GateConfig.time_bin(ExperimentConfig()), 13123.359580052494),
+        "touching": (GateConfig(2e-9, {CH_SIGNAL: [1e-9, 3e-9],
+                                       CH_IDLER: [1.5e-9, 4.2e-9, 7.7e-9]}), 10000.0),
+        "idler-without-gates": (GateConfig(0.5e-9, {CH_SIGNAL: [2.1e-9, 4.9e-9]}), 8000.5),
+        "odd-offsets": (GateConfig(0.3e-9, {CH_SIGNAL: [1.23456789e-9, 2.0000000003e-9],
+                                            CH_IDLER: [-0.1e-9, 0.3e-9, 3.333e-9]}), 5000.25),
+        "0.4s-at-1Hz": (GateConfig(0.5e-9, {CH_SIGNAL: [0.4, 0.4 + 3e-9],
+                                            CH_IDLER: [0.4 + 1e-9]}), 1e12),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_detection_gets_the_float_rule_slot(self, case):
+        gates, period = self.CASES[case]
+        rels = probe_rels(gates, period)
+        probes = [(ch, r) for r in rels for ch in (CH_SIGNAL, CH_IDLER)]
+        grid = PulseGrid(len(probes) + 1, period)
+        # One detection per pulse; a coarse bin keeps the histogram short.
+        analyzer = StreamAnalyzer(gates, hist_bin=1e-3, grid=grid)
+        seen = {CH_SIGNAL: 0, CH_IDLER: 0}
+        for p, (ch, r) in enumerate(probes):
+            analyzer.feed(tag_array([ch], [round(p * period) + r]))
+            res = analyzer.result()
+            counts = res.gated_signal if ch == CH_SIGNAL else res.gated_idler
+            new = counts - seen[ch]
+            seen[ch] = counts
+            got = int(np.flatnonzero(new)[0]) if new.any() else None
+            assert got == float_rule_slot(gates.offsets.get(ch, []), gates.gate_width,
+                                          float(r)), (ch, r)
+        if case == "time-bin":
+            assert float_rule_slot([2e-9], 0.5e-9, 1750.0) is None
+            assert float_rule_slot([2e-9], 0.5e-9, 2250.0) == 0
+
+    def test_gate_structure_grows_with_the_gates_not_their_times(self):
+        # Gates 0.4 s after the trigger: a lookup table over the time after
+        # the trigger would need 4e11 entries.
+        gates, _ = self.CASES["0.4s-at-1Hz"]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            StreamAnalyzer(gates, hist_bin=1e-3, grid=PulseGrid(3, 1e12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_pile_up_in_one_pulse_takes_linear_work(self):
+        # 2^18 gated detections in one pulse make 2^34 pairs; they must be
+        # counted from slot counts, and an open pulse carried across 256
+        # chunks must cost about what a spread-out stream does.
+        gates = GateConfig.time_bin(ExperimentConfig())
+        n = 1 << 18
+        rng = np.random.default_rng(3)
+        rel = np.sort(rng.choice([2000, 5000, 8000], n) + rng.integers(-240, 241, n))
+        channels = rng.integers(0, 2, n).astype(np.uint8)
+        period = 13123.359580052494
+
+        def fed(times, chunks):
+            analyzer = StreamAnalyzer(gates, grid=PulseGrid(n + 2, period))
+            start = time.perf_counter()
+            for part in np.array_split(tag_array(channels, times), chunks):
+                analyzer.feed(part)
+            res = analyzer.result()
+            return res, time.perf_counter() - start
+
+        trigger = round(period)  # all of pulse 1
+        res, _ = fed(trigger + rel, 1)
+        slots = [[float_rule_slot(gates.offsets[ch], gates.gate_width, float(r))
+                  for r in range(1500, 8500)] for ch in (CH_SIGNAL, CH_IDLER)]
+        counts = [np.bincount([slots[ch][r - 1500] for r in rel[channels == ch]], minlength=3)
+                  for ch in (CH_SIGNAL, CH_IDLER)]
+        np.testing.assert_array_equal(res.joint, np.outer(*counts))
+        assert res.neighbor_joint.sum() == 0
+        spread = np.round(np.arange(1, n + 1) * period).astype(np.int64) + rel
+        pile_up = min(fed(trigger + rel, 256)[1] for _ in range(2))
+        spread_out = min(fed(spread, 256)[1] for _ in range(2))
+        assert pile_up < 3 * spread_out
 
 
 class TestAnalysisResult:
@@ -488,6 +598,25 @@ class TestBoundedMemory:
         # 8x the gated events (about 2800 per chunk); the histograms may
         # still lengthen by a few hundred bins
         assert retained(chunks) < retained(chunks[:1]) + 16 * 1024
+
+    def test_grid_chunk_leaves_no_copy_of_itself_behind(self):
+        # One 2^18-detection chunk of a fringe scan at mu = 0.3: between
+        # chunks the fold keeps counts, not slices of the chunk's arrays.
+        cfg = ExperimentConfig(duration=0.014, mean_pairs_per_pulse=0.3,
+                               interference_visibility=0.95, rng_seed=11)
+        chunk = next(iter_simulate(cfg))[:1 << 18]
+        assert chunk.size == 1 << 18
+        gc.collect()
+        tracemalloc.start()
+        try:
+            analyzer = StreamAnalyzer(GateConfig.time_bin(cfg), grid=PulseGrid.of(cfg))
+            analyzer.feed(chunk)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        histograms = sum(h.nbytes for h in analyzer.result().histograms.values())
+        assert retained < 64 * 1024 + histograms
 
 
 class TestMaxVisibility:

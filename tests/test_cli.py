@@ -468,6 +468,7 @@ class TestFringe:
         {"rates": {"counts": {"central": 5}, "duration_s": float("nan")}},
         {"rates": {"counts": {"central": float("nan")}, "duration_s": 1.0}},
         {"rates": {"counts": {"central": 10**400}, "duration_s": 1.0}},
+        {"rates": {"counts": {"central": -5}, "duration_s": 1.0}},
     ])
     def test_unusable_report_is_data_error(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"

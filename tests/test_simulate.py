@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import inspect
 
@@ -153,6 +154,35 @@ class TestPulseGrid:
         grid = PulseGrid(np.int64(2**53), 1000)
         assert type(grid.pulses) is int and type(grid.period_ps) is float
         assert grid == PulseGrid(2**53, 1000.0)
+
+    @pytest.mark.parametrize("pulses, period", [
+        (7620, 13123.359580052494),          # 76.2 MHz
+        (2**53, 1000.3),                     # the most pulses a grid may have
+        (2**20, 1.0), (2**20, 1.0 + 2**-40), (2**20, 1.0 - 2**-40), (2**20, 0.999),
+        (1000, (2**63 - 2**12) / 999),       # last trigger just below 2^63 ps
+        (2, 2.0**63 - 2**11),
+        *((int(n), float(p)) for n, p in zip(
+            np.random.default_rng(7).integers(2, 10**6, 6),
+            np.random.default_rng(8).uniform(1.0, 1e7, 6))),
+    ], ids=["76.2MHz", "2^53-pulses", "1ps", "above-1ps", "below-1ps", "0.999ps",
+            "near-2^63", "two-near-2^63", *(f"random-{k}" for k in range(6))])
+    def test_index_matches_bisect_over_trigger_times(self, pulses, period):
+        # Trigger k is at round(k * period) ps, in Python floats (round half
+        # to even, as numpy rounds); the latest one at or before t is found
+        # by bisection over those times.
+        grid = PulseGrid(pulses, period)
+
+        def trigger(k):
+            return round(k * grid.period_ps)
+
+        ks = sorted({*range(min(3, pulses)), *range(max(pulses - 3, 0), pulses),
+                     *np.random.default_rng(pulses).integers(0, pulses, 40).tolist()})
+        t = sorted({trigger(k) + d for k in ks for d in (-1, 0, 1)} | {-1, 2**63 - 1})
+        expect = [bisect.bisect_right(range(pulses), ti, key=trigger) - 1 for ti in t]
+        np.testing.assert_array_equal(grid.index(np.array(t, dtype=np.int64)), expect)
+        pulse, rel = grid.locate(np.array(t, dtype=np.int64))
+        np.testing.assert_array_equal(pulse, expect)
+        np.testing.assert_array_equal(rel, [ti - trigger(k) for ti, k in zip(t, expect)])
 
     @pytest.mark.parametrize("sim", [simulate, simulate_no_pump_interferometer])
     def test_run_shorter_than_two_pulses_rejected(self, sim):
