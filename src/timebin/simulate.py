@@ -18,7 +18,10 @@ only the detections, and :func:`with_triggers` rebuilds the full stream
 when a caller needs the triggers as tags.  Generation is organized in
 fixed-size pulse blocks, each with its own RNG substream derived from
 (seed, block index), so the output is deterministic and independent of
-how it is chunked or parallelized.
+how it is chunked or parallelized.  A stream depends on the bit streams of
+``Generator.poisson``, ``integers``, ``random`` and ``normal`` alone: the
+pair outcomes are the indices ``Generator.choice`` would draw, found from
+the same uniforms without calling it (:func:`_draw_outcomes`).
 
 Detections are ordered by (float time, channel) and then rounded to whole
 picoseconds.  A detection goes ahead of a trigger at an equal time.  A
@@ -61,6 +64,8 @@ TAG_DTYPE = np.dtype([("channel", "<u1"), ("time_ps", "<u8")])
 # Pulses per generation block; fixed so that RNG substreams (and hence the
 # output stream) do not depend on consumer chunking.
 BLOCK_PULSES = 1 << 20
+# Most pairs plus darks one block may expect; mu = 2, 1e8 darks/s expect 4.9e6.
+MAX_BLOCK_DRAWS = 1 << 24
 
 DEFAULT_GATE_WIDTH = 0.5e-9
 
@@ -136,6 +141,16 @@ class ExperimentConfig:
         # coincidence peaks of neighboring pulses cannot overlap.
         if self.detection_delay + 2 * self.bin_delay + DEFAULT_GATE_WIDTH >= self.pulse_period:
             raise ValueError("2*bin_delay + gate width does not fit in the pulse period")
+        pulses = round(min(BLOCK_PULSES, self.duration * self.rep_rate))  # largest block
+        mu_name = ("mean_pairs_per_pulse" if self.pair_yield_per_watt is None
+                   else "pair_yield_per_watt")
+        draws = {mu_name: self.mu * pulses,
+                 "dark_rate_signal": self.dark_rate_signal * pulses / self.rep_rate,
+                 "dark_rate_idler": self.dark_rate_idler * pulses / self.rep_rate}
+        if (total := sum(draws.values())) > MAX_BLOCK_DRAWS:
+            name = max(draws, key=draws.get)
+            raise ValueError(f"{name} = {getattr(self, name)!r} expects {total:.3g} random "
+                             f"draws in a block of {pulses} pulses, more than 2^24")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -297,10 +312,36 @@ def _outcome_table(phi_p: float, phi_s: float, phi_i: float, v0: float):
             np.array(s_mon), np.array(i_mon))
 
 
-# The single-bin law: one outcome, both photons monitored in slot 0.  Its
-# probability 1 is numpy's uniform choice, ``p=None``, which draws nothing.
+# The single-bin law: one outcome, both photons monitored in slot 0.  It
+# draws nothing for the outcome, as numpy's uniform choice of one item does.
 _SINGLE_BIN_TABLE = (None, np.zeros(1, dtype=int), np.zeros(1, dtype=int),
                      np.ones(1, dtype=bool), np.ones(1, dtype=bool))
+
+_GUIDE_BUCKETS = 1 << 12  # a power of two, so u * _GUIDE_BUCKETS is exact
+
+
+def _draw_outcomes(rng, probs, n):
+    """``rng.choice(probs.size, n, p=probs)``, the same indices from the
+    same draws; ``probs`` None, the single-bin law, draws nothing.
+
+    ``choice`` returns, for each u = ``rng.random()``, how many entries of
+    cdf = cumsum(probs) / its last entry are at most u.  Bucket b of the
+    guide table holds that count at u = b / buckets, and a u in the bucket
+    steps up from it while cdf[idx] <= u (Chen & Asau 1974; Devroye 1986,
+    III.2.4): past zero-probability rows, never past the last entry, 1.
+    """
+    if probs is None:
+        return np.zeros(n, dtype=np.intp)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    guide = cdf.searchsorted(np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS, side="right")
+    u = rng.random(n)
+    idx = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
+    walk = np.flatnonzero(cdf[idx] <= u)
+    while walk.size:
+        idx[walk] += 1
+        walk = walk[cdf[idx[walk]] <= u[walk]]
+    return idx
 
 
 def _dark_tags(rng, rate, t0_ps, t1_ps):
@@ -323,26 +364,31 @@ def _emit_block(config, grid, block, law):
     Pair counts use the superposition property of the Poisson process:
     one total Poisson draw for the block, pulse indices assigned
     uniformly, which is distributionally identical to a per-pulse draw.
+    The block's generator draws the pair count (``poisson``), each pair's
+    pulse (``integers``) and outcome (``random``, none when single-bin),
+    each photon's detection (``random``) and each detected one's jitter
+    (``normal``), in that order, and no other ``Generator`` method.
     """
     first = block * BLOCK_PULSES
     count = min(BLOCK_PULSES, grid.pulses - first)
     rng = np.random.default_rng([config.rng_seed, block])
 
     n_pairs = rng.poisson(config.mu * count)
-    pulse_of_pair = np.sort(rng.integers(0, count, n_pairs))
-    base = grid.times(first + pulse_of_pair) + config.detection_delay * 1e12
-
-    jitter_ps = config.jitter_sigma * 1e12
-    bin_ps = config.bin_delay * 1e12
+    # indices are below 2^20, so int32 holds them and sorts faster
+    pulse_of_pair = np.sort(rng.integers(0, count, n_pairs).astype(np.int32))
 
     probs, s_slot, i_slot, s_mon, i_mon = law
-    outcome = rng.choice(s_slot.size, size=n_pairs, p=probs)
-    det_s = s_mon[outcome] & (rng.random(n_pairs) < config.eta_signal)
-    det_i = i_mon[outcome] & (rng.random(n_pairs) < config.eta_idler)
-    t_s = base[det_s] + s_slot[outcome][det_s] * bin_ps
-    t_i = base[det_i] + i_slot[outcome][det_i] * bin_ps
-    t_s = t_s + rng.normal(0.0, jitter_ps, t_s.size)
-    t_i = t_i + rng.normal(0.0, jitter_ps, t_i.size)
+    outcome = _draw_outcomes(rng, probs, n_pairs)
+    det_s = rng.random(n_pairs) < config.eta_signal
+    det_i = rng.random(n_pairs) < config.eta_idler
+    arms = []
+    for det, slot, monitored in ((det_s, s_slot, s_mon), (det_i, i_slot, i_mon)):
+        pick = np.flatnonzero(det & monitored[outcome])
+        t = grid.times(np.int64(first) + pulse_of_pair.take(pick))
+        t += config.detection_delay * 1e12
+        t += (slot * (config.bin_delay * 1e12)).take(outcome.take(pick))
+        t += rng.normal(0.0, config.jitter_sigma * 1e12, t.size)
+        arms.append(t)
 
     t0 = grid.times(first)
     t1 = grid.times(first + count - 1) + grid.period_ps
@@ -350,11 +396,11 @@ def _emit_block(config, grid, block, law):
     d_s = _dark_tags(dark_rng, config.dark_rate_signal, t0, t1)
     d_i = _dark_tags(dark_rng, config.dark_rate_idler, t0, t1)
 
-    times = np.clip(np.concatenate([t_s, d_s, t_i, d_i]), 0.0, None)
-    channels = np.concatenate([
-        np.full(t_s.size + d_s.size, CH_SIGNAL, dtype=np.uint8),
-        np.full(t_i.size + d_i.size, CH_IDLER, dtype=np.uint8),
-    ])
+    t_s, t_i = arms
+    times = np.concatenate([t_s, d_s, t_i, d_i])
+    np.maximum(times, 0.0, out=times)
+    channels = np.full(times.size, CH_IDLER, dtype=np.uint8)
+    channels[:t_s.size + d_s.size] = CH_SIGNAL
     return times, channels, t1
 
 

@@ -170,6 +170,18 @@ class TestSimulate:
         assert "grid pulse count 1" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("key, value", [("mean_pairs_per_pulse", "1e9"),
+                                            ("dark_rate_signal_hz", "1e15")])
+    def test_absurd_rate_is_usage_error(self, tmp_path, capsys, key, value):
+        # Unchecked, these ask numpy for 554 TiB and 7.28 TiB of draws.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.001, **{key: value})
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key.removesuffix('_hz')} = {float(value)!r}" in err
+        assert "more than 2^24" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_format_flag_is_a_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", duration_s=0.0001)
         with pytest.raises(SystemExit) as exc:

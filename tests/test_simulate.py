@@ -8,9 +8,9 @@ import pytest
 import timebin
 
 from timebin.analysis import GateConfig, analyze_stream, car
-from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER,
-                              ExperimentConfig, PulseGrid, _outcome_table,
-                              iter_simulate, iter_simulate_single_bin,
+from timebin.simulate import (BLOCK_PULSES, CH_IDLER, CH_SIGNAL, CH_TRIGGER,
+                              ExperimentConfig, PulseGrid, _draw_outcomes,
+                              _outcome_table, iter_simulate, iter_simulate_single_bin,
                               joint_slot_distribution, simulate,
                               simulate_no_pump_interferometer, with_triggers)
 
@@ -92,6 +92,83 @@ class TestJointSlotDistribution:
             assert probs[(i_slot == s) & i_mon].sum() == pytest.approx(marginal[s])
 
 
+def choice_cdf(probs):
+    """The cdf that ``Generator.choice(p=probs)`` searches."""
+    cdf = np.asarray(probs, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+class StubGenerator:
+    """Hands out given uniforms as ``random`` draws."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.uniforms.size
+        return self.uniforms.copy()
+
+
+def random_tables():
+    rng = np.random.default_rng(7)
+    tables = [rng.random(n) for n in (1, 2, 3, 28, 200)]
+    tables += [rng.random(28) ** 8, rng.random(28) * 1e-9]  # skewed, tiny
+    for zeros in ([0], [27], [0, 1, 2], [5, 6, 20], [1, 3, 5, 7, 26, 27]):
+        p = rng.random(28)
+        p[zeros] = 0.0
+        tables.append(p)
+    return [p / p.sum() for p in tables]
+
+
+class TestOutcomeDraw:
+    """``_draw_outcomes`` against ``Generator.choice``, its oracle."""
+
+    @staticmethod
+    def assert_matches_choice(probs, n, seed):
+        mine, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_outcomes(mine, probs, n)
+        want = numpy_rng.choice(probs.size, size=n, p=probs)
+        np.testing.assert_array_equal(got, want)
+        # the same number of draws was taken
+        assert mine.random() == numpy_rng.random()
+
+    @pytest.mark.parametrize("v0", [0.0, 0.5, 0.95, 1.0])
+    def test_outcome_tables_match_choice(self, v0):
+        for k, delta in enumerate(np.linspace(0.0, 2 * np.pi, 13)):
+            probs = _outcome_table(0.0, delta, 0.0, v0)[0]
+            self.assert_matches_choice(probs, 20000, seed=k)
+
+    def test_zero_probability_outcomes_never_drawn(self):
+        for delta in (0.0, np.pi):
+            probs = _outcome_table(0.0, delta, 0.0, 1.0)[0]
+            assert (probs == 0).sum() == 2
+            got = _draw_outcomes(np.random.default_rng(3), probs, 100000)
+            assert np.all(probs[got] > 0)
+
+    def test_single_bin_law_draws_nothing(self):
+        mine, numpy_rng = np.random.default_rng(5), np.random.default_rng(5)
+        np.testing.assert_array_equal(_draw_outcomes(mine, None, 7), numpy_rng.choice(1, 7))
+        assert mine.random() == numpy_rng.random()
+
+    @pytest.mark.parametrize("probs", random_tables(), ids=lambda p: f"{p.size}-rows")
+    def test_random_tables_match_choice(self, probs):
+        self.assert_matches_choice(probs, 5000, seed=probs.size)
+        self.assert_matches_choice(probs, 0, seed=1)
+
+    @pytest.mark.parametrize("probs", random_tables() + [
+        _outcome_table(0.0, d, 0.0, v0)[0] for d in (0.0, 1.0, np.pi) for v0 in (0.5, 1.0)
+    ], ids=lambda p: f"{p.size}-rows")
+    def test_uniforms_at_every_cdf_entry_and_its_neighbours(self, probs):
+        cdf = choice_cdf(probs)
+        edges = np.concatenate([cdf, np.arange(4097) / 4096])
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            [0.0, np.nextafter(1.0, 0.0)]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = _draw_outcomes(StubGenerator(u), probs, u.size)
+        np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
 class TestConfig:
     def test_defaults_valid(self):
         ExperimentConfig()
@@ -118,6 +195,25 @@ class TestConfig:
     def test_rejects_value_that_is_not_a_finite_number(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a finite number"):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("mean_pairs_per_pulse", 1e9), ("dark_rate_signal", 1e15), ("dark_rate_idler", 1e15),
+        ("mean_pairs_per_pulse", 16.5), ("dark_rate_idler", 1.3e9),
+    ])
+    def test_rejects_rates_past_the_block_draw_bound(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} = .* more than 2\\^24"):
+            ExperimentConfig(**{field: value, "duration": 1.0})
+
+    def test_rejects_yield_past_the_block_draw_bound(self):
+        with pytest.raises(ValueError, match="pair_yield_per_watt = 1000000000.0 "):
+            ExperimentConfig(pair_yield_per_watt=1e9, pump_power=1.0)
+
+    def test_largest_rates_in_use_stay_valid(self):
+        # mu = 2 with 1e8 darks/s per arm, the largest rates of the tests,
+        # demos and benchmark workloads, over full blocks and a short run
+        for duration in (1e-3, 1.0, 1e6):
+            ExperimentConfig(duration=duration, mean_pairs_per_pulse=2.0,
+                             dark_rate_signal=1e8, dark_rate_idler=1e8)
 
     def test_accepts_any_integer_seed(self):
         assert ExperimentConfig(rng_seed=10**40).rng_seed == 10**40
@@ -401,6 +497,40 @@ class TestGoldenStreams:
         if cfg is self.CLIP:
             # early jitter of a pulse-0 photon clipped to time 0
             assert (detections == 0).any()
+        assert hashlib.sha256(tags.tobytes()).hexdigest() == digest
+
+    # Detection streams (no trigger tags) of outcome laws with empty rows.
+    # V0 = 1 at delta = 0 gives the like-port central outcomes probability 0.
+    V0_ONE = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.05,
+                              interference_visibility=1.0, eta_signal=0.7,
+                              dark_rate_signal=2e4, dark_rate_idler=3e4,
+                              rng_seed=115)
+    NO_IDLER = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.05, phi_s=1.1,
+                                interference_visibility=0.9, eta_idler=0.0,
+                                dark_rate_signal=2e4, dark_rate_idler=3e4,
+                                rng_seed=116)
+    # Exactly one full generation block of 2^20 pulses.
+    FULL_BLOCK = ExperimentConfig(duration=BLOCK_PULSES / 76.2e6, mean_pairs_per_pulse=0.3,
+                                  phi_s=0.3, interference_visibility=0.95,
+                                  dark_rate_signal=1e3, dark_rate_idler=1e3,
+                                  rng_seed=117)
+
+    @pytest.mark.parametrize("cfg, sim, size, digest", [
+        (V0_ONE, iter_simulate, 6683,
+         "7c5303c4b8255212dc324c5c3945fa66d7a0cd5a47c6d17787df3efe22289e02"),
+        (NO_IDLER, iter_simulate, 3767,
+         "f2223ebdbab0c690fc53c5cb0b41ea319616fd8322b08ec60d0fa050e1a22b99"),
+        (FULL_BLOCK, iter_simulate, 314609,
+         "71b38668cae34865deeee7b8a82a1340a61730aa96579b723828dc7d72acb937"),
+        (FULL_BLOCK, iter_simulate_single_bin, 630670,
+         "5b0271ce555eebb6c948e8c7dfeebd4f6f04401f1510a9d4c71289db3bb3abc9"),
+    ], ids=["v0-one-time-bin", "no-idler-time-bin", "full-block-time-bin",
+            "full-block-single-bin"])
+    def test_detection_stream(self, cfg, sim, size, digest):
+        if cfg is self.FULL_BLOCK:
+            assert PulseGrid.of(cfg).pulses == BLOCK_PULSES
+        tags = np.concatenate(list(sim(cfg)))
+        assert tags.size == size
         assert hashlib.sha256(tags.tobytes()).hexdigest() == digest
 
 
