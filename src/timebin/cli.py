@@ -7,7 +7,10 @@ echo, RNG seeds and content checksums, so each figure is reproducible
 from its JSON alone.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error,
-4 numerical non-convergence.
+4 numerical non-convergence; an error's message goes to standard error.
+``python -m timebin.cli`` freezes the garbage collector once ``main``
+returns, then calls ``sys.exit``: the final collection would only free
+the numpy import's objects, which the OS reclaims anyway.
 
 Process start-up is most of a short command's wall time, so each command
 imports only the modules it runs: ``report`` loads no numpy, ``simulate``
@@ -21,8 +24,10 @@ through this module's globals: the benchmark's tracer
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import re
 import sys
 import time
 
@@ -69,6 +74,8 @@ _CONFIG_KEYS = {
     "jitter_sigma_s": ("jitter_sigma", float),
     "detection_delay_s": ("detection_delay", float),
 }
+
+_FIELD_KEYS = {field: key for key, (field, _) in _CONFIG_KEYS.items()}
 
 _REQUIRED_KEYS = ("rep_rate_hz", "duration_s", "mean_pairs_per_pulse")
 
@@ -133,55 +140,49 @@ def load_config(path):
             raise ConfigError(f"{path}: missing required config field '{key}'")
     try:
         return ExperimentConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _sha256(path) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
+    except ValueError as exc:  # its message names fields; name the keys instead
+        message = re.sub(r"\w+", lambda m: _FIELD_KEYS.get(m[0], m[0]), str(exc))
+        raise ConfigError(f"{path}: {message}") from exc
 
 
 def _write_manifest(out_path, config_echo, inputs, outputs, seed, t_start):
+    """``outputs`` maps each output path to the SHA-256 it was written with."""
     manifest = {
         "software_version": __version__,
         "format_version": _FORMAT_VERSION,
         "config": config_echo,
         "rng_seed": seed,
         "inputs": [str(p) for p in inputs],
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "outputs": outputs,
         "wall_clock_s": time.monotonic() - t_start,
     }
-    path = str(out_path) + ".manifest.json"
-    with open(path, "w") as fh:
+    with open(str(out_path) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
-    return path
 
 
 def _write_outputs(out, document, sidecars, echo, inputs, seed, t_start):
     """Write a command's JSON ``document`` text to ``out``, its CSV sidecars
     and the manifest.  ``sidecars`` maps a suffix, appended to ``out``
     less its ``.json``, to a (header, rows) pair."""
-    with open(out, "w") as fh:
-        fh.write(document)
+    import hashlib
+
     base = out[:-5] if out.endswith(".json") else out
-    outputs = [out]
+    texts = {out: document}
     for suffix, (header, rows) in sidecars.items():
-        path = base + suffix
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
-        outputs.append(path)
+        texts[base + suffix] = "".join(f"{line}\n" for line in
+                                       [header, *(",".join(map(str, row)) for row in rows)])
+    outputs = {}
+    for path, text in texts.items():
+        data = text.encode()
+        with open(path, "wb") as fh:
+            fh.write(data)
+        outputs[path] = hashlib.sha256(data).hexdigest()
     _write_manifest(out, echo, inputs, outputs, seed, t_start)
 
 
 def _cmd_simulate(args) -> int:
+    import hashlib
+
     from . import streams
     from .simulate import ExperimentConfig, PulseGrid
 
@@ -202,8 +203,10 @@ def _cmd_simulate(args) -> int:
         grid = PulseGrid.of(config)
     except ValueError as exc:  # e.g. a run shorter than two pulse periods
         raise ConfigError(f"{args.config}: {exc}") from exc
-    n = streams.write_tags(args.out, chunks, config_echo=echo, grid=grid)
-    _write_manifest(args.out, echo, [args.config], [args.out], config.rng_seed, t0)
+    digest = hashlib.sha256()
+    n = streams.write_tags(args.out, chunks, config_echo=echo, grid=grid, file_digest=digest)
+    _write_manifest(args.out, echo, [args.config], {args.out: digest.hexdigest()},
+                    config.rng_seed, t0)
     print(f"wrote {n} tags to {args.out}")
     return 0
 
@@ -489,4 +492,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -318,11 +318,13 @@ _SINGLE_BIN_TABLE = (None, np.zeros(1, dtype=int), np.zeros(1, dtype=int),
                      np.ones(1, dtype=bool), np.ones(1, dtype=bool))
 
 _GUIDE_BUCKETS = 1 << 12  # a power of two, so u * _GUIDE_BUCKETS is exact
+_OUTCOME_SLICE = 1 << 14  # uniforms mapped at a time, so temporaries stay small
 
 
 def _draw_outcomes(rng, probs, n):
     """``rng.choice(probs.size, n, p=probs)``, the same indices from the
-    same draws; ``probs`` None, the single-bin law, draws nothing.
+    same draws in the smallest unsigned type; ``probs`` None, the
+    single-bin law, draws nothing.
 
     ``choice`` returns, for each u = ``rng.random()``, how many entries of
     cdf = cumsum(probs) / its last entry are at most u.  Bucket b of the
@@ -331,17 +333,21 @@ def _draw_outcomes(rng, probs, n):
     III.2.4): past zero-probability rows, never past the last entry, 1.
     """
     if probs is None:
-        return np.zeros(n, dtype=np.intp)
+        return np.zeros(n, dtype=np.uint8)
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     guide = cdf.searchsorted(np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS, side="right")
     u = rng.random(n)
-    idx = guide[(u * _GUIDE_BUCKETS).astype(np.intp)]
-    walk = np.flatnonzero(cdf[idx] <= u)
-    while walk.size:
-        idx[walk] += 1
-        walk = walk[cdf[idx[walk]] <= u[walk]]
-    return idx
+    out = np.empty(n, dtype=np.min_scalar_type(probs.size - 1))
+    for lo in range(0, n, _OUTCOME_SLICE):
+        us = u[lo:lo + _OUTCOME_SLICE]
+        idx = guide[(us * _GUIDE_BUCKETS).astype(np.intp)]
+        walk = np.flatnonzero(cdf[idx] <= us)
+        while walk.size:
+            idx[walk] += 1
+            walk = walk[cdf[idx[walk]] <= us[walk]]
+        out[lo:lo + us.size] = idx
+    return out
 
 
 def _dark_tags(rng, rate, t0_ps, t1_ps):
@@ -389,6 +395,7 @@ def _emit_block(config, grid, block, law):
         t += (slot * (config.bin_delay * 1e12)).take(outcome.take(pick))
         t += rng.normal(0.0, config.jitter_sigma * 1e12, t.size)
         arms.append(t)
+    del pulse_of_pair, outcome, det_s, det_i, pick  # before the arms are joined
 
     t0 = grid.times(first)
     t1 = grid.times(first + count - 1) + grid.period_ps
@@ -408,6 +415,8 @@ def _iter_tags(config: ExperimentConfig, law) -> Iterator[np.ndarray]:
     """Detection tags of a run, one time-sorted chunk per pulse block.
 
     The chunks hold no trigger tags: the triggers are ``PulseGrid.of(config)``.
+    At most one block of floats beyond the one being drawn is held: block
+    b + 1 is drawn before block b is sorted, and each array goes once used.
     """
     grid = PulseGrid.of(config)
     n_blocks = -(-grid.pulses // BLOCK_PULSES)
@@ -416,26 +425,26 @@ def _iter_tags(config: ExperimentConfig, law) -> Iterator[np.ndarray]:
     upcoming = _emit_block(config, grid, 0, law)
     for block in range(n_blocks):
         times, channels, t_end = upcoming
+        # Jittered events may spill past the block's last pulse, and the
+        # next block's first pulses may place photons before its start.
+        # Hold back every detection from the earlier of the two on, so
+        # emitted chunks stay globally time-sorted.
+        upcoming = _emit_block(config, grid, block + 1, law) if block + 1 < n_blocks else None
+        cut_t = np.inf if upcoming is None else min(t_end, upcoming[0].min(initial=t_end))
         # Carried detections come first, so the stable sort keeps them
         # ahead of equal (time, channel) newcomers.
         times = np.concatenate([carry_t, times])
         channels = np.concatenate([carry_c, channels])
         order = np.lexsort((channels, times))
         times, channels = times[order], channels[order]
-        # Jittered events may spill past the block's last pulse, and the
-        # next block's first pulses may place photons before its start.
-        # Hold back every detection from the earlier of the two on, so
-        # emitted chunks stay globally time-sorted.
-        cut_t = np.inf
-        if block < n_blocks - 1:
-            upcoming = _emit_block(config, grid, block + 1, law)
-            cut_t = min(t_end, upcoming[0].min(initial=t_end))
+        del order
         cut = np.searchsorted(times, cut_t, side="left")
-        carry_t, carry_c = times[cut:], channels[cut:]
+        carry_t, carry_c = times[cut:].copy(), channels[cut:].copy()
         tags = np.empty(cut, dtype=TAG_DTYPE)
-        tags["time_ps"] = np.round(times[:cut])
+        tags["time_ps"] = np.round(times[:cut], out=times[:cut])
         tags["channel"] = channels[:cut]
         yield tags
+        del tags  # before the next draw, as the consumer has let go of it
 
 
 def iter_simulate(config: ExperimentConfig) -> Iterator[np.ndarray]:

@@ -60,11 +60,12 @@ class StreamFormatError(ValueError):
 
 
 def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray, config_echo: dict | None = None,
-               grid: PulseGrid | None = None) -> int:
+               grid: PulseGrid | None = None, file_digest=None) -> int:
     """Write tag chunks to ``path`` in format 2; returns the number of tags.
 
     With ``grid`` the chunks are detections only and the count includes the
-    grid's implied triggers.
+    grid's implied triggers.  ``file_digest``, a ``hashlib`` object, is fed
+    every byte written.  Each chunk is let go before the next is pulled.
     """
     if isinstance(chunks, np.ndarray):
         chunks = [chunks]
@@ -77,15 +78,21 @@ def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray, config_echo: dic
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(json.dumps(header).encode() + b"\n")
+            def emit(data):
+                fh.write(data)
+                if file_digest is not None:
+                    file_digest.update(data)
+
+            emit(json.dumps(header).encode() + b"\n")
             for chunk in chunks:
                 rec = np.ascontiguousarray(chunk, dtype=TAG_DTYPE)
                 if grid is not None and np.any(rec["channel"] == CH_TRIGGER):
                     raise ValueError("trigger tag in a stream written with a pulse grid")
-                fh.write(rec.data)
+                emit(rec.data)
                 digest.update(rec.data)
                 n += rec.size
-            fh.write(_TRAILER_MAGIC + n.to_bytes(8, "little") + digest.digest())
+                del chunk, rec
+            emit(_TRAILER_MAGIC + n.to_bytes(8, "little") + digest.digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -128,6 +130,19 @@ class TestConfig:
                      "--out", str(tmp_path / "x.tags")])
         assert code == 2
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("duration_s", "-1", "duration_s must be non-negative"),
+        ("dark_rate_idler_hz", "-5", "dark_rate_idler_hz must be non-negative"),
+        ("phi_s_rad", "inf", "phi_s_rad must be a finite number"),
+        ("bin_delay_s", "6e-9", "2*bin_delay_s + gate width does not fit"),
+    ])
+    def test_config_error_names_the_key_written(self, tmp_path, capsys, key, value, message):
+        cfg = write_config(tmp_path / "bad.cfg", **{key: value})
+        code = main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.tags")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("# a run\nrep_rate_hz = 76.2e6  # pump\n\n"
@@ -178,9 +193,20 @@ class TestSimulate:
         tags = tmp_path / "run.tags"
         assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 2
         err = capsys.readouterr().err
-        assert f"{key.removesuffix('_hz')} = {float(value)!r}" in err
+        assert f"{key} = {float(value)!r}" in err
         assert "more than 2^24" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_chunks_failing_mid_stream_leave_no_file(self, tmp_path, monkeypatch):
+        def failing(config):
+            yield np.zeros(3, dtype=TAG_DTYPE)
+            raise RuntimeError("draw failed")
+
+        monkeypatch.setattr(cli, "iter_simulate", failing)
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run.tags")])
+        assert list(tmp_path.iterdir()) == [cfg]  # no .tmp, tag file or manifest
 
     def test_format_flag_is_a_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", duration_s=0.0001)
@@ -633,6 +659,43 @@ def modules_loaded_by(code, *argv):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def run_module(*argv):
+    """``python -m timebin.cli`` with ``argv``, this checkout's ``src``
+    first on its path, its output read through pipes."""
+    src = str(Path(timebin.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "timebin.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_module_run_exit_codes_and_messages(tmp_path):
+    cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+    tags = tmp_path / "run.tags"
+    done = run_module("simulate", "--config", str(cfg), "--out", str(tags))
+    assert done.returncode == 0 and done.stderr == ""
+    assert re.fullmatch(rf"wrote \d+ tags to {re.escape(str(tags))}\n", done.stdout)
+
+    bad_cfg = write_config(tmp_path / "bad.cfg", duration_s=-1)
+    usage = run_module("simulate", "--config", str(bad_cfg), "--out", str(tmp_path / "x.tags"))
+    assert usage.returncode == 2 and "duration_s must be non-negative" in usage.stderr
+
+    data = bytearray(tags.read_bytes())
+    data[-1] ^= 0xFF  # the last byte of the trailer's SHA-256
+    tags.write_bytes(bytes(data))
+    corrupt = run_module("analyze", "--in", str(tags), "--out", str(tmp_path / "r.json"))
+    assert corrupt.returncode == 3 and "SHA-256" in corrupt.stderr
+    for proc in (usage, corrupt):
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(tmp_path):
+    cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run.tags")]) == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
