@@ -8,9 +8,9 @@ from its JSON alone.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error,
 4 numerical non-convergence; an error's message goes to standard error.
-``python -m timebin.cli`` freezes the garbage collector once ``main``
-returns, then calls ``sys.exit``: the final collection would only free
-the numpy import's objects, which the OS reclaims anyway.
+The ``timebin`` script and ``python -m timebin.cli`` exit through ``run``,
+which freezes the garbage collector before ``sys.exit``: the final
+collection would only free objects that the OS reclaims anyway.
 
 Process start-up is most of a short command's wall time, so each command
 imports only the modules it runs: ``report`` loads no numpy, ``simulate``
@@ -33,7 +33,7 @@ import time
 
 from . import __version__
 
-__all__ = ["main", "load_config", "ConfigError", "DataError", "ConvergenceError"]
+__all__ = ["main", "run", "load_config", "ConfigError", "DataError", "ConvergenceError"]
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -491,7 +491,11 @@ def main(argv=None) -> int:
         return _EXIT_CODES[type(exc)]
 
 
-if __name__ == "__main__":
+def run():
     code = main()
     gc.freeze()
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    run()

@@ -661,14 +661,18 @@ def modules_loaded_by(code, *argv):
     return set(proc.stdout.splitlines()[-1].split())
 
 
-def run_module(*argv):
-    """``python -m timebin.cli`` with ``argv``, this checkout's ``src``
-    first on its path, its output read through pipes."""
+def run_python(*args):
+    """``python`` with ``args``, this checkout's ``src`` first on its path,
+    its output read through pipes."""
     src = str(Path(timebin.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "timebin.cli", *argv], env=env,
-                          capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_module(*argv):
+    """``python -m timebin.cli`` with ``argv``."""
+    return run_python("-m", "timebin.cli", *argv)
 
 
 def test_module_run_exit_codes_and_messages(tmp_path):
@@ -690,6 +694,25 @@ def test_module_run_exit_codes_and_messages(tmp_path):
     for proc in (usage, corrupt):
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+def test_console_script_exits_through_run(tmp_path):
+    # The ``timebin`` script and ``python -m timebin.cli`` share one exit
+    # path, which freezes the collector before the interpreter's last one.
+    import tomllib
+
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, func = pyproject["project"]["scripts"]["timebin"].split(":")
+    assert (module, func) == ("timebin.cli", "run")
+    cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+    # The generated script's body, with the collector reported at exit.
+    script = ("import atexit, gc, sys\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+              f"from {module} import {func}\nsys.exit({func}())\n")
+    done = run_python("-c", script, "simulate", "--config", str(cfg),
+                      "--out", str(tmp_path / "run.tags"))
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.endswith(" tags to " + str(tmp_path / "run.tags") + "\nfrozen True\n")
 
 
 def test_main_in_process_leaves_the_collector_unfrozen(tmp_path):

@@ -10,7 +10,7 @@ with relative paths:
 
 The SHA-256 of every output (tag files, JSON documents, CSV sidecars)
 must equal its pin in ``golden_outputs.json``.  A manifest is pinned
-without its ``wall_clock_s``.  Every stream spans two pulse blocks, so
+as written, key order and layout included, less its ``wall_clock_s``.  Every stream spans two pulse blocks, so
 the carry between blocks is pinned too.
 
 A change that means to move bytes rewrites the pins with
@@ -99,9 +99,12 @@ def output_digests(directory: Path) -> dict:
             continue
         data = path.read_bytes()
         if path.name.endswith(".manifest.json"):
+            # Re-dumped as the CLI dumps it, in the order it was written, so
+            # the pin covers every byte but the wall-clock value.
             manifest = json.loads(data)
+            assert json.dumps(manifest, indent=2).encode() == data, path.name
             del manifest["wall_clock_s"]
-            data = json.dumps(manifest, indent=2, sort_keys=True).encode()
+            data = json.dumps(manifest, indent=2).encode()
         digests[path.name] = hashlib.sha256(data).hexdigest()
     return digests
 
