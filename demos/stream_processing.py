@@ -5,8 +5,8 @@ line that carries the pump's trigger grid, the detection records only,
 and a trailer with the record count and SHA-256.  The file is then
 processed back in bounded chunks, each detection assigned to its pulse
 by arithmetic.  The analysis is an exact fold: chunked processing of the
-detections gives byte-identical results to a single pass over the full
-stream with every trigger materialized as a tag.
+file gives byte-identical results to a single pass over the simulated
+detections in memory.
 
 Run with:  python demos/stream_processing.py
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from timebin.analysis import GateConfig, StreamAnalyzer, analyze_stream
-from timebin.simulate import TAG_DTYPE, ExperimentConfig, PulseGrid, iter_simulate, simulate
+from timebin.simulate import TAG_DTYPE, ExperimentConfig, PulseGrid, iter_simulate
 from timebin.streams import header_grid, iter_read_tags, read_header, write_tags
 
 cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.02,
@@ -48,8 +48,8 @@ with tempfile.TemporaryDirectory() as tmp:
     result = analyzer.result()
     print(f"\nprocessed {n_chunks} chunks of detections")
 
-    # identical to the whole-array pass over explicit trigger tags
-    whole = analyze_stream(simulate(cfg), gates)
+    # identical to the pass over the simulated detections in memory
+    whole = analyze_stream(iter_simulate(cfg), gates, grid=PulseGrid.of(cfg))
     assert np.array_equal(result.joint, whole.joint)
     assert result.duration == whole.duration
     print("chunked fold matches the single pass exactly")

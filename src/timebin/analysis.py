@@ -1,9 +1,10 @@
 """Single-pass analysis of time-tag streams.
 
-Turns a sorted stream of trigger/signal/idler tags into the standard
-figures of merit: relative-to-trigger histograms, gated singles and
-coincidence rates, CAR, Klyshko efficiencies, brightness and log-log
-power fits, and sinusoidal fringe visibilities.
+Turns the time-sorted signal and idler detections of a run on its pump
+pulse grid into the standard figures of merit: relative-to-trigger
+histograms, gated singles and coincidence rates, CAR, Klyshko
+efficiencies, brightness and log-log power fits, and sinusoidal fringe
+visibilities.
 
 The engine is a fold over the stream (:class:`StreamAnalyzer`): feed it
 chunks in time order, then call :meth:`~StreamAnalyzer.result`.  Counts
@@ -18,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, DEFAULT_GATE_WIDTH,
-                       ExperimentConfig, PulseGrid)
+from .simulate import CH_IDLER, CH_SIGNAL, DEFAULT_GATE_WIDTH, ExperimentConfig, PulseGrid
 
 __all__ = [
     "GateConfig",
@@ -151,24 +151,16 @@ class RateReport:
 
 
 class StreamAnalyzer:
-    """Fold over a time-sorted tag stream.
+    """Fold over the time-sorted detections of a run on its pulse grid.
 
     Each detection belongs to the pulse of the latest trigger at or before
-    its time.  Two front ends find that pulse and feed one fold over
-    (pulse index, channel, time after the trigger):
-
-    - **explicit** (no ``grid``): trigger tags in the stream, looked up by
-      ``searchsorted``; events before the first trigger are dropped and
-      counted in ``dropped_pre_trigger``.  Between chunks it holds the
-      detections at the chunk's final timestamp, which a trigger at that
-      same time opening the next chunk would claim.
-    - **arithmetic** (a :class:`~timebin.simulate.PulseGrid`): the stream
-      holds detections only, and ``grid.locate`` gives each one's pulse and
-      time after its trigger; no trigger is ever built.  Detections at or
-      past the end of the grid's live time, ``grid.times(grid.pulses)``,
-      belong to no pulse: they are neither histogrammed nor gated but
-      counted in ``out_of_range``, so a corrupted time cannot size a
-      histogram.
+    its time.  The triggers are the :class:`~timebin.simulate.PulseGrid`
+    ``grid``, never tags: ``grid.locate`` gives each detection's pulse and
+    time after its trigger, and those feed the fold.  A tag on any channel
+    but the signal's and the idler's is a ``ValueError``.  Detections at or
+    past the end of the grid's live time, ``grid.times(grid.pulses)``,
+    belong to no pulse: they are neither histogrammed nor gated but counted
+    in ``out_of_range``, so a corrupted time cannot size a histogram.
 
     The fold takes at most ``FOLD_RECORDS`` detections at a time.  One
     ``searchsorted`` of the times after the trigger into the gate edges of
@@ -186,23 +178,15 @@ class StreamAnalyzer:
     resolution of a tag.
     """
 
-    def __init__(self, gates: GateConfig, hist_bin: float = 10e-12,
-                 grid: PulseGrid | None = None):
+    def __init__(self, gates: GateConfig, hist_bin: float = 10e-12, *, grid: PulseGrid):
         if not (np.isfinite(hist_bin) and hist_bin >= MIN_HIST_BIN):
             raise ValueError(f"hist_bin must be a finite number of at least {MIN_HIST_BIN:g} s, "
                              f"got {hist_bin!r}")
         self.gates = gates
         self.hist_bin_ps = hist_bin * 1e12
         self.grid = grid
-        self.n_triggers = 0
-        self.dropped_pre_trigger = 0
         self.out_of_range = 0
-        self._first_trigger = self._last_trigger = None
-        if grid is not None:
-            self.n_triggers = grid.pulses
-            self._end = int(grid.times(grid.pulses))  # a Python int: it may pass 2^63
-            self._first_trigger, self._last_trigger = (
-                int(t) for t in grid.times(np.array([0, grid.pulses - 1])))
+        self._end = int(grid.times(grid.pulses))  # a Python int: it may pass 2^63
         self._last_time = -1
         self._hist = np.zeros(0, dtype=np.int64)  # bin * 2 + channel -> count
         offs = {ch: np.sort(np.asarray(gates.offsets.get(ch, ()), dtype=float) * 1e12)
@@ -219,57 +203,26 @@ class StreamAnalyzer:
         # open one.  Runs of no count pair with nothing.
         self._tail = (np.full(2, -1, dtype=np.int64),
                       np.zeros((self._gated.size, 2), dtype=np.int64))
-        empty = np.empty(0, dtype=np.int64)
-        self._held = (empty, np.empty(0, dtype=np.uint8))       # times, channels
 
-    def feed(self, tags: np.ndarray) -> None:
-        if tags.size == 0:
+    def feed(self, detections: np.ndarray) -> None:
+        if detections.size == 0:
             return
-        times = tags["time_ps"].astype(np.int64)
+        times = detections["time_ps"].astype(np.int64)
         if np.any(times[1:] < times[:-1]) or times[0] < self._last_time:
             raise ValueError("stream is not time-sorted")
+        channels = detections["channel"]
+        if channels.max() > CH_IDLER:
+            k = int(np.argmax(channels > CH_IDLER))
+            raise ValueError(f"tag {k} of the chunk is on channel {channels[k]}, not a "
+                             f"detection channel ({CH_SIGNAL} or {CH_IDLER})")
         self._last_time = int(times[-1])
-        channels = tags["channel"]
-        if self.grid is not None:
-            live = (times.size if self._last_time < self._end
-                    else int(np.searchsorted(times, self._end)))
-            self.out_of_range += times.size - live
-            times, channels = times[:live], channels[:live]
-            if channels.size and channels.max() > CH_IDLER:
-                detection = channels <= CH_IDLER
-                times, channels = times[detection], channels[detection]
-        for lo in range(0, times.size, FOLD_RECORDS):
+        live = (times.size if self._last_time < self._end
+                else int(np.searchsorted(times, self._end)))
+        self.out_of_range += times.size - live
+        times, channels = times[:live], channels[:live]
+        for lo in range(0, live, FOLD_RECORDS):
             t, c = times[lo:lo + FOLD_RECORDS], channels[lo:lo + FOLD_RECORDS]
-            if self.grid is None:
-                self._associate(t, c, final=False)
-            else:
-                self._fold(*self.grid.locate(t), c)
-
-    def _associate(self, times, channels, final):
-        """Explicit front end: pulses of one chunk's detections from its
-        trigger tags.  Unless ``final``, the detections at the chunk's last
-        timestamp are held for the next chunk."""
-        trig_times = times[channels == CH_TRIGGER]
-        # The carried last trigger keeps the association of early events.
-        table = (trig_times if self._last_trigger is None
-                 else np.concatenate([[self._last_trigger], trig_times]))
-        base_index = max(self.n_triggers - 1, 0)
-        if trig_times.size:
-            if self._first_trigger is None:
-                self._first_trigger = int(trig_times[0])
-            self._last_trigger = int(trig_times[-1])
-            self.n_triggers += int(trig_times.size)
-        detection = (channels == CH_SIGNAL) | (channels == CH_IDLER)
-        t = np.concatenate([self._held[0], times[detection]])
-        c = np.concatenate([self._held[1], channels[detection]])
-        if not final:
-            cut = np.searchsorted(t, times[-1], side="left")
-            t, c, self._held = t[:cut], c[:cut], (t[cut:].copy(), c[cut:].copy())
-        idx = np.searchsorted(table, t, side="right") - 1
-        good = idx >= 0
-        self.dropped_pre_trigger += int(np.count_nonzero(~good))
-        idx = idx[good]
-        self._fold(idx + base_index, t[good] - table[idx], c[good])
+            self._fold(*self.grid.locate(t), c)
 
     def _fold(self, pulse, rel, channels):
         """Histogram, gate and pair detections given in pulse order as
@@ -317,12 +270,9 @@ class StreamAnalyzer:
                                     i.take(after + 1, axis=1))
 
     def result(self) -> "AnalysisResult":
-        """Counts so far, with the held detections and the open run closed
-        on a copy: the analyzer itself is unchanged and may be fed on."""
+        """Counts so far, with the open run closed on a copy: the analyzer
+        itself is unchanged and may be fed on."""
         end = copy.deepcopy(self)
-        if end.grid is None:
-            end._associate(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8),
-                           final=True)
         end._pair(*end._tail)
         histograms = {}
         for ch in (CH_SIGNAL, CH_IDLER):
@@ -330,8 +280,9 @@ class StreamAnalyzer:
             seen = np.flatnonzero(h)
             if seen.size:
                 histograms[ch] = h[:seen[-1] + 1].copy()
-        period = (float(end._last_trigger - end._first_trigger) / (end.n_triggers - 1)
-                  if end.n_triggers > 1 else 0.0)
+        n = self.grid.pulses
+        first, last = (int(t) for t in self.grid.times(np.array([0, n - 1])))
+        period = float(last - first) / (n - 1)
         return AnalysisResult(
             histograms=histograms,
             hist_bin=self.hist_bin_ps * 1e-12,
@@ -339,9 +290,8 @@ class StreamAnalyzer:
             gated_idler=end._gated[:self._n_idler],
             joint=end._joint,
             neighbor_joint=end._neighbor,
-            n_triggers=end.n_triggers,
-            duration=end.n_triggers * period * 1e-12,
-            dropped_pre_trigger=end.dropped_pre_trigger,
+            n_triggers=n,
+            duration=n * period * 1e-12,
             out_of_range=end.out_of_range,
         )
 
@@ -409,9 +359,11 @@ class AnalysisResult:
 
     ``joint[s, i]`` counts same-pulse coincidences by (signal slot, idler
     slot); ``neighbor_joint`` counts pairs formed against the next pulse,
-    the accidentals diagnostic.  ``dropped_pre_trigger`` counts detections
-    before the first trigger, ``out_of_range`` those at or past the end of
-    a pulse grid's live time.
+    the accidentals diagnostic.  ``out_of_range`` counts the detections at
+    or past the end of the pulse grid's live time.  ``dropped_pre_trigger``
+    is always 0: a grid's first trigger is at time 0, before every
+    detection.  It stays because the ``analyze`` report and the benchmark's
+    tracer read it, and dropping it would change their output.
     """
 
     histograms: dict
@@ -422,8 +374,8 @@ class AnalysisResult:
     neighbor_joint: np.ndarray
     n_triggers: int
     duration: float
-    dropped_pre_trigger: int
     out_of_range: int
+    dropped_pre_trigger: int = 0
 
     def __post_init__(self):
         if self.n_triggers < 2 or not self.duration > 0:
@@ -455,11 +407,11 @@ class AnalysisResult:
         )
 
 
-def analyze_stream(chunks, gates: GateConfig, hist_bin: float = 10e-12,
-                   grid: PulseGrid | None = None) -> AnalysisResult:
-    """Run the full analysis over an array or an iterable of tag chunks:
-    explicit trigger tags, or detections on ``grid``."""
-    analyzer = StreamAnalyzer(gates, hist_bin, grid)
+def analyze_stream(chunks, gates: GateConfig, hist_bin: float = 10e-12, *,
+                   grid: PulseGrid) -> AnalysisResult:
+    """Run the full analysis over an array or an iterable of detection
+    chunks on ``grid``."""
+    analyzer = StreamAnalyzer(gates, hist_bin, grid=grid)
     if isinstance(chunks, np.ndarray):
         chunks = [chunks]
     for chunk in chunks:

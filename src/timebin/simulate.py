@@ -1,9 +1,10 @@
 """Monte-Carlo forward model of the pulsed photon-pair experiment.
 
-Generates time-tag streams for either the plain pair-characterization
-setup (one time bin, no analysis interferometers) or the full time-bin
-configuration: pump interferometer, pair creation, one analysis
-interferometer per arm, detection losses, timing jitter and dark counts.
+Generates the detections of a run, either of the plain
+pair-characterization setup (one time bin, no analysis interferometers)
+or of the full time-bin configuration: pump interferometer, pair
+creation, one analysis interferometer per arm, detection losses, timing
+jitter and dark counts.
 
 Interference is handled at the level of analytic outcome probabilities
 per pair rather than amplitude tracking: each created pair is assigned a
@@ -13,9 +14,11 @@ law rate ~ 1 - V cos(phi_s + phi_i - phi_p) by construction.
 
 Tags are numpy structured arrays with fields ``channel`` (u8) and
 ``time_ps`` (u64).  The pump triggers are arithmetic, a :class:`PulseGrid`:
-pulse k's trigger sits at round(k * period) ps, so the simulator yields
-only the detections, and :func:`with_triggers` rebuilds the full stream
-when a caller needs the triggers as tags.  Generation is organized in
+pulse k's trigger sits at round(k * period) ps, so :func:`iter_simulate`
+and :func:`iter_simulate_single_bin` yield only the detections, and every
+consumer takes them with ``PulseGrid.of(config)``.  :func:`with_triggers`
+rebuilds the full stream for the one view that shows the triggers as tags,
+the default of ``streams.iter_read_tags``.  Generation is organized in
 fixed-size pulse blocks, each with its own RNG substream derived from
 (seed, block index), so the output is deterministic and independent of
 how it is chunked or parallelized.  A stream depends on the bit streams of
@@ -47,8 +50,6 @@ __all__ = [
     "PulseGrid",
     "JointSlotDistribution",
     "joint_slot_distribution",
-    "simulate",
-    "simulate_no_pump_interferometer",
     "iter_simulate",
     "iter_simulate_single_bin",
     "with_triggers",
@@ -502,30 +503,3 @@ def with_triggers(grid: PulseGrid, detections, chunk_records: int = BLOCK_PULSES
         yield out
         k += out.size
 
-
-def _collect(chunks) -> np.ndarray:
-    parts = list(chunks)
-    if not parts:
-        return np.empty(0, dtype=TAG_DTYPE)
-    return np.concatenate(parts)
-
-
-def simulate(config: ExperimentConfig) -> np.ndarray:
-    """Full time-bin run as one sorted tag array, triggers included.
-
-    Per pump pulse: one trigger tag; Poisson(mu) pairs, each sent through
-    the pump and analysis interferometers via the analytic outcome table,
-    thinned by the detection efficiencies, time-stamped with Gaussian
-    jitter; dark counts superimposed as homogeneous Poisson processes.
-    """
-    return _collect(with_triggers(PulseGrid.of(config), iter_simulate(config)))
-
-
-def simulate_no_pump_interferometer(config: ExperimentConfig) -> np.ndarray:
-    """Single-bin run: pairs occupy one slot, no analysis interferometers.
-
-    This is the configuration used for Klyshko/CAR/brightness
-    characterization; the coincidence histogram has a single peak per
-    pulse.
-    """
-    return _collect(with_triggers(PulseGrid.of(config), iter_simulate_single_bin(config)))

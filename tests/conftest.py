@@ -11,7 +11,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import scipy.linalg
 
-from timebin.simulate import CH_TRIGGER
+from timebin.simulate import PulseGrid, with_triggers
 
 ACCEPTANCE_DESCRIPTIONS = {
     1: "closed-form fidelity of the reconstructed state to the Bell target",
@@ -106,8 +106,13 @@ def assert_same_result(a, b):
             assert np.asarray(u).dtype == np.asarray(v).dtype, f.name
 
 
-def tie_cuts(tags):
-    """Indices that split a detection from a trigger at the same time."""
-    t, c = tags["time_ps"], tags["channel"]
-    return np.flatnonzero((c[1:] == CH_TRIGGER) & (c[:-1] != CH_TRIGGER)
-                          & (t[1:] == t[:-1])) + 1
+def full_stream(sim, cfg):
+    """The detections of ``sim(cfg)`` with the triggers of
+    ``PulseGrid.of(cfg)`` merged in as tags, as one array."""
+    return np.concatenate(list(with_triggers(PulseGrid.of(cfg), sim(cfg))))
+
+
+def tie_cuts(detections, grid):
+    """Indices that cut just after each detection at a trigger's time."""
+    _, rel = grid.locate(detections["time_ps"].astype(np.int64))
+    return np.flatnonzero(rel == 0) + 1

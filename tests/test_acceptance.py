@@ -17,7 +17,7 @@ from timebin.analysis import (FringeScan, GateConfig, analyze_stream, car,
 from timebin.quantum import bell_phi_plus, chsh_bounds, concurrence, \
     fidelity_to_pure, measurement_operator, pure_to_dm
 from timebin.simulate import (ExperimentConfig, PulseGrid, iter_simulate,
-                              iter_simulate_single_bin, simulate)
+                              iter_simulate_single_bin)
 from timebin.tomography import (SETTINGS, counts_from_phase_settings,
                                 expected_joint_counts, mle_reconstruct,
                                 sample_joint_counts)
@@ -203,10 +203,10 @@ def test_criterion_10_property_suites():
     # streaming chunk equivalence
     cfg = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.05,
                            dark_rate_signal=1e4, rng_seed=1001)
-    tags = simulate(cfg)
-    gates = GateConfig.time_bin(cfg)
-    whole = analyze_stream(tags, gates)
-    an = StreamAnalyzer(gates)
+    tags = np.concatenate(list(iter_simulate(cfg)))
+    gates, grid = GateConfig.time_bin(cfg), PulseGrid.of(cfg)
+    whole = analyze_stream(tags, gates, grid=grid)
+    an = StreamAnalyzer(gates, grid=grid)
     for part in np.array_split(tags, 11):
         an.feed(part)
     chunked = an.result()
@@ -214,4 +214,4 @@ def test_criterion_10_property_suites():
     np.testing.assert_array_equal(whole.gated_signal, chunked.gated_signal)
 
     # deterministic replay by seed
-    assert simulate(cfg).tobytes() == tags.tobytes()
+    assert np.concatenate(list(iter_simulate(cfg))).tobytes() == tags.tobytes()

@@ -11,7 +11,7 @@ from timebin.analysis import (AnalysisResult, FringeScan, GateConfig, RateReport
                               power_series_fit)
 from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE,
                               ExperimentConfig, PulseGrid, iter_simulate,
-                              iter_simulate_single_bin, simulate)
+                              iter_simulate_single_bin)
 
 from conftest import assert_same_result, tie_cuts
 from fringe_oracle import oracle_fit_fringe
@@ -22,6 +22,15 @@ def tag_array(channels, times_ps):
     tags["channel"] = channels
     tags["time_ps"] = times_ps
     return tags
+
+
+# Triggers at 0 and 13000 ps, for hand-built detections.
+TWO_PULSES = PulseGrid(2, 13000.0)
+
+
+def detections(cfg, sim=iter_simulate):
+    """The detections of a simulated run as one array."""
+    return np.concatenate(list(sim(cfg)))
 
 
 def reference_rates_report(duration=10.0):
@@ -53,10 +62,9 @@ class TestGateConfig:
         # 3e-9 - 1e-9 is 1.9999999999999997e-09 in floats: below the width
         # in seconds, equal to it in whole picoseconds.
         gates = GateConfig(gate_width=2e-9, offsets={CH_SIGNAL: [1e-9, 3e-9]})
-        tags = tag_array([CH_TRIGGER, CH_SIGNAL, CH_SIGNAL, CH_TRIGGER],
-                         [1000, 3000, 3001, 14000])
+        tags = tag_array([CH_SIGNAL, CH_SIGNAL], [2000, 2001])
         # rel 2000 ps is the shared edge; 2001 ps lies only in the later gate
-        assert analyze_stream(tags, gates).gated_signal.tolist() == [1, 1]
+        assert analyze_stream(tags, gates, grid=TWO_PULSES).gated_signal.tolist() == [1, 1]
 
     def test_time_bin_layout(self):
         cfg = ExperimentConfig()
@@ -69,26 +77,22 @@ class TestGatedSingles:
         # Unsorted, unequally spaced gates: slot k is the k-th gate in time.
         gates = GateConfig(gate_width=1.5e-9, offsets={CH_SIGNAL: [7e-9, 1e-9, 3e-9]})
         rel_ps = [300, 1700, 2001, 2300, 3700, 4999, 6300, 6800, 7700, 9000]
-        tags = np.zeros(len(rel_ps) + 2, dtype=TAG_DTYPE)
-        tags["channel"] = [CH_TRIGGER] + [CH_SIGNAL] * len(rel_ps) + [CH_TRIGGER]
-        tags["time_ps"] = [1000] + [1000 + r for r in rel_ps] + [14000]
-        res = analyze_stream(tags, gates)
+        res = analyze_stream(tag_array([CH_SIGNAL] * len(rel_ps), rel_ps), gates,
+                             grid=TWO_PULSES)
         assert res.gated_signal.tolist() == [2, 2, 3]
 
     def test_detection_on_a_shared_gate_edge_goes_to_the_earlier_slot(self):
         # 2.5 ns is 2500 ps exactly, so the touching gates share the edge at 1250 ps.
         gates = GateConfig(gate_width=2.5e-9, offsets={CH_SIGNAL: [0.0, 2.5e-9]})
-        tags = np.zeros(3, dtype=TAG_DTYPE)
-        tags["channel"] = [CH_TRIGGER, CH_SIGNAL, CH_TRIGGER]
-        tags["time_ps"] = [1000, 2250, 14000]
-        assert analyze_stream(tags, gates).gated_signal.tolist() == [1, 0]
+        tags = tag_array([CH_SIGNAL], [1250])
+        assert analyze_stream(tags, gates, grid=TWO_PULSES).gated_signal.tolist() == [1, 0]
 
     def test_uniform_darks_thinned_by_gate_fraction(self):
         cfg = ExperimentConfig(rep_rate=1e5, duration=0.5,
                                mean_pairs_per_pulse=0.0,
                                dark_rate_signal=5e4, rng_seed=31)
         gates = GateConfig(gate_width=2e-6, offsets={CH_SIGNAL: [5e-6]})
-        res = analyze_stream(simulate(cfg), gates, hist_bin=1e-7)
+        res = analyze_stream(iter_simulate(cfg), gates, hist_bin=1e-7, grid=PulseGrid.of(cfg))
         expected = cfg.dark_rate_signal * cfg.duration * (2e-6 / 1e-5)
         assert abs(res.gated_signal.sum() - expected) < 4 * np.sqrt(expected)
         # the histogram holds every tag, gated or not
@@ -108,31 +112,35 @@ class TestGatedSingles:
     def test_unsorted_stream_rejected(self):
         cfg = ExperimentConfig(duration=1e-4, mean_pairs_per_pulse=0.1,
                                rng_seed=33)
-        tags = simulate(cfg)[::-1].copy()
+        tags = detections(cfg)[::-1].copy()
         with pytest.raises(ValueError):
-            analyze_stream(tags, GateConfig.time_bin(cfg))
+            analyze_stream(tags, GateConfig.time_bin(cfg), grid=PulseGrid.of(cfg))
 
-    def test_no_triggers_rejected(self):
-        cfg = ExperimentConfig(duration=1e-4, mean_pairs_per_pulse=0.1,
-                               rng_seed=34)
-        tags = simulate(cfg)
-        tags = tags[tags["channel"] != 2]
-        with pytest.raises(ValueError):
-            analyze_stream(tags, GateConfig.time_bin(cfg))
-
-    @pytest.mark.parametrize("trigger_times", [[1000], [1000, 1000]],
+    @pytest.mark.parametrize("pulses, period_ps", [(1, 13000.0), (2, 0.0)],
                              ids=["one-trigger", "two-at-one-time"])
-    def test_stream_without_duration_rejected(self, trigger_times):
-        tags = tag_array([CH_TRIGGER] * len(trigger_times) + [CH_SIGNAL],
-                         trigger_times + [3000])
+    def test_stream_without_duration_rejected(self, pulses, period_ps):
         with pytest.raises(ValueError):
-            analyze_stream(tags, GateConfig.time_bin(ExperimentConfig()))
+            analyze_stream(tag_array([CH_SIGNAL], [2000]),
+                           GateConfig.time_bin(ExperimentConfig()),
+                           grid=PulseGrid(pulses, period_ps))
+
+    @pytest.mark.parametrize("channel", [CH_TRIGGER, 7])
+    def test_tag_off_the_detection_channels_rejected(self, channel):
+        # Dropping such a tag would leave a direct caller's result short;
+        # the refused chunk counts nothing.
+        analyzer = StreamAnalyzer(GateConfig.time_bin(ExperimentConfig()), grid=TWO_PULSES)
+        tags = tag_array([CH_SIGNAL, channel, CH_IDLER], [2000, 2100, 2200])
+        with pytest.raises(ValueError, match=f"tag 1 of the chunk is on channel {channel},"):
+            analyzer.feed(tags)
+        analyzer.feed(tags[[0, 2]])
+        res = analyzer.result()
+        assert res.gated_signal.tolist() == res.gated_idler.tolist() == [1, 0, 0]
+        assert res.joint[0, 0] == 1 and res.out_of_range == 0
 
     def test_channel_without_gates_is_histogrammed_only(self):
         gates = GateConfig(offsets={CH_SIGNAL: [2e-9]})
-        tags = tag_array([CH_TRIGGER, CH_SIGNAL, CH_IDLER, CH_IDLER, CH_TRIGGER],
-                         [0, 2000, 2000, 2500, 13000])
-        res = analyze_stream(tags, gates)
+        tags = tag_array([CH_SIGNAL, CH_IDLER, CH_IDLER], [2000, 2000, 2500])
+        res = analyze_stream(tags, gates, grid=TWO_PULSES)
         assert res.histograms[CH_IDLER].sum() == 2
         assert res.gated_signal.tolist() == [1]
         assert res.gated_idler.tolist() == [0]
@@ -146,7 +154,7 @@ class TestGatedSingles:
         end = int(grid.times(grid.pulses))
         tags = tag_array([CH_SIGNAL, CH_IDLER, CH_SIGNAL, CH_IDLER],
                          [2000, end - 1, end, 2**62])
-        analyzer = StreamAnalyzer(GateConfig.time_bin(ExperimentConfig()), 10e-12, grid)
+        analyzer = StreamAnalyzer(GateConfig.time_bin(ExperimentConfig()), 10e-12, grid=grid)
         analyzer.feed(tags[:3])
         analyzer.feed(tags[3:])
         res = analyzer.result()
@@ -157,12 +165,12 @@ class TestGatedSingles:
     @pytest.mark.parametrize("hist_bin", [0.0, -10e-12, np.nan, np.inf])
     def test_bad_hist_bin_rejected(self, hist_bin):
         with pytest.raises(ValueError, match="hist_bin"):
-            StreamAnalyzer(GateConfig(), hist_bin)
+            StreamAnalyzer(GateConfig(), hist_bin, grid=TWO_PULSES)
 
     def test_hist_bin_finer_than_a_tag_picosecond_rejected(self):
         with pytest.raises(ValueError, match="hist_bin"):
-            StreamAnalyzer(GateConfig(), 0.999e-12)
-        StreamAnalyzer(GateConfig(), 1e-12)
+            StreamAnalyzer(GateConfig(), 0.999e-12, grid=TWO_PULSES)
+        StreamAnalyzer(GateConfig(), 1e-12, grid=TWO_PULSES)
 
 
 def float_rule_slot(offsets, gate_width, rel):
@@ -299,7 +307,8 @@ class TestCoincidences:
     def test_five_delay_peaks(self):
         cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.05,
                                phi_s=np.pi, rng_seed=35)
-        d = analyze_stream(simulate(cfg), GateConfig.time_bin(cfg)).delay_counts
+        d = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
+                           grid=PulseGrid.of(cfg)).delay_counts
         assert set(d) == {-2, -1, 0, 1, 2}
         # fringe maximum: central peak carries 2x each single satellite
         # peak, and the outer delays are accidental-level
@@ -309,7 +318,7 @@ class TestCoincidences:
     def test_fringe_minimum_central_suppressed(self):
         cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.01,
                                phi_s=0.0, rng_seed=36)
-        res = analyze_stream(simulate(cfg), GateConfig.time_bin(cfg))
+        res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg), grid=PulseGrid.of(cfg))
         satellites = res.joint[0, 0] + res.joint[2, 2]
         assert res.joint[1, 1] < 0.05 * satellites
 
@@ -545,10 +554,10 @@ class TestStreamingEquivalence:
         cfg = ExperimentConfig(duration=5e-3, mean_pairs_per_pulse=0.05,
                                dark_rate_signal=1e4, dark_rate_idler=1e4,
                                rng_seed=42)
-        tags = simulate(cfg)
+        tags, grid = detections(cfg), PulseGrid.of(cfg)
         gates = GateConfig.time_bin(cfg)
-        whole = analyze_stream(tags, gates)
-        an = StreamAnalyzer(gates)
+        whole = analyze_stream(tags, gates, grid=grid)
+        an = StreamAnalyzer(gates, grid=grid)
         for part in np.array_split(tags, 13):
             an.feed(part)
         assert_same_result(an.result(), whole)
@@ -562,17 +571,16 @@ class TestStreamingEquivalence:
                          dark_rate_signal=1e7, dark_rate_idler=1e7, rng_seed=3),
     ], ids=["photon-ties", "dark-ties"])
     def test_split_at_every_tie(self, cfg):
-        # The simulator puts a detection ahead of a trigger at the same
-        # time; the one-pass association gives it to that trigger, and a
-        # chunk boundary between the two must not change that.
-        tags = simulate(cfg)
-        cuts = tie_cuts(tags)
+        # A detection at a trigger's time belongs to that trigger's pulse,
+        # and a chunk boundary just after it must not change that.
+        tags, grid = detections(cfg), PulseGrid.of(cfg)
+        cuts = tie_cuts(tags, grid)
         assert cuts.size > 0
         gates = GateConfig.time_bin(cfg)
-        an = StreamAnalyzer(gates)
+        an = StreamAnalyzer(gates, grid=grid)
         for part in np.split(tags, cuts):
             an.feed(part)
-        assert_same_result(an.result(), analyze_stream(tags, gates))
+        assert_same_result(an.result(), analyze_stream(tags, gates, grid=grid))
 
 
 class TestBoundedMemory:
@@ -580,14 +588,14 @@ class TestBoundedMemory:
         cfg = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.3,
                                dark_rate_signal=1e5, dark_rate_idler=1e5,
                                rng_seed=11)
-        chunks = np.array_split(simulate(cfg), 8)
+        chunks = np.array_split(detections(cfg), 8)
         gates = GateConfig.time_bin(cfg)
 
         def retained(parts):
             gc.collect()
             tracemalloc.start()
             try:
-                an = StreamAnalyzer(gates)
+                an = StreamAnalyzer(gates, grid=PulseGrid.of(cfg))
                 for part in parts:
                     an.feed(part)
                 gc.collect()

@@ -16,7 +16,7 @@ from timebin import cli, streams
 from timebin.cli import build_parser, main
 from timebin.simulate import (CH_SIGNAL, CH_IDLER, CH_TRIGGER, DEFAULT_GATE_WIDTH, TAG_DTYPE,
                               ExperimentConfig)
-from timebin.streams import read_tags, write_tags
+from timebin.streams import header_grid, iter_read_tags, write_tags
 
 
 def sha256(path):
@@ -44,14 +44,6 @@ def run_pipeline(tmp_path, name, mode="time-bin", **overrides):
                  "--mode", mode]) == 0
     assert main(["analyze", "--in", str(tags), "--out", str(report)]) == 0
     return report
-
-
-def write_stream(path, channels, times_ps, config_echo):
-    tags = np.zeros(len(channels), dtype=TAG_DTYPE)
-    tags["channel"] = channels
-    tags["time_ps"] = times_ps
-    write_tags(path, tags, config_echo=config_echo)
-    return path
 
 
 VALID_ECHO = {**ExperimentConfig().to_dict(), "mode": "time-bin"}
@@ -253,12 +245,13 @@ class TestAnalyze:
         tags = tmp_path / "run.tags"
         assert main(["simulate", "--config", str(cfg), "--out", str(tags),
                      "--mode", "single-bin"]) == 0
-        header, records = read_tags(tags)
-        records = records.copy()
+        it = iter_read_tags(tags, raw=True)
+        header = next(it)
+        records = np.concatenate(list(it))
         # A later time keeps the stream sorted, so only the value is wrong.
         k = records.size // 2 if field == "channel" else records.size - 1
         records[field][k] = value
-        write_tags(tags, records, config_echo=header["config"])
+        write_tags(tags, records, config_echo=header["config"], grid=header_grid(header))
         offset = tags.read_bytes().index(b"\n") + 1 + k * TAG_DTYPE.itemsize
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 3
@@ -401,8 +394,7 @@ class TestAnalyze:
         {**VALID_ECHO, "mode": "triple-bin"},
     ], ids=["not-a-dict", "unknown-key", "wrong-type", "unknown-mode"])
     def test_bad_config_echo_is_data_error(self, tmp_path, capsys, echo):
-        tags = write_stream(tmp_path / "run.tags", [CH_TRIGGER, CH_SIGNAL, CH_TRIGGER],
-                            [0, 2000, 13123], echo)
+        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL], [2000], echo)
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
@@ -421,22 +413,40 @@ class TestAnalyze:
 
     def test_echo_without_bin_delay_is_usage_error(self, tmp_path, capsys):
         # Three time-bin slots at one offset overlap at any gate width.
-        tags = write_stream(tmp_path / "run.tags", [CH_TRIGGER, CH_SIGNAL, CH_TRIGGER],
-                            [0, 2000, 13123], {**VALID_ECHO, "bin_delay": 0.0})
+        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL], [2000],
+                                 {**VALID_ECHO, "bin_delay": 0.0})
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "--gate-width-s" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("trigger_times", [[1000], [1000, 1000]],
+    @pytest.mark.parametrize("grid", [{"pulses": 1, "period_ps": 13123.36},
+                                      {"pulses": 2, "period_ps": 0.0}],
                              ids=["one-trigger", "two-at-one-time"])
-    def test_stream_without_duration_is_data_error(self, tmp_path, capsys, trigger_times):
-        tags = write_stream(tmp_path / "run.tags",
-                            [CH_TRIGGER] * len(trigger_times) + [CH_SIGNAL],
-                            trigger_times + [3000], VALID_ECHO)
+    def test_stream_without_duration_is_data_error(self, tmp_path, capsys, grid):
+        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL], [2000], VALID_ECHO, grid)
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert str(tags) in err and "trigger" in err
+        assert str(tags) in err and "grid" in err
+
+    @pytest.mark.parametrize("version", [1, 2], ids=["format-1", "format-2-without-grid"])
+    def test_file_without_a_pulse_grid_is_data_error(self, tmp_path, capsys, version):
+        # Trigger tags in the records: a format 1 file has no trailer, and
+        # a format 2 one written without a grid has.
+        tags = np.zeros(3, dtype=TAG_DTYPE)
+        tags["channel"] = [CH_TRIGGER, CH_SIGNAL, CH_TRIGGER]
+        tags["time_ps"] = [0, 2000, 13123]
+        records = tags.tobytes()
+        trailer = (b"TAGSEND2" + len(tags).to_bytes(8, "little")
+                   + hashlib.sha256(records).digest()) if version == 2 else b""
+        header = {"format": "timebin-tags", "version": version, "config": VALID_ECHO}
+        path = tmp_path / "run.tags"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + records + trailer)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--in", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"format {version} file has no pulse grid (byte offset 0)" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_stream_without_idler_writes_no_idler_singles(self, tmp_path):
         report = run_pipeline(tmp_path, "run", duration_s=0.0005, eta_idler=0.0)

@@ -1,31 +1,41 @@
-"""The benchmark's tracer wraps program attributes by name; a rename in the
-program must fail here, not only in ``perfbench/run.py --trace 1``."""
+"""The benchmark's tracer wraps program attributes by name, and its
+fingerprints hash the tag stream that ``iter_read_tags`` reads back; a
+rename or a change of that view must fail here, not only in
+``perfbench/run.py``."""
 
 import contextlib
+import hashlib
 import io
 import json
+import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from timebin import cli
-from timebin.simulate import joint_slot_distribution
+from timebin.simulate import (BLOCK_PULSES, ExperimentConfig, PulseGrid, iter_simulate,
+                              joint_slot_distribution, with_triggers)
+from timebin.streams import write_tags
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    """perfbench/tracing.py as a module, compiled from its text so that
-    nothing (not even a bytecode cache) is written next to it."""
-    module = types.ModuleType("perfbench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+def load_perfbench(name):
+    """perfbench/<name>.py as a module, compiled from its text so that
+    nothing (not even a bytecode cache) is written next to it.  It is in
+    ``sys.modules`` while it runs, where ``dataclass`` looks it up."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    with mock.patch.dict(sys.modules, {module.__name__: module}):
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
-tracing = load_tracing()
+tracing = load_perfbench("tracing")
 
 
 @pytest.mark.parametrize("layer, owner_path, attr, kind", tracing.PATCHES,
@@ -69,3 +79,23 @@ def test_traced_chain_sees_every_layer_it_calls(tmp_path):
         assert name in names, name
     # once for the point estimate and once for the bootstrap stack
     assert names.count("quantum.concurrence") == 2
+
+
+def test_fingerprint_hashes_the_stream_with_its_triggers(tmp_path):
+    # The pinned fingerprints are SHA-256s of the default read-back view:
+    # the detections with the grid's triggers merged in as tags.
+    cfg = ExperimentConfig(duration=1.5 * BLOCK_PULSES / 76.2e6, mean_pairs_per_pulse=0.01,
+                           dark_rate_signal=1e4, dark_rate_idler=1e4, rng_seed=4)
+    grid = PulseGrid.of(cfg)
+    assert grid.pulses > BLOCK_PULSES
+    path = tmp_path / "run.tags"
+    write_tags(path, iter_simulate(cfg), config_echo=cfg.to_dict(), grid=grid)
+    stored = int.from_bytes(path.read_bytes()[-40:-32], "little")  # the trailer's count
+    want = hashlib.sha256()
+    for chunk in with_triggers(grid, iter_simulate(cfg)):
+        want.update(chunk.tobytes())
+    digests, counts = load_perfbench("run").fingerprint([str(path)])
+    assert digests == {"run.tags": want.hexdigest()}
+    assert counts["triggers"] == grid.pulses
+    assert counts["detections"] == stored > 0
+    assert counts["tags"] == grid.pulses + stored

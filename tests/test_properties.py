@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 from timebin.analysis import (GateConfig, RateReport, StreamAnalyzer,
                               analyze_stream, car, klyshko)
 from timebin.quantum import DensityMatrix2Q, chsh_bounds, concurrence
-from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER,
-                              ExperimentConfig, PulseGrid, iter_simulate,
-                              iter_simulate_single_bin, simulate,
-                              simulate_no_pump_interferometer)
+from timebin.simulate import (ExperimentConfig, PulseGrid, iter_simulate,
+                              iter_simulate_single_bin, with_triggers)
 from timebin.streams import iter_read_tags, write_tags
 from timebin.tomography import MeasurementRecord
 
-from conftest import assert_same_result, ginibre_density_matrix, tie_cuts
+from conftest import assert_same_result, full_stream, ginibre_density_matrix, tie_cuts
+from fold_oracle import explicit_trigger_result
 
 KEYS = [(a, b) for a in ("Z0", "Z1", "X+", "Y+") for b in ("Z0", "Z1", "X+", "Y+")]
 
@@ -92,54 +91,30 @@ CHUNKING_CFG = ExperimentConfig(duration=2e-4, mean_pairs_per_pulse=0.3,
                                 jitter_sigma=0.0, detection_delay=0.0,
                                 dark_rate_signal=1e6, dark_rate_idler=1e6,
                                 rng_seed=5)
-CHUNKING_TAGS = simulate(CHUNKING_CFG)
+CHUNKING_GRID = PulseGrid.of(CHUNKING_CFG)
+CHUNKING_TAGS = np.concatenate(list(iter_simulate(CHUNKING_CFG)))
 CHUNKING_GATES = GateConfig.time_bin(CHUNKING_CFG)
-CHUNKING_WHOLE = analyze_stream(CHUNKING_TAGS, CHUNKING_GATES)
-# Cut anchors: between a detection and a trigger at its time, and at
-# detections (inside a pulse, next to other detections).
-TIE_CUTS = tie_cuts(CHUNKING_TAGS).tolist()
-DETECTION_CUTS = np.flatnonzero(CHUNKING_TAGS["channel"] != CH_TRIGGER).tolist()
-
-
-def dense_pair_oracle(tags, gates):
-    """Gated counts and pair tables from a dense (pulse, slot) count matrix.
-
-    Joint pairs of pulse p are the outer product of its signal and idler
-    slot counts, so joint = S^T I and the next-pulse table S[:-1]^T I[1:].
-    """
-    t = tags["time_ps"].astype(np.int64)
-    trig = t[tags["channel"] == CH_TRIGGER]
-    counts = []
-    for ch in (CH_SIGNAL, CH_IDLER):
-        tc = t[tags["channel"] == ch]
-        pulse = np.searchsorted(trig, tc, side="right") - 1
-        tc, pulse = tc[pulse >= 0], pulse[pulse >= 0]
-        rel = (tc - trig[pulse]).astype(float)
-        m = np.zeros((trig.size, len(gates.offsets[ch])), dtype=np.int64)
-        for k, off in enumerate(gates.offsets[ch]):
-            hit = np.abs(rel - off * 1e12) <= gates.gate_width * 1e12 / 2
-            np.add.at(m[:, k], pulse[hit], 1)
-        counts.append(m)
-    s, i = counts
-    return s.sum(axis=0), i.sum(axis=0), s.T @ i, s[:-1].T @ i[1:]
+CHUNKING_WHOLE = analyze_stream(CHUNKING_TAGS, CHUNKING_GATES, grid=CHUNKING_GRID)
+# Cut anchors: just after a detection at a trigger's time, and at the
+# start of each pulse's detections.
+TIE_CUTS = tie_cuts(CHUNKING_TAGS, CHUNKING_GRID).tolist()
+PULSE_CUTS = np.flatnonzero(np.diff(CHUNKING_GRID.index(
+    CHUNKING_TAGS["time_ps"].astype(np.int64)), prepend=-1)).tolist()
 
 
 def test_one_pass_matches_dense_pair_oracle():
-    gated_s, gated_i, joint, neighbor = dense_pair_oracle(CHUNKING_TAGS, CHUNKING_GATES)
-    assert joint.sum() > 1000
-    np.testing.assert_array_equal(CHUNKING_WHOLE.gated_signal, gated_s)
-    np.testing.assert_array_equal(CHUNKING_WHOLE.gated_idler, gated_i)
-    np.testing.assert_array_equal(CHUNKING_WHOLE.joint, joint)
-    np.testing.assert_array_equal(CHUNKING_WHOLE.neighbor_joint, neighbor)
+    oracle = explicit_trigger_result(full_stream(iter_simulate, CHUNKING_CFG), CHUNKING_GATES)
+    assert oracle.joint.sum() > 1000
+    assert_same_result(CHUNKING_WHOLE, oracle)
 
 
 @st.composite
 def adversarial_cuts(draw):
-    """Sorted cut indices: each anchor starts a run of 0-3 tags, so the
-    draw holds empty chunks, trigger-free chunks of a few detections,
-    cuts inside a pulse and cuts at detection-trigger ties."""
+    """Sorted cut indices: each anchor starts a run of 0-3 detections, so
+    the draw holds empty chunks, chunks of a few detections, cuts inside a
+    pulse, at its start and just after a detection at a trigger's time."""
     n = CHUNKING_TAGS.size
-    anchor = st.one_of(st.sampled_from(TIE_CUTS), st.sampled_from(DETECTION_CUTS),
+    anchor = st.one_of(st.sampled_from(TIE_CUTS), st.sampled_from(PULSE_CUTS),
                        st.integers(0, n))
     runs = draw(st.lists(st.tuples(anchor, st.integers(0, 3)), max_size=25))
     return sorted([a for a, _ in runs] + [min(a + w, n) for a, w in runs])
@@ -148,7 +123,7 @@ def adversarial_cuts(draw):
 @settings(max_examples=40, deadline=None)
 @given(adversarial_cuts())
 def test_any_chunking_matches_one_pass(cuts):
-    an = StreamAnalyzer(CHUNKING_GATES)
+    an = StreamAnalyzer(CHUNKING_GATES, grid=CHUNKING_GRID)
     for part in np.split(CHUNKING_TAGS, cuts):
         an.feed(part)
     first = an.result()
@@ -177,12 +152,13 @@ def grid_runs(draw):
 
 
 def simulated(cfg, time_bin):
-    """(detection chunks, materialized stream, gates) of one run."""
+    """(detection chunks, stream with the triggers as tags, gates) of one run."""
+    sim, gates = ((iter_simulate, GateConfig.time_bin) if time_bin
+                  else (iter_simulate_single_bin, GateConfig.single_bin))
     with mock.patch("timebin.simulate.BLOCK_PULSES", GRID_BLOCK_PULSES):
-        if time_bin:
-            return list(iter_simulate(cfg)), simulate(cfg), GateConfig.time_bin(cfg)
-        return (list(iter_simulate_single_bin(cfg)), simulate_no_pump_interferometer(cfg),
-                GateConfig.single_bin(cfg))
+        detections = list(sim(cfg))
+    tags = np.concatenate(list(with_triggers(PulseGrid.of(cfg), detections)))
+    return detections, tags, gates(cfg)
 
 
 def chunked(tags, fractions):
@@ -195,28 +171,24 @@ SPILL_PAST_END = ExperimentConfig(rep_rate=80e6, duration=3e-4, mean_pairs_per_p
 
 
 @settings(max_examples=30, deadline=None)
-@given(grid_runs(), st.lists(st.floats(0.0, 1.0), max_size=12),
-       st.lists(st.floats(0.0, 1.0), max_size=12))
-@example((SPILL_PAST_END, True), [], [])
-def test_grid_path_matches_explicit_trigger_oracle(run, grid_cuts, explicit_cuts):
-    # The explicit path looks each detection's trigger up among trigger
-    # tags; the grid path computes it.  Every field must agree, once the
-    # detections at or past the grid's end, which the grid path counts as
-    # out of range and the explicit path gives the last pulse, are taken
-    # out of the explicit stream.
+@given(grid_runs(), st.lists(st.floats(0.0, 1.0), max_size=12))
+@example((SPILL_PAST_END, True), [])
+def test_grid_path_matches_explicit_trigger_oracle(run, cuts):
+    # The oracle looks each detection's trigger up among trigger tags; the
+    # analyzer computes it.  Every field must agree, once the detections at
+    # or past the grid's end, which the analyzer counts as out of range and
+    # the oracle gives the last pulse, are taken out of the oracle's stream.
     cfg, time_bin = run
     detections, tags, gates = simulated(cfg, time_bin)
     grid = PulseGrid.of(cfg)
     on_grid = StreamAnalyzer(gates, grid=grid)
-    for part in chunked(np.concatenate(detections), grid_cuts):
+    for part in chunked(np.concatenate(detections), cuts):
         on_grid.feed(part)
     live = tags[tags["time_ps"] < grid.times(grid.pulses)]
-    explicit = StreamAnalyzer(gates)
-    for part in chunked(live, explicit_cuts):
-        explicit.feed(part)
     result = on_grid.result()
     assert result.out_of_range == tags.size - live.size
-    assert_same_result(dataclasses.replace(result, out_of_range=0), explicit.result())
+    assert_same_result(dataclasses.replace(result, out_of_range=0),
+                       explicit_trigger_result(live, gates))
 
 
 @settings(max_examples=30, deadline=None)

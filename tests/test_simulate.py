@@ -13,8 +13,9 @@ from timebin.streams import write_tags
 from timebin.simulate import (BLOCK_PULSES, CH_IDLER, CH_SIGNAL, CH_TRIGGER,
                               ExperimentConfig, PulseGrid, _draw_outcomes,
                               _outcome_table, iter_simulate, iter_simulate_single_bin,
-                              joint_slot_distribution, simulate,
-                              simulate_no_pump_interferometer, with_triggers)
+                              joint_slot_distribution, with_triggers)
+
+from conftest import full_stream
 
 
 def hand_written_slot_weights(phi_p, phi_s, phi_i, v0):
@@ -282,22 +283,23 @@ class TestPulseGrid:
         np.testing.assert_array_equal(pulse, expect)
         np.testing.assert_array_equal(rel, [ti - trigger(k) for ti, k in zip(t, expect)])
 
-    @pytest.mark.parametrize("sim", [simulate, simulate_no_pump_interferometer])
+    @pytest.mark.parametrize("sim", [iter_simulate, iter_simulate_single_bin],
+                             ids=["time-bin", "single-bin"])
     def test_run_shorter_than_two_pulses_rejected(self, sim):
         with pytest.raises(ValueError, match="grid pulse count 1"):
-            sim(ExperimentConfig(duration=1e-8))
+            next(sim(ExperimentConfig(duration=1e-8)))
 
 
 class TestSimulate:
     def test_no_pairs_no_darks_gives_only_triggers(self):
         cfg = ExperimentConfig(duration=1e-4, mean_pairs_per_pulse=0.0, rng_seed=1)
-        tags = simulate(cfg)
+        tags = full_stream(iter_simulate, cfg)
         assert np.all(tags["channel"] == CH_TRIGGER)
         assert tags.size == int(round(cfg.duration * cfg.rep_rate))
 
     def test_one_trigger_per_pulse_period(self):
         cfg = ExperimentConfig(duration=1e-4, mean_pairs_per_pulse=0.2, rng_seed=2)
-        tags = simulate(cfg)
+        tags = full_stream(iter_simulate, cfg)
         trig = tags[tags["channel"] == CH_TRIGGER]["time_ps"].astype(np.int64)
         period = 1e12 / cfg.rep_rate
         assert trig.size == int(round(cfg.duration * cfg.rep_rate))
@@ -306,11 +308,11 @@ class TestSimulate:
     def test_stream_is_sorted(self):
         cfg = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.1,
                                dark_rate_signal=5e4, dark_rate_idler=5e4, rng_seed=3)
-        tags = simulate(cfg)
+        tags = full_stream(iter_simulate, cfg)
         t = tags["time_ps"].astype(np.int64)
         assert np.all(np.diff(t) >= 0)
 
-    @pytest.mark.parametrize("sim", [simulate, simulate_no_pump_interferometer],
+    @pytest.mark.parametrize("sim", [iter_simulate, iter_simulate_single_bin],
                              ids=["time-bin", "single-bin"])
     @pytest.mark.parametrize("cfg", [
         # photons of a block's first pulse jittered before the block's
@@ -327,7 +329,7 @@ class TestSimulate:
     def test_sorted_across_block_boundaries(self, monkeypatch, cfg, sim):
         # 4096-pulse blocks put 18 block boundaries into 1 ms
         monkeypatch.setattr("timebin.simulate.BLOCK_PULSES", 1 << 12)
-        tags = sim(cfg)
+        tags = full_stream(sim, cfg)
         t = tags["time_ps"].astype(np.int64)
         assert np.all(np.diff(t) >= 0)
         n_pulses = int(round(cfg.duration * cfg.rep_rate))
@@ -338,24 +340,24 @@ class TestSimulate:
     def test_deterministic_replay(self):
         cfg = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.1,
                                dark_rate_signal=1e4, rng_seed=77)
-        a, b = simulate(cfg), simulate(cfg)
+        a, b = full_stream(iter_simulate, cfg), full_stream(iter_simulate, cfg)
         assert a.tobytes() == b.tobytes()
 
     def test_chunked_equals_whole(self):
         cfg = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.1, rng_seed=5)
-        whole = simulate(cfg)
+        whole = full_stream(iter_simulate, cfg)
         chunked = np.concatenate(list(with_triggers(PulseGrid.of(cfg), iter_simulate(cfg),
                                                     chunk_records=1000)))
         assert whole.tobytes() == chunked.tobytes()
 
     def test_rejects_invalid_config_before_output(self):
         with pytest.raises(ValueError):
-            simulate(ExperimentConfig(eta_signal=2.0))
+            iter_simulate(ExperimentConfig(eta_signal=2.0))
 
     def test_signal_singles_rate_matches_monitored_mass(self):
         # marginal monitored mass is 1/8 + 1/4 + 1/8 = 1/2 per photon
         cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.01, rng_seed=6)
-        tags = simulate(cfg)
+        tags = np.concatenate(list(iter_simulate(cfg)))
         n_signal = int(np.count_nonzero(tags["channel"] == CH_SIGNAL))
         expected = cfg.rep_rate * cfg.duration * cfg.mu * 0.5
         assert abs(n_signal - expected) < 3 * np.sqrt(expected)
@@ -403,8 +405,8 @@ class TestSimulate:
 class TestSingleBin:
     def test_single_peak_structure(self):
         cfg = ExperimentConfig(duration=5e-3, mean_pairs_per_pulse=0.05, rng_seed=11)
-        tags = simulate_no_pump_interferometer(cfg)
-        res = analyze_stream(tags, GateConfig.single_bin(cfg))
+        tags = np.concatenate(list(iter_simulate_single_bin(cfg)))
+        res = analyze_stream(tags, GateConfig.single_bin(cfg), grid=PulseGrid.of(cfg))
         # all detections fall in the one configured gate (the 250 ps
         # half-width is 5 jitter sigmas, so allow a stray tag or two)
         n_signal = int(np.count_nonzero(tags["channel"] == CH_SIGNAL))
@@ -440,7 +442,7 @@ class TestGoldenStreams:
                                interference_visibility=0.85,
                                dark_rate_signal=2e4, dark_rate_idler=3e4,
                                rng_seed=101)
-        tags = simulate(cfg)
+        tags = full_stream(iter_simulate, cfg)
         assert tags.size == 1155264
         assert hashlib.sha256(tags.tobytes()).hexdigest() == (
             "4c6b02970b120648bfc94fd30305164ef748694e70d5b433b8cf97dd3cc2eefe")
@@ -450,7 +452,7 @@ class TestGoldenStreams:
                                eta_signal=0.6, eta_idler=0.4,
                                dark_rate_signal=2e4, dark_rate_idler=3e4,
                                rng_seed=102)
-        tags = simulate_no_pump_interferometer(cfg)
+        tags = full_stream(iter_simulate_single_bin, cfg)
         assert tags.size == 160050
         assert hashlib.sha256(tags.tobytes()).hexdigest() == (
             "3c59abeaac2a565b3f81f8b6d7ee4ffc76f83b8d3b01c2596f6cf61e8e01d456")
@@ -474,22 +476,22 @@ class TestGoldenStreams:
                              rng_seed=114)
 
     @pytest.mark.parametrize("cfg, sim, size, digest", [
-        (TIES, simulate, 159991,
+        (TIES, iter_simulate, 159991,
          "4aef3c2efa9a724df87fbc6f617f9f38555651f1af460f836680f1ed3dc0c7a8"),
-        (TIES, simulate_no_pump_interferometer, 167656,
+        (TIES, iter_simulate_single_bin, 167656,
          "271199c9966dffc31bc899296e2e92a45939a2ace6174436cde58625043a8118"),
-        (CLIP, simulate, 113668,
+        (CLIP, iter_simulate, 113668,
          "4720841c3897a6d0c36c8d5830c289b40220685f7dd691937e72185376631c64"),
-        (CLIP, simulate_no_pump_interferometer, 189503,
+        (CLIP, iter_simulate_single_bin, 189503,
          "772242dce465a30acec1bbf4d805ac7002097d40115ce24f9095b683dde0678a"),
-        (CARRY, simulate, 2829459,
+        (CARRY, iter_simulate, 2829459,
          "bded70ea5de53a2b32ffe5034707ed41170637a6e4ad46e0942669d59c0a4f08"),
-        (CARRY, simulate_no_pump_interferometer, 3468076,
+        (CARRY, iter_simulate_single_bin, 3468076,
          "9c8896deb2b014770f4f2ea822ba6898277b9212741f1dea4339fa458b4f869e"),
     ], ids=["ties-time-bin", "ties-single-bin", "clip-time-bin",
             "clip-single-bin", "carry-time-bin", "carry-single-bin"])
     def test_edge_stream(self, cfg, sim, size, digest):
-        tags = sim(cfg)
+        tags = full_stream(sim, cfg)
         assert tags.size == size
         detections = tags["time_ps"][tags["channel"] != CH_TRIGGER]
         triggers = tags["time_ps"][tags["channel"] == CH_TRIGGER]

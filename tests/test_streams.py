@@ -4,36 +4,38 @@ import numpy as np
 import pytest
 
 from timebin.simulate import (CH_TRIGGER, TAG_DTYPE, ExperimentConfig, PulseGrid,
-                              iter_simulate, simulate)
+                              iter_simulate)
 from timebin.streams import (FORMAT_VERSION, StreamFormatError, header_grid,
-                             iter_read_tags, read_header, read_tags,
-                             write_tags)
+                             iter_read_tags, read_header, write_tags)
+
+from conftest import full_stream
 
 
 TRAILER_SIZE = 48
 
+CFG = ExperimentConfig(duration=2e-4, mean_pairs_per_pulse=0.1,
+                       dark_rate_signal=1e4, rng_seed=21)
+GRID = PulseGrid.of(CFG)
 
-def write_format_1(path, tags, config_echo=None):
-    """A format-1 tag file: header line, then every tag, no trailer."""
-    header = {"format": "timebin-tags", "version": 1, "config": config_echo or {}}
-    raw = json.dumps(header).encode() + b"\n" + tags.tobytes()
-    path.write_bytes(raw)
-    return raw
+
+def read_back(path, raw=False, chunk_records=1 << 18):
+    """(header, the file's chunks joined into one array)."""
+    it = iter_read_tags(path, chunk_records=chunk_records, raw=raw)
+    header = next(it)
+    return header, np.concatenate([*it, np.empty(0, dtype=TAG_DTYPE)])
 
 
 @pytest.fixture
 def tags():
-    cfg = ExperimentConfig(duration=2e-4, mean_pairs_per_pulse=0.1,
-                           dark_rate_signal=1e4, rng_seed=21)
-    return simulate(cfg)
+    return np.concatenate(list(iter_simulate(CFG)))
 
 
 class TestBinaryFormat:
     def test_round_trip_bit_exact(self, tmp_path, tags):
         path = tmp_path / "run.tags"
-        n = write_tags(path, tags, config_echo={"rng_seed": 21})
-        header, back = read_tags(path)
-        assert n == tags.size
+        n = write_tags(path, tags, config_echo={"rng_seed": 21}, grid=GRID)
+        header, back = read_back(path, raw=True)
+        assert n == tags.size + GRID.pulses
         assert back.tobytes() == tags.tobytes()
         assert header["version"] == FORMAT_VERSION
         assert header["config"]["rng_seed"] == 21
@@ -41,53 +43,48 @@ class TestBinaryFormat:
     def test_round_trip_from_chunks(self, tmp_path, tags):
         path = tmp_path / "run.tags"
         chunks = np.array_split(tags, 7)
-        write_tags(path, chunks)
-        _, back = read_tags(path)
+        write_tags(path, chunks, grid=GRID)
+        _, back = read_back(path, raw=True)
         assert back.tobytes() == tags.tobytes()
 
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "empty.tags"
-        write_tags(path, np.empty(0, dtype=TAG_DTYPE))
-        header, back = read_tags(path)
+        write_tags(path, np.empty(0, dtype=TAG_DTYPE), grid=GRID)
+        header, back = read_back(path, raw=True)
         assert back.size == 0
         assert header["format"] == "timebin-tags"
+        _, back = read_back(path)
+        assert back.size == GRID.pulses and np.all(back["channel"] == CH_TRIGGER)
 
     def test_iter_read_chunking_invariant(self, tmp_path, tags):
         path = tmp_path / "run.tags"
-        write_tags(path, tags)
-        it = iter_read_tags(path, chunk_records=1000)
-        next(it)  # header
-        back = np.concatenate(list(it))
-        assert back.tobytes() == tags.tobytes()
+        write_tags(path, tags, grid=GRID)
+        _, back = read_back(path, chunk_records=1000)
+        assert back.tobytes() == full_stream(iter_simulate, CFG).tobytes()
 
     def test_truncated_record_reports_offset(self, tmp_path, tags):
-        # Format 1: header and records, no trailer.
+        # The file shrinks, 4 bytes into its final record, after the reader
+        # has checked the trailer.
         path = tmp_path / "cut.tags"
-        raw = write_format_1(path, tags)
-        path.write_bytes(raw[:-4])  # chop into the final record
+        write_tags(path, tags, grid=GRID)
+        raw = path.read_bytes()
+        it = iter_read_tags(path)
+        next(it)
+        path.write_bytes(raw[:-TRAILER_SIZE - 4])
         header_len = raw.index(b"\n") + 1
-        record_size = 9
-        n_whole = (len(raw) - 4 - header_len) // record_size
-        with pytest.raises(StreamFormatError) as err:
-            read_tags(path)
-        assert err.value.byte_offset == header_len + n_whole * record_size
+        with pytest.raises(StreamFormatError, match="truncated record") as err:
+            list(it)
+        assert err.value.byte_offset == header_len + (tags.size - 1) * TAG_DTYPE.itemsize
 
     def test_truncated_format_2_reports_offset(self, tmp_path, tags):
         # Cut 4 bytes into the final record: no trailer ends the file.
         path = tmp_path / "cut.tags"
-        write_tags(path, tags)
+        write_tags(path, tags, grid=GRID)
         raw = path.read_bytes()
         path.write_bytes(raw[:-TRAILER_SIZE - 4])
         with pytest.raises(StreamFormatError, match="trailer") as err:
-            read_tags(path)
+            read_back(path)
         assert err.value.byte_offset == len(raw) - 2 * TRAILER_SIZE - 4
-
-    def test_format_1_reads_back(self, tmp_path, tags):
-        path = tmp_path / "v1.tags"
-        write_format_1(path, tags)
-        header, back = read_tags(path)
-        assert header["version"] == 1
-        assert back.tobytes() == tags.tobytes()
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.tags"
@@ -108,7 +105,7 @@ class TestBinaryFormat:
         path.write_bytes(
             json.dumps({"format": "timebin-tags", "version": 99}).encode() + b"\n")
         with pytest.raises(StreamFormatError):
-            read_tags(path)
+            read_back(path)
 
     @pytest.mark.parametrize("chunk_records", [1 << 18, 9])
     def test_out_of_order_record_rejected_with_offset(self, tmp_path, tags, chunk_records):
@@ -117,7 +114,7 @@ class TestBinaryFormat:
         swapped = tags.copy()
         swapped[[8, 9]] = swapped[[9, 8]]
         assert swapped["time_ps"][9] < swapped["time_ps"][8]
-        write_tags(path, swapped)
+        write_tags(path, swapped, grid=GRID)
         records_at = path.read_bytes().index(b"\n") + 1
         it = iter_read_tags(path, chunk_records=chunk_records)
         next(it)
@@ -148,11 +145,11 @@ class TestGridFiles:
 
     def test_reads_back_as_the_simulated_stream(self, grid_file):
         path, n = grid_file
-        tags = simulate(self.CFG)
+        tags = full_stream(iter_simulate, self.CFG)
         # detections that share their time with a trigger
         is_trigger = tags["channel"] == CH_TRIGGER
         assert np.isin(tags["time_ps"][~is_trigger], tags["time_ps"][is_trigger]).any()
-        header, back = read_tags(path)
+        header, back = read_back(path)
         assert n == tags.size
         assert back.tobytes() == tags.tobytes()
         assert header["grid"] == {"pulses": 76200, "period_ps": 1e12 / 76.2e6}
@@ -183,7 +180,7 @@ class TestGridFiles:
             expected, message = trailer_at, "SHA-256"
         path.write_bytes(bytes(raw))
         with pytest.raises(StreamFormatError, match=message) as err:
-            read_tags(path)
+            read_back(path)
         assert err.value.byte_offset == expected
 
     def test_trigger_record_rejected_with_offset(self, grid_file):
@@ -193,7 +190,7 @@ class TestGridFiles:
         raw[at] = CH_TRIGGER
         path.write_bytes(bytes(raw))
         with pytest.raises(StreamFormatError, match="trigger record") as err:
-            read_tags(path)
+            read_back(path)
         assert err.value.byte_offset == at
 
     def test_channel_bit_rejected_with_offset(self, grid_file):
@@ -203,7 +200,7 @@ class TestGridFiles:
         raw[at] |= 0x80
         path.write_bytes(bytes(raw))
         with pytest.raises(StreamFormatError, match="unknown channel 12[89]") as err:
-            read_tags(path)
+            read_back(path)
         assert err.value.byte_offset == at
 
     @pytest.mark.parametrize("chunk_records", [1 << 18, 11])
@@ -225,7 +222,7 @@ class TestGridFiles:
     def test_writer_rejects_trigger_tags(self, tmp_path):
         path = tmp_path / "bad.tags"
         with pytest.raises(ValueError, match="trigger"):
-            write_tags(path, simulate(self.CFG), grid=PulseGrid.of(self.CFG))
+            write_tags(path, full_stream(iter_simulate, self.CFG), grid=PulseGrid.of(self.CFG))
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, grid_file):
