@@ -15,7 +15,7 @@ identical results.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +48,6 @@ MIN_HIST_BIN = 1e-12
 # as long as steps of 2^14.
 FOLD_RECORDS = 1 << 14
 
-# Gate keys: the sign bit of an int64, set on the keys of idler detections,
-# and the bits of the float inf.
-_IDLER_KEY = np.int64(-2**63)
-_INF_BITS = np.float64(np.inf).view(np.int64)
-
-
 @dataclass(frozen=True)
 class Quantity:
     """A measured value with a one-sigma statistical error."""
@@ -67,39 +61,40 @@ class Quantity:
 
 @dataclass(frozen=True)
 class GateConfig:
-    """Detection gates: width plus expected slot offsets per channel.
+    """Detection gates: one width and the expected slot offsets, shared by
+    the signal and the idler.
 
-    Offsets are seconds relative to the associated trigger; a detection
-    falls in slot k of its channel when it lies within gate_width/2 of
-    the k-th offset in time order.  Gates of one channel must not overlap;
-    they may touch, compared in whole picoseconds, the resolution of a tag.
+    Offsets are seconds after the pulse's trigger, kept as a sorted tuple of
+    floats; a detection of either channel falls in slot k when it lies
+    within gate_width/2 of the k-th offset.  Gates must not overlap; they
+    may touch, compared in whole picoseconds, the resolution of a tag.
     """
 
     gate_width: float = DEFAULT_GATE_WIDTH
-    offsets: dict = field(default_factory=dict)  # channel -> list of seconds
+    offsets: tuple = ()
 
     def __post_init__(self):
         if not (np.isfinite(self.gate_width) and self.gate_width > 0):
             raise ValueError(f"gate_width must be a positive finite number, "
                              f"got {self.gate_width!r}")
+        if not np.all(np.isfinite(self.offsets)):
+            raise ValueError(f"gate offsets must be finite, got {self.offsets!r}")
+        offsets = tuple(sorted(float(o) for o in self.offsets))
+        object.__setattr__(self, "offsets", offsets)
         width_ps = round(self.gate_width * 1e12)
-        for ch, offs in self.offsets.items():
-            if not np.all(np.isfinite(offs)):
-                raise ValueError(f"gate offsets on channel {ch} must be finite, got {offs!r}")
-            offs_ps = sorted(round(o * 1e12) for o in offs)
-            for a, b in zip(offs_ps, offs_ps[1:]):
-                if b - a < width_ps:
-                    raise ValueError(f"overlapping gates on channel {ch}: {a} ps and {b} ps")
+        offs_ps = [round(o * 1e12) for o in offsets]
+        for a, b in zip(offs_ps, offs_ps[1:]):
+            if b - a < width_ps:
+                raise ValueError(f"overlapping gates: {a} ps and {b} ps")
 
     @classmethod
     def single_bin(cls, config: ExperimentConfig, gate_width: float = DEFAULT_GATE_WIDTH):
-        off = [config.detection_delay]
-        return cls(gate_width, {CH_SIGNAL: off, CH_IDLER: off})
+        return cls(gate_width, (config.detection_delay,))
 
     @classmethod
     def time_bin(cls, config: ExperimentConfig, gate_width: float = DEFAULT_GATE_WIDTH):
-        offs = [config.detection_delay + k * config.bin_delay for k in range(3)]
-        return cls(gate_width, {CH_SIGNAL: offs, CH_IDLER: offs})
+        return cls(gate_width, tuple(config.detection_delay + k * config.bin_delay
+                                     for k in range(3)))
 
 
 @dataclass(frozen=True)
@@ -163,9 +158,10 @@ class StreamAnalyzer:
     in ``out_of_range``, so a corrupted time cannot size a histogram.
 
     The fold takes at most ``FOLD_RECORDS`` detections at a time.  One
-    ``searchsorted`` of the times after the trigger into the gate edges of
-    both channels, computed once from the float gate rule (see
-    :class:`GateConfig`), gives each detection its slot.  Coincidences are
+    ``searchsorted`` of the whole ps after the trigger into the gate edges,
+    one table that both channels share, worked out once from the float gate
+    rule (see :func:`_gate_edges`), gives each detection its slot.  Of the
+    2 n slots of n gates the idler's come first.  Coincidences are
     signal-idler pairs whose gated slots belong to the same pulse; pairing
     each signal event with the idler events of the next pulse gives the
     accidentals diagnostic.  Gated events arrive in pulse order, so each
@@ -189,16 +185,11 @@ class StreamAnalyzer:
         self._end = int(grid.times(grid.pulses))  # a Python int: it may pass 2^63
         self._last_time = -1
         self._hist = np.zeros(0, dtype=np.int64)  # bin * 2 + channel -> count
-        offs = {ch: np.sort(np.asarray(gates.offsets.get(ch, ()), dtype=float) * 1e12)
-                for ch in (CH_SIGNAL, CH_IDLER)}
-        self._edges = _gate_edges(offs, gates.gate_width * 1e12 / 2)
-        # Slots are numbered idler first, then signal, the order of the
-        # keys; a channel without gates has one slot, which stays empty.
-        self._n_idler = max(offs[CH_IDLER].size, 1)
-        self._gated = np.zeros(self._edges.size // 2, dtype=np.int64)
-        shape = (self._gated.size - self._n_idler, self._n_idler)
-        self._joint = np.zeros(shape, dtype=np.int64)
-        self._neighbor = np.zeros(shape, dtype=np.int64)
+        self._edges = _gate_edges(np.array(gates.offsets) * 1e12, gates.gate_width * 1e12 / 2)
+        n = self._n = len(gates.offsets)
+        self._gated = np.zeros(2 * n, dtype=np.int64)
+        self._joint = np.zeros((n, n), dtype=np.int64)
+        self._neighbor = np.zeros((n, n), dtype=np.int64)
         # The last two runs, (pulse, slot counts): the closed one before the
         # open one.  Runs of no count pair with nothing.
         self._tail = (np.full(2, -1, dtype=np.int64),
@@ -224,20 +215,20 @@ class StreamAnalyzer:
             t, c = times[lo:lo + FOLD_RECORDS], channels[lo:lo + FOLD_RECORDS]
             self._fold(*self.grid.locate(t), c)
 
-    def _fold(self, pulse, rel, channels):
+    def _fold(self, pulse, rel_ps, channels):
         """Histogram, gate and pair detections given in pulse order as
-        (pulse, ps after the pulse's trigger, channel 0 or 1)."""
-        rel = np.asarray(rel, dtype=float)
+        (pulse, int64 ps after the pulse's trigger, channel 0 or 1).  Gate
+        k is slot k of an idler detection and slot n + k of a signal one."""
+        rel = rel_ps.astype(float)
         new = np.bincount((rel / self.hist_bin_ps).astype(np.int64) * 2 + channels)
         if new.size > self._hist.size:
             self._hist = np.pad(self._hist, (0, new.size - self._hist.size))
         self._hist[:new.size] += new
 
-        # The key of _gate_edges: channel 1, the idler, sets the sign bit.
-        key = rel.view(np.int64) | np.left_shift(channels, 63, dtype=np.int64)
-        edge = np.searchsorted(self._edges, key, side="right")
+        edge = np.searchsorted(self._edges, rel_ps, side="right")
         inside = (edge & 1).astype(bool)
-        slot, pulse = edge[inside] >> 1, pulse[inside]
+        slot = (edge[inside] >> 1) + self._n * (channels[inside] == CH_SIGNAL)
+        pulse = pulse[inside]
         if slot.size == 0:
             return
         n_slots = self._gated.size
@@ -263,7 +254,7 @@ class StreamAnalyzer:
     def _pair(self, run_pulse, counts):
         """Add the pairs of runs 1, 2, ... (the columns of ``counts``),
         each with its previous run; run 0 was counted before."""
-        i, s = counts[:self._n_idler], counts[self._n_idler:]
+        i, s = counts[:self._n], counts[self._n:]
         self._joint += np.einsum("sr,ir->si", s[:, 1:], i[:, 1:])
         after = np.flatnonzero(run_pulse[1:] == run_pulse[:-1] + 1)
         self._neighbor += np.einsum("sr,ir->si", s.take(after, axis=1),
@@ -286,8 +277,8 @@ class StreamAnalyzer:
         return AnalysisResult(
             histograms=histograms,
             hist_bin=self.hist_bin_ps * 1e-12,
-            gated_signal=end._gated[self._n_idler:],
-            gated_idler=end._gated[:self._n_idler],
+            gated_signal=end._gated[self._n:],
+            gated_idler=end._gated[:self._n],
             joint=end._joint,
             neighbor_joint=end._neighbor,
             n_triggers=n,
@@ -296,58 +287,42 @@ class StreamAnalyzer:
         )
 
 
-def _gate_edges(offsets, half_width):
-    """Sorted int64 edges of the gate slots of both channels.
+def _gate_edges(offsets_ps, half_width):
+    """Sorted int64 edges, in whole ps, of the slots of the gates at the
+    sorted ``offsets_ps``.
 
-    A detection ``rel`` >= 0 float ps after its trigger has as key the int64
-    of its float bits, which orders as the float does, with the sign bit
-    set on the idler channel.  It lies inside slot k, counting the idler
-    slots first, when 2 k + 1 edges are at or below its key, and outside
-    every gate when an even number are.  ``offsets`` maps each channel to
-    its sorted gate offsets in ps; a channel without gates has one slot,
-    which no key enters.
-
-    The rule is the float one: the nearest offset, the earlier one on a
-    midpoint, and |rel - offset| <= half_width.  Slot k opens at the first
-    float past the midpoint before its offset and in its gate, and closes
-    at the first past the next midpoint or the gate.
+    A detection ``rel`` whole ps after its trigger lies inside slot k when
+    2 k + 1 edges are at or below it, and outside every gate when an even
+    number are.  The rule is the float one at ``float(rel)``: the nearest
+    offset, the earlier one on a midpoint, and |rel - offset| <=
+    half_width.  Slot k opens at the first ps past the midpoint before its
+    offset and in its gate, and closes at the first past the next midpoint
+    or the gate.  ``float(x)`` never decreases as the integer x grows, so
+    the ps where a float test holds are all those from the first one on,
+    and comparing ``rel`` with these integer edges gives the float rule
+    exactly, past 2^53 ps too.
     """
-    # The first float rel with rel - a > b (strict) or >= b: the midpoints,
-    # then the gates' starts and ends, of the idler and then the signal.
-    a, b, strict = [], [], []
-    for ch in (CH_IDLER, CH_SIGNAL):
-        offs = offsets[ch]
-        mids = (offs[1:] + offs[:-1]) / 2
-        a += [0.0] * mids.size + [*offs, *offs]
-        b += [*mids, *([-half_width] * offs.size), *([half_width] * offs.size)]
-        strict += [True] * mids.size + [False] * offs.size + [True] * offs.size
-    first = _first_float(np.array(a), np.array(b), np.array(strict, dtype=bool))
-    edges, at = [], 0
-    for ch in (CH_IDLER, CH_SIGNAL):
-        m = offsets[ch].size
-        if m:
-            past_mid, start, end = np.split(first[at:at + 3 * m - 1], [m - 1, 2 * m - 1])
-            at += 3 * m - 1
-            opens = np.maximum(np.concatenate([[0], past_mid]), start)
-            closes = np.minimum(np.concatenate([past_mid, [_INF_BITS]]), end)
-        else:
-            opens = closes = np.zeros(1, dtype=np.int64)
-        # An empty slot closes where it opens.
-        slots = np.maximum.accumulate(np.column_stack([opens, closes]).ravel())
-        edges.append(slots | (_IDLER_KEY if ch == CH_IDLER else 0))
-    return np.concatenate(edges)
+    past_mid = _first_ps(0.0, (offsets_ps[1:] + offsets_ps[:-1]) / 2, strict=True)
+    opens = _first_ps(offsets_ps, -half_width, strict=False)
+    closes = _first_ps(offsets_ps, half_width, strict=True)
+    opens[1:] = np.maximum(opens[1:], past_mid)
+    closes[:-1] = np.minimum(closes[:-1], past_mid)
+    # An empty slot closes where it opens.
+    return np.maximum.accumulate(np.column_stack([opens, closes]).ravel())
 
 
-def _first_float(a, b, strict):
-    """Bits of the least float x >= 0 with x - a > b where ``strict``, else
-    x - a >= b, in float arithmetic (inf if none): a bisection over the
-    bits of the floats from 0 to inf, which order as the floats do."""
-    lo = np.zeros(a.size, dtype=np.int64)
-    hi = np.full(a.size, _INF_BITS)
+def _first_ps(a, b, strict):
+    """Least whole x in [0, 2^63 - 1) with float(x) - a > b if ``strict``,
+    else float(x) - a >= b, in float arithmetic: a bisection, since the
+    test holds for every x from the first one on.  If none, 2^63 - 1, which
+    no time after a trigger reaches: a grid's second trigger is at 1 ps or
+    later."""
+    lo = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    hi = np.full(lo.shape, np.iinfo(np.int64).max)
     while np.any(lo < hi):
         mid = lo + (hi - lo) // 2
-        d = mid.view(np.float64) - a
-        past = np.where(strict, d > b, d >= b)
+        d = mid.astype(float) - a
+        past = d > b if strict else d >= b
         hi = np.where(past, mid, hi)
         lo = np.where(past, lo, mid + 1)
     return lo

@@ -165,9 +165,10 @@ class PulseGrid:
     This is the one home of that rule: the simulator places photons by it,
     ``streams`` rebuilds trigger tags by it and the analyzer assigns
     detections to pulses by it.  A grid has an integer count of 2 to 2^53
-    pulses, so every index is exact in float64, a positive finite period
-    and its last trigger below 2^63 ps, so every time is an int64;
-    construction raises ``ValueError`` otherwise.
+    pulses, so every index is exact in float64, a finite period of at least
+    1 ps, the resolution of a tag, so a shorter one cannot put several
+    triggers in one picosecond, and its last trigger below 2^63 ps, so
+    every time is an int64; construction raises ``ValueError`` otherwise.
     """
 
     pulses: int
@@ -178,8 +179,8 @@ class PulseGrid:
         if not isinstance(n, numbers.Integral) or not 2 <= n <= 2**53:
             raise ValueError(f"grid pulse count {n!r} is not an integer from 2 to 2^53")
         if (isinstance(period, bool) or not isinstance(period, numbers.Real)
-                or not 0 < period < np.inf):
-            raise ValueError(f"grid period {period!r} ps is not a positive finite number")
+                or not 1 <= period < np.inf):
+            raise ValueError(f"grid period {period!r} ps is not a finite number of at least 1")
         # The period test comes first: a huge integer period has no float.
         if period >= 2**63 or np.round((n - 1) * float(period)) >= 2.0**63:
             raise ValueError(f"grid of {n} pulses every {period!r} ps puts its last "

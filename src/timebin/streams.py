@@ -61,6 +61,8 @@ def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray, config_echo: dic
     """Write detection chunks on ``grid`` to ``path`` in format 2; returns
     the number of tags, the grid's implied triggers included.
 
+    A record that the reader would refuse (see :func:`iter_read_tags`) is
+    a ``ValueError`` naming its index, and no file is written.
     ``file_digest``, a ``hashlib`` object, is fed every byte written.  Each
     chunk is let go before the next is pulled.
     """
@@ -69,7 +71,7 @@ def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray, config_echo: dic
     header = {"format": "timebin-tags", "version": FORMAT_VERSION,
               "config": config_echo or {},
               "grid": {"pulses": grid.pulses, "period_ps": grid.period_ps}}
-    n = 0
+    n, last = 0, np.uint64(0)
     digest = hashlib.sha256()
     tmp = os.fspath(path) + ".tmp"
     try:
@@ -82,8 +84,11 @@ def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray, config_echo: dic
             emit(json.dumps(header).encode() + b"\n")
             for chunk in chunks:
                 rec = np.ascontiguousarray(chunk, dtype=TAG_DTYPE)
-                if np.any(rec["channel"] == CH_TRIGGER):
-                    raise ValueError("trigger tag in a stream written with a pulse grid")
+                bad = _first_bad_record(rec, last)
+                if bad is not None:
+                    raise ValueError(f"record {n + bad[0]}: {bad[1]}")
+                if rec.size:
+                    last = rec["time_ps"][-1]
                 emit(rec.data)
                 digest.update(rec.data)
                 n += rec.size
@@ -154,9 +159,33 @@ def _trailer(fh, size: int, records_at: int) -> bytes:
     return raw[-32:]
 
 
+def _first_bad_record(tags, last) -> tuple[int, str] | None:
+    """(index, fault) of the first of ``tags``, following a record at time
+    ``last``, that is not a detection record: one on a channel but 0 and 1,
+    at a time of 2^63 ps or more, or before the previous record's.  None if
+    there is none.  The reader and the writer both keep this rule."""
+    if tags.size == 0:
+        return None
+    channel, time_ps = tags["channel"], tags["time_ps"]
+    if (channel.max() <= CH_IDLER and time_ps.max() <= _MAX_TIME_PS
+            and time_ps[0] >= last and not np.any(time_ps[1:] < time_ps[:-1])):
+        return None
+    bad_channel = channel > CH_IDLER
+    bad_time = time_ps > _MAX_TIME_PS
+    unsorted = time_ps < np.concatenate([[last], time_ps[:-1]])
+    k = int(np.argmax(bad_channel | bad_time | unsorted))
+    if bad_channel[k] and channel[k] == CH_TRIGGER:
+        return k, "trigger record in a file with a pulse grid"
+    if bad_channel[k]:
+        return k, f"unknown channel {channel[k]}"
+    if bad_time[k]:
+        return k, f"time {time_ps[k]} ps is 2^63 ps or more"
+    return k, f"time {time_ps[k]} ps is before the previous record's"
+
+
 def _records(fh, offset, end, chunk_records) -> Iterator[np.ndarray]:
     """Validated record chunks from ``offset`` to ``end``, the trailer."""
-    last = np.zeros(1, dtype=np.uint64)  # time of the record before the chunk
+    last = np.uint64(0)  # time of the record before the chunk
     while offset < end:
         want = min(chunk_records * _RECORD_SIZE, end - offset)
         buf = fh.read(want)
@@ -164,23 +193,10 @@ def _records(fh, offset, end, chunk_records) -> Iterator[np.ndarray]:
             raise StreamFormatError(
                 "truncated record", offset + len(buf) - len(buf) % _RECORD_SIZE)
         tags = np.frombuffer(buf, dtype=TAG_DTYPE)
-        channel, time_ps = tags["channel"], tags["time_ps"]
-        bad_channel = channel > CH_IDLER
-        bad_time = time_ps > _MAX_TIME_PS
-        unsorted = time_ps < np.concatenate([last, time_ps[:-1]])
-        bad = bad_channel | bad_time | unsorted
-        if bad.any():
-            k = int(np.argmax(bad))
-            if bad_channel[k] and channel[k] == CH_TRIGGER:
-                what = "trigger record in a file with a pulse grid"
-            elif bad_channel[k]:
-                what = f"unknown channel {channel[k]}"
-            elif bad_time[k]:
-                what = f"time {time_ps[k]} ps is 2^63 ps or more"
-            else:
-                what = f"time {time_ps[k]} ps is before the previous record's"
-            raise StreamFormatError(what, offset + k * _RECORD_SIZE)
-        last = time_ps[-1:].copy()
+        bad = _first_bad_record(tags, last)
+        if bad is not None:
+            raise StreamFormatError(bad[1], offset + bad[0] * _RECORD_SIZE)
+        last = tags["time_ps"][-1]
         offset += len(buf)
         yield tags
 

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import os
 import re
 
@@ -11,7 +13,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import scipy.linalg
 
-from timebin.simulate import PulseGrid, with_triggers
+from timebin.simulate import TAG_DTYPE, PulseGrid, with_triggers
 
 ACCEPTANCE_DESCRIPTIONS = {
     1: "closed-form fidelity of the reconstructed state to the Bell target",
@@ -116,3 +118,18 @@ def tie_cuts(detections, grid):
     """Indices that cut just after each detection at a trigger's time."""
     _, rel = grid.locate(detections["time_ps"].astype(np.int64))
     return np.flatnonzero(rel == 0) + 1
+
+
+def write_grid_stream(path, channels, times_ps, config_echo, grid=None):
+    """A format-2 file of the given detection records, built by hand, so it
+    may hold records the writer refuses; ``grid`` is its header's grid
+    entry, valid or not (default 100 pulses)."""
+    tags = np.zeros(len(channels), dtype=TAG_DTYPE)
+    tags["channel"] = channels
+    tags["time_ps"] = times_ps
+    header = {"format": "timebin-tags", "version": 2, "config": config_echo,
+              "grid": {"pulses": 100, "period_ps": 13123.36} if grid is None else grid}
+    records = tags.tobytes()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + records + b"TAGSEND2"
+                     + len(tags).to_bytes(8, "little") + hashlib.sha256(records).digest())
+    return path

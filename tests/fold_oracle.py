@@ -4,11 +4,12 @@ The analyzer finds each detection's pulse by arithmetic on a
 ``PulseGrid``.  This oracle finds it as a tagger with sync tags would: by
 ``searchsorted`` among the trigger tags of the full stream, as
 ``simulate.with_triggers`` rebuilds it.  It then gates each detection by
-the float rule of ``GateConfig`` (nearest offset, the earlier one on a
-midpoint, inside when within half a gate width), and counts pairs from
-dense (pulse, slot) tables: joint = S^T I and next-pulse = S[:-1]^T I[1:].
+the float rule of ``GateConfig`` (the same offsets for both channels:
+nearest offset, the earlier one on a midpoint, inside when within half a
+gate width), and counts pairs from dense (pulse, slot) tables:
+joint = S^T I and next-pulse = S[:-1]^T I[1:].
 It shares no code with the fold, which gates by a ``searchsorted`` into
-precomputed gate edges and pairs by pulse runs.
+whole-ps gate edges worked out once, and pairs by pulse runs.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ def explicit_trigger_result(tags, gates, hist_bin=10e-12):
     trig = t[tags["channel"] == CH_TRIGGER]
     hist_bin_ps = hist_bin * 1e12
     half_width = gates.gate_width * 1e12 / 2
+    offs = np.sort(np.asarray(gates.offsets, dtype=float) * 1e12)
     histograms, tables, dropped = {}, {}, 0
     for ch in (CH_SIGNAL, CH_IDLER):
         tc = t[tags["channel"] == ch]
@@ -37,14 +39,11 @@ def explicit_trigger_result(tags, gates, hist_bin=10e-12):
         h = np.bincount((rel / hist_bin_ps).astype(np.int64))
         if h.any():
             histograms[ch] = h[:np.flatnonzero(h)[-1] + 1]
-        offs = np.sort(np.asarray(gates.offsets.get(ch, ()), dtype=float) * 1e12)
-        n_slots = max(offs.size, 1)  # a channel without gates has one empty slot
-        table = np.zeros(trig.size * n_slots, dtype=np.int64)
-        if offs.size:
-            slot = np.searchsorted((offs[1:] + offs[:-1]) / 2, rel, side="left")
-            inside = np.abs(rel - offs[slot]) <= half_width
-            table += np.bincount(pulse[inside] * n_slots + slot[inside], minlength=table.size)
-        tables[ch] = table.reshape(trig.size, n_slots)
+        slot = np.searchsorted((offs[1:] + offs[:-1]) / 2, rel, side="left")
+        inside = np.abs(rel - offs[slot]) <= half_width
+        table = np.bincount(pulse[inside] * offs.size + slot[inside],
+                            minlength=trig.size * offs.size)
+        tables[ch] = table.reshape(trig.size, offs.size)
     s, i = tables[CH_SIGNAL], tables[CH_IDLER]
     period = float(trig[-1] - trig[0]) / (trig.size - 1)
     return AnalysisResult(

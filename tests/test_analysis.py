@@ -42,7 +42,7 @@ def reference_rates_report(duration=10.0):
 class TestGateConfig:
     def test_rejects_overlapping_gates(self):
         with pytest.raises(ValueError):
-            GateConfig(gate_width=2e-9, offsets={CH_SIGNAL: [0.0, 1e-9]})
+            GateConfig(gate_width=2e-9, offsets=(0.0, 1e-9))
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
@@ -56,12 +56,12 @@ class TestGateConfig:
     @pytest.mark.parametrize("offset", [np.nan, np.inf])
     def test_rejects_offset_that_is_not_finite(self, offset):
         with pytest.raises(ValueError, match="offsets"):
-            GateConfig(offsets={CH_SIGNAL: [1e-9, offset]})
+            GateConfig(offsets=(1e-9, offset))
 
     def test_accepts_touching_gates(self):
         # 3e-9 - 1e-9 is 1.9999999999999997e-09 in floats: below the width
         # in seconds, equal to it in whole picoseconds.
-        gates = GateConfig(gate_width=2e-9, offsets={CH_SIGNAL: [1e-9, 3e-9]})
+        gates = GateConfig(gate_width=2e-9, offsets=(1e-9, 3e-9))
         tags = tag_array([CH_SIGNAL, CH_SIGNAL], [2000, 2001])
         # rel 2000 ps is the shared edge; 2001 ps lies only in the later gate
         assert analyze_stream(tags, gates, grid=TWO_PULSES).gated_signal.tolist() == [1, 1]
@@ -69,13 +69,13 @@ class TestGateConfig:
     def test_time_bin_layout(self):
         cfg = ExperimentConfig()
         g = GateConfig.time_bin(cfg)
-        np.testing.assert_allclose(g.offsets[CH_SIGNAL], [2e-9, 5e-9, 8e-9])
+        np.testing.assert_allclose(g.offsets, [2e-9, 5e-9, 8e-9])
 
 
 class TestGatedSingles:
     def test_slot_is_nearest_gate_in_time_order(self):
         # Unsorted, unequally spaced gates: slot k is the k-th gate in time.
-        gates = GateConfig(gate_width=1.5e-9, offsets={CH_SIGNAL: [7e-9, 1e-9, 3e-9]})
+        gates = GateConfig(gate_width=1.5e-9, offsets=(7e-9, 1e-9, 3e-9))
         rel_ps = [300, 1700, 2001, 2300, 3700, 4999, 6300, 6800, 7700, 9000]
         res = analyze_stream(tag_array([CH_SIGNAL] * len(rel_ps), rel_ps), gates,
                              grid=TWO_PULSES)
@@ -83,7 +83,7 @@ class TestGatedSingles:
 
     def test_detection_on_a_shared_gate_edge_goes_to_the_earlier_slot(self):
         # 2.5 ns is 2500 ps exactly, so the touching gates share the edge at 1250 ps.
-        gates = GateConfig(gate_width=2.5e-9, offsets={CH_SIGNAL: [0.0, 2.5e-9]})
+        gates = GateConfig(gate_width=2.5e-9, offsets=(0.0, 2.5e-9))
         tags = tag_array([CH_SIGNAL], [1250])
         assert analyze_stream(tags, gates, grid=TWO_PULSES).gated_signal.tolist() == [1, 0]
 
@@ -91,7 +91,7 @@ class TestGatedSingles:
         cfg = ExperimentConfig(rep_rate=1e5, duration=0.5,
                                mean_pairs_per_pulse=0.0,
                                dark_rate_signal=5e4, rng_seed=31)
-        gates = GateConfig(gate_width=2e-6, offsets={CH_SIGNAL: [5e-6]})
+        gates = GateConfig(gate_width=2e-6, offsets=(5e-6,))
         res = analyze_stream(iter_simulate(cfg), gates, hist_bin=1e-7, grid=PulseGrid.of(cfg))
         expected = cfg.dark_rate_signal * cfg.duration * (2e-6 / 1e-5)
         assert abs(res.gated_signal.sum() - expected) < 4 * np.sqrt(expected)
@@ -137,15 +137,6 @@ class TestGatedSingles:
         assert res.gated_signal.tolist() == res.gated_idler.tolist() == [1, 0, 0]
         assert res.joint[0, 0] == 1 and res.out_of_range == 0
 
-    def test_channel_without_gates_is_histogrammed_only(self):
-        gates = GateConfig(offsets={CH_SIGNAL: [2e-9]})
-        tags = tag_array([CH_SIGNAL, CH_IDLER, CH_IDLER], [2000, 2000, 2500])
-        res = analyze_stream(tags, gates, grid=TWO_PULSES)
-        assert res.histograms[CH_IDLER].sum() == 2
-        assert res.gated_signal.tolist() == [1]
-        assert res.gated_idler.tolist() == [0]
-        assert res.joint.sum() == 0 and res.neighbor_joint.sum() == 0
-
     def test_detection_past_the_grid_is_counted_out_of_range(self):
         # The grid's live time ends at round(100 P) ps.  A time there or
         # later, such as a corrupted one near 2^62 ps, belongs to no pulse
@@ -173,27 +164,23 @@ class TestGatedSingles:
         StreamAnalyzer(GateConfig(), 1e-12, grid=TWO_PULSES)
 
 
-def float_rule_slot(offsets, gate_width, rel):
+def float_rule_slot(gates, rel):
     """The gate slot of a detection ``rel`` float ps after its trigger, or
     None, by the float rule in Python floats: the nearest of the sorted
     offsets (in ps), the earlier one on a midpoint, and inside it when
     |rel - offset| <= gate_width/2."""
-    offs = sorted(o * 1e12 for o in offsets)
-    if not offs:
-        return None
+    offs = sorted(o * 1e12 for o in gates.offsets)
     slot = sum((a + b) / 2 < rel for a, b in zip(offs, offs[1:]))
-    return slot if abs(rel - offs[slot]) <= gate_width * 1e12 / 2 else None
+    return slot if abs(rel - offs[slot]) <= gates.gate_width * 1e12 / 2 else None
 
 
 def probe_rels(gates, period):
     """Whole ps 0 <= rel < period within 3 ps of each gate's ends, offset
-    and midpoint of each channel."""
+    and midpoint."""
     half = gates.gate_width * 1e12 / 2
-    near = {0.0}
-    for offsets in gates.offsets.values():
-        offs = sorted(o * 1e12 for o in offsets)
-        near.update(x for o in offs for x in (o - half, o, o + half))
-        near.update((a + b) / 2 for a, b in zip(offs, offs[1:]))
+    offs = sorted(o * 1e12 for o in gates.offsets)
+    near = {0.0, *(x for o in offs for x in (o - half, o, o + half)),
+            *((a + b) / 2 for a, b in zip(offs, offs[1:]))}
     return sorted({int(np.floor(x)) + d for x in near for d in range(-3, 4)
                    if 0 <= int(np.floor(x)) + d < period})
 
@@ -205,13 +192,16 @@ class TestGateOracle:
         # The default gates: offsets 2000.0000000000002 ps and so on, and a
         # half width of 250.00000000000003 ps, which leaves out 1750 ps.
         "time-bin": (GateConfig.time_bin(ExperimentConfig()), 13123.359580052494),
-        "touching": (GateConfig(2e-9, {CH_SIGNAL: [1e-9, 3e-9],
-                                       CH_IDLER: [1.5e-9, 4.2e-9, 7.7e-9]}), 10000.0),
-        "idler-without-gates": (GateConfig(0.5e-9, {CH_SIGNAL: [2.1e-9, 4.9e-9]}), 8000.5),
-        "odd-offsets": (GateConfig(0.3e-9, {CH_SIGNAL: [1.23456789e-9, 2.0000000003e-9],
-                                            CH_IDLER: [-0.1e-9, 0.3e-9, 3.333e-9]}), 5000.25),
-        "0.4s-at-1Hz": (GateConfig(0.5e-9, {CH_SIGNAL: [0.4, 0.4 + 3e-9],
-                                            CH_IDLER: [0.4 + 1e-9]}), 1e12),
+        "touching": (GateConfig(2e-9, (1e-9, 3e-9)), 10000.0),
+        "touching-three": (GateConfig(2e-9, (1.5e-9, 4.2e-9, 7.7e-9)), 10000.0),
+        "odd-offsets": (GateConfig(0.3e-9, (1.23456789e-9, 2.0000000003e-9)), 5000.25),
+        "odd-offsets-negative": (GateConfig(0.3e-9, (-0.1e-9, 0.3e-9, 3.333e-9)), 5000.25),
+        "0.4s-at-1Hz": (GateConfig(0.5e-9, (0.4, 0.4 + 3e-9)), 1e12),
+        "0.4s-at-1Hz-one-gate": (GateConfig(0.5e-9, (0.4 + 1e-9,)), 1e12),
+        # Times after the trigger of about 1e16 ps, where floats are 2 ps
+        # apart, and gates 1 ps wide: 1e16 +- 1 ps is 1e16 as a float, so
+        # in the first gate by the float rule, though 1 ps from its offset.
+        "past-2^53-ps": (GateConfig(1e-12, (1e4, 1e4 + 3e-9)), 2e16),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -220,8 +210,9 @@ class TestGateOracle:
         rels = probe_rels(gates, period)
         probes = [(ch, r) for r in rels for ch in (CH_SIGNAL, CH_IDLER)]
         grid = PulseGrid(len(probes) + 1, period)
-        # One detection per pulse; a coarse bin keeps the histogram short.
-        analyzer = StreamAnalyzer(gates, hist_bin=1e-3, grid=grid)
+        # One detection per pulse; a bin longer than any period keeps the
+        # histogram to one bin.
+        analyzer = StreamAnalyzer(gates, hist_bin=1e5, grid=grid)
         seen = {CH_SIGNAL: 0, CH_IDLER: 0}
         for p, (ch, r) in enumerate(probes):
             analyzer.feed(tag_array([ch], [round(p * period) + r]))
@@ -230,11 +221,10 @@ class TestGateOracle:
             new = counts - seen[ch]
             seen[ch] = counts
             got = int(np.flatnonzero(new)[0]) if new.any() else None
-            assert got == float_rule_slot(gates.offsets.get(ch, []), gates.gate_width,
-                                          float(r)), (ch, r)
+            assert got == float_rule_slot(gates, float(r)), (ch, r)
         if case == "time-bin":
-            assert float_rule_slot([2e-9], 0.5e-9, 1750.0) is None
-            assert float_rule_slot([2e-9], 0.5e-9, 2250.0) == 0
+            assert float_rule_slot(GateConfig(0.5e-9, (2e-9,)), 1750.0) is None
+            assert float_rule_slot(GateConfig(0.5e-9, (2e-9,)), 2250.0) == 0
 
     def test_gate_structure_grows_with_the_gates_not_their_times(self):
         # Gates 0.4 s after the trigger: a lookup table over the time after
@@ -270,9 +260,8 @@ class TestGateOracle:
 
         trigger = round(period)  # all of pulse 1
         res, _ = fed(trigger + rel, 1)
-        slots = [[float_rule_slot(gates.offsets[ch], gates.gate_width, float(r))
-                  for r in range(1500, 8500)] for ch in (CH_SIGNAL, CH_IDLER)]
-        counts = [np.bincount([slots[ch][r - 1500] for r in rel[channels == ch]], minlength=3)
+        slots = [float_rule_slot(gates, float(r)) for r in range(1500, 8500)]
+        counts = [np.bincount([slots[r - 1500] for r in rel[channels == ch]], minlength=3)
                   for ch in (CH_SIGNAL, CH_IDLER)]
         np.testing.assert_array_equal(res.joint, np.outer(*counts))
         assert res.neighbor_joint.sum() == 0
@@ -329,8 +318,7 @@ class TestCoincidences:
                                mean_pairs_per_pulse=0.0,
                                dark_rate_signal=2e4, dark_rate_idler=2e4,
                                detection_delay=5e-6, rng_seed=37)
-        gates = GateConfig(gate_width=5e-6,
-                           offsets={CH_SIGNAL: [5e-6], CH_IDLER: [5e-6]})
+        gates = GateConfig(gate_width=5e-6, offsets=(5e-6,))
         res = analyze_stream(iter_simulate_single_bin(cfg), gates, grid=PulseGrid.of(cfg))
         same = res.joint.sum()
         neigh = res.neighbor_joint.sum()

@@ -16,7 +16,9 @@ from timebin import cli, streams
 from timebin.cli import build_parser, main
 from timebin.simulate import (CH_SIGNAL, CH_IDLER, CH_TRIGGER, DEFAULT_GATE_WIDTH, TAG_DTYPE,
                               ExperimentConfig)
-from timebin.streams import header_grid, iter_read_tags, write_tags
+from timebin.streams import iter_read_tags
+
+from conftest import write_grid_stream
 
 
 def sha256(path):
@@ -48,20 +50,6 @@ def run_pipeline(tmp_path, name, mode="time-bin", **overrides):
 
 VALID_ECHO = {**ExperimentConfig().to_dict(), "mode": "time-bin"}
 TRAILER_SIZE = 48
-
-
-def write_grid_stream(path, channels, times_ps, config_echo, grid=None):
-    """A format-2 file of the given detection records, built by hand; ``grid``
-    is its header's grid entry, valid or not (default 100 pulses)."""
-    tags = np.zeros(len(channels), dtype=TAG_DTYPE)
-    tags["channel"] = channels
-    tags["time_ps"] = times_ps
-    header = {"format": "timebin-tags", "version": 2, "config": config_echo,
-              "grid": {"pulses": 100, "period_ps": 13123.36} if grid is None else grid}
-    records = tags.tobytes()
-    path.write_bytes(json.dumps(header).encode() + b"\n" + records + b"TAGSEND2"
-                     + len(tags).to_bytes(8, "little") + hashlib.sha256(records).digest())
-    return path
 
 
 class TestConfig:
@@ -249,9 +237,11 @@ class TestAnalyze:
         header = next(it)
         records = np.concatenate(list(it))
         # A later time keeps the stream sorted, so only the value is wrong.
+        # The writer refuses such a record, so the file is built by hand.
         k = records.size // 2 if field == "channel" else records.size - 1
         records[field][k] = value
-        write_tags(tags, records, config_echo=header["config"], grid=header_grid(header))
+        write_grid_stream(tags, records["channel"], records["time_ps"], header["config"],
+                          header["grid"])
         offset = tags.read_bytes().index(b"\n") + 1 + k * TAG_DTYPE.itemsize
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 3
@@ -288,12 +278,13 @@ class TestAnalyze:
         {"pulses": 2**40, "period_ps": 2.0**30},
         {"pulses": 2, "period_ps": 2.0**63},
         {"pulses": 2, "period_ps": 10**400},
+        {"pulses": 4, "period_ps": 0.3},
         {"pulses": 7620},
         [7620, 13123.36],
     ], ids=["one-pulse", "float-count", "string-count", "bool-count", "count-past-2^53",
             "zero-period", "negative-period", "nan-period", "inf-period", "string-period",
             "last-trigger-past-2^63", "last-trigger-at-2^63", "huge-int-period",
-            "no-period", "not-a-dict"])
+            "sub-ps-period", "no-period", "not-a-dict"])
     def test_hostile_grid_header_is_data_error(self, tmp_path, capsys, grid):
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [2000, 2100],
                                  VALID_ECHO, grid)

@@ -8,7 +8,7 @@ from timebin.simulate import (CH_TRIGGER, TAG_DTYPE, ExperimentConfig, PulseGrid
 from timebin.streams import (FORMAT_VERSION, StreamFormatError, header_grid,
                              iter_read_tags, read_header, write_tags)
 
-from conftest import full_stream
+from conftest import full_stream, write_grid_stream
 
 
 TRAILER_SIZE = 48
@@ -109,12 +109,14 @@ class TestBinaryFormat:
 
     @pytest.mark.parametrize("chunk_records", [1 << 18, 9])
     def test_out_of_order_record_rejected_with_offset(self, tmp_path, tags, chunk_records):
-        # With 9-record chunks the swapped-in record 9 opens the second chunk.
+        # With 9-record chunks the swapped-in record 9 opens the second
+        # chunk.  The writer refuses it, so the file is built by hand.
         path = tmp_path / "swapped.tags"
         swapped = tags.copy()
         swapped[[8, 9]] = swapped[[9, 8]]
         assert swapped["time_ps"][9] < swapped["time_ps"][8]
-        write_tags(path, swapped, grid=GRID)
+        write_grid_stream(path, swapped["channel"], swapped["time_ps"], {},
+                          {"pulses": GRID.pulses, "period_ps": GRID.period_ps})
         records_at = path.read_bytes().index(b"\n") + 1
         it = iter_read_tags(path, chunk_records=chunk_records)
         next(it)
@@ -223,6 +225,24 @@ class TestGridFiles:
         path = tmp_path / "bad.tags"
         with pytest.raises(ValueError, match="trigger"):
             write_tags(path, full_stream(iter_simulate, self.CFG), grid=PulseGrid.of(self.CFG))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fault, cut", [
+        ("channel", None), ("time", None), ("order", None), ("order", 11),
+    ], ids=["unknown-channel", "time-past-int64", "out-of-order", "out-of-order-across-chunks"])
+    def test_writer_refuses_a_record_the_reader_would(self, tmp_path, fault, cut):
+        # Such a file would carry a valid trailer and fail every read.
+        detections = np.concatenate(list(iter_simulate(self.CFG)))
+        k = 11
+        if fault == "channel":
+            detections["channel"][k] = 7
+        elif fault == "time":
+            detections["time_ps"][k:] = 2**63
+        else:
+            detections[[k - 1, k]] = detections[[k, k - 1]]
+        chunks = [detections] if cut is None else [detections[:cut], detections[cut:]]
+        with pytest.raises(ValueError, match=f"^record {k}: "):
+            write_tags(tmp_path / "bad.tags", chunks, grid=PulseGrid.of(self.CFG))
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, grid_file):
