@@ -43,6 +43,10 @@ __all__ = [
 # Tags are whole picoseconds, so a finer histogram bin resolves nothing.
 MIN_HIST_BIN = 1e-12
 
+# Bound on a gate offset or width, in whole ps: the int64 slot edges stay
+# within 1.5 times it.
+MAX_GATE_PS = 2**62
+
 # Detections per step of the fold.  Small steps keep its temporaries small
 # and in cache: on a fringe-scan stream, steps of 2^16 took about 1.7 times
 # as long as steps of 2^14.
@@ -65,27 +69,39 @@ class GateConfig:
     the signal and the idler.
 
     Offsets are seconds after the pulse's trigger, kept as a sorted tuple of
-    floats; a detection of either channel falls in slot k when it lies
-    within gate_width/2 of the k-th offset.  Gates must not overlap; they
-    may touch, compared in whole picoseconds, the resolution of a tag.
+    floats.  The gate rule works in whole picoseconds, the resolution of a
+    tag, with each offset and the width rounded to whole ps once
+    (:meth:`_whole_ps`): a detection of either channel falls in slot k when
+    it lies within gate_width/2 of the k-th offset, and a ps shared by two
+    touching gates goes to the earlier one.  So every slot holds
+    2 (width // 2) + 1 ps, the one shared with an earlier gate aside.  Gates
+    must not overlap, though they may touch; the width must round to at
+    least 1 ps, and every offset and the width to at most ``MAX_GATE_PS``.
     """
 
     gate_width: float = DEFAULT_GATE_WIDTH
     offsets: tuple = ()
 
     def __post_init__(self):
-        if not (np.isfinite(self.gate_width) and self.gate_width > 0):
-            raise ValueError(f"gate_width must be a positive finite number, "
-                             f"got {self.gate_width!r}")
+        if not np.isfinite(self.gate_width):
+            raise ValueError(f"gate_width must be finite, got {self.gate_width!r}")
         if not np.all(np.isfinite(self.offsets)):
             raise ValueError(f"gate offsets must be finite, got {self.offsets!r}")
-        offsets = tuple(sorted(float(o) for o in self.offsets))
-        object.__setattr__(self, "offsets", offsets)
-        width_ps = round(self.gate_width * 1e12)
-        offs_ps = [round(o * 1e12) for o in offsets]
+        object.__setattr__(self, "offsets", tuple(sorted(float(o) for o in self.offsets)))
+        offs_ps, width_ps = self._whole_ps()
+        if width_ps < 1:
+            raise ValueError(f"gate_width must be at least {MIN_HIST_BIN:g} s in whole ps, "
+                             f"got {self.gate_width!r}")
+        if max(map(abs, [width_ps, *offs_ps])) > MAX_GATE_PS:
+            raise ValueError(f"gate offsets {self.offsets!r} and gate_width "
+                             f"{self.gate_width!r} must lie within {MAX_GATE_PS * 1e-12:g} s")
         for a, b in zip(offs_ps, offs_ps[1:]):
             if b - a < width_ps:
                 raise ValueError(f"overlapping gates: {a} ps and {b} ps")
+
+    def _whole_ps(self):
+        """(offsets, width) rounded to whole ps, as Python ints."""
+        return [round(o * 1e12) for o in self.offsets], round(self.gate_width * 1e12)
 
     @classmethod
     def single_bin(cls, config: ExperimentConfig, gate_width: float = DEFAULT_GATE_WIDTH):
@@ -159,18 +175,18 @@ class StreamAnalyzer:
 
     The fold takes at most ``FOLD_RECORDS`` detections at a time.  One
     ``searchsorted`` of the whole ps after the trigger into the gate edges,
-    one table that both channels share, worked out once from the float gate
-    rule (see :func:`_gate_edges`), gives each detection its slot.  Of the
-    2 n slots of n gates the idler's come first.  Coincidences are
-    signal-idler pairs whose gated slots belong to the same pulse; pairing
-    each signal event with the idler events of the next pulse gives the
-    accidentals diagnostic.  Gated events arrive in pulse order, so each
-    pulse's events form a run, and one ``bincount`` gives each run's signal
-    and idler slot counts S and I: the run adds the outer product S I to
-    ``joint``, and to ``neighbor_joint`` that of the previous run's S with
-    its I when their pulses are adjacent.  A run is counted once a later
-    run starts; between chunks the fold holds only the counts of the last
-    two runs.  ``hist_bin`` is at least ``MIN_HIST_BIN``, 1 ps, the
+    one table of whole ps that both channels share, worked out once from the
+    gate rule in whole ps (see :func:`_gate_edges`), gives each detection
+    its slot.  Of the 2 n slots of n gates the idler's come first.
+    Coincidences are signal-idler pairs whose gated slots belong to the same
+    pulse; pairing each signal event with the idler events of the next pulse
+    gives the accidentals diagnostic.  Gated events arrive in pulse order,
+    so each pulse's events form a run, and one ``bincount`` gives each run's
+    signal and idler slot counts S and I: the run adds the outer product S I
+    to ``joint``, and to ``neighbor_joint`` that of the previous run's S
+    with its I when their pulses are adjacent.  A run is counted once a
+    later run starts; between chunks the fold holds only the counts of the
+    last two runs.  ``hist_bin`` is at least ``MIN_HIST_BIN``, 1 ps, the
     resolution of a tag.
     """
 
@@ -182,10 +198,10 @@ class StreamAnalyzer:
         self.hist_bin_ps = hist_bin * 1e12
         self.grid = grid
         self.out_of_range = 0
-        self._end = int(grid.times(grid.pulses))  # a Python int: it may pass 2^63
+        self._end = int(grid.times(grid.pulses))
         self._last_time = -1
         self._hist = np.zeros(0, dtype=np.int64)  # bin * 2 + channel -> count
-        self._edges = _gate_edges(np.array(gates.offsets) * 1e12, gates.gate_width * 1e12 / 2)
+        self._edges = _gate_edges(gates)
         n = self._n = len(gates.offsets)
         self._gated = np.zeros(2 * n, dtype=np.int64)
         self._joint = np.zeros((n, n), dtype=np.int64)
@@ -287,45 +303,19 @@ class StreamAnalyzer:
         )
 
 
-def _gate_edges(offsets_ps, half_width):
-    """Sorted int64 edges, in whole ps, of the slots of the gates at the
-    sorted ``offsets_ps``.
+def _gate_edges(gates: GateConfig) -> np.ndarray:
+    """Sorted int64 edges, in whole ps, of the slots of ``gates``.
 
     A detection ``rel`` whole ps after its trigger lies inside slot k when
     2 k + 1 edges are at or below it, and outside every gate when an even
-    number are.  The rule is the float one at ``float(rel)``: the nearest
-    offset, the earlier one on a midpoint, and |rel - offset| <=
-    half_width.  Slot k opens at the first ps past the midpoint before its
-    offset and in its gate, and closes at the first past the next midpoint
-    or the gate.  ``float(x)`` never decreases as the integer x grows, so
-    the ps where a float test holds are all those from the first one on,
-    and comparing ``rel`` with these integer edges gives the float rule
-    exactly, past 2^53 ps too.
+    number are.  With offsets o_k and width w in whole ps, |rel - o_k| <=
+    w/2 holds for rel from o_k - m to o_k + m, m = w // 2, so slot k opens
+    at o_k - m and closes at o_k + m + 1.  Touching gates share at most one
+    ps; the running maximum opens the later slot past it.
     """
-    past_mid = _first_ps(0.0, (offsets_ps[1:] + offsets_ps[:-1]) / 2, strict=True)
-    opens = _first_ps(offsets_ps, -half_width, strict=False)
-    closes = _first_ps(offsets_ps, half_width, strict=True)
-    opens[1:] = np.maximum(opens[1:], past_mid)
-    closes[:-1] = np.minimum(closes[:-1], past_mid)
-    # An empty slot closes where it opens.
-    return np.maximum.accumulate(np.column_stack([opens, closes]).ravel())
-
-
-def _first_ps(a, b, strict):
-    """Least whole x in [0, 2^63 - 1) with float(x) - a > b if ``strict``,
-    else float(x) - a >= b, in float arithmetic: a bisection, since the
-    test holds for every x from the first one on.  If none, 2^63 - 1, which
-    no time after a trigger reaches: a grid's second trigger is at 1 ps or
-    later."""
-    lo = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-    hi = np.full(lo.shape, np.iinfo(np.int64).max)
-    while np.any(lo < hi):
-        mid = lo + (hi - lo) // 2
-        d = mid.astype(float) - a
-        past = d > b if strict else d >= b
-        hi = np.where(past, mid, hi)
-        lo = np.where(past, lo, mid + 1)
-    return lo
+    offs_ps, width_ps = gates._whole_ps()
+    offs, m = np.array(offs_ps, dtype=np.int64), width_ps // 2
+    return np.maximum.accumulate(np.column_stack([offs - m, offs + m + 1]).ravel())
 
 
 @dataclass(frozen=True)

@@ -164,11 +164,12 @@ class PulseGrid:
     Trigger k of ``pulses`` sits at round(k * period_ps) ps, in float64.
     This is the one home of that rule: the simulator places photons by it,
     ``streams`` rebuilds trigger tags by it and the analyzer assigns
-    detections to pulses by it.  A grid has an integer count of 2 to 2^53
-    pulses, so every index is exact in float64, a finite period of at least
-    1 ps, the resolution of a tag, so a shorter one cannot put several
-    triggers in one picosecond, and its last trigger below 2^63 ps, so
-    every time is an int64; construction raises ``ValueError`` otherwise.
+    detections to pulses by it.  A grid has an integer count of at least 2
+    pulses, a finite period of at least 1 ps, the resolution of a tag, and
+    its last trigger below 2^53 ps, so every index and every trigger time
+    is exact in float64 and no two triggers share a picosecond; it follows
+    that a grid has at most 2^53 pulses.  Construction raises
+    ``ValueError`` otherwise.
     """
 
     pulses: int
@@ -176,15 +177,16 @@ class PulseGrid:
 
     def __post_init__(self):
         n, period = self.pulses, self.period_ps
-        if not isinstance(n, numbers.Integral) or not 2 <= n <= 2**53:
-            raise ValueError(f"grid pulse count {n!r} is not an integer from 2 to 2^53")
+        if not isinstance(n, numbers.Integral) or n < 2:
+            raise ValueError(f"grid pulse count {n!r} is not an integer of at least 2")
         if (isinstance(period, bool) or not isinstance(period, numbers.Real)
                 or not 1 <= period < np.inf):
             raise ValueError(f"grid period {period!r} ps is not a finite number of at least 1")
-        # The period test comes first: a huge integer period has no float.
-        if period >= 2**63 or np.round((n - 1) * float(period)) >= 2.0**63:
+        # The integer tests come first: a huge count or period has no float.
+        if (n > 2**53 or period >= 2**53
+                or np.round((n - 1) * float(period)) >= 2.0**53):
             raise ValueError(f"grid of {n} pulses every {period!r} ps puts its last "
-                             f"trigger at 2^63 ps or more")
+                             f"trigger at 2^53 ps or more")
         object.__setattr__(self, "pulses", int(n))
         object.__setattr__(self, "period_ps", float(period))
 

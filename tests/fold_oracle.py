@@ -4,10 +4,11 @@ The analyzer finds each detection's pulse by arithmetic on a
 ``PulseGrid``.  This oracle finds it as a tagger with sync tags would: by
 ``searchsorted`` among the trigger tags of the full stream, as
 ``simulate.with_triggers`` rebuilds it.  It then gates each detection by
-the float rule of ``GateConfig`` (the same offsets for both channels:
-nearest offset, the earlier one on a midpoint, inside when within half a
-gate width), and counts pairs from dense (pulse, slot) tables:
-joint = S^T I and next-pulse = S[:-1]^T I[1:].
+the rule of ``GateConfig`` in whole ps (the same offsets for both
+channels, each rounded to whole ps: nearest offset, the earlier one on a
+midpoint, inside when within half the width rounded to whole ps), and
+counts pairs from dense (pulse, slot) tables: joint = S^T I and
+next-pulse = S[:-1]^T I[1:].
 It shares no code with the fold, which gates by a ``searchsorted`` into
 whole-ps gate edges worked out once, and pairs by pulse runs.
 """
@@ -27,20 +28,21 @@ def explicit_trigger_result(tags, gates, hist_bin=10e-12):
     t = tags["time_ps"].astype(np.int64)
     trig = t[tags["channel"] == CH_TRIGGER]
     hist_bin_ps = hist_bin * 1e12
-    half_width = gates.gate_width * 1e12 / 2
-    offs = np.sort(np.asarray(gates.offsets, dtype=float) * 1e12)
+    width_ps = round(gates.gate_width * 1e12)
+    offs = np.array(sorted(round(o * 1e12) for o in gates.offsets), dtype=np.int64)
     histograms, tables, dropped = {}, {}, 0
     for ch in (CH_SIGNAL, CH_IDLER):
         tc = t[tags["channel"] == ch]
         pulse = np.searchsorted(trig, tc, side="right") - 1
         dropped += int(np.count_nonzero(pulse < 0))
         tc, pulse = tc[pulse >= 0], pulse[pulse >= 0]
-        rel = (tc - trig[pulse]).astype(float)
-        h = np.bincount((rel / hist_bin_ps).astype(np.int64))
+        rel = tc - trig[pulse]
+        h = np.bincount((rel.astype(float) / hist_bin_ps).astype(np.int64))
         if h.any():
             histograms[ch] = h[:np.flatnonzero(h)[-1] + 1]
-        slot = np.searchsorted((offs[1:] + offs[:-1]) / 2, rel, side="left")
-        inside = np.abs(rel - offs[slot]) <= half_width
+        # Twice the midpoints and twice |rel - offset|: exact in integers.
+        slot = np.searchsorted(offs[1:] + offs[:-1], 2 * rel, side="left")
+        inside = 2 * np.abs(rel - offs[slot]) <= width_ps
         table = np.bincount(pulse[inside] * offs.size + slot[inside],
                             minlength=trig.size * offs.size)
         tables[ch] = table.reshape(trig.size, offs.size)

@@ -59,17 +59,53 @@ class TestGateConfig:
             GateConfig(offsets=(1e-9, offset))
 
     def test_accepts_touching_gates(self):
-        # 3e-9 - 1e-9 is 1.9999999999999997e-09 in floats: below the width
-        # in seconds, equal to it in whole picoseconds.
         gates = GateConfig(gate_width=2e-9, offsets=(1e-9, 3e-9))
         tags = tag_array([CH_SIGNAL, CH_SIGNAL], [2000, 2001])
         # rel 2000 ps is the shared edge; 2001 ps lies only in the later gate
         assert analyze_stream(tags, gates, grid=TWO_PULSES).gated_signal.tolist() == [1, 1]
 
+    @pytest.mark.parametrize("width", [1e-13, 0.5e-12], ids=["0.1ps", "0.5ps"])
+    def test_rejects_width_of_no_whole_ps(self, width):
+        # Rounded to 0 ps, such a width would pass duplicate offsets.
+        with pytest.raises(ValueError, match="gate_width must be at least 1e-12 s"):
+            GateConfig(width, (2e-9, 2e-9))
+        GateConfig(0.6e-12, (2e-9, 2.001e-9))  # 1 ps gates, touching
+
+    @pytest.mark.parametrize("width, offsets", [
+        (1e-9, (4.7e6,)), (1e-9, (0.0, -4.7e6)), (4.7e6, ()),
+    ], ids=["offset-past-2^62-ps", "offset-below-minus-2^62-ps", "width-past-2^62-ps"])
+    def test_rejects_gates_whose_int64_edges_would_overflow(self, width, offsets):
+        with pytest.raises(ValueError, match="must lie within"):
+            GateConfig(width, offsets)
+
+    def test_gates_at_2_to_the_62_ps_are_accepted(self):
+        edge = 2**62 * 1e-12
+        gates = GateConfig(4e6, (-edge, edge))
+        assert max(abs(round(x * 1e12)) for x in (gates.gate_width, *gates.offsets)) == 2**62
+        res = analyze_stream(tag_array([CH_SIGNAL], [0]), gates, grid=TWO_PULSES)
+        assert res.gated_signal.tolist() == [0, 0]
+
     def test_time_bin_layout(self):
         cfg = ExperimentConfig()
         g = GateConfig.time_bin(cfg)
         np.testing.assert_allclose(g.offsets, [2e-9, 5e-9, 8e-9])
+
+    @pytest.mark.parametrize("build", [GateConfig.time_bin, GateConfig.single_bin],
+                             ids=["time-bin", "single-bin"])
+    def test_every_default_slot_holds_501_whole_ps(self, build):
+        # One signal and one idler detection on each ps within 300 ps of
+        # each offset, one ps per pulse: a slot's count is its width in ps.
+        # One shared normalization of the 16 tomography counts needs every
+        # slot to accept the same time.
+        gates = build(ExperimentConfig())
+        rels = [round(o * 1e12) + d for o in gates.offsets for d in range(-300, 301)]
+        grid = PulseGrid(len(rels) + 1, 13123.359580052494)
+        times = np.repeat(grid.times(np.arange(len(rels))).astype(np.int64) + rels, 2)
+        tags = tag_array([CH_SIGNAL, CH_IDLER] * len(rels), times)
+        res = analyze_stream(tags, gates, hist_bin=1e-9, grid=grid)
+        n = len(gates.offsets)
+        assert res.gated_signal.tolist() == res.gated_idler.tolist() == [501] * n
+        np.testing.assert_array_equal(res.joint, 501 * np.eye(n, dtype=np.int64))
 
 
 class TestGatedSingles:
@@ -164,33 +200,33 @@ class TestGatedSingles:
         StreamAnalyzer(GateConfig(), 1e-12, grid=TWO_PULSES)
 
 
-def float_rule_slot(gates, rel):
-    """The gate slot of a detection ``rel`` float ps after its trigger, or
-    None, by the float rule in Python floats: the nearest of the sorted
-    offsets (in ps), the earlier one on a midpoint, and inside it when
-    |rel - offset| <= gate_width/2."""
-    offs = sorted(o * 1e12 for o in gates.offsets)
-    slot = sum((a + b) / 2 < rel for a, b in zip(offs, offs[1:]))
-    return slot if abs(rel - offs[slot]) <= gates.gate_width * 1e12 / 2 else None
+def whole_ps_slot(gates, rel):
+    """The gate slot of a detection ``rel`` whole ps after its trigger, or
+    None, by the gate rule in Python ints: the nearest of the sorted
+    offsets rounded to whole ps, the earlier one on a midpoint, and inside
+    it when |rel - offset| <= w/2, w the gate width rounded to whole ps."""
+    offs = sorted(round(o * 1e12) for o in gates.offsets)
+    slot = sum(a + b < 2 * rel for a, b in zip(offs, offs[1:]))
+    return slot if 2 * abs(rel - offs[slot]) <= round(gates.gate_width * 1e12) else None
 
 
 def probe_rels(gates, period):
     """Whole ps 0 <= rel < period within 3 ps of each gate's ends, offset
     and midpoint."""
-    half = gates.gate_width * 1e12 / 2
-    offs = sorted(o * 1e12 for o in gates.offsets)
-    near = {0.0, *(x for o in offs for x in (o - half, o, o + half)),
-            *((a + b) / 2 for a, b in zip(offs, offs[1:]))}
-    return sorted({int(np.floor(x)) + d for x in near for d in range(-3, 4)
-                   if 0 <= int(np.floor(x)) + d < period})
+    half = round(gates.gate_width * 1e12) // 2
+    offs = sorted(round(o * 1e12) for o in gates.offsets)
+    near = {0, *(x for o in offs for x in (o - half, o, o + half)),
+            *((a + b) // 2 for a, b in zip(offs, offs[1:]))}
+    return sorted({x + d for x in near for d in range(-3, 4) if 0 <= x + d < period})
 
 
 class TestGateOracle:
-    """Each detection's slot against the per-detection float rule."""
+    """Each detection's slot against the gate rule, evaluated per
+    detection in Python ints."""
 
     CASES = {
-        # The default gates: offsets 2000.0000000000002 ps and so on, and a
-        # half width of 250.00000000000003 ps, which leaves out 1750 ps.
+        # The default gates: offsets 2000, 5000 and 8000 ps and a width of
+        # 500 ps, so 1750 ps is in the first gate.
         "time-bin": (GateConfig.time_bin(ExperimentConfig()), 13123.359580052494),
         "touching": (GateConfig(2e-9, (1e-9, 3e-9)), 10000.0),
         "touching-three": (GateConfig(2e-9, (1.5e-9, 4.2e-9, 7.7e-9)), 10000.0),
@@ -198,10 +234,9 @@ class TestGateOracle:
         "odd-offsets-negative": (GateConfig(0.3e-9, (-0.1e-9, 0.3e-9, 3.333e-9)), 5000.25),
         "0.4s-at-1Hz": (GateConfig(0.5e-9, (0.4, 0.4 + 3e-9)), 1e12),
         "0.4s-at-1Hz-one-gate": (GateConfig(0.5e-9, (0.4 + 1e-9,)), 1e12),
-        # Times after the trigger of about 1e16 ps, where floats are 2 ps
-        # apart, and gates 1 ps wide: 1e16 +- 1 ps is 1e16 as a float, so
-        # in the first gate by the float rule, though 1 ps from its offset.
-        "past-2^53-ps": (GateConfig(1e-12, (1e4, 1e4 + 3e-9)), 2e16),
+        # Gates 1 ps wide 1.7e14 ps after the trigger, on a grid of 51
+        # pulses whose last probe lies within 2e13 ps of the cap of 2^53 ps.
+        "1.7e14-ps": (GateConfig(1e-12, (170.0, 170.0 + 3e-9)), 1.8e14),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -221,10 +256,10 @@ class TestGateOracle:
             new = counts - seen[ch]
             seen[ch] = counts
             got = int(np.flatnonzero(new)[0]) if new.any() else None
-            assert got == float_rule_slot(gates, float(r)), (ch, r)
+            assert got == whole_ps_slot(gates, r), (ch, r)
         if case == "time-bin":
-            assert float_rule_slot(GateConfig(0.5e-9, (2e-9,)), 1750.0) is None
-            assert float_rule_slot(GateConfig(0.5e-9, (2e-9,)), 2250.0) == 0
+            assert [whole_ps_slot(gates, r) for r in (1749, 1750, 2250, 2251)] == \
+                [None, 0, 0, None]
 
     def test_gate_structure_grows_with_the_gates_not_their_times(self):
         # Gates 0.4 s after the trigger: a lookup table over the time after
@@ -260,7 +295,7 @@ class TestGateOracle:
 
         trigger = round(period)  # all of pulse 1
         res, _ = fed(trigger + rel, 1)
-        slots = [float_rule_slot(gates, float(r)) for r in range(1500, 8500)]
+        slots = [whole_ps_slot(gates, r) for r in range(1500, 8500)]
         counts = [np.bincount([slots[r - 1500] for r in rel[channels == ch]], minlength=3)
                   for ch in (CH_SIGNAL, CH_IDLER)]
         np.testing.assert_array_equal(res.joint, np.outer(*counts))

@@ -165,6 +165,17 @@ class TestSimulate:
         assert "grid pulse count 1" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_run_past_2_to_the_53_ps_is_usage_error(self, tmp_path, capsys):
+        # 1e4 pulses of 1 s put the last trigger near 1e16 ps; a slow pump
+        # and no darks keep the run small should the grid let it through.
+        cfg = write_config(tmp_path / "run.cfg", rep_rate_hz=1.0, duration_s=1e4,
+                           dark_rate_signal_hz=0.0, dark_rate_idler_hz=0.0)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 2
+        err = capsys.readouterr().err
+        assert "trigger at 2^53 ps or more" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("key, value", [("mean_pairs_per_pulse", "1e9"),
                                             ("dark_rate_signal_hz", "1e15")])
     def test_absurd_rate_is_usage_error(self, tmp_path, capsys, key, value):
@@ -281,10 +292,11 @@ class TestAnalyze:
         {"pulses": 4, "period_ps": 0.3},
         {"pulses": 7620},
         [7620, 13123.36],
+        {"pulses": 2**53, "period_ps": 1000.0},
     ], ids=["one-pulse", "float-count", "string-count", "bool-count", "count-past-2^53",
             "zero-period", "negative-period", "nan-period", "inf-period", "string-period",
             "last-trigger-past-2^63", "last-trigger-at-2^63", "huge-int-period",
-            "sub-ps-period", "no-period", "not-a-dict"])
+            "sub-ps-period", "no-period", "not-a-dict", "last-trigger-past-2^53"])
     def test_hostile_grid_header_is_data_error(self, tmp_path, capsys, grid):
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [2000, 2100],
                                  VALID_ECHO, grid)
@@ -302,15 +314,17 @@ class TestAnalyze:
         assert f"trigger record in a file with a pulse grid (byte offset {offset})" in \
             capsys.readouterr().err
 
-    def test_grid_of_2_to_the_53_pulses_is_never_built(self, tmp_path):
-        # A 1 ns grid, so the gate sits 500 ps after each trigger.
+    def test_largest_grid_is_never_built(self, tmp_path):
+        # A 1 ns grid, so the gate sits 500 ps after each trigger; its last
+        # trigger is at 9007199254740000 ps, the latest one below 2^53 ps.
         echo = {**VALID_ECHO, "mode": "single-bin", "detection_delay": 5e-10}
+        pulses = 9007199254741
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [3500, 3500],
-                                 echo, {"pulses": 2**53, "period_ps": 1000.0})
+                                 echo, {"pulses": pulses, "period_ps": 1000.0})
         out = tmp_path / "r.json"
         assert main(["analyze", "--in", str(tags), "--out", str(out)]) == 0
         counts = json.loads(out.read_text())["rates"]["counts"]
-        assert counts["trigger"] == 2**53 and counts["coincidence"] == 1
+        assert counts["trigger"] == pulses and counts["coincidence"] == 1
 
     def test_missing_input_is_data_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.tags"
@@ -331,6 +345,19 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
+
+    def test_gate_width_of_no_whole_ps_is_usage_error(self, tmp_path, capsys):
+        # 1e-13 s rounds to 0 whole ps, which would let all three gates
+        # through the overlap check.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--in", str(tags), "--out", str(out),
+                     "--gate-width-s", "1e-13"]) == 2
+        err = capsys.readouterr().err
+        assert "--gate-width-s 1e-13 does not fit the run" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1e-15", "1e-20"])
     def test_sub_picosecond_hist_bin_is_usage_error(self, tmp_path, capsys, value):

@@ -242,30 +242,51 @@ class TestPulseGrid:
         (7620, 0.0), (7620, -1000.0), (7620, np.nan), (7620, np.inf), (7620, "1000"),
         (7620, True), (2**40, 2.0**30), (2, 2.0**63), (2, 10**400),
         (2**20, 1.0 - 2**-40), (2**20, 0.999),
+        # Past 2^53 ps floats are 2 ps or more apart: near the end of these
+        # grids consecutive triggers would lie 0 or 1024 ps apart, and 0 or 2.
+        (2**53, 1000.0), (2**53, 1.5),
+        (2**53, 1000.3), (1000, (2**63 - 2**12) / 999), (2, 2.0**63 - 2**11),
+        (2**53 + 1, 1.0), (2, 2.0**53), (6004799503160662, 1.5),
     ], ids=["one-pulse", "float-count", "string-count", "bool-count", "count-past-2^53",
             "zero-period", "negative-period", "nan-period", "inf-period", "string-period",
             "bool-period", "last-trigger-past-2^63", "last-trigger-at-2^63",
-            "huge-int-period", "below-1ps", "0.999ps"])
+            "huge-int-period", "below-1ps", "0.999ps",
+            "2^53-pulses-of-1000ps", "2^53-pulses-of-1.5ps",
+            "2^53-pulses", "near-2^63", "two-near-2^63",
+            "last-trigger-at-2^53", "two-at-2^53", "last-trigger-rounds-to-2^53"])
     def test_rejects_a_grid_outside_its_rules(self, pulses, period):
         with pytest.raises(ValueError, match="grid"):
             PulseGrid(pulses, period)
 
     def test_count_and_period_are_normalized(self):
-        grid = PulseGrid(np.int64(2**53), 1000)
+        grid = PulseGrid(np.int64(2**43), 1000)
         assert type(grid.pulses) is int and type(grid.period_ps) is float
-        assert grid == PulseGrid(2**53, 1000.0)
+        assert grid == PulseGrid(2**43, 1000.0)
+
+    # The largest grids of some periods: one more pulse puts the last
+    # trigger at 2^53 ps or more.
+    LARGEST = [(2**53, 1.0), (6004799503160661, 1.5), (9007199254741, 1000.0),
+               (686348583212, 13123.359580052494)]
+    LARGEST_IDS = ["largest-1ps", "largest-1.5ps", "largest-1000ps", "largest-76.2MHz"]
+
+    @pytest.mark.parametrize("pulses, period", LARGEST, ids=LARGEST_IDS)
+    def test_largest_grid_keeps_its_triggers_apart(self, pulses, period):
+        grid = PulseGrid(pulses, period)
+        times = grid.times(np.arange(pulses - 10**4, pulses))
+        assert times[-1] < 2**53
+        assert np.all(np.diff(times) >= 1)
+        with pytest.raises(ValueError, match="2\\^53 ps or more"):
+            PulseGrid(pulses + 1, period)
 
     @pytest.mark.parametrize("pulses, period", [
         (7620, 13123.359580052494),          # 76.2 MHz
-        (2**53, 1000.3),                     # the most pulses a grid may have
         (2**20, 1.0), (2**20, 1.0 + 2**-40),
-        (1000, (2**63 - 2**12) / 999),       # last trigger just below 2^63 ps
-        (2, 2.0**63 - 2**11),
+        *LARGEST,
         *((int(n), float(p)) for n, p in zip(
             np.random.default_rng(7).integers(2, 10**6, 6),
             np.random.default_rng(8).uniform(1.0, 1e7, 6))),
-    ], ids=["76.2MHz", "2^53-pulses", "1ps", "above-1ps",
-            "near-2^63", "two-near-2^63", *(f"random-{k}" for k in range(6))])
+    ], ids=["76.2MHz", "1ps", "above-1ps", *LARGEST_IDS,
+            *(f"random-{k}" for k in range(6))])
     def test_index_matches_bisect_over_trigger_times(self, pulses, period):
         # Trigger k is at round(k * period) ps, in Python floats (round half
         # to even, as numpy rounds); the latest one at or before t is found
