@@ -19,14 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import CH_IDLER, CH_SIGNAL, DEFAULT_GATE_WIDTH, ExperimentConfig, PulseGrid
+from .simulate import (CH_IDLER, CH_SIGNAL, DEFAULT_GATE_WIDTH, ExperimentConfig, PulseGrid,
+                       first_bad_record)
 
 __all__ = [
     "GateConfig",
     "Quantity",
     "RateReport",
     "FringeScan",
-    "MIN_HIST_BIN",
+    "whole_ps",
     "StreamAnalyzer",
     "AnalysisResult",
     "analyze_stream",
@@ -40,17 +41,25 @@ __all__ = [
 ]
 
 
-# Tags are whole picoseconds, so a finer histogram bin resolves nothing.
-MIN_HIST_BIN = 1e-12
-
 # Bound on a gate offset or width, in whole ps: the int64 slot edges stay
-# within 1.5 times it.
+# within 1.5 times it.  A histogram bin, rounded as the width is, shares it.
 MAX_GATE_PS = 2**62
 
 # Detections per step of the fold.  Small steps keep its temporaries small
 # and in cache: on a fringe-scan stream, steps of 2^16 took about 1.7 times
 # as long as steps of 2^14.
 FOLD_RECORDS = 1 << 14
+
+
+def whole_ps(seconds, name: str) -> int:
+    """``seconds`` rounded to whole ps, the resolution of a tag: the one
+    conversion of a gate width and a histogram bin.  Either must be finite
+    and round to 1 to ``MAX_GATE_PS`` ps, else a ValueError names ``name``."""
+    ps = seconds * 1e12  # inf for a finite 1e300 s, which round() refuses
+    if not (np.isfinite(ps) and 1 <= round(ps) <= MAX_GATE_PS):
+        raise ValueError(f"{name} must lie within 1 and 2^62 ps in whole ps, got {seconds!r} s")
+    return round(ps)
+
 
 @dataclass(frozen=True)
 class Quantity:
@@ -75,33 +84,27 @@ class GateConfig:
     it lies within gate_width/2 of the k-th offset, and a ps shared by two
     touching gates goes to the earlier one.  So every slot holds
     2 (width // 2) + 1 ps, the one shared with an earlier gate aside.  Gates
-    must not overlap, though they may touch; the width must round to at
-    least 1 ps, and every offset and the width to at most ``MAX_GATE_PS``.
+    must not overlap, though they may touch; the width is checked by
+    :func:`whole_ps`, and every offset must round to ``MAX_GATE_PS`` ps or less.
     """
 
     gate_width: float = DEFAULT_GATE_WIDTH
     offsets: tuple = ()
 
     def __post_init__(self):
-        if not np.isfinite(self.gate_width):
-            raise ValueError(f"gate_width must be finite, got {self.gate_width!r}")
         if not np.all(np.isfinite(self.offsets)):
             raise ValueError(f"gate offsets must be finite, got {self.offsets!r}")
         object.__setattr__(self, "offsets", tuple(sorted(float(o) for o in self.offsets)))
         offs_ps, width_ps = self._whole_ps()
-        if width_ps < 1:
-            raise ValueError(f"gate_width must be at least {MIN_HIST_BIN:g} s in whole ps, "
-                             f"got {self.gate_width!r}")
-        if max(map(abs, [width_ps, *offs_ps])) > MAX_GATE_PS:
-            raise ValueError(f"gate offsets {self.offsets!r} and gate_width "
-                             f"{self.gate_width!r} must lie within {MAX_GATE_PS * 1e-12:g} s")
+        if max(map(abs, offs_ps), default=0) > MAX_GATE_PS:
+            raise ValueError(f"gate offsets {self.offsets!r} must lie within 2^62 ps")
         for a, b in zip(offs_ps, offs_ps[1:]):
             if b - a < width_ps:
                 raise ValueError(f"overlapping gates: {a} ps and {b} ps")
 
     def _whole_ps(self):
         """(offsets, width) rounded to whole ps, as Python ints."""
-        return [round(o * 1e12) for o in self.offsets], round(self.gate_width * 1e12)
+        return [round(o * 1e12) for o in self.offsets], whole_ps(self.gate_width, "gate_width")
 
     @classmethod
     def single_bin(cls, config: ExperimentConfig, gate_width: float = DEFAULT_GATE_WIDTH):
@@ -162,16 +165,18 @@ class RateReport:
 
 
 class StreamAnalyzer:
-    """Fold over the time-sorted detections of a run on its pulse grid.
+    """Fold over the detection records of a run on its pulse grid.
 
-    Each detection belongs to the pulse of the latest trigger at or before
-    its time.  The triggers are the :class:`~timebin.simulate.PulseGrid`
+    The records keep the tag file's rule across chunks
+    (:func:`~timebin.simulate.first_bad_record`): a chunk that breaks it is
+    a ``ValueError`` naming the record, and nothing of it is counted.  Each
+    detection belongs to the pulse of the latest trigger at or before its
+    time.  The triggers are the :class:`~timebin.simulate.PulseGrid`
     ``grid``, never tags: ``grid.locate`` gives each detection's pulse and
-    time after its trigger, and those feed the fold.  A tag on any channel
-    but the signal's and the idler's is a ``ValueError``.  Detections at or
-    past the end of the grid's live time, ``grid.times(grid.pulses)``,
-    belong to no pulse: they are neither histogrammed nor gated but counted
-    in ``out_of_range``, so a corrupted time cannot size a histogram.
+    time after its trigger, and those feed the fold.  Detections at or past
+    the end of the grid's live time, ``grid.times(grid.pulses)``, belong to
+    no pulse: they are neither histogrammed nor gated but counted in
+    ``out_of_range``, so a corrupted time cannot size a histogram.
 
     The fold takes at most ``FOLD_RECORDS`` detections at a time.  One
     ``searchsorted`` of the whole ps after the trigger into the gate edges,
@@ -186,20 +191,17 @@ class StreamAnalyzer:
     to ``joint``, and to ``neighbor_joint`` that of the previous run's S
     with its I when their pulses are adjacent.  A run is counted once a
     later run starts; between chunks the fold holds only the counts of the
-    last two runs.  ``hist_bin`` is at least ``MIN_HIST_BIN``, 1 ps, the
-    resolution of a tag.
+    last two runs.  ``hist_bin`` is rounded to whole ps by :func:`whole_ps`,
+    and a detection ``rel`` ps after its trigger goes to bin rel // bin.
     """
 
     def __init__(self, gates: GateConfig, hist_bin: float = 10e-12, *, grid: PulseGrid):
-        if not (np.isfinite(hist_bin) and hist_bin >= MIN_HIST_BIN):
-            raise ValueError(f"hist_bin must be a finite number of at least {MIN_HIST_BIN:g} s, "
-                             f"got {hist_bin!r}")
         self.gates = gates
-        self.hist_bin_ps = hist_bin * 1e12
         self.grid = grid
         self.out_of_range = 0
+        self._bin_ps = whole_ps(hist_bin, "hist_bin")
         self._end = int(grid.times(grid.pulses))
-        self._last_time = -1
+        self._last = 0  # time of the latest record fed
         self._hist = np.zeros(0, dtype=np.int64)  # bin * 2 + channel -> count
         self._edges = _gate_edges(gates)
         n = self._n = len(gates.offsets)
@@ -212,31 +214,23 @@ class StreamAnalyzer:
                       np.zeros((self._gated.size, 2), dtype=np.int64))
 
     def feed(self, detections: np.ndarray) -> None:
+        if (bad := first_bad_record(detections, self._last)) is not None:
+            raise ValueError(f"record {bad[0]} of the chunk: {bad[1]}")
         if detections.size == 0:
             return
         times = detections["time_ps"].astype(np.int64)
-        if np.any(times[1:] < times[:-1]) or times[0] < self._last_time:
-            raise ValueError("stream is not time-sorted")
-        channels = detections["channel"]
-        if channels.max() > CH_IDLER:
-            k = int(np.argmax(channels > CH_IDLER))
-            raise ValueError(f"tag {k} of the chunk is on channel {channels[k]}, not a "
-                             f"detection channel ({CH_SIGNAL} or {CH_IDLER})")
-        self._last_time = int(times[-1])
-        live = (times.size if self._last_time < self._end
-                else int(np.searchsorted(times, self._end)))
+        self._last = int(times[-1])
+        live = times.size if self._last < self._end else int(np.searchsorted(times, self._end))
         self.out_of_range += times.size - live
-        times, channels = times[:live], channels[:live]
         for lo in range(0, live, FOLD_RECORDS):
-            t, c = times[lo:lo + FOLD_RECORDS], channels[lo:lo + FOLD_RECORDS]
-            self._fold(*self.grid.locate(t), c)
+            hi = min(lo + FOLD_RECORDS, live)
+            self._fold(*self.grid.locate(times[lo:hi]), detections["channel"][lo:hi])
 
     def _fold(self, pulse, rel_ps, channels):
         """Histogram, gate and pair detections given in pulse order as
         (pulse, int64 ps after the pulse's trigger, channel 0 or 1).  Gate
         k is slot k of an idler detection and slot n + k of a signal one."""
-        rel = rel_ps.astype(float)
-        new = np.bincount((rel / self.hist_bin_ps).astype(np.int64) * 2 + channels)
+        new = np.bincount(rel_ps // self._bin_ps * 2 + channels)
         if new.size > self._hist.size:
             self._hist = np.pad(self._hist, (0, new.size - self._hist.size))
         self._hist[:new.size] += new
@@ -292,7 +286,7 @@ class StreamAnalyzer:
         period = float(last - first) / (n - 1)
         return AnalysisResult(
             histograms=histograms,
-            hist_bin=self.hist_bin_ps * 1e-12,
+            hist_bin=self._bin_ps * 1e-12,
             gated_signal=end._gated[self._n:],
             gated_idler=end._gated[:self._n],
             joint=end._joint,

@@ -240,12 +240,11 @@ def _cmd_analyze(args) -> int:
     from .simulate import CH_IDLER, CH_SIGNAL
 
     t0 = time.monotonic()
-    if not (math.isfinite(args.gate_width_s) and args.gate_width_s > 0):
-        raise ConfigError(f"--gate-width-s must be a positive finite number, "
-                          f"got {args.gate_width_s!r}")
-    if not (math.isfinite(args.hist_bin_s) and args.hist_bin_s >= analysis.MIN_HIST_BIN):
-        raise ConfigError(f"--hist-bin-s must be a finite number of at least "
-                          f"{analysis.MIN_HIST_BIN:g} s, got {args.hist_bin_s!r}")
+    try:  # before the file is read
+        analysis.whole_ps(args.gate_width_s, "--gate-width-s")
+        analysis.whole_ps(args.hist_bin_s, "--hist-bin-s")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     try:
         it = streams.iter_read_tags(args.input, raw=True)
         header = next(it)
@@ -390,10 +389,10 @@ def _cmd_tomo(args) -> int:
     from . import tomography
 
     t0 = time.monotonic()
-    if args.replicas < 2:
-        raise ConfigError(f"--replicas must be at least 2, got {args.replicas}")
-    if args.max_iter < 1:
-        raise ConfigError(f"--max-iter must be at least 1, got {args.max_iter}")
+    for flag, value, least in (("--replicas", args.replicas, 2), ("--max-iter", args.max_iter, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     setting_counts = {}
     inputs = []
     for spec_arg in args.settings:
@@ -414,8 +413,7 @@ def _cmd_tomo(args) -> int:
         raise ConfigError(f"missing phase settings {missing}")
     record = tomography.counts_from_phase_settings(setting_counts)
     try:
-        result = tomography.bootstrap_errors(record, n_replicas=args.replicas,
-                                             seed=args.seed or 0,
+        result = tomography.bootstrap_errors(record, n_replicas=args.replicas, seed=args.seed,
                                              max_iter=args.max_iter)
     except ValueError as exc:  # e.g. reports whose joint tables are all zero
         raise DataError(f"reports {', '.join(inputs)}: {exc}") from exc

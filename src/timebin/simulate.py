@@ -52,6 +52,7 @@ __all__ = [
     "joint_slot_distribution",
     "iter_simulate",
     "iter_simulate_single_bin",
+    "first_bad_record",
     "with_triggers",
 ]
 
@@ -61,6 +62,7 @@ CH_TRIGGER = 2
 
 # The on-disk record of the tag file format as well (see ``streams``).
 TAG_DTYPE = np.dtype([("channel", "<u1"), ("time_ps", "<u8")])
+_MAX_TIME_PS = np.uint64(np.iinfo(np.int64).max)  # times are analyzed as int64
 
 # Pulses per generation block; fixed so that RNG substreams (and hence the
 # output stream) do not depend on consumer chunking.
@@ -69,6 +71,30 @@ BLOCK_PULSES = 1 << 20
 MAX_BLOCK_DRAWS = 1 << 24
 
 DEFAULT_GATE_WIDTH = 0.5e-9
+
+
+def first_bad_record(tags, last) -> tuple[int, str] | None:
+    """(index, fault) of the first of ``tags``, following a record at time
+    ``last``, that is not a detection record: one on a channel but 0 and 1,
+    at a time of 2^63 ps or more, or before the previous record's.  None if
+    there is none.  This is the one record rule: the tag file reader and
+    writer, ``StreamAnalyzer.feed`` and :func:`with_triggers` all keep it."""
+    channel, time_ps = tags["channel"], tags["time_ps"]
+    if tags.size == 0 or (channel.max() <= CH_IDLER and time_ps[0] >= last
+                          and not np.any(time_ps[1:] < time_ps[:-1])
+                          and time_ps[-1] <= _MAX_TIME_PS):
+        return None
+    bad_channel = channel > CH_IDLER
+    bad_time = time_ps > _MAX_TIME_PS
+    unsorted = time_ps < np.concatenate([[np.uint64(last)], time_ps[:-1]])
+    k = int(np.argmax(bad_channel | bad_time | unsorted))
+    if channel[k] == CH_TRIGGER:
+        return k, "trigger record; the pulse grid holds the triggers"
+    if bad_channel[k]:
+        return k, f"unknown channel {channel[k]}"
+    if bad_time[k]:
+        return k, f"time {time_ps[k]} ps is 2^63 ps or more"
+    return k, f"time {time_ps[k]} ps is before the previous record's"
 
 
 @dataclass(frozen=True)
@@ -196,7 +222,8 @@ class PulseGrid:
 
     def times(self, k):
         """Trigger times in float ps of the pulse indices ``k``."""
-        return np.round(k * self.period_ps)
+        t = k * self.period_ps
+        return np.round(t, out=t) if isinstance(t, np.ndarray) else np.round(t)
 
     def index(self, t) -> np.ndarray:
         """Latest pulse, at most ``pulses - 1``, whose trigger is at or
@@ -394,12 +421,15 @@ def _emit_block(config, grid, block, law):
     arms = []
     for det, slot, monitored in ((det_s, s_slot, s_mon), (det_i, i_slot, i_mon)):
         pick = np.flatnonzero(det & monitored[outcome])
-        t = grid.times(np.int64(first) + pulse_of_pair.take(pick))
+        k, picked = np.int64(first) + pulse_of_pair.take(pick), outcome.take(pick)
+        del pick  # k goes too once t is made: two 8-byte arrays per detection at most
+        t = grid.times(k)
+        del k
         t += config.detection_delay * 1e12
-        t += (slot * (config.bin_delay * 1e12)).take(outcome.take(pick))
+        t += (slot * (config.bin_delay * 1e12)).take(picked)
         t += rng.normal(0.0, config.jitter_sigma * 1e12, t.size)
         arms.append(t)
-    del pulse_of_pair, outcome, det_s, det_i, pick  # before the arms are joined
+    del pulse_of_pair, outcome, det_s, det_i, picked  # before the arms are joined
 
     t0 = grid.times(first)
     t1 = grid.times(first + count - 1) + grid.period_ps
@@ -466,22 +496,25 @@ def iter_simulate_single_bin(config: ExperimentConfig) -> Iterator[np.ndarray]:
 
 def with_triggers(grid: PulseGrid, detections, chunk_records: int = BLOCK_PULSES
                   ) -> Iterator[np.ndarray]:
-    """Tag chunks of ``grid``'s triggers merged into time-sorted detection chunks.
+    """Tag chunks of ``grid``'s triggers merged into detection chunks.
 
-    Detection t has index(t - 1) + 1 triggers ahead of it, those strictly
-    earlier: it goes ahead of a trigger at its own time.  Chunks hold at
-    most ``chunk_records`` tags; the triggers after the latest detection
-    wait for the next detection chunk or the end.
+    The detections keep :func:`first_bad_record`'s rule across chunks: a
+    chunk that breaks it is a ``ValueError`` naming the record.  Detection
+    t has index(t - 1) + 1 triggers ahead of it, those strictly earlier: it
+    goes ahead of a trigger at its own time.  Chunks hold at most
+    ``chunk_records`` tags; the triggers after the latest detection wait
+    for the next detection chunk or the end.
     """
     if chunk_records < 1:
         raise ValueError(f"chunk_records must be at least 1, got {chunk_records}")
-    k = 0  # triggers emitted
+    k, last = 0, 0  # triggers emitted, time of the latest detection
     for chunk in detections:
+        if (bad := first_bad_record(chunk, last)) is not None:
+            raise ValueError(f"record {bad[0]} of the chunk: {bad[1]}")
         if chunk.size == 0:
             continue
+        last = chunk["time_ps"][-1]
         before = grid.index(chunk["time_ps"].astype(np.int64) - 1) + 1
-        if before[0] < k or np.any(np.diff(before) < 0):
-            raise ValueError("detections are not time-sorted")
         pos = before + np.arange(chunk.size)  # merged position, less k + i
         i = 0  # detections of this chunk emitted
         while i < chunk.size:

@@ -8,7 +8,8 @@ a trailer.
   "grid": {"pulses": n, "period_ps": P}}`` with the run's config echo and
   its pulse grid: the triggers are implied at round(k * P) ps for k < n
   (see :class:`~timebin.simulate.PulseGrid`), and the records are the
-  detections only, on channels 0 and 1, in time order.  A detection at a
+  detections only, by the rule of :func:`~timebin.simulate.first_bad_record`:
+  on channels 0 and 1, below 2^63 ps, in time order.  A detection at a
   trigger's time belongs to that trigger's pulse.
 - **Trailer** (48 bytes): the magic ``TAGSEND2``, the record count as u64
   and the SHA-256 of the record bytes.  A file cut anywhere, even on a
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .simulate import CH_IDLER, CH_TRIGGER, TAG_DTYPE, PulseGrid, with_triggers
+from .simulate import TAG_DTYPE, PulseGrid, first_bad_record, with_triggers
 
 __all__ = [
     "FORMAT_VERSION",
@@ -43,7 +44,6 @@ __all__ = [
 FORMAT_VERSION = 2
 
 _RECORD_SIZE = TAG_DTYPE.itemsize
-_MAX_TIME_PS = np.uint64(np.iinfo(np.int64).max)  # times are analyzed as int64
 _TRAILER_MAGIC = b"TAGSEND2"
 _TRAILER_SIZE = len(_TRAILER_MAGIC) + 8 + 32
 
@@ -84,11 +84,9 @@ def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray, config_echo: dic
             emit(json.dumps(header).encode() + b"\n")
             for chunk in chunks:
                 rec = np.ascontiguousarray(chunk, dtype=TAG_DTYPE)
-                bad = _first_bad_record(rec, last)
-                if bad is not None:
+                if (bad := first_bad_record(rec, last)) is not None:
                     raise ValueError(f"record {n + bad[0]}: {bad[1]}")
-                if rec.size:
-                    last = rec["time_ps"][-1]
+                last = rec["time_ps"][-1] if rec.size else last
                 emit(rec.data)
                 digest.update(rec.data)
                 n += rec.size
@@ -159,30 +157,6 @@ def _trailer(fh, size: int, records_at: int) -> bytes:
     return raw[-32:]
 
 
-def _first_bad_record(tags, last) -> tuple[int, str] | None:
-    """(index, fault) of the first of ``tags``, following a record at time
-    ``last``, that is not a detection record: one on a channel but 0 and 1,
-    at a time of 2^63 ps or more, or before the previous record's.  None if
-    there is none.  The reader and the writer both keep this rule."""
-    if tags.size == 0:
-        return None
-    channel, time_ps = tags["channel"], tags["time_ps"]
-    if (channel.max() <= CH_IDLER and time_ps.max() <= _MAX_TIME_PS
-            and time_ps[0] >= last and not np.any(time_ps[1:] < time_ps[:-1])):
-        return None
-    bad_channel = channel > CH_IDLER
-    bad_time = time_ps > _MAX_TIME_PS
-    unsorted = time_ps < np.concatenate([[last], time_ps[:-1]])
-    k = int(np.argmax(bad_channel | bad_time | unsorted))
-    if bad_channel[k] and channel[k] == CH_TRIGGER:
-        return k, "trigger record in a file with a pulse grid"
-    if bad_channel[k]:
-        return k, f"unknown channel {channel[k]}"
-    if bad_time[k]:
-        return k, f"time {time_ps[k]} ps is 2^63 ps or more"
-    return k, f"time {time_ps[k]} ps is before the previous record's"
-
-
 def _records(fh, offset, end, chunk_records) -> Iterator[np.ndarray]:
     """Validated record chunks from ``offset`` to ``end``, the trailer."""
     last = np.uint64(0)  # time of the record before the chunk
@@ -193,8 +167,7 @@ def _records(fh, offset, end, chunk_records) -> Iterator[np.ndarray]:
             raise StreamFormatError(
                 "truncated record", offset + len(buf) - len(buf) % _RECORD_SIZE)
         tags = np.frombuffer(buf, dtype=TAG_DTYPE)
-        bad = _first_bad_record(tags, last)
-        if bad is not None:
+        if (bad := first_bad_record(tags, last)) is not None:
             raise StreamFormatError(bad[1], offset + bad[0] * _RECORD_SIZE)
         last = tags["time_ps"][-1]
         offset += len(buf)
@@ -208,10 +181,10 @@ def iter_read_tags(path, chunk_records: int = 1 << 18, raw: bool = False) -> Ite
     the file reads back as the full (channel, time_ps) stream.  With
     ``raw`` the records come as stored, as read-only arrays over the file's
     bytes: the detections, for an analyzer built with :func:`header_grid`.
-    A header without a valid grid, a trigger record, an unknown channel, a
-    time of 2^63 ps or more, a time before the previous record's, or a
-    trailer that is missing or whose record count or SHA-256 disagrees
-    raise :class:`StreamFormatError` with a byte offset.  The default chunk
+    A header without a valid grid, a record that breaks the record rule
+    (:func:`~timebin.simulate.first_bad_record`), or a trailer that is
+    missing or whose record count or SHA-256 disagrees raise
+    :class:`StreamFormatError` with a byte offset.  The default chunk
     bounds memory: the analyzer and the trigger rebuild keep several 8-byte
     temporaries per record of a chunk.
     """

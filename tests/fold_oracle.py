@@ -6,7 +6,8 @@ The analyzer finds each detection's pulse by arithmetic on a
 ``simulate.with_triggers`` rebuilds it.  It then gates each detection by
 the rule of ``GateConfig`` in whole ps (the same offsets for both
 channels, each rounded to whole ps: nearest offset, the earlier one on a
-midpoint, inside when within half the width rounded to whole ps), and
+midpoint, inside when within half the width rounded to whole ps),
+histograms it in bins of the bin rounded to whole ps, in integers, and
 counts pairs from dense (pulse, slot) tables: joint = S^T I and
 next-pulse = S[:-1]^T I[1:].
 It shares no code with the fold, which gates by a ``searchsorted`` into
@@ -27,7 +28,7 @@ def explicit_trigger_result(tags, gates, hist_bin=10e-12):
     """
     t = tags["time_ps"].astype(np.int64)
     trig = t[tags["channel"] == CH_TRIGGER]
-    hist_bin_ps = hist_bin * 1e12
+    bin_ps = round(hist_bin * 1e12)
     width_ps = round(gates.gate_width * 1e12)
     offs = np.array(sorted(round(o * 1e12) for o in gates.offsets), dtype=np.int64)
     histograms, tables, dropped = {}, {}, 0
@@ -37,7 +38,7 @@ def explicit_trigger_result(tags, gates, hist_bin=10e-12):
         dropped += int(np.count_nonzero(pulse < 0))
         tc, pulse = tc[pulse >= 0], pulse[pulse >= 0]
         rel = tc - trig[pulse]
-        h = np.bincount((rel.astype(float) / hist_bin_ps).astype(np.int64))
+        h = np.bincount(rel // bin_ps)
         if h.any():
             histograms[ch] = h[:np.flatnonzero(h)[-1] + 1]
         # Twice the midpoints and twice |rel - offset|: exact in integers.
@@ -50,7 +51,7 @@ def explicit_trigger_result(tags, gates, hist_bin=10e-12):
     period = float(trig[-1] - trig[0]) / (trig.size - 1)
     return AnalysisResult(
         histograms=histograms,
-        hist_bin=hist_bin_ps * 1e-12,
+        hist_bin=bin_ps * 1e-12,
         gated_signal=s.sum(axis=0),
         gated_idler=i.sum(axis=0),
         joint=s.T @ i,

@@ -67,7 +67,8 @@ class TestGateConfig:
     @pytest.mark.parametrize("width", [1e-13, 0.5e-12], ids=["0.1ps", "0.5ps"])
     def test_rejects_width_of_no_whole_ps(self, width):
         # Rounded to 0 ps, such a width would pass duplicate offsets.
-        with pytest.raises(ValueError, match="gate_width must be at least 1e-12 s"):
+        with pytest.raises(ValueError, match=r"^gate_width must lie within 1 and 2\^62 ps "
+                                             r"in whole ps, got"):
             GateConfig(width, (2e-9, 2e-9))
         GateConfig(0.6e-12, (2e-9, 2.001e-9))  # 1 ps gates, touching
 
@@ -160,13 +161,14 @@ class TestGatedSingles:
                            GateConfig.time_bin(ExperimentConfig()),
                            grid=PulseGrid(pulses, period_ps))
 
-    @pytest.mark.parametrize("channel", [CH_TRIGGER, 7])
-    def test_tag_off_the_detection_channels_rejected(self, channel):
+    @pytest.mark.parametrize("channel, fault", [(CH_TRIGGER, "trigger record;"),
+                                                (7, "unknown channel 7$")], ids=["2", "7"])
+    def test_tag_off_the_detection_channels_rejected(self, channel, fault):
         # Dropping such a tag would leave a direct caller's result short;
         # the refused chunk counts nothing.
         analyzer = StreamAnalyzer(GateConfig.time_bin(ExperimentConfig()), grid=TWO_PULSES)
         tags = tag_array([CH_SIGNAL, channel, CH_IDLER], [2000, 2100, 2200])
-        with pytest.raises(ValueError, match=f"tag 1 of the chunk is on channel {channel},"):
+        with pytest.raises(ValueError, match=f"^record 1 of the chunk: {fault}"):
             analyzer.feed(tags)
         analyzer.feed(tags[[0, 2]])
         res = analyzer.result()
@@ -189,15 +191,40 @@ class TestGatedSingles:
         assert res.histograms[CH_SIGNAL].sum() == res.histograms[CH_IDLER].sum() == 1
         assert max(h.size for h in res.histograms.values()) <= np.ceil(grid.period_ps / 10)
 
+    @pytest.mark.parametrize("time_ps", [2**63, 2**64 - 1])
+    def test_time_past_int64_rejected(self, time_ps):
+        # Cast to int64 first, 2^64 - 1 read as -1 ps, 12 999 ps after the
+        # trigger of pulse -1, and went through a gate at 12.9 ns.
+        grid = PulseGrid(4, 13000.0)
+        analyzer = StreamAnalyzer(GateConfig(1e-9, (12.9e-9,)), grid=grid)
+        tags = tag_array([CH_SIGNAL, CH_SIGNAL], [2000, time_ps])
+        with pytest.raises(ValueError, match=f"^record 1 of the chunk: time {time_ps} ps "
+                                             f"is 2\\^63 ps or more$"):
+            analyzer.feed(tags)
+        res = analyzer.result()
+        assert res.histograms == {} and res.gated_signal.tolist() == [0]
+        assert res.out_of_range == 0
+
+    @pytest.mark.parametrize("hist_bin, bin_ps", [(1e-9, 1000), (2e-9, 2000)])
+    def test_detection_at_k_bins_goes_to_bin_k(self, hist_bin, bin_ps):
+        # 1e-9 * 1e12 is 1000.0000000000001, so a float rule put 1000 ps in bin 0.
+        tags = tag_array([CH_SIGNAL] * 4, [bin_ps - 1, bin_ps, 2 * bin_ps, 3 * bin_ps])
+        res = analyze_stream(tags, GateConfig(), hist_bin, grid=PulseGrid(2, 13000.0))
+        assert res.histograms[CH_SIGNAL].tolist() == [1, 1, 1, 1]
+        assert res.hist_bin == bin_ps * 1e-12
+
     @pytest.mark.parametrize("hist_bin", [0.0, -10e-12, np.nan, np.inf])
     def test_bad_hist_bin_rejected(self, hist_bin):
         with pytest.raises(ValueError, match="hist_bin"):
             StreamAnalyzer(GateConfig(), hist_bin, grid=TWO_PULSES)
 
     def test_hist_bin_finer_than_a_tag_picosecond_rejected(self):
+        # The bin is rounded to whole ps, as the gate width is: 0.4 ps to
+        # none, 0.6 ps to one.
         with pytest.raises(ValueError, match="hist_bin"):
-            StreamAnalyzer(GateConfig(), 0.999e-12, grid=TWO_PULSES)
-        StreamAnalyzer(GateConfig(), 1e-12, grid=TWO_PULSES)
+            StreamAnalyzer(GateConfig(), 0.4e-12, grid=TWO_PULSES)
+        for hist_bin in (0.6e-12, 0.999e-12, 1e-12):
+            StreamAnalyzer(GateConfig(), hist_bin, grid=TWO_PULSES)
 
 
 def whole_ps_slot(gates, rel):

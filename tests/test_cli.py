@@ -311,7 +311,7 @@ class TestAnalyze:
         offset = tags.read_bytes().index(b"\n") + 1 + TAG_DTYPE.itemsize
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 3
-        assert f"trigger record in a file with a pulse grid (byte offset {offset})" in \
+        assert f"trigger record; the pulse grid holds the triggers (byte offset {offset})" in \
             capsys.readouterr().err
 
     def test_largest_grid_is_never_built(self, tmp_path):
@@ -356,7 +356,8 @@ class TestAnalyze:
         assert main(["analyze", "--in", str(tags), "--out", str(out),
                      "--gate-width-s", "1e-13"]) == 2
         err = capsys.readouterr().err
-        assert "--gate-width-s 1e-13 does not fit the run" in err and "Traceback" not in err
+        assert "--gate-width-s must lie within 1 and 2^62 ps in whole ps, got 1e-13 s" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1e-15", "1e-20"])
@@ -373,6 +374,20 @@ class TestAnalyze:
         assert not out.exists()
         assert main(["analyze", "--in", str(tags), "--out", str(out),
                      "--hist-bin-s", "1e-12"]) == 0
+
+    @pytest.mark.parametrize("value, code", [("0.6e-12", 0), ("4.7e6", 2), ("1e300", 2)])
+    def test_hist_bin_is_rounded_to_whole_ps(self, tmp_path, capsys, value, code):
+        # 0.6 ps rounds to a 1 ps bin; 4.7e6 s is past 2^62 ps, and 1e300 s
+        # is inf ps.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--in", str(tags), "--out", str(out),
+                     "--hist-bin-s", value]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert "--hist-bin-s must lie within 1 and 2^62 ps" in capsys.readouterr().err
 
     def test_out_of_order_record_is_data_error(self, tmp_path, capsys):
         # 0x40 in byte 5 of record 10's time moves it about 70 s on, so
@@ -631,7 +646,7 @@ class TestTomo:
         assert str(empty) in err and "no counts" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag, value", [("--replicas", "1"), ("--replicas", "0"),
-                                             ("--max-iter", "0")])
+                                             ("--max-iter", "0"), ("--seed", "-1")])
     def test_bad_solver_flag_is_usage_error(self, setting_reports, capsys, flag, value):
         tmp, args = setting_reports
         code = main(["tomo", *args, "--out", str(tmp / "x.json"), flag, value])

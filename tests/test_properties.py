@@ -1,6 +1,7 @@
 """Invariant checks over randomized inputs."""
 
 import dataclasses
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 from timebin.analysis import (GateConfig, RateReport, StreamAnalyzer,
                               analyze_stream, car, klyshko)
 from timebin.quantum import DensityMatrix2Q, chsh_bounds, concurrence
-from timebin.simulate import (ExperimentConfig, PulseGrid, iter_simulate,
-                              iter_simulate_single_bin, with_triggers)
-from timebin.streams import iter_read_tags, write_tags
+from timebin.simulate import (CH_SIGNAL, TAG_DTYPE, ExperimentConfig, PulseGrid,
+                              iter_simulate, iter_simulate_single_bin, with_triggers)
+from timebin.streams import StreamFormatError, iter_read_tags, write_tags
 from timebin.tomography import MeasurementRecord
 
-from conftest import assert_same_result, full_stream, ginibre_density_matrix, tie_cuts
+from conftest import (assert_same_result, full_stream, ginibre_density_matrix, tie_cuts,
+                      write_grid_stream)
 from fold_oracle import explicit_trigger_result
 
 KEYS = [(a, b) for a in ("Z0", "Z1", "X+", "Y+") for b in ("Z0", "Z1", "X+", "Y+")]
@@ -171,9 +173,10 @@ SPILL_PAST_END = ExperimentConfig(rep_rate=80e6, duration=3e-4, mean_pairs_per_p
 
 
 @settings(max_examples=30, deadline=None)
-@given(grid_runs(), st.lists(st.floats(0.0, 1.0), max_size=12))
-@example((SPILL_PAST_END, True), [])
-def test_grid_path_matches_explicit_trigger_oracle(run, cuts):
+@given(grid_runs(), st.lists(st.floats(0.0, 1.0), max_size=12),
+       st.sampled_from([10e-12, 0.6e-12, 7.3e-12, 1e-9, 2e-9]))
+@example((SPILL_PAST_END, True), [], 10e-12)
+def test_grid_path_matches_explicit_trigger_oracle(run, cuts, hist_bin):
     # The oracle looks each detection's trigger up among trigger tags; the
     # analyzer computes it.  Every field must agree, once the detections at
     # or past the grid's end, which the analyzer counts as out of range and
@@ -181,14 +184,14 @@ def test_grid_path_matches_explicit_trigger_oracle(run, cuts):
     cfg, time_bin = run
     detections, tags, gates = simulated(cfg, time_bin)
     grid = PulseGrid.of(cfg)
-    on_grid = StreamAnalyzer(gates, grid=grid)
+    on_grid = StreamAnalyzer(gates, hist_bin, grid=grid)
     for part in chunked(np.concatenate(detections), cuts):
         on_grid.feed(part)
     live = tags[tags["time_ps"] < grid.times(grid.pulses)]
     result = on_grid.result()
     assert result.out_of_range == tags.size - live.size
     assert_same_result(dataclasses.replace(result, out_of_range=0),
-                       explicit_trigger_result(live, gates))
+                       explicit_trigger_result(live, gates, hist_bin))
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,3 +207,90 @@ def test_grid_file_reads_back_as_simulated_stream(run):
         chunks = list(it)
     assert max(c.size for c in chunks) <= 1000
     assert np.concatenate(chunks).tobytes() == tags.tobytes()
+
+
+RULE_GRID = PulseGrid(3, 13123.36)
+
+
+@st.composite
+def record_chunks(draw):
+    """(channels, times, cuts): time-sorted records on channels 0 and 1 over
+    four periods of ``RULE_GRID``, then up to two given any channel byte and
+    up to two any u64 time, and the cuts that chunk them."""
+    n = draw(st.integers(0, 24))
+    times = sorted(draw(st.lists(st.integers(0, 4 * 13124), min_size=n, max_size=n)))
+    channels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if n:
+        index = st.integers(0, n - 1)
+        for i, c in draw(st.lists(st.tuples(index, st.integers(0, 255)), max_size=2)):
+            channels[i] = c
+        for i, t in draw(st.lists(st.tuples(index, st.integers(0, 2**64 - 1)), max_size=2)):
+            times[i] = t
+    return channels, times, sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+
+
+def refused_record(exc, start=0):
+    """(index, fault) of a refusal: "record k[ of the chunk]: fault", the
+    chunk starting at record ``start``."""
+    m = re.fullmatch(r"record (\d+)(?: of the chunk)?: (.*)", str(exc))
+    return start + int(m[1]), m[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(record_chunks())
+@example(([CH_SIGNAL, CH_SIGNAL], [2000, 2**64 - 1], [1]))
+@example(([CH_SIGNAL, CH_SIGNAL], [2000, 2**63], []))
+@example(([CH_SIGNAL, 7, CH_SIGNAL], [500, 600, 400], [2]))
+def test_every_consumer_refuses_the_same_first_record(data):
+    # The reader, the writer, the analyzer and the trigger merge keep one
+    # record rule: they refuse the first record on a channel but 0 and 1,
+    # at 2^63 ps or more, or before the previous record's, or accept all.
+    channels, times, cuts = data
+    expected = next((i for i, (c, t) in enumerate(zip(channels, times))
+                     if c > 1 or t >= 2**63 or (i and t < times[i - 1])), None)
+    tags = np.zeros(len(times), dtype=TAG_DTYPE)
+    tags["channel"], tags["time_ps"] = channels, times
+    chunks, starts = np.split(tags, cuts), [0, *cuts]
+    grid = {"pulses": RULE_GRID.pulses, "period_ps": RULE_GRID.period_ps}
+    refused = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_grid_stream(Path(tmp) / "hand.tags", channels, times, {}, grid)
+        records_at = path.read_bytes().index(b"\n") + 1
+        it = iter_read_tags(path, chunk_records=5, raw=True)
+        next(it)
+        try:
+            list(it)
+        except StreamFormatError as exc:
+            fault = re.fullmatch(r"(.*) \(byte offset \d+\)", str(exc))[1]
+            refused["reader"] = ((exc.byte_offset - records_at) // TAG_DTYPE.itemsize, fault)
+        try:
+            write_tags(Path(tmp) / "written.tags", chunks, grid=RULE_GRID)
+        except ValueError as exc:
+            refused["writer"] = refused_record(exc)
+    analyzer = StreamAnalyzer(GateConfig.time_bin(ExperimentConfig()), grid=RULE_GRID)
+    for start, chunk in zip(starts, chunks):
+        try:
+            analyzer.feed(chunk)
+        except ValueError as exc:
+            refused["feed"] = refused_record(exc, start)
+            break
+    pulled = []
+
+    def source():
+        for start, chunk in zip(starts, chunks):
+            pulled.append(start)
+            yield chunk
+
+    try:
+        merged = sum(c.size for c in with_triggers(RULE_GRID, source(), chunk_records=4))
+    except ValueError as exc:
+        refused["with_triggers"] = refused_record(exc, pulled[-1])
+    if expected is None:
+        assert refused == {}
+        res = analyzer.result()
+        assert sum(int(h.sum()) for h in res.histograms.values()) + res.out_of_range == len(times)
+        assert merged == len(times) + RULE_GRID.pulses
+    else:
+        assert refused.keys() == {"reader", "writer", "feed", "with_triggers"}
+        assert {k for k, _ in refused.values()} == {expected}
+        assert len(set(refused.values())) == 1

@@ -10,7 +10,7 @@ import timebin
 
 from timebin.analysis import GateConfig, analyze_stream, car
 from timebin.streams import write_tags
-from timebin.simulate import (BLOCK_PULSES, CH_IDLER, CH_SIGNAL, CH_TRIGGER,
+from timebin.simulate import (BLOCK_PULSES, CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE,
                               ExperimentConfig, PulseGrid, _draw_outcomes,
                               _outcome_table, iter_simulate, iter_simulate_single_bin,
                               joint_slot_distribution, with_triggers)
@@ -371,6 +371,23 @@ class TestSimulate:
         chunked = np.concatenate(list(with_triggers(PulseGrid.of(cfg), iter_simulate(cfg),
                                                     chunk_records=1000)))
         assert whole.tobytes() == chunked.tobytes()
+
+    @pytest.mark.parametrize("channels, times, cut, fault", [
+        ([CH_SIGNAL, CH_IDLER, 7], [500, 400, 600], 3, "record 1 of the chunk: time 400 ps "
+                                                       "is before the previous record's"),
+        ([CH_SIGNAL, CH_IDLER], [500, 400], 1, "record 0 of the chunk: time 400 ps "
+                                               "is before the previous record's"),
+        ([CH_SIGNAL, 7], [500, 600], 2, "record 1 of the chunk: unknown channel 7"),
+    ], ids=["unsorted-in-one-pulse", "unsorted-across-chunks", "channel-7"])
+    def test_with_triggers_refuses_a_record_the_reader_would(self, channels, times, cut, fault):
+        # All records sit in pulse 0, where the merge positions kept no order.
+        tags = np.zeros(len(times), dtype=TAG_DTYPE)
+        tags["channel"], tags["time_ps"] = channels, times
+        merged = with_triggers(PulseGrid(3, 13000.0), [tags[:cut], tags[cut:]])
+        if cut < tags.size:
+            assert next(merged)["time_ps"].tolist() == [0, 500]
+        with pytest.raises(ValueError, match=f"^{fault}$"):
+            next(merged)
 
     def test_rejects_invalid_config_before_output(self):
         with pytest.raises(ValueError):
