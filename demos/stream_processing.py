@@ -26,8 +26,8 @@ cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.02,
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "run.tags"
-    n = write_tags(path, iter_simulate(cfg), config_echo=cfg.to_dict(),
-                   grid=PulseGrid.of(cfg))
+    n, _ = write_tags(path, iter_simulate(cfg), config_echo=cfg.to_dict(),
+                      grid=PulseGrid.of(cfg))
     size_mb = path.stat().st_size / 1e6
     print(f"wrote {n} tags to {path.name}: {size_mb:.2f} MB on disk, "
           f"{n * TAG_DTYPE.itemsize / 1e6:.1f} MB as materialized records")

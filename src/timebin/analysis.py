@@ -15,6 +15,7 @@ identical results.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +93,9 @@ class GateConfig:
     offsets: tuple = ()
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.offsets)):
-            raise ValueError(f"gate offsets must be finite, got {self.offsets!r}")
         object.__setattr__(self, "offsets", tuple(sorted(float(o) for o in self.offsets)))
+        if not all(math.isfinite(o * 1e12) for o in self.offsets):
+            raise ValueError(f"gate offsets must be finite in ps, got {self.offsets!r}")
         offs_ps, width_ps = self._whole_ps()
         if max(map(abs, offs_ps), default=0) > MAX_GATE_PS:
             raise ValueError(f"gate offsets {self.offsets!r} must lie within 2^62 ps")
@@ -193,6 +194,8 @@ class StreamAnalyzer:
     later run starts; between chunks the fold holds only the counts of the
     last two runs.  ``hist_bin`` is rounded to whole ps by :func:`whole_ps`,
     and a detection ``rel`` ps after its trigger goes to bin rel // bin.
+    The histogram spans one period and is sized once: a bin that cuts it
+    into more than 2^22 bins, 32 MiB per channel, is a ``ValueError``.
     """
 
     def __init__(self, gates: GateConfig, hist_bin: float = 10e-12, *, grid: PulseGrid):
@@ -202,7 +205,13 @@ class StreamAnalyzer:
         self._bin_ps = whole_ps(hist_bin, "hist_bin")
         self._end = int(grid.times(grid.pulses))
         self._last = 0  # time of the latest record fed
-        self._hist = np.zeros(0, dtype=np.int64)  # bin * 2 + channel -> count
+        # Triggers lie within 1 ps of k * period, and on it for a whole
+        # period, so a detection is at most ceil(period) ps after its own.
+        bins = math.ceil(grid.period_ps) // self._bin_ps + 1
+        if bins > 2**22:
+            raise ValueError(f"hist_bin of {self._bin_ps} ps cuts the {grid.period_ps!r} ps "
+                             f"period into {bins} bins, more than 2^22")
+        self._hist = np.zeros(2 * bins, dtype=np.int64)  # bin * 2 + channel -> count
         self._edges = _gate_edges(gates)
         n = self._n = len(gates.offsets)
         self._gated = np.zeros(2 * n, dtype=np.int64)
@@ -231,8 +240,6 @@ class StreamAnalyzer:
         (pulse, int64 ps after the pulse's trigger, channel 0 or 1).  Gate
         k is slot k of an idler detection and slot n + k of a signal one."""
         new = np.bincount(rel_ps // self._bin_ps * 2 + channels)
-        if new.size > self._hist.size:
-            self._hist = np.pad(self._hist, (0, new.size - self._hist.size))
         self._hist[:new.size] += new
 
         edge = np.searchsorted(self._edges, rel_ps, side="right")
@@ -321,8 +328,8 @@ class AnalysisResult:
     the accidentals diagnostic.  ``out_of_range`` counts the detections at
     or past the end of the pulse grid's live time.  ``dropped_pre_trigger``
     is always 0: a grid's first trigger is at time 0, before every
-    detection.  It stays because the ``analyze`` report and the benchmark's
-    tracer read it, and dropping it would change their output.
+    detection.  The ``analyze`` report leaves it out; it stays here because
+    the benchmark's tracer (``perfbench/tracing.py``) reads it.
     """
 
     histograms: dict

@@ -87,7 +87,7 @@ _CSV_HEADER = "slot_or_phase,count,error"
 # that building the parser and writing a manifest import neither module;
 # a test pins each to its source.
 _DEFAULT_GATE_WIDTH = 0.5e-9
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def iter_simulate(config):
@@ -181,8 +181,6 @@ def _write_outputs(out, document, sidecars, echo, inputs, seed, t_start):
 
 
 def _cmd_simulate(args) -> int:
-    import hashlib
-
     from . import streams
     from .simulate import ExperimentConfig, PulseGrid
 
@@ -203,10 +201,8 @@ def _cmd_simulate(args) -> int:
         grid = PulseGrid.of(config)
     except ValueError as exc:  # e.g. a run shorter than two pulse periods
         raise ConfigError(f"{args.config}: {exc}") from exc
-    digest = hashlib.sha256()
-    n = streams.write_tags(args.out, chunks, config_echo=echo, grid=grid, file_digest=digest)
-    _write_manifest(args.out, echo, [args.config], {args.out: digest.hexdigest()},
-                    config.rng_seed, t0)
+    n, digest = streams.write_tags(args.out, chunks, config_echo=echo, grid=grid)
+    _write_manifest(args.out, echo, [args.config], {args.out: digest}, config.rng_seed, t0)
     print(f"wrote {n} tags to {args.out}")
     return 0
 
@@ -252,8 +248,14 @@ def _cmd_analyze(args) -> int:
         if not echo:
             raise DataError(f"{args.input}: header carries no config echo")
         gates = _gates_from_echo(echo, args.gate_width_s)
-        result = analysis.analyze_stream(it, gates, hist_bin=args.hist_bin_s,
-                                         grid=streams.header_grid(header))
+        try:
+            analyzer = analysis.StreamAnalyzer(gates, args.hist_bin_s,
+                                               grid=streams.header_grid(header))
+        except ValueError as exc:
+            raise ConfigError(f"--hist-bin-s does not fit the run: {exc}") from exc
+        for chunk in it:
+            analyzer.feed(chunk)
+        result = analyzer.result()
     except streams.StreamFormatError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
     except OSError as exc:
@@ -273,7 +275,6 @@ def _cmd_analyze(args) -> int:
         "gated_slot_counts": {"signal": result.gated_signal.tolist(),
                               "idler": result.gated_idler.tolist()},
         "delay_counts": {str(k): v for k, v in result.delay_counts.items()},
-        "dropped_pre_trigger": result.dropped_pre_trigger,
         "out_of_range": result.out_of_range,
     }
     if rates.n_signal > 0 and rates.n_idler > 0:

@@ -121,15 +121,16 @@ def tie_cuts(detections, grid):
 
 
 def write_grid_stream(path, channels, times_ps, config_echo, grid=None):
-    """A format-2 file of the given detection records, built by hand, so it
+    """A format-3 file of the given detection records, built by hand, so it
     may hold records the writer refuses; ``grid`` is its header's grid
-    entry, valid or not (default 100 pulses)."""
+    entry, valid or not (default 100 pulses).  The trailer holds the
+    SHA-256 of the header line and the records."""
     tags = np.zeros(len(channels), dtype=TAG_DTYPE)
     tags["channel"] = channels
     tags["time_ps"] = times_ps
-    header = {"format": "timebin-tags", "version": 2, "config": config_echo,
+    header = {"format": "timebin-tags", "version": 3, "config": config_echo,
               "grid": {"pulses": 100, "period_ps": 13123.36} if grid is None else grid}
-    records = tags.tobytes()
-    path.write_bytes(json.dumps(header).encode() + b"\n" + records + b"TAGSEND2"
-                     + len(tags).to_bytes(8, "little") + hashlib.sha256(records).digest())
+    body = json.dumps(header).encode() + b"\n" + tags.tobytes()
+    path.write_bytes(body + b"TAGSEND3" + len(tags).to_bytes(8, "little")
+                     + hashlib.sha256(body).digest())
     return path

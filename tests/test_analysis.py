@@ -58,6 +58,12 @@ class TestGateConfig:
         with pytest.raises(ValueError, match="offsets"):
             GateConfig(offsets=(1e-9, offset))
 
+    def test_rejects_offset_past_the_float_range_in_ps(self):
+        # 1e300 s is finite, but 1e300 * 1e12 ps is not: OverflowError
+        # ("cannot convert float infinity to integer") in the rounding.
+        with pytest.raises(ValueError, match="offsets must be finite in ps"):
+            GateConfig(offsets=(1e300,))
+
     def test_accepts_touching_gates(self):
         gates = GateConfig(gate_width=2e-9, offsets=(1e-9, 3e-9))
         tags = tag_array([CH_SIGNAL, CH_SIGNAL], [2000, 2001])
@@ -225,6 +231,30 @@ class TestGatedSingles:
             StreamAnalyzer(GateConfig(), 0.4e-12, grid=TWO_PULSES)
         for hist_bin in (0.6e-12, 0.999e-12, 1e-12):
             StreamAnalyzer(GateConfig(), hist_bin, grid=TWO_PULSES)
+
+
+    def test_histogram_is_sized_once_from_the_period(self):
+        # A 100 Hz grid: 10 ps bins over its 1e10 ps period asked numpy for
+        # 14.8 GiB in the first chunk that reached late in a pulse.
+        grid = PulseGrid(50, 1e10)
+        with pytest.raises(ValueError, match=r"^hist_bin of 10 ps cuts the 10000000000.0 ps "
+                                             r"period into 1000000001 bins, more than 2\^22$"):
+            StreamAnalyzer(GateConfig(), 10e-12, grid=grid)
+        analyzer = StreamAnalyzer(GateConfig(), 1e-6, grid=grid)
+        analyzer.feed(tag_array([CH_SIGNAL, CH_IDLER], [2000, 2 * 10**10 - 1]))
+        assert analyzer.result().histograms[CH_IDLER].size == 10**4
+
+    def test_histogram_holds_the_latest_detection_of_every_pulse(self):
+        # The time before each trigger, on a grid whose last trigger is
+        # just below 2^53 ps and whose period is no whole ps, in 1 ps bins.
+        period = 4097.3
+        grid = PulseGrid(int(2**53 // period), period)
+        k = np.arange(grid.pulses - 2000, grid.pulses, dtype=np.int64)
+        analyzer = StreamAnalyzer(GateConfig(), 1e-12, grid=grid)
+        analyzer.feed(tag_array([CH_SIGNAL] * k.size, grid.times((k + 1).astype(float)) - 1))
+        res = analyzer.result()
+        assert res.out_of_range == 0 and res.histograms[CH_SIGNAL].sum() == k.size
+        assert res.histograms[CH_SIGNAL].size <= np.ceil(period)
 
 
 def whole_ps_slot(gates, rel):

@@ -216,7 +216,7 @@ class TestAnalyze:
         assert data["car"]["value"] > 1
         assert set(data["delay_counts"]) == {"-2", "-1", "0", "1", "2"}
         assert data["klyshko"]["signal"]["value"] > 0
-        assert data["dropped_pre_trigger"] == data["out_of_range"] == 0
+        assert data["out_of_range"] == 0 and "dropped_pre_trigger" not in data
 
     def test_sidecar_csv_files(self, tmp_path):
         report = run_pipeline(tmp_path, "run")
@@ -462,24 +462,88 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert str(tags) in err and "grid" in err
 
-    @pytest.mark.parametrize("version", [1, 2], ids=["format-1", "format-2-without-grid"])
+    @pytest.mark.parametrize("version", [1, 2, 3],
+                             ids=["format-1", "format-2-without-grid", "format-3-without-grid"])
     def test_file_without_a_pulse_grid_is_data_error(self, tmp_path, capsys, version):
-        # Trigger tags in the records: a format 1 file has no trailer, and
-        # a format 2 one written without a grid has.
+        # Trigger tags in the records: a format 1 file has no trailer; a
+        # format 2 one has a trailer over its records, a format 3 one over
+        # its header and records.
         tags = np.zeros(3, dtype=TAG_DTYPE)
         tags["channel"] = [CH_TRIGGER, CH_SIGNAL, CH_TRIGGER]
         tags["time_ps"] = [0, 2000, 13123]
-        records = tags.tobytes()
-        trailer = (b"TAGSEND2" + len(tags).to_bytes(8, "little")
-                   + hashlib.sha256(records).digest()) if version == 2 else b""
         header = {"format": "timebin-tags", "version": version, "config": VALID_ECHO}
+        line, records = json.dumps(header).encode() + b"\n", tags.tobytes()
+        hashed = {1: b"", 2: records, 3: line + records}[version]
+        trailer = (f"TAGSEND{version}".encode() + len(tags).to_bytes(8, "little")
+                   + hashlib.sha256(hashed).digest()) if version > 1 else b""
         path = tmp_path / "run.tags"
-        path.write_bytes(json.dumps(header).encode() + b"\n" + records + trailer)
+        path.write_bytes(line + records + trailer)
         out = tmp_path / "r.json"
         assert main(["analyze", "--in", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert f"format {version} file has no pulse grid (byte offset 0)" in err
+        if version < 3:
+            assert f"unsupported format version {version} (byte offset 0)" in err
+        else:
+            assert "header grid None is not" in err and "(byte offset 0)" in err
         assert "Traceback" not in err and not out.exists()
+
+    def test_format_2_file_is_data_error(self, tmp_path, capsys):
+        # Format 2's trailer held the SHA-256 of the records alone.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        raw = tags.read_bytes()
+        line_end = raw.index(b"\n")
+        header = {**json.loads(raw[:line_end]), "version": 2}
+        records = raw[line_end + 1:-TRAILER_SIZE]
+        tags.write_bytes(json.dumps(header).encode() + b"\n" + records + b"TAGSEND2"
+                         + raw[-40:-32] + hashlib.sha256(records).digest())
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--in", str(tags), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "unsupported format version 2 (byte offset 0)" in err and not out.exists()
+
+    @pytest.mark.parametrize("old, new", [
+        (b'"pulses": 762000', b'"pulses": 462000'),
+        (b'"interference_visibility": 1.0', b'"interference_visibility": 0.0'),
+        (b'"bin_delay": 3e-09', b'"bin_delay": 4e-09'),
+    ], ids=["pulses", "interference-visibility", "bin-delay"])
+    def test_edited_header_is_data_error(self, tmp_path, capsys, old, new):
+        # Before the trailer's SHA-256 covered the header, each edit gave
+        # exit 0: 820 of 1362 coincidences over 0.00606 s, a visibility of
+        # 0 copied into the report, or gates moved by 1 ns.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.01, mean_pairs_per_pulse=0.01,
+                           rng_seed=3)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        raw = tags.read_bytes()
+        assert old in raw[:raw.index(b"\n")]
+        tags.write_bytes(raw.replace(old, new, 1))
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--in", str(tags), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert (f"header and records do not match the trailer's SHA-256 "
+                f"(byte offset {len(raw) - TRAILER_SIZE})") in err
+        assert not out.exists()
+
+    def test_histogram_past_its_bound_is_usage_error(self, tmp_path):
+        # A 100 Hz run: 10 ps bins over its 1e10 ps period once asked numpy
+        # for 14.8 GiB.  Under a 1 GiB address-space limit a lost bound
+        # fails here instead of swapping.
+        cfg = write_config(tmp_path / "run.cfg", rep_rate_hz=100, duration_s=0.5,
+                           mean_pairs_per_pulse=0.01, dark_rate_signal_hz=100, rng_seed=3)
+        tags, out = tmp_path / "run.tags", tmp_path / "r.json"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from timebin.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+        done = run_python("-c", script, "analyze", "--in", str(tags), "--out", str(out))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: --hist-bin-s does not fit the run: hist_bin "
+                                      "of 10 ps cuts the 10000000000.0 ps period")
+        assert "Traceback" not in done.stderr and not out.exists()
+        assert main(["analyze", "--in", str(tags), "--out", str(out),
+                     "--hist-bin-s", "1e-6"]) == 0
 
     def test_stream_without_idler_writes_no_idler_singles(self, tmp_path):
         report = run_pipeline(tmp_path, "run", duration_s=0.0005, eta_idler=0.0)

@@ -1,6 +1,8 @@
 """Invariant checks over randomized inputs."""
 
+import contextlib
 import dataclasses
+import io
 import re
 import tempfile
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from timebin.analysis import (GateConfig, RateReport, StreamAnalyzer,
                               analyze_stream, car, klyshko)
+from timebin.cli import main
 from timebin.quantum import DensityMatrix2Q, chsh_bounds, concurrence
 from timebin.simulate import (CH_SIGNAL, TAG_DTYPE, ExperimentConfig, PulseGrid,
                               iter_simulate, iter_simulate_single_bin, with_triggers)
@@ -201,7 +204,7 @@ def test_grid_file_reads_back_as_simulated_stream(run):
     detections, tags, _ = simulated(cfg, time_bin)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.tags"
-        assert write_tags(path, detections, grid=PulseGrid.of(cfg)) == tags.size
+        assert write_tags(path, detections, grid=PulseGrid.of(cfg))[0] == tags.size
         it = iter_read_tags(path, chunk_records=1000)
         next(it)
         chunks = list(it)
@@ -294,3 +297,55 @@ def test_every_consumer_refuses_the_same_first_record(data):
         assert refused.keys() == {"reader", "writer", "feed", "with_triggers"}
         assert {k for k, _ in refused.values()} == {expected}
         assert len(set(refused.values())) == 1
+
+
+def _small_tag_file():
+    """The bytes of a format-3 file of a 1524-pulse time-bin run."""
+    cfg = ExperimentConfig(duration=2e-5, mean_pairs_per_pulse=0.05, dark_rate_signal=1e5,
+                           rng_seed=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.tags"
+        write_tags(path, iter_simulate(cfg), {**cfg.to_dict(), "mode": "time-bin"},
+                   grid=PulseGrid.of(cfg))
+        return path.read_bytes()
+
+
+SMALL_FILE = _small_tag_file()
+SMALL_HEADER = SMALL_FILE.index(b"\n") + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.just("flip"), st.integers(0, len(SMALL_FILE) - 1),
+                           st.integers(1, 255)),
+                 st.tuples(st.just("cut"), st.integers(0, len(SMALL_FILE) - 1), st.just(0))))
+@example(("flip", SMALL_FILE.index(b'"pulses": ') + 10, 2))  # a digit of the pulse count
+@example(("flip", SMALL_FILE.index(b'"bin_delay": ') + 13, 7))  # "3e-09" to "4e-09"
+@example(("flip", SMALL_HEADER - 1, 0x0A ^ 0x20))  # the header's newline
+@example(("flip", SMALL_HEADER + 9 * 3 + 1, 1))  # the low byte of a record's time
+@example(("flip", len(SMALL_FILE) - 40, 1))  # the trailer's record count
+@example(("cut", SMALL_HEADER, 0))
+@example(("cut", len(SMALL_FILE) - 48 - 9, 0))  # on a record boundary
+def test_hostile_byte_never_gives_a_result(edit):
+    # One byte changed anywhere, or the file cut anywhere: analyze exits 3,
+    # or 2 naming a flag when the change is in the header's echo or grid,
+    # and writes nothing.
+    kind, at, xor = edit
+    raw = bytearray(SMALL_FILE)
+    if kind == "flip":
+        raw[at] ^= xor
+    else:
+        del raw[at:]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.tags"
+        path.write_bytes(raw)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--in", str(path), "--out", str(Path(tmp) / "r.json")])
+        written = sorted(p.name for p in Path(tmp).iterdir())
+    err = err.getvalue()
+    assert written == ["run.tags"] and err.startswith("error: ")
+    if code == 2:
+        assert kind == "flip" and at < SMALL_HEADER
+        assert "--gate-width-s" in err or "--hist-bin-s" in err
+    else:
+        assert code == 3

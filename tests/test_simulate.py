@@ -587,8 +587,7 @@ def test_simulate_and_write_hold_one_block_beyond_the_draw(tmp_path):
                            interference_visibility=0.95, rng_seed=5)
     tracemalloc.start()
     try:
-        write_tags(tmp_path / "run.tags", iter_simulate(cfg), grid=PulseGrid.of(cfg),
-                   file_digest=hashlib.sha256())
+        write_tags(tmp_path / "run.tags", iter_simulate(cfg), grid=PulseGrid.of(cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -33,12 +34,25 @@ def tags():
 class TestBinaryFormat:
     def test_round_trip_bit_exact(self, tmp_path, tags):
         path = tmp_path / "run.tags"
-        n = write_tags(path, tags, config_echo={"rng_seed": 21}, grid=GRID)
+        n, _ = write_tags(path, tags, config_echo={"rng_seed": 21}, grid=GRID)
         header, back = read_back(path, raw=True)
         assert n == tags.size + GRID.pulses
         assert back.tobytes() == tags.tobytes()
         assert header["version"] == FORMAT_VERSION
         assert header["config"]["rng_seed"] == 21
+
+    def test_trailer_digest_covers_every_byte_before_it(self, tmp_path, tags):
+        # Worked out from the file's bytes alone: the trailer holds the
+        # SHA-256 of the header line and the records, and the writer
+        # returns that of the whole file.
+        path = tmp_path / "run.tags"
+        _, digest = write_tags(path, tags, config_echo={"rng_seed": 21}, grid=GRID)
+        raw = path.read_bytes()
+        body, trailer = raw[:-TRAILER_SIZE], raw[-TRAILER_SIZE:]
+        assert trailer[:16] == b"TAGSEND3" + tags.size.to_bytes(8, "little")
+        assert trailer[16:] == hashlib.sha256(body).digest()
+        assert digest == hashlib.sha256(raw).hexdigest()
+        assert body.index(b"\n") + 1 + tags.nbytes == len(body)
 
     def test_round_trip_from_chunks(self, tmp_path, tags):
         path = tmp_path / "run.tags"
@@ -76,7 +90,7 @@ class TestBinaryFormat:
             list(it)
         assert err.value.byte_offset == header_len + (tags.size - 1) * TAG_DTYPE.itemsize
 
-    def test_truncated_format_2_reports_offset(self, tmp_path, tags):
+    def test_truncated_file_reports_offset(self, tmp_path, tags):
         # Cut 4 bytes into the final record: no trailer ends the file.
         path = tmp_path / "cut.tags"
         write_tags(path, tags, grid=GRID)
@@ -133,7 +147,7 @@ class TestBinaryFormat:
 
 
 class TestGridFiles:
-    """Format 2 with a pulse grid: detection records, implied triggers."""
+    """Format 3: detection records on a pulse grid, implied triggers."""
 
     CFG = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.05, jitter_sigma=100e-12,
                            detection_delay=0.0, dark_rate_signal=1e6, rng_seed=22)
@@ -141,8 +155,8 @@ class TestGridFiles:
     @pytest.fixture
     def grid_file(self, tmp_path):
         path = tmp_path / "grid.tags"
-        n = write_tags(path, iter_simulate(self.CFG), config_echo={"rng_seed": 22},
-                       grid=PulseGrid.of(self.CFG))
+        n, _ = write_tags(path, iter_simulate(self.CFG), config_echo={"rng_seed": 22},
+                          grid=PulseGrid.of(self.CFG))
         return path, n
 
     def test_reads_back_as_the_simulated_stream(self, grid_file):
