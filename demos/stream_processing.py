@@ -1,8 +1,9 @@
 """Write, read and fold over a binary time-tag stream.
 
-Simulates a run and stores it in the tag file format 2: a JSON header
+Simulates a run and stores it in the tag file format 3: a JSON header
 line that carries the pump's trigger grid, the detection records only,
-and a trailer with the record count and SHA-256.  The file is then
+and a trailer with the record count and the SHA-256 of every byte before
+it.  The header is the first item the reader yields; the file is then
 processed back in bounded chunks, each detection assigned to its pulse
 by arithmetic.  The analysis is an exact fold: chunked processing of the
 file gives byte-identical results to a single pass over the simulated
@@ -18,7 +19,7 @@ import numpy as np
 
 from timebin.analysis import GateConfig, StreamAnalyzer, analyze_stream
 from timebin.simulate import TAG_DTYPE, ExperimentConfig, PulseGrid, iter_simulate
-from timebin.streams import header_grid, iter_read_tags, read_header, write_tags
+from timebin.streams import header_grid, iter_read_tags, write_tags
 
 cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.02,
                        dark_rate_signal=360.0, dark_rate_idler=390.0,
@@ -31,7 +32,8 @@ with tempfile.TemporaryDirectory() as tmp:
     size_mb = path.stat().st_size / 1e6
     print(f"wrote {n} tags to {path.name}: {size_mb:.2f} MB on disk, "
           f"{n * TAG_DTYPE.itemsize / 1e6:.1f} MB as materialized records")
-    header = read_header(path)
+    chunks = iter_read_tags(path, chunk_records=2_000, raw=True)
+    header = next(chunks)
     print(f"header echo: seed {header['config']['rng_seed']}, "
           f"duration {header['config']['duration']} s, "
           f"grid {header['grid']['pulses']} pulses every "
@@ -39,8 +41,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # fold over the file's detections in small chunks
     gates = GateConfig.time_bin(cfg)
-    chunks = iter_read_tags(path, chunk_records=2_000, raw=True)
-    analyzer = StreamAnalyzer(gates, grid=header_grid(next(chunks)))
+    analyzer = StreamAnalyzer(gates, grid=header_grid(header))
     n_chunks = 0
     for chunk in chunks:
         analyzer.feed(chunk)

@@ -87,6 +87,10 @@ class GateConfig:
     2 (width // 2) + 1 ps, the one shared with an earlier gate aside.  Gates
     must not overlap, though they may touch; the width is checked by
     :func:`whole_ps`, and every offset must round to ``MAX_GATE_PS`` ps or less.
+    A gate that opens before its trigger, as the early gate of a run with
+    ``detection_delay=0`` does, counts only its part after the trigger: a
+    detection before the trigger belongs to the previous pulse, where it
+    falls outside every gate.
     """
 
     gate_width: float = DEFAULT_GATE_WIDTH
@@ -239,8 +243,7 @@ class StreamAnalyzer:
         """Histogram, gate and pair detections given in pulse order as
         (pulse, int64 ps after the pulse's trigger, channel 0 or 1).  Gate
         k is slot k of an idler detection and slot n + k of a signal one."""
-        new = np.bincount(rel_ps // self._bin_ps * 2 + channels)
-        self._hist[:new.size] += new
+        np.add.at(self._hist, rel_ps // self._bin_ps * 2 + channels, 1)
 
         edge = np.searchsorted(self._edges, rel_ps, side="right")
         inside = (edge & 1).astype(bool)

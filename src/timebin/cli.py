@@ -247,12 +247,17 @@ def _cmd_analyze(args) -> int:
         echo = header.get("config", {})
         if not echo:
             raise DataError(f"{args.input}: header carries no config echo")
-        gates = _gates_from_echo(echo, args.gate_width_s)
         try:
-            analyzer = analysis.StreamAnalyzer(gates, args.hist_bin_s,
-                                               grid=streams.header_grid(header))
-        except ValueError as exc:
-            raise ConfigError(f"--hist-bin-s does not fit the run: {exc}") from exc
+            gates = _gates_from_echo(echo, args.gate_width_s)
+            try:
+                analyzer = analysis.StreamAnalyzer(gates, args.hist_bin_s,
+                                                   grid=streams.header_grid(header))
+            except ValueError as exc:
+                raise ConfigError(f"--hist-bin-s does not fit the run: {exc}") from exc
+        except ConfigError:
+            for _ in it:  # a corrupt header is a data error, not an unfit flag
+                pass
+            raise
         for chunk in it:
             analyzer.feed(chunk)
         result = analyzer.result()

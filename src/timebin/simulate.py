@@ -16,12 +16,10 @@ Tags are numpy structured arrays with fields ``channel`` (u8) and
 ``time_ps`` (u64).  The pump triggers are arithmetic, a :class:`PulseGrid`:
 pulse k's trigger sits at round(k * period) ps, so :func:`iter_simulate`
 and :func:`iter_simulate_single_bin` yield only the detections, and every
-consumer takes them with ``PulseGrid.of(config)``.  :func:`with_triggers`
-rebuilds the full stream for the one view that shows the triggers as tags,
-the default of ``streams.iter_read_tags``.  Generation is organized in
-fixed-size pulse blocks, each with its own RNG substream derived from
-(seed, block index), so the output is deterministic and independent of
-how it is chunked or parallelized.  A stream depends on the bit streams of
+consumer takes them with ``PulseGrid.of(config)``.  Generation is
+organized in fixed-size pulse blocks, each with its own RNG substream
+derived from (seed, block index), so the output is deterministic and
+independent of how it is chunked or parallelized.  A stream depends on the bit streams of
 ``Generator.poisson``, ``integers``, ``random`` and ``normal`` alone: the
 pair outcomes are the indices ``Generator.choice`` would draw, found from
 the same uniforms without calling it (:func:`_draw_outcomes`).
@@ -53,7 +51,6 @@ __all__ = [
     "iter_simulate",
     "iter_simulate_single_bin",
     "first_bad_record",
-    "with_triggers",
 ]
 
 CH_SIGNAL = 0
@@ -78,7 +75,7 @@ def first_bad_record(tags, last) -> tuple[int, str] | None:
     ``last``, that is not a detection record: one on a channel but 0 and 1,
     at a time of 2^63 ps or more, or before the previous record's.  None if
     there is none.  This is the one record rule: the tag file reader and
-    writer, ``StreamAnalyzer.feed`` and :func:`with_triggers` all keep it."""
+    writer and ``StreamAnalyzer.feed`` all keep it."""
     channel, time_ps = tags["channel"], tags["time_ps"]
     if tags.size == 0 or (channel.max() <= CH_IDLER and time_ps[0] >= last
                           and not np.any(time_ps[1:] < time_ps[:-1])
@@ -225,13 +222,10 @@ class PulseGrid:
         t = k * self.period_ps
         return np.round(t, out=t) if isinstance(t, np.ndarray) else np.round(t)
 
-    def index(self, t) -> np.ndarray:
-        """Latest pulse, at most ``pulses - 1``, whose trigger is at or
-        before each int64 time ``t``; -1 before the first trigger."""
-        return self.locate(t)[0]
-
     def locate(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """(``index(t)``, int64 ps from each one's trigger to ``t``).
+        """(latest pulse, at most ``pulses - 1``, whose trigger is at or
+        before each int64 time ``t``, -1 before the first trigger; int64 ps
+        from that trigger to ``t``).
 
         The estimate is floor((t + 0.5)/period), clipped to the grid.  On a
         grid that ends below 2^52 ps, float error moves a trigger by at most
@@ -260,7 +254,7 @@ class PulseGrid:
         return self.times(k).astype(np.int64)
 
     def _walk(self, t, k):
-        """``index`` of ``t`` by single steps from the estimates ``k``."""
+        """The pulses of ``t`` by single steps from the estimates ``k``."""
         last = self.pulses - 1
         while True:
             step = ((k < last) & (self._ps(np.minimum(k + 1, last)) <= t)).astype(np.int64)
@@ -492,50 +486,3 @@ def iter_simulate_single_bin(config: ExperimentConfig) -> Iterator[np.ndarray]:
     """Detections of the single-bin characterization experiment in chunks;
     the triggers are ``PulseGrid.of(config)``."""
     return _iter_tags(config, _SINGLE_BIN_TABLE)
-
-
-def with_triggers(grid: PulseGrid, detections, chunk_records: int = BLOCK_PULSES
-                  ) -> Iterator[np.ndarray]:
-    """Tag chunks of ``grid``'s triggers merged into detection chunks.
-
-    The detections keep :func:`first_bad_record`'s rule across chunks: a
-    chunk that breaks it is a ``ValueError`` naming the record.  Detection
-    t has index(t - 1) + 1 triggers ahead of it, those strictly earlier: it
-    goes ahead of a trigger at its own time.  Chunks hold at most
-    ``chunk_records`` tags; the triggers after the latest detection wait
-    for the next detection chunk or the end.
-    """
-    if chunk_records < 1:
-        raise ValueError(f"chunk_records must be at least 1, got {chunk_records}")
-    k, last = 0, 0  # triggers emitted, time of the latest detection
-    for chunk in detections:
-        if (bad := first_bad_record(chunk, last)) is not None:
-            raise ValueError(f"record {bad[0]} of the chunk: {bad[1]}")
-        if chunk.size == 0:
-            continue
-        last = chunk["time_ps"][-1]
-        before = grid.index(chunk["time_ps"].astype(np.int64) - 1) + 1
-        pos = before + np.arange(chunk.size)  # merged position, less k + i
-        i = 0  # detections of this chunk emitted
-        while i < chunk.size:
-            lo = k + i
-            hi = int(np.searchsorted(pos, lo + chunk_records, side="left"))
-            n_trig = before[-1] - k if hi == chunk.size else chunk_records - (hi - i)
-            out = np.empty(n_trig + hi - i, dtype=TAG_DTYPE)
-            slot = pos[i:hi] - lo
-            is_trigger = np.ones(out.size, dtype=bool)
-            is_trigger[slot] = False
-            out["time_ps"][is_trigger] = grid.times(np.arange(k, k + n_trig))
-            out["time_ps"][slot] = chunk["time_ps"][i:hi]
-            out["channel"] = CH_TRIGGER
-            out["channel"][slot] = chunk["channel"][i:hi]
-            yield out
-            k += n_trig
-            i = hi
-    while k < grid.pulses:
-        out = np.empty(min(chunk_records, grid.pulses - k), dtype=TAG_DTYPE)
-        out["channel"] = CH_TRIGGER
-        out["time_ps"] = grid.times(np.arange(k, k + out.size))
-        yield out
-        k += out.size
-

@@ -30,14 +30,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .simulate import TAG_DTYPE, PulseGrid, first_bad_record, with_triggers
+from .simulate import CH_TRIGGER, TAG_DTYPE, PulseGrid, first_bad_record
 
 __all__ = [
     "FORMAT_VERSION",
     "StreamFormatError",
     "write_tags",
     "iter_read_tags",
-    "read_header",
     "header_grid",
 ]
 
@@ -97,12 +96,6 @@ def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray, config_echo: dic
             os.remove(tmp)
         raise
     return n + grid.pulses, digest.hexdigest()
-
-
-def read_header(path) -> dict:
-    with open(path, "rb") as fh:
-        line = fh.readline()
-    return _parse_header(line)
 
 
 def _parse_header(line: bytes) -> dict:
@@ -176,11 +169,47 @@ def _records(fh, line: bytes, end: int, want: bytes, chunk_records) -> Iterator[
         raise StreamFormatError("header and records do not match the trailer's SHA-256", end)
 
 
+def _with_triggers(grid: PulseGrid, records, chunk_records: int) -> Iterator[np.ndarray]:
+    """Tag chunks of ``grid``'s triggers merged into the record chunks of
+    :func:`_records`, which has checked them, at most ``chunk_records``
+    tags each.  Detection t has locate(t - 1) + 1 triggers ahead of it,
+    those strictly earlier: it goes ahead of a trigger at its own time.
+    The triggers after the latest detection wait for the next chunk or the
+    end."""
+    k = 0  # triggers emitted
+    for chunk in records:
+        before = grid.locate(chunk["time_ps"].astype(np.int64) - 1)[0] + 1
+        pos = before + np.arange(chunk.size)  # merged position, less k + i
+        i = 0  # detections of this chunk emitted
+        while i < chunk.size:
+            lo = k + i
+            hi = int(np.searchsorted(pos, lo + chunk_records, side="left"))
+            n_trig = before[-1] - k if hi == chunk.size else chunk_records - (hi - i)
+            out = np.empty(n_trig + hi - i, dtype=TAG_DTYPE)
+            slot = pos[i:hi] - lo
+            is_trigger = np.ones(out.size, dtype=bool)
+            is_trigger[slot] = False
+            out["time_ps"][is_trigger] = grid.times(np.arange(k, k + n_trig))
+            out["time_ps"][slot] = chunk["time_ps"][i:hi]
+            out["channel"] = CH_TRIGGER
+            out["channel"][slot] = chunk["channel"][i:hi]
+            yield out
+            k += n_trig
+            i = hi
+    while k < grid.pulses:
+        out = np.empty(min(chunk_records, grid.pulses - k), dtype=TAG_DTYPE)
+        out["channel"] = CH_TRIGGER
+        out["time_ps"] = grid.times(np.arange(k, k + out.size))
+        yield out
+        k += out.size
+
+
 def iter_read_tags(path, chunk_records: int = 1 << 18, raw: bool = False) -> Iterator[np.ndarray]:
     """Yield the header dict, then tag chunks of at most ``chunk_records``.
 
     By default the grid's implied triggers are rebuilt and merged in, so
-    the file reads back as the full (channel, time_ps) stream.  With
+    the file reads back as the full (channel, time_ps) stream: the view the
+    benchmark's fingerprints hash, which no program path reads.  With
     ``raw`` the records come as stored, as read-only arrays over the file's
     bytes: the detections, for an analyzer built with :func:`header_grid`.
     A header of another version or without a valid grid, a record that
@@ -201,5 +230,5 @@ def iter_read_tags(path, chunk_records: int = 1 << 18, raw: bool = False) -> Ite
         yield header
         records = _records(fh, line, size - _TRAILER_SIZE, want, chunk_records)
         if not raw:
-            records = with_triggers(header_grid(header), records, chunk_records)
+            records = _with_triggers(header_grid(header), records, chunk_records)
         yield from records

@@ -13,7 +13,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import scipy.linalg
 
-from timebin.simulate import TAG_DTYPE, PulseGrid, with_triggers
+from timebin.simulate import CH_TRIGGER, TAG_DTYPE
 
 ACCEPTANCE_DESCRIPTIONS = {
     1: "closed-form fidelity of the reconstructed state to the Bell target",
@@ -108,10 +108,34 @@ def assert_same_result(a, b):
             assert np.asarray(u).dtype == np.asarray(v).dtype, f.name
 
 
+def merge_triggers(detections, pulses, period_ps):
+    """Time-sorted ``detections`` with the triggers of a grid of ``pulses``
+    every ``period_ps`` merged in as tags, as one array.
+
+    The independent merge for checking the tag reader's trigger view: the
+    triggers are materialized, trigger k at round(k * period_ps) ps, and
+    each detection goes ahead of those at or after its time.  Unsorted
+    detections fail an assertion rather than being sorted, so a test of
+    the simulator's order cannot pass on a stream this put in order.
+    """
+    t = detections["time_ps"]
+    assert np.all(t[1:] >= t[:-1]), "detections are not time-sorted"
+    trig = np.round(np.arange(pulses) * period_ps).astype(np.uint64)
+    at = np.searchsorted(trig, t, side="left") + np.arange(t.size)
+    tags = np.empty(pulses + t.size, dtype=TAG_DTYPE)
+    is_trigger = np.ones(tags.size, dtype=bool)
+    is_trigger[at] = False
+    tags[at] = detections
+    tags["channel"][is_trigger] = CH_TRIGGER
+    tags["time_ps"][is_trigger] = trig
+    return tags
+
+
 def full_stream(sim, cfg):
-    """The detections of ``sim(cfg)`` with the triggers of
-    ``PulseGrid.of(cfg)`` merged in as tags, as one array."""
-    return np.concatenate(list(with_triggers(PulseGrid.of(cfg), sim(cfg))))
+    """The detections of ``sim(cfg)`` with the run's triggers merged in
+    as tags by :func:`merge_triggers`, as one array."""
+    detections = np.concatenate([*sim(cfg), np.empty(0, dtype=TAG_DTYPE)])
+    return merge_triggers(detections, round(cfg.duration * cfg.rep_rate), 1e12 / cfg.rep_rate)
 
 
 def tie_cuts(detections, grid):

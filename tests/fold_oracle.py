@@ -2,8 +2,8 @@
 
 The analyzer finds each detection's pulse by arithmetic on a
 ``PulseGrid``.  This oracle finds it as a tagger with sync tags would: by
-``searchsorted`` among the trigger tags of the full stream, as
-``simulate.with_triggers`` rebuilds it.  It then gates each detection by
+``searchsorted`` among the trigger tags of the full stream, as the tests
+build it with ``conftest.merge_triggers``.  It then gates each detection by
 the rule of ``GateConfig`` in whole ps (the same offsets for both
 channels, each rounded to whole ps: nearest offset, the earlier one on a
 midpoint, inside when within half the width rounded to whole ps),

@@ -706,6 +706,24 @@ class TestBoundedMemory:
         histograms = sum(h.nbytes for h in analyzer.result().histograms.values())
         assert retained < 64 * 1024 + histograms
 
+    def test_histogram_step_costs_its_detections_not_the_span(self):
+        # A 100 Hz grid in 2.4 ns bins: 4.2 M bins, 64 MiB of histogram.  A
+        # fold step that counted into a fresh array of the whole span would
+        # allocate as much again.
+        grid = PulseGrid(50, 1e10)
+        analyzer = StreamAnalyzer(GateConfig(), 2.4e-9, grid=grid)
+        rng = np.random.default_rng(1)
+        chunk = tag_array(rng.integers(0, 2, 1 << 15),
+                          np.sort(rng.integers(0, 50 * 10**10, 1 << 15)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            analyzer.feed(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestMaxVisibility:
     def test_reference_car(self):

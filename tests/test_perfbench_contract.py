@@ -17,8 +17,10 @@ import pytest
 
 from timebin import cli
 from timebin.simulate import (BLOCK_PULSES, ExperimentConfig, PulseGrid, iter_simulate,
-                              joint_slot_distribution, with_triggers)
+                              joint_slot_distribution)
 from timebin.streams import write_tags
+
+from conftest import merge_triggers
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -91,9 +93,8 @@ def test_fingerprint_hashes_the_stream_with_its_triggers(tmp_path):
     path = tmp_path / "run.tags"
     write_tags(path, iter_simulate(cfg), config_echo=cfg.to_dict(), grid=grid)
     stored = int.from_bytes(path.read_bytes()[-40:-32], "little")  # the trailer's count
-    want = hashlib.sha256()
-    for chunk in with_triggers(grid, iter_simulate(cfg)):
-        want.update(chunk.tobytes())
+    want = hashlib.sha256(merge_triggers(np.concatenate(list(iter_simulate(cfg))),
+                                         grid.pulses, grid.period_ps).tobytes())
     digests, counts = load_perfbench("run").fingerprint([str(path)])
     assert digests == {"run.tags": want.hexdigest()}
     assert counts["triggers"] == grid.pulses

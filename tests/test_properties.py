@@ -18,12 +18,12 @@ from timebin.analysis import (GateConfig, RateReport, StreamAnalyzer,
 from timebin.cli import main
 from timebin.quantum import DensityMatrix2Q, chsh_bounds, concurrence
 from timebin.simulate import (CH_SIGNAL, TAG_DTYPE, ExperimentConfig, PulseGrid,
-                              iter_simulate, iter_simulate_single_bin, with_triggers)
+                              iter_simulate, iter_simulate_single_bin)
 from timebin.streams import StreamFormatError, iter_read_tags, write_tags
 from timebin.tomography import MeasurementRecord
 
-from conftest import (assert_same_result, full_stream, ginibre_density_matrix, tie_cuts,
-                      write_grid_stream)
+from conftest import (assert_same_result, full_stream, ginibre_density_matrix, merge_triggers,
+                      tie_cuts, write_grid_stream)
 from fold_oracle import explicit_trigger_result
 
 KEYS = [(a, b) for a in ("Z0", "Z1", "X+", "Y+") for b in ("Z0", "Z1", "X+", "Y+")]
@@ -103,8 +103,8 @@ CHUNKING_WHOLE = analyze_stream(CHUNKING_TAGS, CHUNKING_GATES, grid=CHUNKING_GRI
 # Cut anchors: just after a detection at a trigger's time, and at the
 # start of each pulse's detections.
 TIE_CUTS = tie_cuts(CHUNKING_TAGS, CHUNKING_GRID).tolist()
-PULSE_CUTS = np.flatnonzero(np.diff(CHUNKING_GRID.index(
-    CHUNKING_TAGS["time_ps"].astype(np.int64)), prepend=-1)).tolist()
+PULSE_CUTS = np.flatnonzero(np.diff(CHUNKING_GRID.locate(
+    CHUNKING_TAGS["time_ps"].astype(np.int64))[0], prepend=-1)).tolist()
 
 
 def test_one_pass_matches_dense_pair_oracle():
@@ -162,7 +162,8 @@ def simulated(cfg, time_bin):
                   else (iter_simulate_single_bin, GateConfig.single_bin))
     with mock.patch("timebin.simulate.BLOCK_PULSES", GRID_BLOCK_PULSES):
         detections = list(sim(cfg))
-    tags = np.concatenate(list(with_triggers(PulseGrid.of(cfg), detections)))
+    grid = PulseGrid.of(cfg)
+    tags = merge_triggers(np.concatenate(detections), grid.pulses, grid.period_ps)
     return detections, tags, gates(cfg)
 
 
@@ -245,9 +246,9 @@ def refused_record(exc, start=0):
 @example(([CH_SIGNAL, CH_SIGNAL], [2000, 2**63], []))
 @example(([CH_SIGNAL, 7, CH_SIGNAL], [500, 600, 400], [2]))
 def test_every_consumer_refuses_the_same_first_record(data):
-    # The reader, the writer, the analyzer and the trigger merge keep one
-    # record rule: they refuse the first record on a channel but 0 and 1,
-    # at 2^63 ps or more, or before the previous record's, or accept all.
+    # The reader, the writer and the analyzer keep one record rule: they
+    # refuse the first record on a channel but 0 and 1, at 2^63 ps or more,
+    # or before the previous record's, or accept all.
     channels, times, cuts = data
     expected = next((i for i, (c, t) in enumerate(zip(channels, times))
                      if c > 1 or t >= 2**63 or (i and t < times[i - 1])), None)
@@ -277,24 +278,12 @@ def test_every_consumer_refuses_the_same_first_record(data):
         except ValueError as exc:
             refused["feed"] = refused_record(exc, start)
             break
-    pulled = []
-
-    def source():
-        for start, chunk in zip(starts, chunks):
-            pulled.append(start)
-            yield chunk
-
-    try:
-        merged = sum(c.size for c in with_triggers(RULE_GRID, source(), chunk_records=4))
-    except ValueError as exc:
-        refused["with_triggers"] = refused_record(exc, pulled[-1])
     if expected is None:
         assert refused == {}
         res = analyzer.result()
         assert sum(int(h.sum()) for h in res.histograms.values()) + res.out_of_range == len(times)
-        assert merged == len(times) + RULE_GRID.pulses
     else:
-        assert refused.keys() == {"reader", "writer", "feed", "with_triggers"}
+        assert refused.keys() == {"reader", "writer", "feed"}
         assert {k for k, _ in refused.values()} == {expected}
         assert len(set(refused.values())) == 1
 
@@ -320,15 +309,16 @@ SMALL_HEADER = SMALL_FILE.index(b"\n") + 1
                  st.tuples(st.just("cut"), st.integers(0, len(SMALL_FILE) - 1), st.just(0))))
 @example(("flip", SMALL_FILE.index(b'"pulses": ') + 10, 2))  # a digit of the pulse count
 @example(("flip", SMALL_FILE.index(b'"bin_delay": ') + 13, 7))  # "3e-09" to "4e-09"
+@example(("flip", SMALL_FILE.index(b'"bin_delay": ') + 16, 1))  # "3e-19": overlapping gates
+@example(("flip", SMALL_FILE.index(b'"bin_delay": ') + 16, 2))  # "3e-29": overlapping gates
 @example(("flip", SMALL_HEADER - 1, 0x0A ^ 0x20))  # the header's newline
 @example(("flip", SMALL_HEADER + 9 * 3 + 1, 1))  # the low byte of a record's time
 @example(("flip", len(SMALL_FILE) - 40, 1))  # the trailer's record count
 @example(("cut", SMALL_HEADER, 0))
 @example(("cut", len(SMALL_FILE) - 48 - 9, 0))  # on a record boundary
 def test_hostile_byte_never_gives_a_result(edit):
-    # One byte changed anywhere, or the file cut anywhere: analyze exits 3,
-    # or 2 naming a flag when the change is in the header's echo or grid,
-    # and writes nothing.
+    # One byte changed anywhere, or the file cut anywhere: analyze exits 3
+    # and writes nothing, also where the changed header makes a flag unfit.
     kind, at, xor = edit
     raw = bytearray(SMALL_FILE)
     if kind == "flip":
@@ -344,8 +334,4 @@ def test_hostile_byte_never_gives_a_result(edit):
         written = sorted(p.name for p in Path(tmp).iterdir())
     err = err.getvalue()
     assert written == ["run.tags"] and err.startswith("error: ")
-    if code == 2:
-        assert kind == "flip" and at < SMALL_HEADER
-        assert "--gate-width-s" in err or "--hist-bin-s" in err
-    else:
-        assert code == 3
+    assert code == 3

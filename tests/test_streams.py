@@ -7,7 +7,7 @@ import pytest
 from timebin.simulate import (CH_TRIGGER, TAG_DTYPE, ExperimentConfig, PulseGrid,
                               iter_simulate)
 from timebin.streams import (FORMAT_VERSION, StreamFormatError, header_grid,
-                             iter_read_tags, read_header, write_tags)
+                             iter_read_tags, write_tags)
 
 from conftest import full_stream, write_grid_stream
 
@@ -19,9 +19,9 @@ CFG = ExperimentConfig(duration=2e-4, mean_pairs_per_pulse=0.1,
 GRID = PulseGrid.of(CFG)
 
 
-def read_back(path, raw=False, chunk_records=1 << 18):
+def read_back(path, raw=False):
     """(header, the file's chunks joined into one array)."""
-    it = iter_read_tags(path, chunk_records=chunk_records, raw=raw)
+    it = iter_read_tags(path, raw=raw)
     header = next(it)
     return header, np.concatenate([*it, np.empty(0, dtype=TAG_DTYPE)])
 
@@ -71,10 +71,17 @@ class TestBinaryFormat:
         assert back.size == GRID.pulses and np.all(back["channel"] == CH_TRIGGER)
 
     def test_iter_read_chunking_invariant(self, tmp_path, tags):
+        # In chunks of any size, the trigger view is the stream that the
+        # independent merge builds, and no chunk holds more tags than asked.
         path = tmp_path / "run.tags"
         write_tags(path, tags, grid=GRID)
-        _, back = read_back(path, chunk_records=1000)
-        assert back.tobytes() == full_stream(iter_simulate, CFG).tobytes()
+        want = full_stream(iter_simulate, CFG).tobytes()
+        for chunk_records in (1, 7, 1000, 1 << 18):
+            it = iter_read_tags(path, chunk_records=chunk_records)
+            next(it)
+            chunks = list(it)
+            assert max(c.size for c in chunks) <= chunk_records
+            assert np.concatenate(chunks).tobytes() == want
 
     def test_truncated_record_reports_offset(self, tmp_path, tags):
         # The file shrinks, 4 bytes into its final record, after the reader
@@ -104,14 +111,14 @@ class TestBinaryFormat:
         path = tmp_path / "bad.tags"
         path.write_bytes(json.dumps({"format": "other", "version": 1}).encode() + b"\n")
         with pytest.raises(StreamFormatError):
-            read_header(path)
+            next(iter_read_tags(path))
 
     @pytest.mark.parametrize("line", [b"[1]", b"7", b'"timebin-tags"', b"null"])
     def test_rejects_header_that_is_not_an_object(self, tmp_path, line):
         path = tmp_path / "bad.tags"
         path.write_bytes(line + b"\n")
         with pytest.raises(StreamFormatError) as err:
-            read_header(path)
+            next(iter_read_tags(path))
         assert err.value.byte_offset == 0
 
     def test_rejects_unknown_version(self, tmp_path):
@@ -142,7 +149,7 @@ class TestBinaryFormat:
         path = tmp_path / "junk.tags"
         path.write_bytes(b"\xff\xfe\x00garbage\n" + b"\x00" * 18)
         with pytest.raises(StreamFormatError) as err:
-            read_header(path)
+            next(iter_read_tags(path))
         assert err.value.byte_offset == 0
 
 
