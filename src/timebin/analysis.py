@@ -14,7 +14,6 @@ identical results.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -203,7 +202,6 @@ class StreamAnalyzer:
     """
 
     def __init__(self, gates: GateConfig, hist_bin: float = 10e-12, *, grid: PulseGrid):
-        self.gates = gates
         self.grid = grid
         self.out_of_range = 0
         self._bin_ps = whole_ps(hist_bin, "hist_bin")
@@ -219,8 +217,7 @@ class StreamAnalyzer:
         self._edges = _gate_edges(gates)
         n = self._n = len(gates.offsets)
         self._gated = np.zeros(2 * n, dtype=np.int64)
-        self._joint = np.zeros((n, n), dtype=np.int64)
-        self._neighbor = np.zeros((n, n), dtype=np.int64)
+        self._tables = np.zeros((2, n, n), dtype=np.int64)  # joint, neighbor_joint
         # The last two runs, (pulse, slot counts): the closed one before the
         # open one.  Runs of no count pair with nothing.
         self._tail = (np.full(2, -1, dtype=np.int64),
@@ -268,42 +265,41 @@ class StreamAnalyzer:
         counts[:, :2] += tail_counts
         run_pulse = np.concatenate([tail_pulse, pulse[starts]])
         # Every run before the last is closed: no later event joins it.
-        self._pair(run_pulse[:-1], counts[:, :-1])
+        self._tables += self._pairs(run_pulse[:-1], counts[:, :-1])
         self._tail = run_pulse[-2:].copy(), counts[:, -2:].copy()
 
-    def _pair(self, run_pulse, counts):
-        """Add the pairs of runs 1, 2, ... (the columns of ``counts``),
-        each with its previous run; run 0 was counted before."""
+    def _pairs(self, run_pulse, counts):
+        """The (joint, neighbor) increments, stacked in a new array, of the
+        pairs of runs 1, 2, ... (the columns of ``counts``), each with its
+        previous run; run 0 was counted before."""
         i, s = counts[:self._n], counts[self._n:]
-        self._joint += np.einsum("sr,ir->si", s[:, 1:], i[:, 1:])
         after = np.flatnonzero(run_pulse[1:] == run_pulse[:-1] + 1)
-        self._neighbor += np.einsum("sr,ir->si", s.take(after, axis=1),
-                                    i.take(after + 1, axis=1))
+        return np.stack([np.einsum("sr,ir->si", s[:, 1:], i[:, 1:]),
+                         np.einsum("sr,ir->si", s.take(after, axis=1), i.take(after + 1, axis=1))])
 
     def result(self) -> "AnalysisResult":
-        """Counts so far, with the open run closed on a copy: the analyzer
-        itself is unchanged and may be fed on."""
-        end = copy.deepcopy(self)
-        end._pair(*end._tail)
+        """Counts so far.  The open run is closed on the running tables,
+        and only what is returned is copied: the analyzer is unchanged, may
+        be fed on and shares no memory with the result."""
+        joint, neighbor = self._tables + self._pairs(*self._tail)
         histograms = {}
         for ch in (CH_SIGNAL, CH_IDLER):
-            h = end._hist[ch::2]
+            h = self._hist[ch::2]
             seen = np.flatnonzero(h)
             if seen.size:
                 histograms[ch] = h[:seen[-1] + 1].copy()
         n = self.grid.pulses
-        first, last = (int(t) for t in self.grid.times(np.array([0, n - 1])))
-        period = float(last - first) / (n - 1)
+        period = float(self.grid.times(n - 1)) / (n - 1)  # the first trigger is at 0 ps
         return AnalysisResult(
             histograms=histograms,
             hist_bin=self._bin_ps * 1e-12,
-            gated_signal=end._gated[self._n:],
-            gated_idler=end._gated[:self._n],
-            joint=end._joint,
-            neighbor_joint=end._neighbor,
+            gated_signal=self._gated[self._n:].copy(),
+            gated_idler=self._gated[:self._n].copy(),
+            joint=joint,
+            neighbor_joint=neighbor,
             n_triggers=n,
             duration=n * period * 1e-12,
-            out_of_range=end.out_of_range,
+            out_of_range=self.out_of_range,
         )
 
 

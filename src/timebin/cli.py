@@ -6,8 +6,9 @@ except ``report`` writes a manifest next to its outputs with a config
 echo, RNG seeds and content checksums, so each figure is reproducible
 from its JSON alone.
 
-Exit codes: 0 success, 2 usage or config error, 3 data error,
-4 numerical non-convergence; an error's message goes to standard error.
+Exit codes: 0 success, 2 usage or config error or an ``--out`` that
+cannot be written, 3 data error, 4 numerical non-convergence; an error's
+message goes to standard error.
 The ``timebin`` script and ``python -m timebin.cli`` exit through ``run``,
 which freezes the garbage collector before ``sys.exit``: the final
 collection would only free objects that the OS reclaims anyway.
@@ -110,10 +111,10 @@ def fit_fringe(scan, poisson_weights=False):
 
 def load_config(path):
     """Parse a key = value run config into an ``ExperimentConfig``;
-    unknown or missing keys are fatal."""
+    unknown, repeated or missing keys are fatal."""
     from .simulate import ExperimentConfig
 
-    values = {}
+    values, line_of = {}, {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -129,14 +130,15 @@ def load_config(path):
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config field '{key}'")
+        if (first := line_of.setdefault(key, lineno)) != lineno:
+            raise ConfigError(f"{path}:{lineno}: config field '{key}' repeats line {first}")
         field_name, conv = _CONFIG_KEYS[key]
         try:
             values[field_name] = conv(val.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
     for key in _REQUIRED_KEYS:
-        field_name = _CONFIG_KEYS[key][0]
-        if field_name not in values:
+        if key not in line_of:
             raise ConfigError(f"{path}: missing required config field '{key}'")
     try:
         return ExperimentConfig(**values)
@@ -193,10 +195,7 @@ def _cmd_simulate(args) -> int:
             raise ConfigError(f"--seed: {exc}") from exc
     echo = config.to_dict()
     echo["mode"] = args.mode
-    if args.mode == "time-bin":
-        chunks = iter_simulate(config)
-    else:
-        chunks = iter_simulate_single_bin(config)
+    chunks = (iter_simulate if args.mode == "time-bin" else iter_simulate_single_bin)(config)
     try:
         grid = PulseGrid.of(config)
     except ValueError as exc:  # e.g. a run shorter than two pulse periods
@@ -232,6 +231,8 @@ def _gates_from_echo(echo, gate_width):
 
 
 def _cmd_analyze(args) -> int:
+    import numpy as np
+
     from . import analysis, streams
     from .simulate import CH_IDLER, CH_SIGNAL
 
@@ -268,7 +269,7 @@ def _cmd_analyze(args) -> int:
     except ValueError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
 
-    rates = result.rate_report()
+    rates, delays = result.rate_report(), result.delay_counts
     report = {
         "format_version": streams.FORMAT_VERSION,
         "config": echo,
@@ -279,7 +280,7 @@ def _cmd_analyze(args) -> int:
         "neighbor_joint_counts": result.neighbor_joint.tolist(),
         "gated_slot_counts": {"signal": result.gated_signal.tolist(),
                               "idler": result.gated_idler.tolist()},
-        "delay_counts": {str(k): v for k, v in result.delay_counts.items()},
+        "delay_counts": {str(k): v for k, v in delays.items()},
         "out_of_range": result.out_of_range,
     }
     if rates.n_signal > 0 and rates.n_idler > 0:
@@ -287,12 +288,13 @@ def _cmd_analyze(args) -> int:
         report["klyshko"] = {"signal": eta_s.to_dict(), "idler": eta_i.to_dict()}
     sidecars = {}
     for ch, name in ((CH_SIGNAL, "signal"), (CH_IDLER, "idler")):
-        if ch in result.histograms:
+        if (h := result.histograms.get(ch)) is not None:
+            bins = np.flatnonzero(h)
             sidecars[f".singles_{name}.csv"] = (_CSV_HEADER, [
-                (i * result.hist_bin, int(c), math.sqrt(c))
-                for i, c in enumerate(result.histograms[ch]) if c])
+                (i * result.hist_bin, c, math.sqrt(c))
+                for i, c in zip(bins.tolist(), h[bins].tolist())])
     sidecars[".delays.csv"] = (_CSV_HEADER, [
-        (d, c, math.sqrt(c)) for d, c in sorted(result.delay_counts.items())])
+        (d, c, math.sqrt(c)) for d, c in sorted(delays.items())])
     _write_outputs(args.out, json.dumps(report, indent=2), sidecars, echo, [args.input],
                    echo.get("rng_seed"), t0)
     print(f"analyzed {args.input}: {rates.n_coinc} coincidences in {rates.duration:.3g} s")
@@ -436,10 +438,8 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    summary = {"reports": []}
-    for path in args.reports:
-        data = _load_report(path)
-        summary["reports"].append({"path": str(path), "content": data})
+    summary = {"reports": [{"path": str(path), "content": _load_report(path)}
+                           for path in args.reports]}
     with open(args.out, "w") as fh:
         json.dump(summary, fh, indent=2)
     print(f"combined {len(args.reports)} reports into {args.out}")
@@ -489,7 +489,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except OSError as exc:  # an input's OSError is mapped where it is read
+            raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]

@@ -42,7 +42,6 @@ import numpy as np
 __all__ = [
     "CH_SIGNAL",
     "CH_IDLER",
-    "CH_TRIGGER",
     "TAG_DTYPE",
     "ExperimentConfig",
     "PulseGrid",

@@ -144,16 +144,18 @@ def tie_cuts(detections, grid):
     return np.flatnonzero(rel == 0) + 1
 
 
-def write_grid_stream(path, channels, times_ps, config_echo, grid=None):
+DEFAULT_GRID = {"pulses": 100, "period_ps": 13123.36}
+
+
+def write_grid_stream(path, channels, times_ps, config_echo, grid=DEFAULT_GRID):
     """A format-3 file of the given detection records, built by hand, so it
     may hold records the writer refuses; ``grid`` is its header's grid
-    entry, valid or not (default 100 pulses).  The trailer holds the
-    SHA-256 of the header line and the records."""
+    entry, any JSON value, valid or not.  The trailer holds the SHA-256 of
+    the header line and the records."""
     tags = np.zeros(len(channels), dtype=TAG_DTYPE)
     tags["channel"] = channels
     tags["time_ps"] = times_ps
-    header = {"format": "timebin-tags", "version": 3, "config": config_echo,
-              "grid": {"pulses": 100, "period_ps": 13123.36} if grid is None else grid}
+    header = {"format": "timebin-tags", "version": 3, "config": config_echo, "grid": grid}
     body = json.dumps(header).encode() + b"\n" + tags.tobytes()
     path.write_bytes(body + b"TAGSEND3" + len(tags).to_bytes(8, "little")
                      + hashlib.sha256(body).digest())

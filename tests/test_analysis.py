@@ -724,6 +724,23 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_result_costs_its_tables_not_a_copy(self):
+        # The same 64 MiB histogram: result() copies out what it returns,
+        # the trimmed histograms, and no more.  A copy of the analyzer
+        # would cost the whole histogram again.
+        analyzer = StreamAnalyzer(GateConfig(), 2.4e-9, grid=PulseGrid(50, 1e10))
+        rng = np.random.default_rng(1)
+        analyzer.feed(tag_array(rng.integers(0, 2, 1 << 15),
+                                np.sort(rng.integers(0, 50 * 10**10, 1 << 15))))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = analyzer.result()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(h.nbytes for h in result.histograms.values()) + 2 * 2**20
+
 
 class TestMaxVisibility:
     def test_reference_car(self):

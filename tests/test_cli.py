@@ -1,15 +1,21 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import timebin
 from timebin import cli, streams
@@ -122,6 +128,16 @@ class TestConfig:
                      "--out", str(tmp_path / "x.tags")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        # The last value used to win silently.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("rep_rate_hz = 76.2e6\nduration_s = 0.0001\n"
+                       "mean_pairs_per_pulse = 0.01\n# again\nduration_s = 0.0002\n")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.tags")])
+        assert code == 2
+        assert f"{cfg}:5: config field 'duration_s' repeats line 2" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
@@ -304,6 +320,44 @@ class TestAnalyze:
         assert code == 3
         err = capsys.readouterr().err
         assert "grid" in err and "(byte offset 0)" in err and "Traceback" not in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_any_json_grid_header_is_refused_or_read(self, data):
+        # Each header ends in one of three ways: a data error at byte
+        # offset 0, a usage error for a valid grid whose period the default
+        # 10 ps bins cut into more than 2^22, or a report of the drawn
+        # pulse count.  The second range of each kind, and the first branch
+        # of the grid, draw more of the grids that hold.
+        ints = st.integers(-5, 10**30) | st.integers(-5, 10**9)
+        floats = st.floats(0.5, 1e300) | st.floats(0.5, 1e9)
+        value = st.one_of(ints, st.booleans(), floats,
+                          st.sampled_from([math.nan, math.inf, -math.inf]), st.text(max_size=4),
+                          st.none())
+        entry = st.one_of(value, st.lists(value, max_size=2))
+        grid = data.draw(st.one_of(
+            st.fixed_dictionaries({"pulses": ints, "period_ps": floats | ints}),
+            st.fixed_dictionaries({"pulses": entry, "period_ps": entry}),
+            st.fixed_dictionaries({}, optional={"pulses": entry, "period_ps": entry,
+                                                "extra": entry}),
+            entry))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            tags = write_grid_stream(Path(tmp) / "run.tags", [CH_SIGNAL, CH_IDLER],
+                                     [2000, 2100], VALID_ECHO, grid)
+            out = Path(tmp) / "r.json"
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["analyze", "--in", str(tags), "--out", str(out)])
+            report = json.loads(out.read_text()) if code == 0 else None
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if code == 3:
+            assert "(byte offset 0)" in err
+        elif code == 2:
+            assert "--hist-bin-s" in err and grid["period_ps"] > 2**22 * 10 - 1
+        else:
+            assert code == 0 and grid["period_ps"] <= 2**22 * 10 - 1
+            assert report["rates"]["counts"]["trigger"] == grid["pulses"]
 
     def test_trigger_record_in_grid_file_is_data_error(self, tmp_path, capsys):
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_TRIGGER, CH_IDLER],
@@ -752,6 +806,26 @@ class TestReport:
         code = main(["report", str(tmp_path / "ghost.json"),
                      "--out", str(tmp_path / "s.json")])
         assert code == 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "fringe", "tomo", "report"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
+    # An --out in a directory that does not exist used to end in a
+    # traceback and exit 1.
+    report = run_pipeline(tmp_path, "run", duration_s=0.0005)
+    inputs = {"simulate": ["--config", str(tmp_path / "run.cfg")],
+              "analyze": ["--in", str(tmp_path / "run.tags")],
+              "fringe": [f"{k}.0:{report}" for k in range(5)],
+              "tomo": [f"{ds},{di}:{report}" for ds, di in ((0, 0), (0, 90), (90, 0), (90, 90))]
+              + ["--replicas", "2"],
+              "report": [str(report)]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    out = tmp_path / "missing" / "out.json"
+    assert main([command, *inputs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write --out {out}" in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def modules_loaded_by(code, *argv):
