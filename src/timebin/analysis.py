@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import (CH_IDLER, CH_SIGNAL, DEFAULT_GATE_WIDTH, ExperimentConfig, PulseGrid,
-                       first_bad_record)
+from .simulate import CH_IDLER, CH_SIGNAL, ExperimentConfig, PulseGrid, first_bad_record
 
 __all__ = [
     "GateConfig",
@@ -41,9 +40,10 @@ __all__ = [
 ]
 
 
-# Bound on a gate offset or width, in whole ps: the int64 slot edges stay
-# within 1.5 times it.  A histogram bin, rounded as the width is, shares it.
+# Bound on a gate width, and a histogram bin, in whole ps.
 MAX_GATE_PS = 2**62
+DEFAULT_GATE_WIDTH = 0.5e-9
+DEFAULT_HIST_BIN = 10e-12
 
 # Detections per step of the fold.  Small steps keep its temporaries small
 # and in cache: on a fringe-scan stream, steps of 2^16 took about 1.7 times
@@ -85,11 +85,8 @@ class GateConfig:
     touching gates goes to the earlier one.  So every slot holds
     2 (width // 2) + 1 ps, the one shared with an earlier gate aside.  Gates
     must not overlap, though they may touch; the width is checked by
-    :func:`whole_ps`, and every offset must round to ``MAX_GATE_PS`` ps or less.
-    A gate that opens before its trigger, as the early gate of a run with
-    ``detection_delay=0`` does, counts only its part after the trigger: a
-    detection before the trigger belongs to the previous pulse, where it
-    falls outside every gate.
+    :func:`whole_ps`.  Whether the gates fit a pulse period is the
+    :class:`StreamAnalyzer`'s to check, which holds the period.
     """
 
     gate_width: float = DEFAULT_GATE_WIDTH
@@ -100,8 +97,6 @@ class GateConfig:
         if not all(math.isfinite(o * 1e12) for o in self.offsets):
             raise ValueError(f"gate offsets must be finite in ps, got {self.offsets!r}")
         offs_ps, width_ps = self._whole_ps()
-        if max(map(abs, offs_ps), default=0) > MAX_GATE_PS:
-            raise ValueError(f"gate offsets {self.offsets!r} must lie within 2^62 ps")
         for a, b in zip(offs_ps, offs_ps[1:]):
             if b - a < width_ps:
                 raise ValueError(f"overlapping gates: {a} ps and {b} ps")
@@ -180,7 +175,10 @@ class StreamAnalyzer:
     time after its trigger, and those feed the fold.  Detections at or past
     the end of the grid's live time, ``grid.times(grid.pulses)``, belong to
     no pulse: they are neither histogrammed nor gated but counted in
-    ``out_of_range``, so a corrupted time cannot size a histogram.
+    ``out_of_range``, so a corrupted time cannot size a histogram.  A
+    ``ValueError`` names a gate that opens before its trigger or ends at or
+    past the next one: a period on for a whole-ps period, else more than
+    period - 2 ps on (``PulseGrid.locate``).
 
     The fold takes at most ``FOLD_RECORDS`` detections at a time.  One
     ``searchsorted`` of the whole ps after the trigger into the gate edges,
@@ -201,7 +199,14 @@ class StreamAnalyzer:
     into more than 2^22 bins, 32 MiB per channel, is a ``ValueError``.
     """
 
-    def __init__(self, gates: GateConfig, hist_bin: float = 10e-12, *, grid: PulseGrid):
+    def __init__(self, gates: GateConfig, hist_bin: float = DEFAULT_HIST_BIN, *, grid: PulseGrid):
+        offs_ps, width_ps = gates._whole_ps()
+        m, period = width_ps // 2, grid.period_ps
+        last = math.ceil(period if period.is_integer() else period - 2) - 1
+        for k, o in enumerate(offs_ps):  # Python ints, before any int64 edge
+            if o - m < 0 or o + m > last:
+                raise ValueError(f"gate {k} spans {o - m} to {o + m} ps after its trigger, "
+                                 f"not within 0 and {last} ps, before the next trigger")
         self.grid = grid
         self.out_of_range = 0
         self._bin_ps = whole_ps(hist_bin, "hist_bin")
@@ -214,8 +219,8 @@ class StreamAnalyzer:
             raise ValueError(f"hist_bin of {self._bin_ps} ps cuts the {grid.period_ps!r} ps "
                              f"period into {bins} bins, more than 2^22")
         self._hist = np.zeros(2 * bins, dtype=np.int64)  # bin * 2 + channel -> count
-        self._edges = _gate_edges(gates)
-        n = self._n = len(gates.offsets)
+        self._edges = _gate_edges(offs_ps, width_ps)
+        n = self._n = len(offs_ps)
         self._gated = np.zeros(2 * n, dtype=np.int64)
         self._tables = np.zeros((2, n, n), dtype=np.int64)  # joint, neighbor_joint
         # The last two runs, (pulse, slot counts): the closed one before the
@@ -303,8 +308,9 @@ class StreamAnalyzer:
         )
 
 
-def _gate_edges(gates: GateConfig) -> np.ndarray:
-    """Sorted int64 edges, in whole ps, of the slots of ``gates``.
+def _gate_edges(offs_ps, width_ps) -> np.ndarray:
+    """Sorted int64 edges, in whole ps, of the slots of gates at the sorted
+    whole-ps offsets ``offs_ps``, ``width_ps`` wide.
 
     A detection ``rel`` whole ps after its trigger lies inside slot k when
     2 k + 1 edges are at or below it, and outside every gate when an even
@@ -313,7 +319,6 @@ def _gate_edges(gates: GateConfig) -> np.ndarray:
     at o_k - m and closes at o_k + m + 1.  Touching gates share at most one
     ps; the running maximum opens the later slot past it.
     """
-    offs_ps, width_ps = gates._whole_ps()
     offs, m = np.array(offs_ps, dtype=np.int64), width_ps // 2
     return np.maximum.accumulate(np.column_stack([offs - m, offs + m + 1]).ravel())
 
@@ -372,7 +377,7 @@ class AnalysisResult:
         )
 
 
-def analyze_stream(chunks, gates: GateConfig, hist_bin: float = 10e-12, *,
+def analyze_stream(chunks, gates: GateConfig, hist_bin: float = DEFAULT_HIST_BIN, *,
                    grid: PulseGrid) -> AnalysisResult:
     """Run the full analysis over an array or an iterable of detection
     chunks on ``grid``."""

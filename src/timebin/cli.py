@@ -84,10 +84,11 @@ _MODES = ("single-bin", "time-bin")
 
 _CSV_HEADER = "slot_or_phase,count,error"
 
-# simulate.DEFAULT_GATE_WIDTH and streams.FORMAT_VERSION, spelled out so
-# that building the parser and writing a manifest import neither module;
-# a test pins each to its source.
+# analysis.DEFAULT_GATE_WIDTH, analysis.DEFAULT_HIST_BIN and
+# streams.FORMAT_VERSION, spelled out so that building the parser and
+# writing a manifest import neither module; a test pins each to its source.
 _DEFAULT_GATE_WIDTH = 0.5e-9
+_DEFAULT_HIST_BIN = 10e-12
 _FORMAT_VERSION = 3
 
 
@@ -206,11 +207,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _gates_from_echo(echo, gate_width):
-    """Gates of the run a tag header's config echo describes; an echo that
-    is not a valid run config is a ValueError, a gate width that makes the
-    run's gates overlap a ConfigError.  An echo without a ``mode``
-    describes a time-bin run."""
+def _run_from_echo(echo):
+    """(run config, ``GateConfig`` builder of its mode) of the run a tag
+    header's config echo describes; an echo that is not a valid run config
+    is a ValueError.  An echo without a ``mode`` describes a time-bin run."""
     from .analysis import GateConfig
     from .simulate import ExperimentConfig
 
@@ -223,11 +223,7 @@ def _gates_from_echo(echo, gate_width):
         config = ExperimentConfig(**{k: v for k, v in echo.items() if k != "mode"})
     except (TypeError, ValueError) as exc:  # TypeError: an unknown key
         raise ValueError(f"header config echo is not a valid run config: {exc}") from exc
-    gates = GateConfig.single_bin if mode == "single-bin" else GateConfig.time_bin
-    try:
-        return gates(config, gate_width)
-    except ValueError as exc:
-        raise ConfigError(f"--gate-width-s {gate_width!r} does not fit the run: {exc}") from exc
+    return config, GateConfig.single_bin if mode == "single-bin" else GateConfig.time_bin
 
 
 def _cmd_analyze(args) -> int:
@@ -248,17 +244,17 @@ def _cmd_analyze(args) -> int:
         echo = header.get("config", {})
         if not echo:
             raise DataError(f"{args.input}: header carries no config echo")
+        config, gates = _run_from_echo(echo)
+        grid = streams.header_grid(header)
         try:
-            gates = _gates_from_echo(echo, args.gate_width_s)
-            try:
-                analyzer = analysis.StreamAnalyzer(gates, args.hist_bin_s,
-                                                   grid=streams.header_grid(header))
-            except ValueError as exc:
-                raise ConfigError(f"--hist-bin-s does not fit the run: {exc}") from exc
-        except ConfigError:
+            analyzer = analysis.StreamAnalyzer(gates(config, args.gate_width_s), args.hist_bin_s,
+                                               grid=grid)
+        except ValueError as exc:  # a gate's fault, overlap or period, or the histogram's
             for _ in it:  # a corrupt header is a data error, not an unfit flag
                 pass
-            raise
+            flag = ("--hist-bin-s" if str(exc).startswith("hist_bin")
+                    else f"--gate-width-s {args.gate_width_s!r}")
+            raise ConfigError(f"{flag} does not fit the run: {exc}") from exc
         for chunk in it:
             analyzer.feed(chunk)
         result = analyzer.result()
@@ -350,7 +346,7 @@ def _cmd_fringe(args) -> int:
             raise ConfigError(f"bad phase in {spec_arg!r}: {exc}") from exc
         report = _load_report(path)
         counts = _report_number(report, path, "rates", "counts", "central")
-        if counts < 0:
+        if counts < 0 or counts % 1:
             raise DataError(f"{path}: rates.counts.central must be a count of at least 0, "
                             f"got {counts!r}")
         duration = _report_number(report, path, "rates", "duration_s")
@@ -462,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--gate-width-s", type=float, default=_DEFAULT_GATE_WIDTH)
-    p.add_argument("--hist-bin-s", type=float, default=10e-12)
+    p.add_argument("--hist-bin-s", type=float, default=_DEFAULT_HIST_BIN)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fringe", help="sinusoidal visibility fit over analyzed runs")

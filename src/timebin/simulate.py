@@ -66,8 +66,6 @@ BLOCK_PULSES = 1 << 20
 # Most pairs plus darks one block may expect; mu = 2, 1e8 darks/s expect 4.9e6.
 MAX_BLOCK_DRAWS = 1 << 24
 
-DEFAULT_GATE_WIDTH = 0.5e-9
-
 
 def first_bad_record(tags, last) -> tuple[int, str] | None:
     """(index, fault) of the first of ``tags``, following a record at time
@@ -99,7 +97,9 @@ class ExperimentConfig:
 
     Defaults follow the apparatus this models: 76.2 MHz pulsed pump,
     ~3 ns bin delay (13.1 ns pulse period), dark rates of a few hundred
-    per second.  Construction runs :meth:`validate`.
+    per second.  Construction runs :meth:`validate`; it keeps every
+    detection below 2^53 ps, as ``PulseGrid`` keeps its triggers, and
+    checks no gate: the analyzer fits its gates to the pulse period.
     """
 
     rep_rate: float = 76.2e6          # pulses / s
@@ -126,10 +126,6 @@ class ExperimentConfig:
         if self.pair_yield_per_watt is not None:
             return self.pair_yield_per_watt * self.pump_power
         return self.mean_pairs_per_pulse
-
-    @property
-    def pulse_period(self) -> float:
-        return 1.0 / self.rep_rate
 
     def __post_init__(self):
         self.validate()
@@ -160,10 +156,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.mu < 0:
             raise ValueError("mean pairs per pulse must be non-negative")
-        # Keep the late-late slot plus a detection gate inside one period so
-        # coincidence peaks of neighboring pulses cannot overlap.
-        if self.detection_delay + 2 * self.bin_delay + DEFAULT_GATE_WIDTH >= self.pulse_period:
-            raise ValueError("2*bin_delay + gate width does not fit in the pulse period")
+        # How late a detection may lie: below 2^53 ps, as a trigger does.
+        times = {"duration": self.duration * 1e12, "detection_delay": self.detection_delay * 1e12,
+                 "bin_delay": 2e12 * self.bin_delay, "jitter_sigma": 10e12 * self.jitter_sigma}
+        if (total := sum(times.values())) >= 2**53:
+            name = max(times, key=times.get)
+            raise ValueError(f"{name} = {getattr(self, name)!r} puts detections up to "
+                             f"{total:.3g} ps into the run, 2^53 ps or more")
         pulses = round(min(BLOCK_PULSES, self.duration * self.rep_rate))  # largest block
         mu_name = ("mean_pairs_per_pulse" if self.pair_yield_per_watt is None
                    else "pair_yield_per_watt")

@@ -13,6 +13,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 import scipy.linalg
 
+from timebin.analysis import GateConfig
 from timebin.simulate import CH_TRIGGER, TAG_DTYPE
 
 ACCEPTANCE_DESCRIPTIONS = {
@@ -136,6 +137,16 @@ def full_stream(sim, cfg):
     as tags by :func:`merge_triggers`, as one array."""
     detections = np.concatenate([*sim(cfg), np.empty(0, dtype=TAG_DTYPE)])
     return merge_triggers(detections, round(cfg.duration * cfg.rep_rate), 1e12 / cfg.rep_rate)
+
+
+def run_gates(cfg, time_bin=True):
+    """The default gates of ``cfg``'s mode, moved later where they would
+    open before their trigger, which the analyzer refuses: with
+    ``detection_delay=0`` the first gate opens on the trigger's picosecond,
+    where the run's slot-0 photons land without jitter."""
+    gates = (GateConfig.time_bin if time_bin else GateConfig.single_bin)(cfg)
+    shift = max(0.0, gates.gate_width / 2 - cfg.detection_delay)
+    return GateConfig(gates.gate_width, tuple(o + shift for o in gates.offsets))
 
 
 def tie_cuts(detections, grid):

@@ -13,7 +13,7 @@ from timebin.simulate import (CH_IDLER, CH_SIGNAL, CH_TRIGGER, TAG_DTYPE,
                               ExperimentConfig, PulseGrid, iter_simulate,
                               iter_simulate_single_bin)
 
-from conftest import assert_same_result, tie_cuts
+from conftest import assert_same_result, run_gates, tie_cuts
 from fringe_oracle import oracle_fit_fringe
 
 
@@ -78,19 +78,41 @@ class TestGateConfig:
             GateConfig(width, (2e-9, 2e-9))
         GateConfig(0.6e-12, (2e-9, 2.001e-9))  # 1 ps gates, touching
 
-    @pytest.mark.parametrize("width, offsets", [
-        (1e-9, (4.7e6,)), (1e-9, (0.0, -4.7e6)), (4.7e6, ()),
+    @pytest.mark.parametrize("width, offsets, message", [
+        (1e-9, (4.7e6,), "^gate 0 spans 4699999999999999500 to 4700000000000000500 ps "),
+        (1e-9, (0.0, -4.7e6), "^gate 0 spans -4700000000000000500 to -4699999999999999500 ps "),
+        (4.7e6, (), r"^gate_width must lie within 1 and 2\^62 ps"),
     ], ids=["offset-past-2^62-ps", "offset-below-minus-2^62-ps", "width-past-2^62-ps"])
-    def test_rejects_gates_whose_int64_edges_would_overflow(self, width, offsets):
-        with pytest.raises(ValueError, match="must lie within"):
-            GateConfig(width, offsets)
+    def test_rejects_gates_whose_int64_edges_would_overflow(self, width, offsets, message):
+        # GateConfig bounds the width; the analyzer refuses an offset
+        # outside the period, in Python ints, before it builds int64 edges.
+        with pytest.raises(ValueError, match=message):
+            StreamAnalyzer(GateConfig(width, offsets), grid=TWO_PULSES)
 
-    def test_gates_at_2_to_the_62_ps_are_accepted(self):
+    def test_gates_at_2_to_the_62_ps_are_refused_by_the_analyzer(self):
+        # GateConfig once accepted these, and the analyzer gated nothing in them.
         edge = 2**62 * 1e-12
         gates = GateConfig(4e6, (-edge, edge))
         assert max(abs(round(x * 1e12)) for x in (gates.gate_width, *gates.offsets)) == 2**62
-        res = analyze_stream(tag_array([CH_SIGNAL], [0]), gates, grid=TWO_PULSES)
-        assert res.gated_signal.tolist() == [0, 0]
+        for offset in gates.offsets:
+            with pytest.raises(ValueError, match=r"^gate 0 spans -?\d+ to -?\d+ ps after its "
+                                                 r"trigger, not within 0 and 12999 ps"):
+                StreamAnalyzer(GateConfig(4e6, (offset,)), grid=TWO_PULSES)
+
+    @pytest.mark.parametrize("period, last", [(13000.0, 12999), (13123.36, 13121)],
+                             ids=["whole-ps", "fractional"])
+    def test_gates_lie_between_their_trigger_and_the_next(self, period, last):
+        # 1 ps gates: each spans its offset alone.  A whole-ps period puts
+        # the next trigger a period on; another puts it more than period - 2
+        # ps on, so a gate may end on the ps before that.
+        grid = PulseGrid(3, period)
+        kept = GateConfig(1e-12, (0.0, last * 1e-12))
+        res = analyze_stream(tag_array([CH_SIGNAL, CH_IDLER], [0, last]), kept, grid=grid)
+        assert res.gated_signal.tolist() == [1, 0] and res.gated_idler.tolist() == [0, 1]
+        for k, offsets in ((0, (-1e-12, 2e-12)), (1, (0.0, (last + 1) * 1e-12))):
+            with pytest.raises(ValueError, match=f"^gate {k} spans .* not within 0 and {last} ps, "
+                                                 f"before the next trigger$"):
+                StreamAnalyzer(GateConfig(1e-12, offsets), grid=grid)
 
     def test_time_bin_layout(self):
         cfg = ExperimentConfig()
@@ -125,9 +147,9 @@ class TestGatedSingles:
         assert res.gated_signal.tolist() == [2, 2, 3]
 
     def test_detection_on_a_shared_gate_edge_goes_to_the_earlier_slot(self):
-        # 2.5 ns is 2500 ps exactly, so the touching gates share the edge at 1250 ps.
-        gates = GateConfig(gate_width=2.5e-9, offsets=(0.0, 2.5e-9))
-        tags = tag_array([CH_SIGNAL], [1250])
+        # 2.5 ns is 2500 ps exactly, so the touching gates share the edge at 2500 ps.
+        gates = GateConfig(gate_width=2.5e-9, offsets=(1.25e-9, 3.75e-9))
+        tags = tag_array([CH_SIGNAL], [2500])
         assert analyze_stream(tags, gates, grid=TWO_PULSES).gated_signal.tolist() == [1, 0]
 
     def test_uniform_darks_thinned_by_gate_fraction(self):
@@ -200,9 +222,9 @@ class TestGatedSingles:
     @pytest.mark.parametrize("time_ps", [2**63, 2**64 - 1])
     def test_time_past_int64_rejected(self, time_ps):
         # Cast to int64 first, 2^64 - 1 read as -1 ps, 12 999 ps after the
-        # trigger of pulse -1, and went through a gate at 12.9 ns.
+        # trigger of pulse -1, and went through a gate that ends there.
         grid = PulseGrid(4, 13000.0)
-        analyzer = StreamAnalyzer(GateConfig(1e-9, (12.9e-9,)), grid=grid)
+        analyzer = StreamAnalyzer(GateConfig(1e-9, (12.499e-9,)), grid=grid)
         tags = tag_array([CH_SIGNAL, CH_SIGNAL], [2000, time_ps])
         with pytest.raises(ValueError, match=f"^record 1 of the chunk: time {time_ps} ps "
                                              f"is 2\\^63 ps or more$"):
@@ -288,7 +310,8 @@ class TestGateOracle:
         "touching": (GateConfig(2e-9, (1e-9, 3e-9)), 10000.0),
         "touching-three": (GateConfig(2e-9, (1.5e-9, 4.2e-9, 7.7e-9)), 10000.0),
         "odd-offsets": (GateConfig(0.3e-9, (1.23456789e-9, 2.0000000003e-9)), 5000.25),
-        "odd-offsets-negative": (GateConfig(0.3e-9, (-0.1e-9, 0.3e-9, 3.333e-9)), 5000.25),
+        "odd-offsets-at-the-trigger": (GateConfig(0.3e-9, (0.15e-9, 0.45e-9, 3.333e-9)),
+                                       5000.25),
         "0.4s-at-1Hz": (GateConfig(0.5e-9, (0.4, 0.4 + 3e-9)), 1e12),
         "0.4s-at-1Hz-one-gate": (GateConfig(0.5e-9, (0.4 + 1e-9,)), 1e12),
         # Gates 1 ps wide 1.7e14 ps after the trigger, on a grid of 51
@@ -656,7 +679,10 @@ class TestStreamingEquivalence:
         tags, grid = detections(cfg), PulseGrid.of(cfg)
         cuts = tie_cuts(tags, grid)
         assert cuts.size > 0
-        gates = GateConfig.time_bin(cfg)
+        gates = run_gates(cfg)
+        if cfg.detection_delay == 0:  # the first gate opens on the ties' picosecond
+            ties = analyze_stream(tags[cuts - 1], gates, grid=grid)
+            assert ties.gated_signal[0] + ties.gated_idler[0] == cuts.size
         an = StreamAnalyzer(gates, grid=grid)
         for part in np.split(tags, cuts):
             an.feed(part)

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import timebin
 from timebin import cli, streams
 from timebin.cli import build_parser, main
-from timebin.simulate import (CH_SIGNAL, CH_IDLER, CH_TRIGGER, DEFAULT_GATE_WIDTH, TAG_DTYPE,
-                              ExperimentConfig)
+from timebin.analysis import DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN
+from timebin.simulate import CH_SIGNAL, CH_IDLER, CH_TRIGGER, TAG_DTYPE, ExperimentConfig
 from timebin.streams import iter_read_tags
 
 from conftest import write_grid_stream
@@ -120,7 +120,10 @@ class TestConfig:
         ("duration_s", "-1", "duration_s must be non-negative"),
         ("dark_rate_idler_hz", "-5", "dark_rate_idler_hz must be non-negative"),
         ("phi_s_rad", "inf", "phi_s_rad must be a finite number"),
-        ("bin_delay_s", "6e-9", "2*bin_delay_s + gate width does not fit"),
+        # Unbounded, this jitter ended in write_tags' refusal of a record at
+        # 2^63 ps or more, a traceback with exit 1.
+        ("jitter_sigma_s", "1e7", "jitter_sigma_s = 10000000.0 puts detections up to 1e+20 ps "
+                                  "into the run, 2^53 ps or more"),
     ])
     def test_config_error_names_the_key_written(self, tmp_path, capsys, key, value, message):
         cfg = write_config(tmp_path / "bad.cfg", **{key: value})
@@ -183,13 +186,14 @@ class TestSimulate:
 
     def test_run_past_2_to_the_53_ps_is_usage_error(self, tmp_path, capsys):
         # 1e4 pulses of 1 s put the last trigger near 1e16 ps; a slow pump
-        # and no darks keep the run small should the grid let it through.
+        # and no darks keep the run small should the config let it through.
         cfg = write_config(tmp_path / "run.cfg", rep_rate_hz=1.0, duration_s=1e4,
                            dark_rate_signal_hz=0.0, dark_rate_idler_hz=0.0)
         tags = tmp_path / "run.tags"
         assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 2
         err = capsys.readouterr().err
-        assert "trigger at 2^53 ps or more" in err and "Traceback" not in err
+        assert "duration_s = 10000.0 puts detections up to 1e+16 ps into the run, 2^53 ps " \
+            "or more" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("key, value", [("mean_pairs_per_pulse", "1e9"),
@@ -203,6 +207,15 @@ class TestSimulate:
         assert f"{key} = {float(value)!r}" in err
         assert "more than 2^24" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_single_bin_run_past_118_mhz_is_simulated(self, tmp_path):
+        # A single-bin run uses one slot; the config once required
+        # detection_delay + 2 bin_delay + 0.5 ns to fit in a period, in
+        # either mode, so any rate above about 118 MHz exited 2.
+        report = run_pipeline(tmp_path, "fast", mode="single-bin", rep_rate_hz=150e6,
+                              duration_s=0.0005)
+        counts = json.loads(report.read_text())["rates"]["counts"]
+        assert counts["trigger"] == 75000 and counts["coincidence"] > 0
 
     def test_chunks_failing_mid_stream_leave_no_file(self, tmp_path, monkeypatch):
         def failing(config):
@@ -353,11 +366,17 @@ class TestAnalyze:
         assert "Traceback" not in err
         if code == 3:
             assert "(byte offset 0)" in err
-        elif code == 2:
-            assert "--hist-bin-s" in err and grid["period_ps"] > 2**22 * 10 - 1
+            return
+        # A valid grid.  The default late gate ends 8250 ps after its
+        # trigger, before the next one only if that is at least 8251 ps on:
+        # a whole-ps period of 8251 ps, or any period above 8252 ps.
+        period = grid["period_ps"]
+        if not (period >= 8251 if float(period).is_integer() else period > 8252):
+            assert code == 2 and "--gate-width-s 5e-10 does not fit the run: gate " in err
+        elif period > 2**22 * 10 - 1:
+            assert code == 2 and "--hist-bin-s" in err
         else:
-            assert code == 0 and grid["period_ps"] <= 2**22 * 10 - 1
-            assert report["rates"]["counts"]["trigger"] == grid["pulses"]
+            assert code == 0 and report["rates"]["counts"]["trigger"] == grid["pulses"]
 
     def test_trigger_record_in_grid_file_is_data_error(self, tmp_path, capsys):
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_TRIGGER, CH_IDLER],
@@ -497,6 +516,38 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert "--gate-width-s" in err and "overlapping" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides, flags, fault", [
+        ({"bin_delay_s": 6e-9}, [], "gate 2 spans 13750 to 14250 ps"),
+        ({"detection_delay_s": 0.0}, [], "gate 0 spans -250 to 250 ps"),
+        ({"detection_delay_s": 6.5e-9, "jitter_sigma_s": 0.4e-9}, ["--gate-width-s", "2.9e-9"],
+         "gate 2 spans 11050 to 13950 ps"),
+    ], ids=["late-gate-past-the-next-trigger", "early-gate-before-its-trigger", "wide-gates"])
+    def test_gate_outside_its_pulse_is_usage_error(self, tmp_path, capsys, overrides, flags,
+                                                   fault):
+        # Each run is simulated.  Its gates used to count short without an
+        # error: a detection before its trigger, or at or past the next
+        # one, belongs to another pulse, where no gate takes it.  The first
+        # run's config was refused by a rule on the default gate width.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005, **overrides)
+        tags, out = tmp_path / "run.tags", tmp_path / "r.json"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        assert main(["analyze", "--in", str(tags), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        width = float(flags[1]) if flags else 5e-10
+        assert f"error: --gate-width-s {width!r} does not fit the run: {fault} after its " \
+            f"trigger, not within 0 and 13121 ps, before the next trigger" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_echo_past_the_old_period_rule_is_usage_error(self, tmp_path, capsys):
+        # The echo is a valid run config whose late gate ends past the next
+        # trigger; it used to be refused as no valid run config, exit 3.
+        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL], [2000],
+                                 {**VALID_ECHO, "bin_delay": 6e-9})
+        code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--gate-width-s 5e-10 does not fit the run: gate 2 spans 13750 to 14250 ps" in err
 
     def test_echo_without_bin_delay_is_usage_error(self, tmp_path, capsys):
         # Three time-bin slots at one offset overlap at any gate width.
@@ -668,6 +719,7 @@ class TestFringe:
         {"rates": {"counts": {"central": float("nan")}, "duration_s": 1.0}},
         {"rates": {"counts": {"central": 10**400}, "duration_s": 1.0}},
         {"rates": {"counts": {"central": -5}, "duration_s": 1.0}},
+        {"rates": {"counts": {"central": 2.5}, "duration_s": 1.0}},
     ])
     def test_unusable_report_is_data_error(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
@@ -880,10 +932,10 @@ def test_module_run_exit_codes_and_messages(tmp_path):
 def test_console_script_exits_through_run(tmp_path):
     # The ``timebin`` script and ``python -m timebin.cli`` share one exit
     # path, which freezes the collector before the interpreter's last one.
-    import tomllib
-
-    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
-    module, func = pyproject["project"]["scripts"]["timebin"].split(":")
+    # The entry is read by a pattern, as tomllib needs Python 3.11.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    module, func = re.search(r'^timebin = "([\w.]+):(\w+)"$', scripts, re.M).groups()
     assert (module, func) == ("timebin.cli", "run")
     cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
     # The generated script's body, with the collector reported at exit.
@@ -937,8 +989,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
 
 
 def test_parser_and_manifest_constants_match_their_sources():
-    # cli spells these two values out so that it need not import the
+    # cli spells these three values out so that it need not import the
     # modules that define them.
     args = build_parser().parse_args(["analyze", "--in", "t", "--out", "r"])
-    assert args.gate_width_s == DEFAULT_GATE_WIDTH
+    assert (args.gate_width_s, args.hist_bin_s) == (DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN)
     assert cli._FORMAT_VERSION == streams.FORMAT_VERSION

@@ -23,7 +23,7 @@ from timebin.streams import StreamFormatError, iter_read_tags, write_tags
 from timebin.tomography import MeasurementRecord
 
 from conftest import (assert_same_result, full_stream, ginibre_density_matrix, merge_triggers,
-                      tie_cuts, write_grid_stream)
+                      run_gates, tie_cuts, write_grid_stream)
 from fold_oracle import explicit_trigger_result
 
 KEYS = [(a, b) for a in ("Z0", "Z1", "X+", "Y+") for b in ("Z0", "Z1", "X+", "Y+")]
@@ -91,14 +91,14 @@ def test_record_swap_is_involution(seed):
 
 
 # A short stream with exact detection-trigger ties: zero jitter and delay
-# put every slot-0 photon on its trigger's picosecond.
+# put every slot-0 photon on its trigger's picosecond, where the gates open.
 CHUNKING_CFG = ExperimentConfig(duration=2e-4, mean_pairs_per_pulse=0.3,
                                 jitter_sigma=0.0, detection_delay=0.0,
                                 dark_rate_signal=1e6, dark_rate_idler=1e6,
                                 rng_seed=5)
 CHUNKING_GRID = PulseGrid.of(CHUNKING_CFG)
 CHUNKING_TAGS = np.concatenate(list(iter_simulate(CHUNKING_CFG)))
-CHUNKING_GATES = GateConfig.time_bin(CHUNKING_CFG)
+CHUNKING_GATES = run_gates(CHUNKING_CFG)
 CHUNKING_WHOLE = analyze_stream(CHUNKING_TAGS, CHUNKING_GATES, grid=CHUNKING_GRID)
 # Cut anchors: just after a detection at a trigger's time, and at the
 # start of each pulse's detections.
@@ -110,6 +110,10 @@ PULSE_CUTS = np.flatnonzero(np.diff(CHUNKING_GRID.locate(
 def test_one_pass_matches_dense_pair_oracle():
     oracle = explicit_trigger_result(full_stream(iter_simulate, CHUNKING_CFG), CHUNKING_GATES)
     assert oracle.joint.sum() > 1000
+    # The first gate opens on the trigger's picosecond, so it counts every tie.
+    ties = analyze_stream(CHUNKING_TAGS[np.array(TIE_CUTS) - 1], CHUNKING_GATES,
+                          grid=CHUNKING_GRID)
+    assert ties.gated_signal[0] + ties.gated_idler[0] == len(TIE_CUTS) > 0
     assert_same_result(CHUNKING_WHOLE, oracle)
 
 
@@ -150,7 +154,8 @@ GRID_BLOCK_PULSES = 1 << 12
 @st.composite
 def grid_runs(draw):
     """A short run at 33.3, 76.2 or 80 MHz in either mode: up to 2 ns jitter,
-    zero detection delay to force detection/trigger ties, up to 1e7 darks/s."""
+    zero detection delay to force detection/trigger ties, up to 1e7 darks/s.
+    ``simulated`` gates it by ``run_gates``, which gates the ties."""
     cfg = ExperimentConfig(
         rep_rate=draw(st.sampled_from([33.3e6, 76.2e6, 80e6])),
         duration=3e-4,
@@ -165,13 +170,12 @@ def grid_runs(draw):
 
 def simulated(cfg, time_bin):
     """(detection chunks, stream with the triggers as tags, gates) of one run."""
-    sim, gates = ((iter_simulate, GateConfig.time_bin) if time_bin
-                  else (iter_simulate_single_bin, GateConfig.single_bin))
+    sim = iter_simulate if time_bin else iter_simulate_single_bin
     with mock.patch("timebin.simulate.BLOCK_PULSES", GRID_BLOCK_PULSES):
         detections = list(sim(cfg))
     grid = PulseGrid.of(cfg)
     tags = merge_triggers(np.concatenate(detections), grid.pulses, grid.period_ps)
-    return detections, tags, gates(cfg)
+    return detections, tags, run_gates(cfg, time_bin)
 
 
 def chunked(tags, fractions):

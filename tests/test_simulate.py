@@ -1,6 +1,7 @@
 import bisect
 import hashlib
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -184,9 +185,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**{field: value})
 
-    def test_rejects_bins_overflowing_period(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(bin_delay=6e-9)
+    def test_accepts_bins_past_the_period(self):
+        # The config knows no gate: whether a run's gates fit its period is
+        # the analyzer's to check, against the gates it is given.
+        ExperimentConfig(bin_delay=6e-9)
+
+    @pytest.mark.parametrize("field, value, total", [
+        ("duration", 1e4, "1e+16"), ("detection_delay", 1e4, "1e+16"),
+        ("bin_delay", 5e3, "1e+16"), ("jitter_sigma", 1e7, "1e+20"),
+    ])
+    def test_rejects_times_past_2_to_the_53_ps(self, field, value, total):
+        # duration + detection_delay + 2 bin_delay + 10 jitter_sigma: the
+        # bound the grid keeps on its triggers.  Past it the error names the
+        # largest term.
+        with pytest.raises(ValueError, match=f"^{field} = {value!r} puts detections up to "
+                                             f"{re.escape(total)} ps into the run, 2\\^53 ps"):
+            ExperimentConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("rep_rate", np.nan), ("duration", np.nan), ("duration", np.inf),
@@ -212,8 +226,9 @@ class TestConfig:
 
     def test_largest_rates_in_use_stay_valid(self):
         # mu = 2 with 1e8 darks/s per arm, the largest rates of the tests,
-        # demos and benchmark workloads, over full blocks and a short run
-        for duration in (1e-3, 1.0, 1e6):
+        # demos and benchmark workloads, over full blocks and a short run;
+        # 9000 s is about the longest run whose detections stay below 2^53 ps
+        for duration in (1e-3, 1.0, 9000.0):
             ExperimentConfig(duration=duration, mean_pairs_per_pulse=2.0,
                              dark_rate_signal=1e8, dark_rate_idler=1e8)
 
