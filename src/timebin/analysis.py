@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import CH_IDLER, CH_SIGNAL, ExperimentConfig, PulseGrid, first_bad_record
+from .simulate import (CH_IDLER, CH_SIGNAL, ExperimentConfig, PulseGrid, finite_number,
+                       first_bad_record)
 
 __all__ = [
     "GateConfig",
@@ -55,7 +56,7 @@ def whole_ps(seconds, name: str) -> int:
     """``seconds`` rounded to whole ps, the resolution of a tag: the one
     conversion of a gate width and a histogram bin.  Either must be finite
     and round to 1 to ``MAX_GATE_PS`` ps, else a ValueError names ``name``."""
-    ps = seconds * 1e12  # inf for a finite 1e300 s, which round() refuses
+    ps = finite_number(seconds, name) * 1e12  # inf for a finite 1e300 s, which round() refuses
     if not (np.isfinite(ps) and 1 <= round(ps) <= MAX_GATE_PS):
         raise ValueError(f"{name} must lie within 1 and 2^62 ps in whole ps, got {seconds!r} s")
     return round(ps)
@@ -93,7 +94,8 @@ class GateConfig:
     offsets: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "offsets", tuple(sorted(float(o) for o in self.offsets)))
+        object.__setattr__(self, "offsets", tuple(sorted(
+            float(finite_number(o, "gate offsets")) for o in self.offsets)))
         if not all(math.isfinite(o * 1e12) for o in self.offsets):
             raise ValueError(f"gate offsets must be finite in ps, got {self.offsets!r}")
         offs_ps, width_ps = self._whole_ps()

@@ -207,23 +207,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_from_echo(echo):
-    """(run config, ``GateConfig`` builder of its mode) of the run a tag
-    header's config echo describes; an echo that is not a valid run config
-    is a ValueError.  An echo without a ``mode`` describes a time-bin run."""
+def _run_from_header(header):
+    """(run config, pulse grid, ``GateConfig`` builder of its mode) of the
+    run a parsed tag header describes.  An echo that is not a valid run
+    config, or whose ``PulseGrid.of`` is not the header's grid, is a
+    StreamFormatError at byte offset 0; an echo without a mode is time-bin."""
     from .analysis import GateConfig
-    from .simulate import ExperimentConfig
+    from .simulate import ExperimentConfig, PulseGrid
+    from .streams import StreamFormatError, header_grid
 
-    if not isinstance(echo, dict):
-        raise ValueError(f"header config echo is not an object: {echo!r}")
-    mode = echo.get("mode", "time-bin")
-    if mode not in _MODES:
-        raise ValueError(f"header config echo has an unknown mode {mode!r}")
+    echo, grid = header.get("config"), header_grid(header)
     try:
+        if not isinstance(echo, dict) or not echo:
+            raise ValueError(f"{echo!r} is not an object of run config values")
+        if (mode := echo.get("mode", "time-bin")) not in _MODES:
+            raise ValueError(f"unknown mode {mode!r}")
         config = ExperimentConfig(**{k: v for k, v in echo.items() if k != "mode"})
+        if (echo_grid := PulseGrid.of(config)) != grid:
+            raise ValueError(f"it gives {echo_grid}, not the header's {grid}")
     except (TypeError, ValueError) as exc:  # TypeError: an unknown key
-        raise ValueError(f"header config echo is not a valid run config: {exc}") from exc
-    return config, GateConfig.single_bin if mode == "single-bin" else GateConfig.time_bin
+        raise StreamFormatError(f"header config echo is not a valid run config: {exc}", 0)
+    return config, grid, GateConfig.single_bin if mode == "single-bin" else GateConfig.time_bin
 
 
 def _cmd_analyze(args) -> int:
@@ -241,17 +245,15 @@ def _cmd_analyze(args) -> int:
     try:
         it = streams.iter_read_tags(args.input, raw=True)
         header = next(it)
-        echo = header.get("config", {})
-        if not echo:
-            raise DataError(f"{args.input}: header carries no config echo")
-        config, gates = _run_from_echo(echo)
-        grid = streams.header_grid(header)
-        try:
+        try:  # a fault of the run's header, then of a flag
+            config, grid, gates = _run_from_header(header)
             analyzer = analysis.StreamAnalyzer(gates(config, args.gate_width_s), args.hist_bin_s,
                                                grid=grid)
-        except ValueError as exc:  # a gate's fault, overlap or period, or the histogram's
-            for _ in it:  # a corrupt header is a data error, not an unfit flag
+        except ValueError as exc:
+            for _ in it:  # the trailer's SHA-256 and the record rule speak first
                 pass
+            if isinstance(exc, streams.StreamFormatError):
+                raise
             flag = ("--hist-bin-s" if str(exc).startswith("hist_bin")
                     else f"--gate-width-s {args.gate_width_s!r}")
             raise ConfigError(f"{flag} does not fit the run: {exc}") from exc
@@ -265,6 +267,7 @@ def _cmd_analyze(args) -> int:
     except ValueError as exc:
         raise DataError(f"{args.input}: {exc}") from exc
 
+    echo = header["config"]
     rates, delays = result.rate_report(), result.delay_counts
     report = {
         "format_version": streams.FORMAT_VERSION,
@@ -317,20 +320,19 @@ def _report_field(report, path, *keys):
 
 
 def _report_number(report, path, *keys):
-    value = _report_field(report, path, *keys)
+    from .simulate import finite_number
+
     try:
-        finite = math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int past the float range
-        finite = False
-    if isinstance(value, bool) or not finite:
-        raise DataError(f"{path}: {'.'.join(keys)} is not a finite number: {value!r}")
-    return value
+        return finite_number(_report_field(report, path, *keys), ".".join(keys))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _cmd_fringe(args) -> int:
     import numpy as np
 
     from .analysis import FringeScan
+    from .simulate import finite_number
 
     t0 = time.monotonic()
     points = []
@@ -339,9 +341,7 @@ def _cmd_fringe(args) -> int:
         if not path:
             raise ConfigError(f"fringe point {spec_arg!r} must look like PHASE_RAD:REPORT.json")
         try:
-            phase = float(phase_str)
-            if not math.isfinite(phase):
-                raise ValueError(f"{phase_str!r} is not a finite number")
+            phase = finite_number(float(phase_str), "phase")
         except ValueError as exc:
             raise ConfigError(f"bad phase in {spec_arg!r}: {exc}") from exc
         report = _load_report(path)

@@ -34,6 +34,7 @@ earliest detection if that comes first, is carried into the next block.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, replace, asdict
 from typing import Iterator
 
@@ -43,6 +44,7 @@ __all__ = [
     "CH_SIGNAL",
     "CH_IDLER",
     "TAG_DTYPE",
+    "finite_number",
     "ExperimentConfig",
     "PulseGrid",
     "JointSlotDistribution",
@@ -91,6 +93,16 @@ def first_bad_record(tags, last) -> tuple[int, str] | None:
     return k, f"time {time_ps[k]} ps is before the previous record's"
 
 
+def finite_number(value, name: str):
+    """``value`` if it is a real number, not a bool, no larger in size than
+    the largest float, so finite as a float; else a ValueError naming
+    ``name``.  This is the one number rule: it checks, and converts nothing."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return value
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Source, interferometer, detector and noise parameters of one run.
@@ -136,11 +148,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for name, value in vars(self).items():
-            if value is None and name == "pair_yield_per_watt":
-                continue
-            if not (isinstance(value, numbers.Integral)
-                    or isinstance(value, numbers.Real) and np.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if value is not None or name != "pair_yield_per_watt":
+                finite_number(value, name)
         if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         if self.rep_rate <= 0:
@@ -200,12 +209,10 @@ class PulseGrid:
         n, period = self.pulses, self.period_ps
         if not isinstance(n, numbers.Integral) or n < 2:
             raise ValueError(f"grid pulse count {n!r} is not an integer of at least 2")
-        if (isinstance(period, bool) or not isinstance(period, numbers.Real)
-                or not 1 <= period < np.inf):
-            raise ValueError(f"grid period {period!r} ps is not a finite number of at least 1")
-        # The integer tests come first: a huge count or period has no float.
-        if (n > 2**53 or period >= 2**53
-                or np.round((n - 1) * float(period)) >= 2.0**53):
+        if finite_number(period, "grid period_ps") < 1:
+            raise ValueError(f"grid period {period!r} ps is less than 1")
+        # The count test comes first: a huge count has no float.
+        if n > 2**53 or np.round((n - 1) * float(period)) >= 2.0**53:
             raise ValueError(f"grid of {n} pulses every {period!r} ps puts its last "
                              f"trigger at 2^53 ps or more")
         object.__setattr__(self, "pulses", int(n))
@@ -213,7 +220,8 @@ class PulseGrid:
 
     @classmethod
     def of(cls, config: ExperimentConfig) -> "PulseGrid":
-        return cls(int(round(config.duration * config.rep_rate)), 1e12 / config.rep_rate)
+        pulses = min(config.duration * config.rep_rate, 2.0**63)  # inf has no int
+        return cls(int(round(pulses)), 1e12 / config.rep_rate)
 
     def times(self, k):
         """Trigger times in float ps of the pulse indices ``k``."""

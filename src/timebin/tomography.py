@@ -88,8 +88,8 @@ class MeasurementRecord:
             raise ValueError(f"record must hold all 16 basis pairs exactly once; "
                              f"missing {missing}, unexpected {extra}")
         for key, n in self.counts.items():
-            if n < 0 or int(n) != n:
-                raise ValueError(f"count for {key} must be a non-negative integer, got {n}")
+            if isinstance(n, bool) or not 0 <= n <= 2**53 or n % 1:  # fitted as floats
+                raise ValueError(f"count for {key} must be an integer from 0 to 2^53, got {n!r}")
 
     def count_vector(self) -> np.ndarray:
         return np.array([self.counts[k] for k in _record_keys()], dtype=float)

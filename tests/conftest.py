@@ -155,7 +155,8 @@ def tie_cuts(detections, grid):
     return np.flatnonzero(rel == 0) + 1
 
 
-DEFAULT_GRID = {"pulses": 100, "period_ps": 13123.36}
+# The grid that ``ExperimentConfig()`` gives: 0.01 s at 76.2 MHz.
+DEFAULT_GRID = {"pulses": 762000, "period_ps": 1e12 / 76.2e6}
 
 
 def write_grid_stream(path, channels, times_ps, config_echo, grid=DEFAULT_GRID):

@@ -48,12 +48,13 @@ class TestGateConfig:
         with pytest.raises(ValueError):
             GateConfig(gate_width=0.0)
 
-    @pytest.mark.parametrize("width", [np.nan, np.inf])
+    @pytest.mark.parametrize("width", [np.nan, np.inf, True, pytest.param(10**400, id="10**400")])
     def test_rejects_width_that_is_not_finite(self, width):
+        # True was a 1 s gate; 10**400 was an OverflowError.
         with pytest.raises(ValueError, match="gate_width"):
             GateConfig(gate_width=width)
 
-    @pytest.mark.parametrize("offset", [np.nan, np.inf])
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, True, pytest.param(10**400, id="10**400")])
     def test_rejects_offset_that_is_not_finite(self, offset):
         with pytest.raises(ValueError, match="offsets"):
             GateConfig(offsets=(1e-9, offset))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import timebin
@@ -24,7 +24,7 @@ from timebin.analysis import DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN
 from timebin.simulate import CH_SIGNAL, CH_IDLER, CH_TRIGGER, TAG_DTYPE, ExperimentConfig
 from timebin.streams import iter_read_tags
 
-from conftest import write_grid_stream
+from conftest import DEFAULT_GRID, write_grid_stream
 
 
 def sha256(path):
@@ -56,6 +56,28 @@ def run_pipeline(tmp_path, name, mode="time-bin", **overrides):
 
 VALID_ECHO = {**ExperimentConfig().to_dict(), "mode": "time-bin"}
 TRAILER_SIZE = 48
+
+# Hostile JSON values.  The second range of each kind draws more of the
+# values that hold.
+HOSTILE_INTS = st.integers(-5, 10**30) | st.integers(-5, 10**9)
+HOSTILE_FLOATS = st.floats(0.5, 1e300) | st.floats(0.5, 1e9)
+HOSTILE_VALUE = st.one_of(HOSTILE_INTS, st.booleans(), HOSTILE_FLOATS,
+                          st.sampled_from([math.nan, math.inf, -math.inf]),
+                          st.text(max_size=4), st.none())
+
+
+def analyze_by_hand(echo, grid):
+    """(exit code, standard error, report or None) of ``analyze`` on a
+    hand-built file of two detections with header ``echo`` and ``grid``."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        tags = write_grid_stream(Path(tmp) / "run.tags", [CH_SIGNAL, CH_IDLER], [2000, 2100],
+                                 echo, grid)
+        out = Path(tmp) / "r.json"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--in", str(tags), "--out", str(out)])
+        report = json.loads(out.read_text()) if code == 0 else None
+    return code, err.getvalue(), report
 
 
 class TestConfig:
@@ -184,6 +206,16 @@ class TestSimulate:
         assert "grid pulse count 1" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_pump_too_fast_for_a_grid_is_usage_error(self, tmp_path, capsys):
+        # 9000 s at 1e308 Hz is 9e311 pulses, past the float range; its
+        # count was an OverflowError traceback, exit 1.
+        cfg = write_config(tmp_path / "run.cfg", rep_rate_hz=1e308, duration_s=9000)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 2
+        err = capsys.readouterr().err
+        assert "grid period 1e-296 ps is less than 1" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_run_past_2_to_the_53_ps_is_usage_error(self, tmp_path, capsys):
         # 1e4 pulses of 1 s put the last trigger near 1e16 ps; a slow pump
         # and no darks keep the run small should the config let it through.
@@ -251,7 +283,7 @@ class TestAnalyze:
         report = run_pipeline(tmp_path, "run")
         base = str(report)[:-5]
         for suffix in (".singles_signal.csv", ".singles_idler.csv", ".delays.csv"):
-            lines = open(base + suffix).read().splitlines()
+            lines = Path(base + suffix).read_text().splitlines()
             assert lines[0] == "slot_or_phase,count,error"
             assert len(lines) > 1
 
@@ -337,46 +369,76 @@ class TestAnalyze:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_any_json_grid_header_is_refused_or_read(self, data):
-        # Each header ends in one of three ways: a data error at byte
-        # offset 0, a usage error for a valid grid whose period the default
-        # 10 ps bins cut into more than 2^22, or a report of the drawn
-        # pulse count.  The second range of each kind, and the first branch
-        # of the grid, draw more of the grids that hold.
-        ints = st.integers(-5, 10**30) | st.integers(-5, 10**9)
-        floats = st.floats(0.5, 1e300) | st.floats(0.5, 1e9)
-        value = st.one_of(ints, st.booleans(), floats,
-                          st.sampled_from([math.nan, math.inf, -math.inf]), st.text(max_size=4),
-                          st.none())
-        entry = st.one_of(value, st.lists(value, max_size=2))
+        # Each header ends in a data error at byte offset 0, or, for the
+        # grid its echo gives, in a report of that grid's pulses.  The
+        # first branch of the grid draws more of the grids that hold, which
+        # are refused for not being the echo's grid.
+        entry = st.one_of(HOSTILE_VALUE, st.lists(HOSTILE_VALUE, max_size=2))
         grid = data.draw(st.one_of(
-            st.fixed_dictionaries({"pulses": ints, "period_ps": floats | ints}),
+            st.fixed_dictionaries({"pulses": HOSTILE_INTS,
+                                   "period_ps": HOSTILE_FLOATS | HOSTILE_INTS}),
             st.fixed_dictionaries({"pulses": entry, "period_ps": entry}),
             st.fixed_dictionaries({}, optional={"pulses": entry, "period_ps": entry,
                                                 "extra": entry}),
-            entry))
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            tags = write_grid_stream(Path(tmp) / "run.tags", [CH_SIGNAL, CH_IDLER],
-                                     [2000, 2100], VALID_ECHO, grid)
-            out = Path(tmp) / "r.json"
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(["analyze", "--in", str(tags), "--out", str(out)])
-            report = json.loads(out.read_text()) if code == 0 else None
-        err = err.getvalue()
+            entry, st.just(DEFAULT_GRID)))
+        code, err, report = analyze_by_hand(VALID_ECHO, grid)
+        assert "Traceback" not in err
+        if grid != DEFAULT_GRID:
+            assert code == 3 and "(byte offset 0)" in err
+        else:
+            assert code == 0 and report["rates"]["counts"]["trigger"] == grid["pulses"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(set(VALID_ECHO) - {"mode"})), HOSTILE_VALUE)
+    @example("duration", 10**400)
+    def test_any_echo_number_is_refused_or_read(self, field, value):
+        # One echo field takes a hostile value, over the grid of the echo
+        # it replaces.  A run the header cannot describe, or whose grid is
+        # not the echo's, is a data error; gates that do not fit the run
+        # name their flag.  10**400 s was an OverflowError traceback.
+        code, err, _ = analyze_by_hand({**VALID_ECHO, field: value}, DEFAULT_GRID)
         assert "Traceback" not in err
         if code == 3:
             assert "(byte offset 0)" in err
-            return
-        # A valid grid.  The default late gate ends 8250 ps after its
-        # trigger, before the next one only if that is at least 8251 ps on:
-        # a whole-ps period of 8251 ps, or any period above 8252 ps.
-        period = grid["period_ps"]
-        if not (period >= 8251 if float(period).is_integer() else period > 8252):
-            assert code == 2 and "--gate-width-s 5e-10 does not fit the run: gate " in err
-        elif period > 2**22 * 10 - 1:
-            assert code == 2 and "--hist-bin-s" in err
+        elif code == 2:
+            assert "error: --gate-width-s " in err or "error: --hist-bin-s " in err
         else:
-            assert code == 0 and report["rates"]["counts"]["trigger"] == grid["pulses"]
+            assert code == 0
+
+    @pytest.mark.parametrize("field, value, fault", [
+        ("rep_rate", 10**30, "grid period 1e-18 ps is less than 1"),
+        ("duration", True, "duration must be a finite number, got True"),
+        ("rng_seed", True, "rng_seed must be a finite number, got True"),
+        ("duration", 10**400, "duration must be a finite number, got 1000"),
+        ("duration", 0.02, "it gives PulseGrid(pulses=1524000, period_ps=13123.359580052493), "
+                           "not the header's PulseGrid(pulses=762000, "),
+    ], ids=["rep-rate-of-no-grid", "bool-duration", "bool-seed", "duration-past-the-floats",
+            "grid-not-the-echo's"])
+    def test_echo_of_another_run_is_data_error(self, tmp_path, capsys, field, value, fault):
+        # Each gave exit 0 but the fourth, an OverflowError traceback: a
+        # report of a 1e30 Hz run with a 76.2 MHz trigger rate, of a run of
+        # True s or seed True, or of 0.02 s counted over 0.01 s of pulses.
+        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [2000, 2100],
+                                 {**VALID_ECHO, field: value})
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--in", str(tags), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert fault in err and "(byte offset 0)" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("echo", [{**VALID_ECHO, "bin_delay": "3e-9"},
+                                      {**VALID_ECHO, "duration": 0.02}],
+                             ids=["echo-fault", "grid-not-the-echo's"])
+    def test_header_fault_waits_for_the_records(self, tmp_path, capsys, echo):
+        # A fault of the run is raised once the reader is drained, as a
+        # flag's is, so a bad record speaks first.  The echo's fault used to
+        # be raised before any record was read.
+        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_TRIGGER], [2000, 13123],
+                                 echo)
+        offset = tags.read_bytes().index(b"\n") + 1 + TAG_DTYPE.itemsize
+        assert main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")]) == 3
+        assert f"trigger record; the pulse grid holds the triggers (byte offset {offset})" in \
+            capsys.readouterr().err
 
     def test_trigger_record_in_grid_file_is_data_error(self, tmp_path, capsys):
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_TRIGGER, CH_IDLER],
@@ -388,10 +450,12 @@ class TestAnalyze:
             capsys.readouterr().err
 
     def test_largest_grid_is_never_built(self, tmp_path):
-        # A 1 ns grid, so the gate sits 500 ps after each trigger; its last
-        # trigger is at 9007199254740000 ps, the latest one below 2^53 ps.
-        echo = {**VALID_ECHO, "mode": "single-bin", "detection_delay": 5e-10}
-        pulses = 9007199254741
+        # A 1 ns grid, so the gate sits 500 ps after each trigger.  Its last
+        # trigger is at 9007199254732000 ps.  The run's detections reach
+        # 7000 ps past its end, so one pulse more would take them to 2^53 ps.
+        pulses = 9007199254733
+        echo = {**VALID_ECHO, "mode": "single-bin", "detection_delay": 5e-10,
+                "rep_rate": 1e9, "duration": pulses * 1e-9}
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [3500, 3500],
                                  echo, {"pulses": pulses, "period_ps": 1000.0})
         out = tmp_path / "r.json"

@@ -206,7 +206,8 @@ class TestConfig:
         ("rep_rate", np.nan), ("duration", np.nan), ("duration", np.inf),
         ("dark_rate_signal", np.nan), ("mean_pairs_per_pulse", np.nan),
         ("pair_yield_per_watt", np.inf), ("bin_delay", "3e-9"), ("rng_seed", "7"),
-        ("pair_yield_per_watt", [1.0]), ("rep_rate", None),
+        ("pair_yield_per_watt", [1.0]), ("rep_rate", None), ("duration", True),
+        ("rng_seed", True), pytest.param("duration", 10**400, id="duration-10**400"),
     ])
     def test_rejects_value_that_is_not_a_finite_number(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a finite number"):

@@ -113,10 +113,13 @@ class TestMeasurementRecord:
         with pytest.raises(ValueError):
             MeasurementRecord(counts=counts)
 
-    def test_negative_count_rejected(self):
+    @pytest.mark.parametrize("count", [-1, np.inf, np.nan, True, 1.5,
+                                       pytest.param(10**400, id="10**400")])
+    def test_negative_count_rejected(self, count):
+        # inf was an OverflowError, nan a ValueError of int() that named no key.
         counts = {k: 1 for k in KEYS}
-        counts[("Z0", "Z0")] = -1
-        with pytest.raises(ValueError):
+        counts[("Z0", "Z0")] = count
+        with pytest.raises(ValueError, match=r"count for \('Z0', 'Z0'\) must be an integer "):
             MeasurementRecord(counts=counts)
 
 
