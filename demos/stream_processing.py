@@ -1,7 +1,8 @@
 """Write, read and fold over a binary time-tag stream.
 
-Simulates a run and stores it in the tag file format 3: a JSON header
-line that carries the pump's trigger grid, the detection records only,
+Simulates a run and stores it in the tag file format 4: a JSON header
+line that carries the run's config echo, from which the reader rebuilds
+the pump's trigger grid, the detection records only,
 and a trailer with the record count and the SHA-256 of every byte before
 it.  The header is the first item the reader yields; the file is then
 processed back in bounded chunks, each detection assigned to its pulse
@@ -19,7 +20,7 @@ import numpy as np
 
 from timebin.analysis import GateConfig, StreamAnalyzer, analyze_stream
 from timebin.simulate import TAG_DTYPE, ExperimentConfig, PulseGrid, iter_simulate
-from timebin.streams import header_grid, iter_read_tags, write_tags
+from timebin.streams import header_run, iter_read_tags, write_tags
 
 cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.02,
                        dark_rate_signal=360.0, dark_rate_idler=390.0,
@@ -27,21 +28,18 @@ cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.02,
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "run.tags"
-    n, _ = write_tags(path, iter_simulate(cfg), config_echo=cfg.to_dict(),
-                      grid=PulseGrid.of(cfg))
+    n, _ = write_tags(path, iter_simulate(cfg), cfg.to_dict())
     size_mb = path.stat().st_size / 1e6
     print(f"wrote {n} tags to {path.name}: {size_mb:.2f} MB on disk, "
           f"{n * TAG_DTYPE.itemsize / 1e6:.1f} MB as materialized records")
     chunks = iter_read_tags(path, chunk_records=2_000, raw=True)
-    header = next(chunks)
-    print(f"header echo: seed {header['config']['rng_seed']}, "
-          f"duration {header['config']['duration']} s, "
-          f"grid {header['grid']['pulses']} pulses every "
-          f"{header['grid']['period_ps']:.2f} ps")
+    run, grid = header_run(next(chunks))
+    print(f"header echo: seed {run.rng_seed}, duration {run.duration} s, "
+          f"grid {grid.pulses} pulses every {grid.period_ps:.2f} ps")
 
     # fold over the file's detections in small chunks
     gates = GateConfig.time_bin(cfg)
-    analyzer = StreamAnalyzer(gates, grid=header_grid(header))
+    analyzer = StreamAnalyzer(gates, grid=grid)
     n_chunks = 0
     for chunk in chunks:
         analyzer.feed(chunk)

@@ -182,11 +182,11 @@ class StreamAnalyzer:
     past the next one: a period on for a whole-ps period, else more than
     period - 2 ps on (``PulseGrid.locate``).
 
-    The fold takes at most ``FOLD_RECORDS`` detections at a time.  One
-    ``searchsorted`` of the whole ps after the trigger into the gate edges,
-    one table of whole ps that both channels share, worked out once from the
-    gate rule in whole ps (see :func:`_gate_edges`), gives each detection
-    its slot.  Of the 2 n slots of n gates the idler's come first.
+    The fold takes at most ``FOLD_RECORDS`` detections at a time.  The
+    count of gate edges at or below the whole ps after the trigger, edges
+    of one table of whole ps that both channels share, worked out once from
+    the gate rule in whole ps (see :func:`_gate_edges`), gives each
+    detection its slot.  Of the 2 n slots of n gates the idler's come first.
     Coincidences are signal-idler pairs whose gated slots belong to the same
     pulse; pairing each signal event with the idler events of the next pulse
     gives the accidentals diagnostic.  Gated events arrive in pulse order,
@@ -249,7 +249,9 @@ class StreamAnalyzer:
         k is slot k of an idler detection and slot n + k of a signal one."""
         np.add.at(self._hist, rel_ps // self._bin_ps * 2 + channels, 1)
 
-        edge = np.searchsorted(self._edges, rel_ps, side="right")
+        edge = np.zeros(rel_ps.size, dtype=np.min_scalar_type(self._edges.size))
+        for e in self._edges.tolist():  # few edges: counting beats searchsorted
+            edge += rel_ps >= e
         inside = (edge & 1).astype(bool)
         slot = (edge[inside] >> 1) + self._n * (channels[inside] == CH_SIGNAL)
         pulse = pulse[inside]

@@ -89,7 +89,7 @@ _CSV_HEADER = "slot_or_phase,count,error"
 # writing a manifest import neither module; a test pins each to its source.
 _DEFAULT_GATE_WIDTH = 0.5e-9
 _DEFAULT_HIST_BIN = 10e-12
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 
 def iter_simulate(config):
@@ -185,7 +185,7 @@ def _write_outputs(out, document, sidecars, echo, inputs, seed, t_start):
 
 def _cmd_simulate(args) -> int:
     from . import streams
-    from .simulate import ExperimentConfig, PulseGrid
+    from .simulate import ExperimentConfig
 
     t0 = time.monotonic()
     config = load_config(args.config)
@@ -198,35 +198,24 @@ def _cmd_simulate(args) -> int:
     echo["mode"] = args.mode
     chunks = (iter_simulate if args.mode == "time-bin" else iter_simulate_single_bin)(config)
     try:
-        grid = PulseGrid.of(config)
-    except ValueError as exc:  # e.g. a run shorter than two pulse periods
-        raise ConfigError(f"{args.config}: {exc}") from exc
-    n, digest = streams.write_tags(args.out, chunks, config_echo=echo, grid=grid)
+        n, digest = streams.write_tags(args.out, chunks, echo)
+    except streams.StreamFormatError as exc:  # e.g. a run shorter than two pulse periods
+        raise ConfigError(f"{args.config}: {exc.__cause__}") from exc
     _write_manifest(args.out, echo, [args.config], {args.out: digest}, config.rng_seed, t0)
     print(f"wrote {n} tags to {args.out}")
     return 0
 
 
 def _run_from_header(header):
-    """(run config, pulse grid, ``GateConfig`` builder of its mode) of the
-    run a parsed tag header describes.  An echo that is not a valid run
-    config, or whose ``PulseGrid.of`` is not the header's grid, is a
-    StreamFormatError at byte offset 0; an echo without a mode is time-bin."""
+    """``streams.header_run`` of a parsed tag header and the ``GateConfig``
+    builder of its echo's mode: time-bin if it has none, and another mode
+    is a StreamFormatError at byte offset 0."""
     from .analysis import GateConfig
-    from .simulate import ExperimentConfig, PulseGrid
-    from .streams import StreamFormatError, header_grid
+    from .streams import StreamFormatError, header_run
 
-    echo, grid = header.get("config"), header_grid(header)
-    try:
-        if not isinstance(echo, dict) or not echo:
-            raise ValueError(f"{echo!r} is not an object of run config values")
-        if (mode := echo.get("mode", "time-bin")) not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        config = ExperimentConfig(**{k: v for k, v in echo.items() if k != "mode"})
-        if (echo_grid := PulseGrid.of(config)) != grid:
-            raise ValueError(f"it gives {echo_grid}, not the header's {grid}")
-    except (TypeError, ValueError) as exc:  # TypeError: an unknown key
-        raise StreamFormatError(f"header config echo is not a valid run config: {exc}", 0)
+    config, grid = header_run(header)
+    if (mode := header["config"].get("mode", "time-bin")) not in _MODES:
+        raise StreamFormatError(f"header states no run: unknown mode {mode!r}", 0)
     return config, grid, GateConfig.single_bin if mode == "single-bin" else GateConfig.time_bin
 
 

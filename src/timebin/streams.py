@@ -4,21 +4,21 @@ A tag file is one JSON header line (UTF-8, newline-terminated), then
 little-endian records of (channel: u8, timestamp: u64 picoseconds), then
 a trailer.
 
-- **Header.** ``{"format": "timebin-tags", "version": 3, "config": {...},
-  "grid": {"pulses": n, "period_ps": P}}`` with the run's config echo and
-  its pulse grid: the triggers are implied at round(k * P) ps for k < n
-  (see :class:`~timebin.simulate.PulseGrid`), and the records are the
-  detections only, by the rule of :func:`~timebin.simulate.first_bad_record`:
-  on channels 0 and 1, below 2^63 ps, in time order.  A detection at a
-  trigger's time belongs to that trigger's pulse.
+- **Header.** ``{"format": "timebin-tags", "version": 4, "config": {...}}``
+  with the run's config echo, its one statement of the run: the triggers
+  are implied on the echo's ``PulseGrid.of`` (:func:`header_run`), at
+  round(k * P) ps for k < n, and the records are the detections only, by
+  the rule of :func:`~timebin.simulate.first_bad_record`: on channels 0
+  and 1, below 2^63 ps, in time order.  A detection at a trigger's time
+  belongs to that trigger's pulse.
 - **Trailer** (48 bytes): the magic ``TAGSEND3``, the record count as u64
   and the SHA-256 of every byte before it, header line included.  A file
   cut or changed anywhere, even on a record boundary, fails the read.
 
-Any other version, such as 1 (every tag, no trailer) or 2 (a trailer
-over the records only), is refused at byte offset 0.  The writer writes
-``path + ".tmp"`` and renames it over ``path``, so a crash leaves no
-half-written file under the final name.
+Any other version, such as 1 (every tag, no trailer), 2 (a trailer over
+the records only) or 3 (a grid entry beside the echo), is refused at
+byte offset 0.  The writer writes ``path + ".tmp"`` and renames it over
+``path``, so a crash leaves no half-written file under the final name.
 """
 
 from __future__ import annotations
@@ -30,17 +30,17 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .simulate import CH_TRIGGER, TAG_DTYPE, PulseGrid, first_bad_record
+from .simulate import CH_TRIGGER, TAG_DTYPE, ExperimentConfig, PulseGrid, first_bad_record
 
 __all__ = [
     "FORMAT_VERSION",
     "StreamFormatError",
     "write_tags",
     "iter_read_tags",
-    "header_grid",
+    "header_run",
 ]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _RECORD_SIZE = TAG_DTYPE.itemsize
 _TRAILER_MAGIC = b"TAGSEND3"
@@ -55,22 +55,22 @@ class StreamFormatError(ValueError):
         self.byte_offset = byte_offset
 
 
-def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray, config_echo: dict | None = None,
-               *, grid: PulseGrid) -> tuple[int, str]:
-    """Write detection chunks on ``grid`` to ``path`` in format 3; returns
-    the number of tags, the grid's implied triggers included, and the
-    SHA-256 of the whole file in hex.
+def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray,
+               config_echo: dict) -> tuple[int, str]:
+    """Write the detection chunks of the run ``config_echo`` states to
+    ``path`` in format 4; returns the number of tags, the run's implied
+    triggers included, and the SHA-256 of the whole file in hex.
 
-    A record that the reader would refuse (see :func:`iter_read_tags`) is
-    a ``ValueError`` naming its index, and no file is written.  One SHA-256
-    runs over the file; the trailer holds it as of the last record.  Each
-    chunk is let go before the next is pulled.
+    An echo that states no run is refused as by :func:`header_run`, and a
+    record that the reader would refuse (see :func:`iter_read_tags`) is a
+    ``ValueError`` naming its index; either way no file is written.  One
+    SHA-256 runs over the file; the trailer holds it as of the last record.
+    Each chunk is let go before the next is pulled.
     """
     if isinstance(chunks, np.ndarray):
         chunks = [chunks]
-    header = {"format": "timebin-tags", "version": FORMAT_VERSION,
-              "config": config_echo or {},
-              "grid": {"pulses": grid.pulses, "period_ps": grid.period_ps}}
+    header = {"format": "timebin-tags", "version": FORMAT_VERSION, "config": config_echo}
+    _, grid = header_run(header)
     line = json.dumps(header).encode() + b"\n"
     n, last = 0, np.uint64(0)
     digest = hashlib.sha256(line)
@@ -107,25 +107,28 @@ def _parse_header(line: bytes) -> dict:
         raise StreamFormatError("not a timebin tag file", 0)
     if (version := header.get("version")) != FORMAT_VERSION:
         raise StreamFormatError(f"unsupported format version {version}", 0)
-    header_grid(header)
     return header
 
 
-def header_grid(header: dict) -> PulseGrid:
-    """The pulse grid a parsed header describes.
+def header_run(header: dict) -> tuple[ExperimentConfig, PulseGrid]:
+    """(run config, pulse grid) of the run a parsed header states: its
+    config echo less any ``mode`` entry as an ``ExperimentConfig``, and
+    ``PulseGrid.of`` that config.
 
-    A grid entry that is not ``{"pulses": n, "period_ps": P}``, or that
-    :class:`~timebin.simulate.PulseGrid` refuses, is a
-    :class:`StreamFormatError` at byte offset 0.
+    An echo that is no run, no grid or empty, or a header that holds an
+    entry besides its format, version and echo, such as the grid that
+    format 3 stored, is a :class:`StreamFormatError` at byte offset 0.
     """
-    spec = header.get("grid")
-    if not isinstance(spec, dict) or spec.keys() != {"pulses", "period_ps"}:
-        raise StreamFormatError(f"header grid {spec!r} is not "
-                                f"{{'pulses': n, 'period_ps': P}}", 0)
+    echo = header.get("config")
     try:
-        return PulseGrid(spec["pulses"], spec["period_ps"])
-    except ValueError as exc:
-        raise StreamFormatError(str(exc), 0) from exc
+        if extra := sorted(header.keys() - {"format", "version", "config"}):
+            raise ValueError(f"it holds {extra} besides its config echo")
+        if not isinstance(echo, dict) or not echo:
+            raise ValueError(f"config echo {echo!r} is not an object of run config values")
+        config = ExperimentConfig(**{k: v for k, v in echo.items() if k != "mode"})
+        return config, PulseGrid.of(config)
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown key
+        raise StreamFormatError(f"header states no run: {exc}", 0) from exc
 
 
 def _trailer(fh, size: int, records_at: int) -> bytes:
@@ -211,9 +214,9 @@ def iter_read_tags(path, chunk_records: int = 1 << 18, raw: bool = False) -> Ite
     the file reads back as the full (channel, time_ps) stream: the view the
     benchmark's fingerprints hash, which no program path reads.  With
     ``raw`` the records come as stored, as read-only arrays over the file's
-    bytes: the detections, for an analyzer built with :func:`header_grid`.
-    A header of another version or without a valid grid, a record that
-    breaks the record rule (:func:`~timebin.simulate.first_bad_record`),
+    bytes, and the caller reads the run with :func:`header_run`.  A header
+    of another version, or in the default view one that states no run, a
+    record that breaks the record rule (:func:`~timebin.simulate.first_bad_record`),
     or a trailer that is missing or whose record count or SHA-256
     disagrees raise :class:`StreamFormatError` with a byte offset; the
     SHA-256 is checked after the last chunk.  The default chunk bounds
@@ -230,5 +233,5 @@ def iter_read_tags(path, chunk_records: int = 1 << 18, raw: bool = False) -> Ite
         yield header
         records = _records(fh, line, size - _TRAILER_SIZE, want, chunk_records)
         if not raw:
-            records = _with_triggers(header_grid(header), records, chunk_records)
+            records = _with_triggers(header_run(header)[1], records, chunk_records)
         yield from records

@@ -265,6 +265,9 @@ def linear_inversion(record: MeasurementRecord) -> np.ndarray:
 
 #: Stopping tolerance of the MLE certificate, in nats.
 MLE_TOL = 1e-2
+#: Replicas that :func:`bootstrap_errors` draws and fits at a time; rows
+#: fit independently (:func:`mle_batch`), so the slice changes no bit.
+BOOTSTRAP_SLICE = 512
 # Growth of the barrier weight t once a row is close to the central path.
 _T_GROW = 10.0
 
@@ -421,28 +424,30 @@ def bootstrap_errors(record: MeasurementRecord, n_replicas: int = 200,
                      seed: int = 0, max_iter: int = 2000) -> TomographyResult:
     """Monte-Carlo error bars: Poisson-resample counts, refit, take stats.
 
-    All replicas are fitted in one :func:`mle_batch` call.  Replicas
-    whose fit does not converge are dropped and counted; more than 10%
-    dropped, or fewer than 10 replicas requested, flags the result as
-    low precision.  Each replica derives its RNG from (seed, replica
-    index), so the run is reproducible and order-independent.
+    Replicas are drawn and fitted ``BOOTSTRAP_SLICE`` at a time, so memory
+    is bounded by a slice.  Replicas whose fit does not converge are dropped
+    and counted; more than 10% dropped, or fewer than 10 replicas requested,
+    flags the result as low precision.  Each replica derives its RNG from
+    (seed, replica index), so the run is reproducible and order-independent.
     """
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas")
     base = mle_reconstruct(record, max_iter=max_iter)
     counts = record.count_vector()
-    draws = np.stack([np.random.default_rng([seed, k]).poisson(counts)
-                      for k in range(n_replicas)])
-    fits = mle_batch(draws, max_iter=max_iter)
-    figures = np.stack(_figures(fits.rho[fits.converged])[1:], axis=1)
+    fits = []
+    for lo in range(0, n_replicas, BOOTSTRAP_SLICE):
+        fit = mle_batch(np.stack([np.random.default_rng([seed, k]).poisson(counts) for k in
+                                  range(lo, min(lo + BOOTSTRAP_SLICE, n_replicas))]), max_iter)
+        fits.append((fit.rho[fit.converged], fit.iterations, fit.converged))
+    rho, iterations, converged = (np.concatenate(part) for part in zip(*fits))
+    figures = np.stack(_figures(rho)[1:], axis=1)
     errors = {name: {"mean": float(np.mean(col)), "std": float(np.std(col, ddof=1))}
               for name, col in zip(("concurrence", "fidelity", "chsh_lower", "chsh_upper"),
                                    figures.T) if len(col) >= 2}
-    dropped = int(n_replicas - fits.converged.sum())
+    dropped = int(n_replicas - converged.sum())
     low_precision = n_replicas < 10 or dropped > 0.1 * n_replicas
     return replace(base, errors=errors, n_replicas=n_replicas,
                    n_replicas_dropped=dropped, low_precision=low_precision,
-                   bootstrap_iterations_median=float(np.median(fits.iterations)),
-                   bootstrap_iterations_max=int(fits.iterations.max()),
-                   n_replicas_max_iter=int(np.sum(~fits.converged
-                                                  & (fits.iterations == max_iter))))
+                   bootstrap_iterations_median=float(np.median(iterations)),
+                   bootstrap_iterations_max=int(iterations.max()),
+                   n_replicas_max_iter=int(np.sum(~converged & (iterations == max_iter))))

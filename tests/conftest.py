@@ -159,15 +159,16 @@ def tie_cuts(detections, grid):
 DEFAULT_GRID = {"pulses": 762000, "period_ps": 1e12 / 76.2e6}
 
 
-def write_grid_stream(path, channels, times_ps, config_echo, grid=DEFAULT_GRID):
-    """A format-3 file of the given detection records, built by hand, so it
-    may hold records the writer refuses; ``grid`` is its header's grid
-    entry, any JSON value, valid or not.  The trailer holds the SHA-256 of
-    the header line and the records."""
+def write_grid_stream(path, channels, times_ps, config_echo, **entries):
+    """A format-4 file of the given detection records, built by hand, so it
+    may hold records the writer refuses and any JSON value as its config
+    echo; ``entries`` join its header besides the echo, as format 3's
+    ``grid`` did.  The trailer holds the SHA-256 of the header line and the
+    records."""
     tags = np.zeros(len(channels), dtype=TAG_DTYPE)
     tags["channel"] = channels
     tags["time_ps"] = times_ps
-    header = {"format": "timebin-tags", "version": 3, "config": config_echo, "grid": grid}
+    header = {"format": "timebin-tags", "version": 4, "config": config_echo, **entries}
     body = json.dumps(header).encode() + b"\n" + tags.tobytes()
     path.write_bytes(body + b"TAGSEND3" + len(tags).to_bytes(8, "little")
                      + hashlib.sha256(body).digest())

@@ -66,13 +66,14 @@ HOSTILE_VALUE = st.one_of(HOSTILE_INTS, st.booleans(), HOSTILE_FLOATS,
                           st.text(max_size=4), st.none())
 
 
-def analyze_by_hand(echo, grid):
+def analyze_by_hand(echo, **entries):
     """(exit code, standard error, report or None) of ``analyze`` on a
-    hand-built file of two detections with header ``echo`` and ``grid``."""
+    hand-built file of two detections whose header holds ``echo`` and
+    ``entries``."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         tags = write_grid_stream(Path(tmp) / "run.tags", [CH_SIGNAL, CH_IDLER], [2000, 2100],
-                                 echo, grid)
+                                 echo, **entries)
         out = Path(tmp) / "r.json"
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["analyze", "--in", str(tags), "--out", str(out)])
@@ -198,7 +199,7 @@ class TestSimulate:
         assert manifest["config"]["mean_pairs_per_pulse"] == 0.05
 
     def test_run_shorter_than_two_pulses_is_usage_error(self, tmp_path, capsys):
-        # One pulse: the file would hold a grid its own reader refuses.
+        # One pulse: the file would hold an echo its own reader refuses.
         cfg = write_config(tmp_path / "run.cfg", duration_s=1e-8)
         tags = tmp_path / "run.tags"
         assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 2
@@ -312,8 +313,7 @@ class TestAnalyze:
         # The writer refuses such a record, so the file is built by hand.
         k = records.size // 2 if field == "channel" else records.size - 1
         records[field][k] = value
-        write_grid_stream(tags, records["channel"], records["time_ps"], header["config"],
-                          header["grid"])
+        write_grid_stream(tags, records["channel"], records["time_ps"], header["config"])
         offset = tags.read_bytes().index(b"\n") + 1 + k * TAG_DTYPE.itemsize
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 3
@@ -359,8 +359,10 @@ class TestAnalyze:
             "last-trigger-past-2^63", "last-trigger-at-2^63", "huge-int-period",
             "sub-ps-period", "no-period", "not-a-dict", "last-trigger-past-2^53"])
     def test_hostile_grid_header_is_data_error(self, tmp_path, capsys, grid):
+        # Format 4 states the grid once, in the echo: a grid entry beside
+        # it, as format 3 stored, is refused whatever it holds.
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [2000, 2100],
-                                 VALID_ECHO, grid)
+                                 VALID_ECHO, grid=grid)
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
@@ -369,10 +371,10 @@ class TestAnalyze:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_any_json_grid_header_is_refused_or_read(self, data):
-        # Each header ends in a data error at byte offset 0, or, for the
-        # grid its echo gives, in a report of that grid's pulses.  The
-        # first branch of the grid draws more of the grids that hold, which
-        # are refused for not being the echo's grid.
+        # A header with a grid entry beside its echo ends in a data error at
+        # byte offset 0, the echo's own grid and the valid grids the first
+        # branch draws more of included; without one, in a report of the
+        # echo's pulses.
         entry = st.one_of(HOSTILE_VALUE, st.lists(HOSTILE_VALUE, max_size=2))
         grid = data.draw(st.one_of(
             st.fixed_dictionaries({"pulses": HOSTILE_INTS,
@@ -381,22 +383,22 @@ class TestAnalyze:
             st.fixed_dictionaries({}, optional={"pulses": entry, "period_ps": entry,
                                                 "extra": entry}),
             entry, st.just(DEFAULT_GRID)))
-        code, err, report = analyze_by_hand(VALID_ECHO, grid)
+        entries = data.draw(st.sampled_from([{}, {"grid": grid}]))
+        code, err, report = analyze_by_hand(VALID_ECHO, **entries)
         assert "Traceback" not in err
-        if grid != DEFAULT_GRID:
-            assert code == 3 and "(byte offset 0)" in err
+        if entries:
+            assert code == 3 and "holds ['grid'] besides its config echo (byte offset 0)" in err
         else:
-            assert code == 0 and report["rates"]["counts"]["trigger"] == grid["pulses"]
+            assert code == 0 and report["rates"]["counts"]["trigger"] == DEFAULT_GRID["pulses"]
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(sorted(set(VALID_ECHO) - {"mode"})), HOSTILE_VALUE)
     @example("duration", 10**400)
     def test_any_echo_number_is_refused_or_read(self, field, value):
-        # One echo field takes a hostile value, over the grid of the echo
-        # it replaces.  A run the header cannot describe, or whose grid is
-        # not the echo's, is a data error; gates that do not fit the run
-        # name their flag.  10**400 s was an OverflowError traceback.
-        code, err, _ = analyze_by_hand({**VALID_ECHO, field: value}, DEFAULT_GRID)
+        # One echo field takes a hostile value.  A run the header cannot
+        # describe is a data error; gates that do not fit the run name
+        # their flag.  10**400 s was an OverflowError traceback.
+        code, err, _ = analyze_by_hand({**VALID_ECHO, field: value})
         assert "Traceback" not in err
         if code == 3:
             assert "(byte offset 0)" in err
@@ -405,36 +407,40 @@ class TestAnalyze:
         else:
             assert code == 0
 
-    @pytest.mark.parametrize("field, value, fault", [
-        ("rep_rate", 10**30, "grid period 1e-18 ps is less than 1"),
-        ("duration", True, "duration must be a finite number, got True"),
-        ("rng_seed", True, "rng_seed must be a finite number, got True"),
-        ("duration", 10**400, "duration must be a finite number, got 1000"),
-        ("duration", 0.02, "it gives PulseGrid(pulses=1524000, period_ps=13123.359580052493), "
-                           "not the header's PulseGrid(pulses=762000, "),
+    @pytest.mark.parametrize("field, value, entries, fault", [
+        ("rep_rate", 10**30, {}, "grid period 1e-18 ps is less than 1"),
+        ("duration", True, {}, "duration must be a finite number, got True"),
+        ("rng_seed", True, {}, "rng_seed must be a finite number, got True"),
+        ("duration", 10**400, {}, "duration must be a finite number, got 1000"),
+        ("duration", 0.02, {"grid": DEFAULT_GRID},
+         "header states no run: it holds ['grid'] besides its config echo"),
     ], ids=["rep-rate-of-no-grid", "bool-duration", "bool-seed", "duration-past-the-floats",
             "grid-not-the-echo's"])
-    def test_echo_of_another_run_is_data_error(self, tmp_path, capsys, field, value, fault):
-        # Each gave exit 0 but the fourth, an OverflowError traceback: a
-        # report of a 1e30 Hz run with a 76.2 MHz trigger rate, of a run of
-        # True s or seed True, or of 0.02 s counted over 0.01 s of pulses.
+    def test_echo_of_another_run_is_data_error(self, tmp_path, capsys, field, value, entries,
+                                               fault):
+        # Each gave exit 0 over a format-3 grid entry but the fourth, an
+        # OverflowError traceback: a report of a 1e30 Hz run with a 76.2 MHz
+        # trigger rate, of a run of True s or seed True, or of 0.02 s
+        # counted over the 0.01 s of pulses of its grid entry, which
+        # format 4 refuses whatever it holds.
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [2000, 2100],
-                                 {**VALID_ECHO, field: value})
+                                 {**VALID_ECHO, field: value}, **entries)
         out = tmp_path / "r.json"
         assert main(["analyze", "--in", str(tags), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert fault in err and "(byte offset 0)" in err
         assert "Traceback" not in err and not out.exists()
 
-    @pytest.mark.parametrize("echo", [{**VALID_ECHO, "bin_delay": "3e-9"},
-                                      {**VALID_ECHO, "duration": 0.02}],
-                             ids=["echo-fault", "grid-not-the-echo's"])
-    def test_header_fault_waits_for_the_records(self, tmp_path, capsys, echo):
+    @pytest.mark.parametrize("echo, entries", [
+        ({**VALID_ECHO, "bin_delay": "3e-9"}, {}),
+        ({**VALID_ECHO, "duration": 0.02}, {"grid": DEFAULT_GRID}),
+    ], ids=["echo-fault", "grid-not-the-echo's"])
+    def test_header_fault_waits_for_the_records(self, tmp_path, capsys, echo, entries):
         # A fault of the run is raised once the reader is drained, as a
         # flag's is, so a bad record speaks first.  The echo's fault used to
         # be raised before any record was read.
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_TRIGGER], [2000, 13123],
-                                 echo)
+                                 echo, **entries)
         offset = tags.read_bytes().index(b"\n") + 1 + TAG_DTYPE.itemsize
         assert main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")]) == 3
         assert f"trigger record; the pulse grid holds the triggers (byte offset {offset})" in \
@@ -457,7 +463,7 @@ class TestAnalyze:
         echo = {**VALID_ECHO, "mode": "single-bin", "detection_delay": 5e-10,
                 "rep_rate": 1e9, "duration": pulses * 1e-9}
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [3500, 3500],
-                                 echo, {"pulses": pulses, "period_ps": 1000.0})
+                                 echo)
         out = tmp_path / "r.json"
         assert main(["analyze", "--in", str(tags), "--out", str(out)]) == 0
         counts = json.loads(out.read_text())["rates"]["counts"]
@@ -621,11 +627,13 @@ class TestAnalyze:
         assert code == 2
         assert "--gate-width-s" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", [{"pulses": 1, "period_ps": 13123.36},
-                                      {"pulses": 2, "period_ps": 0.0}],
+    @pytest.mark.parametrize("run", [{"duration": 1 / 76.2e6},
+                                     {"rep_rate": 1e13, "duration": 2e-13}],
                              ids=["one-trigger", "two-at-one-time"])
-    def test_stream_without_duration_is_data_error(self, tmp_path, capsys, grid):
-        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL], [2000], VALID_ECHO, grid)
+    def test_stream_without_duration_is_data_error(self, tmp_path, capsys, run):
+        # A run of one pulse, or of two 0.1 ps apart, rounds to one picosecond.
+        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL], [2000],
+                                 {**VALID_ECHO, **run})
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
@@ -636,7 +644,7 @@ class TestAnalyze:
     def test_file_without_a_pulse_grid_is_data_error(self, tmp_path, capsys, version):
         # Trigger tags in the records: a format 1 file has no trailer; a
         # format 2 one has a trailer over its records, a format 3 one over
-        # its header and records.
+        # its header and records, and no grid entry, which format 3 needed.
         tags = np.zeros(3, dtype=TAG_DTYPE)
         tags["channel"] = [CH_TRIGGER, CH_SIGNAL, CH_TRIGGER]
         tags["time_ps"] = [0, 2000, 13123]
@@ -650,10 +658,7 @@ class TestAnalyze:
         out = tmp_path / "r.json"
         assert main(["analyze", "--in", str(path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        if version < 3:
-            assert f"unsupported format version {version} (byte offset 0)" in err
-        else:
-            assert "header grid None is not" in err and "(byte offset 0)" in err
+        assert f"unsupported format version {version} (byte offset 0)" in err
         assert "Traceback" not in err and not out.exists()
 
     def test_format_2_file_is_data_error(self, tmp_path, capsys):
@@ -673,14 +678,16 @@ class TestAnalyze:
         assert "unsupported format version 2 (byte offset 0)" in err and not out.exists()
 
     @pytest.mark.parametrize("old, new", [
-        (b'"pulses": 762000', b'"pulses": 462000'),
+        (b'"duration": 0.01', b'"duration": 0.06'),
         (b'"interference_visibility": 1.0', b'"interference_visibility": 0.0'),
         (b'"bin_delay": 3e-09', b'"bin_delay": 4e-09'),
     ], ids=["pulses", "interference-visibility", "bin-delay"])
     def test_edited_header_is_data_error(self, tmp_path, capsys, old, new):
         # Before the trailer's SHA-256 covered the header, each edit gave
-        # exit 0: 820 of 1362 coincidences over 0.00606 s, a visibility of
-        # 0 copied into the report, or gates moved by 1 ns.
+        # exit 0: 820 of 1362 coincidences over 0.00606 s when a format-3
+        # grid entry's pulse count was edited (the echo's duration now
+        # states it), a visibility of 0 copied into the report, or gates
+        # moved by 1 ns.
         cfg = write_config(tmp_path / "run.cfg", duration_s=0.01, mean_pairs_per_pulse=0.01,
                            rng_seed=3)
         tags = tmp_path / "run.tags"

@@ -91,7 +91,7 @@ def test_fingerprint_hashes_the_stream_with_its_triggers(tmp_path):
     grid = PulseGrid.of(cfg)
     assert grid.pulses > BLOCK_PULSES
     path = tmp_path / "run.tags"
-    write_tags(path, iter_simulate(cfg), config_echo=cfg.to_dict(), grid=grid)
+    write_tags(path, iter_simulate(cfg), cfg.to_dict())
     stored = int.from_bytes(path.read_bytes()[-40:-32], "little")  # the trailer's count
     want = hashlib.sha256(merge_triggers(np.concatenate(list(iter_simulate(cfg))),
                                          grid.pulses, grid.period_ps).tobytes())

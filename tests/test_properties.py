@@ -216,7 +216,7 @@ def test_grid_file_reads_back_as_simulated_stream(run):
     detections, tags, _ = simulated(cfg, time_bin)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.tags"
-        assert write_tags(path, detections, grid=PulseGrid.of(cfg))[0] == tags.size
+        assert write_tags(path, detections, cfg.to_dict())[0] == tags.size
         it = iter_read_tags(path, chunk_records=1000)
         next(it)
         chunks = list(it)
@@ -224,7 +224,8 @@ def test_grid_file_reads_back_as_simulated_stream(run):
     assert np.concatenate(chunks).tobytes() == tags.tobytes()
 
 
-RULE_GRID = PulseGrid(3, 13123.36)
+RULE_CFG = ExperimentConfig(duration=3 / 76.2e6)
+RULE_GRID = PulseGrid.of(RULE_CFG)  # 3 pulses of 13123.36 ps
 
 
 @st.composite
@@ -266,10 +267,9 @@ def test_every_consumer_refuses_the_same_first_record(data):
     tags = np.zeros(len(times), dtype=TAG_DTYPE)
     tags["channel"], tags["time_ps"] = channels, times
     chunks, starts = np.split(tags, cuts), [0, *cuts]
-    grid = {"pulses": RULE_GRID.pulses, "period_ps": RULE_GRID.period_ps}
     refused = {}
     with tempfile.TemporaryDirectory() as tmp:
-        path = write_grid_stream(Path(tmp) / "hand.tags", channels, times, {}, grid)
+        path = write_grid_stream(Path(tmp) / "hand.tags", channels, times, {})
         records_at = path.read_bytes().index(b"\n") + 1
         it = iter_read_tags(path, chunk_records=5, raw=True)
         next(it)
@@ -279,10 +279,10 @@ def test_every_consumer_refuses_the_same_first_record(data):
             fault = re.fullmatch(r"(.*) \(byte offset \d+\)", str(exc))[1]
             refused["reader"] = ((exc.byte_offset - records_at) // TAG_DTYPE.itemsize, fault)
         try:
-            write_tags(Path(tmp) / "written.tags", chunks, grid=RULE_GRID)
+            write_tags(Path(tmp) / "written.tags", chunks, RULE_CFG.to_dict())
         except ValueError as exc:
             refused["writer"] = refused_record(exc)
-    analyzer = StreamAnalyzer(GateConfig.time_bin(ExperimentConfig()), grid=RULE_GRID)
+    analyzer = StreamAnalyzer(GateConfig.time_bin(RULE_CFG), grid=RULE_GRID)
     for start, chunk in zip(starts, chunks):
         try:
             analyzer.feed(chunk)
@@ -300,13 +300,12 @@ def test_every_consumer_refuses_the_same_first_record(data):
 
 
 def _small_tag_file():
-    """The bytes of a format-3 file of a 1524-pulse time-bin run."""
+    """The bytes of a format-4 file of a 1524-pulse time-bin run."""
     cfg = ExperimentConfig(duration=2e-5, mean_pairs_per_pulse=0.05, dark_rate_signal=1e5,
                            rng_seed=4)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.tags"
-        write_tags(path, iter_simulate(cfg), {**cfg.to_dict(), "mode": "time-bin"},
-                   grid=PulseGrid.of(cfg))
+        write_tags(path, iter_simulate(cfg), {**cfg.to_dict(), "mode": "time-bin"})
         return path.read_bytes()
 
 
@@ -318,7 +317,7 @@ SMALL_HEADER = SMALL_FILE.index(b"\n") + 1
 @given(st.one_of(st.tuples(st.just("flip"), st.integers(0, len(SMALL_FILE) - 1),
                            st.integers(1, 255)),
                  st.tuples(st.just("cut"), st.integers(0, len(SMALL_FILE) - 1), st.just(0))))
-@example(("flip", SMALL_FILE.index(b'"pulses": ') + 10, 2))  # a digit of the pulse count
+@example(("flip", SMALL_FILE.index(b'"duration": ') + 12, 1))  # 2e-05 s to 3e-05: the grid
 @example(("flip", SMALL_FILE.index(b'"bin_delay": ') + 13, 7))  # "3e-09" to "4e-09"
 @example(("flip", SMALL_FILE.index(b'"bin_delay": ') + 16, 1))  # "3e-19": overlapping gates
 @example(("flip", SMALL_FILE.index(b'"bin_delay": ') + 16, 2))  # "3e-29": overlapping gates

@@ -384,7 +384,7 @@ class TestSimulate:
         cfg = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.1, rng_seed=5)
         whole = full_stream(iter_simulate, cfg)
         path = tmp_path / "run.tags"
-        write_tags(path, iter_simulate(cfg), grid=PulseGrid.of(cfg))
+        write_tags(path, iter_simulate(cfg), cfg.to_dict())
         it = iter_read_tags(path, chunk_records=1000)
         next(it)
         chunked = np.concatenate(list(it))
@@ -588,7 +588,7 @@ def test_simulate_and_write_hold_one_block_beyond_the_draw(tmp_path):
                            interference_visibility=0.95, rng_seed=5)
     tracemalloc.start()
     try:
-        write_tags(tmp_path / "run.tags", iter_simulate(cfg), grid=PulseGrid.of(cfg))
+        write_tags(tmp_path / "run.tags", iter_simulate(cfg), cfg.to_dict())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

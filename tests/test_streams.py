@@ -6,7 +6,7 @@ import pytest
 
 from timebin.simulate import (CH_TRIGGER, TAG_DTYPE, ExperimentConfig, PulseGrid,
                               iter_simulate)
-from timebin.streams import (FORMAT_VERSION, StreamFormatError, header_grid,
+from timebin.streams import (FORMAT_VERSION, StreamFormatError, header_run,
                              iter_read_tags, write_tags)
 
 from conftest import full_stream, write_grid_stream
@@ -16,6 +16,7 @@ TRAILER_SIZE = 48
 
 CFG = ExperimentConfig(duration=2e-4, mean_pairs_per_pulse=0.1,
                        dark_rate_signal=1e4, rng_seed=21)
+ECHO = CFG.to_dict()
 GRID = PulseGrid.of(CFG)
 
 
@@ -34,7 +35,7 @@ def tags():
 class TestBinaryFormat:
     def test_round_trip_bit_exact(self, tmp_path, tags):
         path = tmp_path / "run.tags"
-        n, _ = write_tags(path, tags, config_echo={"rng_seed": 21}, grid=GRID)
+        n, _ = write_tags(path, tags, ECHO)
         header, back = read_back(path, raw=True)
         assert n == tags.size + GRID.pulses
         assert back.tobytes() == tags.tobytes()
@@ -46,7 +47,7 @@ class TestBinaryFormat:
         # SHA-256 of the header line and the records, and the writer
         # returns that of the whole file.
         path = tmp_path / "run.tags"
-        _, digest = write_tags(path, tags, config_echo={"rng_seed": 21}, grid=GRID)
+        _, digest = write_tags(path, tags, ECHO)
         raw = path.read_bytes()
         body, trailer = raw[:-TRAILER_SIZE], raw[-TRAILER_SIZE:]
         assert trailer[:16] == b"TAGSEND3" + tags.size.to_bytes(8, "little")
@@ -57,13 +58,13 @@ class TestBinaryFormat:
     def test_round_trip_from_chunks(self, tmp_path, tags):
         path = tmp_path / "run.tags"
         chunks = np.array_split(tags, 7)
-        write_tags(path, chunks, grid=GRID)
+        write_tags(path, chunks, ECHO)
         _, back = read_back(path, raw=True)
         assert back.tobytes() == tags.tobytes()
 
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "empty.tags"
-        write_tags(path, np.empty(0, dtype=TAG_DTYPE), grid=GRID)
+        write_tags(path, np.empty(0, dtype=TAG_DTYPE), ECHO)
         header, back = read_back(path, raw=True)
         assert back.size == 0
         assert header["format"] == "timebin-tags"
@@ -74,7 +75,7 @@ class TestBinaryFormat:
         # In chunks of any size, the trigger view is the stream that the
         # independent merge builds, and no chunk holds more tags than asked.
         path = tmp_path / "run.tags"
-        write_tags(path, tags, grid=GRID)
+        write_tags(path, tags, ECHO)
         want = full_stream(iter_simulate, CFG).tobytes()
         for chunk_records in (1, 7, 1000, 1 << 18):
             it = iter_read_tags(path, chunk_records=chunk_records)
@@ -87,7 +88,7 @@ class TestBinaryFormat:
         # The file shrinks, 4 bytes into its final record, after the reader
         # has checked the trailer.
         path = tmp_path / "cut.tags"
-        write_tags(path, tags, grid=GRID)
+        write_tags(path, tags, ECHO)
         raw = path.read_bytes()
         it = iter_read_tags(path)
         next(it)
@@ -100,7 +101,7 @@ class TestBinaryFormat:
     def test_truncated_file_reports_offset(self, tmp_path, tags):
         # Cut 4 bytes into the final record: no trailer ends the file.
         path = tmp_path / "cut.tags"
-        write_tags(path, tags, grid=GRID)
+        write_tags(path, tags, ECHO)
         raw = path.read_bytes()
         path.write_bytes(raw[:-TRAILER_SIZE - 4])
         with pytest.raises(StreamFormatError, match="trailer") as err:
@@ -136,8 +137,7 @@ class TestBinaryFormat:
         swapped = tags.copy()
         swapped[[8, 9]] = swapped[[9, 8]]
         assert swapped["time_ps"][9] < swapped["time_ps"][8]
-        write_grid_stream(path, swapped["channel"], swapped["time_ps"], {},
-                          {"pulses": GRID.pulses, "period_ps": GRID.period_ps})
+        write_grid_stream(path, swapped["channel"], swapped["time_ps"], ECHO)
         records_at = path.read_bytes().index(b"\n") + 1
         it = iter_read_tags(path, chunk_records=chunk_records)
         next(it)
@@ -152,9 +152,31 @@ class TestBinaryFormat:
             next(iter_read_tags(path))
         assert err.value.byte_offset == 0
 
+    @pytest.mark.parametrize("echo, fault", [
+        ({}, "is not an object of run config values"),
+        ({**ECHO, "wavelength": 1e-6}, "unexpected keyword argument 'wavelength'"),
+        ({**ECHO, "duration": 1e-8}, "grid pulse count 1 is not an integer of at least 2"),
+    ], ids=["empty", "unknown-field", "one-pulse"])
+    def test_writer_refuses_an_echo_that_states_no_run(self, tmp_path, tags, echo, fault):
+        # The header's echo is its one statement of the run and its grid.
+        with pytest.raises(ValueError, match=fault):
+            write_tags(tmp_path / "run.tags", tags, echo)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_the_trigger_view_reads_the_echo(self, tmp_path, tags):
+        # The raw records need no grid; the trigger view is refused at its
+        # first chunk, at byte offset 0, when the echo states no run.
+        path = write_grid_stream(tmp_path / "run.tags", tags["channel"], tags["time_ps"],
+                                 {**ECHO, "rep_rate": 0.0})
+        assert read_back(path, raw=True)[1].tobytes() == tags.tobytes()
+        with pytest.raises(StreamFormatError, match="rep_rate must be positive") as err:
+            read_back(path)
+        assert err.value.byte_offset == 0
+
 
 class TestGridFiles:
-    """Format 3: detection records on a pulse grid, implied triggers."""
+    """Format 4: detection records on the pulse grid of the header's echo,
+    implied triggers."""
 
     CFG = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.05, jitter_sigma=100e-12,
                            detection_delay=0.0, dark_rate_signal=1e6, rng_seed=22)
@@ -162,8 +184,7 @@ class TestGridFiles:
     @pytest.fixture
     def grid_file(self, tmp_path):
         path = tmp_path / "grid.tags"
-        n, _ = write_tags(path, iter_simulate(self.CFG), config_echo={"rng_seed": 22},
-                          grid=PulseGrid.of(self.CFG))
+        n, _ = write_tags(path, iter_simulate(self.CFG), self.CFG.to_dict())
         return path, n
 
     def test_reads_back_as_the_simulated_stream(self, grid_file):
@@ -175,13 +196,15 @@ class TestGridFiles:
         header, back = read_back(path)
         assert n == tags.size
         assert back.tobytes() == tags.tobytes()
-        assert header["grid"] == {"pulses": 76200, "period_ps": 1e12 / 76.2e6}
+        # The echo is the whole header but its format: the grid is the echo's.
+        assert header == {"format": "timebin-tags", "version": 4, "config": self.CFG.to_dict()}
+        assert PulseGrid.of(self.CFG) == PulseGrid(76200, 1e12 / 76.2e6)
         assert path.stat().st_size < 0.1 * tags.nbytes
 
     def test_raw_read_gives_the_stored_detections(self, grid_file):
         path, _ = grid_file
         it = iter_read_tags(path, chunk_records=1000, raw=True)
-        assert header_grid(next(it)) == PulseGrid.of(self.CFG)
+        assert header_run(next(it)) == (self.CFG, PulseGrid.of(self.CFG))
         chunks = list(it)
         assert max(c.size for c in chunks) == 1000
         detections = np.concatenate(list(iter_simulate(self.CFG)))
@@ -245,7 +268,7 @@ class TestGridFiles:
     def test_writer_rejects_trigger_tags(self, tmp_path):
         path = tmp_path / "bad.tags"
         with pytest.raises(ValueError, match="trigger"):
-            write_tags(path, full_stream(iter_simulate, self.CFG), grid=PulseGrid.of(self.CFG))
+            write_tags(path, full_stream(iter_simulate, self.CFG), self.CFG.to_dict())
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fault, cut", [
@@ -263,7 +286,7 @@ class TestGridFiles:
             detections[[k - 1, k]] = detections[[k, k - 1]]
         chunks = [detections] if cut is None else [detections[:cut], detections[cut:]]
         with pytest.raises(ValueError, match=f"^record {k}: "):
-            write_tags(tmp_path / "bad.tags", chunks, grid=PulseGrid.of(self.CFG))
+            write_tags(tmp_path / "bad.tags", chunks, self.CFG.to_dict())
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_the_old_file(self, tmp_path, grid_file):
@@ -275,6 +298,6 @@ class TestGridFiles:
             raise RuntimeError("source failed")
 
         with pytest.raises(RuntimeError):
-            write_tags(path, chunks(), grid=PulseGrid.of(self.CFG))
+            write_tags(path, chunks(), self.CFG.to_dict())
         assert path.read_bytes() == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["grid.tags"]

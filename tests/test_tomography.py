@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from timebin import quantum
+from timebin import quantum, tomography
 from timebin.quantum import DensityMatrix2Q, bell_phi_plus, pure_to_dm
 from timebin.tomography import (SETTINGS, MeasurementRecord, _figures,
                                 bootstrap_errors, counts_from_phase_settings,
@@ -320,6 +322,39 @@ class TestBootstrap:
             assert abs(c[k] - c_k) < 1e-12
             assert abs(f[k] - quantum.fidelity_to_pure(dm, bell_phi_plus())) < 1e-12
             assert abs(lo[k] - lo_k) < 1e-12 and abs(hi[k] - hi_k) < 1e-12
+
+    def test_sliced_fits_are_the_whole_fit(self, monkeypatch):
+        # Rows are fitted independently, so slicing changes no bit: of the
+        # fits, and of a bootstrap whose slices do not divide its replicas.
+        rng = np.random.default_rng(63)
+        rec = counts_from_phase_settings(
+            ideal_setting_counts(20_000, v0=0.9, rng=rng, accidentals=2.0))
+        draws = np.stack([rng.poisson(rec.count_vector()) for _ in range(50)])
+        whole = mle_batch(draws)
+        parts = [mle_batch(draws[lo:lo + 16]) for lo in range(0, 50, 16)]
+        assert np.concatenate([p.rho for p in parts]).tobytes() == whole.rho.tobytes()
+        assert np.concatenate([p.iterations for p in parts]).tolist() == \
+            whole.iterations.tolist()
+        at_once = bootstrap_errors(rec, n_replicas=50, seed=4).to_json()
+        monkeypatch.setattr(tomography, "BOOTSTRAP_SLICE", 16)
+        assert bootstrap_errors(rec, n_replicas=50, seed=4).to_json() == at_once
+
+    def test_memory_is_bounded_by_a_slice(self, monkeypatch):
+        # Four slices of replicas peak near one: the fit arrays of a slice,
+        # about 20 kB a row, go before the next is drawn, and a replica
+        # keeps only its fitted state, iteration count and flag.  Fitted
+        # at once, the replicas of --replicas 200000 asked for 781 MiB.
+        rec = counts_from_phase_settings(ideal_setting_counts(20_000))
+        monkeypatch.setattr(tomography, "BOOTSTRAP_SLICE", 64)
+        peaks = []
+        for n_replicas in (64, 4 * 64):
+            tracemalloc.start()
+            try:
+                bootstrap_errors(rec, n_replicas=n_replicas, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_rejects_single_replica(self):
         rec = counts_from_phase_settings(ideal_setting_counts(1_000))
