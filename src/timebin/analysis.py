@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN
 from .simulate import (CH_IDLER, CH_SIGNAL, ExperimentConfig, PulseGrid, finite_number,
                        first_bad_record)
 
@@ -43,8 +44,6 @@ __all__ = [
 
 # Bound on a gate width, and a histogram bin, in whole ps.
 MAX_GATE_PS = 2**62
-DEFAULT_GATE_WIDTH = 0.5e-9
-DEFAULT_HIST_BIN = 10e-12
 
 # Detections per step of the fold.  Small steps keep its temporaries small
 # and in cache: on a fringe-scan stream, steps of 2^16 took about 1.7 times
@@ -422,21 +421,18 @@ def klyshko(rates: RateReport) -> tuple[Quantity, Quantity]:
             Quantity(eta_i, eta_i * np.sqrt(rel**2 + 1.0 / rates.n_signal)))
 
 
-def _wls(design, y, weights=None, at=None):
-    """(coef, cov) minimizing sum w (y - design @ coef)^2.
+def _lsq(design, y, at=None):
+    """(coef, cov) minimizing sum (y - design @ coef)^2.
 
-    ``cov`` is (X^T W X)^-1, scaled by chi^2/(n - p) unless ``weights`` are
-    given as absolute inverse variances: the convention of both
-    ``np.polyfit(cov=True)`` and ``curve_fit``.  chi^2 is taken at ``at``
-    if given, for a fit held on the edge of its domain.
+    ``cov`` is (X^T X)^-1 scaled by chi^2/(n - p), the convention of both
+    ``np.polyfit(cov=True)`` and ``curve_fit`` without ``sigma``.  chi^2
+    is taken at ``at`` if given, for a fit held on the edge of its domain.
     """
-    sw = np.ones_like(y) if weights is None else np.sqrt(weights)
-    u, s, vt = np.linalg.svd(design * sw[:, None], full_matrices=False)
-    coef = vt.T @ (u.T @ (y * sw) / s)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    coef = vt.T @ (u.T @ y / s)
     cov = (vt.T / s**2) @ vt
-    if weights is None:
-        resid = y - design @ (coef if at is None else at)
-        cov *= (resid @ resid) / (y.size - design.shape[1])
+    resid = y - design @ (coef if at is None else at)
+    cov *= (resid @ resid) / (y.size - design.shape[1])
     return coef, cov
 
 
@@ -444,7 +440,7 @@ def _linfit(x, y):
     """Least-squares line y = a*x + b; returns (a, b, err_a, err_b)."""
     if np.ptp(x) == 0:
         raise ValueError("degenerate abscissae: all x values identical")
-    coef, cov = _wls(np.column_stack([x, np.ones_like(x)]), y)
+    coef, cov = _lsq(np.column_stack([x, np.ones_like(x)]), y)
     return (*coef, *np.sqrt(np.diag(cov)))
 
 
@@ -468,13 +464,10 @@ class PowerSeriesFit:
         }
 
 
-def power_series_fit(points, exclude_below: float | None = None) -> PowerSeriesFit:
+def power_series_fit(points) -> PowerSeriesFit:
     """Fit brightness, Klyshko intercepts and the log-log CAR slope.
 
-    ``points`` is a sequence of (power, RateReport).  ``exclude_below``
-    drops low-power points from the Klyshko intercept fits only; at weak
-    pumping the gated singles are dominated by background, which pulls the
-    apparent efficiency down.
+    ``points`` is a sequence of (power, RateReport).
     """
     points = sorted(points, key=lambda pr: pr[0])
     powers = np.array([p for p, _ in points], dtype=float)
@@ -485,13 +478,10 @@ def power_series_fit(points, exclude_below: float | None = None) -> PowerSeriesF
     b_slope, _, b_err, _ = _linfit(powers, rc)
 
     kly = [klyshko(r) for _, r in points]
-    keep = powers >= (-np.inf if exclude_below is None else exclude_below)
-    if np.count_nonzero(keep) < 3:
-        raise ValueError("exclude_below leaves fewer than 3 points")
     ks = np.array([k[0].value for k in kly])
     ki = np.array([k[1].value for k in kly])
-    _, ks0, _, ks0_err = _linfit(powers[keep], ks[keep])
-    _, ki0, _, ki0_err = _linfit(powers[keep], ki[keep])
+    _, ks0, _, ks0_err = _linfit(powers, ks)
+    _, ki0, _, ki0_err = _linfit(powers, ki)
 
     cars = np.array([car(r).value for _, r in points])
     slope, _, slope_err, _ = _linfit(np.log(powers), np.log(cars))
@@ -546,30 +536,27 @@ class FringeFit:
                 "amplitude": self.amplitude}
 
 
-def fit_fringe(scan: FringeScan, poisson_weights: bool = False) -> FringeFit:
+def fit_fringe(scan: FringeScan) -> FringeFit:
     """Least-squares fit of the fringe law rate = A*(1 - V cos(phi + phi0)).
 
     The law is linear in (a, b, c) = (A, -AV cos phi0, AV sin phi0), so one
-    weighted linear solve gives A = a, V = hypot(b, c)/a, phi0 = atan2(c, -b)
-    and, by the delta method, sigma_V.  If a <= 0 or V > 1, the optimum
-    lies on the edge V = 1 of the convex cone hypot(b, c) <= a: there
-    A(phi0) = <g, wy>/<g, wg> with g = 1 - cos(phi + phi0), and phi0
-    maximizes <g, wy>^2/<g, wg>.  With ``poisson_weights`` sqrt(count) are
-    absolute errors; unweighted errors are scaled by the residuals.
+    linear solve gives A = a, V = hypot(b, c)/a, phi0 = atan2(c, -b) and,
+    by the delta method, sigma_V, with errors scaled by the residuals.  If
+    a <= 0 or V > 1, the optimum lies on the edge V = 1 of the convex cone
+    hypot(b, c) <= a: there A(phi0) = <g, y>/<g, g> with
+    g = 1 - cos(phi + phi0), and phi0 maximizes <g, y>^2/<g, g>.
     """
     scan.validate()
     rates = scan.counts / scan.integration_times
     if float(np.mean(rates)) <= 0:
         return FringeFit(Quantity(0.0, 0.0), 0.0, 0.0)
-    weights = (scan.integration_times**2 / np.clip(scan.counts, 1.0, None)
-               if poisson_weights else None)
     design = np.column_stack([np.ones_like(scan.phases), np.cos(scan.phases),
                               np.sin(scan.phases)])
-    (a, b, c), cov = _wls(design, rates, weights)
+    (a, b, c), cov = _lsq(design, rates)
     vis = np.hypot(b, c) / a if a > 0 else np.inf
     if vis > 1:
-        a, b, c = edge = _edge_fringe(design, rates, weights)
-        _, cov = _wls(design, rates, weights, at=edge)
+        a, b, c = edge = _edge_fringe(design, rates)
+        _, cov = _lsq(design, rates, at=edge)
         vis = 1.0
     phi0 = np.arctan2(c, -b)
     # Gradient of V = hypot(b, c)/a, with (b, c)/hypot(b, c) = (-cos, sin) phi0.
@@ -578,13 +565,12 @@ def fit_fringe(scan: FringeScan, poisson_weights: bool = False) -> FringeFit:
                      float(phi0), float(a))
 
 
-def _edge_fringe(design, rates, weights):
+def _edge_fringe(design, rates):
     """Coefficients A*u of the best V = 1 fringe: g = design @ u with
-    u = (1, -cos phi0, sin phi0), so <g, wy>^2/<g, wg> = (u.h)^2/(u.G u),
+    u = (1, -cos phi0, sin phi0), so <g, y>^2/<g, g> = (u.h)^2/(u.G u),
     maximized over A >= 0 on grids that each span one step either side of
     the previous grid's best phase, down to a step of 2e-10 rad."""
-    w = np.ones_like(rates) if weights is None else weights
-    gram, h = design.T @ (w[:, None] * design), design.T @ (w * rates)
+    gram, h = design.T @ design, design.T @ rates
     phi0, half = np.pi, np.pi
     for _ in range(4):
         grid = phi0 + np.linspace(-half, half, 721)

@@ -32,7 +32,7 @@ import re
 import sys
 import time
 
-from . import __version__
+from . import DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN, FORMAT_VERSION, __version__
 
 __all__ = ["main", "run", "load_config", "ConfigError", "DataError", "ConvergenceError"]
 
@@ -84,13 +84,6 @@ _MODES = ("single-bin", "time-bin")
 
 _CSV_HEADER = "slot_or_phase,count,error"
 
-# analysis.DEFAULT_GATE_WIDTH, analysis.DEFAULT_HIST_BIN and
-# streams.FORMAT_VERSION, spelled out so that building the parser and
-# writing a manifest import neither module; a test pins each to its source.
-_DEFAULT_GATE_WIDTH = 0.5e-9
-_DEFAULT_HIST_BIN = 10e-12
-_FORMAT_VERSION = 4
-
 
 def iter_simulate(config):
     """:func:`timebin.simulate.iter_simulate`, imported when called."""
@@ -104,10 +97,10 @@ def iter_simulate_single_bin(config):
     return simulate.iter_simulate_single_bin(config)
 
 
-def fit_fringe(scan, poisson_weights=False):
+def fit_fringe(scan):
     """:func:`timebin.analysis.fit_fringe`, imported when called."""
     from . import analysis
-    return analysis.fit_fringe(scan, poisson_weights)
+    return analysis.fit_fringe(scan)
 
 
 def load_config(path):
@@ -152,7 +145,7 @@ def _write_manifest(out_path, config_echo, inputs, outputs, seed, t_start):
     """``outputs`` maps each output path to the SHA-256 it was written with."""
     manifest = {
         "software_version": __version__,
-        "format_version": _FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "config": config_echo,
         "rng_seed": seed,
         "inputs": [str(p) for p in inputs],
@@ -185,15 +178,9 @@ def _write_outputs(out, document, sidecars, echo, inputs, seed, t_start):
 
 def _cmd_simulate(args) -> int:
     from . import streams
-    from .simulate import ExperimentConfig
 
     t0 = time.monotonic()
     config = load_config(args.config)
-    if args.seed is not None:
-        try:
-            config = ExperimentConfig(**{**config.to_dict(), "rng_seed": args.seed})
-        except ValueError as exc:
-            raise ConfigError(f"--seed: {exc}") from exc
     echo = config.to_dict()
     echo["mode"] = args.mode
     chunks = (iter_simulate if args.mode == "time-bin" else iter_simulate_single_bin)(config)
@@ -259,7 +246,7 @@ def _cmd_analyze(args) -> int:
     echo = header["config"]
     rates, delays = result.rate_report(), result.delay_counts
     report = {
-        "format_version": streams.FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "config": echo,
         "rates": rates.to_dict(),
         "car": (analysis.car(rates).to_dict()
@@ -293,7 +280,8 @@ def _load_report(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: not UTF-8 or JSON, or an integer of over 4300 digits.
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read report {path}: {exc}") from exc
 
 
@@ -367,7 +355,7 @@ def _joint_counts(report, path):
 
     try:
         joint = np.array(_report_field(report, path, "joint_slot_counts"), dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: joint_slot_counts is not a numeric table: {exc}") from exc
     if joint.shape != (3, 3):
         raise DataError(f"{path}: joint_slot_counts has shape {joint.shape}, "
@@ -404,11 +392,11 @@ def _cmd_tomo(args) -> int:
     missing = [s for s in tomography.SETTINGS if s not in setting_counts]
     if missing:
         raise ConfigError(f"missing phase settings {missing}")
-    record = tomography.counts_from_phase_settings(setting_counts)
     try:
+        record = tomography.counts_from_phase_settings(setting_counts)
         result = tomography.bootstrap_errors(record, n_replicas=args.replicas, seed=args.seed,
                                              max_iter=args.max_iter)
-    except ValueError as exc:  # e.g. reports whose joint tables are all zero
+    except ValueError as exc:  # e.g. a count past 2^53, or joint tables that are all zero
         raise DataError(f"reports {', '.join(inputs)}: {exc}") from exc
     rows = [[part, *map(repr, row)]
             for part, m in (("re", result.rho.matrix.real), ("im", result.rho.matrix.imag))
@@ -440,14 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=_MODES, default="time-bin")
-    p.add_argument("--seed", type=int, default=None, help="override the config RNG seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("analyze", help="histogram and rate analysis of a tag stream")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gate-width-s", type=float, default=_DEFAULT_GATE_WIDTH)
-    p.add_argument("--hist-bin-s", type=float, default=_DEFAULT_HIST_BIN)
+    p.add_argument("--gate-width-s", type=float, default=DEFAULT_GATE_WIDTH)
+    p.add_argument("--hist-bin-s", type=float, default=DEFAULT_HIST_BIN)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fringe", help="sinusoidal visibility fit over analyzed runs")

@@ -131,10 +131,7 @@ class DensityMatrix2Q:
     """Validated 4x4 density matrix of the two time-bin qubits.
 
     Construction enforces Hermiticity, unit trace and positivity; build one
-    via :meth:`from_matrix`.  ``from_matrix(..., fix=True)`` symmetrizes,
-    clamps small negative eigenvalues and renormalizes first, which is the
-    appropriate entry point for matrices coming out of floating-point
-    pipelines.
+    via :meth:`from_matrix`.
     """
 
     matrix: np.ndarray
@@ -143,11 +140,8 @@ class DensityMatrix2Q:
         validate_density_matrix(self.matrix)
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, fix: bool = False) -> "DensityMatrix2Q":
-        m = np.asarray(m, dtype=complex).reshape(4, 4)
-        if fix:
-            m = _physical(m)
-        m = m.copy()
+    def from_matrix(cls, m: np.ndarray) -> "DensityMatrix2Q":
+        m = np.asarray(m, dtype=complex).reshape(4, 4).copy()
         m.setflags(write=False)
         return cls(m)
 

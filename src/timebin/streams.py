@@ -30,6 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import FORMAT_VERSION
 from .simulate import CH_TRIGGER, TAG_DTYPE, ExperimentConfig, PulseGrid, first_bad_record
 
 __all__ = [
@@ -39,8 +40,6 @@ __all__ = [
     "iter_read_tags",
     "header_run",
 ]
-
-FORMAT_VERSION = 4
 
 _RECORD_SIZE = TAG_DTYPE.itemsize
 _TRAILER_MAGIC = b"TAGSEND3"
@@ -101,7 +100,8 @@ def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray,
 def _parse_header(line: bytes) -> dict:
     try:
         header = json.loads(line.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError: not UTF-8 or JSON, or an integer of over 4300 digits.
+    except (ValueError, RecursionError) as exc:
         raise StreamFormatError(f"invalid header line: {exc}", 0) from exc
     if not isinstance(header, dict) or header.get("format") != "timebin-tags":
         raise StreamFormatError("not a timebin tag file", 0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from timebin.quantum import BASIS_LABELS, DensityMatrix2Q, measurement_operator
+from timebin.quantum import BASIS_LABELS, DensityMatrix2Q, _physical, measurement_operator
 from timebin.tomography import linear_inversion
 
 _TRIL = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
@@ -45,7 +45,7 @@ def _rho_from_params(t: np.ndarray) -> np.ndarray:
 def _params_from_rho(rho: np.ndarray) -> np.ndarray:
     # Ridge keeps the Cholesky factor finite for boundary (rank-deficient)
     # seeds; the optimizer can still walk back to the boundary.
-    rho = DensityMatrix2Q.from_matrix(rho, fix=True).matrix
+    rho = DensityMatrix2Q.from_matrix(_physical(rho)).matrix
     rho = 0.999 * rho + 0.001 * np.eye(4) / 4.0
     T = np.linalg.cholesky(rho)
     t = np.zeros(16)

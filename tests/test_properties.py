@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from timebin.analysis import (GateConfig, RateReport, StreamAnalyzer,
                               analyze_stream, car, klyshko)
 from timebin.cli import main
-from timebin.quantum import DensityMatrix2Q, chsh_bounds, concurrence
+from timebin.quantum import DensityMatrix2Q, _physical, chsh_bounds, concurrence
 from timebin.simulate import (CH_SIGNAL, TAG_DTYPE, ExperimentConfig, PulseGrid,
                               iter_simulate, iter_simulate_single_bin)
 from timebin.streams import StreamFormatError, iter_read_tags, write_tags
@@ -63,7 +63,7 @@ def test_klyshko_bounded_by_count_ratio(ns, ni, nc):
 def test_density_matrix_invariants(seed):
     rng = np.random.default_rng(seed)
     rho = ginibre_density_matrix(rng)
-    dm = DensityMatrix2Q.from_matrix(rho, fix=True)
+    dm = DensityMatrix2Q.from_matrix(_physical(rho))
     m = dm.matrix
     assert np.allclose(m, m.conj().T, atol=1e-12)
     assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)

@@ -236,7 +236,7 @@ class TestDensityMatrixType:
     def test_fix_recovers_noisy_matrix(self):
         rng = np.random.default_rng(5)
         noisy = pure_to_dm(bell_phi_plus()) + 1e-6 * rng.normal(size=(4, 4))
-        dm = DensityMatrix2Q.from_matrix(noisy, fix=True)
+        dm = DensityMatrix2Q.from_matrix(quantum._physical(noisy))
         assert concurrence(dm) == pytest.approx(1.0, abs=1e-4)
 
     def test_rejects_nan(self):

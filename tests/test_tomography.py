@@ -151,7 +151,7 @@ class TestLinearInversion:
             vals = np.linalg.eigvalsh((est + est.conj().T) / 2)
             if vals.min() < -1e-9:
                 seen_unphysical = True
-            fixed = DensityMatrix2Q.from_matrix(est, fix=True).matrix
+            fixed = DensityMatrix2Q.from_matrix(quantum._physical(est)).matrix
             assert np.linalg.eigvalsh(fixed).min() >= -1e-12
             assert np.trace(fixed).real == pytest.approx(1.0)
         assert seen_unphysical
@@ -315,7 +315,7 @@ class TestBootstrap:
              for _ in range(10)]])
         rho, c, f, lo, hi = _figures(stack)
         for k, m in enumerate(stack):
-            dm = DensityMatrix2Q.from_matrix(m, fix=True)
+            dm = DensityMatrix2Q.from_matrix(quantum._physical(m))
             c_k = quantum.concurrence(dm)
             lo_k, hi_k = quantum.chsh_bounds(c_k)
             assert np.max(np.abs(rho[k] - dm.matrix)) < 1e-12
