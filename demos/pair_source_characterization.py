@@ -16,22 +16,18 @@ from timebin.simulate import ExperimentConfig, PulseGrid, iter_simulate_single_b
 
 # A lossy source: a few percent heralded efficiency per arm, realistic
 # dark counts, mean pair number proportional to pump power.
-base = ExperimentConfig(
-    pair_yield_per_watt=2.0,       # mean pairs per pulse per watt
-    eta_signal=0.0412,
-    eta_idler=0.0377,
-    dark_rate_signal=360.0,
-    dark_rate_idler=390.0,
-    duration=0.5,
-    rng_seed=1,
-)
+YIELD_PER_W = 2.0                  # mean pairs per pulse per watt
 
 powers = np.array([0.02, 0.05, 0.1, 0.2, 0.4])  # watts
 points = []
 print("power sweep")
 print(f"{'P (W)':>8} {'R_s (1/s)':>10} {'R_i (1/s)':>10} {'R_C (1/s)':>10} {'CAR':>9}")
 for p in powers:
-    cfg = base.with_power(float(p))
+    cfg = ExperimentConfig(pump_power=float(p), pair_yield_per_watt=YIELD_PER_W,
+                           mean_pairs_per_pulse=YIELD_PER_W * float(p),
+                           eta_signal=0.0412, eta_idler=0.0377,
+                           dark_rate_signal=360.0, dark_rate_idler=390.0,
+                           duration=0.5, rng_seed=1)
     result = analyze_stream(iter_simulate_single_bin(cfg),
                             GateConfig.single_bin(cfg), grid=PulseGrid.of(cfg))
     rates = result.rate_report()

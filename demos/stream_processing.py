@@ -33,8 +33,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"wrote {n} tags to {path.name}: {size_mb:.2f} MB on disk, "
           f"{n * TAG_DTYPE.itemsize / 1e6:.1f} MB as materialized records")
     chunks = iter_read_tags(path, chunk_records=2_000, raw=True)
-    run, grid = header_run(next(chunks))
-    print(f"header echo: seed {run.rng_seed}, duration {run.duration} s, "
+    run, grid, mode = header_run(next(chunks))
+    print(f"header echo: {mode}, seed {run.rng_seed}, duration {run.duration} s, "
           f"grid {grid.pulses} pulses every {grid.period_ps:.2f} ps")
 
     # fold over the file's detections in small chunks

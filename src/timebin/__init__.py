@@ -14,10 +14,11 @@ package itself imports none of them, so a process loads only what it uses.
 
 __version__ = "0.1.0"
 
-# The analyzer's default gate width and histogram bin in seconds, and the
-# tag file format version.  They live here, not in ``analysis`` and
-# ``streams``, so that the command line builds its parser and writes its
-# manifests without loading numpy.
+# The analyzer's default gate width and histogram bin in seconds, the tag
+# file format version and the run modes.  They live here, not in
+# ``analysis`` and ``streams``, so that the command line builds its parser
+# and writes its manifests without loading numpy.
 DEFAULT_GATE_WIDTH = 0.5e-9
 DEFAULT_HIST_BIN = 10e-12
 FORMAT_VERSION = 4
+MODES = ("single-bin", "time-bin")

@@ -32,7 +32,7 @@ import re
 import sys
 import time
 
-from . import DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN, FORMAT_VERSION, __version__
+from . import DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN, FORMAT_VERSION, MODES, __version__
 
 __all__ = ["main", "run", "load_config", "ConfigError", "DataError", "ConvergenceError"]
 
@@ -80,8 +80,6 @@ _FIELD_KEYS = {field: key for key, (field, _) in _CONFIG_KEYS.items()}
 
 _REQUIRED_KEYS = ("rep_rate_hz", "duration_s", "mean_pairs_per_pulse")
 
-_MODES = ("single-bin", "time-bin")
-
 _CSV_HEADER = "slot_or_phase,count,error"
 
 
@@ -104,15 +102,15 @@ def fit_fringe(scan):
 
 
 def load_config(path):
-    """Parse a key = value run config into an ``ExperimentConfig``;
+    """Parse a UTF-8 key = value run config into an ``ExperimentConfig``;
     unknown, repeated or missing keys are fatal."""
     from .simulate import ExperimentConfig
 
     values, line_of = {}, {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -184,26 +182,10 @@ def _cmd_simulate(args) -> int:
     echo = config.to_dict()
     echo["mode"] = args.mode
     chunks = (iter_simulate if args.mode == "time-bin" else iter_simulate_single_bin)(config)
-    try:
-        n, digest = streams.write_tags(args.out, chunks, echo)
-    except streams.StreamFormatError as exc:  # e.g. a run shorter than two pulse periods
-        raise ConfigError(f"{args.config}: {exc.__cause__}") from exc
+    n, digest = streams.write_tags(args.out, chunks, echo)
     _write_manifest(args.out, echo, [args.config], {args.out: digest}, config.rng_seed, t0)
     print(f"wrote {n} tags to {args.out}")
     return 0
-
-
-def _run_from_header(header):
-    """``streams.header_run`` of a parsed tag header and the ``GateConfig``
-    builder of its echo's mode: time-bin if it has none, and another mode
-    is a StreamFormatError at byte offset 0."""
-    from .analysis import GateConfig
-    from .streams import StreamFormatError, header_run
-
-    config, grid = header_run(header)
-    if (mode := header["config"].get("mode", "time-bin")) not in _MODES:
-        raise StreamFormatError(f"header states no run: unknown mode {mode!r}", 0)
-    return config, grid, GateConfig.single_bin if mode == "single-bin" else GateConfig.time_bin
 
 
 def _cmd_analyze(args) -> int:
@@ -222,7 +204,9 @@ def _cmd_analyze(args) -> int:
         it = streams.iter_read_tags(args.input, raw=True)
         header = next(it)
         try:  # a fault of the run's header, then of a flag
-            config, grid, gates = _run_from_header(header)
+            config, grid, mode = streams.header_run(header)
+            gates = (analysis.GateConfig.single_bin if mode == "single-bin"
+                     else analysis.GateConfig.time_bin)
             analyzer = analysis.StreamAnalyzer(gates(config, args.gate_width_s), args.hist_bin_s,
                                                grid=grid)
         except ValueError as exc:
@@ -427,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a time-tag stream")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=_MODES, default="time-bin")
+    p.add_argument("--mode", choices=MODES, default="time-bin")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("analyze", help="histogram and rate analysis of a tag stream")

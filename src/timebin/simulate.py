@@ -33,9 +33,10 @@ earliest detection if that comes first, is carried into the next block.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
-from dataclasses import dataclass, replace, asdict
+from dataclasses import dataclass, asdict
 from typing import Iterator
 
 import numpy as np
@@ -67,6 +68,9 @@ _MAX_TIME_PS = np.uint64(np.iinfo(np.int64).max)  # times are analyzed as int64
 BLOCK_PULSES = 1 << 20
 # Most pairs plus darks one block may expect; mu = 2, 1e8 darks/s expect 4.9e6.
 MAX_BLOCK_DRAWS = 1 << 24
+# How far yield * power may stray from mean_pairs_per_pulse: a few ulps,
+# as 0.1 * 0.3 misses 0.03 by one.
+_PAIR_RATE_REL_TOL = 1e-9
 
 
 def first_bad_record(tags, last) -> tuple[int, str] | None:
@@ -109,16 +113,19 @@ class ExperimentConfig:
 
     Defaults follow the apparatus this models: 76.2 MHz pulsed pump,
     ~3 ns bin delay (13.1 ns pulse period), dark rates of a few hundred
-    per second.  Construction runs :meth:`validate`; it keeps every
-    detection below 2^53 ps, as ``PulseGrid`` keeps its triggers, and
-    checks no gate: the analyzer fits its gates to the pulse period.
+    per second.  ``mean_pairs_per_pulse`` is the run's pair rate; a
+    ``pair_yield_per_watt`` times ``pump_power`` describes it and must
+    agree with it.  Construction runs :meth:`validate`, the one check of
+    a run: it keeps every detection below 2^53 ps, requires that
+    ``PulseGrid.of`` give the run a pulse grid, and checks no gate: the
+    analyzer fits its gates to the pulse period.
     """
 
     rep_rate: float = 76.2e6          # pulses / s
     bin_delay: float = 3e-9           # early/late separation, s
     mean_pairs_per_pulse: float = 0.001
-    pump_power: float = 0.0           # W; reporting / mu scaling only
-    pair_yield_per_watt: float | None = None  # mu = yield * power when set
+    pump_power: float = 0.0           # W
+    pair_yield_per_watt: float | None = None  # pairs / pulse / W; times power if set
     eta_signal: float = 1.0
     eta_idler: float = 1.0
     dark_rate_signal: float = 0.0     # counts / s
@@ -132,19 +139,8 @@ class ExperimentConfig:
     jitter_sigma: float = 50e-12      # detector timing jitter, s
     detection_delay: float = 2e-9     # optical/electronic delay after trigger, s
 
-    @property
-    def mu(self) -> float:
-        """Mean pairs per pump pulse, resolved from power if configured."""
-        if self.pair_yield_per_watt is not None:
-            return self.pair_yield_per_watt * self.pump_power
-        return self.mean_pairs_per_pulse
-
     def __post_init__(self):
         self.validate()
-
-    def with_power(self, power: float) -> "ExperimentConfig":
-        """Copy of this config at a different pump power."""
-        return replace(self, pump_power=power)
 
     def validate(self) -> None:
         for name, value in vars(self).items():
@@ -163,8 +159,12 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.mu < 0:
-            raise ValueError("mean pairs per pulse must be non-negative")
+        if self.pair_yield_per_watt is not None and not math.isclose(
+                self.pair_yield_per_watt * self.pump_power, self.mean_pairs_per_pulse,
+                rel_tol=_PAIR_RATE_REL_TOL):
+            raise ValueError(f"pair_yield_per_watt * pump_power = {self.pair_yield_per_watt!r} "
+                             f"* {self.pump_power!r} disagrees with mean_pairs_per_pulse = "
+                             f"{self.mean_pairs_per_pulse!r}")
         # How late a detection may lie: below 2^53 ps, as a trigger does.
         times = {"duration": self.duration * 1e12, "detection_delay": self.detection_delay * 1e12,
                  "bin_delay": 2e12 * self.bin_delay, "jitter_sigma": 10e12 * self.jitter_sigma}
@@ -173,15 +173,14 @@ class ExperimentConfig:
             raise ValueError(f"{name} = {getattr(self, name)!r} puts detections up to "
                              f"{total:.3g} ps into the run, 2^53 ps or more")
         pulses = round(min(BLOCK_PULSES, self.duration * self.rep_rate))  # largest block
-        mu_name = ("mean_pairs_per_pulse" if self.pair_yield_per_watt is None
-                   else "pair_yield_per_watt")
-        draws = {mu_name: self.mu * pulses,
+        draws = {"mean_pairs_per_pulse": self.mean_pairs_per_pulse * pulses,
                  "dark_rate_signal": self.dark_rate_signal * pulses / self.rep_rate,
                  "dark_rate_idler": self.dark_rate_idler * pulses / self.rep_rate}
         if (total := sum(draws.values())) > MAX_BLOCK_DRAWS:
             name = max(draws, key=draws.get)
             raise ValueError(f"{name} = {getattr(self, name)!r} expects {total:.3g} random "
                              f"draws in a block of {pulses} pulses, more than 2^24")
+        PulseGrid.of(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -410,7 +409,7 @@ def _emit_block(config, grid, block, law):
     count = min(BLOCK_PULSES, grid.pulses - first)
     rng = np.random.default_rng([config.rng_seed, block])
 
-    n_pairs = rng.poisson(config.mu * count)
+    n_pairs = rng.poisson(config.mean_pairs_per_pulse * count)
     # indices are below 2^20, so int32 holds them and sorts faster
     pulse_of_pair = np.sort(rng.integers(0, count, n_pairs).astype(np.int32))
 

@@ -1,16 +1,17 @@
 """Time-tag stream file format.
 
-A tag file is one JSON header line (UTF-8, newline-terminated), then
-little-endian records of (channel: u8, timestamp: u64 picoseconds), then
-a trailer.
+A tag file is one JSON header line (UTF-8, newline-terminated, at most
+1 MiB), then little-endian records of (channel: u8, timestamp: u64
+picoseconds), then a trailer.
 
 - **Header.** ``{"format": "timebin-tags", "version": 4, "config": {...}}``
-  with the run's config echo, its one statement of the run: the triggers
-  are implied on the echo's ``PulseGrid.of`` (:func:`header_run`), at
-  round(k * P) ps for k < n, and the records are the detections only, by
-  the rule of :func:`~timebin.simulate.first_bad_record`: on channels 0
-  and 1, below 2^63 ps, in time order.  A detection at a trigger's time
-  belongs to that trigger's pulse.
+  with the run's config echo, its one statement of the run and its mode
+  (:func:`header_run`): the triggers are implied on the echo's
+  ``PulseGrid.of``, at round(k * P) ps for k < n, and the records are the
+  detections only, by the rule of
+  :func:`~timebin.simulate.first_bad_record`: on channels 0 and 1, below
+  2^63 ps, in time order.  A detection at a trigger's time belongs to
+  that trigger's pulse.
 - **Trailer** (48 bytes): the magic ``TAGSEND3``, the record count as u64
   and the SHA-256 of every byte before it, header line included.  A file
   cut or changed anywhere, even on a record boundary, fails the read.
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import FORMAT_VERSION
+from . import FORMAT_VERSION, MODES
 from .simulate import CH_TRIGGER, TAG_DTYPE, ExperimentConfig, PulseGrid, first_bad_record
 
 __all__ = [
@@ -44,6 +45,8 @@ __all__ = [
 _RECORD_SIZE = TAG_DTYPE.itemsize
 _TRAILER_MAGIC = b"TAGSEND3"
 _TRAILER_SIZE = len(_TRAILER_MAGIC) + 8 + 32
+# The longest header line read, newline included; a default header is 437 bytes.
+_MAX_HEADER_LINE = 1 << 20
 
 
 class StreamFormatError(ValueError):
@@ -69,7 +72,7 @@ def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray,
     if isinstance(chunks, np.ndarray):
         chunks = [chunks]
     header = {"format": "timebin-tags", "version": FORMAT_VERSION, "config": config_echo}
-    _, grid = header_run(header)
+    _, grid, _ = header_run(header)
     line = json.dumps(header).encode() + b"\n"
     n, last = 0, np.uint64(0)
     digest = hashlib.sha256(line)
@@ -98,6 +101,8 @@ def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray,
 
 
 def _parse_header(line: bytes) -> dict:
+    if len(line) > _MAX_HEADER_LINE:
+        raise StreamFormatError(f"invalid header line: longer than {_MAX_HEADER_LINE} bytes", 0)
     try:
         header = json.loads(line.decode())
     # ValueError: not UTF-8 or JSON, or an integer of over 4300 digits.
@@ -110,14 +115,16 @@ def _parse_header(line: bytes) -> dict:
     return header
 
 
-def header_run(header: dict) -> tuple[ExperimentConfig, PulseGrid]:
-    """(run config, pulse grid) of the run a parsed header states: its
-    config echo less any ``mode`` entry as an ``ExperimentConfig``, and
-    ``PulseGrid.of`` that config.
+def header_run(header: dict) -> tuple[ExperimentConfig, PulseGrid, str]:
+    """(run config, pulse grid, mode) of the run a parsed header states:
+    its config echo less its ``mode`` entry as an ``ExperimentConfig``,
+    ``PulseGrid.of`` that config, and the mode, time-bin if the echo
+    states none.  This is the one reader of a header's run.
 
-    An echo that is no run, no grid or empty, or a header that holds an
-    entry besides its format, version and echo, such as the grid that
-    format 3 stored, is a :class:`StreamFormatError` at byte offset 0.
+    An echo that is no run or empty, a mode but those of ``MODES``, or a
+    header that holds an entry besides its format, version and echo, such
+    as the grid that format 3 stored, is a :class:`StreamFormatError` at
+    byte offset 0.
     """
     echo = header.get("config")
     try:
@@ -125,8 +132,10 @@ def header_run(header: dict) -> tuple[ExperimentConfig, PulseGrid]:
             raise ValueError(f"it holds {extra} besides its config echo")
         if not isinstance(echo, dict) or not echo:
             raise ValueError(f"config echo {echo!r} is not an object of run config values")
+        if (mode := echo.get("mode", "time-bin")) not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
         config = ExperimentConfig(**{k: v for k, v in echo.items() if k != "mode"})
-        return config, PulseGrid.of(config)
+        return config, PulseGrid.of(config), mode
     except (TypeError, ValueError) as exc:  # TypeError: an unknown key
         raise StreamFormatError(f"header states no run: {exc}", 0) from exc
 
@@ -215,18 +224,19 @@ def iter_read_tags(path, chunk_records: int = 1 << 18, raw: bool = False) -> Ite
     benchmark's fingerprints hash, which no program path reads.  With
     ``raw`` the records come as stored, as read-only arrays over the file's
     bytes, and the caller reads the run with :func:`header_run`.  A header
-    of another version, or in the default view one that states no run, a
-    record that breaks the record rule (:func:`~timebin.simulate.first_bad_record`),
-    or a trailer that is missing or whose record count or SHA-256
-    disagrees raise :class:`StreamFormatError` with a byte offset; the
-    SHA-256 is checked after the last chunk.  The default chunk bounds
-    memory: the analyzer and the trigger rebuild keep several 8-byte
-    temporaries per record of a chunk.
+    line over 1 MiB, a header of another version, or in the default view
+    one that states no run, a record that breaks the record rule
+    (:func:`~timebin.simulate.first_bad_record`), or a trailer that is
+    missing or whose record count or SHA-256 disagrees raise
+    :class:`StreamFormatError` with a byte offset; the SHA-256 is checked
+    after the last chunk.  The default chunk bounds memory: the analyzer
+    and the trigger rebuild keep several 8-byte temporaries per record of
+    a chunk.
     """
     if chunk_records < 1:
         raise ValueError(f"chunk_records must be at least 1, got {chunk_records}")
     with open(path, "rb") as fh:
-        line = fh.readline()
+        line = fh.readline(_MAX_HEADER_LINE + 1)
         header = _parse_header(line)
         size = os.fstat(fh.fileno()).st_size
         want = _trailer(fh, size, len(line))

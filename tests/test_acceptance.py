@@ -66,7 +66,7 @@ def test_criterion_05_car_and_klyshko_from_rates():
 def _single_bin_sweep(mus, duration, **config_overrides):
     points = []
     for mu in mus:
-        cfg = ExperimentConfig(pair_yield_per_watt=1.0, pump_power=mu,
+        cfg = ExperimentConfig(mean_pairs_per_pulse=mu, pump_power=mu,
                                duration=duration, rng_seed=601,
                                **config_overrides)
         res = analyze_stream(iter_simulate_single_bin(cfg),
@@ -89,7 +89,7 @@ def test_criterion_06_car_slope_sweep():
     # the fitted slope up toward the -0.92 regime (direction check)
     points = []
     for mu in (1e-5, 2.2e-5, 4.6e-5, 1e-4):
-        cfg = ExperimentConfig(pair_yield_per_watt=1.0, pump_power=mu,
+        cfg = ExperimentConfig(mean_pairs_per_pulse=mu, pump_power=mu,
                                duration=2.0, dark_rate_signal=360.0,
                                dark_rate_idler=390.0, detection_delay=4e-9,
                                rng_seed=602)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -176,6 +177,35 @@ class TestConfig:
                        "duration_s = 0.0001\nmean_pairs_per_pulse = 0.01\n")
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x.tags")]) == 0
+
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        # A Latin-1 e-acute in a comment was a UnicodeDecodeError traceback, exit 1.
+        cfg = write_config(tmp_path / "run.cfg")
+        cfg.write_bytes(b"# r\xe9glage\n" + cfg.read_bytes())
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.tags")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xe9" in err
+        assert "Traceback" not in err and list(tmp_path.iterdir()) == [cfg]
+
+    def test_yield_that_disagrees_with_the_pair_rate_is_usage_error(self, tmp_path, capsys):
+        # The config states its pair rate once.  This one simulated at
+        # yield * power, 0.002 pairs a pulse, and exited 0, while its echo
+        # and manifest said 0.5.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.01, mean_pairs_per_pulse=0.5,
+                           pair_yield_per_watt=0.1, pump_power_w=0.02)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.tags"),
+                     "--mode", "single-bin"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: pair_yield_per_watt * pump_power_w = 0.1 * 0.02 disagrees " \
+            f"with mean_pairs_per_pulse = 0.5" in err
+        assert "Traceback" not in err and list(tmp_path.iterdir()) == [cfg]
+
+    def test_one_config_key_per_field(self):
+        # load_config names a field's key in its messages through this table.
+        fields = [field.name for field in dataclasses.fields(ExperimentConfig)]
+        assert sorted(field for field, _ in cli._CONFIG_KEYS.values()) == sorted(fields)
 
 
 class TestSimulate:
@@ -588,13 +618,16 @@ class TestAnalyze:
         {**VALID_ECHO, "bogus_field": 1.0},
         {**VALID_ECHO, "bin_delay": "3e-9"},
         {**VALID_ECHO, "mode": "triple-bin"},
-    ], ids=["not-a-dict", "unknown-key", "wrong-type", "unknown-mode"])
+        {**VALID_ECHO, "mean_pairs_per_pulse": 0.5, "pair_yield_per_watt": 0.1,
+         "pump_power": 0.02},
+    ], ids=["not-a-dict", "unknown-key", "wrong-type", "unknown-mode", "yield-disagrees"])
     def test_bad_config_echo_is_data_error(self, tmp_path, capsys, echo):
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL], [2000], echo)
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
         assert str(tags) in err and "config" in err and "Traceback" not in err
+        assert f"{tags}: header states no run: " in err and "(byte offset 0)" in err
 
     def test_overlapping_gates_are_usage_error(self, tmp_path, capsys):
         # Default time-bin slots are 3 ns apart; 4 ns gates overlap.

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import hashlib
 import inspect
 import re
@@ -222,8 +223,9 @@ class TestConfig:
             ExperimentConfig(**{field: value, "duration": 1.0})
 
     def test_rejects_yield_past_the_block_draw_bound(self):
-        with pytest.raises(ValueError, match="pair_yield_per_watt = 1000000000.0 "):
-            ExperimentConfig(pair_yield_per_watt=1e9, pump_power=1.0)
+        # The yield describes the pair rate; the bound names the rate.
+        with pytest.raises(ValueError, match="mean_pairs_per_pulse = 1000000000.0 "):
+            ExperimentConfig(mean_pairs_per_pulse=1e9, pair_yield_per_watt=1e9, pump_power=1.0)
 
     def test_largest_rates_in_use_stay_valid(self):
         # mu = 2 with 1e8 darks/s per arm, the largest rates of the tests,
@@ -243,12 +245,19 @@ class TestConfig:
 
     def test_copies_are_checked_too(self):
         with pytest.raises(ValueError, match="pump_power"):
-            ExperimentConfig().with_power(-1.0)
+            dataclasses.replace(ExperimentConfig(), pump_power=-1.0)
 
-    def test_power_scaling(self):
-        cfg = ExperimentConfig(pair_yield_per_watt=2.0, pump_power=0.25)
-        assert cfg.mu == pytest.approx(0.5)
-        assert cfg.with_power(0.5).mu == pytest.approx(1.0)
+    def test_yield_times_power_must_equal_the_pair_rate(self):
+        # mean_pairs_per_pulse is the rate drawn; a yield that disagrees
+        # used to win without a word.  0.1 * 0.3 misses 0.03 by one ulp.
+        ExperimentConfig(mean_pairs_per_pulse=0.03, pair_yield_per_watt=0.1, pump_power=0.3)
+        ExperimentConfig(mean_pairs_per_pulse=0.0, pair_yield_per_watt=2.0, pump_power=0.0)
+        for mean, power in ((0.5, 0.25 * (1 + 1e-8)), (0.5, 0.2), (0.5, 0.0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"pair_yield_per_watt * pump_power = 2.0 * {power!r} disagrees with "
+                    f"mean_pairs_per_pulse = {mean!r}")):
+                ExperimentConfig(mean_pairs_per_pulse=mean, pair_yield_per_watt=2.0,
+                                 pump_power=power)
 
 
 class TestPulseGrid:
@@ -399,7 +408,7 @@ class TestSimulate:
         cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.01, rng_seed=6)
         tags = np.concatenate(list(iter_simulate(cfg)))
         n_signal = int(np.count_nonzero(tags["channel"] == CH_SIGNAL))
-        expected = cfg.rep_rate * cfg.duration * cfg.mu * 0.5
+        expected = cfg.rep_rate * cfg.duration * cfg.mean_pairs_per_pulse * 0.5
         assert abs(n_signal - expected) < 3 * np.sqrt(expected)
 
     def test_empirical_joint_matches_distribution(self):
@@ -410,7 +419,7 @@ class TestSimulate:
                              grid=PulseGrid.of(cfg))
         d = joint_slot_distribution(cfg.phi_p, cfg.phi_s, cfg.phi_i,
                                     cfg.interference_visibility)
-        n_pairs = cfg.rep_rate * cfg.duration * cfg.mu
+        n_pairs = cfg.rep_rate * cfg.duration * cfg.mean_pairs_per_pulse
         for s in range(3):
             for i in range(3):
                 if (s, i) in ((0, 2), (2, 0)):
@@ -592,7 +601,7 @@ def test_simulate_and_write_hold_one_block_beyond_the_draw(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (cfg.mu * BLOCK_PULSES) < 45
+    assert peak / (cfg.mean_pairs_per_pulse * BLOCK_PULSES) < 45
 
 
 def test_package_attribute_is_the_simulate_module():

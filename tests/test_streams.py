@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,7 +157,10 @@ class TestBinaryFormat:
         ({}, "is not an object of run config values"),
         ({**ECHO, "wavelength": 1e-6}, "unexpected keyword argument 'wavelength'"),
         ({**ECHO, "duration": 1e-8}, "grid pulse count 1 is not an integer of at least 2"),
-    ], ids=["empty", "unknown-field", "one-pulse"])
+        ({**ECHO, "mode": "triple-bin"}, "unknown mode 'triple-bin'"),
+        ({**ECHO, "pair_yield_per_watt": 0.1, "pump_power": 0.02},
+         "0.1 \\* 0.02 disagrees with mean_pairs_per_pulse = 0.1"),
+    ], ids=["empty", "unknown-field", "one-pulse", "unknown-mode", "yield-disagrees"])
     def test_writer_refuses_an_echo_that_states_no_run(self, tmp_path, tags, echo, fault):
         # The header's echo is its one statement of the run and its grid.
         with pytest.raises(ValueError, match=fault):
@@ -172,6 +176,44 @@ class TestBinaryFormat:
         with pytest.raises(StreamFormatError, match="rep_rate must be positive") as err:
             read_back(path)
         assert err.value.byte_offset == 0
+
+    def test_trigger_view_refuses_an_unknown_mode(self, tmp_path, tags):
+        # The mode is read with the run; only the command line's analyze
+        # used to refuse it.
+        path = write_grid_stream(tmp_path / "run.tags", tags["channel"], tags["time_ps"],
+                                 {**ECHO, "mode": "triple-bin"})
+        with pytest.raises(StreamFormatError, match="unknown mode 'triple-bin'") as err:
+            read_back(path)
+        assert err.value.byte_offset == 0
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_header_line_of_at_most_1_mib_is_read(self, tmp_path, extra):
+        # 1 MiB, newline included, is read; one byte more is refused.
+        line = json.dumps({"format": "timebin-tags", "version": 4, "config": ECHO}).encode()
+        body = line + b" " * ((1 << 20) - len(line) - 1 + extra) + b"\n"
+        path = tmp_path / "padded.tags"
+        path.write_bytes(body + b"TAGSEND3" + bytes(8) + hashlib.sha256(body).digest())
+        if extra:
+            with pytest.raises(StreamFormatError, match="^invalid header line: longer than "
+                                                        "1048576 bytes") as err:
+                next(iter_read_tags(path))
+            assert err.value.byte_offset == 0
+        else:
+            assert read_back(path)[0]["config"] == ECHO
+
+    def test_header_line_without_newline_is_refused_after_1_mib(self, tmp_path):
+        # The whole file was read as the line, and held more than once: a
+        # 32.5 MiB peak for these 16 MiB.
+        path = tmp_path / "no-newline.tags"
+        path.write_bytes(b"{" * (16 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(StreamFormatError, match="^invalid header line: longer") as err:
+                next(iter_read_tags(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.byte_offset == 0 and peak < 4 << 20
 
 
 class TestGridFiles:
@@ -204,7 +246,7 @@ class TestGridFiles:
     def test_raw_read_gives_the_stored_detections(self, grid_file):
         path, _ = grid_file
         it = iter_read_tags(path, chunk_records=1000, raw=True)
-        assert header_run(next(it)) == (self.CFG, PulseGrid.of(self.CFG))
+        assert header_run(next(it)) == (self.CFG, PulseGrid.of(self.CFG), "time-bin")
         chunks = list(it)
         assert max(c.size for c in chunks) == 1000
         detections = np.concatenate(list(iter_simulate(self.CFG)))
