@@ -20,13 +20,13 @@ PHASES = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
 points = []
 print(f"{'phi (rad)':>10} {'central':>8} {'singles_s':>10}")
 for k, phase in enumerate(PHASES):
-    cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.01,
-                           phi_s=float(phase), interference_visibility=V0,
+    cfg = ExperimentConfig(duration_s=0.05, mean_pairs_per_pulse=0.01,
+                           phi_s_rad=float(phase), interference_visibility=V0,
                            rng_seed=10 + k)
     result = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
                             grid=PulseGrid.of(cfg))
     central = int(result.joint[1, 1])
-    points.append((float(phase), float(central), cfg.duration))
+    points.append((float(phase), float(central), cfg.duration_s))
     print(f"{phase:10.3f} {central:8d} {int(result.gated_signal.sum()):10d}")
 
 fit = fit_fringe(FringeScan.from_points(points))
@@ -36,8 +36,8 @@ print(f"fitted visibility  {100 * fit.visibility.value:.1f} "
 print(f"fitted amplitude   {fit.amplitude:.1f} central coincidences / s")
 
 # The accidentals set a hard ceiling on any achievable visibility.
-cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.01,
-                       phi_s=float(np.pi), interference_visibility=V0,
+cfg = ExperimentConfig(duration_s=0.05, mean_pairs_per_pulse=0.01,
+                       phi_s_rad=float(np.pi), interference_visibility=V0,
                        rng_seed=99)
 rates = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
                        grid=PulseGrid.of(cfg)).rate_report()

@@ -23,11 +23,11 @@ points = []
 print("power sweep")
 print(f"{'P (W)':>8} {'R_s (1/s)':>10} {'R_i (1/s)':>10} {'R_C (1/s)':>10} {'CAR':>9}")
 for p in powers:
-    cfg = ExperimentConfig(pump_power=float(p), pair_yield_per_watt=YIELD_PER_W,
+    cfg = ExperimentConfig(pump_power_w=float(p), pair_yield_per_watt=YIELD_PER_W,
                            mean_pairs_per_pulse=YIELD_PER_W * float(p),
                            eta_signal=0.0412, eta_idler=0.0377,
-                           dark_rate_signal=360.0, dark_rate_idler=390.0,
-                           duration=0.5, rng_seed=1)
+                           dark_rate_signal_hz=360.0, dark_rate_idler_hz=390.0,
+                           duration_s=0.5, rng_seed=1)
     result = analyze_stream(iter_simulate_single_bin(cfg),
                             GateConfig.single_bin(cfg), grid=PulseGrid.of(cfg))
     rates = result.rate_report()

@@ -21,8 +21,8 @@ setting_counts = {}
 print("collecting the four settings")
 for k, (dial_s, dial_i) in enumerate(SETTINGS):
     phi_s, phi_i = setting_phases(dial_s, dial_i)
-    cfg = ExperimentConfig(duration=0.1, mean_pairs_per_pulse=0.004,
-                           phi_s=phi_s, phi_i=phi_i,
+    cfg = ExperimentConfig(duration_s=0.1, mean_pairs_per_pulse=0.004,
+                           phi_s_rad=phi_s, phi_i_rad=phi_i,
                            interference_visibility=V0, rng_seed=40 + k)
     result = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
                             grid=PulseGrid.of(cfg))

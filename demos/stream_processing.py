@@ -1,6 +1,6 @@
 """Write, read and fold over a binary time-tag stream.
 
-Simulates a run and stores it in the tag file format 4: a JSON header
+Simulates a run and stores it in the tag file format 5: a JSON header
 line that carries the run's config echo, from which the reader rebuilds
 the pump's trigger grid, the detection records only,
 and a trailer with the record count and the SHA-256 of every byte before
@@ -22,9 +22,9 @@ from timebin.analysis import GateConfig, StreamAnalyzer, analyze_stream
 from timebin.simulate import TAG_DTYPE, ExperimentConfig, PulseGrid, iter_simulate
 from timebin.streams import header_run, iter_read_tags, write_tags
 
-cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.02,
-                       dark_rate_signal=360.0, dark_rate_idler=390.0,
-                       phi_s=np.pi, rng_seed=3)
+cfg = ExperimentConfig(duration_s=0.02, mean_pairs_per_pulse=0.02,
+                       dark_rate_signal_hz=360.0, dark_rate_idler_hz=390.0,
+                       phi_s_rad=np.pi, rng_seed=3)
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "run.tags"
@@ -34,7 +34,7 @@ with tempfile.TemporaryDirectory() as tmp:
           f"{n * TAG_DTYPE.itemsize / 1e6:.1f} MB as materialized records")
     chunks = iter_read_tags(path, chunk_records=2_000, raw=True)
     run, grid, mode = header_run(next(chunks))
-    print(f"header echo: {mode}, seed {run.rng_seed}, duration {run.duration} s, "
+    print(f"header echo: {mode}, seed {run.rng_seed}, duration {run.duration_s} s, "
           f"grid {grid.pulses} pulses every {grid.period_ps:.2f} ps")
 
     # fold over the file's detections in small chunks

@@ -20,5 +20,5 @@ __version__ = "0.1.0"
 # and writes its manifests without loading numpy.
 DEFAULT_GATE_WIDTH = 0.5e-9
 DEFAULT_HIST_BIN = 10e-12
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 MODES = ("single-bin", "time-bin")

@@ -108,11 +108,11 @@ class GateConfig:
 
     @classmethod
     def single_bin(cls, config: ExperimentConfig, gate_width: float = DEFAULT_GATE_WIDTH):
-        return cls(gate_width, (config.detection_delay,))
+        return cls(gate_width, (config.detection_delay_s,))
 
     @classmethod
     def time_bin(cls, config: ExperimentConfig, gate_width: float = DEFAULT_GATE_WIDTH):
-        return cls(gate_width, tuple(config.detection_delay + k * config.bin_delay
+        return cls(gate_width, tuple(config.detection_delay_s + k * config.bin_delay_s
                                      for k in range(3)))
 
 

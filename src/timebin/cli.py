@@ -1,10 +1,10 @@
 """Command-line front end: simulate -> analyze -> fringe/tomo -> report.
 
-Run configs are flat ``key = value`` text files with units spelled out in
-the key names (``rep_rate_hz``, ``duration_s``, ...).  Every command
-except ``report`` writes a manifest next to its outputs with a config
-echo, RNG seeds and content checksums, so each figure is reproducible
-from its JSON alone.
+Run configs are flat ``key = value`` text files keyed by the field names
+of ``ExperimentConfig``, units included (``rep_rate_hz``, ...).  Every
+command except ``report`` writes a manifest next to its outputs with a
+config echo, RNG seeds and content checksums, so each figure is
+reproducible from its JSON alone.
 
 Exit codes: 0 success, 2 usage or config error or an ``--out`` that
 cannot be written, 3 data error, 4 numerical non-convergence; an error's
@@ -28,7 +28,6 @@ import argparse
 import gc
 import json
 import math
-import re
 import sys
 import time
 
@@ -56,30 +55,6 @@ class ConvergenceError(Exception):
 _EXIT_CODES = {ConfigError: EXIT_USAGE, DataError: EXIT_DATA,
                ConvergenceError: EXIT_NONCONVERGED}
 
-_CONFIG_KEYS = {
-    "rep_rate_hz": ("rep_rate", float),
-    "bin_delay_s": ("bin_delay", float),
-    "mean_pairs_per_pulse": ("mean_pairs_per_pulse", float),
-    "pump_power_w": ("pump_power", float),
-    "pair_yield_per_watt": ("pair_yield_per_watt", float),
-    "eta_signal": ("eta_signal", float),
-    "eta_idler": ("eta_idler", float),
-    "dark_rate_signal_hz": ("dark_rate_signal", float),
-    "dark_rate_idler_hz": ("dark_rate_idler", float),
-    "phi_p_rad": ("phi_p", float),
-    "phi_s_rad": ("phi_s", float),
-    "phi_i_rad": ("phi_i", float),
-    "interference_visibility": ("interference_visibility", float),
-    "duration_s": ("duration", float),
-    "rng_seed": ("rng_seed", int),
-    "jitter_sigma_s": ("jitter_sigma", float),
-    "detection_delay_s": ("detection_delay", float),
-}
-
-_FIELD_KEYS = {field: key for key, (field, _) in _CONFIG_KEYS.items()}
-
-_REQUIRED_KEYS = ("rep_rate_hz", "duration_s", "mean_pairs_per_pulse")
-
 _CSV_HEADER = "slot_or_phase,count,error"
 
 
@@ -102,13 +77,16 @@ def fit_fringe(scan):
 
 
 def load_config(path):
-    """Parse a UTF-8 key = value run config into an ``ExperimentConfig``;
-    unknown, repeated or missing keys are fatal."""
+    """Parse a UTF-8 ``key = value`` run config, keyed by the field names,
+    into an ``ExperimentConfig``; unknown, repeated or missing keys are fatal."""
+    from dataclasses import fields
+
     from .simulate import ExperimentConfig
 
+    keys = {f.name for f in fields(ExperimentConfig)}
     values, line_of = {}, {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -120,23 +98,21 @@ def load_config(path):
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown config field '{key}'")
         if (first := line_of.setdefault(key, lineno)) != lineno:
             raise ConfigError(f"{path}:{lineno}: config field '{key}' repeats line {first}")
-        field_name, conv = _CONFIG_KEYS[key]
         try:
-            values[field_name] = conv(val.strip())
+            values[key] = (int if key == "rng_seed" else float)(val.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
-    for key in _REQUIRED_KEYS:
+    for key in ("rep_rate_hz", "duration_s", "mean_pairs_per_pulse"):
         if key not in line_of:
             raise ConfigError(f"{path}: missing required config field '{key}'")
     try:
         return ExperimentConfig(**values)
-    except ValueError as exc:  # its message names fields; name the keys instead
-        message = re.sub(r"\w+", lambda m: _FIELD_KEYS.get(m[0], m[0]), str(exc))
-        raise ConfigError(f"{path}: {message}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _write_manifest(out_path, config_echo, inputs, outputs, seed, t_start):

@@ -109,35 +109,35 @@ def finite_number(value, name: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Source, interferometer, detector and noise parameters of one run.
+    """Source, interferometer, detector and noise parameters of one run;
+    a field's name, unit included, is also its config-file key.
 
-    Defaults follow the apparatus this models: 76.2 MHz pulsed pump,
-    ~3 ns bin delay (13.1 ns pulse period), dark rates of a few hundred
-    per second.  ``mean_pairs_per_pulse`` is the run's pair rate; a
-    ``pair_yield_per_watt`` times ``pump_power`` describes it and must
-    agree with it.  Construction runs :meth:`validate`, the one check of
-    a run: it keeps every detection below 2^53 ps, requires that
-    ``PulseGrid.of`` give the run a pulse grid, and checks no gate: the
-    analyzer fits its gates to the pulse period.
+    Defaults follow the apparatus this models: a 76.2 MHz pulsed pump,
+    ~3 ns bin delay (13.1 ns pulse period).  ``mean_pairs_per_pulse`` is
+    the run's pair rate; a ``pair_yield_per_watt`` times ``pump_power_w``
+    describes it and must agree with it.  :meth:`validate`, run on
+    construction, is the one check of a run: it keeps every detection
+    below 2^53 ps, requires that ``PulseGrid.of`` give the run a pulse
+    grid and checks no gate, which the analyzer fits to the pulse period.
     """
 
-    rep_rate: float = 76.2e6          # pulses / s
-    bin_delay: float = 3e-9           # early/late separation, s
+    rep_rate_hz: float = 76.2e6
+    bin_delay_s: float = 3e-9               # early/late separation
     mean_pairs_per_pulse: float = 0.001
-    pump_power: float = 0.0           # W
+    pump_power_w: float = 0.0
     pair_yield_per_watt: float | None = None  # pairs / pulse / W; times power if set
     eta_signal: float = 1.0
     eta_idler: float = 1.0
-    dark_rate_signal: float = 0.0     # counts / s
-    dark_rate_idler: float = 0.0
-    phi_p: float = 0.0
-    phi_s: float = 0.0
-    phi_i: float = 0.0
-    interference_visibility: float = 1.0   # V0, mode-overlap ceiling
-    duration: float = 0.01            # s
+    dark_rate_signal_hz: float = 0.0
+    dark_rate_idler_hz: float = 0.0
+    phi_p_rad: float = 0.0
+    phi_s_rad: float = 0.0
+    phi_i_rad: float = 0.0
+    interference_visibility: float = 1.0    # V0, mode-overlap ceiling
+    duration_s: float = 0.01
     rng_seed: int = 0
-    jitter_sigma: float = 50e-12      # detector timing jitter, s
-    detection_delay: float = 2e-9     # optical/electronic delay after trigger, s
+    jitter_sigma_s: float = 50e-12          # detector timing jitter
+    detection_delay_s: float = 2e-9         # optical/electronic delay after trigger
 
     def __post_init__(self):
         self.validate()
@@ -148,11 +148,11 @@ class ExperimentConfig:
                 finite_number(value, name)
         if not isinstance(self.rng_seed, numbers.Integral) or self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
-        if self.rep_rate <= 0:
-            raise ValueError("rep_rate must be positive")
-        for name in ("bin_delay", "mean_pairs_per_pulse", "dark_rate_signal",
-                     "dark_rate_idler", "duration", "jitter_sigma",
-                     "detection_delay", "pump_power"):
+        if self.rep_rate_hz <= 0:
+            raise ValueError("rep_rate_hz must be positive")
+        for name in ("bin_delay_s", "mean_pairs_per_pulse", "dark_rate_signal_hz",
+                     "dark_rate_idler_hz", "duration_s", "jitter_sigma_s",
+                     "detection_delay_s", "pump_power_w"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         for name in ("eta_signal", "eta_idler", "interference_visibility"):
@@ -160,27 +160,35 @@ class ExperimentConfig:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.pair_yield_per_watt is not None and not math.isclose(
-                self.pair_yield_per_watt * self.pump_power, self.mean_pairs_per_pulse,
+                self.pair_yield_per_watt * self.pump_power_w, self.mean_pairs_per_pulse,
                 rel_tol=_PAIR_RATE_REL_TOL):
-            raise ValueError(f"pair_yield_per_watt * pump_power = {self.pair_yield_per_watt!r} "
-                             f"* {self.pump_power!r} disagrees with mean_pairs_per_pulse = "
+            raise ValueError(f"pair_yield_per_watt * pump_power_w = {self.pair_yield_per_watt!r} "
+                             f"* {self.pump_power_w!r} disagrees with mean_pairs_per_pulse = "
                              f"{self.mean_pairs_per_pulse!r}")
         # How late a detection may lie: below 2^53 ps, as a trigger does.
-        times = {"duration": self.duration * 1e12, "detection_delay": self.detection_delay * 1e12,
-                 "bin_delay": 2e12 * self.bin_delay, "jitter_sigma": 10e12 * self.jitter_sigma}
+        times = {"duration_s": self.duration_s * 1e12,
+                 "detection_delay_s": self.detection_delay_s * 1e12,
+                 "bin_delay_s": 2e12 * self.bin_delay_s,
+                 "jitter_sigma_s": 10e12 * self.jitter_sigma_s}
         if (total := sum(times.values())) >= 2**53:
             name = max(times, key=times.get)
             raise ValueError(f"{name} = {getattr(self, name)!r} puts detections up to "
                              f"{total:.3g} ps into the run, 2^53 ps or more")
-        pulses = round(min(BLOCK_PULSES, self.duration * self.rep_rate))  # largest block
+        pulses = round(min(BLOCK_PULSES, self.duration_s * self.rep_rate_hz))  # largest block
         draws = {"mean_pairs_per_pulse": self.mean_pairs_per_pulse * pulses,
-                 "dark_rate_signal": self.dark_rate_signal * pulses / self.rep_rate,
-                 "dark_rate_idler": self.dark_rate_idler * pulses / self.rep_rate}
+                 "dark_rate_signal_hz": self.dark_rate_signal_hz * pulses / self.rep_rate_hz,
+                 "dark_rate_idler_hz": self.dark_rate_idler_hz * pulses / self.rep_rate_hz}
         if (total := sum(draws.values())) > MAX_BLOCK_DRAWS:
             name = max(draws, key=draws.get)
             raise ValueError(f"{name} = {getattr(self, name)!r} expects {total:.3g} random "
                              f"draws in a block of {pulses} pulses, more than 2^24")
-        PulseGrid.of(self)
+        try:
+            PulseGrid.of(self)
+        except ValueError as exc:
+            raise ValueError(f"rep_rate_hz = {self.rep_rate_hz!r} and duration_s = "
+                             f"{self.duration_s!r} give no pulse grid: {exc}") from None
+        if (self.pair_yield_per_watt or 0) < 0:  # agrees only at zero power and pair rate
+            raise ValueError("pair_yield_per_watt must be non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -219,8 +227,8 @@ class PulseGrid:
 
     @classmethod
     def of(cls, config: ExperimentConfig) -> "PulseGrid":
-        pulses = min(config.duration * config.rep_rate, 2.0**63)  # inf has no int
-        return cls(int(round(pulses)), 1e12 / config.rep_rate)
+        pulses = min(config.duration_s * config.rep_rate_hz, 2.0**63)  # inf has no int
+        return cls(int(round(pulses)), 1e12 / config.rep_rate_hz)
 
     def times(self, k):
         """Trigger times in float ps of the pulse indices ``k``."""
@@ -424,17 +432,17 @@ def _emit_block(config, grid, block, law):
         del pick  # k goes too once t is made: two 8-byte arrays per detection at most
         t = grid.times(k)
         del k
-        t += config.detection_delay * 1e12
-        t += (slot * (config.bin_delay * 1e12)).take(picked)
-        t += rng.normal(0.0, config.jitter_sigma * 1e12, t.size)
+        t += config.detection_delay_s * 1e12
+        t += (slot * (config.bin_delay_s * 1e12)).take(picked)
+        t += rng.normal(0.0, config.jitter_sigma_s * 1e12, t.size)
         arms.append(t)
     del pulse_of_pair, outcome, det_s, det_i, picked  # before the arms are joined
 
     t0 = grid.times(first)
     t1 = grid.times(first + count - 1) + grid.period_ps
     dark_rng = np.random.default_rng([config.rng_seed, block, 1])
-    d_s = _dark_tags(dark_rng, config.dark_rate_signal, t0, t1)
-    d_i = _dark_tags(dark_rng, config.dark_rate_idler, t0, t1)
+    d_s = _dark_tags(dark_rng, config.dark_rate_signal_hz, t0, t1)
+    d_i = _dark_tags(dark_rng, config.dark_rate_idler_hz, t0, t1)
 
     t_s, t_i = arms
     times = np.concatenate([t_s, d_s, t_i, d_i])
@@ -483,8 +491,8 @@ def _iter_tags(config: ExperimentConfig, law) -> Iterator[np.ndarray]:
 def iter_simulate(config: ExperimentConfig) -> Iterator[np.ndarray]:
     """Detections of the full time-bin experiment in memory-bounded,
     time-sorted chunks; the triggers are ``PulseGrid.of(config)``."""
-    return _iter_tags(config, _outcome_table(config.phi_p, config.phi_s, config.phi_i,
-                                             config.interference_visibility))
+    return _iter_tags(config, _outcome_table(config.phi_p_rad, config.phi_s_rad,
+                                             config.phi_i_rad, config.interference_visibility))
 
 
 def iter_simulate_single_bin(config: ExperimentConfig) -> Iterator[np.ndarray]:

@@ -4,7 +4,7 @@ A tag file is one JSON header line (UTF-8, newline-terminated, at most
 1 MiB), then little-endian records of (channel: u8, timestamp: u64
 picoseconds), then a trailer.
 
-- **Header.** ``{"format": "timebin-tags", "version": 4, "config": {...}}``
+- **Header.** ``{"format": "timebin-tags", "version": 5, "config": {...}}``
   with the run's config echo, its one statement of the run and its mode
   (:func:`header_run`): the triggers are implied on the echo's
   ``PulseGrid.of``, at round(k * P) ps for k < n, and the records are the
@@ -17,9 +17,10 @@ picoseconds), then a trailer.
   cut or changed anywhere, even on a record boundary, fails the read.
 
 Any other version, such as 1 (every tag, no trailer), 2 (a trailer over
-the records only) or 3 (a grid entry beside the echo), is refused at
-byte offset 0.  The writer writes ``path + ".tmp"`` and renames it over
-``path``, so a crash leaves no half-written file under the final name.
+the records only), 3 (a grid entry beside the echo) or 4 (echo keys
+without units, such as ``rep_rate``), is refused at byte offset 0.  The
+writer writes ``path + ".tmp"`` and renames it over ``path``, so a crash
+leaves no half-written file under the final name.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = [
 _RECORD_SIZE = TAG_DTYPE.itemsize
 _TRAILER_MAGIC = b"TAGSEND3"
 _TRAILER_SIZE = len(_TRAILER_MAGIC) + 8 + 32
-# The longest header line read, newline included; a default header is 437 bytes.
+# The longest header line read, newline included; a default header is 469 bytes.
 _MAX_HEADER_LINE = 1 << 20
 
 
@@ -60,7 +61,7 @@ class StreamFormatError(ValueError):
 def write_tags(path, chunks: Iterable[np.ndarray] | np.ndarray,
                config_echo: dict) -> tuple[int, str]:
     """Write the detection chunks of the run ``config_echo`` states to
-    ``path`` in format 4; returns the number of tags, the run's implied
+    ``path`` in format 5; returns the number of tags, the run's implied
     triggers included, and the SHA-256 of the whole file in hex.
 
     An echo that states no run is refused as by :func:`header_run`, and a

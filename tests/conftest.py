@@ -136,16 +136,17 @@ def full_stream(sim, cfg):
     """The detections of ``sim(cfg)`` with the run's triggers merged in
     as tags by :func:`merge_triggers`, as one array."""
     detections = np.concatenate([*sim(cfg), np.empty(0, dtype=TAG_DTYPE)])
-    return merge_triggers(detections, round(cfg.duration * cfg.rep_rate), 1e12 / cfg.rep_rate)
+    return merge_triggers(detections, round(cfg.duration_s * cfg.rep_rate_hz),
+                          1e12 / cfg.rep_rate_hz)
 
 
 def run_gates(cfg, time_bin=True):
     """The default gates of ``cfg``'s mode, moved later where they would
     open before their trigger, which the analyzer refuses: with
-    ``detection_delay=0`` the first gate opens on the trigger's picosecond,
+    ``detection_delay_s=0`` the first gate opens on the trigger's picosecond,
     where the run's slot-0 photons land without jitter."""
     gates = (GateConfig.time_bin if time_bin else GateConfig.single_bin)(cfg)
-    shift = max(0.0, gates.gate_width / 2 - cfg.detection_delay)
+    shift = max(0.0, gates.gate_width / 2 - cfg.detection_delay_s)
     return GateConfig(gates.gate_width, tuple(o + shift for o in gates.offsets))
 
 
@@ -160,7 +161,7 @@ DEFAULT_GRID = {"pulses": 762000, "period_ps": 1e12 / 76.2e6}
 
 
 def write_grid_stream(path, channels, times_ps, config_echo, **entries):
-    """A format-4 file of the given detection records, built by hand, so it
+    """A format-5 file of the given detection records, built by hand, so it
     may hold records the writer refuses and any JSON value as its config
     echo; ``entries`` join its header besides the echo, as format 3's
     ``grid`` did.  The trailer holds the SHA-256 of the header line and the
@@ -168,7 +169,7 @@ def write_grid_stream(path, channels, times_ps, config_echo, **entries):
     tags = np.zeros(len(channels), dtype=TAG_DTYPE)
     tags["channel"] = channels
     tags["time_ps"] = times_ps
-    header = {"format": "timebin-tags", "version": 4, "config": config_echo, **entries}
+    header = {"format": "timebin-tags", "version": 5, "config": config_echo, **entries}
     body = json.dumps(header).encode() + b"\n" + tags.tobytes()
     path.write_bytes(body + b"TAGSEND3" + len(tags).to_bytes(8, "little")
                      + hashlib.sha256(body).digest())

@@ -66,8 +66,8 @@ def test_criterion_05_car_and_klyshko_from_rates():
 def _single_bin_sweep(mus, duration, **config_overrides):
     points = []
     for mu in mus:
-        cfg = ExperimentConfig(mean_pairs_per_pulse=mu, pump_power=mu,
-                               duration=duration, rng_seed=601,
+        cfg = ExperimentConfig(mean_pairs_per_pulse=mu, pump_power_w=mu,
+                               duration_s=duration, rng_seed=601,
                                **config_overrides)
         res = analyze_stream(iter_simulate_single_bin(cfg),
                              GateConfig.single_bin(
@@ -89,9 +89,9 @@ def test_criterion_06_car_slope_sweep():
     # the fitted slope up toward the -0.92 regime (direction check)
     points = []
     for mu in (1e-5, 2.2e-5, 4.6e-5, 1e-4):
-        cfg = ExperimentConfig(mean_pairs_per_pulse=mu, pump_power=mu,
-                               duration=2.0, dark_rate_signal=360.0,
-                               dark_rate_idler=390.0, detection_delay=4e-9,
+        cfg = ExperimentConfig(mean_pairs_per_pulse=mu, pump_power_w=mu,
+                               duration_s=2.0, dark_rate_signal_hz=360.0,
+                               dark_rate_idler_hz=390.0, detection_delay_s=4e-9,
                                rng_seed=602)
         gates = GateConfig.single_bin(cfg, gate_width=5e-9)
         res = analyze_stream(iter_simulate_single_bin(cfg), gates, grid=PulseGrid.of(cfg))
@@ -117,12 +117,12 @@ def test_criterion_08_fringe_scan():
     points = []
     first = None
     for k, phase in enumerate(np.linspace(0.0, 2 * np.pi, 12, endpoint=False)):
-        cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.01,
-                               phi_s=float(phase), interference_visibility=0.902,
+        cfg = ExperimentConfig(duration_s=0.05, mean_pairs_per_pulse=0.01,
+                               phi_s_rad=float(phase), interference_visibility=0.902,
                                rng_seed=800 + k)
         res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
                              grid=PulseGrid.of(cfg))
-        points.append((phase, float(res.joint[1, 1]), cfg.duration))
+        points.append((phase, float(res.joint[1, 1]), cfg.duration_s))
         if first is None:
             first = res
     fit = fit_fringe(FringeScan.from_points(points))
@@ -201,8 +201,8 @@ def test_criterion_10_property_suites():
     assert np.linalg.matrix_rank(gram, tol=1e-10) == 16
 
     # streaming chunk equivalence
-    cfg = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.05,
-                           dark_rate_signal=1e4, rng_seed=1001)
+    cfg = ExperimentConfig(duration_s=2e-3, mean_pairs_per_pulse=0.05,
+                           dark_rate_signal_hz=1e4, rng_seed=1001)
     tags = np.concatenate(list(iter_simulate(cfg)))
     gates, grid = GateConfig.time_bin(cfg), PulseGrid.of(cfg)
     whole = analyze_stream(tags, gates, grid=grid)

@@ -154,19 +154,19 @@ class TestGatedSingles:
         assert analyze_stream(tags, gates, grid=TWO_PULSES).gated_signal.tolist() == [1, 0]
 
     def test_uniform_darks_thinned_by_gate_fraction(self):
-        cfg = ExperimentConfig(rep_rate=1e5, duration=0.5,
+        cfg = ExperimentConfig(rep_rate_hz=1e5, duration_s=0.5,
                                mean_pairs_per_pulse=0.0,
-                               dark_rate_signal=5e4, rng_seed=31)
+                               dark_rate_signal_hz=5e4, rng_seed=31)
         gates = GateConfig(gate_width=2e-6, offsets=(5e-6,))
         res = analyze_stream(iter_simulate(cfg), gates, hist_bin=1e-7, grid=PulseGrid.of(cfg))
-        expected = cfg.dark_rate_signal * cfg.duration * (2e-6 / 1e-5)
+        expected = cfg.dark_rate_signal_hz * cfg.duration_s * (2e-6 / 1e-5)
         assert abs(res.gated_signal.sum() - expected) < 4 * np.sqrt(expected)
         # the histogram holds every tag, gated or not
         assert res.histograms[CH_SIGNAL].sum() == pytest.approx(
-            cfg.dark_rate_signal * cfg.duration, abs=4 * np.sqrt(25000))
+            cfg.dark_rate_signal_hz * cfg.duration_s, abs=4 * np.sqrt(25000))
 
     def test_three_peak_singles_ratio(self):
-        cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.05,
+        cfg = ExperimentConfig(duration_s=0.02, mean_pairs_per_pulse=0.05,
                                rng_seed=32)
         res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
                              grid=PulseGrid.of(cfg))
@@ -176,7 +176,7 @@ class TestGatedSingles:
             assert abs(central - 2 * side) < 4 * sigma
 
     def test_unsorted_stream_rejected(self):
-        cfg = ExperimentConfig(duration=1e-4, mean_pairs_per_pulse=0.1,
+        cfg = ExperimentConfig(duration_s=1e-4, mean_pairs_per_pulse=0.1,
                                rng_seed=33)
         tags = detections(cfg)[::-1].copy()
         with pytest.raises(ValueError):
@@ -410,8 +410,8 @@ class TestAnalysisResult:
 
 class TestCoincidences:
     def test_five_delay_peaks(self):
-        cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.05,
-                               phi_s=np.pi, rng_seed=35)
+        cfg = ExperimentConfig(duration_s=0.02, mean_pairs_per_pulse=0.05,
+                               phi_s_rad=np.pi, rng_seed=35)
         d = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
                            grid=PulseGrid.of(cfg)).delay_counts
         assert set(d) == {-2, -1, 0, 1, 2}
@@ -421,8 +421,8 @@ class TestCoincidences:
         assert d[2] + d[-2] < 0.05 * d[0]
 
     def test_fringe_minimum_central_suppressed(self):
-        cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.01,
-                               phi_s=0.0, rng_seed=36)
+        cfg = ExperimentConfig(duration_s=0.05, mean_pairs_per_pulse=0.01,
+                               phi_s_rad=0.0, rng_seed=36)
         res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg), grid=PulseGrid.of(cfg))
         satellites = res.joint[0, 0] + res.joint[2, 2]
         assert res.joint[1, 1] < 0.05 * satellites
@@ -430,10 +430,10 @@ class TestCoincidences:
     def test_accidental_diagnostic_matches_poisson_rate(self):
         # uncorrelated darks: same-pulse and neighbor-pulse coincidences
         # agree within errors
-        cfg = ExperimentConfig(rep_rate=1e5, duration=1.0,
+        cfg = ExperimentConfig(rep_rate_hz=1e5, duration_s=1.0,
                                mean_pairs_per_pulse=0.0,
-                               dark_rate_signal=2e4, dark_rate_idler=2e4,
-                               detection_delay=5e-6, rng_seed=37)
+                               dark_rate_signal_hz=2e4, dark_rate_idler_hz=2e4,
+                               detection_delay_s=5e-6, rng_seed=37)
         gates = GateConfig(gate_width=5e-6, offsets=(5e-6,))
         res = analyze_stream(iter_simulate_single_bin(cfg), gates, grid=PulseGrid.of(cfg))
         same = res.joint.sum()
@@ -474,7 +474,7 @@ class TestKlyshko:
         assert eta_i.value == pytest.approx(0.0380, abs=0.0001)
 
     def test_lossless_approaches_unity(self):
-        cfg = ExperimentConfig(duration=0.01, mean_pairs_per_pulse=0.002,
+        cfg = ExperimentConfig(duration_s=0.01, mean_pairs_per_pulse=0.002,
                                rng_seed=38)
         res = analyze_stream(iter_simulate_single_bin(cfg),
                              GateConfig.single_bin(cfg), grid=PulseGrid.of(cfg))
@@ -640,8 +640,8 @@ class TestFringeFit:
 
 class TestStreamingEquivalence:
     def test_chunked_feed_matches_single_pass(self):
-        cfg = ExperimentConfig(duration=5e-3, mean_pairs_per_pulse=0.05,
-                               dark_rate_signal=1e4, dark_rate_idler=1e4,
+        cfg = ExperimentConfig(duration_s=5e-3, mean_pairs_per_pulse=0.05,
+                               dark_rate_signal_hz=1e4, dark_rate_idler_hz=1e4,
                                rng_seed=42)
         tags, grid = detections(cfg), PulseGrid.of(cfg)
         gates = GateConfig.time_bin(cfg)
@@ -653,11 +653,11 @@ class TestStreamingEquivalence:
 
     @pytest.mark.parametrize("cfg", [
         # every slot-0 photon lands at its trigger's time
-        ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.05,
-                         jitter_sigma=0.0, detection_delay=0.0, rng_seed=1),
+        ExperimentConfig(duration_s=1e-3, mean_pairs_per_pulse=0.05,
+                         jitter_sigma_s=0.0, detection_delay_s=0.0, rng_seed=1),
         # default timing: a few dark counts fall on a trigger's picosecond
-        ExperimentConfig(duration=4e-3, mean_pairs_per_pulse=2.0,
-                         dark_rate_signal=1e7, dark_rate_idler=1e7, rng_seed=3),
+        ExperimentConfig(duration_s=4e-3, mean_pairs_per_pulse=2.0,
+                         dark_rate_signal_hz=1e7, dark_rate_idler_hz=1e7, rng_seed=3),
     ], ids=["photon-ties", "dark-ties"])
     def test_split_at_every_tie(self, cfg):
         # A detection at a trigger's time belongs to that trigger's pulse,
@@ -666,7 +666,7 @@ class TestStreamingEquivalence:
         cuts = tie_cuts(tags, grid)
         assert cuts.size > 0
         gates = run_gates(cfg)
-        if cfg.detection_delay == 0:  # the first gate opens on the ties' picosecond
+        if cfg.detection_delay_s == 0:  # the first gate opens on the ties' picosecond
             ties = analyze_stream(tags[cuts - 1], gates, grid=grid)
             assert ties.gated_signal[0] + ties.gated_idler[0] == cuts.size
         an = StreamAnalyzer(gates, grid=grid)
@@ -677,8 +677,8 @@ class TestStreamingEquivalence:
 
 class TestBoundedMemory:
     def test_retained_memory_does_not_grow_with_stream_length(self):
-        cfg = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.3,
-                               dark_rate_signal=1e5, dark_rate_idler=1e5,
+        cfg = ExperimentConfig(duration_s=1e-3, mean_pairs_per_pulse=0.3,
+                               dark_rate_signal_hz=1e5, dark_rate_idler_hz=1e5,
                                rng_seed=11)
         chunks = np.array_split(detections(cfg), 8)
         gates = GateConfig.time_bin(cfg)
@@ -702,7 +702,7 @@ class TestBoundedMemory:
     def test_grid_chunk_leaves_no_copy_of_itself_behind(self):
         # One 2^18-detection chunk of a fringe scan at mu = 0.3: between
         # chunks the fold keeps counts, not slices of the chunk's arrays.
-        cfg = ExperimentConfig(duration=0.014, mean_pairs_per_pulse=0.3,
+        cfg = ExperimentConfig(duration_s=0.014, mean_pairs_per_pulse=0.3,
                                interference_visibility=0.95, rng_seed=11)
         chunk = next(iter_simulate(cfg))[:1 << 18]
         assert chunk.size == 1 << 18

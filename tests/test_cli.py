@@ -26,6 +26,8 @@ from timebin.streams import iter_read_tags
 
 from conftest import DEFAULT_GRID, write_grid_stream
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -57,11 +59,23 @@ def run_pipeline(tmp_path, name, mode="time-bin", **overrides):
 VALID_ECHO = {**ExperimentConfig().to_dict(), "mode": "time-bin"}
 TRAILER_SIZE = 48
 
+# Runs that give no pulse grid, and the grid's fault.
+GRID_FAULTS = pytest.mark.parametrize("run, fault", [
+    ({"rep_rate_hz": 2e12}, "grid period 0.5 ps is less than 1"),
+    ({"duration_s": 1e-8}, "grid pulse count 1 is not an integer of at least 2"),
+], ids=["period-below-1-ps", "one-pulse"])
+
+
+def no_grid(run, fault):
+    """The message of a ``run`` whose pulse grid has ``fault``."""
+    return (f"rep_rate_hz = {run['rep_rate_hz']!r} and duration_s = {run['duration_s']!r} "
+            f"give no pulse grid: {fault}")
+
 # JSON that the parser refuses past its grammar: nesting deeper than the
 # recursion limit, and an integer of more than the 4300 digits int() takes.
 HOSTILE_JSON = {
     "nested-100000-deep": "[" * 100_000 + "]" * 100_000,
-    "5001-digit-int": '{"format": "timebin-tags", "version": 4, "config": {"duration": 1'
+    "5001-digit-int": '{"format": "timebin-tags", "version": 5, "config": {"duration_s": 1'
                       + "0" * 5000 + "}}",
 }
 
@@ -202,10 +216,38 @@ class TestConfig:
             f"with mean_pairs_per_pulse = 0.5" in err
         assert "Traceback" not in err and list(tmp_path.iterdir()) == [cfg]
 
-    def test_one_config_key_per_field(self):
-        # load_config names a field's key in its messages through this table.
-        fields = [field.name for field in dataclasses.fields(ExperimentConfig)]
-        assert sorted(field for field, _ in cli._CONFIG_KEYS.values()) == sorted(fields)
+    def test_negative_yield_is_usage_error(self, tmp_path, capsys):
+        # At zero power and pair rate a yield of -1 agrees with the pair
+        # rate, and this config was simulated with exit 0.
+        cfg = write_config(tmp_path / "run.cfg", mean_pairs_per_pulse=0, pair_yield_per_watt=-1,
+                           pump_power_w=0)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.tags")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: pair_yield_per_watt must be non-negative" in err
+        assert "Traceback" not in err and list(tmp_path.iterdir()) == [cfg]
+
+    def test_config_with_a_byte_order_mark_is_read(self, tmp_path):
+        # An editor's UTF-8 byte-order mark was read into the first key, an
+        # unknown field '\ufeffrep_rate_hz' whose first character no
+        # terminal shows: exit 2.
+        cfg = write_config(tmp_path / "run.cfg")
+        plain = cli.load_config(cfg)
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert cli.load_config(cfg) == plain
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.tags")]) == 0
+
+    def test_readme_lists_every_config_key(self):
+        # A setting has one name: its config key is its field, and the
+        # README's table of keys lists the fields in order, with defaults.
+        text = README.read_text()
+        head = "| key | unit | default | meaning |\n| --- | --- | --- | --- |\n"
+        rows = text[text.index(head) + len(head):].split("\n\n", 1)[0].splitlines()
+        table = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+        fields = dataclasses.fields(ExperimentConfig)
+        assert [key for key, *_ in table] == [f"`{field.name}`" for field in fields]
+        for (key, _, default, _), field in zip(table, fields):
+            assert (None if default == "none" else float(default)) == field.default, key
 
 
 class TestSimulate:
@@ -255,6 +297,16 @@ class TestSimulate:
         assert "grid period 1e-296 ps is less than 1" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @GRID_FAULTS
+    def test_grid_fault_names_its_keys(self, tmp_path, capsys, run, fault):
+        # The grid's message named neither key.
+        cfg = write_config(tmp_path / "run.cfg", **run)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.tags")]) == 2
+        err = capsys.readouterr().err
+        stated = {"rep_rate_hz": 76.2e6, "duration_s": 0.002, **run}  # write_config's, or run's
+        assert f"error: {cfg}: {no_grid(stated, fault)}" in err
+        assert "Traceback" not in err and list(tmp_path.iterdir()) == [cfg]
+
     def test_run_past_2_to_the_53_ps_is_usage_error(self, tmp_path, capsys):
         # 1e4 pulses of 1 s put the last trigger near 1e16 ps; a slow pump
         # and no darks keep the run small should the config let it through.
@@ -281,7 +333,7 @@ class TestSimulate:
 
     def test_single_bin_run_past_118_mhz_is_simulated(self, tmp_path):
         # A single-bin run uses one slot; the config once required
-        # detection_delay + 2 bin_delay + 0.5 ns to fit in a period, in
+        # detection_delay_s + 2 bin_delay_s + 0.5 ns to fit in a period, in
         # either mode, so any rate above about 118 MHz exited 2.
         report = run_pipeline(tmp_path, "fast", mode="single-bin", rep_rate_hz=150e6,
                               duration_s=0.0005)
@@ -431,7 +483,7 @@ class TestAnalyze:
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(sorted(set(VALID_ECHO) - {"mode"})), HOSTILE_VALUE)
-    @example("duration", 10**400)
+    @example("duration_s", 10**400)
     def test_any_echo_number_is_refused_or_read(self, field, value):
         # One echo field takes a hostile value.  A run the header cannot
         # describe is a data error; gates that do not fit the run name
@@ -446,11 +498,11 @@ class TestAnalyze:
             assert code == 0
 
     @pytest.mark.parametrize("field, value, entries, fault", [
-        ("rep_rate", 10**30, {}, "grid period 1e-18 ps is less than 1"),
-        ("duration", True, {}, "duration must be a finite number, got True"),
+        ("rep_rate_hz", 10**30, {}, "grid period 1e-18 ps is less than 1"),
+        ("duration_s", True, {}, "duration_s must be a finite number, got True"),
         ("rng_seed", True, {}, "rng_seed must be a finite number, got True"),
-        ("duration", 10**400, {}, "duration must be a finite number, got 1000"),
-        ("duration", 0.02, {"grid": DEFAULT_GRID},
+        ("duration_s", 10**400, {}, "duration_s must be a finite number, got 1000"),
+        ("duration_s", 0.02, {"grid": DEFAULT_GRID},
          "header states no run: it holds ['grid'] besides its config echo"),
     ], ids=["rep-rate-of-no-grid", "bool-duration", "bool-seed", "duration-past-the-floats",
             "grid-not-the-echo's"])
@@ -460,7 +512,7 @@ class TestAnalyze:
         # OverflowError traceback: a report of a 1e30 Hz run with a 76.2 MHz
         # trigger rate, of a run of True s or seed True, or of 0.02 s
         # counted over the 0.01 s of pulses of its grid entry, which
-        # format 4 refuses whatever it holds.
+        # format 4 and later refuse whatever it holds.
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [2000, 2100],
                                  {**VALID_ECHO, field: value}, **entries)
         out = tmp_path / "r.json"
@@ -469,9 +521,19 @@ class TestAnalyze:
         assert fault in err and "(byte offset 0)" in err
         assert "Traceback" not in err and not out.exists()
 
+    @GRID_FAULTS
+    def test_echo_grid_fault_names_its_keys(self, tmp_path, capsys, run, fault):
+        echo = {**VALID_ECHO, **run}
+        tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL], [2000], echo)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--in", str(tags), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"header states no run: {no_grid(echo, fault)} (byte offset 0)" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("echo, entries", [
-        ({**VALID_ECHO, "bin_delay": "3e-9"}, {}),
-        ({**VALID_ECHO, "duration": 0.02}, {"grid": DEFAULT_GRID}),
+        ({**VALID_ECHO, "bin_delay_s": "3e-9"}, {}),
+        ({**VALID_ECHO, "duration_s": 0.02}, {"grid": DEFAULT_GRID}),
     ], ids=["echo-fault", "grid-not-the-echo's"])
     def test_header_fault_waits_for_the_records(self, tmp_path, capsys, echo, entries):
         # A fault of the run is raised once the reader is drained, as a
@@ -510,8 +572,8 @@ class TestAnalyze:
         # trigger is at 9007199254732000 ps.  The run's detections reach
         # 7000 ps past its end, so one pulse more would take them to 2^53 ps.
         pulses = 9007199254733
-        echo = {**VALID_ECHO, "mode": "single-bin", "detection_delay": 5e-10,
-                "rep_rate": 1e9, "duration": pulses * 1e-9}
+        echo = {**VALID_ECHO, "mode": "single-bin", "detection_delay_s": 5e-10,
+                "rep_rate_hz": 1e9, "duration_s": pulses * 1e-9}
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL, CH_IDLER], [3500, 3500],
                                  echo)
         out = tmp_path / "r.json"
@@ -616,10 +678,10 @@ class TestAnalyze:
     @pytest.mark.parametrize("echo", [
         [1, 2],
         {**VALID_ECHO, "bogus_field": 1.0},
-        {**VALID_ECHO, "bin_delay": "3e-9"},
+        {**VALID_ECHO, "bin_delay_s": "3e-9"},
         {**VALID_ECHO, "mode": "triple-bin"},
         {**VALID_ECHO, "mean_pairs_per_pulse": 0.5, "pair_yield_per_watt": 0.1,
-         "pump_power": 0.02},
+         "pump_power_w": 0.02},
     ], ids=["not-a-dict", "unknown-key", "wrong-type", "unknown-mode", "yield-disagrees"])
     def test_bad_config_echo_is_data_error(self, tmp_path, capsys, echo):
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL], [2000], echo)
@@ -666,7 +728,7 @@ class TestAnalyze:
         # The echo is a valid run config whose late gate ends past the next
         # trigger; it used to be refused as no valid run config, exit 3.
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL], [2000],
-                                 {**VALID_ECHO, "bin_delay": 6e-9})
+                                 {**VALID_ECHO, "bin_delay_s": 6e-9})
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 2
         err = capsys.readouterr().err
@@ -675,13 +737,13 @@ class TestAnalyze:
     def test_echo_without_bin_delay_is_usage_error(self, tmp_path, capsys):
         # Three time-bin slots at one offset overlap at any gate width.
         tags = write_grid_stream(tmp_path / "run.tags", [CH_SIGNAL], [2000],
-                                 {**VALID_ECHO, "bin_delay": 0.0})
+                                 {**VALID_ECHO, "bin_delay_s": 0.0})
         code = main(["analyze", "--in", str(tags), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "--gate-width-s" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("run", [{"duration": 1 / 76.2e6},
-                                     {"rep_rate": 1e13, "duration": 2e-13}],
+    @pytest.mark.parametrize("run", [{"duration_s": 1 / 76.2e6},
+                                     {"rep_rate_hz": 1e13, "duration_s": 2e-13}],
                              ids=["one-trigger", "two-at-one-time"])
     def test_stream_without_duration_is_data_error(self, tmp_path, capsys, run):
         # A run of one pulse, or of two 0.1 ps apart, rounds to one picosecond.
@@ -730,10 +792,32 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "unsupported format version 2 (byte offset 0)" in err and not out.exists()
 
+    def test_format_4_file_is_data_error(self, tmp_path, capsys):
+        # A format 4 file has the records and trailer of format 5, under an
+        # echo that names each setting without its unit: rep_rate for
+        # rep_rate_hz.  Read as format 5, that echo would state no run.
+        cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+        tags = tmp_path / "run.tags"
+        assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+        raw = tags.read_bytes()
+        line_end = raw.index(b"\n")
+        header = json.loads(raw[:line_end])
+        echo = {re.sub(r"_(hz|s|w|rad)$", "", key): value
+                for key, value in header["config"].items()}
+        assert {"rep_rate", "duration", "phi_p", "pump_power"} <= echo.keys()
+        line = json.dumps({**header, "version": 4, "config": echo}).encode() + b"\n"
+        records = raw[line_end + 1:-TRAILER_SIZE]
+        tags.write_bytes(line + records + raw[-TRAILER_SIZE:-32]
+                         + hashlib.sha256(line + records).digest())
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--in", str(tags), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "unsupported format version 4 (byte offset 0)" in err and not out.exists()
+
     @pytest.mark.parametrize("old, new", [
-        (b'"duration": 0.01', b'"duration": 0.06'),
+        (b'"duration_s": 0.01', b'"duration_s": 0.06'),
         (b'"interference_visibility": 1.0', b'"interference_visibility": 0.0'),
-        (b'"bin_delay": 3e-09', b'"bin_delay": 4e-09'),
+        (b'"bin_delay_s": 3e-09', b'"bin_delay_s": 4e-09'),
     ], ids=["pulses", "interference-visibility", "bin-delay"])
     def test_edited_header_is_data_error(self, tmp_path, capsys, old, new):
         # Before the trailer's SHA-256 covered the header, each edit gave

@@ -10,8 +10,15 @@ with relative paths:
 
 The SHA-256 of every output (tag files, JSON documents, CSV sidecars)
 must equal its pin in ``golden_outputs.json``.  A manifest is pinned
-as written, key order and layout included, less its ``wall_clock_s``.  Every stream spans two pulse blocks, so
-the carry between blocks is pinned too.
+as written, key order and layout included, less its ``wall_clock_s``.
+Every stream spans two pulse blocks, so the carry between blocks is
+pinned too.
+
+Each tag file has a second pin, ``<name>.tags:records``, over its
+records alone: the bytes between the header line and the trailer.  A
+change to the header (its format version or config echo) moves the
+file's pin and keeps this one; a moved ``:records`` pin means the
+streams changed.
 
 A change that means to move bytes rewrites the pins with
 
@@ -37,6 +44,7 @@ from timebin.cli import main  # noqa: E402
 
 PINS = Path(__file__).with_name("golden_outputs.json")
 REP_RATE_HZ = 76.2e6
+TRAILER_SIZE = 48  # magic, record count, SHA-256
 
 
 def _config(name, **values):
@@ -92,7 +100,9 @@ def run_chains():
 
 def output_digests(directory: Path) -> dict:
     """SHA-256 of every file in ``directory`` but the configs; a manifest
-    is hashed as its JSON without ``wall_clock_s``."""
+    is hashed as its JSON without ``wall_clock_s``, and a tag file's
+    records, the bytes between its header line and its trailer, are
+    hashed once more on their own under ``<name>.tags:records``."""
     digests = {}
     for path in sorted(directory.iterdir()):
         if path.suffix == ".cfg":
@@ -106,6 +116,9 @@ def output_digests(directory: Path) -> dict:
             del manifest["wall_clock_s"]
             data = json.dumps(manifest, indent=2).encode()
         digests[path.name] = hashlib.sha256(data).hexdigest()
+        if path.suffix == ".tags":
+            records = data[data.index(b"\n") + 1:-TRAILER_SIZE]
+            digests[f"{path.name}:records"] = hashlib.sha256(records).hexdigest()
     return digests
 
 

@@ -86,8 +86,8 @@ def test_traced_chain_sees_every_layer_it_calls(tmp_path):
 def test_fingerprint_hashes_the_stream_with_its_triggers(tmp_path):
     # The pinned fingerprints are SHA-256s of the default read-back view:
     # the detections with the grid's triggers merged in as tags.
-    cfg = ExperimentConfig(duration=1.5 * BLOCK_PULSES / 76.2e6, mean_pairs_per_pulse=0.01,
-                           dark_rate_signal=1e4, dark_rate_idler=1e4, rng_seed=4)
+    cfg = ExperimentConfig(duration_s=1.5 * BLOCK_PULSES / 76.2e6, mean_pairs_per_pulse=0.01,
+                           dark_rate_signal_hz=1e4, dark_rate_idler_hz=1e4, rng_seed=4)
     grid = PulseGrid.of(cfg)
     assert grid.pulses > BLOCK_PULSES
     path = tmp_path / "run.tags"

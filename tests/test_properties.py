@@ -92,9 +92,9 @@ def test_record_swap_is_involution(seed):
 
 # A short stream with exact detection-trigger ties: zero jitter and delay
 # put every slot-0 photon on its trigger's picosecond, where the gates open.
-CHUNKING_CFG = ExperimentConfig(duration=2e-4, mean_pairs_per_pulse=0.3,
-                                jitter_sigma=0.0, detection_delay=0.0,
-                                dark_rate_signal=1e6, dark_rate_idler=1e6,
+CHUNKING_CFG = ExperimentConfig(duration_s=2e-4, mean_pairs_per_pulse=0.3,
+                                jitter_sigma_s=0.0, detection_delay_s=0.0,
+                                dark_rate_signal_hz=1e6, dark_rate_idler_hz=1e6,
                                 rng_seed=5)
 CHUNKING_GRID = PulseGrid.of(CHUNKING_CFG)
 CHUNKING_TAGS = np.concatenate(list(iter_simulate(CHUNKING_CFG)))
@@ -157,13 +157,13 @@ def grid_runs(draw):
     zero detection delay to force detection/trigger ties, up to 1e7 darks/s.
     ``simulated`` gates it by ``run_gates``, which gates the ties."""
     cfg = ExperimentConfig(
-        rep_rate=draw(st.sampled_from([33.3e6, 76.2e6, 80e6])),
-        duration=3e-4,
+        rep_rate_hz=draw(st.sampled_from([33.3e6, 76.2e6, 80e6])),
+        duration_s=3e-4,
         mean_pairs_per_pulse=draw(st.floats(0.0, 0.5)),
-        jitter_sigma=draw(st.floats(0.0, 2e-9)),
-        detection_delay=draw(st.sampled_from([0.0, 2e-9])),
-        dark_rate_signal=draw(st.floats(0.0, 1e7)),
-        dark_rate_idler=draw(st.floats(0.0, 1e7)),
+        jitter_sigma_s=draw(st.floats(0.0, 2e-9)),
+        detection_delay_s=draw(st.sampled_from([0.0, 2e-9])),
+        dark_rate_signal_hz=draw(st.floats(0.0, 1e7)),
+        dark_rate_idler_hz=draw(st.floats(0.0, 1e7)),
         rng_seed=draw(st.integers(0, 2**31 - 1)))
     return cfg, draw(st.booleans())
 
@@ -183,8 +183,8 @@ def chunked(tags, fractions):
 
 
 # Jitter puts one detection of this run's last pulse past the grid's end.
-SPILL_PAST_END = ExperimentConfig(rep_rate=80e6, duration=3e-4, mean_pairs_per_pulse=0.5,
-                                  jitter_sigma=2e-9, detection_delay=2e-9, rng_seed=45)
+SPILL_PAST_END = ExperimentConfig(rep_rate_hz=80e6, duration_s=3e-4, mean_pairs_per_pulse=0.5,
+                                  jitter_sigma_s=2e-9, detection_delay_s=2e-9, rng_seed=45)
 
 
 @settings(max_examples=30, deadline=None)
@@ -224,7 +224,7 @@ def test_grid_file_reads_back_as_simulated_stream(run):
     assert np.concatenate(chunks).tobytes() == tags.tobytes()
 
 
-RULE_CFG = ExperimentConfig(duration=3 / 76.2e6)
+RULE_CFG = ExperimentConfig(duration_s=3 / 76.2e6)
 RULE_GRID = PulseGrid.of(RULE_CFG)  # 3 pulses of 13123.36 ps
 
 
@@ -300,8 +300,8 @@ def test_every_consumer_refuses_the_same_first_record(data):
 
 
 def _small_tag_file():
-    """The bytes of a format-4 file of a 1524-pulse time-bin run."""
-    cfg = ExperimentConfig(duration=2e-5, mean_pairs_per_pulse=0.05, dark_rate_signal=1e5,
+    """The bytes of a format-5 file of a 1524-pulse time-bin run."""
+    cfg = ExperimentConfig(duration_s=2e-5, mean_pairs_per_pulse=0.05, dark_rate_signal_hz=1e5,
                            rng_seed=4)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.tags"
@@ -317,10 +317,10 @@ SMALL_HEADER = SMALL_FILE.index(b"\n") + 1
 @given(st.one_of(st.tuples(st.just("flip"), st.integers(0, len(SMALL_FILE) - 1),
                            st.integers(1, 255)),
                  st.tuples(st.just("cut"), st.integers(0, len(SMALL_FILE) - 1), st.just(0))))
-@example(("flip", SMALL_FILE.index(b'"duration": ') + 12, 1))  # 2e-05 s to 3e-05: the grid
-@example(("flip", SMALL_FILE.index(b'"bin_delay": ') + 13, 7))  # "3e-09" to "4e-09"
-@example(("flip", SMALL_FILE.index(b'"bin_delay": ') + 16, 1))  # "3e-19": overlapping gates
-@example(("flip", SMALL_FILE.index(b'"bin_delay": ') + 16, 2))  # "3e-29": overlapping gates
+@example(("flip", SMALL_FILE.index(b'"duration_s": ') + 14, 1))  # 2e-05 s to 3e-05: the grid
+@example(("flip", SMALL_FILE.index(b'"bin_delay_s": ') + 15, 7))  # "3e-09" to "4e-09"
+@example(("flip", SMALL_FILE.index(b'"bin_delay_s": ') + 18, 1))  # "3e-19": overlapping gates
+@example(("flip", SMALL_FILE.index(b'"bin_delay_s": ') + 18, 2))  # "3e-29": overlapping gates
 @example(("flip", SMALL_HEADER - 1, 0x0A ^ 0x20))  # the header's newline
 @example(("flip", SMALL_HEADER + 9 * 3 + 1, 1))  # the low byte of a record's time
 @example(("flip", len(SMALL_FILE) - 40, 1))  # the trailer's record count

@@ -173,15 +173,21 @@ class TestOutcomeDraw:
         np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
 
 
+def field_stem(value):
+    """The id of a test parameter: a field by its name less its unit
+    suffix, so the ids stay those the suite has always printed."""
+    return re.sub(r"_(hz|s|w|rad)$", "", value) if isinstance(value, str) else None
+
+
 class TestConfig:
     def test_defaults_valid(self):
         ExperimentConfig()
 
     @pytest.mark.parametrize("field,value", [
-        ("eta_signal", 1.4), ("eta_idler", -0.1), ("duration", -1.0),
+        ("eta_signal", 1.4), ("eta_idler", -0.1), ("duration_s", -1.0),
         ("mean_pairs_per_pulse", -0.5), ("interference_visibility", 2.0),
-        ("rep_rate", 0.0), ("phi_p", np.inf),
-    ])
+        ("rep_rate_hz", 0.0), ("phi_p_rad", np.inf),
+    ], ids=field_stem)
     def test_rejects_bad_fields(self, field, value):
         with pytest.raises(ValueError):
             ExperimentConfig(**{field: value})
@@ -189,14 +195,14 @@ class TestConfig:
     def test_accepts_bins_past_the_period(self):
         # The config knows no gate: whether a run's gates fit its period is
         # the analyzer's to check, against the gates it is given.
-        ExperimentConfig(bin_delay=6e-9)
+        ExperimentConfig(bin_delay_s=6e-9)
 
     @pytest.mark.parametrize("field, value, total", [
-        ("duration", 1e4, "1e+16"), ("detection_delay", 1e4, "1e+16"),
-        ("bin_delay", 5e3, "1e+16"), ("jitter_sigma", 1e7, "1e+20"),
-    ])
+        ("duration_s", 1e4, "1e+16"), ("detection_delay_s", 1e4, "1e+16"),
+        ("bin_delay_s", 5e3, "1e+16"), ("jitter_sigma_s", 1e7, "1e+20"),
+    ], ids=field_stem)
     def test_rejects_times_past_2_to_the_53_ps(self, field, value, total):
-        # duration + detection_delay + 2 bin_delay + 10 jitter_sigma: the
+        # duration_s + detection_delay_s + 2 bin_delay_s + 10 jitter_sigma_s: the
         # bound the grid keeps on its triggers.  Past it the error names the
         # largest term.
         with pytest.raises(ValueError, match=f"^{field} = {value!r} puts detections up to "
@@ -204,36 +210,36 @@ class TestConfig:
             ExperimentConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("rep_rate", np.nan), ("duration", np.nan), ("duration", np.inf),
-        ("dark_rate_signal", np.nan), ("mean_pairs_per_pulse", np.nan),
-        ("pair_yield_per_watt", np.inf), ("bin_delay", "3e-9"), ("rng_seed", "7"),
-        ("pair_yield_per_watt", [1.0]), ("rep_rate", None), ("duration", True),
-        ("rng_seed", True), pytest.param("duration", 10**400, id="duration-10**400"),
-    ])
+        ("rep_rate_hz", np.nan), ("duration_s", np.nan), ("duration_s", np.inf),
+        ("dark_rate_signal_hz", np.nan), ("mean_pairs_per_pulse", np.nan),
+        ("pair_yield_per_watt", np.inf), ("bin_delay_s", "3e-9"), ("rng_seed", "7"),
+        ("pair_yield_per_watt", [1.0]), ("rep_rate_hz", None), ("duration_s", True),
+        ("rng_seed", True), pytest.param("duration_s", 10**400, id="duration-10**400"),
+    ], ids=field_stem)
     def test_rejects_value_that_is_not_a_finite_number(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a finite number"):
             ExperimentConfig(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("mean_pairs_per_pulse", 1e9), ("dark_rate_signal", 1e15), ("dark_rate_idler", 1e15),
-        ("mean_pairs_per_pulse", 16.5), ("dark_rate_idler", 1.3e9),
-    ])
+        ("mean_pairs_per_pulse", 1e9), ("dark_rate_signal_hz", 1e15), ("dark_rate_idler_hz", 1e15),
+        ("mean_pairs_per_pulse", 16.5), ("dark_rate_idler_hz", 1.3e9),
+    ], ids=field_stem)
     def test_rejects_rates_past_the_block_draw_bound(self, field, value):
         with pytest.raises(ValueError, match=f"{field} = .* more than 2\\^24"):
-            ExperimentConfig(**{field: value, "duration": 1.0})
+            ExperimentConfig(**{field: value, "duration_s": 1.0})
 
     def test_rejects_yield_past_the_block_draw_bound(self):
         # The yield describes the pair rate; the bound names the rate.
         with pytest.raises(ValueError, match="mean_pairs_per_pulse = 1000000000.0 "):
-            ExperimentConfig(mean_pairs_per_pulse=1e9, pair_yield_per_watt=1e9, pump_power=1.0)
+            ExperimentConfig(mean_pairs_per_pulse=1e9, pair_yield_per_watt=1e9, pump_power_w=1.0)
 
     def test_largest_rates_in_use_stay_valid(self):
         # mu = 2 with 1e8 darks/s per arm, the largest rates of the tests,
         # demos and benchmark workloads, over full blocks and a short run;
         # 9000 s is about the longest run whose detections stay below 2^53 ps
         for duration in (1e-3, 1.0, 9000.0):
-            ExperimentConfig(duration=duration, mean_pairs_per_pulse=2.0,
-                             dark_rate_signal=1e8, dark_rate_idler=1e8)
+            ExperimentConfig(duration_s=duration, mean_pairs_per_pulse=2.0,
+                             dark_rate_signal_hz=1e8, dark_rate_idler_hz=1e8)
 
     def test_accepts_any_integer_seed(self):
         assert ExperimentConfig(rng_seed=10**40).rng_seed == 10**40
@@ -244,20 +250,27 @@ class TestConfig:
             ExperimentConfig(rng_seed=seed)
 
     def test_copies_are_checked_too(self):
-        with pytest.raises(ValueError, match="pump_power"):
-            dataclasses.replace(ExperimentConfig(), pump_power=-1.0)
+        with pytest.raises(ValueError, match="pump_power_w"):
+            dataclasses.replace(ExperimentConfig(), pump_power_w=-1.0)
+
+    def test_rejects_negative_yield(self):
+        # A yield of -1 agrees with a pair rate of 0 at zero power, so the
+        # agreement rule alone let it through.
+        with pytest.raises(ValueError, match="^pair_yield_per_watt must be non-negative$"):
+            ExperimentConfig(mean_pairs_per_pulse=0.0, pair_yield_per_watt=-1.0, pump_power_w=0.0)
+        ExperimentConfig(mean_pairs_per_pulse=0.0, pair_yield_per_watt=0.0, pump_power_w=0.0)
 
     def test_yield_times_power_must_equal_the_pair_rate(self):
         # mean_pairs_per_pulse is the rate drawn; a yield that disagrees
         # used to win without a word.  0.1 * 0.3 misses 0.03 by one ulp.
-        ExperimentConfig(mean_pairs_per_pulse=0.03, pair_yield_per_watt=0.1, pump_power=0.3)
-        ExperimentConfig(mean_pairs_per_pulse=0.0, pair_yield_per_watt=2.0, pump_power=0.0)
+        ExperimentConfig(mean_pairs_per_pulse=0.03, pair_yield_per_watt=0.1, pump_power_w=0.3)
+        ExperimentConfig(mean_pairs_per_pulse=0.0, pair_yield_per_watt=2.0, pump_power_w=0.0)
         for mean, power in ((0.5, 0.25 * (1 + 1e-8)), (0.5, 0.2), (0.5, 0.0)):
             with pytest.raises(ValueError, match=re.escape(
-                    f"pair_yield_per_watt * pump_power = 2.0 * {power!r} disagrees with "
+                    f"pair_yield_per_watt * pump_power_w = 2.0 * {power!r} disagrees with "
                     f"mean_pairs_per_pulse = {mean!r}")):
                 ExperimentConfig(mean_pairs_per_pulse=mean, pair_yield_per_watt=2.0,
-                                 pump_power=power)
+                                 pump_power_w=power)
 
 
 class TestPulseGrid:
@@ -332,27 +345,27 @@ class TestPulseGrid:
                              ids=["time-bin", "single-bin"])
     def test_run_shorter_than_two_pulses_rejected(self, sim):
         with pytest.raises(ValueError, match="grid pulse count 1"):
-            next(sim(ExperimentConfig(duration=1e-8)))
+            next(sim(ExperimentConfig(duration_s=1e-8)))
 
 
 class TestSimulate:
     def test_no_pairs_no_darks_gives_only_triggers(self):
-        cfg = ExperimentConfig(duration=1e-4, mean_pairs_per_pulse=0.0, rng_seed=1)
+        cfg = ExperimentConfig(duration_s=1e-4, mean_pairs_per_pulse=0.0, rng_seed=1)
         tags = full_stream(iter_simulate, cfg)
         assert np.all(tags["channel"] == CH_TRIGGER)
-        assert tags.size == int(round(cfg.duration * cfg.rep_rate))
+        assert tags.size == int(round(cfg.duration_s * cfg.rep_rate_hz))
 
     def test_one_trigger_per_pulse_period(self):
-        cfg = ExperimentConfig(duration=1e-4, mean_pairs_per_pulse=0.2, rng_seed=2)
+        cfg = ExperimentConfig(duration_s=1e-4, mean_pairs_per_pulse=0.2, rng_seed=2)
         tags = full_stream(iter_simulate, cfg)
         trig = tags[tags["channel"] == CH_TRIGGER]["time_ps"].astype(np.int64)
-        period = 1e12 / cfg.rep_rate
-        assert trig.size == int(round(cfg.duration * cfg.rep_rate))
+        period = 1e12 / cfg.rep_rate_hz
+        assert trig.size == int(round(cfg.duration_s * cfg.rep_rate_hz))
         np.testing.assert_array_equal(np.diff(trig) > 0.9 * period, True)
 
     def test_stream_is_sorted(self):
-        cfg = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.1,
-                               dark_rate_signal=5e4, dark_rate_idler=5e4, rng_seed=3)
+        cfg = ExperimentConfig(duration_s=2e-3, mean_pairs_per_pulse=0.1,
+                               dark_rate_signal_hz=5e4, dark_rate_idler_hz=5e4, rng_seed=3)
         tags = full_stream(iter_simulate, cfg)
         t = tags["time_ps"].astype(np.int64)
         assert np.all(np.diff(t) >= 0)
@@ -362,14 +375,14 @@ class TestSimulate:
     @pytest.mark.parametrize("cfg", [
         # photons of a block's first pulse jittered before the block's
         # start, ahead of dark counts late in the previous block
-        *(ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=2.0,
-                           jitter_sigma=2e-9, detection_delay=0.0,
-                           dark_rate_signal=1e8, dark_rate_idler=1e8,
+        *(ExperimentConfig(duration_s=1e-3, mean_pairs_per_pulse=2.0,
+                           jitter_sigma_s=2e-9, detection_delay_s=0.0,
+                           dark_rate_signal_hz=1e8, dark_rate_idler_hz=1e8,
                            rng_seed=seed) for seed in (1, 2)),
         # jitter beyond a pulse period, ahead of the previous block's
         # last triggers
-        ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.05,
-                         jitter_sigma=20e-9, detection_delay=0.0, rng_seed=1),
+        ExperimentConfig(duration_s=1e-3, mean_pairs_per_pulse=0.05,
+                         jitter_sigma_s=20e-9, detection_delay_s=0.0, rng_seed=1),
     ], ids=["early-photons-1", "early-photons-2", "wide-jitter"])
     def test_sorted_across_block_boundaries(self, monkeypatch, cfg, sim):
         # 4096-pulse blocks put 18 block boundaries into 1 ms
@@ -377,20 +390,20 @@ class TestSimulate:
         tags = full_stream(sim, cfg)
         t = tags["time_ps"].astype(np.int64)
         assert np.all(np.diff(t) >= 0)
-        n_pulses = int(round(cfg.duration * cfg.rep_rate))
+        n_pulses = int(round(cfg.duration_s * cfg.rep_rate_hz))
         np.testing.assert_array_equal(
             t[tags["channel"] == CH_TRIGGER],
-            np.round(np.arange(n_pulses) * (1e12 / cfg.rep_rate)))
+            np.round(np.arange(n_pulses) * (1e12 / cfg.rep_rate_hz)))
 
     def test_deterministic_replay(self):
-        cfg = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.1,
-                               dark_rate_signal=1e4, rng_seed=77)
+        cfg = ExperimentConfig(duration_s=1e-3, mean_pairs_per_pulse=0.1,
+                               dark_rate_signal_hz=1e4, rng_seed=77)
         a, b = full_stream(iter_simulate, cfg), full_stream(iter_simulate, cfg)
         assert a.tobytes() == b.tobytes()
 
     def test_chunked_equals_whole(self, tmp_path):
         # The reader's trigger view, in chunks of 1000 tags, is the whole stream.
-        cfg = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.1, rng_seed=5)
+        cfg = ExperimentConfig(duration_s=1e-3, mean_pairs_per_pulse=0.1, rng_seed=5)
         whole = full_stream(iter_simulate, cfg)
         path = tmp_path / "run.tags"
         write_tags(path, iter_simulate(cfg), cfg.to_dict())
@@ -405,21 +418,21 @@ class TestSimulate:
 
     def test_signal_singles_rate_matches_monitored_mass(self):
         # marginal monitored mass is 1/8 + 1/4 + 1/8 = 1/2 per photon
-        cfg = ExperimentConfig(duration=0.02, mean_pairs_per_pulse=0.01, rng_seed=6)
+        cfg = ExperimentConfig(duration_s=0.02, mean_pairs_per_pulse=0.01, rng_seed=6)
         tags = np.concatenate(list(iter_simulate(cfg)))
         n_signal = int(np.count_nonzero(tags["channel"] == CH_SIGNAL))
-        expected = cfg.rep_rate * cfg.duration * cfg.mean_pairs_per_pulse * 0.5
+        expected = cfg.rep_rate_hz * cfg.duration_s * cfg.mean_pairs_per_pulse * 0.5
         assert abs(n_signal - expected) < 3 * np.sqrt(expected)
 
     def test_empirical_joint_matches_distribution(self):
-        cfg = ExperimentConfig(duration=0.3, mean_pairs_per_pulse=0.005,
-                               phi_s=2.0, phi_i=0.7, phi_p=0.4,
+        cfg = ExperimentConfig(duration_s=0.3, mean_pairs_per_pulse=0.005,
+                               phi_s_rad=2.0, phi_i_rad=0.7, phi_p_rad=0.4,
                                interference_visibility=0.85, rng_seed=8)
         res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
                              grid=PulseGrid.of(cfg))
-        d = joint_slot_distribution(cfg.phi_p, cfg.phi_s, cfg.phi_i,
+        d = joint_slot_distribution(cfg.phi_p_rad, cfg.phi_s_rad, cfg.phi_i_rad,
                                     cfg.interference_visibility)
-        n_pairs = cfg.rep_rate * cfg.duration * cfg.mean_pairs_per_pulse
+        n_pairs = cfg.rep_rate_hz * cfg.duration_s * cfg.mean_pairs_per_pulse
         for s in range(3):
             for i in range(3):
                 if (s, i) in ((0, 2), (2, 0)):
@@ -429,8 +442,8 @@ class TestSimulate:
                 assert abs(res.joint[s, i] - expected) < 4 * sigma + 4, (s, i)
 
     def test_corner_slots_accidentals_only(self):
-        cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.002,
-                               phi_s=np.pi, rng_seed=9)
+        cfg = ExperimentConfig(duration_s=0.05, mean_pairs_per_pulse=0.002,
+                               phi_s_rad=np.pi, rng_seed=9)
         res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
                              grid=PulseGrid.of(cfg))
         # pair-origin coincidences never reach the corners; only the
@@ -441,8 +454,8 @@ class TestSimulate:
     def test_zero_visibility_removes_phase_dependence(self):
         counts = []
         for phi in (0.0, np.pi / 2, np.pi, 4.0):
-            cfg = ExperimentConfig(duration=0.01, mean_pairs_per_pulse=0.02,
-                                   phi_s=phi, interference_visibility=0.0,
+            cfg = ExperimentConfig(duration_s=0.01, mean_pairs_per_pulse=0.02,
+                                   phi_s_rad=phi, interference_visibility=0.0,
                                    rng_seed=10)
             res = analyze_stream(iter_simulate(cfg), GateConfig.time_bin(cfg),
                                  grid=PulseGrid.of(cfg))
@@ -453,7 +466,7 @@ class TestSimulate:
 
 class TestSingleBin:
     def test_single_peak_structure(self):
-        cfg = ExperimentConfig(duration=5e-3, mean_pairs_per_pulse=0.05, rng_seed=11)
+        cfg = ExperimentConfig(duration_s=5e-3, mean_pairs_per_pulse=0.05, rng_seed=11)
         tags = np.concatenate(list(iter_simulate_single_bin(cfg)))
         res = analyze_stream(tags, GateConfig.single_bin(cfg), grid=PulseGrid.of(cfg))
         # all detections fall in the one configured gate (the 250 ps
@@ -463,17 +476,17 @@ class TestSingleBin:
         assert res.joint.shape == (1, 1)
 
     def test_car_inverse_mu(self):
-        cfg = ExperimentConfig(duration=0.05, mean_pairs_per_pulse=0.001, rng_seed=12)
+        cfg = ExperimentConfig(duration_s=0.05, mean_pairs_per_pulse=0.001, rng_seed=12)
         res = analyze_stream(iter_simulate_single_bin(cfg),
                              GateConfig.single_bin(cfg), grid=PulseGrid.of(cfg))
         value = car(res.rate_report()).value
         assert value == pytest.approx(1000.0, rel=0.10)
 
     def test_darks_only_car_near_one(self):
-        cfg = ExperimentConfig(rep_rate=1e5, duration=0.5,
+        cfg = ExperimentConfig(rep_rate_hz=1e5, duration_s=0.5,
                                mean_pairs_per_pulse=0.0,
-                               dark_rate_signal=2e4, dark_rate_idler=2e4,
-                               detection_delay=5e-6, rng_seed=13)
+                               dark_rate_signal_hz=2e4, dark_rate_idler_hz=2e4,
+                               detection_delay_s=5e-6, rng_seed=13)
         gates = GateConfig(gate_width=5e-6, offsets=(5e-6,))
         res = analyze_stream(iter_simulate_single_bin(cfg), gates, grid=PulseGrid.of(cfg))
         q = car(res.rate_report())
@@ -485,10 +498,10 @@ class TestGoldenStreams:
 
     def test_time_bin_stream(self):
         # two generation blocks, so the carry of late events is covered
-        cfg = ExperimentConfig(duration=0.015, mean_pairs_per_pulse=0.01,
-                               phi_p=0.4, phi_s=2.1, phi_i=0.7,
+        cfg = ExperimentConfig(duration_s=0.015, mean_pairs_per_pulse=0.01,
+                               phi_p_rad=0.4, phi_s_rad=2.1, phi_i_rad=0.7,
                                interference_visibility=0.85,
-                               dark_rate_signal=2e4, dark_rate_idler=3e4,
+                               dark_rate_signal_hz=2e4, dark_rate_idler_hz=3e4,
                                rng_seed=101)
         tags = full_stream(iter_simulate, cfg)
         assert tags.size == 1155264
@@ -496,9 +509,9 @@ class TestGoldenStreams:
             "4c6b02970b120648bfc94fd30305164ef748694e70d5b433b8cf97dd3cc2eefe")
 
     def test_single_bin_stream(self):
-        cfg = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.05,
+        cfg = ExperimentConfig(duration_s=2e-3, mean_pairs_per_pulse=0.05,
                                eta_signal=0.6, eta_idler=0.4,
-                               dark_rate_signal=2e4, dark_rate_idler=3e4,
+                               dark_rate_signal_hz=2e4, dark_rate_idler_hz=3e4,
                                rng_seed=102)
         tags = full_stream(iter_simulate_single_bin, cfg)
         assert tags.size == 160050
@@ -506,21 +519,21 @@ class TestGoldenStreams:
             "3c59abeaac2a565b3f81f8b6d7ee4ffc76f83b8d3b01c2596f6cf61e8e01d456")
 
     # Edge configurations of the detection/trigger merge order.
-    TIES = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.05,
-                            jitter_sigma=0.0, detection_delay=0.0,
-                            dark_rate_signal=2e4, dark_rate_idler=3e4,
+    TIES = ExperimentConfig(duration_s=2e-3, mean_pairs_per_pulse=0.05,
+                            jitter_sigma_s=0.0, detection_delay_s=0.0,
+                            dark_rate_signal_hz=2e4, dark_rate_idler_hz=3e4,
                             rng_seed=103)
-    CLIP = ExperimentConfig(duration=5e-4, mean_pairs_per_pulse=2.0,
-                            jitter_sigma=100e-12, detection_delay=0.0,
-                            dark_rate_signal=2e4, dark_rate_idler=3e4,
+    CLIP = ExperimentConfig(duration_s=5e-4, mean_pairs_per_pulse=2.0,
+                            jitter_sigma_s=100e-12, detection_delay_s=0.0,
+                            dark_rate_signal_hz=2e4, dark_rate_idler_hz=3e4,
                             rng_seed=113)
     # Three blocks; late arrivals of the last pulse of a block spill past
     # its end.  This seed carries 1 and 2 detections over the two block
     # boundaries in time-bin mode, 1 and 1 in single-bin mode.
-    CARRY = ExperimentConfig(duration=0.028, mean_pairs_per_pulse=0.3,
-                             jitter_sigma=2e-9, detection_delay=12e-9,
-                             bin_delay=0.2e-9,
-                             dark_rate_signal=1e6, dark_rate_idler=1e6,
+    CARRY = ExperimentConfig(duration_s=0.028, mean_pairs_per_pulse=0.3,
+                             jitter_sigma_s=2e-9, detection_delay_s=12e-9,
+                             bin_delay_s=0.2e-9,
+                             dark_rate_signal_hz=1e6, dark_rate_idler_hz=1e6,
                              rng_seed=114)
 
     @pytest.mark.parametrize("cfg, sim, size, digest", [
@@ -553,18 +566,18 @@ class TestGoldenStreams:
 
     # Detection streams (no trigger tags) of outcome laws with empty rows.
     # V0 = 1 at delta = 0 gives the like-port central outcomes probability 0.
-    V0_ONE = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.05,
+    V0_ONE = ExperimentConfig(duration_s=2e-3, mean_pairs_per_pulse=0.05,
                               interference_visibility=1.0, eta_signal=0.7,
-                              dark_rate_signal=2e4, dark_rate_idler=3e4,
+                              dark_rate_signal_hz=2e4, dark_rate_idler_hz=3e4,
                               rng_seed=115)
-    NO_IDLER = ExperimentConfig(duration=2e-3, mean_pairs_per_pulse=0.05, phi_s=1.1,
+    NO_IDLER = ExperimentConfig(duration_s=2e-3, mean_pairs_per_pulse=0.05, phi_s_rad=1.1,
                                 interference_visibility=0.9, eta_idler=0.0,
-                                dark_rate_signal=2e4, dark_rate_idler=3e4,
+                                dark_rate_signal_hz=2e4, dark_rate_idler_hz=3e4,
                                 rng_seed=116)
     # Exactly one full generation block of 2^20 pulses.
-    FULL_BLOCK = ExperimentConfig(duration=BLOCK_PULSES / 76.2e6, mean_pairs_per_pulse=0.3,
-                                  phi_s=0.3, interference_visibility=0.95,
-                                  dark_rate_signal=1e3, dark_rate_idler=1e3,
+    FULL_BLOCK = ExperimentConfig(duration_s=BLOCK_PULSES / 76.2e6, mean_pairs_per_pulse=0.3,
+                                  phi_s_rad=0.3, interference_visibility=0.95,
+                                  dark_rate_signal_hz=1e3, dark_rate_idler_hz=1e3,
                                   rng_seed=117)
 
     @pytest.mark.parametrize("cfg, sim, size, digest", [
@@ -593,7 +606,7 @@ def test_simulate_and_write_hold_one_block_beyond_the_draw(tmp_path):
     # slices and each chunk let go before the next draw: 39 B.  With the
     # next block drawn next to the sorted block, its gather order, the
     # previous chunk and the whole-block outcome lookup: 81 B.
-    cfg = ExperimentConfig(duration=3 * BLOCK_PULSES / 76.2e6, mean_pairs_per_pulse=0.3,
+    cfg = ExperimentConfig(duration_s=3 * BLOCK_PULSES / 76.2e6, mean_pairs_per_pulse=0.3,
                            interference_visibility=0.95, rng_seed=5)
     tracemalloc.start()
     try:

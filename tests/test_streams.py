@@ -15,8 +15,8 @@ from conftest import full_stream, write_grid_stream
 
 TRAILER_SIZE = 48
 
-CFG = ExperimentConfig(duration=2e-4, mean_pairs_per_pulse=0.1,
-                       dark_rate_signal=1e4, rng_seed=21)
+CFG = ExperimentConfig(duration_s=2e-4, mean_pairs_per_pulse=0.1,
+                       dark_rate_signal_hz=1e4, rng_seed=21)
 ECHO = CFG.to_dict()
 GRID = PulseGrid.of(CFG)
 
@@ -156,9 +156,9 @@ class TestBinaryFormat:
     @pytest.mark.parametrize("echo, fault", [
         ({}, "is not an object of run config values"),
         ({**ECHO, "wavelength": 1e-6}, "unexpected keyword argument 'wavelength'"),
-        ({**ECHO, "duration": 1e-8}, "grid pulse count 1 is not an integer of at least 2"),
+        ({**ECHO, "duration_s": 1e-8}, "grid pulse count 1 is not an integer of at least 2"),
         ({**ECHO, "mode": "triple-bin"}, "unknown mode 'triple-bin'"),
-        ({**ECHO, "pair_yield_per_watt": 0.1, "pump_power": 0.02},
+        ({**ECHO, "pair_yield_per_watt": 0.1, "pump_power_w": 0.02},
          "0.1 \\* 0.02 disagrees with mean_pairs_per_pulse = 0.1"),
     ], ids=["empty", "unknown-field", "one-pulse", "unknown-mode", "yield-disagrees"])
     def test_writer_refuses_an_echo_that_states_no_run(self, tmp_path, tags, echo, fault):
@@ -171,9 +171,9 @@ class TestBinaryFormat:
         # The raw records need no grid; the trigger view is refused at its
         # first chunk, at byte offset 0, when the echo states no run.
         path = write_grid_stream(tmp_path / "run.tags", tags["channel"], tags["time_ps"],
-                                 {**ECHO, "rep_rate": 0.0})
+                                 {**ECHO, "rep_rate_hz": 0.0})
         assert read_back(path, raw=True)[1].tobytes() == tags.tobytes()
-        with pytest.raises(StreamFormatError, match="rep_rate must be positive") as err:
+        with pytest.raises(StreamFormatError, match="rep_rate_hz must be positive") as err:
             read_back(path)
         assert err.value.byte_offset == 0
 
@@ -189,7 +189,7 @@ class TestBinaryFormat:
     @pytest.mark.parametrize("extra", [0, 1])
     def test_header_line_of_at_most_1_mib_is_read(self, tmp_path, extra):
         # 1 MiB, newline included, is read; one byte more is refused.
-        line = json.dumps({"format": "timebin-tags", "version": 4, "config": ECHO}).encode()
+        line = json.dumps({"format": "timebin-tags", "version": 5, "config": ECHO}).encode()
         body = line + b" " * ((1 << 20) - len(line) - 1 + extra) + b"\n"
         path = tmp_path / "padded.tags"
         path.write_bytes(body + b"TAGSEND3" + bytes(8) + hashlib.sha256(body).digest())
@@ -220,8 +220,8 @@ class TestGridFiles:
     """Format 4: detection records on the pulse grid of the header's echo,
     implied triggers."""
 
-    CFG = ExperimentConfig(duration=1e-3, mean_pairs_per_pulse=0.05, jitter_sigma=100e-12,
-                           detection_delay=0.0, dark_rate_signal=1e6, rng_seed=22)
+    CFG = ExperimentConfig(duration_s=1e-3, mean_pairs_per_pulse=0.05, jitter_sigma_s=100e-12,
+                           detection_delay_s=0.0, dark_rate_signal_hz=1e6, rng_seed=22)
 
     @pytest.fixture
     def grid_file(self, tmp_path):
@@ -239,7 +239,7 @@ class TestGridFiles:
         assert n == tags.size
         assert back.tobytes() == tags.tobytes()
         # The echo is the whole header but its format: the grid is the echo's.
-        assert header == {"format": "timebin-tags", "version": 4, "config": self.CFG.to_dict()}
+        assert header == {"format": "timebin-tags", "version": 5, "config": self.CFG.to_dict()}
         assert PulseGrid.of(self.CFG) == PulseGrid(76200, 1e12 / 76.2e6)
         assert path.stat().st_size < 0.1 * tags.nbytes
 
