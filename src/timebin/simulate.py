@@ -19,23 +19,34 @@ and :func:`iter_simulate_single_bin` yield only the detections, and every
 consumer takes them with ``PulseGrid.of(config)``.  Generation is
 organized in fixed-size pulse blocks, each with its own RNG substream
 derived from (seed, block index), so the output is deterministic and
-independent of how it is chunked or parallelized.  A stream depends on the bit streams of
-``Generator.poisson``, ``integers``, ``random`` and ``normal`` alone: the
-pair outcomes are the indices ``Generator.choice`` would draw, found from
-the same uniforms without calling it (:func:`_draw_outcomes`).
+independent of how it is chunked, and of which thread draws a block.  A
+stream depends on the bit streams of ``Generator.poisson``, ``integers``,
+``random`` and ``normal`` alone: the pair outcomes are the indices
+``Generator.choice`` would draw, found from the same uniforms without
+calling it (:func:`_draw_outcomes`), and an efficiency of 0 or 1 skips
+its uniforms with ``advance`` (:func:`_detected`).
 
-Detections are ordered by (float time, channel) and then rounded to whole
-picoseconds.  A detection goes ahead of a trigger at an equal time.  A
-block is emitted once the next block's detections are drawn: every
-detection from the end of its last pulse period, or from the next block's
-earliest detection if that comes first, is carried into the next block.
+A drawing thread draws the blocks after the first in order
+(:func:`_emit_block`) while the consumer's thread draws the first and
+then sorts them and takes the chunks, so a block is drawn while the one
+before it is sorted and the chunk before that is written: at most those
+three are held (:func:`_iter_tags`).
+
+Detections are ordered by (float time, channel), by one sort of their
+bits as integer keys, and then rounded to whole picoseconds.  A
+detection goes ahead of a trigger at an equal time.  A block is emitted
+once the next block's detections are drawn: every detection from the end
+of its last pulse period, or from the next block's earliest detection if
+that comes first, is carried into the next block.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import queue
 import sys
+import threading
 from dataclasses import dataclass, asdict
 from typing import Iterator
 
@@ -356,7 +367,7 @@ _SINGLE_BIN_TABLE = (None, np.zeros(1, dtype=int), np.zeros(1, dtype=int),
                      np.ones(1, dtype=bool), np.ones(1, dtype=bool))
 
 _GUIDE_BUCKETS = 1 << 12  # a power of two, so u * _GUIDE_BUCKETS is exact
-_OUTCOME_SLICE = 1 << 14  # uniforms mapped at a time, so temporaries stay small
+_PAIR_SLICE = 1 << 14  # pairs mapped or placed at a time, so temporaries stay small
 
 
 def _draw_outcomes(rng, probs, n):
@@ -377,8 +388,8 @@ def _draw_outcomes(rng, probs, n):
     guide = cdf.searchsorted(np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS, side="right")
     u = rng.random(n)
     out = np.empty(n, dtype=np.min_scalar_type(probs.size - 1))
-    for lo in range(0, n, _OUTCOME_SLICE):
-        us = u[lo:lo + _OUTCOME_SLICE]
+    for lo in range(0, n, _PAIR_SLICE):
+        us = u[lo:lo + _PAIR_SLICE]
         idx = guide[(us * _GUIDE_BUCKETS).astype(np.intp)]
         walk = np.flatnonzero(cdf[idx] <= us)
         while walk.size:
@@ -386,6 +397,16 @@ def _draw_outcomes(rng, probs, n):
             walk = walk[cdf[idx[walk]] <= us[walk]]
         out[lo:lo + us.size] = idx
     return out
+
+
+def _detected(rng, eta, n):
+    """``rng.random(n) < eta``, which of n photons of efficiency ``eta`` are
+    detected.  At an efficiency of 0 or 1 the uniforms decide nothing, so
+    the generator is advanced past them instead: the same later draws."""
+    if eta == 0.0 or eta == 1.0:
+        rng.bit_generator.advance(n)
+        return eta == 1.0
+    return rng.random(n) < eta
 
 
 def _dark_tags(rng, rate, t0_ps, t1_ps):
@@ -402,8 +423,6 @@ def _emit_block(config, grid, block, law):
     Returns (times, channels, t_end): the unsorted detections as float ps
     clipped at 0, in draw order (signal photons, signal darks, idler
     photons, idler darks), and the end of the block's last pulse period.
-    Equal (time, channel) detections keep this order through the stable
-    sort in :func:`_iter_tags`.
 
     Pair counts use the superposition property of the Poisson process:
     one total Poisson draw for the block, pulse indices assigned
@@ -411,7 +430,11 @@ def _emit_block(config, grid, block, law):
     The block's generator draws the pair count (``poisson``), each pair's
     pulse (``integers``) and outcome (``random``, none when single-bin),
     each photon's detection (``random``) and each detected one's jitter
-    (``normal``), in that order, and no other ``Generator`` method.
+    (``normal``), in that order, and no other ``Generator`` method.  The
+    darks come from a generator of their own, so they are drawn first, and
+    the photons are placed straight into the returned array a slice of
+    pairs at a time: little beyond that array is held while a block is
+    drawn next to one being sorted.
     """
     first = block * BLOCK_PULSES
     count = min(BLOCK_PULSES, grid.pulses - first)
@@ -419,24 +442,12 @@ def _emit_block(config, grid, block, law):
 
     n_pairs = rng.poisson(config.mean_pairs_per_pulse * count)
     # indices are below 2^20, so int32 holds them and sorts faster
-    pulse_of_pair = np.sort(rng.integers(0, count, n_pairs).astype(np.int32))
+    pulse_of_pair = np.sort(rng.integers(0, count, n_pairs, dtype=np.int32))
 
     probs, s_slot, i_slot, s_mon, i_mon = law
     outcome = _draw_outcomes(rng, probs, n_pairs)
-    det_s = rng.random(n_pairs) < config.eta_signal
-    det_i = rng.random(n_pairs) < config.eta_idler
-    arms = []
-    for det, slot, monitored in ((det_s, s_slot, s_mon), (det_i, i_slot, i_mon)):
-        pick = np.flatnonzero(det & monitored[outcome])
-        k, picked = np.int64(first) + pulse_of_pair.take(pick), outcome.take(pick)
-        del pick  # k goes too once t is made: two 8-byte arrays per detection at most
-        t = grid.times(k)
-        del k
-        t += config.detection_delay_s * 1e12
-        t += (slot * (config.bin_delay_s * 1e12)).take(picked)
-        t += rng.normal(0.0, config.jitter_sigma_s * 1e12, t.size)
-        arms.append(t)
-    del pulse_of_pair, outcome, det_s, det_i, picked  # before the arms are joined
+    seen_s = _detected(rng, config.eta_signal, n_pairs) & s_mon[outcome]
+    seen_i = _detected(rng, config.eta_idler, n_pairs) & i_mon[outcome]
 
     t0 = grid.times(first)
     t1 = grid.times(first + count - 1) + grid.period_ps
@@ -444,11 +455,26 @@ def _emit_block(config, grid, block, law):
     d_s = _dark_tags(dark_rng, config.dark_rate_signal_hz, t0, t1)
     d_i = _dark_tags(dark_rng, config.dark_rate_idler_hz, t0, t1)
 
-    t_s, t_i = arms
-    times = np.concatenate([t_s, d_s, t_i, d_i])
+    n_signal = np.count_nonzero(seen_s) + d_s.size
+    times = np.empty(n_signal + np.count_nonzero(seen_i) + d_i.size)
+    end = 0
+    for seen, slot, darks in ((seen_s, s_slot, d_s), (seen_i, i_slot, d_i)):
+        offsets = slot * (config.bin_delay_s * 1e12)
+        for lo in range(0, n_pairs, _PAIR_SLICE):
+            pick = np.flatnonzero(seen[lo:lo + _PAIR_SLICE])
+            pick += lo
+            t = grid.times(np.int64(first) + pulse_of_pair.take(pick))
+            t += config.detection_delay_s * 1e12
+            t += offsets.take(outcome.take(pick))
+            t += rng.normal(0.0, config.jitter_sigma_s * 1e12, t.size)
+            times[end:end + t.size] = t
+            end += t.size
+        times[end:end + darks.size] = darks
+        end += darks.size
+    del pulse_of_pair, outcome, seen_s, seen_i  # before the channels are made
     np.maximum(times, 0.0, out=times)
     channels = np.full(times.size, CH_IDLER, dtype=np.uint8)
-    channels[:t_s.size + d_s.size] = CH_SIGNAL
+    channels[:n_signal] = CH_SIGNAL
     return times, channels, t1
 
 
@@ -456,36 +482,72 @@ def _iter_tags(config: ExperimentConfig, law) -> Iterator[np.ndarray]:
     """Detection tags of a run, one time-sorted chunk per pulse block.
 
     The chunks hold no trigger tags: the triggers are ``PulseGrid.of(config)``.
-    At most one block of floats beyond the one being drawn is held: block
-    b + 1 is drawn before block b is sorted, and each array goes once used.
+    Block 0 is drawn here while one drawing thread draws block 1; the
+    thread then runs :func:`_emit_block` on each block asked for, in order,
+    and hands it over.  Chunk b is made once block b + 1 is drawn, and
+    block b + 2 is asked for once chunk b is made: block b + 1 is drawn
+    while block b is sorted, and block b + 2 while chunk b is written, so
+    at most chunk b, block b + 1 and block b + 2 are held.  An exception on
+    the thread is raised here, and closing the iterator joins the thread
+    once the block in the drawing, if any, is drawn.
     """
     grid = PulseGrid.of(config)
     n_blocks = -(-grid.pulses // BLOCK_PULSES)
-    carry_t = np.empty(0, dtype=np.float64)
-    carry_c = np.empty(0, dtype=np.uint8)
-    upcoming = _emit_block(config, grid, 0, law)
-    for block in range(n_blocks):
-        times, channels, t_end = upcoming
-        # Jittered events may spill past the block's last pulse, and the
-        # next block's first pulses may place photons before its start.
-        # Hold back every detection from the earlier of the two on, so
-        # emitted chunks stay globally time-sorted.
-        upcoming = _emit_block(config, grid, block + 1, law) if block + 1 < n_blocks else None
-        cut_t = np.inf if upcoming is None else min(t_end, upcoming[0].min(initial=t_end))
-        # Carried detections come first, so the stable sort keeps them
-        # ahead of equal (time, channel) newcomers.
-        times = np.concatenate([carry_t, times])
-        channels = np.concatenate([carry_c, channels])
-        order = np.lexsort((channels, times))
-        times, channels = times[order], channels[order]
-        del order
-        cut = np.searchsorted(times, cut_t, side="left")
-        carry_t, carry_c = times[cut:].copy(), channels[cut:].copy()
-        tags = np.empty(cut, dtype=TAG_DTYPE)
-        tags["time_ps"] = np.round(times[:cut], out=times[:cut])
-        tags["channel"] = channels[:cut]
-        yield tags
-        del tags  # before the next draw, as the consumer has let go of it
+    wanted, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def draw():
+        try:
+            for block in iter(wanted.get, None):
+                drawn.put(_emit_block(config, grid, block, law))
+        except BaseException as exc:  # handed over, and raised again below
+            drawn.put(exc)
+
+    if n_blocks > 1:
+        wanted.put(1)
+    thread = threading.Thread(target=draw, name="timebin-draw", daemon=True)
+    thread.start()
+    try:
+        carry = np.empty(0, dtype=np.uint64)
+        upcoming = _emit_block(config, grid, 0, law)
+        for block in range(n_blocks):
+            times, channels, t_end = upcoming
+            del upcoming
+            # Times are never negative, and such floats order as their bits,
+            # so key = bits << 1 | channel orders as (time, channel); the
+            # shift drops the sign bit of a -0.0.  Equal keys are equal
+            # records, so an in-place sort of the keys is the stream.
+            key = np.empty(carry.size + times.size, dtype=np.uint64)
+            key[:carry.size] = carry
+            np.left_shift(times.view(np.uint64), 1, out=key[carry.size:])
+            key[carry.size:] |= channels
+            del times, channels
+            key.sort()
+            channels = key.astype(np.uint8)
+            channels &= 1
+            key >>= 1
+            times = key.view(np.float64)
+            del key
+            # Jittered events may spill past the block's last pulse, and the
+            # next block's first pulses may place photons before its start.
+            # Hold back every detection from the earlier of the two on, so
+            # emitted chunks stay globally time-sorted.
+            upcoming = drawn.get() if block + 1 < n_blocks else None
+            if isinstance(upcoming, BaseException):
+                raise upcoming
+            cut_t = np.inf if upcoming is None else min(t_end, upcoming[0].min(initial=t_end))
+            cut = np.searchsorted(times, cut_t, side="left")
+            carry = times[cut:].view(np.uint64) << 1 | channels[cut:]
+            tags = np.empty(cut, dtype=TAG_DTYPE)
+            tags["time_ps"] = np.round(times[:cut], out=times[:cut])
+            tags["channel"] = channels[:cut]
+            del times, channels
+            if block + 2 < n_blocks:
+                wanted.put(block + 2)
+            yield tags
+            del tags  # before the next block is sorted, as the consumer has let go of it
+    finally:
+        wanted.put(None)
+        thread.join()
 
 
 def iter_simulate(config: ExperimentConfig) -> Iterator[np.ndarray]:

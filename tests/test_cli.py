@@ -1120,6 +1120,76 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# (command, the input's file name, --out): each output is the input, as
+# --out itself, the tag writer's .tmp, the manifest or a CSV sidecar.
+WRITING_OVER_AN_INPUT = {
+    "simulate-out": ("simulate", "run.cfg", "run.cfg"),
+    "simulate-tmp": ("simulate", "run.tags.tmp", "run.tags"),
+    "simulate-manifest": ("simulate", "run.tags.manifest.json", "run.tags"),
+    "analyze-out": ("analyze", "a.tags", "a.tags"),
+    "analyze-manifest": ("analyze", "r.json.manifest.json", "r.json"),
+    "analyze-sidecar": ("analyze", "r.delays.csv", "r.json"),
+    "fringe-out": ("fringe", "r.json", "r.json"),
+    "fringe-sidecar": ("fringe", "f.fringe.csv", "f.json"),
+    "tomo-out": ("tomo", "r.json", "r.json"),
+    "tomo-sidecar": ("tomo", "t.rho.csv", "t.json"),
+    "report-out": ("report", "r.json", "r.json"),
+}
+
+
+@pytest.mark.parametrize("command, name, out", WRITING_OVER_AN_INPUT.values(),
+                         ids=WRITING_OVER_AN_INPUT.keys())
+def test_output_over_an_input_is_usage_error(tmp_path, capsys, command, name, out):
+    # Each exited 0 and destroyed its input.
+    report = run_pipeline(tmp_path, "run", duration_s=0.0005)
+    source = {"simulate": tmp_path / "run.cfg", "analyze": tmp_path / "run.tags"}.get(command,
+                                                                                   report)
+    given = tmp_path / name
+    if given != source:
+        given.write_bytes(source.read_bytes())
+    inputs = {"simulate": ["--config", str(given)],
+              "analyze": ["--in", str(given)],
+              "fringe": [f"{k}.0:{given if k == 0 else report}" for k in range(5)],
+              "tomo": [f"{ds},{di}:{given if ds == di == 0 else report}"
+                       for ds, di in ((0, 0), (0, 90), (90, 0), (90, 90))]
+              + ["--replicas", "2"],
+              "report": [str(given)]}[command]
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(tmp_path / out)]) == 2
+    assert "would overwrite the input" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "fringe", "tomo", "report"])
+def test_every_file_a_command_writes_is_checked_against_its_inputs(tmp_path, command):
+    report = run_pipeline(tmp_path, "run", duration_s=0.0005)
+    inputs = {"simulate": ["--config", str(tmp_path / "run.cfg")],
+              "analyze": ["--in", str(tmp_path / "run.tags")],
+              "fringe": [f"{k}.0:{report}" for k in range(5)],
+              "tomo": [f"{ds},{di}:{report}" for ds, di in ((0, 0), (0, 90), (90, 0), (90, 90))]
+              + ["--replicas", "2"],
+              "report": [str(report)]}[command]
+    out = tmp_path / "out" / "x.json"
+    out.parent.mkdir()
+    assert main([command, *inputs, "--out", str(out)]) == 0
+    beside, sidecars = cli._WRITES[command]
+    checked = {str(out), *(str(out) + s for s in beside),
+               *(str(out)[:-5] + s for s in sidecars)}
+    assert {str(path) for path in out.parent.iterdir()} <= checked
+
+
+@pytest.mark.parametrize("link", [os.link, os.symlink], ids=["hard-link", "symlink"])
+def test_output_that_is_an_input_by_another_name_is_usage_error(tmp_path, capsys, link):
+    run_pipeline(tmp_path, "run", duration_s=0.0005)
+    tags = tmp_path / "run.tags"
+    link(tags, tmp_path / "other.json")
+    data = tags.read_bytes()
+    assert main(["analyze", "--in", str(tags), "--out", str(tmp_path / "other.json")]) == 2
+    assert f"would overwrite the input {tags}" in capsys.readouterr().err
+    assert tags.read_bytes() == data
+
+
 def modules_loaded_by(code, *argv):
     """Names in ``sys.modules`` after a fresh interpreter, with this
     checkout's ``src`` first on its path, runs ``code``, which must exit
@@ -1186,6 +1256,23 @@ def test_console_script_exits_through_run(tmp_path):
                       "--out", str(tmp_path / "run.tags"))
     assert done.returncode == 0 and done.stderr == ""
     assert done.stdout.endswith(" tags to " + str(tmp_path / "run.tags") + "\nfrozen True\n")
+
+
+@pytest.mark.parametrize("given, kept", [(None, "4"), ("7", "7")], ids=["unset", "user-set"])
+def test_run_keeps_openblas_workers_from_spinning(tmp_path, monkeypatch, given, kept):
+    # A value the user set wins; numpy is not loaded before run() sets it.
+    if given is None:
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", given)
+    cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+    script = ("import atexit, os, sys\n"
+              "atexit.register(lambda: print(os.environ.get('OPENBLAS_THREAD_TIMEOUT')))\n"
+              "from timebin.cli import run\nassert 'numpy' not in sys.modules\nrun()\n")
+    done = run_python("-c", script, "simulate", "--config", str(cfg),
+                      "--out", str(tmp_path / "run.tags"))
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.endswith(f"\n{kept}\n")
 
 
 def test_main_in_process_leaves_the_collector_unfrozen(tmp_path):

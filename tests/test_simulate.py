@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import inspect
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,11 +12,13 @@ import pytest
 
 import timebin
 
+from timebin import simulate, streams
 from timebin.analysis import GateConfig, analyze_stream, car
 from timebin.streams import iter_read_tags, write_tags
 from timebin.simulate import (BLOCK_PULSES, CH_SIGNAL, CH_TRIGGER, ExperimentConfig,
-                              PulseGrid, _draw_outcomes, _outcome_table, iter_simulate,
-                              iter_simulate_single_bin, joint_slot_distribution)
+                              PulseGrid, _detected, _draw_outcomes, _outcome_table,
+                              iter_simulate, iter_simulate_single_bin,
+                              joint_slot_distribution)
 
 from conftest import full_stream
 
@@ -615,6 +619,77 @@ def test_simulate_and_write_hold_one_block_beyond_the_draw(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / (cfg.mean_pairs_per_pulse * BLOCK_PULSES) < 45
+
+
+THREE_BLOCKS = ExperimentConfig(duration_s=3 * BLOCK_PULSES / 76.2e6,
+                                mean_pairs_per_pulse=0.001, rng_seed=9)
+
+
+def test_a_draw_that_fails_on_the_thread_fails_the_write(tmp_path, monkeypatch):
+    emit, fault = simulate._emit_block, RuntimeError("block 1 failed")
+
+    def failing(config, grid, block, law):
+        if block == 1:
+            raise fault
+        return emit(config, grid, block, law)
+
+    monkeypatch.setattr(simulate, "_emit_block", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        write_tags(tmp_path / "run.tags", iter_simulate(THREE_BLOCKS), THREE_BLOCKS.to_dict())
+    assert excinfo.value is fault
+    assert list(tmp_path.iterdir()) == []  # no .tmp and no tag file
+    assert threading.active_count() == threads
+
+
+def test_closing_after_one_chunk_joins_the_drawing_thread():
+    threads = threading.active_count()
+    chunks = iter_simulate(THREE_BLOCKS)
+    next(chunks)
+    assert threading.active_count() == threads + 1
+    chunks.close()
+    assert threading.active_count() == threads
+
+
+def test_a_refused_record_stops_the_drawing_thread(tmp_path, monkeypatch):
+    monkeypatch.setattr(streams, "first_bad_record", lambda tags, last: (0, "planted fault"))
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="record 0: planted fault"):
+        write_tags(tmp_path / "run.tags", iter_simulate(THREE_BLOCKS), THREE_BLOCKS.to_dict())
+    assert threading.active_count() == threads
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stream_does_not_depend_on_thread_timing(monkeypatch):
+    # 19 blocks of 4096 pulses, replayed while the interpreter switches
+    # threads as often as it can.
+    monkeypatch.setattr(simulate, "BLOCK_PULSES", 1 << 12)
+    cfg = ExperimentConfig(duration_s=1e-3, mean_pairs_per_pulse=2.0, jitter_sigma_s=2e-9,
+                           rng_seed=3)
+    want = np.concatenate(list(iter_simulate(cfg))).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.concatenate(list(iter_simulate(cfg))).tobytes() == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_efficiency_of_0_or_1_skips_its_uniforms(eta):
+    # advance() also drops PCG64's spare 32-bit word, so the draws that
+    # follow are compared, not the generator states.
+    for seed in range(6):
+        n = 1000 + 997 * seed
+        mine, numpy_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        for rng in (mine, numpy_rng):
+            rng.integers(0, 1 << 20, n, dtype=np.int32)  # as a block draws before
+        np.testing.assert_array_equal(np.broadcast_to(_detected(mine, eta, n), n),
+                                      numpy_rng.random(n) < eta)
+        np.testing.assert_array_equal(mine.normal(0.0, 50.0, 500),
+                                      numpy_rng.normal(0.0, 50.0, 500))
+        np.testing.assert_array_equal(mine.random(500), numpy_rng.random(500))
 
 
 def test_package_attribute_is_the_simulate_module():
