@@ -17,8 +17,6 @@ __all__ = [
     "BASIS_LABELS",
     "DensityMatrix2Q",
     "bell_phi_plus",
-    "time_bin_state",
-    "pure_to_dm",
     "projector",
     "measurement_operator",
     "concurrence",
@@ -47,23 +45,6 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 def bell_phi_plus() -> np.ndarray:
     """Return the maximally entangled state (|00> + |11>)/sqrt(2)."""
     return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / _SQ2
-
-
-def time_bin_state(phi_p: float) -> np.ndarray:
-    """Two-photon state (|00> + e^{i phi_p}|11>)/sqrt(2).
-
-    ``phi_p`` is the pump interferometer phase in radians; it only enters
-    as the relative phase of the late-late amplitude.
-    """
-    if not np.isfinite(phi_p):
-        raise ValueError("phi_p must be finite")
-    return np.array([1.0, 0.0, 0.0, np.exp(1j * phi_p)], dtype=complex) / _SQ2
-
-
-def pure_to_dm(psi: np.ndarray) -> np.ndarray:
-    """Outer product |psi><psi| as a 4x4 array."""
-    psi = np.asarray(psi, dtype=complex).reshape(4)
-    return np.outer(psi, psi.conj())
 
 
 def projector(label: str) -> np.ndarray:
@@ -151,12 +132,6 @@ class DensityMatrix2Q:
         Round-trips bit-exactly for finite doubles (json uses repr).
         """
         return json.dumps({"re": self.matrix.real.tolist(), "im": self.matrix.imag.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityMatrix2Q":
-        obj = json.loads(text)
-        m = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-        return cls.from_matrix(m)
 
 
 def _as_stack(rho):

@@ -59,8 +59,6 @@ __all__ = [
     "finite_number",
     "ExperimentConfig",
     "PulseGrid",
-    "JointSlotDistribution",
-    "joint_slot_distribution",
     "iter_simulate",
     "iter_simulate_single_bin",
     "first_bad_record",
@@ -286,39 +284,6 @@ class PulseGrid:
             if not step.any():
                 return k
             k += step
-
-
-@dataclass(frozen=True)
-class JointSlotDistribution:
-    """Pair outcome weights over arrival slots at the monitored ports.
-
-    ``joint`` is the 3x3 table over (signal slot, idler slot) with slots
-    0 = short/early, 1 = central, 2 = long/late; ``marginal`` is the
-    per-photon slot distribution of a single arm.  Both retain the
-    non-unity total mass left after the unmonitored interferometer ports.
-    """
-
-    joint: np.ndarray
-    marginal: np.ndarray
-
-
-def joint_slot_distribution(
-    phi_p: float, phi_s: float, phi_i: float, v0: float
-) -> JointSlotDistribution:
-    """Monitored-port slot weights of one photon pair.
-
-    The marginal of :func:`_outcome_table` over the monitored ports: the
-    joint table keeps the outcomes with both photons monitored, the
-    singles marginal those with the signal photon monitored.
-    """
-    if not 0.0 <= v0 <= 1.0:
-        raise ValueError(f"v0 must lie in [0, 1], got {v0}")
-    probs, s_slot, i_slot, s_mon, i_mon = _outcome_table(phi_p, phi_s, phi_i, v0)
-    both = s_mon & i_mon
-    joint = np.zeros((3, 3))
-    joint[s_slot[both], i_slot[both]] = probs[both]
-    marginal = np.bincount(s_slot[s_mon], weights=probs[s_mon], minlength=3)
-    return JointSlotDistribution(joint=joint, marginal=marginal)
 
 
 def _outcome_table(phi_p: float, phi_s: float, phi_i: float, v0: float):

@@ -39,8 +39,6 @@ __all__ = [
     "TomographyResult",
     "counts_from_phase_settings",
     "setting_phases",
-    "expected_joint_counts",
-    "sample_joint_counts",
     "linear_inversion",
     "MleBatch",
     "mle_batch",
@@ -94,10 +92,6 @@ class MeasurementRecord:
     def count_vector(self) -> np.ndarray:
         return np.array([self.counts[k] for k in _record_keys()], dtype=float)
 
-    def swapped(self) -> "MeasurementRecord":
-        """Record with the signal and idler roles exchanged."""
-        return MeasurementRecord({(b, a): n for (a, b), n in self.counts.items()})
-
 
 def _record_keys():
     return [(a, b) for a in BASIS_LABELS for b in BASIS_LABELS]
@@ -135,28 +129,6 @@ def counts_from_phase_settings(setting_counts: dict) -> MeasurementRecord:
         for (s_slot, i_slot), n in np.ndenumerate(joint):
             counts[(basis_s[s_slot], basis_i[i_slot])] += int(n)
     return MeasurementRecord(counts)
-
-
-def expected_joint_counts(n_pairs: float, dial_s: int, dial_i: int,
-                          v0: float = 1.0, accidentals_per_slot: float = 0.0) -> np.ndarray:
-    """Mean 3x3 joint-slot table for a fringe-max-calibrated pair source.
-
-    ``n_pairs`` is the number of created pairs reaching the analysis
-    stage during the run; the monitored-port weights of the slot
-    distribution apply on top.  A flat accidental floor can be added to
-    every slot.
-    """
-    phi_s, phi_i = setting_phases(dial_s, dial_i)
-    from .simulate import joint_slot_distribution
-    dist = joint_slot_distribution(0.0, phi_s, phi_i, v0)
-    return n_pairs * dist.joint + accidentals_per_slot
-
-
-def sample_joint_counts(rng, n_pairs: float, dial_s: int, dial_i: int,
-                        v0: float = 1.0, accidentals_per_slot: float = 0.0) -> np.ndarray:
-    """Poisson sample of :func:`expected_joint_counts`."""
-    return rng.poisson(expected_joint_counts(n_pairs, dial_s, dial_i, v0,
-                                             accidentals_per_slot))
 
 
 @dataclass(frozen=True)

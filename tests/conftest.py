@@ -27,6 +27,7 @@ ACCEPTANCE_DESCRIPTIONS = {
     8: "fringe visibility, 1:2:1 singles, accidental-only corner slots",
     9: "tomography round trips, ideal and noisy",
     10: "property suites: invariants, equivalence, determinism",
+    11: "paper's C and F through simulate -> analyze -> tomo",
 }
 
 

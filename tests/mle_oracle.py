@@ -4,9 +4,10 @@ This is the reconstruction of James, Kwiat, Munro & White, PRA 64,
 052312 (2001): rho = T T^dag / tr(T T^dag) with T lower triangular
 (16 real parameters), so every candidate is physical by construction,
 and the Poisson log-likelihood with the overall scale profiled out is
-maximized by scipy's L-BFGS-B at ``ftol=1e-15``.  It shares no solver
-code with :mod:`timebin.tomography`, only the record layout and the
-projected linear-inversion seed.
+maximized by scipy's L-BFGS-B at ``ftol=1e-15``.  Its seed is its own
+least-squares solve of the 16 Born equations, projected onto the states.
+It shares no code with :mod:`timebin.tomography`, only the record layout
+and the measurement operators.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from timebin.quantum import BASIS_LABELS, DensityMatrix2Q, _physical, measurement_operator
-from timebin.tomography import linear_inversion
+from timebin.quantum import BASIS_LABELS, measurement_operator
 
 _TRIL = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 
@@ -42,10 +42,39 @@ def _rho_from_params(t: np.ndarray) -> np.ndarray:
     return rho / tr
 
 
+def _hermitian_basis() -> np.ndarray:
+    """16 Hermitian 4x4 matrices spanning the Hermitian ones: E_jj,
+    E_jk + E_kj and i(E_jk - E_kj) for j < k."""
+    basis = []
+    for j in range(4):
+        for k in range(j, 4):
+            e = np.zeros((4, 4), dtype=complex)
+            e[j, k] = 1.0
+            basis.append(e + e.T if j < k else e)
+            if j < k:
+                basis.append(1j * (e - e.T))
+    return np.stack(basis)
+
+
+def seed_rho(record) -> np.ndarray:
+    """The least-squares solution X of tr(X Pi_k) = n_k projected onto the
+    states: negative eigenvalues of X set to zero, then scaled to unit
+    trace.  An X with no positive eigenvalue gives the maximally mixed
+    state."""
+    basis = _hermitian_basis()
+    design = np.einsum("kij,lji->kl", operators(), basis).real
+    coords = np.linalg.lstsq(design, record.count_vector(), rcond=None)[0]
+    x = np.einsum("l,lij->ij", coords, basis)
+    vals, vecs = np.linalg.eigh(x)
+    vals = np.clip(vals, 0.0, None)
+    if vals.sum() <= 0:
+        return np.eye(4, dtype=complex) / 4.0
+    return (vecs * (vals / vals.sum())) @ vecs.conj().T
+
+
 def _params_from_rho(rho: np.ndarray) -> np.ndarray:
     # Ridge keeps the Cholesky factor finite for boundary (rank-deficient)
     # seeds; the optimizer can still walk back to the boundary.
-    rho = DensityMatrix2Q.from_matrix(_physical(rho)).matrix
     rho = 0.999 * rho + 0.001 * np.eye(4) / 4.0
     T = np.linalg.cholesky(rho)
     t = np.zeros(16)
@@ -99,14 +128,13 @@ def _poisson_nll_and_grad(t, ops, counts):
 
 def seed_nll(record) -> float:
     """Profiled negative log-likelihood of the fit's starting point."""
-    return _poisson_nll(_params_from_rho(linear_inversion(record)),
-                        operators(), record.count_vector())
+    return _poisson_nll(_params_from_rho(seed_rho(record)), operators(), record.count_vector())
 
 
 def oracle_fit(record, max_iter: int = 2000):
     """(rho, log-likelihood, converged) of the L-BFGS-B fit."""
     counts = record.count_vector()
-    t0 = _params_from_rho(linear_inversion(record))
+    t0 = _params_from_rho(seed_rho(record))
     res = minimize(_poisson_nll_and_grad, t0, args=(operators(), counts), jac=True,
                    method="L-BFGS-B",
                    options={"maxiter": max_iter, "ftol": 1e-15, "gtol": 1e-8})

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from timebin import cli
-from timebin.simulate import (BLOCK_PULSES, ExperimentConfig, PulseGrid, iter_simulate,
-                              joint_slot_distribution)
+from timebin.simulate import BLOCK_PULSES, ExperimentConfig, PulseGrid, iter_simulate
 from timebin.streams import write_tags
 
 from conftest import merge_triggers
+from slot_oracle import setting_tables
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,10 +60,9 @@ def test_traced_chain_sees_every_layer_it_calls(tmp_path):
     cfg.write_text("rep_rate_hz = 76.2e6\nduration_s = 0.0005\n"
                    "mean_pairs_per_pulse = 0.01\nrng_seed = 3\n")
     settings = []
-    for ds, di in ((0, 0), (0, 90), (90, 0), (90, 90)):
-        joint = joint_slot_distribution(0.0, np.pi + np.deg2rad(ds), np.deg2rad(di), 1.0).joint
+    for (ds, di), joint in setting_tables(1e4).items():
         report = tmp_path / f"t{ds}_{di}.json"
-        report.write_text(json.dumps({"joint_slot_counts": np.round(1e4 * joint).tolist()}))
+        report.write_text(json.dumps({"joint_slot_counts": joint.tolist()}))
         settings.append(f"{ds},{di}:{report}")
     tags, out = str(tmp_path / "run.tags"), str(tmp_path / "run.json")
     chain = (["simulate", "--config", str(cfg), "--out", tags, "--mode", "single-bin"],

