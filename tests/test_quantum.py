@@ -259,6 +259,13 @@ class TestDensityMatrixType:
         with pytest.raises(ValueError, match="positive"):
             validate_density_matrix(stack)
 
+    def test_json_round_trip_bit_exact(self):
+        rng = np.random.default_rng(9)
+        dm = DensityMatrix2Q.from_matrix(ginibre_density_matrix(rng))
+        obj = json.loads(dm.to_json())
+        again = DensityMatrix2Q(np.array(obj["re"]) + 1j * np.array(obj["im"]))
+        assert np.array_equal(dm.matrix, again.matrix)
+
     def test_json_shape(self):
         dm = DensityMatrix2Q.from_matrix(np.eye(4) / 4)
         obj = json.loads(dm.to_json())
