@@ -9,8 +9,13 @@ concurrence, fidelity and CHSH bounds.
 The API lives in the submodules, imported by name: ``timebin.simulate``,
 ``timebin.streams``, ``timebin.analysis``, ``timebin.quantum``,
 ``timebin.tomography`` and the command line in ``timebin.cli``.  The
-package itself imports none of them, so a process loads only what it uses.
+package itself imports none of them, so a process loads only what it uses;
+it holds the constants and the one number rule, :func:`finite_number`,
+that the modules and the command line share without loading numpy.
 """
+
+import numbers
+import sys
 
 __version__ = "0.1.0"
 
@@ -22,3 +27,13 @@ DEFAULT_GATE_WIDTH = 0.5e-9
 DEFAULT_HIST_BIN = 10e-12
 FORMAT_VERSION = 5
 MODES = ("single-bin", "time-bin")
+
+
+def finite_number(value, name: str):
+    """``value`` if it is a real number, not a bool, no larger in size than
+    the largest float, so finite as a float; else a ValueError naming
+    ``name``.  This is the one number rule: it checks, and converts nothing."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
+        return value
+    raise ValueError(f"{name} must be a finite number, got {value!r}")

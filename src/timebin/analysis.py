@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN
-from .simulate import (CH_IDLER, CH_SIGNAL, ExperimentConfig, PulseGrid, finite_number,
-                       first_bad_record)
+from . import DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN, finite_number
+from .simulate import CH_IDLER, CH_SIGNAL, ExperimentConfig, PulseGrid, first_bad_record
 
 __all__ = [
     "GateConfig",

@@ -43,7 +43,8 @@ import os
 import sys
 import time
 
-from . import DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN, FORMAT_VERSION, MODES, __version__
+from . import (DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN, FORMAT_VERSION, MODES, __version__,
+               finite_number)
 
 __all__ = ["main", "run", "load_config", "ConfigError", "DataError", "ConvergenceError"]
 
@@ -302,8 +303,6 @@ def _report_field(report, path, *keys):
 
 
 def _report_number(report, path, *keys):
-    from .simulate import finite_number
-
     try:
         return finite_number(_report_field(report, path, *keys), ".".join(keys))
     except ValueError as exc:
@@ -314,14 +313,13 @@ def _cmd_fringe(args) -> int:
     import numpy as np
 
     from .analysis import FringeScan
-    from .simulate import finite_number
 
     t0 = time.monotonic()
-    inputs = [spec_arg.partition(":")[2] for spec_arg in args.points]
+    specs = [spec_arg.partition(":") for spec_arg in args.points]
+    inputs = [path for _, _, path in specs]
     _refuse_writing_over(args, inputs)
     points = []
-    for spec_arg in args.points:
-        phase_str, _, path = spec_arg.partition(":")
+    for spec_arg, (phase_str, _, path) in zip(args.points, specs):
         if not path:
             raise ConfigError(f"fringe point {spec_arg!r} must look like PHASE_RAD:REPORT.json")
         try:
@@ -355,37 +353,19 @@ def _cmd_fringe(args) -> int:
     return 0
 
 
-def _joint_counts(report, path):
-    """The 3x3 table of non-negative integer counts of a time-bin report,
-    as a float array."""
-    import numpy as np
-
-    try:
-        joint = np.array(_report_field(report, path, "joint_slot_counts"), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: joint_slot_counts is not a numeric table: {exc}") from exc
-    if joint.shape != (3, 3):
-        raise DataError(f"{path}: joint_slot_counts has shape {joint.shape}, "
-                        f"tomography needs the 3x3 table of a time-bin run")
-    if not np.all(np.isfinite(joint) & (joint >= 0) & (joint % 1 == 0)):
-        raise DataError(f"{path}: joint_slot_counts holds an entry that is not "
-                        f"a non-negative integer")
-    return joint
-
-
 def _cmd_tomo(args) -> int:
     from . import tomography
 
     t0 = time.monotonic()
-    _refuse_writing_over(args, [spec_arg.partition(":")[2] for spec_arg in args.settings])
+    specs = [spec_arg.partition(":") for spec_arg in args.settings]
+    inputs = [path for _, _, path in specs]
+    _refuse_writing_over(args, inputs)
     for flag, value, least in (("--replicas", args.replicas, 2), ("--max-iter", args.max_iter, 1),
                                ("--seed", args.seed, 0)):
         if value < least:
             raise ConfigError(f"{flag} must be at least {least}, got {value}")
     setting_counts = {}
-    inputs = []
-    for spec_arg in args.settings:
-        dials, _, path = spec_arg.partition(":")
+    for spec_arg, (dials, _, path) in zip(args.settings, specs):
         try:
             ds, di = (int(x) for x in dials.split(","))
         except ValueError as exc:
@@ -395,8 +375,7 @@ def _cmd_tomo(args) -> int:
                               f"{list(tomography.SETTINGS)}")
         if (ds, di) in setting_counts:
             raise ConfigError(f"setting {ds},{di} is given more than once")
-        setting_counts[(ds, di)] = _joint_counts(_load_report(path), path)
-        inputs.append(path)
+        setting_counts[(ds, di)] = _report_field(_load_report(path), path, "joint_slot_counts")
     missing = [s for s in tomography.SETTINGS if s not in setting_counts]
     if missing:
         raise ConfigError(f"missing phase settings {missing}")
@@ -404,7 +383,7 @@ def _cmd_tomo(args) -> int:
         record = tomography.counts_from_phase_settings(setting_counts)
         result = tomography.bootstrap_errors(record, n_replicas=args.replicas, seed=args.seed,
                                              max_iter=args.max_iter)
-    except ValueError as exc:  # e.g. a count past 2^53, or joint tables that are all zero
+    except ValueError as exc:  # e.g. a table entry that is not a count, or no counts at all
         raise DataError(f"reports {', '.join(inputs)}: {exc}") from exc
     rows = [[part, *map(repr, row)]
             for part, m in (("re", result.rho.matrix.real), ("im", result.rho.matrix.imag))

@@ -45,18 +45,18 @@ from __future__ import annotations
 import math
 import numbers
 import queue
-import sys
 import threading
 from dataclasses import dataclass, asdict
 from typing import Iterator
 
 import numpy as np
 
+from . import finite_number
+
 __all__ = [
     "CH_SIGNAL",
     "CH_IDLER",
     "TAG_DTYPE",
-    "finite_number",
     "ExperimentConfig",
     "PulseGrid",
     "iter_simulate",
@@ -104,16 +104,6 @@ def first_bad_record(tags, last) -> tuple[int, str] | None:
     if bad_time[k]:
         return k, f"time {time_ps[k]} ps is 2^63 ps or more"
     return k, f"time {time_ps[k]} ps is before the previous record's"
-
-
-def finite_number(value, name: str):
-    """``value`` if it is a real number, not a bool, no larger in size than
-    the largest float, so finite as a float; else a ValueError naming
-    ``name``.  This is the one number rule: it checks, and converts nothing."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) \
-            and abs(value) <= sys.float_info.max:
-        return value
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

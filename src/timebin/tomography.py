@@ -30,11 +30,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import quantum
+from . import finite_number, quantum
 from .quantum import BASIS_LABELS, DensityMatrix2Q, _physical, measurement_operator
 
 __all__ = [
     "SETTINGS",
+    "CELLS",
     "MeasurementRecord",
     "TomographyResult",
     "counts_from_phase_settings",
@@ -67,34 +68,47 @@ def setting_phases(dial_s: int, dial_i: int) -> tuple[float, float]:
     return np.pi + np.deg2rad(dial_s), np.deg2rad(dial_i)
 
 
-@dataclass(frozen=True)
+#: The 16 (signal basis, idler basis) cells of a record, in record order.
+CELLS = tuple((a, b) for a in BASIS_LABELS for b in BASIS_LABELS)
+
+# The cell each (setting, signal slot, idler slot) counts toward: slot 0
+# measures Z0, slot 2 Z1 and the central slot the dial's basis.
+_SLOT_CELL = np.array([[[CELLS.index((a, b)) for b in ("Z0", _DIAL_BASIS[dial_i], "Z1")]
+                        for a in ("Z0", _DIAL_BASIS[dial_s], "Z1")]
+                       for dial_s, dial_i in SETTINGS])
+
+
+def _whole_count(n, name: str):
+    """``n`` if it passes :func:`finite_number` and is a whole number from 0
+    to 2^53, where floats hold every integer; else a ValueError naming it."""
+    try:
+        if 0 <= finite_number(n, name) <= 2**53 and n % 1 == 0:
+            return n
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer from 0 to 2^53, got {n!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """The 16 tomography counts.
 
-    ``counts`` maps (signal basis, idler basis) to a non-negative integer;
-    all 16 combinations must be present.
+    ``counts`` holds one whole count from 0 to 2^53 per cell of
+    :data:`CELLS`, in that order; the record keeps them as a read-only
+    float vector, the form the fits read.
     """
 
-    counts: dict
+    counts: np.ndarray
 
     def __post_init__(self):
-        expected = {(a, b) for a in BASIS_LABELS for b in BASIS_LABELS}
-        got = set(self.counts)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise ValueError(f"record must hold all 16 basis pairs exactly once; "
-                             f"missing {missing}, unexpected {extra}")
-        for key, n in self.counts.items():
-            if isinstance(n, bool) or not 0 <= n <= 2**53 or n % 1:  # fitted as floats
-                raise ValueError(f"count for {key} must be an integer from 0 to 2^53, got {n!r}")
-
-    def count_vector(self) -> np.ndarray:
-        return np.array([self.counts[k] for k in _record_keys()], dtype=float)
-
-
-def _record_keys():
-    return [(a, b) for a in BASIS_LABELS for b in BASIS_LABELS]
+        counts = np.asarray(self.counts, dtype=object)
+        if counts.shape != (len(CELLS),):
+            raise ValueError(f"record must hold {len(CELLS)} counts, got shape {counts.shape}")
+        for cell, n in zip(CELLS, counts):
+            _whole_count(n, f"count for {cell}")
+        vector = counts.astype(float)
+        vector.flags.writeable = False
+        object.__setattr__(self, "counts", vector)
 
 
 def counts_from_phase_settings(setting_counts: dict) -> MeasurementRecord:
@@ -102,7 +116,8 @@ def counts_from_phase_settings(setting_counts: dict) -> MeasurementRecord:
 
     ``setting_counts`` maps each dial setting in :data:`SETTINGS` to the
     3x3 joint-slot coincidence table of that run (slots 0/1/2 = short/
-    central/long on each arm).  The slot table factorizes per arm:
+    central/long on each arm), whose entries are whole counts from 0 to
+    2^53.  The slot table factorizes per arm:
 
     * corner slots measure the time basis (slot 0 -> Z0, slot 2 -> Z1),
     * the central slot measures the dial's superposition basis,
@@ -113,21 +128,22 @@ def counts_from_phase_settings(setting_counts: dict) -> MeasurementRecord:
     corners over all four settings and mixed entries over the two
     settings sharing the relevant dial makes every accumulated entry
     carry the same effective weight, so a single shared normalization
-    applies to all 16 counts.
+    applies to all 16 counts.  The sums are exact.
     """
     missing = [s for s in SETTINGS if s not in setting_counts]
     if missing:
         raise ValueError(f"missing slot data for settings {missing}")
-    counts = {k: 0 for k in _record_keys()}
-    for (dial_s, dial_i) in SETTINGS:
-        joint = np.asarray(setting_counts[(dial_s, dial_i)])
-        if joint.shape != (3, 3):
-            raise ValueError(f"setting {(dial_s, dial_i)} must provide a 3x3 slot table, "
-                             f"got shape {joint.shape}")
-        basis_s = ("Z0", _DIAL_BASIS[dial_s], "Z1")
-        basis_i = ("Z0", _DIAL_BASIS[dial_i], "Z1")
-        for (s_slot, i_slot), n in np.ndenumerate(joint):
-            counts[(basis_s[s_slot], basis_i[i_slot])] += int(n)
+    tables = []
+    for setting in SETTINGS:
+        table = np.asarray(setting_counts[setting], dtype=object)
+        if table.shape != (3, 3):
+            raise ValueError(f"setting {setting} must provide the 3x3 slot table of a "
+                             f"time-bin run, got shape {table.shape}")
+        for n in table.flat:
+            _whole_count(n, f"a slot count of setting {setting}")
+        tables.append(table)
+    counts = np.zeros(len(CELLS), dtype=np.int64)
+    np.add.at(counts, _SLOT_CELL, np.array(tables, dtype=np.int64))
     return MeasurementRecord(counts)
 
 
@@ -178,7 +194,7 @@ class TomographyResult:
 # its real coordinates a over the 16 Pauli products s_l (A = sum_l a_l s_l,
 # tr(s_l s_m) = 4 delta_lm), so p_k = tr(A Pi_k) = (_DESIGN a)_k and
 # sum_k w_k Pi_k has the coordinates _DESIGN^T w / 4.
-_OPS = np.stack([measurement_operator(a, b) for a, b in _record_keys()])
+_OPS = np.stack([measurement_operator(a, b) for a, b in CELLS])
 _PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]),
           np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
 _SIGMA = np.stack([np.kron(a, b) for a in _PAULI for b in _PAULI]).astype(complex)
@@ -187,7 +203,7 @@ _DESIGN = np.einsum("kij,lji->kl", _OPS, _SIGMA).real
 # Counts normalized to the time-basis sum -> flattened rho (the 16
 # projectors are informationally complete, so _DESIGN is invertible).
 _INVERSION = np.linalg.inv(_DESIGN).T @ _SIGMA_FLAT
-_ZZ = [k for k, (a, b) in enumerate(_record_keys()) if a[0] == b[0] == "Z"]
+_ZZ = [k for k, (a, b) in enumerate(CELLS) if a[0] == b[0] == "Z"]
 _MIXED = np.eye(4, dtype=complex) / 4.0
 # tr(A) <= sum_k tr(A Pi_k) / _KAPPA for every positive A.
 _KAPPA = float(np.linalg.eigvalsh(_OPS.sum(axis=0))[0])
@@ -232,7 +248,7 @@ def linear_inversion(record: MeasurementRecord) -> np.ndarray:
     a record without time-basis counts falls back to the maximally mixed
     state.
     """
-    return _linear_inversion(record.count_vector()[None])[0]
+    return _linear_inversion(record.counts[None])[0]
 
 
 #: Stopping tolerance of the MLE certificate, in nats.
@@ -374,10 +390,9 @@ def mle_reconstruct(record: MeasurementRecord, max_iter: int = 2000) -> Tomograp
     and non-convergence within ``max_iter`` is flagged in the result,
     never silent.
     """
-    counts = record.count_vector()
-    if counts.sum() <= 0:
+    if record.counts.sum() <= 0:
         raise ValueError("record has no counts")
-    fit = mle_batch(counts[None], max_iter=max_iter)
+    fit = mle_batch(record.counts[None], max_iter=max_iter)
     rho, c, f, lo, hi = _figures(fit.rho)
     return TomographyResult(
         rho=DensityMatrix2Q.from_matrix(rho[0]),
@@ -405,10 +420,9 @@ def bootstrap_errors(record: MeasurementRecord, n_replicas: int = 200,
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas")
     base = mle_reconstruct(record, max_iter=max_iter)
-    counts = record.count_vector()
     fits = []
     for lo in range(0, n_replicas, BOOTSTRAP_SLICE):
-        fit = mle_batch(np.stack([np.random.default_rng([seed, k]).poisson(counts) for k in
+        fit = mle_batch(np.stack([np.random.default_rng([seed, k]).poisson(record.counts) for k in
                                   range(lo, min(lo + BOOTSTRAP_SLICE, n_replicas))]), max_iter)
         fits.append((fit.rho[fit.converged], fit.iterations, fit.converged))
     rho, iterations, converged = (np.concatenate(part) for part in zip(*fits))

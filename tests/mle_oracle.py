@@ -7,7 +7,7 @@ and the Poisson log-likelihood with the overall scale profiled out is
 maximized by scipy's L-BFGS-B at ``ftol=1e-15``.  Its seed is its own
 least-squares solve of the 16 Born equations, projected onto the states.
 It shares no code with :mod:`timebin.tomography`, only the record layout
-and the measurement operators.
+(``CELLS``) and the measurement operators.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from timebin.quantum import BASIS_LABELS, measurement_operator
+from timebin.quantum import measurement_operator
+from timebin.tomography import CELLS
 
 _TRIL = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 
 
 def operators() -> np.ndarray:
-    return np.stack([measurement_operator(a, b)
-                     for a in BASIS_LABELS for b in BASIS_LABELS])
+    return np.stack([measurement_operator(a, b) for a, b in CELLS])
 
 
 def _t_matrix(t: np.ndarray) -> np.ndarray:
@@ -63,7 +63,7 @@ def seed_rho(record) -> np.ndarray:
     state."""
     basis = _hermitian_basis()
     design = np.einsum("kij,lji->kl", operators(), basis).real
-    coords = np.linalg.lstsq(design, record.count_vector(), rcond=None)[0]
+    coords = np.linalg.lstsq(design, record.counts, rcond=None)[0]
     x = np.einsum("l,lij->ij", coords, basis)
     vals, vecs = np.linalg.eigh(x)
     vals = np.clip(vals, 0.0, None)
@@ -128,12 +128,12 @@ def _poisson_nll_and_grad(t, ops, counts):
 
 def seed_nll(record) -> float:
     """Profiled negative log-likelihood of the fit's starting point."""
-    return _poisson_nll(_params_from_rho(seed_rho(record)), operators(), record.count_vector())
+    return _poisson_nll(_params_from_rho(seed_rho(record)), operators(), record.counts)
 
 
 def oracle_fit(record, max_iter: int = 2000):
     """(rho, log-likelihood, converged) of the L-BFGS-B fit."""
-    counts = record.count_vector()
+    counts = record.counts
     t0 = _params_from_rho(seed_rho(record))
     res = minimize(_poisson_nll_and_grad, t0, args=(operators(), counts), jac=True,
                    method="L-BFGS-B",

@@ -1,9 +1,10 @@
 """The pair law at the monitored ports, written out by hand.
 
-The oracle for the simulator's outcome table and the source of the
-expected counts of the tomography tests.  It imports nothing from
-``timebin``, so a test that draws its counts from it checks the program
-against the physics, not against the program's own law.
+The oracle for the simulator's outcome table, the source of the expected
+counts of the tomography tests, and the map from slots to tomography
+cells.  It imports nothing from ``timebin``, so a test that draws its
+counts from it checks the program against the physics, not against the
+program's own law.
 """
 
 import numpy as np
@@ -13,6 +14,17 @@ import numpy as np
 # and the signal arm sits a further pi away.
 DIAL_PHASE = {0: 0.0, 90: np.pi / 2}
 SETTINGS = ((0, 0), (0, 90), (90, 0), (90, 90))
+
+
+def slot_basis(dial, slot):
+    """The basis that a count in ``slot`` of an arm set to ``dial`` measures:
+    the short slot 0 is Z0 and the long slot 2 is Z1, whatever the dial;
+    the central slot 1 is X+ at dial 0 and Y+ at dial 90."""
+    if slot == 0:
+        return "Z0"
+    if slot == 2:
+        return "Z1"
+    return {0: "X+", 90: "Y+"}[dial]
 
 
 def hand_written_slot_weights(phi_p, phi_s, phi_i, v0):

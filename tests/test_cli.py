@@ -258,7 +258,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(b)]) == 0
         assert sha256(a) == sha256(b)
 
-    def test_seed_override_changes_output(self, tmp_path, capsys):
+    def test_seed_flag_is_usage_error(self, tmp_path, capsys):
         # The config's rng_seed is the one seed of a run: simulate has no
         # --seed to override it.
         cfg = write_config(tmp_path / "run.cfg", duration_s=0.001)
@@ -1007,6 +1007,9 @@ class TestTomo:
         # the fit takes counts to.
         {"joint_slot_counts": [[1, 2, 3], [4, 10**400, 6], [7, 8, 9]]},
         {"joint_slot_counts": [[1, 2, 3], [4, 2**60, 6], [7, 8, 9]]},
+        # Each was fitted as a count of 1 and 625, and tomo exited 0.
+        {"joint_slot_counts": [[1, 2, 3], [4, True, 6], [7, 8, 9]]},
+        {"joint_slot_counts": [[1, 2, 3], [4, "625", 6], [7, 8, 9]]},
     ])
     def test_unusable_report_is_data_error(self, setting_reports, capsys, content):
         tmp, args = setting_reports
@@ -1309,6 +1312,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
          {"timebin.analysis", "timebin.tomography"}),
         (["analyze", "--in", tags, "--out", report], {"timebin.tomography", "timebin.quantum"}),
         (["report", report, "--out", str(tmp_path / "summary.json")], {"numpy"}),
+        (["tomo", *(f"{ds},{di}:{report}" for ds, di in ((0, 0), (0, 90), (90, 0), (90, 90))),
+          "--out", str(tmp_path / "tomo.json"), "--replicas", "2"],
+         {"timebin.simulate", "timebin.analysis", "timebin.streams"}),
     ]:
         loaded = modules_loaded_by(run_main, *argv)
         assert not loaded & absent, (argv[0], loaded & absent)

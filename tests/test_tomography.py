@@ -5,7 +5,7 @@ import pytest
 
 from timebin import quantum, tomography
 from timebin.quantum import DensityMatrix2Q, bell_phi_plus
-from timebin.tomography import (SETTINGS, MeasurementRecord, _figures,
+from timebin.tomography import (CELLS, SETTINGS, MeasurementRecord, _figures,
                                 bootstrap_errors, counts_from_phase_settings,
                                 linear_inversion, mle_batch, mle_reconstruct,
                                 setting_phases)
@@ -13,19 +13,23 @@ from timebin.tomography import (SETTINGS, MeasurementRecord, _figures,
 from conftest import ginibre_density_matrix
 from mle_oracle import oracle_fit, seed_nll
 from slot_oracle import SETTINGS as ORACLE_SETTINGS
-from slot_oracle import DIAL_PHASE, hand_written_slot_weights, setting_tables
+from slot_oracle import DIAL_PHASE, hand_written_slot_weights, setting_tables, slot_basis
 
-KEYS = [(a, b) for a in quantum.BASIS_LABELS for b in quantum.BASIS_LABELS]
 BELL_DM = np.outer(bell_phi_plus(), bell_phi_plus().conj())
 
 
 def born_record(rho, n_total=10**9):
     """Record with counts proportional to the exact Born probabilities."""
-    counts = {}
-    for a, b in KEYS:
+    counts = []
+    for a, b in CELLS:
         p = np.real(np.trace(quantum.measurement_operator(a, b) @ rho))
-        counts[(a, b)] = int(round(n_total * max(p, 0.0)))
+        counts.append(int(round(n_total * max(p, 0.0))))
     return MeasurementRecord(counts=counts)
+
+
+def cell(record, a, b):
+    """The count of cell (a, b) of ``record``."""
+    return record.counts[CELLS.index((a, b))]
 
 
 class TestSettingMapping:
@@ -54,27 +58,41 @@ class TestSettingMapping:
 class TestCountsAssembly:
     def test_all_sixteen_entries_present(self):
         rec = counts_from_phase_settings(setting_tables(16000))
-        assert set(rec.counts) == set(KEYS)
+        assert rec.counts.shape == (len(CELLS),) == (16,)
+        assert not rec.counts.flags.writeable
+
+    def test_each_slot_counts_toward_its_hand_written_cell(self):
+        # One count in each of the 4 settings x 9 joint slots lands in the
+        # one cell slot_oracle names for it, and in no other.
+        for dials in SETTINGS:
+            for s_slot, i_slot in np.ndindex(3, 3):
+                tables = {d: np.zeros((3, 3), dtype=int) for d in SETTINGS}
+                tables[dials][s_slot, i_slot] = 1
+                expected = np.zeros(len(CELLS))
+                expected[CELLS.index((slot_basis(dials[0], s_slot),
+                                      slot_basis(dials[1], i_slot)))] = 1
+                got = counts_from_phase_settings(tables).counts
+                assert got.tolist() == expected.tolist(), (dials, s_slot, i_slot)
 
     def test_bell_state_pattern(self):
         rec = counts_from_phase_settings(setting_tables(160000))
         # antidiagonal time-basis coincidences vanish for the target state
-        assert rec.counts[("Z0", "Z1")] == 0
-        assert rec.counts[("Z1", "Z0")] == 0
+        assert cell(rec, "Z0", "Z1") == 0
+        assert cell(rec, "Z1", "Z0") == 0
         # equal-weight correlations: X+X+ doubles the uncorrelated level
-        assert rec.counts[("X+", "X+")] == pytest.approx(
-            2 * rec.counts[("X+", "Y+")], rel=0.01)
+        assert cell(rec, "X+", "X+") == pytest.approx(
+            2 * cell(rec, "X+", "Y+"), rel=0.01)
 
     def test_uniform_effective_weight(self):
         # every accumulated entry ends up with weight 1/4 of the pair
         # number, so the time-basis total equals the created pairs / 4
         n = 320000
         rec = counts_from_phase_settings(setting_tables(n))
-        zz = sum(rec.counts[(a, b)] for a in ("Z0", "Z1") for b in ("Z0", "Z1"))
+        zz = sum(cell(rec, a, b) for a in ("Z0", "Z1") for b in ("Z0", "Z1"))
         assert zz == pytest.approx(n / 4, rel=1e-3)
         # Born probabilities for the target state: 1/2 and 1/4
-        assert rec.counts[("X+", "X+")] == pytest.approx(n / 8, rel=1e-3)
-        assert rec.counts[("X+", "Y+")] == pytest.approx(n / 16, rel=1e-3)
+        assert cell(rec, "X+", "X+") == pytest.approx(n / 8, rel=1e-3)
+        assert cell(rec, "X+", "Y+") == pytest.approx(n / 16, rel=1e-3)
 
     def test_missing_setting_rejected(self):
         data = setting_tables(1000)
@@ -88,19 +106,25 @@ class TestCountsAssembly:
         with pytest.raises(ValueError):
             counts_from_phase_settings(data)
 
+    @pytest.mark.parametrize("entry", [True, "625", -1, 2.5, np.nan, np.inf, 2**53 + 1])
+    def test_entry_that_is_not_a_count_rejected(self, entry):
+        data = {d: table.tolist() for d, table in setting_tables(1000).items()}
+        data[(90, 0)][1][2] = entry
+        with pytest.raises(ValueError, match=r"slot count of setting \(90, 0\) must be an "):
+            counts_from_phase_settings(data)
+
 
 class TestMeasurementRecord:
     def test_missing_key_rejected(self):
-        counts = {k: 1 for k in KEYS[:-1]}
-        with pytest.raises(ValueError):
-            MeasurementRecord(counts=counts)
+        with pytest.raises(ValueError, match="16 counts"):
+            MeasurementRecord(counts=[1] * 15)
 
     @pytest.mark.parametrize("count", [-1, np.inf, np.nan, True, 1.5,
                                        pytest.param(10**400, id="10**400")])
     def test_negative_count_rejected(self, count):
         # inf was an OverflowError, nan a ValueError of int() that named no key.
-        counts = {k: 1 for k in KEYS}
-        counts[("Z0", "Z0")] = count
+        counts = [1] * len(CELLS)
+        counts[CELLS.index(("Z0", "Z0"))] = count
         with pytest.raises(ValueError, match=r"count for \('Z0', 'Z0'\) must be an integer "):
             MeasurementRecord(counts=counts)
 
@@ -118,7 +142,7 @@ class TestLinearInversion:
         np.testing.assert_allclose(est, np.eye(4) / 4, atol=1e-9)
 
     def test_zero_counts_fall_back_to_mixed(self):
-        rec = MeasurementRecord(counts={k: 0 for k in KEYS})
+        rec = MeasurementRecord(counts=np.zeros(len(CELLS)))
         np.testing.assert_allclose(linear_inversion(rec), np.eye(4) / 4)
 
     def test_noise_can_leave_physical_set_and_projection_fixes_it(self):
@@ -126,8 +150,7 @@ class TestLinearInversion:
         seen_unphysical = False
         for k in range(20):
             rec = born_record(BELL_DM, n_total=200)
-            noisy = {key: int(rng.poisson(max(v, 0))) for key, v in rec.counts.items()}
-            est = linear_inversion(MeasurementRecord(counts=noisy))
+            est = linear_inversion(MeasurementRecord(counts=rng.poisson(rec.counts)))
             vals = np.linalg.eigvalsh((est + est.conj().T) / 2)
             if vals.min() < -1e-9:
                 seen_unphysical = True
@@ -217,11 +240,10 @@ class TestMle:
         rng = np.random.default_rng(61)
         rec = counts_from_phase_settings(
             setting_tables(50_000, v0=0.9, rng=rng, accidentals=3.0))
-        draws = np.stack([rng.poisson(rec.count_vector()) for _ in range(40)])
+        draws = np.stack([rng.poisson(rec.counts) for _ in range(40)])
         batch = mle_batch(draws)
         for k in (0, 7, 23, 39):
-            solo = mle_reconstruct(MeasurementRecord(
-                counts={key: int(v) for key, v in zip(KEYS, draws[k])}))
+            solo = mle_reconstruct(MeasurementRecord(counts=draws[k]))
             assert batch.iterations[k] == solo.iterations
             assert np.max(np.abs(batch.rho[k] - solo.rho.matrix)) < 1e-9
             assert batch.log_likelihood[k] == pytest.approx(
@@ -232,7 +254,7 @@ class TestMle:
         rec = counts_from_phase_settings(
             setting_tables(100_000, v0=0.8, rng=rng))
         rho_a = mle_reconstruct(rec).rho.matrix
-        swapped = MeasurementRecord({(b, a): n for (a, b), n in rec.counts.items()})
+        swapped = MeasurementRecord(rec.counts[[CELLS.index((b, a)) for a, b in CELLS]])
         rho_b = mle_reconstruct(swapped).rho.matrix
         swap = np.eye(4)[[0, 2, 1, 3]]
         # agreement is limited only by the optimizer's floating-point
@@ -246,7 +268,7 @@ class TestMle:
 
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
-            mle_reconstruct(MeasurementRecord(counts={k: 0 for k in KEYS}))
+            mle_reconstruct(MeasurementRecord(counts=np.zeros(len(CELLS))))
 
 
 class TestBootstrap:
@@ -287,7 +309,7 @@ class TestBootstrap:
         rng = np.random.default_rng(62)
         rec = counts_from_phase_settings(
             setting_tables(20_000, v0=0.9, rng=rng, accidentals=2.0))
-        draws = np.stack([rng.poisson(rec.count_vector()) for _ in range(30)])
+        draws = np.stack([rng.poisson(rec.counts) for _ in range(30)])
         # fitted states, plus unphysical matrices the projection must repair
         stack = np.concatenate([
             mle_batch(draws).rho,
@@ -309,7 +331,7 @@ class TestBootstrap:
         rng = np.random.default_rng(63)
         rec = counts_from_phase_settings(
             setting_tables(20_000, v0=0.9, rng=rng, accidentals=2.0))
-        draws = np.stack([rng.poisson(rec.count_vector()) for _ in range(50)])
+        draws = np.stack([rng.poisson(rec.counts) for _ in range(50)])
         whole = mle_batch(draws)
         parts = [mle_batch(draws[lo:lo + 16]) for lo in range(0, 50, 16)]
         assert np.concatenate([p.rho for p in parts]).tobytes() == whole.rho.tobytes()
