@@ -1,5 +1,5 @@
-"""Cold wall time, CPU time and own peak RSS of one ``timebin`` command,
-alternating between checkouts.
+"""Cold wall time, CPU time, own peak RSS and minor page faults of one
+``timebin`` command, alternating between checkouts.
 
     python3 scripts/command_cost.py --checkout A --checkout B [--rounds 12] \
         [--cpus 0] -- simulate --config run.cfg --out run.tags
@@ -10,7 +10,8 @@ round to the next, and reads from ``os.wait4``:
 
 - ``wall_ms``: from spawn to reaped exit;
 - ``cpu_ms``: user plus system time of the command, its threads included;
-- ``rss_mb``: the command's ``ru_maxrss``.
+- ``rss_mb``: the command's ``ru_maxrss``;
+- ``minflt``: the command's minor page faults, ``ru_minflt``.
 
 A child inherits the high-water mark of the process that starts it, so
 this launcher imports nothing but the standard library: a command's
@@ -65,7 +66,7 @@ def run_once(src, argv):
     if (code := os.waitstatus_to_exitcode(status)) != 0:
         raise SystemExit(f"{src}: exit {code}: {err.decode(errors='replace')}")
     return {"wall_ms": wall * 1e3, "cpu_ms": (usage.ru_utime + usage.ru_stime) * 1e3,
-            "rss_mb": usage.ru_maxrss / 1024}
+            "rss_mb": usage.ru_maxrss / 1024, "minflt": usage.ru_minflt}
 
 
 def quartiles(values):
@@ -95,12 +96,14 @@ def main() -> int:
             runs[side].append(run_once(sources[side], argv))
         print(f"round {k}: " + "  ".join(
             f"{side[-1]['wall_ms']:.1f}/{side[-1]['cpu_ms']:.1f}/{side[-1]['rss_mb']:.1f}"
+            f"/{side[-1]['minflt']}"
             for side in runs), flush=True)
     print(f"{args.rounds} rounds; median [quartiles]; cores "
-          f"{sorted(os.sched_getaffinity(0))}; wall ms / CPU ms / RSS MB per round above")
+          f"{sorted(os.sched_getaffinity(0))}; wall ms / CPU ms / RSS MB / minor faults per "
+          "round above")
     for side, checkout in zip(runs, args.checkout):
         print(f"{checkout}:")
-        for key in ("wall_ms", "cpu_ms", "rss_mb"):
+        for key in ("wall_ms", "cpu_ms", "rss_mb", "minflt"):
             print(f"  {key:7} {quartiles([r[key] for r in side])}")
     return 0
 

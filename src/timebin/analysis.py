@@ -44,10 +44,14 @@ __all__ = [
 # Bound on a gate width, and a histogram bin, in whole ps.
 MAX_GATE_PS = 2**62
 
-# Detections per step of the fold.  Small steps keep its temporaries small
-# and in cache: on a fringe-scan stream, steps of 2^16 took about 1.7 times
-# as long as steps of 2^14.
-FOLD_RECORDS = 1 << 14
+# Detections per step of the fold; its int64 temporaries are then 256 KiB.
+# Unless the heap top is padded (``cli.run`` pads it), glibc maps such blocks
+# afresh on each step, and the fold faults its memory in again.  A cold
+# ``feed`` of a fringe-scan phase took 7802 minor faults at 2^14 records a
+# step and 11971 at 2^15 unpadded; padded, 957 at 2^14, 1486 at 2^15 and 7166
+# at 2^16, and 2^15 was the fastest of the three (medians of 8: 70.1, 61.6
+# and 66.6 ms).
+FOLD_RECORDS = 1 << 15
 
 
 def whole_ps(seconds, name: str) -> int:
@@ -245,32 +249,39 @@ class StreamAnalyzer:
         """Histogram, gate and pair detections given in pulse order as
         (pulse, int64 ps after the pulse's trigger, channel 0 or 1).  Gate
         k is slot k of an idler detection and slot n + k of a signal one."""
-        np.add.at(self._hist, rel_ps // self._bin_ps * 2 + channels, 1)
+        key = rel_ps // self._bin_ps
+        key *= 2
+        key += channels
+        np.add.at(self._hist, key, 1)
 
         edge = np.zeros(rel_ps.size, dtype=np.min_scalar_type(self._edges.size))
         for e in self._edges.tolist():  # few edges: counting beats searchsorted
             edge += rel_ps >= e
-        inside = (edge & 1).astype(bool)
-        slot = (edge[inside] >> 1) + self._n * (channels[inside] == CH_SIGNAL)
-        pulse = pulse[inside]
-        if slot.size == 0:
+        inside = np.flatnonzero((edge & 1).astype(bool))
+        if inside.size == 0:
             return
+        slot = edge.take(inside).astype(np.intp)
+        slot >>= 1
+        slot += self._n * (channels.take(inside) == CH_SIGNAL)
+        pulse = pulse.take(inside)
         n_slots = self._gated.size
         self._gated += np.bincount(slot, minlength=n_slots)
         # Runs 0 and 1 are the carried ones, and a run starts where the
-        # pulse changes: the first event opens run 1 on the open run's
-        # pulse, run 2 after it.
+        # pulse changes: the first event continues run 1 on the open run's
+        # pulse or opens run 2, and each start after it opens the next run.
         tail_pulse, tail_counts = self._tail
-        run = np.diff(pulse, prepend=tail_pulse[1])
-        np.minimum(run, 1, out=run)
-        starts = np.flatnonzero(run)
-        run[0] += 1
-        np.cumsum(run, out=run)
-        n_runs = int(run[-1]) + 1
-        counts = np.bincount(slot * n_runs + run,
-                             minlength=n_slots * n_runs).reshape(n_slots, n_runs)
+        opens = np.empty(pulse.size, dtype=bool)
+        opens[0] = pulse[0] != tail_pulse[1]
+        np.not_equal(pulse[1:], pulse[:-1], out=opens[1:])
+        run = np.cumsum(opens, dtype=np.intp)
+        starts = np.flatnonzero(opens)
+        n_runs = int(run[-1]) + 2
+        slot *= n_runs  # the bincount key slot * n_runs + run + 1, in place
+        slot += run
+        slot += 1
+        counts = np.bincount(slot, minlength=n_slots * n_runs).reshape(n_slots, n_runs)
         counts[:, :2] += tail_counts
-        run_pulse = np.concatenate([tail_pulse, pulse[starts]])
+        run_pulse = np.concatenate([tail_pulse, pulse.take(starts)])
         # Every run before the last is closed: no later event joins it.
         self._tables += self._pairs(run_pulse[:-1], counts[:, :-1])
         self._tail = run_pulse[-2:].copy(), counts[:, -2:].copy()

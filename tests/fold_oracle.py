@@ -10,8 +10,9 @@ midpoint, inside when within half the width rounded to whole ps),
 histograms it in bins of the bin rounded to whole ps, in integers, and
 counts pairs from dense (pulse, slot) tables: joint = S^T I and
 next-pulse = S[:-1]^T I[1:].
-It shares no code with the fold, which gates by a ``searchsorted`` into
-whole-ps gate edges worked out once, and pairs by pulse runs.
+It shares no code with the fold, which gives each detection its slot by
+counting the whole-ps gate edges, worked out once, at or below it, and
+pairs by pulse runs.
 """
 
 import numpy as np

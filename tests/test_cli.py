@@ -1278,6 +1278,33 @@ def test_run_keeps_openblas_workers_from_spinning(tmp_path, monkeypatch, given, 
     assert done.stdout.endswith(f"\n{kept}\n")
 
 
+def test_run_without_mallopt_writes_the_same_report(tmp_path):
+    # run() pads glibc's heap through mallopt; a C library without it is
+    # skipped, and the command's output does not depend on the pad.
+    cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
+    tags = tmp_path / "run.tags"
+    assert main(["simulate", "--config", str(cfg), "--out", str(tags)]) == 0
+    no_mallopt = ("import atexit, ctypes\n"
+                  "asked = []\n"
+                  "class CDLL(ctypes.CDLL):\n"
+                  "    def __getattr__(self, name):\n"
+                  "        if name == 'mallopt':\n"
+                  "            asked.append(self._name)\n"
+                  "            raise AttributeError(name)\n"
+                  "        return super().__getattr__(name)\n"
+                  "ctypes.CDLL = CDLL\n"
+                  "atexit.register(lambda: print('asked', asked))\n")
+    reports = []
+    for k, prelude in enumerate(["", no_mallopt]):
+        report = tmp_path / f"run{k}.json"
+        done = run_python("-c", prelude + "from timebin.cli import run\nrun()\n",
+                          "analyze", "--in", str(tags), "--out", str(report))
+        assert done.returncode == 0 and done.stderr == ""
+        reports.append(report.read_bytes())
+    assert done.stdout.endswith("\nasked [None]\n")
+    assert reports[0] == reports[1]
+
+
 def test_main_in_process_leaves_the_collector_unfrozen(tmp_path):
     cfg = write_config(tmp_path / "run.cfg", duration_s=0.0005)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run.tags")]) == 0

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from timebin.analysis import (GateConfig, RateReport, StreamAnalyzer,
+from timebin.analysis import (FOLD_RECORDS, GateConfig, RateReport, StreamAnalyzer,
                               analyze_stream, car, klyshko)
 from timebin.cli import main
 from timebin.quantum import DensityMatrix2Q, _physical, chsh_bounds, concurrence
-from timebin.simulate import (CH_SIGNAL, TAG_DTYPE, ExperimentConfig, PulseGrid,
+from timebin.simulate import (CH_IDLER, CH_SIGNAL, TAG_DTYPE, ExperimentConfig, PulseGrid,
                               iter_simulate, iter_simulate_single_bin)
 from timebin.streams import StreamFormatError, iter_read_tags, write_tags
 
@@ -106,6 +106,41 @@ def test_one_pass_matches_dense_pair_oracle():
                           grid=CHUNKING_GRID)
     assert ties.gated_signal[0] + ties.gated_idler[0] == len(TIE_CUTS) > 0
     assert_same_result(CHUNKING_WHOLE, oracle)
+
+
+# Long enough for one feed of more than three fold steps; darks put
+# ungated detections between the gated ones.
+STEPS_CFG = ExperimentConfig(duration_s=5e-3, mean_pairs_per_pulse=0.3,
+                             dark_rate_signal_hz=1e6, dark_rate_idler_hz=1e6, rng_seed=7)
+
+
+def test_feed_across_fold_steps_matches_dense_pair_oracle():
+    # The stream starts where the fold's first step boundary falls between
+    # a gated signal and a gated idler event of one pulse, inside its run,
+    # and its second between a gated signal event and a gated idler event
+    # of the next pulse: a pair and a neighbour pair across steps.
+    grid, gates = PulseGrid.of(STEPS_CFG), run_gates(STEPS_CFG)
+    detections = np.concatenate(list(iter_simulate(STEPS_CFG)))
+    detections = detections[detections["time_ps"] < grid.times(grid.pulses)]
+    pulse, rel = grid.locate(detections["time_ps"].astype(np.int64))
+    offs = np.array([round(o * 1e12) for o in gates.offsets])
+    gated = np.any(2 * np.abs(rel[:, None] - offs) <= round(gates.gate_width * 1e12), axis=1)
+    channel = detections["channel"]
+    both = gated[:-1] & gated[1:]  # entry j: detections j and j + 1
+    in_run = both & (pulse[1:] == pulse[:-1]) & (channel[1:] != channel[:-1])
+    neighbours = (both & (pulse[1:] == pulse[:-1] + 1)
+                  & (channel[:-1] == CH_SIGNAL) & (channel[1:] == CH_IDLER))
+    step = FOLD_RECORDS
+    n = detections.size - 3 * step
+    start = np.flatnonzero(in_run[step - 1:step - 1 + n]
+                           & neighbours[2 * step - 1:2 * step - 1 + n])[0]
+    fed = detections[start:]
+    an = StreamAnalyzer(gates, grid=grid)
+    an.feed(fed)
+    oracle = explicit_trigger_result(merge_triggers(fed, grid.pulses, grid.period_ps), gates)
+    assert oracle.joint.sum() > 10000 and oracle.neighbor_joint.sum() > 100
+    assert oracle.gated_signal.sum() + oracle.gated_idler.sum() < fed.size
+    assert_same_result(an.result(), oracle)
 
 
 @st.composite
