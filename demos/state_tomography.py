@@ -34,7 +34,7 @@ record = counts_from_phase_settings(setting_counts)
 result = bootstrap_errors(record, n_replicas=100, seed=7)
 
 print("\nreconstructed density matrix (real part):")
-for row in result.rho.matrix.real:
+for row in result.rho.real:
     print("   " + "  ".join(f"{v:7.4f}" for v in row))
 
 err = result.errors

@@ -10,8 +10,9 @@ The API lives in the submodules, imported by name: ``timebin.simulate``,
 ``timebin.streams``, ``timebin.analysis``, ``timebin.quantum``,
 ``timebin.tomography`` and the command line in ``timebin.cli``.  The
 package itself imports none of them, so a process loads only what it uses;
-it holds the constants and the one number rule, :func:`finite_number`,
-that the modules and the command line share without loading numpy.
+it holds the constants and the number rules, :func:`finite_number` and
+:func:`whole_count`, that the modules and the command line share without
+loading numpy.
 """
 
 import numbers
@@ -37,3 +38,15 @@ def finite_number(value, name: str):
             and abs(value) <= sys.float_info.max:
         return value
     raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def whole_count(n, name: str):
+    """``n`` if it passes :func:`finite_number` and is a whole number from 0
+    to 2^53, where floats hold every integer; else a ValueError naming it.
+    This is the one count rule of the reports."""
+    try:
+        if 0 <= finite_number(n, name) <= 2**53 and n % 1 == 0:
+            return n
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer from 0 to 2^53, got {n!r}")

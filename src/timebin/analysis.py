@@ -528,8 +528,6 @@ class FringeScan:
             raise ValueError("fringe fit needs at least 5 distinct phases")
         if np.ptp(self.phases) < np.pi:
             raise ValueError("fringe scan must span at least half a period")
-        if not np.all(np.isfinite(self.counts / self.integration_times)):
-            raise ValueError("fringe scan holds a rate that is not finite")
 
 
 @dataclass(frozen=True)
@@ -555,24 +553,33 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     a <= 0 or V > 1, the optimum lies on the edge V = 1 of the convex cone
     hypot(b, c) <= a: there A(phi0) = <g, y>/<g, g> with
     g = 1 - cos(phi + phi0), and phi0 maximizes <g, y>^2/<g, g>.
+
+    A fit with a figure that is not finite is a ValueError, with no float
+    warning: rates past the float range give one, and so do rates near
+    1e163, whose squared residuals pass it.
     """
     scan.validate()
-    rates = scan.counts / scan.integration_times
-    if float(np.mean(rates)) <= 0:
-        return FringeFit(Quantity(0.0, 0.0), 0.0, 0.0)
-    design = np.column_stack([np.ones_like(scan.phases), np.cos(scan.phases),
-                              np.sin(scan.phases)])
-    (a, b, c), cov = _lsq(design, rates)
-    vis = np.hypot(b, c) / a if a > 0 else np.inf
-    if vis > 1:
-        a, b, c = edge = _edge_fringe(design, rates)
-        _, cov = _lsq(design, rates, at=edge)
-        vis = 1.0
-    phi0 = np.arctan2(c, -b)
-    # Gradient of V = hypot(b, c)/a, with (b, c)/hypot(b, c) = (-cos, sin) phi0.
-    grad = np.array([-vis, -np.cos(phi0), np.sin(phi0)]) / a
-    return FringeFit(Quantity(float(vis), float(np.sqrt(grad @ cov @ grad))),
-                     float(phi0), float(a))
+    with np.errstate(all="ignore"):
+        rates = scan.counts / scan.integration_times
+        if float(np.mean(rates)) <= 0:
+            return FringeFit(Quantity(0.0, 0.0), 0.0, 0.0)
+        design = np.column_stack([np.ones_like(scan.phases), np.cos(scan.phases),
+                                  np.sin(scan.phases)])
+        (a, b, c), cov = _lsq(design, rates)
+        vis = np.hypot(b, c) / a if a > 0 else np.inf
+        if vis > 1:
+            a, b, c = edge = _edge_fringe(design, rates)
+            _, cov = _lsq(design, rates, at=edge)
+            vis = 1.0
+        phi0 = np.arctan2(c, -b)
+        # Gradient of V = hypot(b, c)/a, with (b, c)/hypot(b, c) = (-cos, sin) phi0.
+        grad = np.array([-vis, -np.cos(phi0), np.sin(phi0)]) / a
+        error = np.sqrt(grad @ cov @ grad)
+    figures = (float(vis), float(error), float(phi0), float(a))
+    if not np.all(np.isfinite(figures)):
+        raise ValueError("fringe fit is not finite: visibility {!r} +- {!r}, phase offset "
+                         "{!r} rad, amplitude {!r}".format(*figures))
+    return FringeFit(Quantity(*figures[:2]), *figures[2:])
 
 
 def _edge_fringe(design, rates):

@@ -55,7 +55,7 @@ import sys
 import time
 
 from . import (DEFAULT_GATE_WIDTH, DEFAULT_HIST_BIN, FORMAT_VERSION, MODES, __version__,
-               finite_number)
+               finite_number, whole_count)
 
 __all__ = ["main", "run", "load_config", "ConfigError", "DataError", "ConvergenceError"]
 
@@ -253,8 +253,6 @@ def _cmd_analyze(args) -> int:
         for chunk in it:
             analyzer.feed(chunk)
         result = analyzer.result()
-    except streams.StreamFormatError as exc:
-        raise DataError(f"{args.input}: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read tag file {args.input}: {exc}") from exc
     except ValueError as exc:
@@ -313,9 +311,9 @@ def _report_field(report, path, *keys):
     return value
 
 
-def _report_number(report, path, *keys):
+def _report_number(report, path, *keys, rule=finite_number):
     try:
-        return finite_number(_report_field(report, path, *keys), ".".join(keys))
+        return rule(_report_field(report, path, *keys), ".".join(keys))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -338,10 +336,7 @@ def _cmd_fringe(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad phase in {spec_arg!r}: {exc}") from exc
         report = _load_report(path)
-        counts = _report_number(report, path, "rates", "counts", "central")
-        if counts < 0 or counts % 1:
-            raise DataError(f"{path}: rates.counts.central must be a count of at least 0, "
-                            f"got {counts!r}")
+        counts = _report_number(report, path, "rates", "counts", "central", rule=whole_count)
         duration = _report_number(report, path, "rates", "duration_s")
         if duration <= 0:
             raise DataError(f"{path}: rates.duration_s must be positive, got {duration!r}")
@@ -397,7 +392,7 @@ def _cmd_tomo(args) -> int:
     except ValueError as exc:  # e.g. a table entry that is not a count, or no counts at all
         raise DataError(f"reports {', '.join(inputs)}: {exc}") from exc
     rows = [[part, *map(repr, row)]
-            for part, m in (("re", result.rho.matrix.real), ("im", result.rho.matrix.imag))
+            for part, m in (("re", result.rho.real), ("im", result.rho.imag))
             for row in m]
     _write_outputs(args.out, result.to_json(), {".rho.csv": ("part,c00,c01,c10,c11", rows)},
                    {}, inputs, args.seed, t0)

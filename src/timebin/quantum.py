@@ -8,14 +8,10 @@ pure and safe to call from multiple threads.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "BASIS_LABELS",
-    "DensityMatrix2Q",
     "bell_phi_plus",
     "projector",
     "measurement_operator",
@@ -107,33 +103,6 @@ def _physical(m: np.ndarray) -> np.ndarray:
     return a / np.trace(a, axis1=-2, axis2=-1).real[..., None, None]
 
 
-@dataclass(frozen=True)
-class DensityMatrix2Q:
-    """Validated 4x4 density matrix of the two time-bin qubits.
-
-    Construction enforces Hermiticity, unit trace and positivity; build one
-    via :meth:`from_matrix`.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        validate_density_matrix(self.matrix)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "DensityMatrix2Q":
-        m = np.asarray(m, dtype=complex).reshape(4, 4).copy()
-        m.setflags(write=False)
-        return cls(m)
-
-    def to_json(self) -> str:
-        """Serialize as a JSON object with ``re`` and ``im`` 4x4 arrays.
-
-        Round-trips bit-exactly for finite doubles (json uses repr).
-        """
-        return json.dumps({"re": self.matrix.real.tolist(), "im": self.matrix.imag.tolist()})
-
-
 def _as_stack(rho):
     """One 4x4 matrix or a (..., 4, 4) stack as an (N, 4, 4) stack, checked
     loosely, and the shape of the result: () for one matrix.
@@ -141,7 +110,7 @@ def _as_stack(rho):
     Experimental matrices reported to limited precision can miss unit
     trace by ~1e-3; metrics are evaluated on the matrices as given.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix2Q) else np.asarray(rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
     validate_density_matrix(m, herm_atol=1e-9, trace_atol=0.01)
     return m.reshape(-1, 4, 4), m.shape[:-2]
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import finite_number, quantum
-from .quantum import BASIS_LABELS, DensityMatrix2Q, _physical, measurement_operator
+from . import quantum, whole_count
+from .quantum import BASIS_LABELS, _physical, measurement_operator
 
 __all__ = [
     "SETTINGS",
@@ -78,17 +78,6 @@ _SLOT_CELL = np.array([[[CELLS.index((a, b)) for b in ("Z0", _DIAL_BASIS[dial_i]
                        for dial_s, dial_i in SETTINGS])
 
 
-def _whole_count(n, name: str):
-    """``n`` if it passes :func:`finite_number` and is a whole number from 0
-    to 2^53, where floats hold every integer; else a ValueError naming it."""
-    try:
-        if 0 <= finite_number(n, name) <= 2**53 and n % 1 == 0:
-            return n
-    except ValueError:
-        pass
-    raise ValueError(f"{name} must be an integer from 0 to 2^53, got {n!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """The 16 tomography counts.
@@ -105,7 +94,7 @@ class MeasurementRecord:
         if counts.shape != (len(CELLS),):
             raise ValueError(f"record must hold {len(CELLS)} counts, got shape {counts.shape}")
         for cell, n in zip(CELLS, counts):
-            _whole_count(n, f"count for {cell}")
+            whole_count(n, f"count for {cell}")
         vector = counts.astype(float)
         vector.flags.writeable = False
         object.__setattr__(self, "counts", vector)
@@ -140,7 +129,7 @@ def counts_from_phase_settings(setting_counts: dict) -> MeasurementRecord:
             raise ValueError(f"setting {setting} must provide the 3x3 slot table of a "
                              f"time-bin run, got shape {table.shape}")
         for n in table.flat:
-            _whole_count(n, f"a slot count of setting {setting}")
+            whole_count(n, f"a slot count of setting {setting}")
         tables.append(table)
     counts = np.zeros(len(CELLS), dtype=np.int64)
     np.add.at(counts, _SLOT_CELL, np.array(tables, dtype=np.int64))
@@ -149,9 +138,12 @@ def counts_from_phase_settings(setting_counts: dict) -> MeasurementRecord:
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """Reconstructed state, figures of merit and optimizer diagnostics."""
+    """Reconstructed state, figures of merit and optimizer diagnostics.
 
-    rho: DensityMatrix2Q
+    ``rho`` is the fitted state as a read-only (4, 4) complex array.
+    """
+
+    rho: np.ndarray
     log_likelihood: float
     concurrence: float
     fidelity: float
@@ -170,7 +162,7 @@ class TomographyResult:
 
     def to_json(self) -> str:
         return json.dumps({
-            "rho": json.loads(self.rho.to_json()),
+            "rho": {"re": self.rho.real.tolist(), "im": self.rho.imag.tolist()},
             "log_likelihood": self.log_likelihood,
             "concurrence": self.concurrence,
             "fidelity_phi_plus": self.fidelity,
@@ -182,7 +174,7 @@ class TomographyResult:
                             "n_replicas_dropped": self.n_replicas_dropped,
                             "low_precision": self.low_precision,
                             "certificate_nats": self.certificate,
-                            "min_eigenvalue": float(np.linalg.eigvalsh(self.rho.matrix)[0]),
+                            "min_eigenvalue": float(np.linalg.eigvalsh(self.rho)[0]),
                             "bootstrap_iterations_median": self.bootstrap_iterations_median,
                             "bootstrap_iterations_max": self.bootstrap_iterations_max,
                             "n_replicas_max_iter": self.n_replicas_max_iter},
@@ -373,10 +365,11 @@ def _figures(stack: np.ndarray):
 
     Returns (rho, concurrence, Phi+ fidelity, CHSH lower, CHSH upper),
     each with the leading replica axis.  Every projected matrix must pass
-    :func:`quantum.validate_density_matrix`.
+    :func:`quantum.validate_density_matrix`; the states come back read-only.
     """
     rho = _physical(stack)
     quantum.validate_density_matrix(rho)
+    rho.flags.writeable = False
     c = quantum.concurrence(rho)
     lo, hi = quantum.chsh_bounds(c)
     return rho, c, quantum.fidelity_to_pure(rho, quantum.bell_phi_plus()), lo, hi
@@ -395,7 +388,7 @@ def mle_reconstruct(record: MeasurementRecord, max_iter: int = 2000) -> Tomograp
     fit = mle_batch(record.counts[None], max_iter=max_iter)
     rho, c, f, lo, hi = _figures(fit.rho)
     return TomographyResult(
-        rho=DensityMatrix2Q.from_matrix(rho[0]),
+        rho=rho[0],
         log_likelihood=float(fit.log_likelihood[0]),
         concurrence=float(c[0]),
         fidelity=float(f[0]),

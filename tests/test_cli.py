@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -928,6 +929,7 @@ class TestFringe:
         {"rates": {"counts": {"central": 10**400}, "duration_s": 1.0}},
         {"rates": {"counts": {"central": -5}, "duration_s": 1.0}},
         {"rates": {"counts": {"central": 2.5}, "duration_s": 1.0}},
+        {"rates": {"counts": {"central": 2**60}, "duration_s": 1.0}},
     ])
     def test_unusable_report_is_data_error(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
@@ -937,6 +939,25 @@ class TestFringe:
         assert code == 3
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("duration_s", [1e-160, 1e-310])
+    def test_fit_that_cannot_be_finite_is_data_error(self, tmp_path, capsys, duration_s):
+        # Rates near 1e163 fit, but their squared residuals, and so the
+        # visibility's error, pass the float range; 1e-310 s puts the rates
+        # themselves past it.
+        points = []
+        for k in range(5):
+            report = tmp_path / f"r{k}.json"
+            report.write_text(json.dumps({"rates": {"counts": {"central": 1000 + 100 * k},
+                                                    "duration_s": duration_s}}))
+            points.append(f"{1.3 * k}:{report}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fringe", *points, "--out", str(tmp_path / "f.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "fringe fit is not finite" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("f.*"))
 
 
 @pytest.fixture(scope="module")

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from timebin.analysis import (FOLD_RECORDS, GateConfig, RateReport, StreamAnalyzer,
                               analyze_stream, car, klyshko)
 from timebin.cli import main
-from timebin.quantum import DensityMatrix2Q, _physical, chsh_bounds, concurrence
+from timebin.quantum import (_physical, chsh_bounds, concurrence, measurement_operator,
+                             validate_density_matrix)
 from timebin.simulate import (CH_IDLER, CH_SIGNAL, TAG_DTYPE, ExperimentConfig, PulseGrid,
                               iter_simulate, iter_simulate_single_bin)
 from timebin.streams import StreamFormatError, iter_read_tags, write_tags
+from timebin.tomography import CELLS, MeasurementRecord, mle_reconstruct
 
 from conftest import (assert_same_result, full_stream, ginibre_density_matrix, merge_triggers,
                       run_gates, tie_cuts, write_grid_stream)
@@ -61,12 +63,12 @@ def test_klyshko_bounded_by_count_ratio(ns, ni, nc):
 def test_density_matrix_invariants(seed):
     rng = np.random.default_rng(seed)
     rho = ginibre_density_matrix(rng)
-    dm = DensityMatrix2Q.from_matrix(_physical(rho))
-    m = dm.matrix
+    m = _physical(rho)
+    validate_density_matrix(m)
     assert np.allclose(m, m.conj().T, atol=1e-12)
     assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(m).min() >= -1e-9
-    c = concurrence(dm)
+    c = concurrence(m)
     assert 0.0 <= c <= 1.0 + 1e-12
 
 
@@ -74,11 +76,14 @@ def test_density_matrix_invariants(seed):
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @example(9)
 def test_density_matrix_json_round_trip(seed):
-    # tomo.json holds the matrix as to_json writes it: every bit comes back
-    dm = DensityMatrix2Q.from_matrix(ginibre_density_matrix(np.random.default_rng(seed)))
-    obj = json.loads(dm.to_json())
-    assert np.array(obj["re"]).tobytes() == dm.matrix.real.tobytes()
-    assert np.array(obj["im"]).tobytes() == dm.matrix.imag.tobytes()
+    # tomo.json holds the fitted state as to_json writes it: every bit comes back
+    rng = np.random.default_rng(seed)
+    rho = ginibre_density_matrix(rng)
+    probs = [np.trace(measurement_operator(a, b) @ rho).real for a, b in CELLS]
+    result = mle_reconstruct(MeasurementRecord(rng.poisson(1e5 * np.clip(probs, 0, None))))
+    obj = json.loads(result.to_json())["rho"]
+    assert np.array(obj["re"]).tobytes() == result.rho.real.tobytes()
+    assert np.array(obj["im"]).tobytes() == result.rho.imag.tobytes()
 
 
 # A short stream with exact detection-trigger ties: zero jitter and delay

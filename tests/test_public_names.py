@@ -25,11 +25,14 @@ def parse(path):
 
 
 def exported(tree):
-    """The names in a module's ``__all__``, and the public methods of the
-    public classes among them as ``Class.method``."""
-    names = next(ast.literal_eval(node.value) for node in tree.body
-                 if isinstance(node, ast.Assign)
-                 and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    """The names in a module's ``__all__``, or, in a module without one (the
+    package's ``__init__``), its public functions; and the public methods of
+    the public classes among them as ``Class.method``."""
+    names = next((ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)),
+                 [node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")])
     methods = [f"{node.name}.{item.name}" for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name in names
                for item in node.body
@@ -70,8 +73,7 @@ def references(tree):
     return found
 
 
-MODULES = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))
-           if path.stem != "__init__"}
+MODULES = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
 CALLS = sum((references(tree) for tree in [*MODULES.values(), *map(parse, CALLERS)]),
             Counter())
 PUBLIC = [(module, name) for module, tree in MODULES.items() for name in exported(tree)]
@@ -80,6 +82,7 @@ PUBLIC = [(module, name) for module, tree in MODULES.items() for name in exporte
 def test_every_module_is_walked():
     assert len(CALLERS) >= 6 and len(PUBLIC) > 50
     assert {"cli", "simulate", "streams", "analysis", "quantum", "tomography"} <= set(MODULES)
+    assert {("__init__", "finite_number"), ("__init__", "whole_count")} <= set(PUBLIC)
 
 
 @pytest.mark.parametrize("module, name", PUBLIC, ids=[f"{m}.{n}" for m, n in PUBLIC])

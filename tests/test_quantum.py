@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from timebin import quantum
-from timebin.quantum import (DensityMatrix2Q, bell_phi_plus, chsh_bounds,
+from timebin.quantum import (bell_phi_plus, chsh_bounds,
                              concurrence, fidelity_to_pure,
                              measurement_operator, projector,
                              validate_density_matrix)
@@ -194,7 +192,6 @@ class TestStacks:
         rho = self.stack(1)[0]
         assert type(concurrence(rho)) is float
         assert type(fidelity_to_pure(rho, bell_phi_plus())) is float
-        assert type(concurrence(DensityMatrix2Q.from_matrix(rho))) is float
 
 
 class TestChshBounds:
@@ -225,31 +222,22 @@ class TestChshBounds:
 
 
 class TestDensityMatrixType:
-    def test_valid_construction(self):
-        dm = DensityMatrix2Q.from_matrix(BELL_DM)
-        assert np.trace(dm.matrix).real == pytest.approx(1.0)
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix2Q.from_matrix(np.eye(4) / 3)
-
-    @pytest.mark.parametrize("m", [np.eye(4) / 3, np.diag([0.6, 0.6, -0.1, -0.1]),
-                                   np.ones((3, 3)) / 3])
-    def test_direct_construction_is_validated(self, m):
-        with pytest.raises(ValueError):
-            DensityMatrix2Q(m)
+    @pytest.mark.parametrize("m, match", [
+        (np.eye(4) / 3, "trace"),
+        (np.diag([0.6, 0.6, -0.1, -0.1]), "positive"),
+        (np.ones((3, 3)) / 3, "4x4"),
+        (np.diag([0.25, 0.25, np.nan, 0.25]).astype(complex), "non-finite"),
+    ])
+    def test_validation_rejects(self, m, match):
+        with pytest.raises(ValueError, match=match):
+            validate_density_matrix(m)
 
     def test_fix_recovers_noisy_matrix(self):
         rng = np.random.default_rng(5)
         noisy = BELL_DM + 1e-6 * rng.normal(size=(4, 4))
-        dm = DensityMatrix2Q.from_matrix(quantum._physical(noisy))
-        assert concurrence(dm) == pytest.approx(1.0, abs=1e-4)
-
-    def test_rejects_nan(self):
-        m = np.eye(4, dtype=complex) / 4
-        m[2, 2] = np.nan
-        with pytest.raises(ValueError):
-            DensityMatrix2Q.from_matrix(m)
+        rho = quantum._physical(noisy)
+        validate_density_matrix(rho)
+        assert concurrence(rho) == pytest.approx(1.0, abs=1e-4)
 
     def test_stack_validation_rejects_any_bad_matrix(self):
         rng = np.random.default_rng(10)
@@ -258,16 +246,3 @@ class TestDensityMatrixType:
         stack[3] = np.diag([0.6, 0.6, -0.1, -0.1])
         with pytest.raises(ValueError, match="positive"):
             validate_density_matrix(stack)
-
-    def test_json_round_trip_bit_exact(self):
-        rng = np.random.default_rng(9)
-        dm = DensityMatrix2Q.from_matrix(ginibre_density_matrix(rng))
-        obj = json.loads(dm.to_json())
-        again = DensityMatrix2Q(np.array(obj["re"]) + 1j * np.array(obj["im"]))
-        assert np.array_equal(dm.matrix, again.matrix)
-
-    def test_json_shape(self):
-        dm = DensityMatrix2Q.from_matrix(np.eye(4) / 4)
-        obj = json.loads(dm.to_json())
-        assert np.array(obj["re"]).shape == (4, 4)
-        assert np.array(obj["im"]).shape == (4, 4)

@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from timebin import quantum, tomography
-from timebin.quantum import DensityMatrix2Q, bell_phi_plus
+from timebin.quantum import bell_phi_plus
 from timebin.tomography import (CELLS, SETTINGS, MeasurementRecord, _figures,
                                 bootstrap_errors, counts_from_phase_settings,
                                 linear_inversion, mle_batch, mle_reconstruct,
@@ -154,7 +155,8 @@ class TestLinearInversion:
             vals = np.linalg.eigvalsh((est + est.conj().T) / 2)
             if vals.min() < -1e-9:
                 seen_unphysical = True
-            fixed = DensityMatrix2Q.from_matrix(quantum._physical(est)).matrix
+            fixed = quantum._physical(est)
+            quantum.validate_density_matrix(fixed)
             assert np.linalg.eigvalsh(fixed).min() >= -1e-12
             assert np.trace(fixed).real == pytest.approx(1.0)
         assert seen_unphysical
@@ -173,7 +175,27 @@ class TestMle:
         result = mle_reconstruct(rec)
         assert result.converged
         assert result.concurrence < 0.01
-        assert np.real(result.rho.matrix[0, 0]) > 0.99
+        assert np.real(result.rho[0, 0]) > 0.99
+
+    def test_json_holds_rho_bit_exact(self):
+        # tomo.json and tomo.rho.csv hold the state as to_json writes it:
+        # every bit comes back, and re + 1j*im is the fitted array
+        rec = counts_from_phase_settings(
+            setting_tables(20_000, v0=0.9, rng=np.random.default_rng(9), accidentals=2.0))
+        result = mle_reconstruct(rec)
+        obj = json.loads(result.to_json())["rho"]
+        re, im = np.array(obj["re"]), np.array(obj["im"])
+        assert re.shape == im.shape == (4, 4)
+        assert re.tobytes() == result.rho.real.tobytes()
+        assert im.tobytes() == result.rho.imag.tobytes()
+        assert np.array_equal(re + 1j * im, result.rho)
+
+    def test_rho_refuses_writes(self):
+        rec = counts_from_phase_settings(setting_tables(20_000))
+        for result in (mle_reconstruct(rec), bootstrap_errors(rec, n_replicas=2)):
+            assert result.rho.shape == (4, 4) and result.rho.dtype == complex
+            with pytest.raises(ValueError, match="read-only"):
+                result.rho[0, 0] = 1.0
 
     def test_dephased_state_concurrence_tracks_visibility(self):
         v0 = 0.6
@@ -245,7 +267,7 @@ class TestMle:
         for k in (0, 7, 23, 39):
             solo = mle_reconstruct(MeasurementRecord(counts=draws[k]))
             assert batch.iterations[k] == solo.iterations
-            assert np.max(np.abs(batch.rho[k] - solo.rho.matrix)) < 1e-9
+            assert np.max(np.abs(batch.rho[k] - solo.rho)) < 1e-9
             assert batch.log_likelihood[k] == pytest.approx(
                 solo.log_likelihood, rel=1e-12)
 
@@ -253,9 +275,9 @@ class TestMle:
         rng = np.random.default_rng(56)
         rec = counts_from_phase_settings(
             setting_tables(100_000, v0=0.8, rng=rng))
-        rho_a = mle_reconstruct(rec).rho.matrix
+        rho_a = mle_reconstruct(rec).rho
         swapped = MeasurementRecord(rec.counts[[CELLS.index((b, a)) for a, b in CELLS]])
-        rho_b = mle_reconstruct(swapped).rho.matrix
+        rho_b = mle_reconstruct(swapped).rho
         swap = np.eye(4)[[0, 2, 1, 3]]
         # agreement is limited only by the optimizer's floating-point
         # termination threshold on the likelihood
@@ -317,10 +339,11 @@ class TestBootstrap:
              for _ in range(10)]])
         rho, c, f, lo, hi = _figures(stack)
         for k, m in enumerate(stack):
-            dm = DensityMatrix2Q.from_matrix(quantum._physical(m))
+            dm = quantum._physical(m)
+            quantum.validate_density_matrix(dm)
             c_k = quantum.concurrence(dm)
             lo_k, hi_k = quantum.chsh_bounds(c_k)
-            assert np.max(np.abs(rho[k] - dm.matrix)) < 1e-12
+            assert np.max(np.abs(rho[k] - dm)) < 1e-12
             assert abs(c[k] - c_k) < 1e-12
             assert abs(f[k] - quantum.fidelity_to_pure(dm, bell_phi_plus())) < 1e-12
             assert abs(lo[k] - lo_k) < 1e-12 and abs(hi[k] - hi_k) < 1e-12
