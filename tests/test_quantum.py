@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from timebin.quantum import (bell_phi_plus, chsh_bounds,
                              concurrence, fidelity_to_pure,
                              measurement_operator, projector,
                              validate_density_matrix)
+from timebin.tomography import TomographyResult
 
 from conftest import (EXPERIMENT_RHO_REAL, ginibre_density_matrix,
                       random_pure_state, random_unitary, wootters_oracle)
@@ -222,14 +225,34 @@ class TestChshBounds:
 
 
 class TestDensityMatrixType:
-    @pytest.mark.parametrize("m, match", [
-        (np.eye(4) / 3, "trace"),
-        (np.diag([0.6, 0.6, -0.1, -0.1]), "positive"),
-        (np.ones((3, 3)) / 3, "4x4"),
-        (np.diag([0.25, 0.25, np.nan, 0.25]).astype(complex), "non-finite"),
-    ])
-    def test_validation_rejects(self, m, match):
-        with pytest.raises(ValueError, match=match):
+    @staticmethod
+    def result(rho):
+        """A TomographyResult holding ``rho``, its figures filled in from it."""
+        c = concurrence(rho)
+        lo, hi = chsh_bounds(c)
+        return TomographyResult(rho=rho, log_likelihood=0.0, concurrence=c,
+                                fidelity=fidelity_to_pure(rho, bell_phi_plus()),
+                                chsh_lower=lo, chsh_upper=hi, iterations=0,
+                                converged=True)
+
+    def test_valid_construction(self):
+        validate_density_matrix(BELL_DM)
+        validate_density_matrix(ginibre_density_matrix(np.random.default_rng(3)))
+
+    def test_rejects_bad_trace(self):
+        with pytest.raises(ValueError, match="trace"):
+            validate_density_matrix(np.eye(4) / 3)
+
+    @pytest.mark.parametrize("m", [np.eye(4) / 3, np.diag([0.6, 0.6, -0.1, -0.1]),
+                                   np.ones((3, 3)) / 3])
+    def test_direct_construction_is_validated(self, m):
+        with pytest.raises(ValueError, match="trace|positive|4x4"):
+            validate_density_matrix(m)
+
+    def test_rejects_nan(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
             validate_density_matrix(m)
 
     def test_fix_recovers_noisy_matrix(self):
@@ -246,3 +269,16 @@ class TestDensityMatrixType:
         stack[3] = np.diag([0.6, 0.6, -0.1, -0.1])
         with pytest.raises(ValueError, match="positive"):
             validate_density_matrix(stack)
+
+    def test_json_round_trip_bit_exact(self):
+        rng = np.random.default_rng(9)
+        rho = ginibre_density_matrix(rng)
+        obj = json.loads(self.result(rho).to_json())["rho"]
+        again = np.array(obj["re"]) + 1j * np.array(obj["im"])
+        validate_density_matrix(again)
+        assert np.array_equal(rho, again)
+
+    def test_json_shape(self):
+        obj = json.loads(self.result(np.eye(4, dtype=complex) / 4).to_json())["rho"]
+        assert np.array(obj["re"]).shape == (4, 4)
+        assert np.array(obj["im"]).shape == (4, 4)
