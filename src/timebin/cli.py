@@ -17,12 +17,14 @@ collection would only free objects that the OS reclaims anyway.
 ``run`` also sets ``OPENBLAS_THREAD_TIMEOUT`` to 4 (2^4 cycles, the least
 OpenBLAS takes) unless it is set, before any handler imports numpy.  With
 more than one BLAS thread, OpenBLAS's idle workers otherwise spin for
-about 0.1 s after numpy loads, most of a command, on the core that
-``simulate``'s drawing thread needs.  On a 2-core host with
-``OPENBLAS_NUM_THREADS=2``, a cold ``simulate`` of 0.05 s at 0.3 pairs a
-pulse used 212 ms of CPU in 133 ms of wall with the default timeout, and
-131 ms of CPU in 131 ms with this one (medians of 20).  A value the user
-set is kept.
+about 0.1 s after numpy loads, most of a command, and the command's own
+thread runs slower beside them.  On a 2-vCPU host with
+``OPENBLAS_NUM_THREADS=2``, cold commands on a fringe-scan phase (0.05 s
+at 0.3 pairs a pulse) took, without and with this timeout: ``analyze``
+262.0 and 195.6 ms, ``simulate`` 292.4 and 228.9 ms, and a ``tomo`` of
+four 0.2 s settings 340.1 and 261.8 ms (medians of 20 alternating
+rounds, CPU time close to wall time in each).  A value the user set is
+kept.
 
 ``run`` also has glibc keep 16 MiB of free memory at the top of its heap
 (``mallopt(M_TOP_PAD, 16 MiB)``), where the C library has ``mallopt``.

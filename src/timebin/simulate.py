@@ -19,18 +19,12 @@ and :func:`iter_simulate_single_bin` yield only the detections, and every
 consumer takes them with ``PulseGrid.of(config)``.  Generation is
 organized in fixed-size pulse blocks, each with its own RNG substream
 derived from (seed, block index), so the output is deterministic and
-independent of how it is chunked, and of which thread draws a block.  A
-stream depends on the bit streams of ``Generator.poisson``, ``integers``,
-``random`` and ``normal`` alone: the pair outcomes are the indices
-``Generator.choice`` would draw, found from the same uniforms without
-calling it (:func:`_draw_outcomes`), and an efficiency of 0 or 1 skips
-its uniforms with ``advance`` (:func:`_detected`).
-
-A drawing thread draws the blocks after the first in order
-(:func:`_emit_block`) while the consumer's thread draws the first and
-then sorts them and takes the chunks, so a block is drawn while the one
-before it is sorted and the chunk before that is written: at most those
-three are held (:func:`_iter_tags`).
+independent of how it is chunked.  A stream depends on the bit streams
+of ``Generator.poisson``, ``integers``, ``random`` and ``normal`` alone:
+the pair outcomes are the indices ``Generator.choice`` would draw, found
+from the same uniforms without calling it (:func:`_draw_outcomes`), and
+an efficiency of 0 or 1 skips its uniforms with ``advance``
+(:func:`_detected`).
 
 Detections are ordered by (float time, channel), by one sort of their
 bits as integer keys, and then rounded to whole picoseconds.  A
@@ -44,8 +38,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import queue
-import threading
 from dataclasses import dataclass, asdict
 from typing import Iterator
 
@@ -389,7 +381,7 @@ def _emit_block(config, grid, block, law):
     darks come from a generator of their own, so they are drawn first, and
     the photons are placed straight into the returned array a slice of
     pairs at a time: little beyond that array is held while a block is
-    drawn next to one being sorted.
+    drawn next to the sorted one before it.
     """
     first = block * BLOCK_PULSES
     count = min(BLOCK_PULSES, grid.pulses - first)
@@ -437,72 +429,46 @@ def _iter_tags(config: ExperimentConfig, law) -> Iterator[np.ndarray]:
     """Detection tags of a run, one time-sorted chunk per pulse block.
 
     The chunks hold no trigger tags: the triggers are ``PulseGrid.of(config)``.
-    Block 0 is drawn here while one drawing thread draws block 1; the
-    thread then runs :func:`_emit_block` on each block asked for, in order,
-    and hands it over.  Chunk b is made once block b + 1 is drawn, and
-    block b + 2 is asked for once chunk b is made: block b + 1 is drawn
-    while block b is sorted, and block b + 2 while chunk b is written, so
-    at most chunk b, block b + 1 and block b + 2 are held.  An exception on
-    the thread is raised here, and closing the iterator joins the thread
-    once the block in the drawing, if any, is drawn.
+    Block b is sorted, then block b + 1 is drawn (:func:`_emit_block`) and
+    chunk b is cut from the sorted block and yielded, so at most the
+    sorted block b and block b + 1 are held.
     """
     grid = PulseGrid.of(config)
     n_blocks = -(-grid.pulses // BLOCK_PULSES)
-    wanted, drawn = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def draw():
-        try:
-            for block in iter(wanted.get, None):
-                drawn.put(_emit_block(config, grid, block, law))
-        except BaseException as exc:  # handed over, and raised again below
-            drawn.put(exc)
-
-    if n_blocks > 1:
-        wanted.put(1)
-    thread = threading.Thread(target=draw, name="timebin-draw", daemon=True)
-    thread.start()
-    try:
-        carry = np.empty(0, dtype=np.uint64)
-        upcoming = _emit_block(config, grid, 0, law)
-        for block in range(n_blocks):
-            times, channels, t_end = upcoming
-            del upcoming
-            # Times are never negative, and such floats order as their bits,
-            # so key = bits << 1 | channel orders as (time, channel); the
-            # shift drops the sign bit of a -0.0.  Equal keys are equal
-            # records, so an in-place sort of the keys is the stream.
-            key = np.empty(carry.size + times.size, dtype=np.uint64)
-            key[:carry.size] = carry
-            np.left_shift(times.view(np.uint64), 1, out=key[carry.size:])
-            key[carry.size:] |= channels
-            del times, channels
-            key.sort()
-            channels = key.astype(np.uint8)
-            channels &= 1
-            key >>= 1
-            times = key.view(np.float64)
-            del key
-            # Jittered events may spill past the block's last pulse, and the
-            # next block's first pulses may place photons before its start.
-            # Hold back every detection from the earlier of the two on, so
-            # emitted chunks stay globally time-sorted.
-            upcoming = drawn.get() if block + 1 < n_blocks else None
-            if isinstance(upcoming, BaseException):
-                raise upcoming
-            cut_t = np.inf if upcoming is None else min(t_end, upcoming[0].min(initial=t_end))
-            cut = np.searchsorted(times, cut_t, side="left")
-            carry = times[cut:].view(np.uint64) << 1 | channels[cut:]
-            tags = np.empty(cut, dtype=TAG_DTYPE)
-            tags["time_ps"] = np.round(times[:cut], out=times[:cut])
-            tags["channel"] = channels[:cut]
-            del times, channels
-            if block + 2 < n_blocks:
-                wanted.put(block + 2)
-            yield tags
-            del tags  # before the next block is sorted, as the consumer has let go of it
-    finally:
-        wanted.put(None)
-        thread.join()
+    carry = np.empty(0, dtype=np.uint64)
+    upcoming = _emit_block(config, grid, 0, law)
+    for block in range(n_blocks):
+        times, channels, t_end = upcoming
+        del upcoming
+        # Times are never negative, and such floats order as their bits,
+        # so key = bits << 1 | channel orders as (time, channel); the
+        # shift drops the sign bit of a -0.0.  Equal keys are equal
+        # records, so an in-place sort of the keys is the stream.
+        key = np.empty(carry.size + times.size, dtype=np.uint64)
+        key[:carry.size] = carry
+        np.left_shift(times.view(np.uint64), 1, out=key[carry.size:])
+        key[carry.size:] |= channels
+        del times, channels
+        key.sort()
+        channels = key.astype(np.uint8)
+        channels &= 1
+        key >>= 1
+        times = key.view(np.float64)
+        del key
+        # Jittered events may spill past the block's last pulse, and the
+        # next block's first pulses may place photons before its start.
+        # Hold back every detection from the earlier of the two on, so
+        # emitted chunks stay globally time-sorted.
+        upcoming = _emit_block(config, grid, block + 1, law) if block + 1 < n_blocks else None
+        cut_t = np.inf if upcoming is None else min(t_end, upcoming[0].min(initial=t_end))
+        cut = np.searchsorted(times, cut_t, side="left")
+        carry = times[cut:].view(np.uint64) << 1 | channels[cut:]
+        tags = np.empty(cut, dtype=TAG_DTYPE)
+        tags["time_ps"] = np.round(times[:cut], out=times[:cut])
+        tags["channel"] = channels[:cut]
+        del times, channels
+        yield tags
+        del tags  # before the next block is sorted, as the consumer has let go of it
 
 
 def iter_simulate(config: ExperimentConfig) -> Iterator[np.ndarray]:

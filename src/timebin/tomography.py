@@ -404,6 +404,9 @@ def bootstrap_errors(record: MeasurementRecord, n_replicas: int = 200,
                      seed: int = 0, max_iter: int = 2000) -> TomographyResult:
     """Monte-Carlo error bars: Poisson-resample counts, refit, take stats.
 
+    Replicas are fitted only once the base fit certifies: an uncertified
+    base fit is returned with no replica and no error bars, flagged as low
+    precision.
     Replicas are drawn and fitted ``BOOTSTRAP_SLICE`` at a time, so memory
     is bounded by a slice.  Replicas whose fit does not converge are dropped
     and counted; more than 10% dropped, or fewer than 10 replicas requested,
@@ -413,6 +416,8 @@ def bootstrap_errors(record: MeasurementRecord, n_replicas: int = 200,
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas")
     base = mle_reconstruct(record, max_iter=max_iter)
+    if not base.converged:
+        return replace(base, low_precision=True)
     fits = []
     for lo in range(0, n_replicas, BOOTSTRAP_SLICE):
         fit = mle_batch(np.stack([np.random.default_rng([seed, k]).poisson(record.counts) for k in

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
@@ -1092,6 +1093,26 @@ class TestTomo:
                      "--replicas", "2", "--max-iter", "1"])
         assert code == 4
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uncertified_fit_exits_before_any_replica(self, tmp_path, seed):
+        # Tables that no state explains: the base fit stops uncertified at
+        # 2000 iterations, and 200 replicas would do the same for seconds.
+        tables = np.random.default_rng(seed).integers(0, 10**6, (4, 3, 3), endpoint=True)
+        args = []
+        for (ds, di), table in zip(((0, 0), (0, 90), (90, 0), (90, 90)), tables):
+            report = tmp_path / f"{ds}_{di}.json"
+            report.write_text(json.dumps({"joint_slot_counts": table.tolist()}))
+            args.append(f"{ds},{di}:{report}")
+        out = tmp_path / "tomo.json"
+        start = time.perf_counter()
+        assert main(["tomo", *args, "--out", str(out)]) == 4
+        assert time.perf_counter() - start < 1.0
+        result = json.loads(out.read_text())
+        diag = result["diagnostics"]
+        assert not diag["converged"] and diag["iterations"] == 2000
+        assert diag["n_replicas"] == diag["n_replicas_dropped"] == 0
+        assert diag["low_precision"] and result["errors"] is None
+
 
 class TestReport:
     def test_bundles_reports(self, tmp_path):
@@ -1357,7 +1378,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     run_main = "import sys, timebin.cli\nassert timebin.cli.main(sys.argv[1:]) == 0"
     for argv, absent in [
         (["simulate", "--config", str(cfg), "--out", tags],
-         {"timebin.analysis", "timebin.tomography"}),
+         {"timebin.analysis", "timebin.tomography", "queue"}),
         (["analyze", "--in", tags, "--out", report], {"timebin.tomography", "timebin.quantum"}),
         (["report", report, "--out", str(tmp_path / "summary.json")], {"numpy"}),
         (["tomo", *(f"{ds},{di}:{report}" for ds, di in ((0, 0), (0, 90), (90, 0), (90, 90))),

@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import inspect
 import re
-import sys
 import threading
 import tracemalloc
 
@@ -601,11 +600,9 @@ class TestGoldenStreams:
 
 def test_simulate_and_write_hold_one_block_beyond_the_draw(tmp_path):
     # Traced peak of simulating and writing three blocks at mu = 0.3, per
-    # pair of one block.  The drawing thread draws block b + 1 while the
-    # keys of block b are built and sorted, and block b + 2 while chunk b
-    # is written; a draw places its photons a slice of pairs at a time.
-    # The peak is one draw next to a key build or next to a chunk being
-    # written, whichever the thread's timing overlaps: 31.7-37.4 B.
+    # pair of one block.  Block b + 1 is drawn next to the sorted block b,
+    # and a draw places its photons a slice of pairs at a time.  The peak
+    # is the same on every run: 27.1 B, or 29.4 B in a fresh interpreter.
     cfg = ExperimentConfig(duration_s=3 * BLOCK_PULSES / 76.2e6, mean_pairs_per_pulse=0.3,
                            interference_visibility=0.95, rng_seed=5)
     tracemalloc.start()
@@ -614,7 +611,7 @@ def test_simulate_and_write_hold_one_block_beyond_the_draw(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (cfg.mean_pairs_per_pulse * BLOCK_PULSES) < 45
+    assert peak / (cfg.mean_pairs_per_pulse * BLOCK_PULSES) < 30
 
 
 THREE_BLOCKS = ExperimentConfig(duration_s=3 * BLOCK_PULSES / 76.2e6,
@@ -630,46 +627,24 @@ def test_a_draw_that_fails_on_the_thread_fails_the_write(tmp_path, monkeypatch):
         return emit(config, grid, block, law)
 
     monkeypatch.setattr(simulate, "_emit_block", failing)
-    threads = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
         write_tags(tmp_path / "run.tags", iter_simulate(THREE_BLOCKS), THREE_BLOCKS.to_dict())
     assert excinfo.value is fault
     assert list(tmp_path.iterdir()) == []  # no .tmp and no tag file
-    assert threading.active_count() == threads
-
-
-def test_closing_after_one_chunk_joins_the_drawing_thread():
-    threads = threading.active_count()
-    chunks = iter_simulate(THREE_BLOCKS)
-    next(chunks)
-    assert threading.active_count() == threads + 1
-    chunks.close()
-    assert threading.active_count() == threads
 
 
 def test_a_refused_record_stops_the_drawing_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(streams, "first_bad_record", lambda tags, last: (0, "planted fault"))
-    threads = threading.active_count()
     with pytest.raises(ValueError, match="record 0: planted fault"):
         write_tags(tmp_path / "run.tags", iter_simulate(THREE_BLOCKS), THREE_BLOCKS.to_dict())
-    assert threading.active_count() == threads
     assert list(tmp_path.iterdir()) == []
 
 
-def test_stream_does_not_depend_on_thread_timing(monkeypatch):
-    # 19 blocks of 4096 pulses, replayed while the interpreter switches
-    # threads as often as it can.
-    monkeypatch.setattr(simulate, "BLOCK_PULSES", 1 << 12)
-    cfg = ExperimentConfig(duration_s=1e-3, mean_pairs_per_pulse=2.0, jitter_sigma_s=2e-9,
-                           rng_seed=3)
-    want = np.concatenate(list(iter_simulate(cfg))).tobytes()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(3):
-            assert np.concatenate(list(iter_simulate(cfg))).tobytes() == want
-    finally:
-        sys.setswitchinterval(interval)
+def test_simulating_starts_no_thread():
+    threads = threading.active_count()
+    chunks = iter_simulate(THREE_BLOCKS)
+    next(chunks)  # kept open: closing it would end any thread it had started
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.0])
