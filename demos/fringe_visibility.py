@@ -10,7 +10,7 @@ Run with:  python demos/fringe_visibility.py
 
 import numpy as np
 
-from timebin.analysis import (FringeScan, GateConfig, analyze_stream, car,
+from timebin.analysis import (GateConfig, analyze_stream, car,
                               fit_fringe, max_visibility_from_car)
 from timebin.simulate import ExperimentConfig, PulseGrid, iter_simulate
 
@@ -29,7 +29,7 @@ for k, phase in enumerate(PHASES):
     points.append((float(phase), float(central), cfg.duration_s))
     print(f"{phase:10.3f} {central:8d} {int(result.gated_signal.sum()):10d}")
 
-fit = fit_fringe(FringeScan.from_points(points))
+fit = fit_fringe(points)
 print()
 print(f"fitted visibility  {100 * fit.visibility.value:.1f} "
       f"+- {100 * fit.visibility.error:.1f} %   (source contrast {100 * V0:.1f} %)")

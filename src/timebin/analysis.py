@@ -26,7 +26,6 @@ __all__ = [
     "GateConfig",
     "Quantity",
     "RateReport",
-    "FringeScan",
     "whole_ps",
     "StreamAnalyzer",
     "AnalysisResult",
@@ -506,31 +505,6 @@ def power_series_fit(points) -> PowerSeriesFit:
 
 
 @dataclass(frozen=True)
-class FringeScan:
-    """Central-peak coincidence counts versus interferometer phase."""
-
-    phases: np.ndarray          # radians
-    counts: np.ndarray
-    integration_times: np.ndarray  # seconds
-
-    @classmethod
-    def from_points(cls, points) -> "FringeScan":
-        phases, counts, times = zip(*points)
-        return cls(np.asarray(phases, dtype=float),
-                   np.asarray(counts, dtype=float),
-                   np.asarray(times, dtype=float))
-
-    def validate(self) -> None:
-        if not np.all(np.isfinite(self.phases)):
-            bad = self.phases[~np.isfinite(self.phases)]
-            raise ValueError(f"fringe scan holds phases that are not finite: {bad.tolist()}")
-        if np.unique(self.phases).size < 5:
-            raise ValueError("fringe fit needs at least 5 distinct phases")
-        if np.ptp(self.phases) < np.pi:
-            raise ValueError("fringe scan must span at least half a period")
-
-
-@dataclass(frozen=True)
 class FringeFit:
     """Result of the sinusoidal fringe fit A*(1 - V cos(phase + offset))."""
 
@@ -544,8 +518,12 @@ class FringeFit:
                 "amplitude": self.amplitude}
 
 
-def fit_fringe(scan: FringeScan) -> FringeFit:
+def fit_fringe(points) -> FringeFit:
     """Least-squares fit of the fringe law rate = A*(1 - V cos(phi + phi0)).
+
+    ``points`` is a sequence of (phase_rad, count, integration_s); the
+    phases must be finite, at least 5 distinct and span half a period, and
+    the mean rate must be positive, else it is a ValueError.
 
     The law is linear in (a, b, c) = (A, -AV cos phi0, AV sin phi0), so one
     linear solve gives A = a, V = hypot(b, c)/a, phi0 = atan2(c, -b) and,
@@ -558,13 +536,19 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     warning: rates past the float range give one, and so do rates near
     1e163, whose squared residuals pass it.
     """
-    scan.validate()
+    phases, counts, times = (np.asarray(col, dtype=float) for col in zip(*points))
+    if not np.all(np.isfinite(phases)):
+        bad = phases[~np.isfinite(phases)]
+        raise ValueError(f"fringe scan holds phases that are not finite: {bad.tolist()}")
+    if np.unique(phases).size < 5:
+        raise ValueError("fringe fit needs at least 5 distinct phases")
+    if np.ptp(phases) < np.pi:
+        raise ValueError("fringe scan must span at least half a period")
     with np.errstate(all="ignore"):
-        rates = scan.counts / scan.integration_times
-        if float(np.mean(rates)) <= 0:
-            return FringeFit(Quantity(0.0, 0.0), 0.0, 0.0)
-        design = np.column_stack([np.ones_like(scan.phases), np.cos(scan.phases),
-                                  np.sin(scan.phases)])
+        rates = counts / times
+        if (mean := float(np.mean(rates))) <= 0:
+            raise ValueError(f"fringe scan has no counts: mean rate {mean!r}")
+        design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
         (a, b, c), cov = _lsq(design, rates)
         vis = np.hypot(b, c) / a if a > 0 else np.inf
         if vis > 1:

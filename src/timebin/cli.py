@@ -41,9 +41,12 @@ Process start-up is most of a short command's wall time, so each command
 imports only the modules it runs: ``report`` loads no numpy, ``simulate``
 no analysis or tomography.  ``iter_simulate``, ``iter_simulate_single_bin``
 and ``fit_fringe`` stay functions of this module that import the real
-function on each call and forward to it, and the handlers call them
-through this module's globals: the benchmark's tracer
-(``perfbench/tracing.py``) wraps them here by name.
+function on each call and forward their arguments to it, and the handlers
+call them through this module's globals: the benchmark's tracer
+(``perfbench/tracing.py``) wraps them here by name.  ``tomo`` needs no
+forwarder: it imports ``tomography``, whose functions look each other up
+in that module at call time, the MLE seed ``linear_inversion`` among
+them, so the tracer wraps them there.
 """
 
 from __future__ import annotations
@@ -96,10 +99,10 @@ def iter_simulate_single_bin(config):
     return simulate.iter_simulate_single_bin(config)
 
 
-def fit_fringe(scan):
+def fit_fringe(points):
     """:func:`timebin.analysis.fit_fringe`, imported when called."""
     from . import analysis
-    return analysis.fit_fringe(scan)
+    return analysis.fit_fringe(points)
 
 
 def load_config(path):
@@ -320,73 +323,84 @@ def _report_number(report, path, *keys, rule=finite_number):
         raise DataError(f"{path}: {exc}") from None
 
 
+def _keyed_reports(specs, what, form, key):
+    """(key, path) of each ``KEY:REPORT`` argument of ``fringe`` or ``tomo``,
+    before any report is read: an empty path, or none, is a ConfigError, and
+    so is a ValueError of ``key``, which parses the part before the colon."""
+    pairs = []
+    for spec in specs:
+        text, _, path = spec.partition(":")
+        if not path:
+            raise ConfigError(f"{what} {spec!r} must look like {form}")
+        try:
+            pairs.append((key(text), path))
+        except ValueError as exc:
+            raise ConfigError(f"{what} {spec!r}: {exc}") from exc
+    return pairs
+
+
 def _cmd_fringe(args) -> int:
-    import numpy as np
-
-    from .analysis import FringeScan
-
     t0 = time.monotonic()
-    specs = [spec_arg.partition(":") for spec_arg in args.points]
-    inputs = [path for _, _, path in specs]
+    phases = _keyed_reports(args.points, "fringe point", "PHASE_RAD:REPORT.json",
+                            lambda text: finite_number(float(text), "phase"))
+    if len(phases) < 5:
+        raise ConfigError(f"fringe fit needs at least 5 points, got {len(phases)}")
+    inputs = [path for _, path in phases]
     _refuse_writing_over(args, inputs)
     points = []
-    for spec_arg, (phase_str, _, path) in zip(args.points, specs):
-        if not path:
-            raise ConfigError(f"fringe point {spec_arg!r} must look like PHASE_RAD:REPORT.json")
-        try:
-            phase = finite_number(float(phase_str), "phase")
-        except ValueError as exc:
-            raise ConfigError(f"bad phase in {spec_arg!r}: {exc}") from exc
+    for phase, path in phases:
         report = _load_report(path)
         counts = _report_number(report, path, "rates", "counts", "central", rule=whole_count)
         duration = _report_number(report, path, "rates", "duration_s")
         if duration <= 0:
             raise DataError(f"{path}: rates.duration_s must be positive, got {duration!r}")
         points.append((phase, counts, duration))
-    if len(points) < 5:
-        raise ConfigError(f"fringe fit needs at least 5 points, got {len(points)}")
-    scan = FringeScan.from_points(points)
     try:
-        fit = fit_fringe(scan)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+        fit = fit_fringe(points)
+    except ValueError as exc:  # e.g. a fit that is not finite, or no counts at all
+        raise DataError(f"reports {', '.join(inputs)}: {exc}") from exc
     out = {"fit": fit.to_dict(),
            "points": [{"phase_rad": p, "count": c, "integration_s": t}
                       for p, c, t in points]}
     _write_outputs(args.out, json.dumps(out, indent=2),
-                   {".fringe.csv": (_CSV_HEADER, [(p, c, float(np.sqrt(c)))
-                                                  for p, c, t in points])},
+                   {".fringe.csv": (_CSV_HEADER, [(p, c, math.sqrt(c)) for p, c, t in points])},
                    {}, inputs, None, t0)
     print(f"fringe visibility {fit.visibility.value:.4f} +- {fit.visibility.error:.4f}")
     return 0
+
+
+def _dials(text):
+    """The (DS, DI) setting that ``DS,DI`` names; a ValueError unless it is
+    one of ``tomography.SETTINGS``."""
+    from .tomography import SETTINGS
+
+    setting = tuple(int(dial) for dial in text.split(","))
+    if setting not in SETTINGS:
+        raise ValueError(f"dials must be one of {list(SETTINGS)}")
+    return setting
 
 
 def _cmd_tomo(args) -> int:
     from . import tomography
 
     t0 = time.monotonic()
-    specs = [spec_arg.partition(":") for spec_arg in args.settings]
-    inputs = [path for _, _, path in specs]
-    _refuse_writing_over(args, inputs)
     for flag, value, least in (("--replicas", args.replicas, 2), ("--max-iter", args.max_iter, 1),
                                ("--seed", args.seed, 0)):
         if value < least:
             raise ConfigError(f"{flag} must be at least {least}, got {value}")
-    setting_counts = {}
-    for spec_arg, (dials, _, path) in zip(args.settings, specs):
-        try:
-            ds, di = (int(x) for x in dials.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"setting {spec_arg!r} must look like DS,DI:REPORT.json") from exc
-        if (ds, di) not in tomography.SETTINGS:
-            raise ConfigError(f"setting {spec_arg!r}: dials must be one of "
-                              f"{list(tomography.SETTINGS)}")
-        if (ds, di) in setting_counts:
+    settings = _keyed_reports(args.settings, "setting", "DS,DI:REPORT.json", _dials)
+    paths = {}
+    for (ds, di), path in settings:
+        if (ds, di) in paths:
             raise ConfigError(f"setting {ds},{di} is given more than once")
-        setting_counts[(ds, di)] = _report_field(_load_report(path), path, "joint_slot_counts")
-    missing = [s for s in tomography.SETTINGS if s not in setting_counts]
+        paths[(ds, di)] = path
+    missing = [s for s in tomography.SETTINGS if s not in paths]
     if missing:
         raise ConfigError(f"missing phase settings {missing}")
+    inputs = [path for _, path in settings]
+    _refuse_writing_over(args, inputs)
+    setting_counts = {s: _report_field(_load_report(path), path, "joint_slot_counts")
+                      for s, path in paths.items()}
     try:
         record = tomography.counts_from_phase_settings(setting_counts)
         result = tomography.bootstrap_errors(record, n_replicas=args.replicas, seed=args.seed,

@@ -222,25 +222,21 @@ def _matrices(a: np.ndarray) -> np.ndarray:
     return _rowwise(a.astype(complex), _SIGMA_FLAT).reshape(len(a), 4, 4)
 
 
-def _linear_inversion(counts: np.ndarray) -> np.ndarray:
-    """Linear inversion of a stack of count vectors, shape (R, 4, 4)."""
+def linear_inversion(counts: np.ndarray) -> np.ndarray:
+    """Direct linear solve of tr(rho Pi_k) = n_k / N for each row of an
+    (R, 16) stack of counts, shape (R, 4, 4); the states may be unphysical.
+
+    The shared scale N/4 equals the summed time-basis counts (the four
+    Z x Z projectors sum to the identity).  The 16 projectors are
+    informationally complete, so the 16x16 system is well conditioned;
+    a row without time-basis counts falls back to the maximally mixed
+    state.  :func:`mle_batch` seeds its fit from it.
+    """
     scale = counts[:, _ZZ].sum(axis=1)
     p = counts / np.where(scale > 0, scale, 1.0)[:, None]
     rho = _rowwise(p.astype(complex), _INVERSION).reshape(len(counts), 4, 4)
     rho[scale <= 0] = _MIXED
     return rho
-
-
-def linear_inversion(record: MeasurementRecord) -> np.ndarray:
-    """Direct linear solve of tr(rho Pi_k) = n_k / N; may be unphysical.
-
-    The shared scale N/4 equals the summed time-basis counts (the four
-    Z x Z projectors sum to the identity).  The 16 projectors are
-    informationally complete, so the 16x16 system is well conditioned;
-    a record without time-basis counts falls back to the maximally mixed
-    state.
-    """
-    return _linear_inversion(record.counts[None])[0]
 
 
 #: Stopping tolerance of the MLE certificate, in nats.
@@ -315,7 +311,7 @@ def mle_batch(counts, max_iter: int = 2000) -> MleBatch:
     act = np.flatnonzero(total_all > 0)
     n, total = n_all[act], total_all[act]
     pos = n > 0
-    a = _coords(0.999 * _physical(_linear_inversion(n)) + 0.001 * _MIXED)
+    a = _coords(0.999 * _physical(linear_inversion(n)) + 0.001 * _MIXED)
     a *= (total / _rowwise(a, _DESIGN.T).sum(axis=1))[:, None]
     t = np.ones(len(act))
     for it in range(1, max_iter + 1):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from timebin import quantum
-from timebin.analysis import (FringeScan, GateConfig, analyze_stream, car,
+from timebin.analysis import (GateConfig, analyze_stream, car,
                               fit_fringe, klyshko, max_visibility_from_car,
                               power_series_fit, RateReport, StreamAnalyzer)
 from timebin.cli import main
@@ -126,7 +126,7 @@ def test_criterion_08_fringe_scan():
         points.append((phase, float(res.joint[1, 1]), cfg.duration_s))
         if first is None:
             first = res
-    fit = fit_fringe(FringeScan.from_points(points))
+    fit = fit_fringe(points)
     assert fit.visibility.value == pytest.approx(0.902, abs=0.02)
 
     # 1:2:1 singles peaks within 4 sigma on both arms

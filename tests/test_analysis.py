@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from timebin.analysis import (AnalysisResult, FringeScan, GateConfig, RateReport,
+from timebin.analysis import (AnalysisResult, GateConfig, RateReport,
                               StreamAnalyzer, _linfit, analyze_stream, car,
                               fit_fringe, klyshko, max_visibility_from_car,
                               power_series_fit)
@@ -541,8 +541,7 @@ class TestFringeFit:
     def scan(amp, vis, phi0, phases, t=1.0, rng=None):
         rates = amp * (1.0 - vis * np.cos(phases + phi0))
         counts = rates * t if rng is None else rng.poisson(rates * t)
-        return FringeScan(phases, np.asarray(counts, dtype=float),
-                          np.full(phases.size, t))
+        return [(p, c, t) for p, c in zip(phases, counts)]
 
     def test_noiseless_recovery(self):
         phases = np.linspace(0, 2 * np.pi, 12, endpoint=False)
@@ -569,7 +568,7 @@ class TestFringeFit:
     def test_rejects_rate_that_is_not_finite(self):
         phases = np.linspace(0, 2 * np.pi, 8, endpoint=False)
         scan = self.scan(10.0, 0.5, 0.0, phases)
-        scan.counts[3] = np.nan
+        scan[3] = (scan[3][0], np.nan, scan[3][2])
         with pytest.raises(ValueError):
             fit_fringe(scan)
 
@@ -577,7 +576,7 @@ class TestFringeFit:
     def test_rejects_phase_that_is_not_finite(self, bad):
         phases = np.linspace(0, 2 * np.pi, 8, endpoint=False)
         scan = self.scan(10.0, 0.5, 0.0, phases)
-        scan.phases[3] = bad
+        scan[3] = (bad, *scan[3][1:])
         with pytest.raises(ValueError, match="phases that are not finite"):
             fit_fringe(scan)
 
@@ -609,7 +608,7 @@ class TestFringeFit:
             if (a <= 0 or np.hypot(b, c) > a) != clamped:
                 continue
             done += 1
-            fit = fit_fringe(FringeScan(phases, counts, t))
+            fit = fit_fringe(list(zip(phases, counts, t)))
             vis_o, err_o, phi0_o, amp_o = oracle_fit_fringe(phases, counts, t)
             if clamped:
                 assert fit.visibility.value == 1.0

@@ -905,8 +905,11 @@ class TestFringe:
         assert "5" in capsys.readouterr().err
 
     def test_malformed_point(self, tmp_path):
-        code = main(["fringe", "zero", "--out", str(tmp_path / "f.json")])
-        assert code == 2
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"rates": {"counts": {"central": 5}, "duration_s": 1.0}}))
+        # The second is too few points, found before the missing report is opened.
+        for points in (["zero"], [f"0.0:{tmp_path / 'missing.json'}", f"1.0:{report}"]):
+            assert main(["fringe", *points, "--out", str(tmp_path / "f.json")]) == 2, points
 
     @pytest.mark.parametrize("phase", ["nan", "inf"])
     def test_phase_that_is_not_finite_is_usage_error(self, tmp_path, capsys, phase):
@@ -931,6 +934,8 @@ class TestFringe:
         {"rates": {"counts": {"central": -5}, "duration_s": 1.0}},
         {"rates": {"counts": {"central": 2.5}, "duration_s": 1.0}},
         {"rates": {"counts": {"central": 2**60}, "duration_s": 1.0}},
+        # A scan with no counts has no visibility; it was fitted as 0 +- 0.
+        {"rates": {"counts": {"central": 0}, "duration_s": 1.0}},
     ])
     def test_unusable_report_is_data_error(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
@@ -940,6 +945,7 @@ class TestFringe:
         assert code == 3
         err = capsys.readouterr().err
         assert str(bad) in err and "Traceback" not in err
+        assert not list(tmp_path.glob("f.*"))
 
     @pytest.mark.parametrize("duration_s", [1e-160, 1e-310])
     def test_fit_that_cannot_be_finite_is_data_error(self, tmp_path, capsys, duration_s):
@@ -1006,11 +1012,15 @@ class TestTomo:
         assert code == 2
         assert "90" in capsys.readouterr().err
 
-    def test_malformed_setting(self, setting_reports):
+    def test_malformed_setting(self, setting_reports, capsys):
         tmp, args = setting_reports
-        code = main(["tomo", "diag:" + args[0].partition(":")[2],
-                     *args[1:], "--out", str(tmp / "x.json")])
-        assert code == 2
+        report = args[0].partition(":")[2]
+        # The last is a bad setting, found before the missing report is opened.
+        for first in ([f"diag:{report}"], ["0,0"], ["0,0:"],
+                      [f"0,0:{tmp / 'missing.json'}", f"diag:{report}"]):
+            code = main(["tomo", *first, *args[1:], "--out", str(tmp / "x.json")])
+            assert code == 2, first
+            assert "cannot read report" not in capsys.readouterr().err
 
     def test_single_bin_reports_are_data_error(self, tmp_path, capsys):
         report = run_pipeline(tmp_path, "sb", mode="single-bin", duration_s=0.0005)
@@ -1359,10 +1369,9 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     loaded = modules_loaded_by(textwrap.dedent("""
         import numpy as np
         import timebin.cli
-        from timebin.analysis import FringeScan, RateReport, fit_fringe, power_series_fit
+        from timebin.analysis import RateReport, fit_fringe, power_series_fit
         phases = np.linspace(0, 2 * np.pi, 12, endpoint=False)
-        scan = FringeScan(phases, 100 * (1 - 0.9 * np.cos(phases)), np.ones(12))
-        fit_fringe(scan)
+        fit_fringe([(p, 100 * (1 - 0.9 * np.cos(p)), 1.0) for p in phases])
         power_series_fit([(p, RateReport(5000 * p, 4000 * p, 100 * p, 10**8, 1.0))
                           for p in (1, 2, 3)])
         """))

@@ -76,7 +76,8 @@ def test_traced_chain_sees_every_layer_it_calls(tmp_path):
     for name in ("simulate.iter_simulate_single_bin", "streams.write_tags",
                  "streams.iter_read_tags", "analysis.feed", "analysis.result",
                  "tomography.bootstrap_errors", "tomography.mle_reconstruct",
-                 "quantum.concurrence", "quantum.fidelity_to_pure", "quantum.chsh_bounds"):
+                 "tomography.linear_inversion", "quantum.concurrence",
+                 "quantum.fidelity_to_pure", "quantum.chsh_bounds"):
         assert name in names, name
     # once for the point estimate and once for the bootstrap stack
     assert names.count("quantum.concurrence") == 2

@@ -135,23 +135,23 @@ class TestLinearInversion:
         rng = np.random.default_rng(52)
         for _ in range(10):
             rho = ginibre_density_matrix(rng)
-            est = linear_inversion(born_record(rho))
+            est = linear_inversion(born_record(rho).counts[None])[0]
             assert np.max(np.abs(est - rho)) < 1e-6
 
     def test_maximally_mixed(self):
-        est = linear_inversion(born_record(np.eye(4) / 4))
+        est = linear_inversion(born_record(np.eye(4) / 4).counts[None])[0]
         np.testing.assert_allclose(est, np.eye(4) / 4, atol=1e-9)
 
     def test_zero_counts_fall_back_to_mixed(self):
         rec = MeasurementRecord(counts=np.zeros(len(CELLS)))
-        np.testing.assert_allclose(linear_inversion(rec), np.eye(4) / 4)
+        np.testing.assert_allclose(linear_inversion(rec.counts[None])[0], np.eye(4) / 4)
 
     def test_noise_can_leave_physical_set_and_projection_fixes_it(self):
         rng = np.random.default_rng(53)
         seen_unphysical = False
         for k in range(20):
             rec = born_record(BELL_DM, n_total=200)
-            est = linear_inversion(MeasurementRecord(counts=rng.poisson(rec.counts)))
+            est = linear_inversion(rng.poisson(rec.counts)[None])[0]
             vals = np.linalg.eigvalsh((est + est.conj().T) / 2)
             if vals.min() < -1e-9:
                 seen_unphysical = True
