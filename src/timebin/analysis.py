@@ -34,6 +34,7 @@ __all__ = [
     "klyshko",
     "power_series_fit",
     "PowerSeriesFit",
+    "check_fringe_phases",
     "fit_fringe",
     "FringeFit",
     "max_visibility_from_car",
@@ -43,7 +44,8 @@ __all__ = [
 # Bound on a gate width, and a histogram bin, in whole ps.
 MAX_GATE_PS = 2**62
 
-# Detections per step of the fold; its int64 temporaries are then 256 KiB.
+# Detections per step of the fold, a slice of the chunk's records; the int64
+# temporaries, its times as ``PulseGrid.locate`` casts them first, take 256 KiB.
 # Unless the heap top is padded (``cli.run`` pads it), glibc maps such blocks
 # afresh on each step, and the fold faults its memory in again.  A cold
 # ``feed`` of a fringe-scan phase took 7802 minor faults at 2^14 records a
@@ -232,17 +234,19 @@ class StreamAnalyzer:
                       np.zeros((self._gated.size, 2), dtype=np.int64))
 
     def feed(self, detections: np.ndarray) -> None:
+        """Fold a chunk of detection records ``FOLD_RECORDS`` at a time, each
+        step a slice of the records: no copy of the whole chunk is made."""
         if (bad := first_bad_record(detections, self._last)) is not None:
             raise ValueError(f"record {bad[0]} of the chunk: {bad[1]}")
         if detections.size == 0:
             return
-        times = detections["time_ps"].astype(np.int64)
+        times = detections["time_ps"]
         self._last = int(times[-1])
         live = times.size if self._last < self._end else int(np.searchsorted(times, self._end))
         self.out_of_range += times.size - live
         for lo in range(0, live, FOLD_RECORDS):
-            hi = min(lo + FOLD_RECORDS, live)
-            self._fold(*self.grid.locate(times[lo:hi]), detections["channel"][lo:hi])
+            step = detections[lo:min(lo + FOLD_RECORDS, live)]
+            self._fold(*self.grid.locate(step["time_ps"]), step["channel"])
 
     def _fold(self, pulse, rel_ps, channels):
         """Histogram, gate and pair detections given in pulse order as
@@ -256,7 +260,7 @@ class StreamAnalyzer:
         edge = np.zeros(rel_ps.size, dtype=np.min_scalar_type(self._edges.size))
         for e in self._edges.tolist():  # few edges: counting beats searchsorted
             edge += rel_ps >= e
-        inside = np.flatnonzero((edge & 1).astype(bool))
+        inside = np.flatnonzero(edge & 1)
         if inside.size == 0:
             return
         slot = edge.take(inside).astype(np.intp)
@@ -518,12 +522,26 @@ class FringeFit:
                 "amplitude": self.amplitude}
 
 
+def check_fringe_phases(phases) -> None:
+    """The phase rule of a fringe scan, a ValueError unless the phases in
+    rad are finite, at least 5 distinct and span at least half a period."""
+    phases = np.asarray(phases, dtype=float)
+    if not np.all(np.isfinite(phases)):
+        bad = phases[~np.isfinite(phases)]
+        raise ValueError(f"fringe scan holds phases that are not finite: {bad.tolist()}")
+    if (distinct := np.unique(phases).size) < 5:
+        raise ValueError(f"fringe fit needs at least 5 distinct phases, got {distinct}")
+    if np.ptp(phases) < np.pi:
+        raise ValueError(f"fringe scan must span at least half a period, pi rad; its "
+                         f"phases span {np.ptp(phases)!r} rad")
+
+
 def fit_fringe(points) -> FringeFit:
     """Least-squares fit of the fringe law rate = A*(1 - V cos(phi + phi0)).
 
     ``points`` is a sequence of (phase_rad, count, integration_s); the
-    phases must be finite, at least 5 distinct and span half a period, and
-    the mean rate must be positive, else it is a ValueError.
+    phases must keep :func:`check_fringe_phases`, and the mean rate must be
+    positive, else it is a ValueError.
 
     The law is linear in (a, b, c) = (A, -AV cos phi0, AV sin phi0), so one
     linear solve gives A = a, V = hypot(b, c)/a, phi0 = atan2(c, -b) and,
@@ -537,13 +555,7 @@ def fit_fringe(points) -> FringeFit:
     1e163, whose squared residuals pass it.
     """
     phases, counts, times = (np.asarray(col, dtype=float) for col in zip(*points))
-    if not np.all(np.isfinite(phases)):
-        bad = phases[~np.isfinite(phases)]
-        raise ValueError(f"fringe scan holds phases that are not finite: {bad.tolist()}")
-    if np.unique(phases).size < 5:
-        raise ValueError("fringe fit needs at least 5 distinct phases")
-    if np.ptp(phases) < np.pi:
-        raise ValueError("fringe scan must span at least half a period")
+    check_fringe_phases(phases)
     with np.errstate(all="ignore"):
         rates = counts / times
         if (mean := float(np.mean(rates))) <= 0:

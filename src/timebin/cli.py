@@ -340,11 +340,15 @@ def _keyed_reports(specs, what, form, key):
 
 
 def _cmd_fringe(args) -> int:
+    from .analysis import check_fringe_phases
+
     t0 = time.monotonic()
     phases = _keyed_reports(args.points, "fringe point", "PHASE_RAD:REPORT.json",
                             lambda text: finite_number(float(text), "phase"))
-    if len(phases) < 5:
-        raise ConfigError(f"fringe fit needs at least 5 points, got {len(phases)}")
+    try:
+        check_fringe_phases([phase for phase, _ in phases])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     inputs = [path for _, path in phases]
     _refuse_writing_over(args, inputs)
     points = []
@@ -380,6 +384,19 @@ def _dials(text):
     return setting
 
 
+def _same_slot_geometry(reports):
+    """A DataError unless the reports, by path, echo the same fields that
+    fix where each slot of a joint table lies."""
+    seen = {}
+    for path, report in reports.items():
+        for key in ("rep_rate_hz", "bin_delay_s", "detection_delay_s"):
+            value = _report_number(report, path, "config", key)
+            first, was = seen.setdefault(key, (path, value))
+            if value != was:
+                raise DataError(f"reports {first} and {path} differ in {key}: "
+                                f"{was!r} against {value!r}")
+
+
 def _cmd_tomo(args) -> int:
     from . import tomography
 
@@ -399,10 +416,12 @@ def _cmd_tomo(args) -> int:
         raise ConfigError(f"missing phase settings {missing}")
     inputs = [path for _, path in settings]
     _refuse_writing_over(args, inputs)
-    setting_counts = {s: _report_field(_load_report(path), path, "joint_slot_counts")
+    reports = {path: _load_report(path) for path in paths.values()}
+    setting_counts = {s: _report_field(reports[path], path, "joint_slot_counts")
                       for s, path in paths.items()}
     try:
         record = tomography.counts_from_phase_settings(setting_counts)
+        _same_slot_geometry(reports)
         result = tomography.bootstrap_errors(record, n_replicas=args.replicas, seed=args.seed,
                                              max_iter=args.max_iter)
     except ValueError as exc:  # e.g. a table entry that is not a count, or no counts at all

@@ -28,10 +28,11 @@ an efficiency of 0 or 1 skips its uniforms with ``advance``
 
 Detections are ordered by (float time, channel), by one sort of their
 bits as integer keys, and then rounded to whole picoseconds.  A
-detection goes ahead of a trigger at an equal time.  A block is emitted
-once the next block's detections are drawn: every detection from the end
-of its last pulse period, or from the next block's earliest detection if
-that comes first, is carried into the next block.
+detection goes ahead of a trigger at an equal time.  A detection is its
+sort key until it is emitted, and only then decoded into a tag.  A block
+is emitted once the next block's detections are drawn: every detection
+from the end of its last pulse period, or from the next block's earliest
+detection if that comes first, is carried into the next block.
 """
 
 from __future__ import annotations
@@ -367,9 +368,12 @@ def _dark_tags(rng, rate, t0_ps, t1_ps):
 def _emit_block(config, grid, block, law):
     """Generate the detections of one pulse block, pairs drawn from ``law``.
 
-    Returns (times, channels, t_end): the unsorted detections as float ps
-    clipped at 0, in draw order (signal photons, signal darks, idler
-    photons, idler darks), and the end of the block's last pulse period.
+    Returns (keys, t_end): the detections' uint64 sort keys, made in place
+    from their float ps times clipped at 0, in draw order (signal photons,
+    signal darks, idler photons, idler darks), and the end of the block's
+    last pulse period in float ps.  A key is time bits << 1 | channel: such
+    floats order as their bits, so keys order as (time, channel), and the
+    shift drops the sign bit of a -0.0.
 
     Pair counts use the superposition property of the Poisson process:
     one total Poisson draw for the block, pulse indices assigned
@@ -418,55 +422,47 @@ def _emit_block(config, grid, block, law):
             end += t.size
         times[end:end + darks.size] = darks
         end += darks.size
-    del pulse_of_pair, outcome, seen_s, seen_i  # before the channels are made
     np.maximum(times, 0.0, out=times)
-    channels = np.full(times.size, CH_IDLER, dtype=np.uint8)
-    channels[:n_signal] = CH_SIGNAL
-    return times, channels, t1
+    key = times.view(np.uint64)
+    key <<= 1
+    key[n_signal:] |= CH_IDLER
+    return key, t1
 
 
 def _iter_tags(config: ExperimentConfig, law) -> Iterator[np.ndarray]:
     """Detection tags of a run, one time-sorted chunk per pulse block.
 
     The chunks hold no trigger tags: the triggers are ``PulseGrid.of(config)``.
-    Block b is sorted, then block b + 1 is drawn (:func:`_emit_block`) and
-    chunk b is cut from the sorted block and yielded, so at most the
-    sorted block b and block b + 1 are held.
+    Block b's keys and those carried into it are sorted, then block b + 1
+    is drawn (:func:`_emit_block`); the keys before the cut are decoded
+    into chunk b and yielded, those after it carried as they are.  A
+    detection is its key until it is emitted, and at most the sorted
+    block b and block b + 1 are held.
     """
     grid = PulseGrid.of(config)
     n_blocks = -(-grid.pulses // BLOCK_PULSES)
     carry = np.empty(0, dtype=np.uint64)
     upcoming = _emit_block(config, grid, 0, law)
     for block in range(n_blocks):
-        times, channels, t_end = upcoming
-        del upcoming
-        # Times are never negative, and such floats order as their bits,
-        # so key = bits << 1 | channel orders as (time, channel); the
-        # shift drops the sign bit of a -0.0.  Equal keys are equal
-        # records, so an in-place sort of the keys is the stream.
-        key = np.empty(carry.size + times.size, dtype=np.uint64)
-        key[:carry.size] = carry
-        np.left_shift(times.view(np.uint64), 1, out=key[carry.size:])
-        key[carry.size:] |= channels
-        del times, channels
-        key.sort()
-        channels = key.astype(np.uint8)
-        channels &= 1
-        key >>= 1
-        times = key.view(np.float64)
-        del key
+        key, t_end = np.concatenate([carry, upcoming[0]]), upcoming[1]
+        del carry, upcoming
+        key.sort()  # equal keys are equal records, so this is the stream
         # Jittered events may spill past the block's last pulse, and the
         # next block's first pulses may place photons before its start.
         # Hold back every detection from the earlier of the two on, so
         # emitted chunks stay globally time-sorted.
-        upcoming = _emit_block(config, grid, block + 1, law) if block + 1 < n_blocks else None
-        cut_t = np.inf if upcoming is None else min(t_end, upcoming[0].min(initial=t_end))
-        cut = np.searchsorted(times, cut_t, side="left")
-        carry = times[cut:].view(np.uint64) << 1 | channels[cut:]
+        cut = key.size
+        if block + 1 < n_blocks:
+            upcoming = _emit_block(config, grid, block + 1, law)
+            first = upcoming[0].min(initial=np.float64(t_end).view(np.uint64) << 1)
+            cut = key.searchsorted(first >> 1 << 1)  # the first key at or past its time
+        carry, chunk = key[cut:].copy(), key[:cut]
+        del key
         tags = np.empty(cut, dtype=TAG_DTYPE)
-        tags["time_ps"] = np.round(times[:cut], out=times[:cut])
-        tags["channel"] = channels[:cut]
-        del times, channels
+        np.bitwise_and(chunk, 1, out=tags["channel"], casting="unsafe")
+        times = np.right_shift(chunk, 1, out=chunk).view(np.float64)
+        tags["time_ps"] = np.round(times, out=times)
+        del chunk, times
         yield tags
         del tags  # before the next block is sorted, as the consumer has let go of it
 

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from timebin.analysis import GateConfig
-from timebin.simulate import CH_TRIGGER, TAG_DTYPE
+from timebin.simulate import CH_TRIGGER, TAG_DTYPE, ExperimentConfig
 
 ACCEPTANCE_DESCRIPTIONS = {
     1: "closed-form fidelity of the reconstructed state to the Bell target",
@@ -157,7 +157,9 @@ def tie_cuts(detections, grid):
     return np.flatnonzero(rel == 0) + 1
 
 
-# The grid that ``ExperimentConfig()`` gives: 0.01 s at 76.2 MHz.
+# The config echo of ``ExperimentConfig()``, a time-bin run, and the grid
+# it gives: 0.01 s at 76.2 MHz.
+VALID_ECHO = {**ExperimentConfig().to_dict(), "mode": "time-bin"}
 DEFAULT_GRID = {"pulses": 762000, "period_ps": 1e12 / 76.2e6}
 
 

@@ -26,7 +26,7 @@ from timebin.cli import main
 from timebin.simulate import CH_SIGNAL, CH_IDLER, CH_TRIGGER, TAG_DTYPE, ExperimentConfig
 from timebin.streams import iter_read_tags
 
-from conftest import DEFAULT_GRID, write_grid_stream
+from conftest import DEFAULT_GRID, VALID_ECHO, write_grid_stream
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,7 +58,6 @@ def run_pipeline(tmp_path, name, mode="time-bin", **overrides):
     return report
 
 
-VALID_ECHO = {**ExperimentConfig().to_dict(), "mode": "time-bin"}
 TRAILER_SIZE = 48
 
 # Runs that give no pulse grid, and the grid's fault.
@@ -904,12 +903,19 @@ class TestFringe:
         assert code == 2
         assert "5" in capsys.readouterr().err
 
-    def test_malformed_point(self, tmp_path):
+    def test_malformed_point(self, tmp_path, capsys):
         report = tmp_path / "r.json"
         report.write_text(json.dumps({"rates": {"counts": {"central": 5}, "duration_s": 1.0}}))
-        # The second is too few points, found before the missing report is opened.
-        for points in (["zero"], [f"0.0:{tmp_path / 'missing.json'}", f"1.0:{report}"]):
+        missing = tmp_path / "missing.json"
+        # Too few points, a span under pi and five points of three distinct
+        # phases, each found before the missing report is opened.
+        for points in (["zero"], [f"0.0:{missing}", f"1.0:{report}"],
+                       [f"0:{missing}", *(f"0.{k}:{report}" for k in range(1, 5))],
+                       [f"{phase}:{path}" for phase, path in ((0, missing), (0, report),
+                                                              (1.5, report), (3.2, report),
+                                                              (3.2, report))]):
             assert main(["fringe", *points, "--out", str(tmp_path / "f.json")]) == 2, points
+            assert "cannot read report" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("phase", ["nan", "inf"])
     def test_phase_that_is_not_finite_is_usage_error(self, tmp_path, capsys, phase):
@@ -1042,6 +1048,8 @@ class TestTomo:
         # Each was fitted as a count of 1 and 625, and tomo exited 0.
         {"joint_slot_counts": [[1, 2, 3], [4, True, 6], [7, 8, 9]]},
         {"joint_slot_counts": [[1, 2, 3], [4, "625", 6], [7, 8, 9]]},
+        # Tables with no config echo to tell their slot geometry by.
+        {"joint_slot_counts": [[1, 2, 3], [4, 5, 6], [7, 8, 9]]},
     ])
     def test_unusable_report_is_data_error(self, setting_reports, capsys, content):
         tmp, args = setting_reports
@@ -1068,7 +1076,7 @@ class TestTomo:
 
     def test_reports_without_counts_are_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
-        empty.write_text(json.dumps({"joint_slot_counts": [[0] * 3] * 3}))
+        empty.write_text(json.dumps({"config": VALID_ECHO, "joint_slot_counts": [[0] * 3] * 3}))
         args = [f"{ds},{di}:{empty}" for ds, di in ((0, 0), (0, 90), (90, 0), (90, 90))]
         code = main(["tomo", *args, "--out", str(tmp_path / "x.json")])
         assert code == 3
@@ -1103,6 +1111,19 @@ class TestTomo:
                      "--replicas", "2", "--max-iter", "1"])
         assert code == 4
 
+    def test_reports_of_another_slot_geometry_are_data_error(self, setting_reports, capsys):
+        # A (0,0) run with its late slot 0.5 ns further on was fitted with
+        # the others', and tomo exited 0.
+        tmp, args = setting_reports
+        other = run_pipeline(tmp, "late", phi_s_rad=repr(np.pi), duration_s=0.08,
+                             mean_pairs_per_pulse=0.004, bin_delay_s=3.5e-9, rng_seed=200)
+        out = tmp / "geometry.json"
+        code = main(["tomo", f"0,0:{other}", *args[1:], "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "differ in bin_delay_s" in err and str(other) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_uncertified_fit_exits_before_any_replica(self, tmp_path, seed):
         # Tables that no state explains: the base fit stops uncertified at
@@ -1111,7 +1132,8 @@ class TestTomo:
         args = []
         for (ds, di), table in zip(((0, 0), (0, 90), (90, 0), (90, 90)), tables):
             report = tmp_path / f"{ds}_{di}.json"
-            report.write_text(json.dumps({"joint_slot_counts": table.tolist()}))
+            report.write_text(json.dumps({"config": VALID_ECHO,
+                                          "joint_slot_counts": table.tolist()}))
             args.append(f"{ds},{di}:{report}")
         out = tmp_path / "tomo.json"
         start = time.perf_counter()

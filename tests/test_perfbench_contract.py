@@ -19,7 +19,7 @@ from timebin import cli
 from timebin.simulate import BLOCK_PULSES, ExperimentConfig, PulseGrid, iter_simulate
 from timebin.streams import write_tags
 
-from conftest import merge_triggers
+from conftest import VALID_ECHO, merge_triggers
 from slot_oracle import setting_tables
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -62,7 +62,7 @@ def test_traced_chain_sees_every_layer_it_calls(tmp_path):
     settings = []
     for (ds, di), joint in setting_tables(1e4).items():
         report = tmp_path / f"t{ds}_{di}.json"
-        report.write_text(json.dumps({"joint_slot_counts": joint.tolist()}))
+        report.write_text(json.dumps({"config": VALID_ECHO, "joint_slot_counts": joint.tolist()}))
         settings.append(f"{ds},{di}:{report}")
     tags, out = str(tmp_path / "run.tags"), str(tmp_path / "run.json")
     chain = (["simulate", "--config", str(cfg), "--out", tags, "--mode", "single-bin"],
