@@ -1,8 +1,8 @@
 """Reconstruct the two-qubit time-bin state from four phase settings.
 
 Simulates the four calibrated interferometer dial settings (0/90 degrees
-on each arm), assembles the sixteen tomography counts from the slot
-tables, runs the maximum-likelihood fit, and attaches bootstrap error
+on each arm), stacks the 36 counts of their joint-slot tables into one
+record, runs the maximum-likelihood fit, and attaches bootstrap error
 bars to concurrence, fidelity and the CHSH bounds.
 
 Run with:  python demos/state_tomography.py

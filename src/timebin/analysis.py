@@ -465,16 +465,6 @@ class PowerSeriesFit:
     klyshko_signal_intercept: Quantity
     klyshko_idler_intercept: Quantity
     car_loglog_slope: Quantity
-    powers: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "brightness_per_power": self.brightness.to_dict(),
-            "klyshko_signal_intercept": self.klyshko_signal_intercept.to_dict(),
-            "klyshko_idler_intercept": self.klyshko_idler_intercept.to_dict(),
-            "car_loglog_slope": self.car_loglog_slope.to_dict(),
-            "powers": self.powers.tolist(),
-        }
 
 
 def power_series_fit(points) -> PowerSeriesFit:
@@ -504,7 +494,6 @@ def power_series_fit(points) -> PowerSeriesFit:
         klyshko_signal_intercept=Quantity(ks0, ks0_err),
         klyshko_idler_intercept=Quantity(ki0, ki0_err),
         car_loglog_slope=Quantity(slope, slope_err),
-        powers=powers,
     )
 
 

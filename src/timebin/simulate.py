@@ -286,27 +286,12 @@ def _outcome_table(phi_p: float, phi_s: float, phi_i: float, v0: float):
     """
     delta = phi_s + phi_i - phi_p
     interference = v0 * np.cos(delta)
-    probs, s_slot, i_slot, s_mon, i_mon = [], [], [], [], []
-    for s in range(3):
-        for i in range(3):
-            if (s, i) in ((0, 2), (2, 0)):
-                continue
-            for ps in (True, False):
-                for pi in (True, False):
-                    if s == 1 and i == 1:
-                        sign = -1.0 if ps == pi else 1.0
-                        p = (1.0 + sign * interference) / 16.0
-                    else:
-                        p = 1.0 / 32.0
-                    probs.append(p)
-                    s_slot.append(s)
-                    i_slot.append(i)
-                    s_mon.append(ps)
-                    i_mon.append(pi)
-    probs = np.array(probs)
-    probs = probs / probs.sum()
-    return (probs, np.array(s_slot), np.array(i_slot),
-            np.array(s_mon), np.array(i_mon))
+    grid = np.meshgrid([0, 1, 2], [0, 1, 2], [True, False], [True, False], indexing="ij")
+    reached = abs(grid[0] - grid[1]) < 2
+    s_slot, i_slot, s_mon, i_mon = (a[reached] for a in grid)
+    sign = np.where(s_mon == i_mon, -1.0, 1.0)
+    probs = np.where((s_slot == 1) & (i_slot == 1), (1.0 + sign * interference) / 16.0, 1.0 / 32.0)
+    return probs / probs.sum(), s_slot, i_slot, s_mon, i_mon
 
 
 # The single-bin law: one outcome, both photons monitored in slot 0.  It

@@ -1,16 +1,19 @@
 """Two-qubit state reconstruction from coincidence counts.
 
-Sixteen correlation measurements between the bases {Z0, Z1, X+, Y+} on
-each arm are assembled from four interferometer phase settings (the
-calibrated 0/90-degree dials on signal and idler) and reconstructed by
-maximum likelihood; error bars come from Monte-Carlo resampling of the
-counts.
+Four interferometer phase settings (the calibrated 0/90-degree dials on
+signal and idler) each record a 3x3 table of joint-slot coincidences.
+The 36 counts are fitted as they were measured, by maximum likelihood;
+error bars come from Monte-Carlo resampling of the counts.  Each slot
+pair measures one operator M_k, the product of its two arms' slot
+operators: the short slot measures Z0 and the long slot Z1, a quarter of
+an arm's pairs each, and the central slot the dial's basis (X+ at 0,
+Y+ at 90), half of them.
 
 The maximum-likelihood fit is one numpy solver over a stack of R count
 vectors, so a bootstrap fits all its replicas in one call.  It minimizes
 the convex extended-Poisson objective
 
-    f(A) = sum_k tr(A Pi_k) - n_k log tr(A Pi_k)
+    f(A) = sum_k tr(A M_k) - n_k log tr(A M_k)
 
 over unnormalized positive semidefinite 4x4 matrices A; the minimizer
 scaled to unit trace is the state that maximizes the Poisson likelihood
@@ -31,11 +34,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quantum, whole_count
-from .quantum import BASIS_LABELS, _physical, measurement_operator
+from .quantum import _physical, projector
 
 __all__ = [
     "SETTINGS",
-    "CELLS",
     "MeasurementRecord",
     "TomographyResult",
     "counts_from_phase_settings",
@@ -68,56 +70,49 @@ def setting_phases(dial_s: int, dial_i: int) -> tuple[float, float]:
     return np.pi + np.deg2rad(dial_s), np.deg2rad(dial_i)
 
 
-#: The 16 (signal basis, idler basis) cells of a record, in record order.
-CELLS = tuple((a, b) for a in BASIS_LABELS for b in BASIS_LABELS)
+def _slot_operators(dial: int) -> list:
+    """One arm's operators of its short, central and long slot at ``dial``."""
+    return [projector("Z0") / 4, projector(_DIAL_BASIS[dial]) / 2, projector("Z1") / 4]
 
-# The cell each (setting, signal slot, idler slot) counts toward: slot 0
-# measures Z0, slot 2 Z1 and the central slot the dial's basis.
-_SLOT_CELL = np.array([[[CELLS.index((a, b)) for b in ("Z0", _DIAL_BASIS[dial_i], "Z1")]
-                        for a in ("Z0", _DIAL_BASIS[dial_s], "Z1")]
-                       for dial_s, dial_i in SETTINGS])
+
+# The 36 slot operators M_k, in record order.
+_OPS = np.stack([np.kron(m_s, m_i) for dial_s, dial_i in SETTINGS
+                 for m_s in _slot_operators(dial_s) for m_i in _slot_operators(dial_i)])
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """The 16 tomography counts.
+    """The 36 slot counts of the four runs.
 
-    ``counts`` holds one whole count from 0 to 2^53 per cell of
-    :data:`CELLS`, in that order; the record keeps them as a read-only
-    float vector, the form the fits read.
+    ``counts`` holds the 3x3 joint-slot tables of the settings, stacked in
+    :data:`SETTINGS` order, each by rows (signal slot, then idler slot):
+    one whole count from 0 to 2^53 per slot pair, adding up to at most
+    2^53, so every sum the fit takes of them is exact.  The record keeps
+    them as a read-only float vector, the form the fits read.
     """
 
     counts: np.ndarray
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=object)
-        if counts.shape != (len(CELLS),):
-            raise ValueError(f"record must hold {len(CELLS)} counts, got shape {counts.shape}")
-        for cell, n in zip(CELLS, counts):
-            whole_count(n, f"count for {cell}")
+        if counts.shape != (len(_OPS),):
+            raise ValueError(f"record must hold {len(_OPS)} counts, got shape {counts.shape}")
+        for k, n in enumerate(counts):
+            whole_count(n, f"a slot count of setting {SETTINGS[k // 9]}")
+        total = sum(int(n) for n in counts)
+        if total > 2**53:
+            raise ValueError(f"the slot counts add up to {total}, past 2^53")
         vector = counts.astype(float)
         vector.flags.writeable = False
         object.__setattr__(self, "counts", vector)
 
 
 def counts_from_phase_settings(setting_counts: dict) -> MeasurementRecord:
-    """Assemble the 16 tomography counts from four phase-setting runs.
+    """The record of four phase-setting runs.
 
     ``setting_counts`` maps each dial setting in :data:`SETTINGS` to the
     3x3 joint-slot coincidence table of that run (slots 0/1/2 = short/
-    central/long on each arm), whose entries are whole counts from 0 to
-    2^53.  The slot table factorizes per arm:
-
-    * corner slots measure the time basis (slot 0 -> Z0, slot 2 -> Z1),
-    * the central slot measures the dial's superposition basis,
-
-    so slot (0,1) at idler dial 0 contributes to (Z0, X+), slot (1,1) to
-    (X+, X+), and so on.  Per-pair slot weights are 1/16 for corner-
-    corner, 1/8 for mixed and 1/4 for central-central entries; summing
-    corners over all four settings and mixed entries over the two
-    settings sharing the relevant dial makes every accumulated entry
-    carry the same effective weight, so a single shared normalization
-    applies to all 16 counts.  The sums are exact.
+    central/long on each arm); :class:`MeasurementRecord` checks the counts.
     """
     missing = [s for s in SETTINGS if s not in setting_counts]
     if missing:
@@ -128,12 +123,8 @@ def counts_from_phase_settings(setting_counts: dict) -> MeasurementRecord:
         if table.shape != (3, 3):
             raise ValueError(f"setting {setting} must provide the 3x3 slot table of a "
                              f"time-bin run, got shape {table.shape}")
-        for n in table.flat:
-            whole_count(n, f"a slot count of setting {setting}")
         tables.append(table)
-    counts = np.zeros(len(CELLS), dtype=np.int64)
-    np.add.at(counts, _SLOT_CELL, np.array(tables, dtype=np.int64))
-    return MeasurementRecord(counts)
+    return MeasurementRecord(np.concatenate(tables, axis=None))
 
 
 @dataclass(frozen=True)
@@ -184,20 +175,18 @@ class TomographyResult:
 
 # Constant operator data, built once.  A Hermitian 4x4 matrix is held as
 # its real coordinates a over the 16 Pauli products s_l (A = sum_l a_l s_l,
-# tr(s_l s_m) = 4 delta_lm), so p_k = tr(A Pi_k) = (_DESIGN a)_k and
-# sum_k w_k Pi_k has the coordinates _DESIGN^T w / 4.
-_OPS = np.stack([measurement_operator(a, b) for a, b in CELLS])
+# tr(s_l s_m) = 4 delta_lm), so p_k = tr(A M_k) = (_DESIGN a)_k and
+# sum_k w_k M_k has the coordinates _DESIGN^T w / 4.
 _PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]),
           np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
 _SIGMA = np.stack([np.kron(a, b) for a in _PAULI for b in _PAULI]).astype(complex)
 _SIGMA_FLAT = _SIGMA.reshape(16, 16)
 _DESIGN = np.einsum("kij,lji->kl", _OPS, _SIGMA).real
-# Counts normalized to the time-basis sum -> flattened rho (the 16
-# projectors are informationally complete, so _DESIGN is invertible).
-_INVERSION = np.linalg.inv(_DESIGN).T @ _SIGMA_FLAT
-_ZZ = [k for k, (a, b) in enumerate(CELLS) if a[0] == b[0] == "Z"]
+# Counts -> flattened least-squares matrix; the 36 slot operators span the
+# Hermitian matrices, so _DESIGN has full column rank.
+_INVERSION = np.linalg.pinv(_DESIGN).T @ _SIGMA_FLAT
 _MIXED = np.eye(4, dtype=complex) / 4.0
-# tr(A) <= sum_k tr(A Pi_k) / _KAPPA for every positive A.
+# tr(A) <= sum_k tr(A M_k) / _KAPPA for every positive A.
 _KAPPA = float(np.linalg.eigvalsh(_OPS.sum(axis=0))[0])
 
 
@@ -223,20 +212,13 @@ def _matrices(a: np.ndarray) -> np.ndarray:
 
 
 def linear_inversion(counts: np.ndarray) -> np.ndarray:
-    """Direct linear solve of tr(rho Pi_k) = n_k / N for each row of an
-    (R, 16) stack of counts, shape (R, 4, 4); the states may be unphysical.
+    """Least-squares solve of tr(X M_k) = n_k over the 36 slot rows, for
+    each row of an (R, 36) stack of counts; shape (R, 4, 4).
 
-    The shared scale N/4 equals the summed time-basis counts (the four
-    Z x Z projectors sum to the identity).  The 16 projectors are
-    informationally complete, so the 16x16 system is well conditioned;
-    a row without time-basis counts falls back to the maximally mixed
-    state.  :func:`mle_batch` seeds its fit from it.
+    X may be unphysical; for counts of the slot law it is the state times
+    the pairs a setting created.  :func:`mle_batch` seeds its fit from it.
     """
-    scale = counts[:, _ZZ].sum(axis=1)
-    p = counts / np.where(scale > 0, scale, 1.0)[:, None]
-    rho = _rowwise(p.astype(complex), _INVERSION).reshape(len(counts), 4, 4)
-    rho[scale <= 0] = _MIXED
-    return rho
+    return _rowwise(counts.astype(complex), _INVERSION).reshape(len(counts), 4, 4)
 
 
 #: Stopping tolerance of the MLE certificate, in nats.
@@ -262,10 +244,11 @@ class MleBatch:
 def _certificate(n, pos, total, p):
     """Bound on f(A) - min f, in nats, for A rescaled to sum_k p_k = C.
 
-    At that scale the gradient G = sum_k (1 - n_k / p_k) Pi_k has
+    At that scale the gradient G = sum_k (1 - n_k / p_k) M_k has
     <G, A> = 0 and the minimizer B* has sum_k p_k = C too, so convexity
     gives f(A) - f(B*) <= -<G, B*> <= (C / kappa) max(0, -lambda_min(G)),
-    with kappa the smallest eigenvalue of sum_k Pi_k (tr B* <= C / kappa).
+    with kappa the smallest eigenvalue of the sum of the 36 slot
+    operators M_k (tr B* <= C / kappa).
     """
     p = p * (total / p.sum(axis=1))[:, None]
     w = 1.0 - np.divide(n, p, out=np.zeros_like(p), where=pos)
@@ -274,21 +257,21 @@ def _certificate(n, pos, total, p):
 
 
 def mle_batch(counts, max_iter: int = 2000) -> MleBatch:
-    """Maximum-likelihood states for a stack of 16-count records.
+    """Maximum-likelihood states for a stack of 36-count records.
 
-    ``counts`` has shape (R, 16) in record order.  Each row is fitted
+    ``counts`` has shape (R, 36) in record order.  Each row is fitted
     independently.  The objective is the extended Poisson one,
-    f(A) = sum_k p_k - n_k log p_k with p_k = tr(A Pi_k), over positive
+    f(A) = sum_k p_k - n_k log p_k with p_k = tr(A M_k), over positive
     definite A; its minimizer has sum_k p_k = C, the record's total
-    count, and scaled to unit trace it is the state of largest Poisson
-    likelihood.  The seed is the projected linear inversion mixed with
-    0.1 % of the maximally mixed state, scaled to sum_k p_k = C.  Each
-    iteration takes one damped Newton step, a <- a + da / (1 + lambda)
-    with lambda the Newton decrement, on the barrier function
-    t f(A) - log det A in the 16 Pauli coordinates of A; such steps stay
-    inside the positive cone, and t (starting at 1) grows tenfold
-    whenever lambda < 1/2, which drives A toward the boundary of the
-    cone, where the optimum of a rank-deficient state lies.
+    count, and scaled to unit trace it is the state under which the 36
+    counts have the largest Poisson likelihood.  The seed is the projected
+    linear inversion mixed with 0.1 % of the maximally mixed state, scaled
+    to sum_k p_k = C.  Each iteration takes one damped Newton step,
+    a <- a + da / (1 + lambda) with lambda the Newton decrement, on the
+    barrier function t f(A) - log det A in the 16 Pauli coordinates of A;
+    such steps stay inside the positive cone, and t (starting at 1) grows
+    tenfold whenever lambda < 1/2, which drives A toward the boundary of
+    the cone, where the optimum of a rank-deficient state lies.
 
     Stopping rule: iteration k evaluates the certificate of
     :func:`_certificate` at the current iterate (the seed when k = 1), a
@@ -300,7 +283,7 @@ def mle_batch(counts, max_iter: int = 2000) -> MleBatch:
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    n_all = np.asarray(counts, dtype=float).reshape(-1, 16)
+    n_all = np.asarray(counts, dtype=float).reshape(-1, len(_OPS))
     total_all = n_all.sum(axis=1)
     r = len(n_all)
     a_out = np.zeros((r, 16))
@@ -372,7 +355,7 @@ def _figures(stack: np.ndarray):
 
 
 def mle_reconstruct(record: MeasurementRecord, max_iter: int = 2000) -> TomographyResult:
-    """Maximum-likelihood density matrix from a 16-count record.
+    """Maximum-likelihood density matrix from a 36-count record.
 
     The one-record case of :func:`mle_batch`: the fit stops once its
     certificate bounds the log-likelihood still to gain by ``MLE_TOL`` nats,

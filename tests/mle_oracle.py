@@ -5,9 +5,13 @@ This is the reconstruction of James, Kwiat, Munro & White, PRA 64,
 (16 real parameters), so every candidate is physical by construction,
 and the Poisson log-likelihood with the overall scale profiled out is
 maximized by scipy's L-BFGS-B at ``ftol=1e-15``.  Its seed is its own
-least-squares solve of the 16 Born equations, projected onto the states.
-It shares no code with :mod:`timebin.tomography`, only the record layout
-(``CELLS``) and the measurement operators.
+least-squares solve of the Born equations, projected onto the states.
+
+It fits either the 36 slot counts of a record, against ``SLOT_OPS``, or
+their 16 cell sums (:func:`cell_sums`), against ``CELL_OPS``.  Both are
+built here from the bases that ``slot_oracle.slot_basis`` names and the
+slot law's weights, 1/4 for the short and long slot of an arm and 1/2
+for its central slot; nothing comes from :mod:`timebin`.
 """
 
 from __future__ import annotations
@@ -15,14 +19,35 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize
 
-from timebin.quantum import measurement_operator
-from timebin.tomography import CELLS
+from slot_oracle import SETTINGS, slot_basis
 
 _TRIL = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+_KETS = {"Z0": np.array([1, 0]), "Z1": np.array([0, 1]),
+         "X+": np.array([1, 1]) / np.sqrt(2), "Y+": np.array([1, 1j]) / np.sqrt(2)}
+_WEIGHT = (0.25, 0.5, 0.25)
 
 
-def operators() -> np.ndarray:
-    return np.stack([measurement_operator(a, b) for a, b in CELLS])
+def _projector(a, b):
+    ket = np.kron(_KETS[a], _KETS[b]).astype(complex)
+    return np.outer(ket, ket.conj())
+
+
+#: The cell (signal basis, idler basis) of each of a record's 36 slot
+#: counts, in record order.
+_SLOT_CELLS = [(slot_basis(ds, s), slot_basis(di, i)) for ds, di in SETTINGS
+              for s in range(3) for i in range(3)]
+_SLOT_WEIGHTS = [_WEIGHT[s] * _WEIGHT[i] for _ in SETTINGS for s in range(3) for i in range(3)]
+SLOT_OPS = np.stack([w * _projector(a, b) for w, (a, b) in zip(_SLOT_WEIGHTS, _SLOT_CELLS)])
+CELLS = sorted(set(_SLOT_CELLS))
+CELL_OPS = np.stack([_projector(a, b) for a, b in CELLS])
+
+
+def cell_sums(counts) -> np.ndarray:
+    """The 16 sums, in ``CELLS`` order, of the slot counts of each cell."""
+    sums = np.zeros(len(CELLS))
+    for cell, n in zip(_SLOT_CELLS, counts):
+        sums[CELLS.index(cell)] += n
+    return sums
 
 
 def _t_matrix(t: np.ndarray) -> np.ndarray:
@@ -56,14 +81,14 @@ def _hermitian_basis() -> np.ndarray:
     return np.stack(basis)
 
 
-def seed_rho(record) -> np.ndarray:
-    """The least-squares solution X of tr(X Pi_k) = n_k projected onto the
+def seed_rho(counts, ops) -> np.ndarray:
+    """The least-squares solution X of tr(X M_k) = n_k projected onto the
     states: negative eigenvalues of X set to zero, then scaled to unit
     trace.  An X with no positive eigenvalue gives the maximally mixed
     state."""
     basis = _hermitian_basis()
-    design = np.einsum("kij,lji->kl", operators(), basis).real
-    coords = np.linalg.lstsq(design, record.counts, rcond=None)[0]
+    design = np.einsum("kij,lji->kl", ops, basis).real
+    coords = np.linalg.lstsq(design, counts, rcond=None)[0]
     x = np.einsum("l,lij->ij", coords, basis)
     vals, vecs = np.linalg.eigh(x)
     vals = np.clip(vals, 0.0, None)
@@ -85,13 +110,15 @@ def _params_from_rho(rho: np.ndarray) -> np.ndarray:
     return t
 
 
+def log_likelihood(rho, counts, ops) -> float:
+    """Poisson log-likelihood of ``counts`` under ``rho``, scale profiled out."""
+    p = np.clip(np.einsum("kij,ji->k", ops, rho).real, 1e-12, None)
+    mean = counts.sum() / p.sum() * p
+    return float(np.sum(counts * np.log(mean) - mean))
+
+
 def _poisson_nll(t, ops, counts):
-    rho = _rho_from_params(t)
-    p = np.einsum("kij,ji->k", ops, rho).real
-    p = np.clip(p, 1e-12, None)
-    scale = counts.sum() / p.sum()
-    mean = scale * p
-    return -float(np.sum(counts * np.log(mean) - mean))
+    return -log_likelihood(_rho_from_params(t), counts, ops)
 
 
 def _poisson_nll_and_grad(t, ops, counts):
@@ -99,7 +126,7 @@ def _poisson_nll_and_grad(t, ops, counts):
 
     With the scale profiled out the objective is
     -sum(n_k log p_k) + C log(sum p_k) + const, so the Hermitian gradient
-    with respect to rho is sum_k (C/P - n_k/p_k) Pi_k, mapped back through
+    with respect to rho is sum_k (C/P - n_k/p_k) M_k, mapped back through
     rho = T T^dag / tr and the triangular layout of T.
     """
     T = _t_matrix(t)
@@ -126,16 +153,16 @@ def _poisson_nll_and_grad(t, ops, counts):
     return nll, grad
 
 
-def seed_nll(record) -> float:
+def seed_nll(counts, ops) -> float:
     """Profiled negative log-likelihood of the fit's starting point."""
-    return _poisson_nll(_params_from_rho(seed_rho(record)), operators(), record.counts)
+    return _poisson_nll(_params_from_rho(seed_rho(counts, ops)), ops, counts)
 
 
-def oracle_fit(record, max_iter: int = 2000):
-    """(rho, log-likelihood, converged) of the L-BFGS-B fit."""
-    counts = record.counts
-    t0 = _params_from_rho(seed_rho(record))
-    res = minimize(_poisson_nll_and_grad, t0, args=(operators(), counts), jac=True,
+def oracle_fit(counts, ops, max_iter: int = 2000):
+    """(rho, log-likelihood, converged) of the L-BFGS-B fit of ``counts``
+    against the operators ``ops``."""
+    t0 = _params_from_rho(seed_rho(counts, ops))
+    res = minimize(_poisson_nll_and_grad, t0, args=(ops, counts), jac=True,
                    method="L-BFGS-B",
                    options={"maxiter": max_iter, "ftol": 1e-15, "gtol": 1e-8})
     return _rho_from_params(res.x), -float(res.fun), bool(res.success)

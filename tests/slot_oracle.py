@@ -1,8 +1,8 @@
 """The pair law at the monitored ports, written out by hand.
 
 The oracle for the simulator's outcome table, the source of the expected
-counts of the tomography tests, and the map from slots to tomography
-cells.  It imports nothing from ``timebin``, so a test that draws its
+counts of the tomography tests, and the basis each slot of an arm
+measures.  It imports nothing from ``timebin``, so a test that draws its
 counts from it checks the program against the physics, not against the
 program's own law.
 """

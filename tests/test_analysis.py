@@ -125,8 +125,8 @@ class TestGateConfig:
     def test_every_default_slot_holds_501_whole_ps(self, build):
         # One signal and one idler detection on each ps within 300 ps of
         # each offset, one ps per pulse: a slot's count is its width in ps.
-        # One shared normalization of the 16 tomography counts needs every
-        # slot to accept the same time.
+        # The tomography model gives the short and long slots one weight,
+        # so every slot must accept the same time.
         gates = build(ExperimentConfig())
         rels = [round(o * 1e12) + d for o in gates.offsets for d in range(-300, 301)]
         grid = PulseGrid(len(rels) + 1, 13123.359580052494)

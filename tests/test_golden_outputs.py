@@ -24,7 +24,8 @@ A change that means to move bytes rewrites the pins with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-and lists each changed file in ``CHANGES.md``.
+which prints each pin it changed, added or removed, and lists each
+changed file in ``CHANGES.md``.
 """
 
 import hashlib
@@ -162,5 +163,13 @@ if __name__ == "__main__":
         run_chains()
         pins = output_digests(Path(work))
         os.chdir(Path(__file__).resolve().parent)
+    old = json.loads(PINS.read_text()) if PINS.exists() else {}
+    for name in sorted(pins.keys() | old.keys()):
+        if name not in old:
+            print(f"added {name}")
+        elif name not in pins:
+            print(f"removed {name}")
+        elif pins[name] != old[name]:
+            print(f"changed {name}")
     PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print(f"pinned {len(pins)} outputs in {PINS}", file=sys.stderr)

@@ -17,16 +17,16 @@ from hypothesis import strategies as st
 from timebin.analysis import (FOLD_RECORDS, GateConfig, RateReport, StreamAnalyzer,
                               analyze_stream, car, klyshko)
 from timebin.cli import main
-from timebin.quantum import (_physical, chsh_bounds, concurrence, measurement_operator,
-                             validate_density_matrix)
+from timebin.quantum import _physical, chsh_bounds, concurrence, validate_density_matrix
 from timebin.simulate import (CH_IDLER, CH_SIGNAL, TAG_DTYPE, ExperimentConfig, PulseGrid,
                               iter_simulate, iter_simulate_single_bin)
 from timebin.streams import StreamFormatError, iter_read_tags, write_tags
-from timebin.tomography import CELLS, MeasurementRecord, mle_reconstruct
+from timebin.tomography import MeasurementRecord, mle_reconstruct
 
 from conftest import (assert_same_result, full_stream, ginibre_density_matrix, merge_triggers,
                       run_gates, tie_cuts, write_grid_stream)
 from fold_oracle import explicit_trigger_result
+from mle_oracle import SLOT_OPS
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
@@ -79,8 +79,8 @@ def test_density_matrix_json_round_trip(seed):
     # tomo.json holds the fitted state as to_json writes it: every bit comes back
     rng = np.random.default_rng(seed)
     rho = ginibre_density_matrix(rng)
-    probs = [np.trace(measurement_operator(a, b) @ rho).real for a, b in CELLS]
-    result = mle_reconstruct(MeasurementRecord(rng.poisson(1e5 * np.clip(probs, 0, None))))
+    probs = np.einsum("kij,ji->k", SLOT_OPS, rho).real
+    result = mle_reconstruct(MeasurementRecord(rng.poisson(4e5 * np.clip(probs, 0, None))))
     obj = json.loads(result.to_json())["rho"]
     assert np.array(obj["re"]).tobytes() == result.rho.real.tobytes()
     assert np.array(obj["im"]).tobytes() == result.rho.imag.tobytes()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 
@@ -6,13 +7,13 @@ import pytest
 
 from timebin import quantum, tomography
 from timebin.quantum import bell_phi_plus
-from timebin.tomography import (CELLS, SETTINGS, MeasurementRecord, _figures,
+from timebin.tomography import (SETTINGS, MeasurementRecord, _figures,
                                 bootstrap_errors, counts_from_phase_settings,
                                 linear_inversion, mle_batch, mle_reconstruct,
                                 setting_phases)
 
 from conftest import ginibre_density_matrix
-from mle_oracle import oracle_fit, seed_nll
+from mle_oracle import CELL_OPS, SLOT_OPS, cell_sums, log_likelihood, oracle_fit, seed_nll
 from slot_oracle import SETTINGS as ORACLE_SETTINGS
 from slot_oracle import DIAL_PHASE, hand_written_slot_weights, setting_tables, slot_basis
 
@@ -20,17 +21,15 @@ BELL_DM = np.outer(bell_phi_plus(), bell_phi_plus().conj())
 
 
 def born_record(rho, n_total=10**9):
-    """Record with counts proportional to the exact Born probabilities."""
-    counts = []
-    for a, b in CELLS:
-        p = np.real(np.trace(quantum.measurement_operator(a, b) @ rho))
-        counts.append(int(round(n_total * max(p, 0.0))))
-    return MeasurementRecord(counts=counts)
+    """Record with slot counts proportional to the exact Born probabilities
+    of the oracle's slot operators, about ``n_total`` counts in all."""
+    p = np.einsum("kij,ji->k", SLOT_OPS, rho).real
+    return MeasurementRecord(counts=np.round(n_total * np.clip(p, 0.0, None)).astype(int))
 
 
-def cell(record, a, b):
-    """The count of cell (a, b) of ``record``."""
-    return record.counts[CELLS.index((a, b))]
+def slot(record, setting, s_slot, i_slot):
+    """The count of joint slot (s_slot, i_slot) of ``setting`` in ``record``."""
+    return record.counts[9 * SETTINGS.index(setting) + 3 * s_slot + i_slot]
 
 
 class TestSettingMapping:
@@ -57,43 +56,61 @@ class TestSettingMapping:
 
 
 class TestCountsAssembly:
-    def test_all_sixteen_entries_present(self):
-        rec = counts_from_phase_settings(setting_tables(16000))
-        assert rec.counts.shape == (len(CELLS),) == (16,)
+    def test_all_36_slot_counts_present(self):
+        tables = setting_tables(16000)
+        rec = counts_from_phase_settings(tables)
+        assert rec.counts.shape == (36,)
         assert not rec.counts.flags.writeable
+        assert rec.counts.tolist() == np.concatenate([tables[d] for d in SETTINGS],
+                                                     axis=None).tolist()
 
     def test_each_slot_counts_toward_its_hand_written_cell(self):
-        # One count in each of the 4 settings x 9 joint slots lands in the
-        # one cell slot_oracle names for it, and in no other.
-        for dials in SETTINGS:
-            for s_slot, i_slot in np.ndindex(3, 3):
-                tables = {d: np.zeros((3, 3), dtype=int) for d in SETTINGS}
-                tables[dials][s_slot, i_slot] = 1
-                expected = np.zeros(len(CELLS))
-                expected[CELLS.index((slot_basis(dials[0], s_slot),
-                                      slot_basis(dials[1], i_slot)))] = 1
-                got = counts_from_phase_settings(tables).counts
-                assert got.tolist() == expected.tolist(), (dials, s_slot, i_slot)
+        # One count in each of the 4 settings x 9 joint slots lands in its
+        # own place of the record, and in no other; the operator fitted
+        # there measures the cell slot_oracle names for that slot.
+        for k, (dials, s_slot, i_slot) in enumerate(
+                (d, s, i) for d in SETTINGS for s, i in np.ndindex(3, 3)):
+            tables = {d: np.zeros((3, 3), dtype=int) for d in SETTINGS}
+            tables[dials][s_slot, i_slot] = 1
+            assert counts_from_phase_settings(tables).counts.tolist() == np.eye(36)[k].tolist()
+            m = tomography._OPS[k]
+            cell = quantum.measurement_operator(slot_basis(dials[0], s_slot),
+                                                slot_basis(dials[1], i_slot))
+            np.testing.assert_allclose(m, np.trace(m).real * cell, atol=1e-15)
 
     def test_bell_state_pattern(self):
         rec = counts_from_phase_settings(setting_tables(160000))
         # antidiagonal time-basis coincidences vanish for the target state
-        assert cell(rec, "Z0", "Z1") == 0
-        assert cell(rec, "Z1", "Z0") == 0
+        for setting in SETTINGS:
+            assert slot(rec, setting, 0, 2) == slot(rec, setting, 2, 0) == 0
         # equal-weight correlations: X+X+ doubles the uncorrelated level
-        assert cell(rec, "X+", "X+") == pytest.approx(
-            2 * cell(rec, "X+", "Y+"), rel=0.01)
+        assert slot(rec, (0, 0), 1, 1) == pytest.approx(2 * slot(rec, (0, 90), 1, 1), rel=0.01)
 
     def test_uniform_effective_weight(self):
-        # every accumulated entry ends up with weight 1/4 of the pair
-        # number, so the time-basis total equals the created pairs / 4
+        # Every tomography cell collects a quarter of the pairs over the
+        # settings that measure it, so the time-basis corners of the four
+        # tables hold the created pairs / 4
         n = 320000
         rec = counts_from_phase_settings(setting_tables(n))
-        zz = sum(cell(rec, a, b) for a in ("Z0", "Z1") for b in ("Z0", "Z1"))
+        zz = sum(slot(rec, d, s, i) for d in SETTINGS for s in (0, 2) for i in (0, 2))
         assert zz == pytest.approx(n / 4, rel=1e-3)
         # Born probabilities for the target state: 1/2 and 1/4
-        assert cell(rec, "X+", "X+") == pytest.approx(n / 8, rel=1e-3)
-        assert cell(rec, "X+", "Y+") == pytest.approx(n / 16, rel=1e-3)
+        assert slot(rec, (0, 0), 1, 1) == pytest.approx(n / 8, rel=1e-3)
+        assert slot(rec, (0, 90), 1, 1) == pytest.approx(n / 16, rel=1e-3)
+
+    @pytest.mark.parametrize("phi_p", [0.0, 0.106])
+    def test_slot_operators_give_the_hand_written_law(self, phi_p):
+        # The V0-dephased state (|00> + e^{i phi_p}|11>)/sqrt(2): the program's
+        # 36 operators, and the oracle's, give the pair law at every setting
+        v0 = 0.889
+        rho = np.diag([0.5, 0, 0, 0.5]).astype(complex)
+        rho[0, 3] = v0 * np.exp(-1j * phi_p) / 2
+        rho[3, 0] = np.conj(rho[0, 3])
+        want = np.concatenate([hand_written_slot_weights(phi_p, *setting_phases(*d), v0)[0]
+                               for d in SETTINGS], axis=None)
+        for ops in (tomography._OPS, SLOT_OPS):
+            got = np.einsum("kij,ji->k", ops, rho).real
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_missing_setting_rejected(self):
         data = setting_tables(1000)
@@ -117,40 +134,46 @@ class TestCountsAssembly:
 
 class TestMeasurementRecord:
     def test_missing_key_rejected(self):
-        with pytest.raises(ValueError, match="16 counts"):
-            MeasurementRecord(counts=[1] * 15)
+        with pytest.raises(ValueError, match="36 counts"):
+            MeasurementRecord(counts=[1] * 35)
 
     @pytest.mark.parametrize("count", [-1, np.inf, np.nan, True, 1.5,
                                        pytest.param(10**400, id="10**400")])
     def test_negative_count_rejected(self, count):
         # inf was an OverflowError, nan a ValueError of int() that named no key.
-        counts = [1] * len(CELLS)
-        counts[CELLS.index(("Z0", "Z0"))] = count
-        with pytest.raises(ValueError, match=r"count for \('Z0', 'Z0'\) must be an integer "):
+        counts = [1] * 36
+        counts[20] = count
+        with pytest.raises(ValueError, match=r"slot count of setting \(90, 0\) must be an integer "):
+            MeasurementRecord(counts=counts)
+
+    def test_total_past_2_to_the_53_rejected(self):
+        # each count is within bounds, their sum is not
+        counts = [0] * 36
+        counts[0] = counts[9] = 2**52
+        MeasurementRecord(counts=counts)
+        counts[35] = 1
+        with pytest.raises(ValueError, match=r"add up to 9007199254740993, past 2\^53"):
             MeasurementRecord(counts=counts)
 
 
 class TestLinearInversion:
     def test_exact_counts_recover_state(self):
+        # The solve is in counts: the state times the pairs a setting saw
         rng = np.random.default_rng(52)
         for _ in range(10):
             rho = ginibre_density_matrix(rng)
             est = linear_inversion(born_record(rho).counts[None])[0]
-            assert np.max(np.abs(est - rho)) < 1e-6
+            assert np.max(np.abs(est / 1e9 - rho)) < 1e-6
 
     def test_maximally_mixed(self):
         est = linear_inversion(born_record(np.eye(4) / 4).counts[None])[0]
-        np.testing.assert_allclose(est, np.eye(4) / 4, atol=1e-9)
-
-    def test_zero_counts_fall_back_to_mixed(self):
-        rec = MeasurementRecord(counts=np.zeros(len(CELLS)))
-        np.testing.assert_allclose(linear_inversion(rec.counts[None])[0], np.eye(4) / 4)
+        np.testing.assert_allclose(est / 1e9, np.eye(4) / 4, atol=1e-9)
 
     def test_noise_can_leave_physical_set_and_projection_fixes_it(self):
         rng = np.random.default_rng(53)
         seen_unphysical = False
         for k in range(20):
-            rec = born_record(BELL_DM, n_total=200)
+            rec = born_record(BELL_DM, n_total=800)
             est = linear_inversion(rng.poisson(rec.counts)[None])[0]
             vals = np.linalg.eigvalsh((est + est.conj().T) / 2)
             if vals.min() < -1e-9:
@@ -224,7 +247,7 @@ class TestMle:
             rec = counts_from_phase_settings(
                 setting_tables(10_000, v0=0.9, rng=rng))
             fit = mle_reconstruct(rec)
-            assert -fit.log_likelihood <= seed_nll(rec) + 1e-6
+            assert -fit.log_likelihood <= seed_nll(rec.counts, SLOT_OPS) + 1e-6
 
     def test_likelihood_matches_lbfgsb_oracle(self):
         # 12 Ginibre states (full rank and pure) with exact Born counts and
@@ -239,7 +262,7 @@ class TestMle:
                     for acc in (0.0, 2.0, 20.0)]
         for rec in records:
             fit = mle_reconstruct(rec)
-            _, oracle_ll, _ = oracle_fit(rec)
+            _, oracle_ll, _ = oracle_fit(rec.counts, SLOT_OPS)
             # near-pure records take accelerated projected gradient past
             # 2000 iterations; the Newton barrier needs a few tens
             assert fit.converged and fit.iterations <= 100
@@ -252,11 +275,26 @@ class TestMle:
         for _ in range(5):
             rec = counts_from_phase_settings(
                 setting_tables(200_000, v0=0.9, rng=rng, accidentals=5.0))
-            _, oracle_ll, _ = oracle_fit(rec)
+            _, oracle_ll, _ = oracle_fit(rec.counts, SLOT_OPS)
             for max_iter in (1, 4, 16, 2000):
                 fit = mle_reconstruct(rec, max_iter=max_iter)
                 assert oracle_ll - fit.log_likelihood <= fit.certificate + 1e-6
             assert fit.converged and 0 <= fit.certificate <= 1e-2
+
+    def test_equal_exposure_fit_reaches_the_16_cell_optimum(self):
+        # At equal exposure every slot operator of a cell is the same
+        # multiple of its projector, so the likelihood of the 36 slot counts
+        # is that of their 16 cell sums plus a constant: the oracle's
+        # optimum on its own cell sums can beat the fitted state by at most
+        # the fit's certificate
+        for n, v0, acc in itertools.product((10**4, 10**6, 10**9), (0.889, 0.999), (0, 2)):
+            rec = counts_from_phase_settings(setting_tables(n, v0=v0, accidentals=acc))
+            fit = mle_reconstruct(rec)
+            cells = cell_sums(rec.counts)
+            _, oracle_ll, _ = oracle_fit(cells, CELL_OPS)
+            assert fit.converged
+            assert oracle_ll - log_likelihood(fit.rho, cells, CELL_OPS) \
+                <= fit.certificate + 1e-6, (n, v0, acc)
 
     def test_batch_rows_match_solo_fits(self):
         rng = np.random.default_rng(61)
@@ -276,7 +314,11 @@ class TestMle:
         rec = counts_from_phase_settings(
             setting_tables(100_000, v0=0.8, rng=rng))
         rho_a = mle_reconstruct(rec).rho
-        swapped = MeasurementRecord(rec.counts[[CELLS.index((b, a)) for a, b in CELLS]])
+        # signal and idler trade places: setting (ds, di) slot (s, i) is
+        # setting (di, ds) slot (i, s)
+        swapped = MeasurementRecord(rec.counts[[9 * SETTINGS.index((di, ds)) + 3 * i + s
+                                                for ds, di in SETTINGS
+                                                for s, i in np.ndindex(3, 3)]])
         rho_b = mle_reconstruct(swapped).rho
         swap = np.eye(4)[[0, 2, 1, 3]]
         # agreement is limited only by the optimizer's floating-point
@@ -290,7 +332,7 @@ class TestMle:
 
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
-            mle_reconstruct(MeasurementRecord(counts=np.zeros(len(CELLS))))
+            mle_reconstruct(MeasurementRecord(counts=np.zeros(36)))
 
 
 class TestBootstrap:
